@@ -15,7 +15,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/coach-oss/coach/internal/experiments"
 	"github.com/coach-oss/coach/internal/mlforest"
@@ -160,16 +159,13 @@ func BenchmarkSimRunParallel(b *testing.B) {
 }
 
 // BenchmarkServeThroughput measures the serving layer's prediction hot
-// path (docs/DESIGN.md §7) at 1/8/64 concurrent clients, comparing the
-// unbatched per-request path against the batcher that coalesces
-// concurrent requests into single forest passes. Requests draw from the
-// evaluation-period VM population (the arrivals an admission service
-// actually sees), which exercises the forest path rather than the cheap
-// own-history path. The model is trained once outside the timed region
-// via a shared cache. On a single-CPU host the win shows up in
-// allocations/op (amortized feature rows and window slices) more than in
-// wall time; on multi-core hardware batched passes also reclaim the
-// per-request dispatch overhead.
+// path (docs/DESIGN.md §7) at 1/8/64 concurrent clients, comparing
+// one-request passes (mode unbatched = MaxBatch 1) against the default
+// batcher that coalesces concurrent requests into single forest passes.
+// Requests draw from the evaluation-period VM population (the arrivals an
+// admission service actually sees), which exercises the forest path
+// rather than the cheap own-history path. The model is trained once
+// outside the timed region via a shared cache.
 func BenchmarkServeThroughput(b *testing.B) {
 	ctx := benchContext()
 	tr, err := ctx.Trace()
@@ -188,20 +184,16 @@ func BenchmarkServeThroughput(b *testing.B) {
 	cache := NewModelCache()
 	for _, mode := range []struct {
 		name     string
-		disabled bool
+		maxBatch int
 	}{
-		{"unbatched", true},
-		{"batched", false},
+		{"unbatched", 1},
+		{"batched", 0},
 	} {
 		for _, clients := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("%s/clients=%d", mode.name, clients), func(b *testing.B) {
 				cfg := DefaultServiceConfig()
 				cfg.Cache = cache
-				cfg.Batch.Disabled = mode.disabled
-				// A small straggler window lets batches form even on a
-				// single CPU, where the purely opportunistic drain runs
-				// before concurrent clients get scheduled to enqueue.
-				cfg.Batch.MaxWait = time.Millisecond
+				cfg.MaxBatch = mode.maxBatch
 				svc, err := NewService(tr, NewFleet(DefaultClusters(8)), cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -241,20 +233,18 @@ func BenchmarkServeThroughput(b *testing.B) {
 }
 
 // BenchmarkServeAdmit measures the admission hot path (docs/DESIGN.md
-// §15) at 1/8/64 concurrent clients under both admission modes: serial
-// (mode=serial, every request takes its own forest pass, candidate scan
-// and pool sweep under the shard lock) and coalesced (mode=batched,
-// concurrent requests share one scheduler snapshot, one PredictMatrix
-// pass and one rollout matrix, committed in arrival order). The two
-// modes produce bit-identical admission decisions (pinned by the serve
-// equivalence tests), so the grid differs only in throughput. Each op is
-// one admit/release pair against a pressure-aware data-plane service;
-// clients work disjoint strides of the evaluation-period VM population
-// so ids never collide. Before/after numbers are recorded in
-// BENCH_serve.json and the batched:serial ns/op ratio is gated by
-// cmd/coach-benchdiff -grid serve in CI. On a single-CPU host the
-// coalescing win is modest (batches stay shallow without true
-// parallelism); multi-core hardware is where fleet-sized batches form.
+// §15) at 1/8/64 concurrent clients with and without coalescing:
+// mode=serial is MaxBatch 1 (every request is its own one-row rollout:
+// its own forest pass, score row and pool sweep under the shard lock),
+// mode=batched the default (concurrent requests share one PredictMatrix
+// pass and one rollout matrix, committed in arrival order). Both run the
+// same decision function and produce bit-identical admission decisions
+// (pinned by the serve equivalence tests), so the grid differs only in
+// throughput. Each op is one admit/release pair against a pressure-aware
+// data-plane service; clients work disjoint strides of the
+// evaluation-period VM population so ids never collide. The numbers are
+// recorded in BENCH_serve.json and the batched:serial ns/op ratio is
+// gated by cmd/coach-benchdiff -grid serve in CI.
 func BenchmarkServeAdmit(b *testing.B) {
 	ctx := benchContext()
 	tr, err := ctx.Trace()
@@ -269,14 +259,11 @@ func BenchmarkServeAdmit(b *testing.B) {
 	}
 	cache := NewModelCache()
 	for _, mode := range []struct {
-		name  string
-		admit ServiceBatchConfig
+		name     string
+		maxBatch int
 	}{
-		{"serial", ServiceBatchConfig{Disabled: true}},
-		// A small straggler window lets admit batches form even on a
-		// single CPU, where the opportunistic drain runs before
-		// concurrent clients get scheduled to enqueue.
-		{"batched", ServiceBatchConfig{MaxWait: time.Millisecond}},
+		{"serial", 1},
+		{"batched", 0},
 	} {
 		for _, clients := range []int{1, 8, 64} {
 			if clients > len(fresh) {
@@ -287,7 +274,7 @@ func BenchmarkServeAdmit(b *testing.B) {
 				cfg.Cache = cache
 				cfg.DataPlane = true
 				cfg.AdmitPressureFrac = 0.95
-				cfg.AdmitBatch = mode.admit
+				cfg.MaxBatch = mode.maxBatch
 				svc, err := NewService(tr, NewFleet(DefaultClusters(8)), cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -20,8 +20,8 @@
 // Each grid measures the same work under two variants — simcore runs the
 // dense reference replay loop against the event-driven core, predict runs
 // the per-row pointer walk against the level-synchronous PredictMatrix
-// path, serve runs serial per-request admission against the coalesced
-// batched admit path — and the checks are chosen to be meaningful across
+// path, serve runs one-row admission (MaxBatch 1) against the default
+// coalescing admit path — and the checks are chosen to be meaningful across
 // machines (raw ns/op on shared CI runners is far too noisy to gate on):
 //
 //   - visits/op, where the grid reports it (simcore), must match the

@@ -1,15 +1,15 @@
 // Command coachd is the Coach admission server: a long-running HTTP/JSON
 // service exposing the prediction-and-admission control plane
 // (internal/serve) over a synthetic trace and fleet. It is "server" in
-// this repo's vocabulary — the offline experiment harnesses live in
-// cmd/coach-experiments and cmd/coach-experiments-single.
+// this repo's vocabulary — the offline experiment harness lives in
+// cmd/coach-experiments.
 //
 // Usage:
 //
 //	coachd [-addr :8080] [-scale small|medium|full] [-scenario NAME|spec.txt]
 //	       [-servers N] [-policy none|single|coach|aggrcoach]
-//	       [-batch-max N] [-batch-wait D] [-no-batch] [-lazy-train]
-//	       [-train-workers N] [-drain-timeout 10s]
+//	       [-batch-max N] [-lazy-train] [-train-workers N]
+//	       [-drain-timeout 10s]
 //	       [-data-plane] [-mitigation None|Trim|Extend|Migrate]
 //	       [-mitigation-mode Reactive|Proactive] [-dp-interval 2s]
 //	       [-dp-pool-frac 0] [-cross-shard=true] [-admit-pressure 0]
@@ -25,13 +25,13 @@
 // down gracefully: in-flight requests finish, the admission and
 // prediction batchers drain, new requests get 503.
 //
-// Concurrent admissions on the same cluster coalesce into fleet-sized
-// what-if rollouts (one forest pass, one score matrix, one pool sweep per
-// batch) committed in arrival order — bit-identical to serial admission
-// (docs/DESIGN.md §15). -no-batch disables both batchers (the fully
-// serial baseline); -no-admit-batch disables only admission coalescing,
-// and -admit-batch-max caps an admit batch separately from -batch-max
-// (0 inherits it).
+// Concurrent predictions coalesce into single forest passes, and
+// concurrent admissions on the same cluster into fleet-sized what-if
+// rollouts (one forest pass, one score matrix, one pool sweep per batch)
+// committed in arrival order — bit-identical to admitting one VM at a
+// time (docs/DESIGN.md §15). Coalescing is opportunistic (whatever is
+// already queued, never a wait); -batch-max caps a batch, and
+// -batch-max 1 serves every request alone.
 //
 // With -data-plane every fleet server runs the memory data plane (memsim
 // server + oversubscription agent): admitted VMs attach their memory, and
@@ -92,11 +92,7 @@ func main() {
 	scenarioFlag := flag.String("scenario", "", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path; empty uses the calibrated GenConfig trace")
 	servers := flag.Int("servers", 8, "servers per cluster in the ten-cluster fleet")
 	policy := flag.String("policy", "coach", "oversubscription policy: none, single, coach or aggrcoach")
-	batchMax := flag.Int("batch-max", 64, "max prediction requests coalesced into one forest pass")
-	batchWait := flag.Duration("batch-wait", 0, "max wait for stragglers per batch (0 = opportunistic)")
-	noBatch := flag.Bool("no-batch", false, "disable both batchers: per-request inference and serial admission")
-	noAdmitBatch := flag.Bool("no-admit-batch", false, "disable admission coalescing only (predictions still batch)")
-	admitBatchMax := flag.Int("admit-batch-max", 0, "max admissions coalesced into one rollout (0 = -batch-max)")
+	batchMax := flag.Int("batch-max", 64, "max concurrent predictions coalesced into one forest pass, and admissions per cluster into one rollout (1 = no coalescing)")
 	lazyTrain := flag.Bool("lazy-train", false, "defer model training to the first prediction request")
 	trainWorkers := flag.Int("train-workers", 0, "goroutines growing forest trees during training (0 = GOMAXPROCS); the model is identical for any value")
 	dataPlane := flag.Bool("data-plane", false, "run the per-server memory data plane (memsim + oversubscription agent)")
@@ -112,9 +108,7 @@ func main() {
 
 	opts := options{
 		addr: *addr, scale: *scale, scenario: *scenarioFlag, servers: *servers, policy: *policy,
-		batchMax: *batchMax, batchWait: *batchWait, noBatch: *noBatch,
-		noAdmitBatch: *noAdmitBatch, admitBatchMax: *admitBatchMax,
-		lazyTrain: *lazyTrain, trainWorkers: *trainWorkers,
+		batchMax: *batchMax, lazyTrain: *lazyTrain, trainWorkers: *trainWorkers,
 		dataPlane: *dataPlane, mitigation: *mitigation,
 		mitigationMode: *mitigationMode, dpInterval: *dpInterval,
 		dpPoolFrac: *dpPoolFrac, crossShard: *crossShard, admitPressure: *admitPressure,
@@ -134,10 +128,6 @@ type options struct {
 	servers        int
 	policy         string
 	batchMax       int
-	batchWait      time.Duration
-	noBatch        bool
-	noAdmitBatch   bool
-	admitBatchMax  int
 	lazyTrain      bool
 	trainWorkers   int
 	dataPlane      bool
@@ -201,14 +191,7 @@ func run(o options) error {
 		// oversubscribed pool.
 		cfg.Percentile = 50
 	}
-	cfg.Batch = serve.BatchConfig{Disabled: o.noBatch, MaxBatch: o.batchMax, MaxWait: o.batchWait}
-	// The zero AdmitBatch mirrors Batch, so -no-batch alone serves fully
-	// serially; the explicit knobs below override that mirror.
-	if o.noAdmitBatch {
-		cfg.AdmitBatch = serve.BatchConfig{Disabled: true}
-	} else if o.admitBatchMax > 0 {
-		cfg.AdmitBatch = serve.BatchConfig{Disabled: o.noBatch, MaxBatch: o.admitBatchMax, MaxWait: o.batchWait}
-	}
+	cfg.MaxBatch = o.batchMax
 	cfg.LongTerm.Forest.Workers = o.trainWorkers
 	if o.dataPlane {
 		cfg.DataPlane = true
@@ -307,13 +290,13 @@ func run(o options) error {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	err = srv.Shutdown(shutdownCtx) // stop accepting, finish in-flight requests
-	svc.Close()                     // then drain the batcher
+	svc.Close()                     // then drain the batchers
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
 	st := svc.Stats()
-	log.Printf("final: placed=%d batches=%d (mean size %.1f) cache hits/misses=%d/%d",
-		st.Placed, st.Batch.Batches, st.Batch.MeanSize, st.Cache.Hits, st.Cache.Misses)
+	log.Printf("final: placed=%d batches=%d (mean size %.1f, p50 %d) cache hits/misses=%d/%d",
+		st.Placed, st.Batch.Batches, st.Batch.MeanSize, st.Batch.P50Size, st.Cache.Hits, st.Cache.Misses)
 	if st.AdmitBatch.Batches > 0 {
 		log.Printf("admit batches: %d over %d admissions (mean %.1f, p50 %d, max %d), conflict replays %d",
 			st.AdmitBatch.Batches, st.AdmitBatch.Requests, st.AdmitBatch.MeanSize,

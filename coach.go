@@ -302,11 +302,8 @@ type (
 	// same API for embedding.
 	Service = serve.Service
 	// ServiceConfig parameterizes a Service: policy, windows, percentile,
-	// prediction batching and the shared trained-model cache.
+	// the batch-size cap and the shared trained-model cache.
 	ServiceConfig = serve.Config
-	// ServiceBatchConfig tunes how concurrent predictions coalesce into
-	// single forest passes.
-	ServiceBatchConfig = serve.BatchConfig
 	// ModelCache memoizes trained predictors by (trace, config) so cold
 	// starts pay forest training once; share one across Services to reuse
 	// models.

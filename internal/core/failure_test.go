@@ -62,7 +62,8 @@ func TestPickRecovery(t *testing.T) {
 	if p := dp.PressureOf(1); p < cfg.PressureFrac {
 		t.Fatalf("fixture pool not pressured: %.2f < %.2f", p, cfg.PressureFrac)
 	}
-	target, ok := PickRecovery(sched, dp, oversubCVM(t, 3, 4, 16, 0.5), cfg.PressureFrac)
+	scorer := NewWhatIfScorer(sched, dp)
+	target, ok := scorer.PickRecovery(oversubCVM(t, 3, 4, 16, 0.5), cfg.PressureFrac)
 	if !ok || target != 2 {
 		t.Fatalf("PickRecovery = (%d, %v), want the empty server 2", target, ok)
 	}
@@ -70,7 +71,7 @@ func TestPickRecovery(t *testing.T) {
 	// With every pool saturated by a zero pressure budget, the fallback
 	// still finds the least-pressured feasible server rather than losing
 	// the VM.
-	target, ok = PickRecovery(sched, dp, oversubCVM(t, 4, 4, 16, 0.5), 0)
+	target, ok = scorer.PickRecovery(oversubCVM(t, 4, 4, 16, 0.5), 0)
 	if !ok {
 		t.Fatal("fallback lost a feasible VM")
 	}
@@ -79,7 +80,7 @@ func TestPickRecovery(t *testing.T) {
 	}
 
 	// A VM no surviving server can hold is lost.
-	if _, ok := PickRecovery(sched, dp, oversubCVM(t, 5, 64, 256, 1), cfg.PressureFrac); ok {
+	if _, ok := scorer.PickRecovery(oversubCVM(t, 5, 64, 256, 1), cfg.PressureFrac); ok {
 		t.Fatal("infeasible VM was placed")
 	}
 }

@@ -267,7 +267,8 @@ func TestPickPlacementPressureFilter(t *testing.T) {
 	if best != 1 {
 		t.Fatalf("fixture: best-fit candidate is %d, want the loaded server 1", best)
 	}
-	c, ok := PickPlacement(sched, dp, probe, -1, 0, 0.75)
+	scorer := NewWhatIfScorer(sched, dp)
+	c, ok := scorer.PickPlacement(probe, -1, 0, 0.75)
 	if !ok {
 		t.Fatal("no unpressured candidate found")
 	}
@@ -275,16 +276,16 @@ func TestPickPlacementPressureFilter(t *testing.T) {
 		t.Error("pressure filter did not skip the saturated pool")
 	}
 	// With an impossible pressure bar nothing qualifies.
-	if _, ok := PickPlacement(sched, dp, probe, -1, 0, 0); ok {
+	if _, ok := scorer.PickPlacement(probe, -1, 0, 0); ok {
 		t.Error("candidate passed an impossible pressure bar")
 	}
 	// The projection counts the incoming working set: a demand larger
 	// than any empty pool (4GB here) disqualifies every server.
-	if _, ok := PickPlacement(sched, dp, probe, -1, 64, 0.75); ok {
+	if _, ok := scorer.PickPlacement(probe, -1, 64, 0.75); ok {
 		t.Error("a working set no pool can absorb still found a target")
 	}
 	// A small incoming demand still lands on an unpressured pool.
-	if c, ok := PickPlacement(sched, dp, probe, -1, 1, 0.75); !ok || c.Server == 1 {
+	if c, ok := scorer.PickPlacement(probe, -1, 1, 0.75); !ok || c.Server == 1 {
 		t.Errorf("small demand should land on an empty pool, got %+v ok=%v", c, ok)
 	}
 }

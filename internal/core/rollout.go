@@ -15,9 +15,10 @@ import (
 // later rows (no other server's pool or scheduler state changed), so
 // Commit re-scores that single cell per remaining request instead of
 // re-running the sweep. Every decision read from the matrix is
-// bit-identical to what the serial per-request path would have computed
-// at the same point in arrival order; the equivalence and conflict tests
-// in serve pin this.
+// bit-identical to what a fresh one-row rollout would have computed at the
+// same point in arrival order (and to the scorer's ranking-based
+// decisions); TestRolloutMatchesSerialAdmission and serve's equivalence
+// tests pin this.
 
 // Rollout is one batch's scored placement matrix, backed by scorer
 // scratch: valid only until the scorer's next ScoreMany (or Score) call,
@@ -89,8 +90,8 @@ func (w *WhatIfScorer) ScoreMany(cvms []*coachvm.CVM, needs []float64) *Rollout 
 	return ro
 }
 
-// HasFeasible reports whether any server can host request r — the batched
-// form of scheduler.HasFeasible against the rollout's snapshot.
+// HasFeasible reports whether any server can host request r — the
+// capacity question alone, against the rollout's snapshot.
 func (ro *Rollout) HasFeasible(r int) bool {
 	for _, sc := range ro.row(r) {
 		if sc >= 0 {
@@ -116,8 +117,8 @@ func (ro *Rollout) PickFit(r int) int {
 // PickPressured returns the best-fit server for request r whose pool,
 // after absorbing needs[r], stays below pressureFrac (-1 when none
 // qualifies). Taking the highest score passing the pressure filter with
-// ties on the lowest index reproduces the serial decision — the first
-// candidate of the CandidatesInto ranking (score descending, ties
+// ties on the lowest index reproduces WhatIfScorer.PickPlacement — the
+// first candidate of the CandidatesInto ranking (score descending, ties
 // ascending) whose projected pressure clears the bar — without sorting.
 func (ro *Rollout) PickPressured(r int, pressureFrac float64) int {
 	best, bestScore := -1, -1.0

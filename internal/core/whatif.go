@@ -83,9 +83,12 @@ func (w *WhatIfScorer) rescore(needGB float64) []float64 {
 	return w.press
 }
 
-// PickPlacement returns the best-fit candidate whose pool, after
-// absorbing needGB, stays below pressureFrac (ok=false when none
-// qualifies) — PickPlacement's decision, one batched pass.
+// PickPlacement ranks cvm's feasible servers by the scheduler's best-fit
+// policy and returns the best one whose pool, after absorbing needGB of
+// incoming resident demand, stays below pressureFrac occupancy (ok=false
+// when none qualifies), in one batched pass. It is the placement decision
+// shared by same-shard migration landing and the cross-shard apply step;
+// admission makes the same decision over a Rollout row (PickPressured).
 func (w *WhatIfScorer) PickPlacement(cvm *coachvm.CVM, exclude int, needGB, pressureFrac float64) (scheduler.Candidate, bool) {
 	cands, press := w.Score(cvm, exclude, needGB)
 	for i, c := range cands {
@@ -97,10 +100,12 @@ func (w *WhatIfScorer) PickPlacement(cvm *coachvm.CVM, exclude int, needGB, pres
 }
 
 // PickRecovery returns the server a crash-evicted VM re-admits to: the
-// pressure-filtered best fit, else the least-pressured feasible server —
-// PickRecovery's decision. The fallback re-projects the ranking already
-// enumerated (at zero incoming demand, i.e. current occupancy) rather
-// than enumerating again.
+// pressure-filtered best fit (PickPlacement's decision), else the
+// least-pressured feasible server — after a server failure the fleet is
+// short capacity, so a pressured-but-feasible home beats losing the VM.
+// ok=false means nothing in the shard can host it and the VM is lost. The
+// fallback re-projects the ranking already enumerated (at zero incoming
+// demand, i.e. current occupancy) rather than enumerating again.
 func (w *WhatIfScorer) PickRecovery(cvm *coachvm.CVM, pressureFrac float64) (int, bool) {
 	cands, press := w.Score(cvm, -1, VAPeakGB(cvm))
 	for i, c := range cands {
@@ -134,28 +139,4 @@ func (w *WhatIfScorer) PickSettle(cvm *coachvm.CVM, exclude int) int {
 		}
 	}
 	return best
-}
-
-// PickPlacement ranks cvm's feasible servers by the scheduler's best-fit
-// policy and returns the best one whose pool, after absorbing needGB of
-// incoming resident demand, stays below pressureFrac occupancy (ok=false
-// when none qualifies). It is the single placement decision shared by
-// same-shard migration landing, the cross-shard apply step and serve's
-// pressure-aware admission; long-lived callers hold a WhatIfScorer and
-// use its methods so the scratch persists across decisions — this
-// package-level form builds a transient scorer for one-shot callers.
-func PickPlacement(sched *scheduler.Scheduler, dp *DataPlane, cvm *coachvm.CVM, exclude int, needGB, pressureFrac float64) (scheduler.Candidate, bool) {
-	return NewWhatIfScorer(sched, dp).PickPlacement(cvm, exclude, needGB, pressureFrac)
-}
-
-// PickRecovery chooses the server a crash-evicted VM re-admits to: the
-// pressure-filtered best fit (PickPlacement), else the least-pressured
-// feasible server — after a server failure the fleet is short capacity,
-// so a pressured-but-feasible home beats losing the VM. ok=false means
-// nothing in the shard can host it and the VM is lost. The failure-domain
-// engines (sim fault processing, serve's crash handler) hold per-shard
-// scorers and call their PickRecovery; this package-level form builds a
-// transient scorer for one-shot callers.
-func PickRecovery(sched *scheduler.Scheduler, dp *DataPlane, cvm *coachvm.CVM, pressureFrac float64) (int, bool) {
-	return NewWhatIfScorer(sched, dp).PickRecovery(cvm, pressureFrac)
 }

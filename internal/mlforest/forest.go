@@ -74,10 +74,10 @@ type Forest struct {
 
 // Stats is a snapshot of a forest's inference counters.
 type Stats struct {
-	// Passes counts inference calls: Predict, PredictBatch and
-	// PredictMatrix each add one regardless of batch size, so a caller
-	// batching K candidates into one matrix is distinguishable from one
-	// looping K single-row predictions.
+	// Passes counts inference calls: Predict and PredictMatrix each add
+	// one regardless of batch size, so a caller batching K candidates
+	// into one matrix is distinguishable from one looping K single-row
+	// predictions.
 	Passes int64
 	// Rows counts feature rows submitted across all passes.
 	Rows int64
@@ -255,8 +255,7 @@ func flatten(trees []grownTree, nFeat, nSamples int) *Forest {
 }
 
 // walk descends from arena node i to a leaf for one feature row and
-// returns its value. It is the single walk loop Predict and PredictBatch
-// share, so the two paths can never diverge.
+// returns its value.
 func (f *Forest) walk(i int32, row []float64) float64 {
 	for f.feature[i] >= 0 {
 		if row[f.feature[i]] <= f.threshold[i] {
@@ -283,60 +282,6 @@ func (f *Forest) Predict(features []float64) float64 {
 		sum += f.walk(root, features)
 	}
 	return sum / float64(len(f.roots))
-}
-
-// PredictBatch predicts every feature row in one ensemble pass, writing
-// into out when it has matching length (allocating otherwise) and returning
-// the slice used. The result is bit-identical to calling Predict per row —
-// each row's per-tree contributions accumulate in the same tree order and
-// the final division is the same operation — but the tree loop is the outer
-// loop, so one tree's span of the node arena stays hot in cache across the
-// whole batch and the per-tree dispatch overhead is amortized over all
-// rows. Rows whose length differs from the trained feature count predict
-// 0, as in Predict, and count in Stats().MismatchedRows.
-func (f *Forest) PredictBatch(rows [][]float64, out []float64) []float64 {
-	if len(out) != len(rows) {
-		out = make([]float64, len(rows))
-	} else {
-		for i := range out {
-			out[i] = 0
-		}
-	}
-	f.passes.Add(1)
-	f.rowsIn.Add(int64(len(rows)))
-	valid := true
-	for _, r := range rows {
-		if len(r) != f.nFeat {
-			valid = false
-			break
-		}
-	}
-	if !valid {
-		// Rare slow path: keep the hot loop free of per-row length checks.
-		nt := float64(len(f.roots))
-		for i, r := range rows {
-			if len(r) != f.nFeat {
-				f.mismatched.Add(1)
-				continue // out[i] stays 0
-			}
-			var sum float64
-			for _, root := range f.roots {
-				sum += f.walk(root, r)
-			}
-			out[i] = sum / nt
-		}
-		return out
-	}
-	for _, root := range f.roots {
-		for i, r := range rows {
-			out[i] += f.walk(root, r)
-		}
-	}
-	n := float64(len(f.roots))
-	for i := range out {
-		out[i] /= n
-	}
-	return out
 }
 
 // NumTrees returns the ensemble size.

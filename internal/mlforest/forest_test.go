@@ -232,37 +232,3 @@ func TestMSEEmpty(t *testing.T) {
 		t.Error("MSE of empty set != 0")
 	}
 }
-
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	f, err := Train(linearData(400, 1), DefaultForestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	test := linearData(100, 2)
-	rows := make([][]float64, len(test))
-	for i, s := range test {
-		rows[i] = s.Features
-	}
-	got := f.PredictBatch(rows, nil)
-	for i, r := range rows {
-		if want := f.Predict(r); got[i] != want {
-			t.Fatalf("row %d: batch %v != single %v", i, got[i], want)
-		}
-	}
-	// Reusing the output buffer must overwrite, not accumulate.
-	again := f.PredictBatch(rows, got)
-	for i, r := range rows {
-		if want := f.Predict(r); again[i] != want {
-			t.Fatalf("row %d after reuse: batch %v != single %v", i, again[i], want)
-		}
-	}
-	// Ragged rows fall back to the per-row path: wrong lengths predict 0.
-	rows[3] = []float64{1}
-	mixed := f.PredictBatch(rows, nil)
-	if mixed[3] != 0 {
-		t.Errorf("short row predicted %v, want 0", mixed[3])
-	}
-	if want := f.Predict(rows[0]); mixed[0] != want {
-		t.Errorf("valid row in mixed batch predicted %v, want %v", mixed[0], want)
-	}
-}

@@ -7,11 +7,11 @@ import (
 
 // This file implements the level-synchronous inference path
 // (docs/DESIGN.md §14). Alongside the depth-first node arena that Predict
-// and PredictBatch pointer-walk row by row, every trained Forest carries a
-// second, breadth-first layout of the same ensemble: per-tree slabs in
-// which each level's nodes are contiguous and leaves are self-looping
-// sentinels (feature 0, threshold +Inf, both children pointing at the
-// node itself). PredictMatrix advances an entire batch of rows through a
+// pointer-walks row by row, every trained Forest carries a second,
+// breadth-first layout of the same ensemble: per-tree slabs in which each
+// level's nodes are contiguous and leaves are self-looping sentinels
+// (feature 0, threshold +Inf, both children pointing at the node
+// itself). PredictMatrix advances an entire batch of rows through a
 // tree one level per step — one tight compare-and-advance loop across all
 // rows, no per-row leaf checks, no data-dependent control flow beyond a
 // single compare the compiler turns into a conditional move — so the
@@ -21,9 +21,9 @@ import (
 // The accumulation order is exactly Predict's: trees evaluate in training
 // order, each row's running sum adds tree t's leaf before tree t+1's, and
 // the final division by the ensemble size is the same single operation.
-// Predict, PredictBatch and PredictMatrix are therefore bit-identical —
-// pinned by the equivalence wall in matrix_test.go and the fuzzed
-// random-arena walk comparison.
+// Predict and PredictMatrix are therefore bit-identical — pinned by the
+// equivalence wall in matrix_test.go and the fuzzed random-arena walk
+// comparison.
 
 // RowMatrix is a feature-major batch of prediction inputs: column f holds
 // every row's value of feature f contiguously (data[f*rows+r]). The

@@ -74,7 +74,7 @@ func TestPredictMatrixSingleLeafTree(t *testing.T) {
 
 // TestMismatchedRowsCounted pins the satellite fix: dimension-mismatched
 // inputs still predict 0, but no longer silently — every such row counts
-// in Stats().MismatchedRows across all three inference paths.
+// in Stats().MismatchedRows on both inference paths.
 func TestMismatchedRowsCounted(t *testing.T) {
 	f, err := Train(linearData(60, 11), DefaultForestConfig())
 	if err != nil {
@@ -87,15 +87,7 @@ func TestMismatchedRowsCounted(t *testing.T) {
 	if got := f.Predict([]float64{1}); got != 0 {
 		t.Errorf("wrong-dimension Predict = %v, want 0", got)
 	}
-	good := []float64{0.5, 0.5}
-	f.Predict(good)
-	batch := f.PredictBatch([][]float64{good, {1}, good, {1, 2, 3}}, nil)
-	if batch[1] != 0 || batch[3] != 0 {
-		t.Errorf("mismatched batch rows predicted %v, %v, want 0", batch[1], batch[3])
-	}
-	if want := f.Predict(good); batch[0] != want || batch[2] != want {
-		t.Errorf("valid rows in mixed batch predicted %v, %v, want %v", batch[0], batch[2], want)
-	}
+	f.Predict([]float64{0.5, 0.5})
 	m := NewRowMatrix(5, 3) // wrong dimensionality: whole matrix rejected
 	out := f.PredictMatrix(m, nil)
 	for r, v := range out {
@@ -104,18 +96,17 @@ func TestMismatchedRowsCounted(t *testing.T) {
 		}
 	}
 
-	// Predict(bad)=1 pass/1 row/1 mismatch, Predict(good)+inner Predict
-	// call above = 2 passes/2 rows, batch = 1 pass/4 rows/2 mismatches,
-	// matrix = 1 pass/5 rows/5 mismatches.
+	// Predict(bad) = 1 pass/1 row/1 mismatch, Predict(good) = 1 pass/1
+	// row, matrix = 1 pass/5 rows/5 mismatches.
 	s := f.Stats()
-	if s.MismatchedRows != 1+2+5 {
-		t.Errorf("MismatchedRows = %d, want 8", s.MismatchedRows)
+	if s.MismatchedRows != 1+5 {
+		t.Errorf("MismatchedRows = %d, want 6", s.MismatchedRows)
 	}
-	if s.Passes != 5 {
-		t.Errorf("Passes = %d, want 5", s.Passes)
+	if s.Passes != 3 {
+		t.Errorf("Passes = %d, want 3", s.Passes)
 	}
-	if s.Rows != 1+1+1+4+5 {
-		t.Errorf("Rows = %d, want 12", s.Rows)
+	if s.Rows != 1+1+5 {
+		t.Errorf("Rows = %d, want 7", s.Rows)
 	}
 }
 

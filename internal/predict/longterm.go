@@ -86,13 +86,13 @@ type LongTerm struct {
 	maxForest [resources.NumKinds]*mlforest.Forest
 	history   map[int]*subscriptionHistory
 	trainRows int
-	// scratch recycles PredictBatch working buffers across batches (the
-	// serving hot path calls PredictBatch continuously); see batchScratch.
+	// scratch recycles PredictBatchInto working buffers across batches
+	// (the serving hot path calls it continuously); see batchScratch.
 	scratch sync.Pool
 }
 
-// batchScratch is the reusable working set of one PredictBatch call: the
-// feature-major input matrix for the level-synchronous forest path, a
+// batchScratch is the reusable working set of one PredictBatchInto call:
+// the feature-major input matrix for the level-synchronous forest path, a
 // staging row for assembling one feature vector at a time, and the raw
 // forest outputs. Only buffers not retained by the returned Predictions
 // live here.
@@ -333,27 +333,19 @@ func (lt *LongTerm) Predict(tr *trace.Trace, vm *trace.VM) (pred coachvm.Predict
 	return pred, true
 }
 
-// PredictBatch predicts a batch of VMs in single forest passes. The
-// results are exactly those of calling Predict per VM — bit-identical,
-// since mlforest.Forest.PredictMatrix accumulates per-row tree
-// contributions in the same order as the per-row walk — but all fresh
-// VMs' (window, resource) feature rows are evaluated through each forest
-// in one level-synchronous matrix pass, advancing the whole batch one
-// tree level at a time instead of pointer-chasing rows one by one, and
-// each VM's prediction windows are backed by shared flat allocations.
-// This is the inference hot path of the serving layer (internal/serve),
-// which coalesces concurrent prediction requests into such batches.
-func (lt *LongTerm) PredictBatch(tr *trace.Trace, vms []*trace.VM) ([]coachvm.Prediction, []bool) {
-	preds := make([]coachvm.Prediction, len(vms))
-	oks := make([]bool, len(vms))
-	lt.PredictBatchInto(tr, vms, preds, oks)
-	return preds, oks
-}
-
-// PredictBatchInto is PredictBatch writing into caller-owned slices (both
-// len(vms)), so a steady-state caller — serve's admission batcher reuses
-// per-shard scratch — pays no per-batch result allocation beyond the
-// prediction windows themselves. Entries are fully overwritten.
+// PredictBatchInto predicts a batch of VMs in single forest passes,
+// writing into caller-owned slices (both len(vms), entries fully
+// overwritten) so a steady-state caller — serve's batch workers reuse
+// per-queue scratch — pays no per-batch result allocation beyond the
+// prediction windows themselves. The results are exactly those of calling
+// Predict per VM — bit-identical, since mlforest.Forest.PredictMatrix
+// accumulates per-row tree contributions in the same order as the per-row
+// walk — but all fresh VMs' (window, resource) feature rows are evaluated
+// through each forest in one level-synchronous matrix pass, advancing the
+// whole batch one tree level at a time instead of pointer-chasing rows one
+// by one, and each VM's prediction windows are backed by shared flat
+// allocations. This is the inference hot path of the serving layer
+// (internal/serve), which coalesces concurrent requests into such batches.
 func (lt *LongTerm) PredictBatchInto(tr *trace.Trace, vms []*trace.VM, preds []coachvm.Prediction, oks []bool) {
 	// First pass: resolve VMs predictable from their own observed series
 	// or rejected for insufficient history; collect the forest-path rest.

@@ -11,7 +11,7 @@ import (
 )
 
 // TestPredictBatchMatrixEquivalence is the predict half of the
-// level-synchronous equivalence wall: with PredictBatch now feeding the
+// level-synchronous equivalence wall: with PredictBatchInto feeding the
 // forests through the feature-major matrix path, every scenario preset's
 // batched predictions must stay gob-byte-identical to per-VM Predict at
 // each required batch size. Run under -race in CI, this also races the
@@ -44,7 +44,8 @@ func TestPredictBatchMatrixEquivalence(t *testing.T) {
 				for i := range vms {
 					vms[i] = &tr.VMs[i%len(tr.VMs)]
 				}
-				gotPred, gotOK := lt.PredictBatch(tr, vms)
+				gotPred, gotOK := make([]coachvm.Prediction, n), make([]bool, n)
+				lt.PredictBatchInto(tr, vms, gotPred, gotOK)
 				wantPred := make([]coachvm.Prediction, n)
 				wantOK := make([]bool, n)
 				for i, vm := range vms {
@@ -67,7 +68,7 @@ func TestPredictBatchMatrixEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Fatalf("batch %d: PredictBatch diverges from per-VM Predict", n)
+					t.Fatalf("batch %d: PredictBatchInto diverges from per-VM Predict", n)
 				}
 			}
 			if forestRows == 0 {

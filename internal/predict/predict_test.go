@@ -280,10 +280,8 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			break
 		}
 	}
-	preds, oks := m.PredictBatch(tr, vms)
-	if len(preds) != len(vms) || len(oks) != len(vms) {
-		t.Fatalf("batch sizes %d/%d, want %d", len(preds), len(oks), len(vms))
-	}
+	preds, oks := make([]coachvm.Prediction, len(vms)), make([]bool, len(vms))
+	m.PredictBatchInto(tr, vms, preds, oks)
 	sawFresh, sawSelf, sawNoHist := false, false, false
 	for i, vm := range vms {
 		single, ok := m.Predict(tr, vm)

@@ -47,10 +47,6 @@ type Scheduler struct {
 	// scheduler only refuses new placements there. Nil until the first
 	// SetDown, so the fault-free fast paths stay allocation-free.
 	down []bool
-	// candScratch backs Migrate's candidate ranking across calls. A
-	// Scheduler is single-goroutine (shards wrap their own), so one
-	// scratch per scheduler suffices.
-	candScratch []Candidate
 }
 
 // New builds a scheduler over the fleet with empty servers.
@@ -104,19 +100,13 @@ func (s *Scheduler) Servers() []*ServerState { return s.servers }
 // post-placement packed fraction is highest (best fit), consolidating VMs
 // onto fewer servers and leaving empty servers for large requests.
 func (s *Scheduler) Place(vm *coachvm.CVM) (serverIdx int, ok bool) {
-	return s.PlaceExcluding(vm, -1)
-}
-
-// PlaceExcluding is Place but never considers server exclude (used by
-// migration, which must move a VM off its current host).
-func (s *Scheduler) PlaceExcluding(vm *coachvm.CVM, exclude int) (serverIdx int, ok bool) {
 	if _, dup := s.placement[vm.ID]; dup {
 		return -1, false
 	}
 	best := -1
 	bestScore := -1.0
 	for i, st := range s.servers {
-		if i == exclude || s.Down(i) || !st.Pool.Fits(vm) {
+		if s.Down(i) || !st.Pool.Fits(vm) {
 			continue
 		}
 		if score := s.packScore(st, vm); score > bestScore {
@@ -133,7 +123,7 @@ func (s *Scheduler) PlaceExcluding(vm *coachvm.CVM, exclude int) (serverIdx int,
 // PlaceAt assigns vm to an explicit server, bypassing the best-fit
 // preference but not the feasibility check. The migration engine uses it
 // to commit a destination chosen from a Candidates ranking (possibly in
-// another shard's scheduler); serve uses it for pressure-aware admission.
+// another shard's scheduler); serve uses it to commit admissions.
 func (s *Scheduler) PlaceAt(vm *coachvm.CVM, server int) error {
 	if server < 0 || server >= len(s.servers) {
 		return fmt.Errorf("scheduler: server %d outside [0,%d)", server, len(s.servers))
@@ -168,33 +158,22 @@ type Candidate struct {
 	Score float64
 }
 
-// HasFeasible reports whether any server other than exclude (-1 = none)
-// could take vm — the capacity question alone, without building the
-// Candidates ranking.
-func (s *Scheduler) HasFeasible(vm *coachvm.CVM, exclude int) bool {
-	for i, st := range s.servers {
-		if i != exclude && !s.Down(i) && st.Pool.Fits(vm) {
-			return true
-		}
-	}
-	return false
-}
-
 // Candidates ranks every feasible server for vm in placement-preference
 // order: best-fit score descending, ties broken on the lowest index.
 // exclude (-1 = none) is never considered — migration must move a VM off
-// its current host. The ranking is the single placement path shared by
-// Place, the migration engine (which filters it by data-plane pressure)
-// and serve's pressure-aware admission, so every layer agrees on what
-// "the scheduler's placement policy" means.
+// its current host. The ranking is the reference placement order: Place
+// takes its head, the migration engine and crash recovery filter it by
+// data-plane pressure, and admission reads its dense per-server form
+// (ScoreRowInto), so every layer agrees on what "the scheduler's
+// placement policy" means.
 func (s *Scheduler) Candidates(vm *coachvm.CVM, exclude int) []Candidate {
 	return s.CandidatesInto(vm, exclude, nil)
 }
 
 // CandidatesInto is Candidates appending into a caller-provided scratch
 // slice (overwritten from index 0, reallocated only when too small) and
-// returning the slice used. The hot decision paths — admission, migration
-// relanding and recovery call the ranking per VM per tick — reuse one
+// returning the slice used. The hot decision paths — migration relanding
+// and recovery call the ranking per VM per tick — reuse one
 // scratch across calls and stay allocation-free in steady state; the
 // ranking itself is identical to Candidates'.
 func (s *Scheduler) CandidatesInto(vm *coachvm.CVM, exclude int, scratch []Candidate) []Candidate {
@@ -279,26 +258,11 @@ func (s *Scheduler) Remove(vmID int) (*coachvm.CVM, int) {
 	return s.servers[idx].Pool.Remove(vmID), idx
 }
 
-// Migrate moves a VM to the best-fit other feasible server. On failure
-// the VM's placement is unchanged and the error is typed: ErrUnknownVM
-// when the scheduler never placed vmID (drop the migration), ErrNoCapacity
-// when no other server fits (re-route cross-shard or leave in place).
-func (s *Scheduler) Migrate(vmID int) (newServer int, err error) {
-	from, ok := s.placement[vmID]
-	if !ok {
-		return -1, fmt.Errorf("%w: %d", ErrUnknownVM, vmID)
-	}
-	cands := s.CandidatesInto(s.servers[from].Pool.Members()[vmID], from, s.candScratch)
-	s.candScratch = cands[:0]
-	if len(cands) == 0 {
-		return -1, fmt.Errorf("%w: migrating vm %d", ErrNoCapacity, vmID)
-	}
-	return cands[0].Server, s.MigrateTo(vmID, cands[0].Server)
-}
-
 // MigrateTo moves a VM to an explicit server — the destination a
-// migration engine picked from Candidates. On failure the VM stays where
-// it was, with the same typed errors as Migrate.
+// migration engine picked from Candidates. On failure the VM's placement
+// is unchanged and the error is typed: ErrUnknownVM when the scheduler
+// never placed vmID (drop the migration), ErrNoCapacity when the target is
+// down or cannot fit it (re-route cross-shard or leave in place).
 func (s *Scheduler) MigrateTo(vmID, target int) error {
 	if target < 0 || target >= len(s.servers) {
 		return fmt.Errorf("scheduler: migration target %d outside [0,%d)", target, len(s.servers))
@@ -348,7 +312,7 @@ func (s *Scheduler) ServerOf(vmID int) int {
 }
 
 // SetDown marks a server failed (down=true) or recovered (false). A
-// down server is skipped by Place, PlaceAt, Candidates, HasFeasible and
+// down server is skipped by Place, PlaceAt, Candidates, ScoreRowInto and
 // MigrateTo; VMs already placed there stay in the bookkeeping until the
 // caller removes them.
 func (s *Scheduler) SetDown(server int, down bool) {

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -101,54 +100,67 @@ func TestBestFitConsolidates(t *testing.T) {
 func TestMigrateMovesVM(t *testing.T) {
 	s := mustScheduler(t, smallFleet(2))
 	from, _ := s.Place(guaranteedVM(1, 4, 16))
-	to, err := s.Migrate(1)
-	if err != nil {
+	to := 1 - from
+	if err := s.MigrateTo(1, to); err != nil {
 		t.Fatalf("migration failed with a free server available: %v", err)
-	}
-	if to == from {
-		t.Error("migration must change servers")
 	}
 	if s.ServerOf(1) != to {
 		t.Error("placement map not updated")
 	}
+	if s.Servers()[from].Pool.Len() != 0 || s.Servers()[to].Pool.Len() != 1 {
+		t.Error("pools not updated")
+	}
+}
+
+// fullFleetFixture places VM 1 and a blocker on distinct servers of a
+// two-server fleet, each too big for the other's server.
+func fullFleetFixture(t *testing.T) (s *Scheduler, idx, blocker int) {
+	t.Helper()
+	s = mustScheduler(t, smallFleet(2))
+	idx, _ = s.Place(guaranteedVM(1, 10, 40))
+	blocker, _ = s.Place(guaranteedVM(2, 10, 40))
+	if idx == blocker {
+		t.Fatal("fixture VMs must land on distinct servers")
+	}
+	return s, idx, blocker
 }
 
 func TestMigrateRestoresOnFailure(t *testing.T) {
-	s := mustScheduler(t, smallFleet(1))
-	idx, _ := s.Place(guaranteedVM(1, 4, 16))
-	if _, err := s.Migrate(1); !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("single-server migration = %v, want ErrNoCapacity", err)
+	s, idx, blocker := fullFleetFixture(t)
+	backed := s.Servers()[idx].Pool.Backed()
+	if err := s.MigrateTo(1, blocker); !errors.Is(err, ErrNoCapacity) {
+		t.Fatalf("migration onto a full server = %v, want ErrNoCapacity", err)
 	}
 	if s.ServerOf(1) != idx {
 		t.Error("VM must be restored to its original server")
 	}
-	if s.Servers()[idx].Pool.Len() != 1 {
-		t.Error("pool must still hold the VM")
+	if s.Servers()[idx].Pool.Len() != 1 || s.Servers()[idx].Pool.Backed() != backed {
+		t.Error("source pool must hold the VM exactly as before")
+	}
+	if s.Servers()[blocker].Pool.Len() != 1 {
+		t.Error("target pool must be untouched")
 	}
 }
 
 func TestMigrateUnknownVM(t *testing.T) {
-	s := mustScheduler(t, smallFleet(1))
-	if _, err := s.Migrate(99); !errors.Is(err, ErrUnknownVM) {
+	s := mustScheduler(t, smallFleet(2))
+	if err := s.MigrateTo(99, 1); !errors.Is(err, ErrUnknownVM) {
 		t.Errorf("migrating unknown VM = %v, want ErrUnknownVM", err)
 	}
 }
 
 func TestMigrateNoCapacity(t *testing.T) {
-	// Two servers, the second too full to take the first's VM: the
-	// failure must be typed ErrNoCapacity, distinguishable from an
-	// unknown VM, and leave the placement untouched.
-	s := mustScheduler(t, smallFleet(2))
-	idx, _ := s.Place(guaranteedVM(1, 10, 40))
-	blocker, _ := s.Place(guaranteedVM(2, 10, 40))
-	if idx == blocker {
-		t.Fatal("fixture VMs must land on distinct servers")
+	// The failure must be typed ErrNoCapacity whether the target is full
+	// or down, distinguishable from an unknown VM, and leave the placement
+	// untouched.
+	s, idx, blocker := fullFleetFixture(t)
+	if err := s.MigrateTo(1, blocker); !errors.Is(err, ErrNoCapacity) || errors.Is(err, ErrUnknownVM) {
+		t.Fatalf("migration onto a full server = %v, want ErrNoCapacity only", err)
 	}
-	if _, err := s.Migrate(1); !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("migration into a full fleet = %v, want ErrNoCapacity", err)
-	}
-	if errors.Is(fmt.Errorf("%w: x", ErrNoCapacity), ErrUnknownVM) {
-		t.Fatal("error kinds must be distinguishable")
+	s.Remove(2)
+	s.SetDown(blocker, true)
+	if err := s.MigrateTo(1, blocker); !errors.Is(err, ErrNoCapacity) {
+		t.Fatalf("migration onto a down server = %v, want ErrNoCapacity", err)
 	}
 	if s.ServerOf(1) != idx {
 		t.Error("failed migration must not move the VM")
@@ -219,12 +231,8 @@ func TestCandidatesRankingMatchesPlace(t *testing.T) {
 			t.Error("excluded server still ranked")
 		}
 	}
-	// HasFeasible agrees with the ranking without building it.
-	if !s.HasFeasible(guaranteedVM(3, 2, 8), -1) {
-		t.Error("HasFeasible false with feasible servers")
-	}
-	if s.HasFeasible(guaranteedVM(4, 99, 8), -1) {
-		t.Error("HasFeasible true for an unplaceable VM")
+	if got := s.Candidates(guaranteedVM(4, 99, 8), -1); len(got) != 0 {
+		t.Errorf("unplaceable VM ranked %d candidates", len(got))
 	}
 }
 
@@ -465,8 +473,8 @@ func TestDownTracking(t *testing.T) {
 	if err := s.PlaceAt(guaranteedVM(5, 1, 4), 0); err == nil {
 		t.Fatal("PlaceAt onto a down server succeeded")
 	}
-	if s.HasFeasible(guaranteedVM(6, 16, 64), 1) {
-		t.Fatal("HasFeasible found capacity on the down server")
+	if got := s.Candidates(guaranteedVM(6, 16, 64), 1); len(got) != 0 {
+		t.Fatalf("Candidates ranked the down server: %v", got)
 	}
 
 	// Evict + recover: the server accepts placements again.

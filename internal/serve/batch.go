@@ -3,10 +3,6 @@ package serve
 import (
 	"errors"
 	"sync"
-	"time"
-
-	"github.com/coach-oss/coach/internal/coachvm"
-	"github.com/coach-oss/coach/internal/trace"
 )
 
 // ErrClosed is returned for requests submitted after shutdown began.
@@ -15,49 +11,13 @@ var ErrClosed = errors.New("serve: service is shutting down")
 // ErrAlreadyAdmitted is wrapped by Admit when the VM is already placed.
 var ErrAlreadyAdmitted = errors.New("already admitted")
 
-// BatchConfig tunes the prediction batcher.
-type BatchConfig struct {
-	// Disabled routes every prediction through the per-request path,
-	// bypassing the batcher entirely (the baseline the batched path is
-	// benchmarked against).
-	Disabled bool
-	// MaxBatch caps how many requests coalesce into one forest pass
-	// (default 64). Larger batches amortize per-tree dispatch further but
-	// add head-of-line latency for the first request in the batch.
-	MaxBatch int
-	// MaxWait bounds how long a non-full batch waits for stragglers after
-	// the first request arrives. The default 0 is purely opportunistic:
-	// the batcher drains whatever is already queued and runs immediately,
-	// so an idle service adds no latency while a loaded one naturally
-	// forms large batches (requests queue up while the previous forest
-	// pass runs).
-	MaxWait time.Duration
-	// Queue is the request channel capacity (default 4*MaxBatch).
-	Queue int
-}
+// defaultMaxBatch is Config.MaxBatch's default.
+const defaultMaxBatch = 64
 
-func (b BatchConfig) withDefaults() BatchConfig {
-	if b.MaxBatch <= 0 {
-		b.MaxBatch = 64
-	}
-	if b.Queue <= 0 {
-		b.Queue = 4 * b.MaxBatch
-	}
-	return b
-}
-
-// predictOut is one request's result, delivered on its private channel.
-type predictOut struct {
-	pred coachvm.Prediction
-	ok   bool
-	err  error
-}
-
-// predictJob is one queued prediction request.
-type predictJob struct {
-	vm   *trace.VM
-	resp chan predictOut
-}
+// queueDepth is every queue's channel capacity: four default-sized
+// batches, so the next batches form while the previous pass runs. A full
+// queue only blocks the submitter; the loop never stops draining.
+const queueDepth = 4 * defaultMaxBatch
 
 // BatchStats reports how effectively concurrent requests coalesced.
 type BatchStats struct {
@@ -65,20 +25,40 @@ type BatchStats struct {
 	Batches  int64   `json:"batches"`
 	MaxBatch int     `json:"max_batch"`
 	MeanSize float64 `json:"mean_size"`
+	// P50Size is the median batch size: the smallest size s such that at
+	// least half of all batches had size ≤ s.
+	P50Size int `json:"p50_size"`
 }
 
-// batcher coalesces concurrent prediction requests into single batched
-// forest passes. One background goroutine owns the loop: it blocks for the
-// first request, opportunistically drains everything already queued (up to
-// MaxBatch, waiting at most MaxWait for more), runs one
-// LongTerm.PredictBatch over the whole batch, and fans results back out.
-// Because the batched pass is bit-identical to per-request prediction,
-// responses do not depend on which requests happened to share a batch.
-type batcher struct {
-	cfg  BatchConfig
-	run  func(vms []*trace.VM) ([]coachvm.Prediction, []bool, error)
-	jobs chan predictJob
-	done chan struct{}
+// job is one queued request and the private channel its response returns
+// on.
+type job[Req, Resp any] struct {
+	req  Req
+	resp chan Resp
+}
+
+// batcher coalesces concurrent requests into batched passes. Requests are
+// submitted to one of N queues; one background goroutine per queue blocks
+// for the first request, drains whatever else is already queued (up to
+// maxBatch, never waiting for more), runs one pass over the whole batch
+// and fans the responses back out. Coalescing is purely opportunistic: an
+// idle service adds no latency, while a loaded one forms large batches
+// naturally because requests queue up behind the running pass. A pass must
+// answer each request exactly as it would have alone, so responses never
+// depend on which requests happened to share a batch — a serial request is
+// simply a batch of one.
+//
+// Predictions use one queue; admissions use one queue per fleet shard
+// (admission never crosses cluster boundaries, so batches never do
+// either).
+type batcher[Req, Resp any] struct {
+	maxBatch int
+	// run performs one batched pass, filling out[i] (zeroed, len(reqs))
+	// for reqs[i]. It is called from queue's loop goroutine only, so
+	// per-queue scratch needs no locking of its own.
+	run    func(queue int, reqs []Req, out []Resp)
+	queues []chan job[Req, Resp]
+	done   sync.WaitGroup
 
 	// respPool recycles the per-request response channels (each carries
 	// exactly one value per use, so a drained channel is safely reusable).
@@ -86,157 +66,125 @@ type batcher struct {
 
 	mu sync.Mutex
 	// senders counts submits that passed the closed check but have not
-	// finished sending; close() waits for them before closing jobs, so no
-	// send can hit a closed channel.
+	// finished sending; close() waits for them before closing the queues,
+	// so no send can hit a closed channel.
 	senders  sync.WaitGroup
 	closed   bool
 	requests int64
 	batches  int64
-	maxSeen  int
+	sizes    []int64 // sizes[n] counts batches of n requests
 }
 
-// newBatcher starts the collection loop. run performs one batched
-// prediction pass; it is called from the loop goroutine only.
-func newBatcher(cfg BatchConfig, run func(vms []*trace.VM) ([]coachvm.Prediction, []bool, error)) *batcher {
-	b := &batcher{
-		cfg:  cfg.withDefaults(),
-		run:  run,
-		done: make(chan struct{}),
+// newBatcher starts one collection loop per queue.
+func newBatcher[Req, Resp any](queues, maxBatch int, run func(queue int, reqs []Req, out []Resp)) *batcher[Req, Resp] {
+	b := &batcher[Req, Resp]{
+		maxBatch: maxBatch,
+		run:      run,
+		queues:   make([]chan job[Req, Resp], queues),
+		sizes:    make([]int64, maxBatch+1),
 	}
-	b.jobs = make(chan predictJob, b.cfg.Queue)
-	go b.loop()
+	for q := range b.queues {
+		b.queues[q] = make(chan job[Req, Resp], queueDepth)
+		b.done.Add(1)
+		go b.loop(q)
+	}
 	return b
 }
 
-// submit enqueues one prediction and blocks for its result.
-func (b *batcher) submit(vm *trace.VM) (coachvm.Prediction, bool, error) {
-	resp, _ := b.respPool.Get().(chan predictOut)
-	if resp == nil {
-		resp = make(chan predictOut, 1)
-	}
-	job := predictJob{vm: vm, resp: resp}
+// submit enqueues one request and blocks for its response.
+func (b *batcher[Req, Resp]) submit(queue int, req Req) (Resp, error) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
-		return coachvm.Prediction{}, false, ErrClosed
+		var zero Resp
+		return zero, ErrClosed
 	}
 	b.requests++
 	b.senders.Add(1)
 	b.mu.Unlock()
-	// The loop drains jobs until the channel closes, so this send always
-	// completes even when the queue is momentarily full.
-	b.jobs <- job
+	resp, _ := b.respPool.Get().(chan Resp)
+	if resp == nil {
+		resp = make(chan Resp, 1)
+	}
+	// The loop drains its queue until the channel closes, so this send
+	// always completes even when the queue is momentarily full.
+	b.queues[queue] <- job[Req, Resp]{req: req, resp: resp}
 	b.senders.Done()
 	out := <-resp
 	b.respPool.Put(resp)
-	return out.pred, out.ok, out.err
+	return out, nil
 }
 
 // close stops accepting work, waits for queued requests to be answered and
-// stops the loop goroutine.
-func (b *batcher) close() {
+// stops every loop goroutine. It is idempotent and waits for the drain
+// either way.
+func (b *batcher[Req, Resp]) close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		<-b.done
-		return
-	}
+	first := !b.closed
 	b.closed = true
 	b.mu.Unlock()
-	b.senders.Wait()
-	close(b.jobs)
-	<-b.done
+	if first {
+		b.senders.Wait()
+		for _, q := range b.queues {
+			close(q)
+		}
+	}
+	b.done.Wait()
 }
 
 // stats snapshots the coalescing counters.
-func (b *batcher) stats() BatchStats {
+func (b *batcher[Req, Resp]) stats() BatchStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	s := BatchStats{Requests: b.requests, Batches: b.batches, MaxBatch: b.maxSeen}
-	if b.batches > 0 {
-		s.MeanSize = float64(b.requests) / float64(b.batches)
+	s := BatchStats{Requests: b.requests, Batches: b.batches}
+	if b.batches == 0 {
+		return s
+	}
+	s.MeanSize = float64(b.requests) / float64(b.batches)
+	half := (b.batches + 1) / 2
+	var seen int64
+	for n, count := range b.sizes {
+		if count == 0 {
+			continue
+		}
+		s.MaxBatch = n
+		if seen < half {
+			s.P50Size = n
+		}
+		seen += count
 	}
 	return s
 }
 
-// loop is the batcher's single consumer.
-func (b *batcher) loop() {
-	defer close(b.done)
-	batch := make([]predictJob, 0, b.cfg.MaxBatch)
-	for {
-		first, ok := <-b.jobs
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], first)
-		batch, ok = b.fill(batch)
-		b.flush(batch)
-		if !ok {
-			return
-		}
-	}
-}
-
-// fill grows batch up to MaxBatch: first by draining what is already
-// queued without blocking, then — when MaxWait is set — by waiting up to
-// MaxWait for stragglers. Returns ok=false once the jobs channel closed.
-func (b *batcher) fill(batch []predictJob) ([]predictJob, bool) {
-	for len(batch) < b.cfg.MaxBatch {
-		select {
-		case j, ok := <-b.jobs:
-			if !ok {
-				return batch, false
+// loop is one queue's single consumer.
+func (b *batcher[Req, Resp]) loop(queue int) {
+	defer b.done.Done()
+	jobs := make([]job[Req, Resp], 0, b.maxBatch)
+	reqs := make([]Req, 0, b.maxBatch)
+	scratch := make([]Resp, b.maxBatch)
+	for first := range b.queues[queue] {
+		jobs, reqs = append(jobs[:0], first), append(reqs[:0], first.req)
+	drain:
+		for len(jobs) < b.maxBatch {
+			select {
+			case j, ok := <-b.queues[queue]:
+				if !ok {
+					break drain // closed: flush, then the range ends
+				}
+				jobs, reqs = append(jobs, j), append(reqs, j.req)
+			default:
+				break drain
 			}
-			batch = append(batch, j)
-		default:
-			if b.cfg.MaxWait <= 0 {
-				return batch, true
-			}
-			return b.fillTimed(batch)
 		}
-	}
-	return batch, true
-}
-
-// fillTimed continues filling until MaxWait elapses or the batch is full.
-func (b *batcher) fillTimed(batch []predictJob) ([]predictJob, bool) {
-	timer := time.NewTimer(b.cfg.MaxWait)
-	defer timer.Stop()
-	for len(batch) < b.cfg.MaxBatch {
-		select {
-		case j, ok := <-b.jobs:
-			if !ok {
-				return batch, false
-			}
-			batch = append(batch, j)
-		case <-timer.C:
-			return batch, true
+		out := scratch[:len(jobs)]
+		clear(out)
+		b.run(queue, reqs, out)
+		b.mu.Lock()
+		b.batches++
+		b.sizes[len(jobs)]++
+		b.mu.Unlock()
+		for i, j := range jobs {
+			j.resp <- out[i]
 		}
-	}
-	return batch, true
-}
-
-// flush runs one batched pass and fans results out to the waiters.
-func (b *batcher) flush(batch []predictJob) {
-	if len(batch) == 0 {
-		return
-	}
-	vms := make([]*trace.VM, len(batch))
-	for i, j := range batch {
-		vms[i] = j.vm
-	}
-	preds, oks, err := b.run(vms)
-	b.mu.Lock()
-	b.batches++
-	if len(batch) > b.maxSeen {
-		b.maxSeen = len(batch)
-	}
-	b.mu.Unlock()
-	for i, j := range batch {
-		if err != nil {
-			j.resp <- predictOut{err: err}
-			continue
-		}
-		j.resp <- predictOut{pred: preds[i], ok: oks[i]}
 	}
 }

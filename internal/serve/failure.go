@@ -313,8 +313,8 @@ func (s *Service) applyFaultEvents(tick int) error {
 // crashServer fails one shard server: its data-plane memory state is
 // lost, the scheduler marks it down, and every VM attached there is
 // evicted and re-admitted through the pressure-aware recovery placement
-// (core.PickRecovery) — or lost when no feasible server remains in the
-// shard. Reservations held by in-flight handoffs are not dp-attached
+// (core.WhatIfScorer.PickRecovery) — or lost when no feasible server
+// remains in the shard. Reservations held by in-flight handoffs are not dp-attached
 // and are deliberately left alone: the handoff protocol owns them.
 func (s *Service) crashServer(shard, srv int) error {
 	sh := s.shards[shard]

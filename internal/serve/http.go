@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -151,8 +152,9 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
-	vm, ok := s.decodeVM(w, r)
-	if !ok {
+	var req VMRequest
+	vm := s.decodeBody(w, r, &req, &req.VM)
+	if vm == nil {
 		return
 	}
 	s.injectDelay()
@@ -174,8 +176,9 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleAdmit(w http.ResponseWriter, r *http.Request) {
-	vm, ok := s.decodeVM(w, r)
-	if !ok {
+	var req VMRequest
+	vm := s.decodeBody(w, r, &req, &req.VM)
+	if vm == nil {
 		return
 	}
 	s.injectDelay()
@@ -220,19 +223,9 @@ func (s *Service) handleAdmit(w http.ResponseWriter, r *http.Request) {
 // admitted, 404 when unknown, 400 on a malformed body or a disabled data
 // plane.
 func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodPost) {
-		return
-	}
 	var req ReportRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed request body: " + err.Error()})
-		return
-	}
-	vm := s.VM(req.VM)
+	vm := s.decodeBody(w, r, &req, &req.VM)
 	if vm == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown vm %d", req.VM)})
 		return
 	}
 	s.injectDelay()
@@ -253,8 +246,9 @@ func (s *Service) handleReport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleRelease(w http.ResponseWriter, r *http.Request) {
-	vm, ok := s.decodeVM(w, r)
-	if !ok {
+	var req VMRequest
+	vm := s.decodeBody(w, r, &req, &req.VM)
+	if vm == nil {
 		return
 	}
 	s.injectDelay()
@@ -270,25 +264,43 @@ func (s *Service) handleRelease(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ReleaseResponse{VM: vm.ID, Released: true})
 }
 
-// decodeVM parses a POSTed VMRequest and resolves the trace VM, writing
-// the error response itself when it returns ok=false.
-func (s *Service) decodeVM(w http.ResponseWriter, r *http.Request) (*trace.VM, bool) {
+// maxBodyBytes bounds a POST body; every request is one small JSON
+// object.
+const maxBodyBytes = 4 << 10
+
+// decodeBody parses a POSTed JSON request into req — exactly one object of
+// at most maxBodyBytes, no unknown fields — and resolves the trace VM that
+// vmID (a field of req) names. It writes the error response itself when it
+// returns nil: 405 on a wrong method, 413 on an oversized body, 400 on a
+// malformed one or trailing data, 404 on an unknown VM.
+func (s *Service) decodeBody(w http.ResponseWriter, r *http.Request, req any, vmID *int) *trace.VM {
 	if !requireMethod(w, r, http.MethodPost) {
-		return nil, false
+		return nil
 	}
-	var req VMRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "malformed request body: " + err.Error()})
-		return nil, false
+	err := dec.Decode(req)
+	if err == nil {
+		if _, err = dec.Token(); err == nil {
+			err = errors.New("trailing data after the request object")
+		} else if err == io.EOF {
+			err = nil
+		}
 	}
-	vm := s.VM(req.VM)
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, ErrorResponse{Error: "malformed request body: " + err.Error()})
+		return nil
+	}
+	vm := s.VM(*vmID)
 	if vm == nil {
-		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown vm %d", req.VM)})
-		return nil, false
+		writeJSON(w, http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("unknown vm %d", *vmID)})
 	}
-	return vm, true
+	return vm
 }
 
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {

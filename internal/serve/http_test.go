@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -61,23 +62,33 @@ func TestHTTPHealthAndStats(t *testing.T) {
 func TestHTTPErrorCodes(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	if code, _ := post(t, ts.URL+"/v1/predict", "{not json"); code != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d, want 400", code)
+	for _, tc := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"malformed body", "/v1/predict", "{not json", http.StatusBadRequest},
+		{"unknown vm", "/v1/predict", `{"vm": 99999999}`, http.StatusNotFound},
+		{"release of unadmitted vm", "/v1/release", `{"vm": 0}`, http.StatusConflict},
+		{"unknown field", "/v1/admit", `{"vm": 0, "x": 1}`, http.StatusBadRequest},
+		{"two objects", "/v1/admit", `{"vm":1}{"vm":2}`, http.StatusBadRequest},
+		{"trailing garbage", "/v1/report", `{"vm":1,"memory_util":0.5} x`, http.StatusBadRequest},
+		{"oversized body", "/v1/admit", `{"vm": 0` + strings.Repeat(" ", 2*maxBodyBytes) + `}`, http.StatusRequestEntityTooLarge},
+		{"oversized trailer", "/v1/release", `{"vm": 0}` + strings.Repeat(" ", 2*maxBodyBytes), http.StatusRequestEntityTooLarge},
+	} {
+		if code, body := post(t, ts.URL+tc.path, tc.body); code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, code, tc.want, body)
+		}
 	}
-	if code, _ := post(t, ts.URL+"/v1/predict", `{"vm": 99999999}`); code != http.StatusNotFound {
-		t.Errorf("unknown vm: status %d, want 404", code)
-	}
-	if code, _ := post(t, ts.URL+"/v1/release", `{"vm": 0}`); code != http.StatusConflict {
-		t.Errorf("release of unadmitted vm: status %d, want 409", code)
-	}
-	// GET on a POST endpoint.
-	resp, err := http.Get(ts.URL + "/v1/predict")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET predict: status %d, want 405", resp.StatusCode)
+	// GET on the POST endpoints.
+	for _, path := range []string{"/v1/predict", "/v1/admit", "/v1/release", "/v1/report"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("GET %s: status %d, want 405", path, resp.StatusCode)
+		}
 	}
 }
 

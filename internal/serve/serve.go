@@ -8,11 +8,11 @@
 // Three mechanisms make the hot path production-shaped rather than a thin
 // wrapper (docs/DESIGN.md §7):
 //
-//   - A request batcher coalesces concurrent predictions into single
-//     batched forest passes (predict.LongTerm.PredictBatch), amortizing
-//     per-tree dispatch across requests. Batched results are bit-identical
-//     to per-request prediction, so responses never depend on batch
-//     composition.
+//   - One request batcher (batch.go) coalesces concurrent predictions
+//     into single batched forest passes and concurrent admissions on a
+//     shard into single fleet-sized placement rollouts. Batched results
+//     are bit-identical to one-request-at-a-time serving, so responses
+//     never depend on batch composition.
 //   - A trained-model cache keyed by (trace fingerprint, training config)
 //     makes cold starts pay forest training once; later services and
 //     requests share the fitted model (singleflight under concurrency).
@@ -72,16 +72,15 @@ type Config struct {
 	// TrainUpTo is the trace sample separating the model's training
 	// period from served requests (default: half the horizon).
 	TrainUpTo int
-	// Batch tunes the prediction batcher.
-	Batch BatchConfig
-	// AdmitBatch tunes the admission batcher, which coalesces concurrent
-	// admissions on the same shard into one fleet-sized what-if rollout
-	// (one forest pass, one score matrix, one pool sweep) committed in
-	// arrival order — bit-identical to serial admission (docs/DESIGN.md
-	// §15). The zero value mirrors Batch, so disabling prediction
-	// batching (-no-batch) disables admission batching too unless
-	// AdmitBatch is set explicitly.
-	AdmitBatch BatchConfig
+	// MaxBatch caps how many concurrent requests coalesce into one pass
+	// (default 64): predictions into one forest pass, admissions on the
+	// same shard into one fleet-sized what-if rollout (one forest pass,
+	// one score matrix, one pool sweep) committed in arrival order
+	// (docs/DESIGN.md §15). Larger batches amortize the sweeps further but
+	// add head-of-line latency for the first request in the batch. 1
+	// serves every request alone — the serial reference the batched
+	// decisions are bit-identical to.
+	MaxBatch int
 	// Cache optionally shares a trained-model cache across services.
 	// When nil the service creates a private one.
 	Cache *ModelCache
@@ -169,9 +168,9 @@ type fleetShard struct {
 	// has no servers.
 	scorer *core.WhatIfScorer
 
-	// Admission-batch scratch, owned exclusively by the shard's admit
-	// loop goroutine (admitBatcher.loop) — never touched elsewhere, so
-	// it needs no locking of its own.
+	// Admission-batch scratch (the first two MaxBatch long), owned
+	// exclusively by the shard's admit loop goroutine — never touched
+	// elsewhere, so it needs no locking of its own.
 	abPreds []coachvm.Prediction
 	abOKs   []bool
 	abCVMs  []*coachvm.CVM
@@ -185,6 +184,8 @@ type fleetShard struct {
 	failedMigs       int64
 	warmArrivedGB    float64
 	pressureRejected int64
+	// conflictReplays counts rollout cells re-scored by Rollout.Commit.
+	conflictReplays int64
 }
 
 // countPlan folds a landed migration plan into the shard's counters.
@@ -253,10 +254,14 @@ type Service struct {
 	routeMu sync.Mutex
 	route   map[int]int
 
-	batcher *batcher
-	// admit is the admission batcher (nil when AdmitBatch.Disabled):
-	// per-shard queues whose loop goroutines run admitBatch.
-	admit *admitBatcher
+	// predicts coalesces Predict calls on one queue (worker
+	// predictBatch, which owns the MaxBatch-long pbPreds/pbOKs scratch);
+	// admits coalesces Admit calls on one queue per shard (worker
+	// admitBatch).
+	predicts *batcher[*trace.VM, predictOut]
+	admits   *batcher[*trace.VM, admitOut]
+	pbPreds  []coachvm.Prediction
+	pbOKs    []bool
 
 	// dpTicks counts completed TickDataPlane passes.
 	dpTicks atomic.Int64
@@ -324,10 +329,8 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 	if cache == nil {
 		cache = NewModelCache()
 	}
-	if cfg.AdmitBatch == (BatchConfig{}) {
-		// Unconfigured admission batching follows the prediction batcher,
-		// so one -no-batch knob yields fully serial serving.
-		cfg.AdmitBatch = cfg.Batch
+	if cfg.MaxBatch <= 0 {
+		cfg.MaxBatch = defaultMaxBatch
 	}
 
 	ltCfg := cfg.LongTerm
@@ -356,7 +359,10 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		s.vmByID[tr.VMs[i].ID] = &tr.VMs[i]
 	}
 	for ci, servers := range fleet.Shards() {
-		sh := &fleetShard{}
+		sh := &fleetShard{
+			abPreds: make([]coachvm.Prediction, cfg.MaxBatch),
+			abOKs:   make([]bool, cfg.MaxBatch),
+		}
 		if len(servers) > 0 {
 			sched, err := scheduler.NewOverServers(servers, cfg.Windows)
 			if err != nil {
@@ -393,12 +399,10 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	if !cfg.Batch.Disabled {
-		s.batcher = newBatcher(cfg.Batch, s.predictBatch)
-	}
-	if !cfg.AdmitBatch.Disabled {
-		s.admit = newAdmitBatcher(len(s.shards), cfg.AdmitBatch, s.admitBatch)
-	}
+	s.pbPreds = make([]coachvm.Prediction, cfg.MaxBatch)
+	s.pbOKs = make([]bool, cfg.MaxBatch)
+	s.predicts = newBatcher(1, cfg.MaxBatch, s.predictBatch)
+	s.admits = newBatcher(len(s.shards), cfg.MaxBatch, s.admitBatch)
 	return s, nil
 }
 
@@ -441,14 +445,27 @@ func (s *Service) Warm() error {
 	return err
 }
 
-// predictBatch is the batcher's worker: one batched forest pass.
-func (s *Service) predictBatch(vms []*trace.VM) ([]coachvm.Prediction, []bool, error) {
+// predictOut is one prediction request's response.
+type predictOut struct {
+	pred coachvm.Prediction
+	ok   bool
+	err  error
+}
+
+// predictBatch is the prediction queue's worker: one batched forest pass.
+func (s *Service) predictBatch(_ int, vms []*trace.VM, out []predictOut) {
 	m, err := s.modelFor()
 	if err != nil {
-		return nil, nil, err
+		for i := range out {
+			out[i].err = err
+		}
+		return
 	}
-	preds, oks := m.PredictBatch(s.tr, vms)
-	return preds, oks, nil
+	preds, oks := s.pbPreds[:len(vms)], s.pbOKs[:len(vms)]
+	m.PredictBatchInto(s.tr, vms, preds, oks)
+	for i := range out {
+		out[i] = predictOut{pred: preds[i], ok: oks[i]}
+	}
 }
 
 // VM resolves a trace VM id (nil when unknown).
@@ -457,20 +474,13 @@ func (s *Service) VM(id int) *trace.VM { return s.vmByID[id] }
 // Predict returns the per-window utilization prediction for vm. ok=false
 // means the model lacks history to predict it (§3.3: such VMs must not be
 // oversubscribed). Concurrent calls coalesce into batched forest passes
-// unless batching is disabled; either path returns bit-identical results.
+// whose results are bit-identical to predicting each VM alone.
 func (s *Service) Predict(vm *trace.VM) (coachvm.Prediction, bool, error) {
-	if s.isClosed() {
-		return coachvm.Prediction{}, false, ErrClosed
-	}
-	if s.batcher != nil {
-		return s.batcher.submit(vm)
-	}
-	m, err := s.modelFor()
+	out, err := s.predicts.submit(0, vm)
 	if err != nil {
 		return coachvm.Prediction{}, false, err
 	}
-	pred, ok := m.Predict(s.tr, vm)
-	return pred, ok, nil
+	return out.pred, out.ok, out.err
 }
 
 // AdmitResult reports one admission decision.
@@ -505,159 +515,61 @@ type AdmitResult struct {
 // Admit predicts vm, shapes it into a CoachVM under the configured policy
 // and places it onto its home cluster's shard. Admissions of distinct
 // clusters run concurrently; within a cluster concurrent admissions
-// coalesce into batched decision passes (unless AdmitBatch.Disabled)
-// whose results are bit-identical to serial admission in arrival order —
-// the shard lock serializes placement either way, so the underlying
-// best-fit packer stays deterministic.
+// coalesce into batched decision passes (admitBatch) whose results are
+// bit-identical to admitting one VM at a time in arrival order — the
+// shard lock serializes placement, so the underlying best-fit packer
+// stays deterministic.
 //
 // With AdmitPressureFrac set, admission of an oversubscribed VM consults
-// the shard's data-plane pressure through the migration engine's shared
-// placement path: the VM is re-routed to the best-fit server whose pool
-// can absorb its scheduled peak VA demand, and rejected — even when raw
-// capacity exists — when every pool in the home cluster is thrashing.
+// the shard's data-plane pressure: the VM is re-routed to the best-fit
+// server whose pool can absorb its scheduled peak VA demand, and rejected
+// — even when raw capacity exists — when every pool in the home cluster
+// is thrashing.
 func (s *Service) Admit(vm *trace.VM) (AdmitResult, error) {
-	if s.admit != nil {
-		return s.admit.submit(s.shardIndex(vm), vm)
-	}
-	return s.admitSerial(vm)
-}
-
-// admitSerial is the per-request admission path: one prediction (through
-// the prediction batcher when enabled), one CVM shaping, one placement
-// decision under the shard lock. It is the reference the batched path is
-// bit-identical to.
-func (s *Service) admitSerial(vm *trace.VM) (AdmitResult, error) {
-	pred, ok, err := s.Predict(vm)
-	degraded := false
-	if err != nil {
-		if !errors.Is(err, ErrModelUnavailable) {
-			return AdmitResult{}, err
-		}
-		// Degraded admission: no model, no oversubscription — the VM is
-		// shaped fully guaranteed and best-fit placed, the safe envelope
-		// §3.3 prescribes for unpredictable VMs.
-		pred, ok, degraded = coachvm.Prediction{}, false, true
-	}
-	cvm, err := scheduler.BuildCVM(s.cfg.Policy, vm.ID, vm.Alloc, pred, ok, s.cfg.Windows)
+	out, err := s.admits.submit(s.shardIndex(vm), vm)
 	if err != nil {
 		return AdmitResult{}, err
 	}
-	ci := s.shardIndex(vm)
-	res := AdmitResult{
-		Cluster:        ci,
-		Server:         -1,
-		Oversubscribed: ok && s.cfg.Policy != scheduler.PolicyNone,
-		Alloc:          vm.Alloc,
-		Guaranteed:     cvm.Guaranteed,
-		Degraded:       degraded,
-	}
-	if s.routedShard(vm.ID) >= 0 {
-		return res, fmt.Errorf("serve: vm %d %w", vm.ID, ErrAlreadyAdmitted)
-	}
-	sh := s.shards[ci]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.sched == nil {
-		sh.rejected++
-		res.Reason = "home cluster has no servers"
-		return res, nil
-	}
-	if sh.sched.ServerOf(vm.ID) >= 0 {
-		return res, fmt.Errorf("serve: vm %d %w", vm.ID, ErrAlreadyAdmitted)
-	}
-	srv, placed := -1, false
-	if sh.dp != nil && s.cfg.AdmitPressureFrac > 0 {
-		if need := core.VAPeakGB(cvm); need > 0 {
-			// One batched what-if pass scores every candidate server for
-			// this admission (docs/DESIGN.md §14); the scorer's scratch is
-			// the engine's, reused under the shard lock.
-			if c, ok := sh.eng.Scorer().PickPlacement(cvm, -1, need, s.cfg.AdmitPressureFrac); ok {
-				if err := sh.sched.PlaceAt(cvm, c.Server); err == nil {
-					srv, placed = c.Server, true
-				}
-			} else if sh.sched.HasFeasible(cvm, -1) {
-				// Capacity exists, but no pool can absorb the VM's
-				// oversubscribed demand: admitting it would only add to
-				// the thrashing.
-				sh.rejected++
-				sh.pressureRejected++
-				res.Reason = "pool pressure: no server in the home cluster can absorb the VM's oversubscribed demand"
-				res.Retryable = true
-				return res, nil
-			}
-		}
-	}
-	if !placed {
-		if srv, placed = sh.sched.Place(cvm); !placed {
-			sh.rejected++
-			res.Reason = "no server in the home cluster has capacity"
-			res.Retryable = true
-			return res, nil
-		}
-	}
-	sh.admitted++
-	res.Admitted = true
-	res.Server = srv
-	if sh.dp != nil {
-		err := sh.dp.Attach(srv, vm.ID,
-			vm.Alloc[resources.Memory], cvm.Guaranteed[resources.Memory])
-		if err != nil {
-			return res, err
-		}
-		tr := &dpTracked{vm: vm}
-		sh.dpVMs[vm.ID] = tr
-		sh.dp.SetWSS(vm.ID, tr.wss())
-	}
-	s.setRoute(vm.ID, ci)
-	return res, nil
+	return out.res, out.err
 }
 
-// admitBatch is the admission batcher's per-shard worker: one batched
-// decision pass over every request that coalesced on shard ci, returning
-// the number of conflict-replayed rollout cells (docs/DESIGN.md §15).
+// admitOut is one admission request's response.
+type admitOut struct {
+	res AdmitResult
+	err error
+}
+
+// admitBatch is the one admission decision function, run as shard ci's
+// admit-queue worker over every request that coalesced there — a lone
+// request is a batch of one (docs/DESIGN.md §15).
 //
-// The expensive sweeps run once per batch instead of once per request —
-// one batched forest pass (PredictBatchInto), one scored
-// (request × server) matrix plus one pool-state sweep (ScoreMany) — then
-// a serial commit loop walks the requests in arrival order, applying each
-// decision exactly as admitSerial would have at that point: every check,
-// counter and reason string below mirrors admitSerial line for line, and
-// Rollout.Commit folds each placement into the snapshot so request i+1
-// observes the capacity request i consumed. The equivalence and conflict
-// tests in admitbatch_test.go pin the bit-identity.
-func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) int {
+// The expensive sweeps run once per batch: one batched forest pass
+// (PredictBatchInto), one scored (request × server) matrix plus one
+// pool-state sweep (ScoreMany). A commit loop then walks the requests in
+// arrival order under the shard lock, and Rollout.Commit folds each
+// placement into the snapshot so request i+1 observes the capacity request
+// i consumed: an N-row batch decides exactly as N one-row batches in the
+// same order would (admitbatch_test.go pins the bit-identity).
+func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) {
 	sh := s.shards[ci]
 
-	degraded := false
-	m, merr := s.modelFor()
-	if merr != nil {
-		if !errors.Is(merr, ErrModelUnavailable) {
-			for i := range out {
-				out[i] = admitOut{err: merr}
-			}
-			return 0
-		}
-		// Degraded admission, exactly as admitSerial: no model, no
-		// oversubscription — every VM in the batch shapes fully
-		// guaranteed and best-fit places.
-		degraded = true
-	}
-	if cap(sh.abPreds) < len(vms) {
-		sh.abPreds = make([]coachvm.Prediction, len(vms))
-		sh.abOKs = make([]bool, len(vms))
-	}
 	preds, oks := sh.abPreds[:len(vms)], sh.abOKs[:len(vms)]
-	if !degraded {
+	// modelFor fails only with ErrModelUnavailable. Degraded admission: no
+	// model, no oversubscription — every VM in the batch is shaped fully
+	// guaranteed and best-fit placed, the safe envelope §3.3 prescribes
+	// for unpredictable VMs.
+	m, merr := s.modelFor()
+	degraded := merr != nil
+	if degraded {
+		clear(preds)
+		clear(oks)
+	} else {
 		m.PredictBatchInto(s.tr, vms, preds, oks)
 	}
 
 	cvms, needs := sh.abCVMs[:0], sh.abNeeds[:0]
 	for i, vm := range vms {
-		pred, ok := coachvm.Prediction{}, false
-		if !degraded {
-			pred, ok = preds[i], oks[i]
-		}
-		cvm, err := scheduler.BuildCVM(s.cfg.Policy, vm.ID, vm.Alloc, pred, ok, s.cfg.Windows)
+		cvm, err := scheduler.BuildCVM(s.cfg.Policy, vm.ID, vm.Alloc, preds[i], oks[i], s.cfg.Windows)
 		if err != nil {
 			out[i] = admitOut{err: err}
 			cvms, needs = append(cvms, nil), append(needs, 0)
@@ -666,7 +578,7 @@ func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) int {
 		out[i].res = AdmitResult{
 			Cluster:        ci,
 			Server:         -1,
-			Oversubscribed: ok && s.cfg.Policy != scheduler.PolicyNone,
+			Oversubscribed: oks[i] && s.cfg.Policy != scheduler.PolicyNone,
 			Alloc:          vm.Alloc,
 			Guaranteed:     cvm.Guaranteed,
 			Degraded:       degraded,
@@ -681,7 +593,6 @@ func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) int {
 	if sh.scorer != nil {
 		ro = sh.scorer.ScoreMany(cvms, needs)
 	}
-	replays := 0
 	for r, vm := range vms {
 		cvm := cvms[r]
 		if cvm == nil {
@@ -707,6 +618,9 @@ func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) int {
 					srv, placed = c, true
 				}
 			} else if ro.HasFeasible(r) {
+				// Capacity exists, but no pool can absorb the VM's
+				// oversubscribed demand: admitting it would only add to
+				// the thrashing.
 				sh.rejected++
 				sh.pressureRejected++
 				out[r].res.Reason = "pool pressure: no server in the home cluster can absorb the VM's oversubscribed demand"
@@ -748,9 +662,8 @@ func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) int {
 		}
 		// The placement mutated this server's pool whether or not the
 		// attach succeeded; fold it in so later requests see it.
-		replays += ro.Commit(r, srv)
+		sh.conflictReplays += int64(ro.Commit(r, srv))
 	}
-	return replays
 }
 
 // routedShard returns the shard currently holding vmID (-1 when not
@@ -1011,6 +924,17 @@ type DataPlaneStats struct {
 	PendingHandoffs int `json:"pending_handoffs"`
 }
 
+// AdmitBatchStats is the admission queues' BatchStats plus the commit-time
+// rework the shared rollouts cost.
+type AdmitBatchStats struct {
+	BatchStats
+	// ConflictReplays counts (request, server) cells re-scored after an
+	// earlier request in the same batch committed a placement on that
+	// server — the incremental work that keeps batched decisions
+	// bit-identical to one-at-a-time arrival order (core.Rollout.Commit).
+	ConflictReplays int64 `json:"conflict_replays"`
+}
+
 // Stats is a point-in-time snapshot of the service.
 type Stats struct {
 	Policy string `json:"policy"`
@@ -1020,10 +944,9 @@ type Stats struct {
 	Degraded bool           `json:"degraded"`
 	Placed   int            `json:"placed"`
 	Clusters []ClusterStats `json:"clusters"`
-	Batch    BatchStats     `json:"batch"`
-	// AdmitBatch reports admission-batch coalescing: how many admissions
-	// shared fleet-sized rollouts and how much commit-time re-scoring the
-	// sharing cost (docs/api.md).
+	// Batch and AdmitBatch report how predictions and admissions
+	// coalesced (docs/api.md).
+	Batch      BatchStats      `json:"batch"`
 	AdmitBatch AdmitBatchStats `json:"admit_batch"`
 	Cache      CacheStats      `json:"cache"`
 	DataPlane  DataPlaneStats  `json:"data_plane"`
@@ -1034,12 +957,8 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	st := Stats{Policy: s.cfg.Policy.String(), Cache: s.cache.Stats()}
 	st.Degraded = s.degraded.Load()
-	if s.batcher != nil {
-		st.Batch = s.batcher.stats()
-	}
-	if s.admit != nil {
-		st.AdmitBatch = s.admit.stats()
-	}
+	st.Batch = s.predicts.stats()
+	st.AdmitBatch.BatchStats = s.admits.stats()
 	if s.cfg.DataPlane {
 		st.DataPlane.Enabled = true
 		st.DataPlane.Policy = s.cfg.MitigationPolicy.String()
@@ -1058,6 +977,7 @@ func (s *Service) Stats() Stats {
 		cs := ClusterStats{Cluster: ci, Name: s.fleet.Clusters[ci].Name, Servers: s.fleet.Clusters[ci].Servers}
 		sh.mu.Lock()
 		cs.Admitted, cs.Released, cs.Rejected = sh.admitted, sh.released, sh.rejected
+		st.AdmitBatch.ConflictReplays += sh.conflictReplays
 		if sh.sched != nil {
 			cs.Placed = sh.sched.Placed()
 			cs.UsedServers = sh.sched.UsedServers()
@@ -1102,20 +1022,15 @@ func (s *Service) Stats() Stats {
 
 // Close drains the batchers and rejects further requests with ErrClosed.
 // It is idempotent and safe to call concurrently with requests: in-flight
-// admissions and predictions complete before Close returns. The admission
-// batcher drains first — its workers predict through the model directly,
-// never through the prediction batcher, so the order only matters for
-// answering every queued admission before the service goes quiet.
+// admissions and predictions complete before Close returns. (Admission
+// workers predict through the model directly, never through the
+// prediction queue, so the two drains are independent.)
 func (s *Service) Close() {
 	s.closeMu.Lock()
 	s.closed = true
 	s.closeMu.Unlock()
-	if s.admit != nil {
-		s.admit.close() // idempotent; waits for the drain either way
-	}
-	if s.batcher != nil {
-		s.batcher.close() // idempotent; waits for the drain either way
-	}
+	s.admits.close()
+	s.predicts.close()
 }
 
 func (s *Service) isClosed() bool {

@@ -82,20 +82,25 @@ func TestServiceValidation(t *testing.T) {
 }
 
 // TestPredictDeterministicAcrossBatching drives many concurrent batched
-// predictions and checks every response equals the sequential unbatched
-// prediction for the same VM — the acceptance bar that batching must not
-// leak batch composition into results.
+// predictions and checks every response equals the model's own per-VM
+// prediction (the pointer-walk reference) and a MaxBatch-1 service's —
+// the acceptance bar that batching must not leak batch composition into
+// results.
 func TestPredictDeterministicAcrossBatching(t *testing.T) {
 	cache := NewModelCache()
 	cfgDirect := DefaultConfig()
-	cfgDirect.Batch.Disabled = true
+	cfgDirect.MaxBatch = 1
 	cfgDirect.Cache = cache
 	direct := newTestService(t, cfgDirect)
 
 	cfgBatched := DefaultConfig()
-	cfgBatched.Batch.MaxBatch = 16
+	cfgBatched.MaxBatch = 16
 	cfgBatched.Cache = cache
 	batched := newTestService(t, cfgBatched)
+	model, err := batched.modelFor()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	tr := getTrace(t)
 	vms := evalVMs(tr)
@@ -109,6 +114,9 @@ func TestPredictDeterministicAcrossBatching(t *testing.T) {
 		pred, ok, err := direct.Predict(vm)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if refPred, refOK := model.Predict(tr, vm); ok != refOK || !reflect.DeepEqual(pred, refPred) {
+			t.Fatalf("vm %d: MaxBatch-1 prediction diverged from the model's per-VM walk", vm.ID)
 		}
 		want[i], wantOK[i] = pred, ok
 	}
@@ -141,8 +149,11 @@ func TestPredictDeterministicAcrossBatching(t *testing.T) {
 	if st.Batch.Requests != int64(rounds*len(vms)) {
 		t.Errorf("batcher saw %d requests, want %d", st.Batch.Requests, rounds*len(vms))
 	}
-	if st.Batch.Batches == 0 {
-		t.Error("no batches recorded")
+	if st.Batch.Batches == 0 || st.Batch.MaxBatch > 16 || st.Batch.P50Size == 0 {
+		t.Errorf("batch stats %+v do not describe MaxBatch-16 coalescing", st.Batch)
+	}
+	if ds := direct.Stats().Batch; ds.MaxBatch != 1 || ds.Batches != ds.Requests {
+		t.Errorf("MaxBatch-1 service coalesced: %+v", ds)
 	}
 }
 

@@ -20,7 +20,6 @@ func TestAdmissionScoresCandidatesInOneBatch(t *testing.T) {
 		sc.Cache = cache
 		sc.DataPlane = true
 		sc.AdmitPressureFrac = 0.99
-		sc.Batch.Disabled = true // deterministic per-admission Predict counts
 		svc, err := New(tr, cluster.NewFleet(cluster.DefaultClusters(serversPer)), sc)
 		if err != nil {
 			t.Fatal(err)

@@ -9,8 +9,8 @@ import (
 // shard's evaluation tick, before that tick's departures and arrivals.
 // A crash evicts the server's memory state wholesale and turns every
 // hosted VM into a pending re-admission through the same pressure-aware
-// placement path serve's crash handler uses (core.PickRecovery); a
-// recovery returns the server to service empty. All processing is
+// placement path serve's crash handler uses
+// (core.WhatIfScorer.PickRecovery); a recovery returns the server to service empty. All processing is
 // per-shard and in deterministic order (events pre-sorted, evictions in
 // ascending VM id), so faulted Results stay byte-identical for any
 // worker count and for both replay engines — the golden-equivalence
