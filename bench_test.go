@@ -359,17 +359,18 @@ func BenchmarkForestTrain(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictMatrix measures the forest inference hot path across a
-// trees × depth × batch grid under both layouts: the per-row pointer walk
-// (layout=walk, one Predict call per row — the pre-batching shape of every
-// admission and what-if decision) and the level-synchronous breadth-first
-// path (layout=matrix, one PredictMatrix pass over a feature-major
-// RowMatrix; docs/DESIGN.md §14). The two layouts produce bit-identical
-// predictions (pinned by the mlforest equivalence wall), so the grid
-// differs only in throughput; each sub-benchmark reports ns/row so points
-// with different batch sizes are comparable. Before/after numbers are
-// recorded in BENCH_predict.json and the matrix:walk ns/row ratio is
-// gated by cmd/coach-benchdiff -grid predict in CI.
+// BenchmarkPredictMatrix measures the two schedules over the forest's one
+// node layout across a trees × depth × batch grid: one row at a time
+// (layout=walk, one Predict call per row — the row-at-a-time reference)
+// and one tree level at a time across the whole batch (layout=matrix, one
+// PredictMatrix pass over a feature-major RowMatrix; docs/DESIGN.md §14).
+// The two produce bit-identical predictions (pinned by the mlforest
+// equivalence wall), so the grid differs only in throughput; each
+// sub-benchmark reports ns/row so points with different batch sizes are
+// comparable. The production shape (DefaultForestConfig: 40 trees, depth
+// 12) also runs batches 2–16, which puts the row-count crossover on
+// record. Numbers are recorded in BENCH_predict.json and the matrix:walk
+// ns/row ratio is gated by cmd/coach-benchdiff -grid predict in CI.
 func BenchmarkPredictMatrix(b *testing.B) {
 	const poolRows = 4096
 	pool := mlforest.TraceLikeSamples(poolRows, 23)
@@ -382,7 +383,11 @@ func BenchmarkPredictMatrix(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for _, batch := range []int{1, 64, 4096} {
+			batches := []int{1, 64, 4096}
+			if def := mlforest.DefaultForestConfig(); trees == def.Trees && depth == def.Tree.MaxDepth {
+				batches = []int{1, 2, 4, 8, 16, 64, 4096}
+			}
+			for _, batch := range batches {
 				rows := make([][]float64, batch)
 				for i := range rows {
 					rows[i] = pool[i%poolRows].Features

@@ -19,8 +19,8 @@
 //
 // Each grid measures the same work under two variants — simcore runs the
 // dense reference replay loop against the event-driven core, predict runs
-// the per-row pointer walk against the level-synchronous PredictMatrix
-// path, serve runs one-row admission (MaxBatch 1) against the default
+// the row-at-a-time Predict against the level-synchronous PredictMatrix
+// pass over the same forest nodes, serve runs one-row admission (MaxBatch 1) against the default
 // coalescing admit path — and the checks are chosen to be meaningful across
 // machines (raw ns/op on shared CI runners is far too noisy to gate on):
 //
@@ -35,7 +35,7 @@
 //     the same run cancels machine speed out of the gate; for predict
 //     this is the batched-inference speedup recorded in
 //     BENCH_predict.json, so the gate fires when the level-synchronous
-//     path loses ground to the walk it replaced. For serve the ratio is
+//     pass loses ground to the row-at-a-time reference. For serve the ratio is
 //     batched:serial admit ns/op per client count (BENCH_serve.json), so
 //     the gate fires when admission coalescing stops paying for itself.
 //

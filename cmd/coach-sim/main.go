@@ -30,6 +30,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -46,35 +47,87 @@ import (
 	"github.com/coach-oss/coach/internal/timeseries"
 )
 
-func main() {
-	scale := flag.String("scale", "medium", "input scale: small, medium or full")
-	preset := flag.String("preset", "", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path; empty uses the calibrated GenConfig trace")
-	policy := flag.String("policy", "all", "None, Single, Coach, AggrCoach or all")
-	percentile := flag.Float64("percentile", 0, "override prediction percentile (0 = policy default)")
-	windows := flag.Int("windows", 6, "time windows per day")
-	fleetFrac := flag.Float64("fleet-frac", 0.55, "fleet capacity as a fraction of peak demand")
-	workers := flag.Int("workers", 0, "shard replay workers (0 = GOMAXPROCS); results are identical for any value")
-	trainWorkers := flag.Int("train-workers", 0, "goroutines growing forest trees during model training (0 = GOMAXPROCS); the model is identical for any value")
-	dataPlane := flag.Bool("data-plane", false, "run the per-server memory data plane (memsim + agent) during replay")
-	mitigation := flag.String("mitigation", "all", "mitigation policy: None, Trim, Extend, Migrate or all (requires -data-plane)")
-	mitigationMode := flag.String("mitigation-mode", "Reactive", "mitigation triggering: Reactive or Proactive")
-	dpPoolFrac := flag.Float64("dp-pool-frac", 0.02, "oversubscribed pool as a fraction of server memory; small values provoke the contention the mitigation ladder resolves")
-	crossShard := flag.Bool("cross-shard", false, "let completed live migrations land in other cluster shards via the sample-boundary exchange (requires -data-plane)")
-	engine := flag.String("engine", "event", "replay core: event (calendar-queue, skips unchanged VMs and steady servers) or dense (reference loop); results are byte-identical")
-	flag.Parse()
+// options carries the parsed flags.
+type options struct {
+	scale, preset, policy string
+	percentile            float64
+	windows               int
+	fleetFrac             float64
+	workers, trainWorkers int
+	dataPlane             bool
+	mitigation            string
+	mitigationMode        agent.Mode
+	dpPoolFrac            float64
+	crossShard            bool
+	engine                sim.EngineKind
+}
 
-	s, err := experiments.ParseScale(*scale)
-	if err != nil {
-		fatal(err)
+// parseFlags parses the command line (without the program name).
+func parseFlags(args []string) (options, error) {
+	o := options{mitigationMode: agent.Reactive, engine: sim.EngineEvent}
+	fs := flag.NewFlagSet("coach-sim", flag.ContinueOnError)
+	fs.StringVar(&o.scale, "scale", "medium", "input scale: small, medium or full")
+	fs.StringVar(&o.preset, "preset", "", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path; empty uses the calibrated GenConfig trace")
+	fs.StringVar(&o.policy, "policy", "all", "None, Single, Coach, AggrCoach or all")
+	fs.Float64Var(&o.percentile, "percentile", 0, "override prediction percentile (0 = policy default)")
+	fs.IntVar(&o.windows, "windows", 6, "time windows per day")
+	fs.Float64Var(&o.fleetFrac, "fleet-frac", 0.55, "fleet capacity as a fraction of peak demand")
+	fs.IntVar(&o.workers, "workers", 0, "shard replay workers (0 = GOMAXPROCS); results are identical for any value")
+	fs.IntVar(&o.trainWorkers, "train-workers", 0, "goroutines growing forest trees during model training (0 = GOMAXPROCS); the model is identical for any value")
+	fs.BoolVar(&o.dataPlane, "data-plane", false, "run the per-server memory data plane (memsim + agent) during replay")
+	fs.StringVar(&o.mitigation, "mitigation", "all", "mitigation policy: None, Trim, Extend, Migrate or all (requires -data-plane)")
+	fs.Func("mitigation-mode", "mitigation triggering: Reactive (default) or Proactive", func(v string) (err error) {
+		o.mitigationMode, err = agent.ParseMode(v)
+		return err
+	})
+	fs.Float64Var(&o.dpPoolFrac, "dp-pool-frac", 0.02, "oversubscribed pool as a fraction of server memory; small values provoke the contention the mitigation ladder resolves")
+	fs.BoolVar(&o.crossShard, "cross-shard", false, "let completed live migrations land in other cluster shards via the sample-boundary exchange (requires -data-plane)")
+	fs.Func("engine", "replay core: event (default; calendar-queue, skips unchanged VMs and steady servers) or dense (reference loop); results are byte-identical", func(v string) (err error) {
+		o.engine, err = sim.ParseEngine(v)
+		return err
+	})
+	return o, fs.Parse(args)
+}
+
+// simConfig maps the flags onto the replay configuration for one scheduler
+// policy over a trace of the given horizon. With -data-plane everything
+// but the mitigation policy — the dimension main sweeps — is set here.
+func simConfig(o options, p scheduler.PolicyKind, horizon int) sim.Config {
+	cfg := sim.ConfigForPolicy(p)
+	cfg.Windows = timeseries.Windows{PerDay: o.windows}
+	cfg.TrainUpTo = horizon / 2
+	cfg.Workers = o.workers
+	cfg.Engine = o.engine
+	cfg.LongTerm.Forest.Workers = o.trainWorkers
+	if o.percentile > 0 {
+		cfg.Percentile = o.percentile
 	}
-	eng, err := sim.ParseEngine(*engine)
+	if o.dataPlane {
+		cfg.DataPlane = true
+		cfg.MitigationMode = o.mitigationMode
+		cfg.DataPlanePoolFrac = o.dpPoolFrac
+		cfg.DataPlaneUnallocFrac = o.dpPoolFrac
+		cfg.CrossShardMigration = o.crossShard
+	}
+	return cfg
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		os.Exit(2) // the FlagSet has already reported it
+	}
+	s, err := experiments.ParseScale(o.scale)
 	if err != nil {
 		fatal(err)
 	}
 	ctx := experiments.NewContext(s)
-	ctx.TrainWorkers = *trainWorkers
-	if *preset != "" {
-		sp, err := scenario.Load(*preset)
+	ctx.TrainWorkers = o.trainWorkers
+	if o.preset != "" {
+		sp, err := scenario.Load(o.preset)
 		if err != nil {
 			fatal(err)
 		}
@@ -84,37 +137,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fleet, err := ctx.CapacityFleet(*fleetFrac)
+	fleet, err := ctx.CapacityFleet(o.fleetFrac)
 	if err != nil {
 		fatal(err)
 	}
 
-	policies, err := parsePolicies(*policy)
+	policies, err := parsePolicies(o.policy)
 	if err != nil {
 		fatal(err)
 	}
-	if *dataPlane && *policy == "all" {
+	if o.dataPlane && o.policy == "all" {
 		// One scheduler policy per data-plane sweep; default to AggrCoach,
 		// whose P50 guaranteed portions exercise the oversubscribed path.
 		policies = []scheduler.PolicyKind{scheduler.PolicyAggrCoach}
 	}
 
-	mkConfig := func(p scheduler.PolicyKind) sim.Config {
-		cfg := sim.ConfigForPolicy(p)
-		cfg.Windows = timeseries.Windows{PerDay: *windows}
-		cfg.TrainUpTo = tr.Horizon / 2
-		cfg.Workers = *workers
-		cfg.Engine = eng
-		cfg.LongTerm.Forest.Workers = *trainWorkers
-		if *percentile > 0 {
-			cfg.Percentile = *percentile
-		}
-		return cfg
-	}
-
 	t := &report.Table{
 		Title: fmt.Sprintf("Cluster simulation (%s scale, %d servers, %dx%gh windows)",
-			s, len(fleet.Servers), *windows, 24/float64(*windows)),
+			s, len(fleet.Servers), o.windows, 24/float64(o.windows)),
 		Headers: []string{"policy", "requested", "placed", "placed %", "oversubscribed",
 			"CPU viol %", "mem viol %", "servers used", "over-alloc mem %", "under-alloc mem %"},
 	}
@@ -125,9 +165,9 @@ func main() {
 			100*res.UnderAllocFrac(resources.Memory))
 	}
 
-	if !*dataPlane {
+	if !o.dataPlane {
 		for _, p := range policies {
-			res, err := sim.Run(tr, fleet, mkConfig(p))
+			res, err := sim.Run(tr, fleet, simConfig(o, p, tr.Horizon))
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", p, err))
 			}
@@ -139,18 +179,14 @@ func main() {
 		return
 	}
 
-	mode, err := agent.ParseMode(*mitigationMode)
-	if err != nil {
-		fatal(err)
-	}
-	mits, err := parseMitigations(*mitigation)
+	mits, err := parseMitigations(o.mitigation)
 	if err != nil {
 		fatal(err)
 	}
 	p := policies[0]
+	cfg := simConfig(o, p, tr.Horizon)
 	// The mitigation policy never affects training: train the predictor
 	// once and share it across the sweep.
-	cfg := mkConfig(p)
 	if p != scheduler.PolicyNone {
 		ltCfg := cfg.LongTerm
 		ltCfg.Windows = cfg.Windows
@@ -162,8 +198,8 @@ func main() {
 		cfg.Model = model
 	}
 	title := fmt.Sprintf("Fleet memory data plane (%s scheduler, %s triggering, pool %g%% of server memory",
-		p, mode, 100**dpPoolFrac)
-	if *crossShard {
+		p, cfg.MitigationMode, 100*o.dpPoolFrac)
+	if o.crossShard {
 		title += ", cross-shard migration"
 	}
 	dpTable := &report.Table{
@@ -173,12 +209,7 @@ func main() {
 			"hard-fault GB", "soft-fault %", "stolen GB", "P50 ns", "P99 ns", "max ns"},
 	}
 	for i, m := range mits {
-		cfg.DataPlane = true
 		cfg.MitigationPolicy = m
-		cfg.MitigationMode = mode
-		cfg.DataPlanePoolFrac = *dpPoolFrac
-		cfg.DataPlaneUnallocFrac = *dpPoolFrac
-		cfg.CrossShardMigration = *crossShard
 		res, err := sim.Run(tr, fleet, cfg)
 		if err != nil {
 			fatal(fmt.Errorf("%s/%s: %w", p, m, err))

@@ -87,34 +87,14 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	scale := flag.String("scale", "small", "trace scale: small, medium or full")
-	scenarioFlag := flag.String("scenario", "", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path; empty uses the calibrated GenConfig trace")
-	servers := flag.Int("servers", 8, "servers per cluster in the ten-cluster fleet")
-	policy := flag.String("policy", "coach", "oversubscription policy: none, single, coach or aggrcoach")
-	batchMax := flag.Int("batch-max", 64, "max concurrent predictions coalesced into one forest pass, and admissions per cluster into one rollout (1 = no coalescing)")
-	lazyTrain := flag.Bool("lazy-train", false, "defer model training to the first prediction request")
-	trainWorkers := flag.Int("train-workers", 0, "goroutines growing forest trees during training (0 = GOMAXPROCS); the model is identical for any value")
-	dataPlane := flag.Bool("data-plane", false, "run the per-server memory data plane (memsim + oversubscription agent)")
-	mitigation := flag.String("mitigation", "Trim", "data-plane mitigation policy: None, Trim, Extend or Migrate")
-	mitigationMode := flag.String("mitigation-mode", "Reactive", "data-plane mitigation triggering: Reactive or Proactive")
-	dpInterval := flag.Duration("dp-interval", 2*time.Second, "wall-clock interval between data-plane ticks (each one simulated 5-minute sample)")
-	dpPoolFrac := flag.Float64("dp-pool-frac", 0, "oversubscribed pool as a fraction of server memory (0 = default 25%)")
-	crossShard := flag.Bool("cross-shard", true, "let completed live migrations hand off to other cluster shards (requires -data-plane)")
-	admitPressure := flag.Float64("admit-pressure", 0, "pressure-aware admission: reject or re-route oversubscribed VMs whose scheduled VA demand would push a pool past this occupancy (0 = off)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "max wait for in-flight requests on SIGINT/SIGTERM before forcing shutdown")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
-	flag.Parse()
-
-	opts := options{
-		addr: *addr, scale: *scale, scenario: *scenarioFlag, servers: *servers, policy: *policy,
-		batchMax: *batchMax, lazyTrain: *lazyTrain, trainWorkers: *trainWorkers,
-		dataPlane: *dataPlane, mitigation: *mitigation,
-		mitigationMode: *mitigationMode, dpInterval: *dpInterval,
-		dpPoolFrac: *dpPoolFrac, crossShard: *crossShard, admitPressure: *admitPressure,
-		drainTimeout: *drainTimeout, pprofAddr: *pprofAddr,
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
+		os.Exit(2) // the FlagSet has already reported it
 	}
-	if err := run(opts); err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "coachd:", err)
 		os.Exit(1)
 	}
@@ -126,19 +106,101 @@ type options struct {
 	scale          string
 	scenario       string
 	servers        int
-	policy         string
+	policy         scheduler.PolicyKind
 	batchMax       int
 	lazyTrain      bool
 	trainWorkers   int
 	dataPlane      bool
-	mitigation     string
-	mitigationMode string
+	mitigation     agent.Policy
+	mitigationMode agent.Mode
 	dpInterval     time.Duration
 	dpPoolFrac     float64
 	crossShard     bool
 	admitPressure  float64
 	drainTimeout   time.Duration
 	pprofAddr      string
+}
+
+// parseFlags parses the command line (without the program name).
+func parseFlags(args []string) (options, error) {
+	o := options{policy: scheduler.PolicyCoach, mitigation: agent.PolicyTrim, mitigationMode: agent.Reactive}
+	fs := flag.NewFlagSet("coachd", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.scale, "scale", "small", "trace scale: small, medium or full")
+	fs.StringVar(&o.scenario, "scenario", "", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path; empty uses the calibrated GenConfig trace")
+	fs.IntVar(&o.servers, "servers", 8, "servers per cluster in the ten-cluster fleet")
+	fs.Func("policy", "oversubscription policy: none, single, coach (default) or aggrcoach", func(v string) (err error) {
+		o.policy, err = parsePolicy(v)
+		return err
+	})
+	fs.IntVar(&o.batchMax, "batch-max", 64, "max concurrent predictions coalesced into one forest pass, and admissions per cluster into one rollout (1 = no coalescing)")
+	fs.BoolVar(&o.lazyTrain, "lazy-train", false, "defer model training to the first prediction request")
+	fs.IntVar(&o.trainWorkers, "train-workers", 0, "goroutines growing forest trees during training (0 = GOMAXPROCS); the model is identical for any value")
+	fs.BoolVar(&o.dataPlane, "data-plane", false, "run the per-server memory data plane (memsim + oversubscription agent)")
+	fs.Func("mitigation", "data-plane mitigation policy: None, Trim (default), Extend or Migrate", func(v string) (err error) {
+		o.mitigation, err = agent.ParsePolicy(v)
+		return err
+	})
+	fs.Func("mitigation-mode", "data-plane mitigation triggering: Reactive (default) or Proactive", func(v string) (err error) {
+		o.mitigationMode, err = agent.ParseMode(v)
+		return err
+	})
+	fs.DurationVar(&o.dpInterval, "dp-interval", 2*time.Second, "wall-clock interval between data-plane ticks (each one simulated 5-minute sample)")
+	fs.Float64Var(&o.dpPoolFrac, "dp-pool-frac", 0, "oversubscribed pool as a fraction of server memory (0 = default 25%)")
+	fs.BoolVar(&o.crossShard, "cross-shard", true, "let completed live migrations hand off to other cluster shards (requires -data-plane)")
+	fs.Float64Var(&o.admitPressure, "admit-pressure", 0, "pressure-aware admission: reject or re-route oversubscribed VMs whose scheduled VA demand would push a pool past this occupancy (0 = off)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "max wait for in-flight requests on SIGINT/SIGTERM before forcing shutdown")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
+	return o, fs.Parse(args)
+}
+
+// serveConfig maps the flags onto the service configuration; everything
+// the flags do not name keeps serve.DefaultConfig's value.
+func serveConfig(o options) (serve.Config, error) {
+	cfg := serve.DefaultConfig()
+	cfg.Policy = o.policy
+	if o.policy == scheduler.PolicyAggrCoach {
+		// Mirror sim.ConfigForPolicy: AggrCoach guarantees the P50, not
+		// the P95 — the aggressive split that actually exercises the
+		// oversubscribed pool.
+		cfg.Percentile = 50
+	}
+	cfg.MaxBatch = o.batchMax
+	cfg.LongTerm.Forest.Workers = o.trainWorkers
+	if o.dataPlane {
+		if o.dpInterval <= 0 {
+			return cfg, fmt.Errorf("non-positive -dp-interval %s", o.dpInterval)
+		}
+		cfg.DataPlane = true
+		cfg.MitigationPolicy = o.mitigation
+		cfg.MitigationMode = o.mitigationMode
+		cfg.DataPlanePoolFrac = o.dpPoolFrac
+		cfg.DataPlaneUnallocFrac = o.dpPoolFrac
+		cfg.CrossShardMigration = o.crossShard
+		cfg.AdmitPressureFrac = o.admitPressure
+	}
+	return cfg, nil
+}
+
+// Connection deadlines. Without them a client that opens a connection and
+// never finishes its headers or body — or parks an idle keep-alive — holds
+// it forever. Handlers are not bounded here: a lazy-train first request
+// legitimately takes as long as training does.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the API server.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func run(o options) error {
@@ -154,7 +216,7 @@ func run(o options) error {
 			}
 		}()
 	}
-	pk, err := parsePolicy(o.policy)
+	cfg, err := serveConfig(o)
 	if err != nil {
 		return err
 	}
@@ -183,32 +245,6 @@ func run(o options) error {
 	}
 	fleet := cluster.NewFleet(cluster.DefaultClusters(o.servers))
 
-	cfg := serve.DefaultConfig()
-	cfg.Policy = pk
-	if pk == scheduler.PolicyAggrCoach {
-		// Mirror sim.ConfigForPolicy: AggrCoach guarantees the P50, not
-		// the P95 — the aggressive split that actually exercises the
-		// oversubscribed pool.
-		cfg.Percentile = 50
-	}
-	cfg.MaxBatch = o.batchMax
-	cfg.LongTerm.Forest.Workers = o.trainWorkers
-	if o.dataPlane {
-		cfg.DataPlane = true
-		if cfg.MitigationPolicy, err = agent.ParsePolicy(o.mitigation); err != nil {
-			return err
-		}
-		if cfg.MitigationMode, err = agent.ParseMode(o.mitigationMode); err != nil {
-			return err
-		}
-		if o.dpInterval <= 0 {
-			return fmt.Errorf("non-positive -dp-interval %s", o.dpInterval)
-		}
-		cfg.DataPlanePoolFrac = o.dpPoolFrac
-		cfg.DataPlaneUnallocFrac = o.dpPoolFrac
-		cfg.CrossShardMigration = o.crossShard
-		cfg.AdmitPressureFrac = o.admitPressure
-	}
 	if sp != nil && len(sp.Faults) > 0 {
 		// Compile the scenario's fault schedule against this fleet — the
 		// same compilation the simulator runs for this spec, so one
@@ -246,7 +282,7 @@ func run(o options) error {
 		}
 	}
 
-	srv := &http.Server{Addr: o.addr, Handler: svc.Handler()}
+	srv := newServer(o.addr, svc.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -275,7 +311,7 @@ func run(o options) error {
 	errCh := make(chan error, 1)
 	go func() {
 		log.Printf("serving %d VMs on %d servers (%d clusters, policy %s) at %s",
-			len(tr.VMs), len(fleet.Servers), fleet.NumClusters(), pk, o.addr)
+			len(tr.VMs), len(fleet.Servers), fleet.NumClusters(), cfg.Policy, o.addr)
 		errCh <- srv.ListenAndServe()
 	}()
 

@@ -263,7 +263,7 @@ func TestPickPlacementPressureFilter(t *testing.T) {
 		t.Fatalf("fixture: server 1 pool pressure %v, want ~1", p)
 	}
 	probe := oversubCVM(t, 11, 2, 16, 0.05)
-	best := sched.Candidates(probe, -1)[0].Server
+	best := sched.CandidatesInto(probe, -1, nil)[0].Server
 	if best != 1 {
 		t.Fatalf("fixture: best-fit candidate is %d, want the loaded server 1", best)
 	}

@@ -27,7 +27,7 @@ func serialAdmitStep(t *testing.T, sched *scheduler.Scheduler, dp *DataPlane, sc
 			if err := sched.PlaceAt(cvm, c.Server); err == nil {
 				srv, placed = c.Server, true
 			}
-		} else if len(sched.Candidates(cvm, -1)) > 0 {
+		} else if len(sched.CandidatesInto(cvm, -1, nil)) > 0 {
 			return admitOutcome{server: -1, pressure: true}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // pressure clears the bar.
 func refPickPlacement(sched *scheduler.Scheduler, dp *DataPlane, vmID int, exclude int, needGB, pressureFrac float64) (scheduler.Candidate, bool) {
 	cvm := sched.CVM(vmID)
-	for _, c := range sched.Candidates(cvm, exclude) {
+	for _, c := range sched.CandidatesInto(cvm, exclude, nil) {
 		if dp.ProjectedPressure(c.Server, needGB) < pressureFrac {
 			return c, true
 		}
@@ -61,7 +61,7 @@ func TestWhatIfScorerMatchesUnbatchedLoops(t *testing.T) {
 	// Recovery: pressure-filtered pick and the least-pressured fallback.
 	expectBatches := int64(6) // the PickPlacement cases above, 1 sweep each
 	for _, frac := range []float64{0.75, 0.0001} {
-		cands := sched.Candidates(probe, -1)
+		cands := sched.CandidatesInto(probe, -1, nil)
 		wantSrv, wantOK := -1, false
 		for _, c := range cands {
 			if dp.ProjectedPressure(c.Server, VAPeakGB(probe)) < frac {
@@ -91,7 +91,7 @@ func TestWhatIfScorerMatchesUnbatchedLoops(t *testing.T) {
 	// Settle: least-pressured with ties on rank.
 	wantSettle := -1
 	bestP := 0.0
-	for _, c := range sched.Candidates(probe, 5) {
+	for _, c := range sched.CandidatesInto(probe, 5, nil) {
 		if p := dp.PressureOf(c.Server); wantSettle < 0 || p < bestP {
 			wantSettle, bestP = c.Server, p
 		}

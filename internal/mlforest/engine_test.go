@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -21,19 +22,19 @@ func TestMSEParityWithSeedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mse := f.MSE(test)
-	t.Logf("columnar engine MSE %.10f (seed engine recorded %.10f)", mse, seedEngineMSE)
-	if mse > 1.05*seedEngineMSE {
-		t.Errorf("columnar engine MSE %v regressed more than 5%% over seed engine's %v", mse, seedEngineMSE)
+	got := mse(f, test)
+	t.Logf("columnar engine MSE %.10f (seed engine recorded %.10f)", got, seedEngineMSE)
+	if got > 1.05*seedEngineMSE {
+		t.Errorf("columnar engine MSE %v regressed more than 5%% over seed engine's %v", got, seedEngineMSE)
 	}
-	if mse < 0.5*seedEngineMSE {
-		t.Errorf("columnar engine MSE %v implausibly below seed engine's %v — suspect target leakage", mse, seedEngineMSE)
+	if got < 0.5*seedEngineMSE {
+		t.Errorf("columnar engine MSE %v implausibly below seed engine's %v — suspect target leakage", got, seedEngineMSE)
 	}
 }
 
 // TestForestByteIdenticalAcrossWorkers is the training-engine counterpart
 // of the simulator's worker-count determinism guarantee: the gob encoding
-// of the whole arena (every node, child link, root and importance sum)
+// of the whole forest (every node, leaf value, root and importance sum)
 // must match byte for byte whichever way the trees were scheduled.
 func TestForestByteIdenticalAcrossWorkers(t *testing.T) {
 	data := TraceLikeSamples(600, 21)
@@ -82,6 +83,15 @@ func TestGobRoundTrip(t *testing.T) {
 	if g.NumTrees() != f.NumTrees() || g.NumFeatures() != f.NumFeatures() || g.MemoryBytes() != f.MemoryBytes() {
 		t.Error("decoded forest shape differs")
 	}
+	// Depths are not on the wire: the decoder recomputes them.
+	for i := 0; i < f.NumTrees(); i++ {
+		if g.TreeDepth(i) != f.TreeDepth(i) {
+			t.Errorf("tree %d: decoded depth %d, trained %d", i, g.TreeDepth(i), f.TreeDepth(i))
+		}
+	}
+	if again, _ := g.GobEncode(); !bytes.Equal(again, enc) {
+		t.Error("decoded forest re-encodes to different bytes")
+	}
 }
 
 // TestThresholdAdjacentFloats is the regression test for the seed engine's
@@ -115,28 +125,23 @@ func TestThresholdAdjacentFloats(t *testing.T) {
 	}
 }
 
-// TestMemoryBytesArena pins MemoryBytes to the model's real SoA footprint:
-// per node one int32 feature, two int32 children, one float64 threshold
-// and one float64 value in the depth-first arena, plus the breadth-first
-// mirror's 16-byte packed node and leaf-value slot per node, the per-tree
-// roots (arena), roots+depths (mirror) and the per-feature importance
-// sums.
+// TestMemoryBytesArena pins MemoryBytes to the one layout's real
+// footprint: per node a 16-byte packed record and a float64 leaf-value
+// slot, per tree an int32 root and an int32 depth, per feature a float64
+// importance sum.
 func TestMemoryBytesArena(t *testing.T) {
 	f, err := Train(TraceLikeSamples(300, 23), DefaultForestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := f.NumNodes()*(3*4+2*8) + f.NumNodes()*(16+8) + f.NumTrees()*(4+2*4) + f.NumFeatures()*8
+	want := f.NumNodes()*(16+8) + f.NumTrees()*(4+4) + f.NumFeatures()*8
 	if got := f.MemoryBytes(); got != want {
 		t.Errorf("MemoryBytes = %d, want %d (%d nodes, %d trees, %d features)",
 			got, want, f.NumNodes(), f.NumTrees(), f.NumFeatures())
 	}
-	var nodes int
-	for i := 0; i < f.NumTrees(); i++ {
-		nodes += f.TreeNodes(i)
-	}
-	if nodes != f.NumNodes() {
-		t.Errorf("per-tree node counts sum to %d, arena has %d", nodes, f.NumNodes())
+	if len(f.nodes) != f.NumNodes() || len(f.value) != f.NumNodes() || len(f.roots) != f.NumTrees() || len(f.depth) != f.NumTrees() {
+		t.Errorf("slabs hold %d nodes / %d values / %d roots / %d depths for %d nodes in %d trees",
+			len(f.nodes), len(f.value), len(f.roots), len(f.depth), f.NumNodes(), f.NumTrees())
 	}
 }
 
@@ -202,57 +207,113 @@ func TestTrainOnMatrixEquivalence(t *testing.T) {
 	}
 }
 
-// TestGobDecodeRejectsCorruptArena checks that structurally invalid
-// payloads fail at decode time instead of panicking inside Predict.
+// wireOf copies a forest into its wire form for the corruption tests.
+func wireOf(f *Forest) forestWire {
+	return forestWire{
+		Nodes: append([]node(nil), f.nodes...), Value: append([]float64(nil), f.value...),
+		Roots: append([]int32(nil), f.roots...), Importance: append([]float64(nil), f.importance...),
+		NFeat: f.nFeat, NSamples: f.nSamples,
+	}
+}
+
+// TestGobDecodeRejectsCorruptArena checks, one invariant per row, that a
+// payload on which Predict or PredictMatrix could index out of range or
+// spin fails at decode time.
 func TestGobDecodeRejectsCorruptArena(t *testing.T) {
 	f, err := Train(TraceLikeSamples(100, 26), DefaultForestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(name string, mutate func(*forestWire)) {
-		w := forestWire{
-			Feature: append([]int32(nil), f.feature...), Threshold: append([]float64(nil), f.threshold...),
-			Left: append([]int32(nil), f.left...), Right: append([]int32(nil), f.right...),
-			Value: append([]float64(nil), f.value...), Roots: append([]int32(nil), f.roots...),
-			Importance: append([]float64(nil), f.importance...), NFeat: f.nFeat, NSamples: f.nSamples,
-		}
-		mutate(&w)
+	// The first tree's root splits (TraceLikeSamples always has signal),
+	// and its last node, like any block's, is a leaf.
+	if f.nodes[0].Lo == 0 {
+		t.Fatal("fixture regression: first tree is a single leaf")
+	}
+	leaf := f.roots[1] - 1
+	for _, tc := range []struct {
+		name   string
+		mutate func(*forestWire)
+	}{
+		{"empty forest", func(w *forestWire) { w.Nodes, w.Value, w.Roots = nil, nil, nil }},
+		{"value slab shorter than node slab", func(w *forestWire) { w.Value = w.Value[:len(w.Value)-1] }},
+		{"importance length mismatch", func(w *forestWire) { w.Importance = w.Importance[:1] }},
+		{"first root not 0", func(w *forestWire) { w.Roots[0] = 1 }},
+		{"roots not ascending", func(w *forestWire) { w.Roots[2] = w.Roots[1] }},
+		{"root outside slab", func(w *forestWire) { w.Roots[len(w.Roots)-1] = int32(len(w.Nodes)) }},
+		{"child link backward", func(w *forestWire) { w.Nodes[f.roots[1]].Lo = f.roots[1] - 1 }},
+		{"right child outside its tree block", func(w *forestWire) { w.Nodes[0].Lo = f.roots[1] - 1 }},
+		{"child link overflows", func(w *forestWire) { w.Nodes[0].Lo = math.MaxInt32 }},
+		{"leaf with finite threshold", func(w *forestWire) { w.Nodes[leaf].Thr = 0.5 }},
+		{"leaf with NaN threshold", func(w *forestWire) { w.Nodes[leaf].Thr = math.NaN() }},
+		{"leaf reading a nonzero feature", func(w *forestWire) { w.Nodes[leaf].Feat = 1 }},
+		{"feature beyond dimensionality", func(w *forestWire) { w.Nodes[0].Feat = int32(w.NFeat) }},
+		{"negative feature", func(w *forestWire) { w.Nodes[0].Feat = -1 }},
+	} {
+		w := wireOf(f)
+		tc.mutate(&w)
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
 			t.Fatal(err)
 		}
 		var g Forest
 		if err := g.GobDecode(buf.Bytes()); err == nil {
-			t.Errorf("%s: corrupt payload decoded without error", name)
+			t.Errorf("%s: corrupt payload decoded without error", tc.name)
 		}
 	}
-	corrupt("truncated thresholds", func(w *forestWire) { w.Threshold = w.Threshold[:1] })
-	corrupt("child outside arena", func(w *forestWire) {
-		for i := range w.Feature {
-			if w.Feature[i] >= 0 {
-				w.Left[i] = int32(len(w.Feature)) + 5
-				return
+	// Unmutated, the same wire form decodes: the rows above fail for their
+	// mutation, not for the harness.
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(wireOf(f)); err != nil {
+		t.Fatal(err)
+	}
+	if err := new(Forest).GobDecode(buf.Bytes()); err != nil {
+		t.Fatalf("valid wire form rejected: %v", err)
+	}
+}
+
+// FuzzForestGobDecode mutates valid payloads: whatever the bytes, decoding
+// either fails or yields a forest on which both inference schedules
+// terminate in bounds and agree bit for bit.
+func FuzzForestGobDecode(f *testing.F) {
+	cfg := ForestConfig{Trees: 3, Tree: TreeConfig{MaxDepth: 4, MinLeaf: 2, FeatureFrac: 1}, Seed: 1}
+	forest, err := Train(TraceLikeSamples(60, 27), cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	enc, err := forest.GobEncode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(enc)
+	rng := rand.New(rand.NewSource(28))
+	for i := 0; i < 64; i++ {
+		mut := append([]byte(nil), enc...)
+		mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
+		f.Add(mut)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var g Forest
+		if g.GobDecode(data) != nil {
+			return
+		}
+		const rows = 9
+		rng := rand.New(rand.NewSource(29))
+		m := NewRowMatrix(rows, g.NumFeatures())
+		want := make([]float64, rows)
+		row := make([]float64, g.NumFeatures())
+		for r := range want {
+			for c := range row {
+				row[c] = 20 * rng.NormFloat64()
+			}
+			m.SetRow(r, row)
+			want[r] = g.Predict(row)
+		}
+		for r, got := range g.PredictMatrix(m, nil) {
+			if math.Float64bits(got) != math.Float64bits(want[r]) && !(math.IsNaN(got) && math.IsNaN(want[r])) {
+				t.Fatalf("row %d: matrix %v != walk %v on a decoded payload", r, got, want[r])
 			}
 		}
 	})
-	corrupt("root outside arena", func(w *forestWire) { w.Roots[0] = -1 })
-	corrupt("cyclic child link", func(w *forestWire) {
-		for i := range w.Feature {
-			if w.Feature[i] >= 0 {
-				w.Left[i] = int32(i) // self-loop: Predict would spin forever
-				return
-			}
-		}
-	})
-	corrupt("feature beyond dimensionality", func(w *forestWire) {
-		for i := range w.Feature {
-			if w.Feature[i] >= 0 {
-				w.Feature[i] = int32(w.NFeat)
-				return
-			}
-		}
-	})
-	corrupt("importance length mismatch", func(w *forestWire) { w.Importance = w.Importance[:1] })
 }
 
 // TestWorkersIgnoredByQuality sanity-checks that parallel training trains

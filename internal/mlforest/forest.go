@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -36,31 +37,35 @@ func DefaultForestConfig() ForestConfig {
 	}
 }
 
-// Forest is a trained random forest regressor. The ensemble is stored as
-// one contiguous structure-of-arrays node arena: trees are concatenated in
-// training order (tree t's nodes occupy [roots[t], end of its block)) and
-// child links are arena-absolute, so prediction walks dense slices instead
-// of per-tree pointer-chased node arrays. Leaves have feature == -1.
+// node is one tree node, packed to 16 bytes so four share a cache line.
+// Only the left child index is stored: siblings are adjacent, so an
+// internal node's right child is always Lo+1. A leaf is a self-looping
+// sentinel — Lo its own index, threshold +Inf, feature 0 (a valid column)
+// — so the compare can never select Lo+1, a row that reaches it stays on
+// it, and neither inference schedule needs an is-leaf branch to stay in
+// bounds. Fields are exported for gob only.
+type node struct {
+	Thr  float64
+	Lo   int32
+	Feat int32
+}
+
+// Forest is a trained random forest regressor. The ensemble is stored in
+// one layout (docs/DESIGN.md §8): trees are concatenated in training order
+// (tree t's nodes occupy [roots[t], end of its block)), each block is
+// ordered breadth-first so one tree level is one contiguous node range,
+// and links are slab-absolute. Leaf values live in their own slab, read
+// once per (tree, row), so they never dilute the hot node lines. Predict
+// walks it one row at a time, PredictMatrix one level at a time.
 type Forest struct {
-	feature     []int32
-	threshold   []float64
-	left, right []int32
-	value       []float64
-	roots       []int32 // arena index of each tree's root
+	nodes []node
+	value []float64 // leaf values, indexed like nodes (0 for internal nodes)
+	roots []int32   // slab index of each tree's root
+	depth []int32   // per-tree max depth = PredictMatrix level count
 
 	// importance holds per-feature total variance reduction summed over
 	// trees in tree order (raw, unnormalized).
 	importance []float64
-
-	// Level-synchronous mirror of the arena (matrix.go): the same trees
-	// relabeled breadth-first into compact 16-byte nodes with leaves as
-	// self-looping sentinels, built once by buildBFS after training or
-	// decoding and never serialized. Leaf values live in their own slab,
-	// read once per (tree, row), so they never dilute the hot node lines.
-	bfsNodes []bfsNode
-	bfsVal   []float64
-	bfsRoots []int32
-	bfsDepth []int32 // per-tree max depth = PredictMatrix level count
 
 	nFeat    int
 	nSamples int
@@ -104,7 +109,7 @@ func (f *Forest) Stats() Stats {
 //
 // Trees grow concurrently on cfg.Workers goroutines; because every tree's
 // randomness comes from its own (Seed, index)-derived RNG and trees
-// assemble into the arena in index order, the result is byte-identical
+// assemble into the forest in index order, the result is byte-identical
 // for any worker count.
 func Train(samples []Sample, cfg ForestConfig) (*Forest, error) {
 	if err := validateSamples(samples); err != nil {
@@ -213,63 +218,74 @@ func trainOn(ds *dataset, targets []float64, cfg ForestConfig) (*Forest, error) 
 	return flatten(trees, ds.nFeat, ds.n), nil
 }
 
-// flatten concatenates the grown trees into the arena in tree order,
-// rebasing child links to arena-absolute indexes and folding per-tree
-// importances in the same order (float accumulation order is fixed, so
-// the arena is byte-identical however the trees were grown).
+// flatten relabels the grown trees breadth-first into the forest's node
+// slab in tree order, folding per-tree importances in the same order
+// (float accumulation order is fixed, so the forest is byte-identical
+// however the trees were grown).
 func flatten(trees []grownTree, nFeat, nSamples int) *Forest {
 	var total int
 	for i := range trees {
 		total += len(trees[i].feature)
 	}
 	f := &Forest{
-		feature:    make([]int32, 0, total),
-		threshold:  make([]float64, 0, total),
-		left:       make([]int32, 0, total),
-		right:      make([]int32, 0, total),
+		nodes:      make([]node, 0, total),
 		value:      make([]float64, 0, total),
 		roots:      make([]int32, 0, len(trees)),
 		importance: make([]float64, nFeat),
 		nFeat:      nFeat,
 		nSamples:   nSamples,
 	}
+	var queue []int32 // per-tree scratch: tree-local node indexes in BFS order
 	for i := range trees {
 		t := &trees[i]
-		base := int32(len(f.feature))
+		base := int32(len(f.nodes))
 		f.roots = append(f.roots, base)
-		f.feature = append(f.feature, t.feature...)
-		f.threshold = append(f.threshold, t.threshold...)
-		f.value = append(f.value, t.value...)
-		for _, c := range t.left {
-			f.left = append(f.left, c+base)
-		}
-		for _, c := range t.right {
-			f.right = append(f.right, c+base)
+		queue = append(queue[:0], 0)
+		for q := 0; q < len(queue); q++ {
+			n := queue[q]
+			if t.feature[n] < 0 {
+				f.nodes = append(f.nodes, node{Thr: math.Inf(1), Lo: base + int32(q)})
+				f.value = append(f.value, t.value[n])
+				continue
+			}
+			// Both children join the queue back to back, so the left one's
+			// slab index is the queue length and the right one's is Lo+1.
+			f.nodes = append(f.nodes, node{Thr: t.threshold[n], Lo: base + int32(len(queue)), Feat: t.feature[n]})
+			f.value = append(f.value, 0)
+			queue = append(queue, t.left[n], t.right[n])
 		}
 		for k, v := range t.importance {
 			f.importance[k] += v
 		}
 	}
-	f.buildBFS()
+	f.setDepths()
 	return f
 }
 
-// walk descends from arena node i to a leaf for one feature row and
-// returns its value.
-func (f *Forest) walk(i int32, row []float64) float64 {
-	for f.feature[i] >= 0 {
-		if row[f.feature[i]] <= f.threshold[i] {
-			i = f.left[i]
-		} else {
-			i = f.right[i]
+// setDepths derives every tree's depth from its links. Children lie
+// strictly after their parent, so one forward pass over a block levels it.
+// (A hand-made payload may hold nodes no root reaches; counting them can
+// only overstate a depth, and extra level steps re-land on leaves.)
+func (f *Forest) setDepths() {
+	f.depth = make([]int32, len(f.roots))
+	level := make([]int32, len(f.nodes))
+	for t, root := range f.roots {
+		for i := root; i < f.treeEnd(t); i++ {
+			if level[i] > f.depth[t] {
+				f.depth[t] = level[i]
+			}
+			if lo := f.nodes[i].Lo; lo != i {
+				level[lo] = max(level[lo], level[i]+1)
+				level[lo+1] = max(level[lo+1], level[i]+1)
+			}
 		}
 	}
-	return f.value[i]
 }
 
-// Predict returns the ensemble mean prediction. A feature vector whose
-// length differs from the trained dimensionality predicts 0 and counts in
-// Stats().MismatchedRows.
+// Predict returns the ensemble mean prediction: each tree is walked from
+// its root until the row lands on a self-looping leaf. A feature vector
+// whose length differs from the trained dimensionality predicts 0 and
+// counts in Stats().MismatchedRows.
 func (f *Forest) Predict(features []float64) float64 {
 	f.passes.Add(1)
 	f.rowsIn.Add(1)
@@ -278,8 +294,19 @@ func (f *Forest) Predict(features []float64) float64 {
 		return 0
 	}
 	var sum float64
-	for _, root := range f.roots {
-		sum += f.walk(root, features)
+	for _, i := range f.roots {
+		for {
+			nd := f.nodes[i]
+			next := nd.Lo
+			if features[nd.Feat] > nd.Thr {
+				next++
+			}
+			if next == i {
+				break
+			}
+			i = next
+		}
+		sum += f.value[i]
 	}
 	return sum / float64(len(f.roots))
 }
@@ -290,36 +317,20 @@ func (f *Forest) NumTrees() int { return len(f.roots) }
 // NumFeatures returns the feature dimensionality the forest was trained on.
 func (f *Forest) NumFeatures() int { return f.nFeat }
 
-// NumNodes returns the total node count of the arena across all trees.
-func (f *Forest) NumNodes() int { return len(f.feature) }
+// NumNodes returns the total node count across all trees.
+func (f *Forest) NumNodes() int { return len(f.nodes) }
 
-// treeEnd returns one past the last arena index of tree t's node block.
+// treeEnd returns one past the last slab index of tree t's node block.
 func (f *Forest) treeEnd(t int) int32 {
 	if t+1 < len(f.roots) {
 		return f.roots[t+1]
 	}
-	return int32(len(f.feature))
+	return int32(len(f.nodes))
 }
-
-// TreeNodes returns the node count of tree t.
-func (f *Forest) TreeNodes(t int) int { return int(f.treeEnd(t) - f.roots[t]) }
 
 // TreeDepth returns the maximum depth of tree t (a single leaf has
 // depth 0).
-func (f *Forest) TreeDepth(t int) int {
-	var walk func(i int32) int
-	walk = func(i int32) int {
-		if f.feature[i] < 0 {
-			return 0
-		}
-		l, r := walk(f.left[i]), walk(f.right[i])
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return walk(f.roots[t])
-}
+func (f *Forest) TreeDepth(t int) int { return int(f.depth[t]) }
 
 // FeatureImportance returns per-feature total variance reduction, normalized
 // to sum to 1 (all zeros when the forest never split).
@@ -337,66 +348,35 @@ func (f *Forest) FeatureImportance() []float64 {
 	return imp
 }
 
-// Per-element sizes of the arena slices, for MemoryBytes.
-const (
-	arenaIndexBytes = int(unsafe.Sizeof(int32(0)))
-	arenaFloatBytes = int(unsafe.Sizeof(float64(0)))
-	// arenaNodeBytes is one node's share of the SoA arena: feature,
-	// threshold, left, right, value.
-	arenaNodeBytes = 3*arenaIndexBytes + 2*arenaFloatBytes
-	// bfsNodeBytes is one node's share of the level-synchronous mirror:
-	// the 16-byte packed node plus its slot in the leaf-value slab.
-	bfsNodeBytes = int(unsafe.Sizeof(bfsNode{})) + arenaFloatBytes
-)
-
-// MemoryBytes reports the resident size of the model — the arena's real
-// footprint (every node's share of the SoA slices plus the per-tree roots
-// and per-feature importances) and the breadth-first mirror PredictMatrix
-// walks, used by the §4.5 overhead experiment.
+// MemoryBytes reports the resident size of the model — every node's
+// 16-byte packed record and leaf-value slot, the per-tree roots and depths
+// and the per-feature importances — used by the §4.5 overhead experiment.
 func (f *Forest) MemoryBytes() int {
-	return len(f.feature)*arenaNodeBytes +
-		len(f.bfsNodes)*bfsNodeBytes +
-		len(f.roots)*arenaIndexBytes +
-		len(f.bfsRoots)*2*arenaIndexBytes + // bfsRoots + bfsDepth
-		len(f.importance)*arenaFloatBytes
+	const indexBytes, floatBytes = 4, 8
+	return len(f.nodes)*(int(unsafe.Sizeof(node{}))+floatBytes) +
+		len(f.roots)*2*indexBytes +
+		len(f.importance)*floatBytes
 }
 
-// MSE returns the mean squared error of the forest on a sample set.
-func (f *Forest) MSE(samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range samples {
-		d := f.Predict(s.Features) - s.Target
-		sum += d * d
-	}
-	return sum / float64(len(samples))
-}
-
-// forestWire mirrors Forest with exported fields for gob.
+// forestWire mirrors Forest with exported fields for gob. Depths are not
+// on the wire: GobDecode recomputes them from the links.
 type forestWire struct {
-	Feature     []int32
-	Threshold   []float64
-	Left, Right []int32
-	Value       []float64
-	Roots       []int32
-	Importance  []float64
-	NFeat       int
-	NSamples    int
+	Nodes      []node
+	Value      []float64
+	Roots      []int32
+	Importance []float64
+	NFeat      int
+	NSamples   int
 }
 
-// GobEncode serializes the arena. Encoding is deterministic: two forests
+// GobEncode serializes the forest. Encoding is deterministic: two forests
 // trained from the same samples, seed and configuration produce identical
 // bytes regardless of Workers, which is how the determinism tests compare
 // whole models.
 func (f *Forest) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(forestWire{
-		Feature:    f.feature,
-		Threshold:  f.threshold,
-		Left:       f.left,
-		Right:      f.right,
+		Nodes:      f.nodes,
 		Value:      f.value,
 		Roots:      f.roots,
 		Importance: f.importance,
@@ -406,74 +386,63 @@ func (f *Forest) GobEncode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// GobDecode restores a forest serialized by GobEncode. The arena is
-// validated structurally before installation — a truncated or corrupt
-// payload fails here with an error instead of panicking inside a later
-// Predict walk.
+// GobDecode restores a forest serialized by GobEncode. Predict and
+// PredictMatrix index the slabs unchecked, so every property they rely on
+// is validated here — a truncated or corrupt payload fails with an error
+// instead of panicking or spinning inside a later prediction.
 func (f *Forest) GobDecode(data []byte) error {
 	var w forestWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
 		return err
 	}
-	n := len(w.Feature)
-	if len(w.Threshold) != n || len(w.Left) != n || len(w.Right) != n || len(w.Value) != n {
-		return fmt.Errorf("mlforest: decoded arena slices have mismatched lengths")
-	}
+	n := int32(len(w.Nodes))
 	if n == 0 || len(w.Roots) == 0 {
 		return fmt.Errorf("mlforest: decoded forest is empty")
+	}
+	if len(w.Value) != len(w.Nodes) {
+		return fmt.Errorf("mlforest: decoded forest has %d leaf-value slots for %d nodes", len(w.Value), n)
 	}
 	if len(w.Importance) != w.NFeat {
 		return fmt.Errorf("mlforest: decoded importance length %d, want %d features", len(w.Importance), w.NFeat)
 	}
-	for i := 0; i < n; i++ {
-		if w.Feature[i] >= int32(w.NFeat) {
-			return fmt.Errorf("mlforest: decoded node %d splits on feature %d of %d", i, w.Feature[i], w.NFeat)
-		}
-		// Children must point strictly forward — every trained arena
-		// satisfies this because nodes append in pre-order — which both
-		// bounds the links and rules out cycles, so a corrupt payload can
-		// never make a Predict walk spin forever.
-		if w.Feature[i] >= 0 && (w.Left[i] <= int32(i) || w.Left[i] >= int32(n) || w.Right[i] <= int32(i) || w.Right[i] >= int32(n)) {
-			return fmt.Errorf("mlforest: decoded node %d has child outside the forward arena range", i)
-		}
-	}
-	for _, r := range w.Roots {
-		if r < 0 || r >= int32(n) {
-			return fmt.Errorf("mlforest: decoded root %d outside arena of %d nodes", r, n)
-		}
-	}
-	// Trees occupy ascending contiguous blocks [roots[t], roots[t+1]) and a
-	// node's children never leave its tree's block — properties every
-	// trained arena has and the breadth-first relabeling in buildBFS relies
-	// on, so a payload violating them must fail here, not panic there.
+	// Trees occupy ascending contiguous blocks [roots[t], roots[t+1]).
 	if w.Roots[0] != 0 {
 		return fmt.Errorf("mlforest: decoded first root %d, want 0", w.Roots[0])
 	}
-	for t := 1; t < len(w.Roots); t++ {
-		if w.Roots[t] <= w.Roots[t-1] {
-			return fmt.Errorf("mlforest: decoded roots not strictly ascending at tree %d", t)
-		}
-	}
-	for t := range w.Roots {
-		end := int32(n)
+	for t, root := range w.Roots {
+		end := n
 		if t+1 < len(w.Roots) {
 			end = w.Roots[t+1]
 		}
-		for i := w.Roots[t]; i < end; i++ {
-			if w.Feature[i] >= 0 && (w.Left[i] >= end || w.Right[i] >= end) {
-				return fmt.Errorf("mlforest: decoded node %d has child outside its tree block", i)
+		if end <= root || end > n {
+			return fmt.Errorf("mlforest: decoded tree %d spans [%d, %d) of %d nodes", t, root, end, n)
+		}
+		for i := root; i < end; i++ {
+			nd := w.Nodes[i]
+			if nd.Feat < 0 || int(nd.Feat) >= w.NFeat {
+				return fmt.Errorf("mlforest: decoded node %d reads feature %d of %d", i, nd.Feat, w.NFeat)
+			}
+			if nd.Lo == i {
+				// A leaf must hold every row: +Inf is the only threshold no
+				// value exceeds.
+				if !math.IsInf(nd.Thr, 1) || nd.Feat != 0 {
+					return fmt.Errorf("mlforest: decoded leaf %d is not a self-looping sentinel", i)
+				}
+				continue
+			}
+			// Children point strictly forward and stay inside the tree's
+			// block, which bounds every link and rules out cycles.
+			if nd.Lo <= i || nd.Lo >= end-1 {
+				return fmt.Errorf("mlforest: decoded node %d has children outside (%d, %d)", i, i, end)
 			}
 		}
 	}
-	f.feature = w.Feature
-	f.threshold = w.Threshold
-	f.left = w.Left
-	f.right = w.Right
+	f.nodes = w.Nodes
 	f.value = w.Value
 	f.roots = w.Roots
 	f.importance = w.Importance
 	f.nFeat = w.NFeat
 	f.nSamples = w.NSamples
-	f.buildBFS()
+	f.setDepths()
 	return nil
 }

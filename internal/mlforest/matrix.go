@@ -1,29 +1,23 @@
 package mlforest
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// This file implements the level-synchronous inference path
-// (docs/DESIGN.md §14). Alongside the depth-first node arena that Predict
-// pointer-walks row by row, every trained Forest carries a second,
-// breadth-first layout of the same ensemble: per-tree slabs in which each
-// level's nodes are contiguous and leaves are self-looping sentinels
-// (feature 0, threshold +Inf, both children pointing at the node
-// itself). PredictMatrix advances an entire batch of rows through a
-// tree one level per step — one tight compare-and-advance loop across all
-// rows, no per-row leaf checks, no data-dependent control flow beyond a
-// single compare the compiler turns into a conditional move — so the
-// serial pointer-chase latency of the row-by-row walk is replaced by
-// independent per-row steps the CPU can overlap.
+// This file implements the level-synchronous inference schedule
+// (docs/DESIGN.md §14). Each tree's block of the node slab is ordered
+// breadth-first and its leaves are self-looping sentinels (see node), so
+// PredictMatrix advances an entire batch of rows through a tree one level
+// per step — one tight compare-and-advance loop across all rows, no
+// per-row leaf checks, no data-dependent control flow beyond a single
+// compare the compiler turns into a conditional move — and the serial
+// pointer-chase latency of a row-at-a-time walk is replaced by independent
+// per-row steps the CPU can overlap.
 //
 // The accumulation order is exactly Predict's: trees evaluate in training
 // order, each row's running sum adds tree t's leaf before tree t+1's, and
 // the final division by the ensemble size is the same single operation.
 // Predict and PredictMatrix are therefore bit-identical — pinned by the
-// equivalence wall in matrix_test.go and the fuzzed random-arena walk
-// comparison.
+// equivalence wall in matrix_test.go against an independent pointer walk
+// over the grown trees.
 
 // RowMatrix is a feature-major batch of prediction inputs: column f holds
 // every row's value of feature f contiguously (data[f*rows+r]). The
@@ -99,87 +93,6 @@ func (m *RowMatrix) SetRow(r int, feats []float64) {
 	}
 }
 
-// bfsNode is one node of the breadth-first mirror, packed to 16 bytes so
-// four nodes share a cache line — the pointer-walk arena spreads a visit
-// over the feature/threshold/left/right slabs (four lines when the
-// ensemble outgrows cache), which is exactly the footprint the mirror
-// exists to shrink. Only the left child index is stored: BFS relabeling
-// appends siblings adjacently, so an internal node's right child is
-// always lo+1. A leaf stores lo = its own index with threshold +Inf; the
-// compare can then never select lo+1, so the self-loop needs no second
-// link either.
-type bfsNode struct {
-	thr  float64
-	lo   int32
-	feat int32
-}
-
-// buildBFS derives the breadth-first mirror from the depth-first arena.
-// It runs once per trained or decoded forest (flatten, GobDecode); the
-// mirror is a pure function of the arena, so it is never serialized.
-//
-// Within the arena, tree t's nodes occupy the contiguous block
-// [roots[t], treeEnd(t)) in depth-first pre-order; the BFS relabeling
-// keeps the same per-tree blocks but orders each block level by level,
-// which is what makes one PredictMatrix level step touch a contiguous
-// node range. Leaves become self-looping sentinels: feature 0 (a valid
-// column, so the gather never indexes out of bounds), threshold +Inf (the
-// compare always sends the row to lo) and lo the node itself — a row that
-// reaches a leaf early simply re-lands on it every remaining level, so
-// the inner loop needs no is-leaf branch at all.
-func (f *Forest) buildBFS() {
-	n := len(f.feature)
-	f.bfsNodes = make([]bfsNode, n)
-	f.bfsVal = make([]float64, n)
-	f.bfsRoots = make([]int32, len(f.roots))
-	f.bfsDepth = make([]int32, len(f.roots))
-
-	var order []int32 // per-tree scratch: arena indices in BFS order
-	var depth []int32 // per-tree scratch: BFS level of each ordered node
-	var inv []int32   // per-tree scratch: arena index - base -> BFS slab index
-	for t, root := range f.roots {
-		base := f.roots[t] // BFS block shares the tree's arena offsets
-		end := f.treeEnd(t)
-		size := int(end - base)
-		order = append(order[:0], root)
-		depth = append(depth[:0], 0)
-		for qi := 0; qi < len(order); qi++ {
-			i := order[qi]
-			if f.feature[i] >= 0 {
-				order = append(order, f.left[i], f.right[i])
-				depth = append(depth, depth[qi]+1, depth[qi]+1)
-			}
-		}
-		if cap(inv) < size {
-			inv = make([]int32, size)
-		}
-		inv = inv[:size]
-		for bi, ai := range order {
-			inv[ai-base] = base + int32(bi)
-		}
-		f.bfsRoots[t] = base
-		for bi, ai := range order {
-			j := base + int32(bi)
-			if f.feature[ai] >= 0 {
-				// Children were appended to the BFS order back to back, so
-				// inv[right] == inv[left]+1 by construction and only the
-				// left link is stored.
-				f.bfsNodes[j] = bfsNode{
-					thr:  f.threshold[ai],
-					lo:   inv[f.left[ai]-base],
-					feat: f.feature[ai],
-				}
-			} else {
-				f.bfsNodes[j] = bfsNode{thr: math.Inf(1), lo: j, feat: 0}
-				f.bfsVal[j] = f.value[ai]
-			}
-			if d := depth[bi]; d > f.bfsDepth[t] {
-				f.bfsDepth[t] = d
-			}
-		}
-	}
-}
-
 // PredictMatrix predicts every row of the batch in one level-synchronous
 // ensemble pass, writing into out when it has matching length (allocating
 // otherwise) and returning the slice used. Results are bit-identical to
@@ -209,9 +122,9 @@ func (f *Forest) PredictMatrix(m *RowMatrix, out []float64) []float64 {
 
 	box, idx := f.frontier(n)
 	data := m.data
-	nodes, val := f.bfsNodes, f.bfsVal
-	for t, root := range f.bfsRoots {
-		dep := f.bfsDepth[t]
+	nodes, val := f.nodes, f.value
+	for t, root := range f.roots {
+		dep := f.depth[t]
 		if dep == 0 {
 			// Single-leaf tree: every row lands on the root.
 			v := val[root]
@@ -223,14 +136,14 @@ func (f *Forest) PredictMatrix(m *RowMatrix, out []float64) []float64 {
 		// Level 0 reads one node for the whole batch, so its feature column
 		// is a sequential scan and the node loads hoist out of the loop.
 		rn := nodes[root]
-		lo0, hi0 := rn.lo, rn.lo+1
-		col := data[int(rn.feat)*n : int(rn.feat)*n+n]
+		lo0, hi0 := rn.Lo, rn.Lo+1
+		col := data[int(rn.Feat)*n : int(rn.Feat)*n+n]
 		if dep == 1 {
 			// Both children are leaves: fold the accumulate in too.
 			vlo, vhi := val[lo0], val[hi0]
 			for r, v := range col {
 				w := vlo
-				if v > rn.thr {
+				if v > rn.Thr {
 					w = vhi
 				}
 				out[r] += w
@@ -239,7 +152,7 @@ func (f *Forest) PredictMatrix(m *RowMatrix, out []float64) []float64 {
 		}
 		for r, v := range col {
 			k := lo0
-			if v > rn.thr {
+			if v > rn.Thr {
 				k = hi0
 			}
 			idx[r] = k
@@ -247,9 +160,9 @@ func (f *Forest) PredictMatrix(m *RowMatrix, out []float64) []float64 {
 		for d := int32(1); d < dep-1; d++ {
 			for r, i := range idx {
 				nd := nodes[i]
-				lo := nd.lo
+				lo := nd.Lo
 				hi := lo + 1
-				if data[int(nd.feat)*n+r] > nd.thr {
+				if data[int(nd.Feat)*n+r] > nd.Thr {
 					lo = hi
 				}
 				idx[r] = lo
@@ -260,25 +173,25 @@ func (f *Forest) PredictMatrix(m *RowMatrix, out []float64) []float64 {
 		// the frontier and re-reading it.
 		for r, i := range idx {
 			nd := nodes[i]
-			lo := nd.lo
+			lo := nd.Lo
 			hi := lo + 1
-			if data[int(nd.feat)*n+r] > nd.thr {
+			if data[int(nd.Feat)*n+r] > nd.Thr {
 				lo = hi
 			}
 			out[r] += val[lo]
 		}
 	}
-	nt := float64(len(f.bfsRoots))
+	nt := float64(len(f.roots))
 	for r := range out {
 		out[r] /= nt
 	}
-	f.releaseFrontier(box)
+	f.scratch.Put(box)
 	return out
 }
 
 // frontier leases an n-row active-frontier scratch from the forest's pool.
-// The *[]int32 box travels with the slice so a steady-state lease/release
-// cycle allocates nothing.
+// The *[]int32 box travels with the slice and goes back with scratch.Put,
+// so a steady-state lease/release cycle allocates nothing.
 func (f *Forest) frontier(n int) (*[]int32, []int32) {
 	box, _ := f.scratch.Get().(*[]int32)
 	if box == nil {
@@ -291,9 +204,4 @@ func (f *Forest) frontier(n int) (*[]int32, []int32) {
 	s = s[:n]
 	*box = s
 	return box, s
-}
-
-// releaseFrontier returns a frontier to the pool.
-func (f *Forest) releaseFrontier(box *[]int32) {
-	f.scratch.Put(box)
 }

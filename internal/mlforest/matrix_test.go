@@ -20,26 +20,89 @@ func gobBytes(t *testing.T, v []float64) []byte {
 	return buf.Bytes()
 }
 
+// oracle is the independent reference both inference schedules are checked
+// against: the trees exactly as the trainer grows them — pre-order,
+// tree-local child links, leaves marked by feature -1 — walked by pointer
+// with the training-time rule (left when x <= threshold). It shares no
+// code with flatten's breadth-first relabelling, so the one layout is
+// never checked only against itself.
+type oracle []grownTree
+
+func (o oracle) predict(row []float64) float64 {
+	var sum float64
+	for i := range o {
+		t, n := &o[i], int32(0)
+		for t.feature[n] >= 0 {
+			if row[t.feature[n]] <= t.threshold[n] {
+				n = t.left[n]
+			} else {
+				n = t.right[n]
+			}
+		}
+		sum += t.value[n]
+	}
+	return sum / float64(len(o))
+}
+
+// depth is the height of tree t's subtree at node n.
+func (o oracle) depth(t int, n int32) int {
+	if o[t].feature[n] < 0 {
+		return 0
+	}
+	return 1 + max(o.depth(t, o[t].left[n]), o.depth(t, o[t].right[n]))
+}
+
+// growTrees grows cfg's trees serially, as trainOn does, and keeps them
+// for the oracle alongside the forest flatten makes of them.
+func growTrees(t *testing.T, samples []Sample, cfg ForestConfig) (oracle, *Forest) {
+	t.Helper()
+	rows := make([][]float64, len(samples))
+	targets := make([]float64, len(samples))
+	for i, s := range samples {
+		rows[i], targets[i] = s.Features, s.Target
+	}
+	ds := newDataset(rows)
+	b := newTreeBuilder(ds, targets, cfg.Tree)
+	trees := make(oracle, cfg.Trees)
+	for i := range trees {
+		trees[i] = b.grow(treeSeed(cfg.Seed, i))
+	}
+	return trees, flatten(trees, ds.nFeat, ds.n)
+}
+
 // TestPredictMatrixMatchesPredict is the mlforest half of the equivalence
-// wall: level-synchronous inference must be byte-identical to the per-row
-// pointer walk at every required batch size.
+// wall: the row walk and the level-synchronous pass must both be
+// byte-identical to the oracle's pointer walk at every required batch
+// size, on the forest Train itself returns.
 func TestPredictMatrixMatchesPredict(t *testing.T) {
-	f, err := Train(TraceLikeSamples(600, 31), DefaultForestConfig())
+	samples := TraceLikeSamples(600, 31)
+	trees, grown := growTrees(t, samples, DefaultForestConfig())
+	f, err := Train(samples, DefaultForestConfig())
 	if err != nil {
 		t.Fatal(err)
+	}
+	fEnc, _ := f.GobEncode()
+	grownEnc, _ := grown.GobEncode()
+	if !bytes.Equal(fEnc, grownEnc) {
+		t.Fatal("growTrees no longer mirrors Train: the oracle's trees are not the forest's")
 	}
 	pool := TraceLikeSamples(512, 32)
 	for _, n := range []int{1, 7, 64, 4096} {
 		m := NewRowMatrix(n, f.NumFeatures())
 		want := make([]float64, n)
+		walk := make([]float64, n)
 		for r := 0; r < n; r++ {
 			feats := pool[r%len(pool)].Features
 			m.SetRow(r, feats)
-			want[r] = f.Predict(feats)
+			want[r] = trees.predict(feats)
+			walk[r] = f.Predict(feats)
+		}
+		if !bytes.Equal(gobBytes(t, walk), gobBytes(t, want)) {
+			t.Fatalf("batch %d: Predict diverges from the oracle", n)
 		}
 		got := f.PredictMatrix(m, nil)
 		if !bytes.Equal(gobBytes(t, got), gobBytes(t, want)) {
-			t.Fatalf("batch %d: PredictMatrix diverges from Predict", n)
+			t.Fatalf("batch %d: PredictMatrix diverges from the oracle", n)
 		}
 		// Reusing the output buffer must overwrite, not accumulate.
 		again := f.PredictMatrix(m, got)
@@ -110,43 +173,42 @@ func TestMismatchedRowsCounted(t *testing.T) {
 	}
 }
 
-// randomArena hand-builds a structurally valid DFS arena (no training):
-// random tree shapes, thresholds and leaf values, exercising layouts the
-// trainer would rarely produce.
-func randomArena(rng *rand.Rand, trees, nFeat, maxDepth int) *Forest {
-	f := &Forest{nFeat: nFeat, importance: make([]float64, nFeat)}
-	var build func(depth int)
-	build = func(depth int) {
-		i := int32(len(f.feature))
-		if depth >= maxDepth || rng.Float64() < 0.3 {
-			f.feature = append(f.feature, -1)
-			f.threshold = append(f.threshold, 0)
-			f.left = append(f.left, 0)
-			f.right = append(f.right, 0)
-			f.value = append(f.value, rng.NormFloat64())
-			return
+// randomArena hand-builds structurally valid grown trees (no training) —
+// random shapes, thresholds and leaf values, exercising layouts the
+// trainer would rarely produce — and flattens them.
+func randomArena(rng *rand.Rand, trees, nFeat, maxDepth int) (oracle, *Forest) {
+	o := make(oracle, trees)
+	for i := range o {
+		t := &o[i]
+		t.importance = make([]float64, nFeat)
+		var build func(depth int) int32
+		build = func(depth int) int32 {
+			n := int32(len(t.feature))
+			t.left = append(t.left, 0)
+			t.right = append(t.right, 0)
+			if depth >= maxDepth || rng.Float64() < 0.3 {
+				t.feature = append(t.feature, -1)
+				t.threshold = append(t.threshold, 0)
+				t.value = append(t.value, rng.NormFloat64())
+				return n
+			}
+			t.feature = append(t.feature, int32(rng.Intn(nFeat)))
+			t.threshold = append(t.threshold, rng.NormFloat64())
+			t.value = append(t.value, 0)
+			l := build(depth + 1)
+			r := build(depth + 1)
+			t.left[n], t.right[n] = l, r
+			return n
 		}
-		f.feature = append(f.feature, int32(rng.Intn(nFeat)))
-		f.threshold = append(f.threshold, rng.NormFloat64())
-		f.left = append(f.left, 0)
-		f.right = append(f.right, 0)
-		f.value = append(f.value, 0)
-		f.left[i] = int32(len(f.feature))
-		build(depth + 1)
-		f.right[i] = int32(len(f.feature))
-		build(depth + 1)
-	}
-	for t := 0; t < trees; t++ {
-		f.roots = append(f.roots, int32(len(f.feature)))
 		build(0)
 	}
-	f.buildBFS()
-	return f
+	return o, flatten(o, nFeat, 0)
 }
 
-// FuzzPredictMatrixEquivalence fuzzes random arenas and random inputs:
-// whatever the tree shapes, both layouts must walk every row to the same
-// leaf and produce bit-identical ensemble means.
+// FuzzPredictMatrixEquivalence fuzzes random trees and random inputs:
+// whatever the tree shapes, both schedules must take every row to the leaf
+// the oracle's pointer walk reaches and produce bit-identical ensemble
+// means.
 func FuzzPredictMatrixEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(2), uint8(4), uint8(9))
 	f.Add(int64(42), uint8(1), uint8(1), uint8(0), uint8(1))
@@ -157,7 +219,7 @@ func FuzzPredictMatrixEquivalence(f *testing.F) {
 		md := int(maxDepth) % 8
 		n := int(rows)%70 + 1
 		rng := rand.New(rand.NewSource(seed))
-		forest := randomArena(rng, nt, nf, md)
+		ref, forest := randomArena(rng, nt, nf, md)
 
 		m := NewRowMatrix(n, nf)
 		want := make([]float64, n)
@@ -167,13 +229,22 @@ func FuzzPredictMatrixEquivalence(f *testing.F) {
 				row[c] = rng.NormFloat64()
 			}
 			m.SetRow(r, row)
-			want[r] = forest.Predict(row)
+			want[r] = ref.predict(row)
+			if got := forest.Predict(row); math.Float64bits(got) != math.Float64bits(want[r]) {
+				t.Fatalf("row %d: walk %v != oracle %v (trees=%d feat=%d depth=%d)",
+					r, got, want[r], nt, nf, md)
+			}
 		}
 		got := forest.PredictMatrix(m, nil)
 		for r := range want {
 			if math.Float64bits(got[r]) != math.Float64bits(want[r]) {
-				t.Fatalf("row %d: matrix %v != walk %v (trees=%d feat=%d depth=%d)",
+				t.Fatalf("row %d: matrix %v != oracle %v (trees=%d feat=%d depth=%d)",
 					r, got[r], want[r], nt, nf, md)
+			}
+		}
+		for i := range ref {
+			if got, want := forest.TreeDepth(i), ref.depth(i, 0); got != want {
+				t.Fatalf("tree %d: stored depth %d, oracle depth %d", i, got, want)
 			}
 		}
 	})

@@ -14,7 +14,7 @@
 // sorted columns in O(n·features) without sorting, and nodes are grown by
 // linear sweeps plus stable in-place partitioning. Trees grow in parallel
 // on a worker pool with per-tree RNGs, and the trained ensemble is
-// flattened into one contiguous node arena (see Forest).
+// flattened into one contiguous breadth-first node slab (see Forest).
 package mlforest
 
 import (
@@ -42,7 +42,7 @@ type TreeConfig struct {
 	FeatureFrac float64
 }
 
-// grownTree is one trained tree before arena flattening: SoA node storage
+// grownTree is one trained tree before flattening: pre-order SoA node storage
 // (leaves have feature == -1; child indexes are tree-local) plus the
 // per-feature variance reduction it accumulated.
 type grownTree struct {

@@ -92,10 +92,9 @@ type LongTerm struct {
 }
 
 // batchScratch is the reusable working set of one PredictBatchInto call:
-// the feature-major input matrix for the level-synchronous forest path, a
-// staging row for assembling one feature vector at a time, and the raw
-// forest outputs. Only buffers not retained by the returned Predictions
-// live here.
+// the feature-major input matrix for the forest passes, a staging row for
+// assembling one feature vector at a time, and the raw forest outputs.
+// Only buffers not retained by the returned Predictions live here.
 type batchScratch struct {
 	m      mlforest.RowMatrix
 	row    []float64 // one featureDim staging row scattered into m
@@ -298,54 +297,31 @@ func (lt *LongTerm) MemoryBytes() int {
 }
 
 // Predict returns the per-window prediction for a VM, quantized up to 5%
-// buckets. ok is false when the VM's subscription lacks sufficient history,
-// in which case the caller must not oversubscribe the VM (§3.3).
+// buckets: the one-VM call of PredictBatchInto. ok is false when the VM's
+// subscription lacks sufficient history, in which case the caller must not
+// oversubscribe the VM (§3.3).
+func (lt *LongTerm) Predict(tr *trace.Trace, vm *trace.VM) (coachvm.Prediction, bool) {
+	var pred [1]coachvm.Prediction
+	var ok [1]bool
+	lt.PredictBatchInto(tr, []*trace.VM{vm}, pred[:], ok[:])
+	return pred[0], ok[0]
+}
+
+// PredictBatchInto predicts a batch of VMs, writing into caller-owned
+// slices (both len(vms), entries fully overwritten) so a steady-state
+// caller — serve's batch workers reuse per-queue scratch — pays no
+// per-batch result allocation beyond the prediction windows themselves.
 //
 // A VM that has already run for at least a day within the training period
 // is predicted from its own observed utilization (the platform telemetry
 // keeps accumulating per-VM data, and VM behaviour is consistent day over
-// day — Fig. 9); only fresh VMs fall back to the cross-VM forest.
-func (lt *LongTerm) Predict(tr *trace.Trace, vm *trace.VM) (pred coachvm.Prediction, ok bool) {
-	pred.Windows = lt.cfg.Windows
-	pred.Percentile = lt.cfg.Percentile
-	if visible := visibleSamples(vm, lt.upTo); visible >= lt.cfg.MinSamples {
-		for _, k := range resources.Kinds {
-			s := vm.Util[k][:visible]
-			pred.Pct[k] = quantizeAll(s.WindowPercentile(lt.cfg.Windows, lt.cfg.Percentile), lt.cfg.SafetyBuckets)
-			pred.Max[k] = quantizeAll(s.LifetimeWindowMax(lt.cfg.Windows), lt.cfg.SafetyBuckets)
-		}
-		pred.Clamp()
-		return pred, true
-	}
-	if lt.HistoryCount(vm.Subscription) < lt.cfg.MinHistory {
-		return pred, false
-	}
-	for _, k := range resources.Kinds {
-		pred.Max[k] = make([]float64, lt.cfg.Windows.PerDay)
-		pred.Pct[k] = make([]float64, lt.cfg.Windows.PerDay)
-		for t := 0; t < lt.cfg.Windows.PerDay; t++ {
-			feats := lt.features(tr, vm, k, t)
-			pred.Pct[k][t] = quantize(lt.pctForest[k].Predict(feats), lt.cfg.SafetyBuckets)
-			pred.Max[k][t] = quantize(lt.maxForest[k].Predict(feats), lt.cfg.SafetyBuckets)
-		}
-	}
-	pred.Clamp()
-	return pred, true
-}
-
-// PredictBatchInto predicts a batch of VMs in single forest passes,
-// writing into caller-owned slices (both len(vms), entries fully
-// overwritten) so a steady-state caller — serve's batch workers reuse
-// per-queue scratch — pays no per-batch result allocation beyond the
-// prediction windows themselves. The results are exactly those of calling
-// Predict per VM — bit-identical, since mlforest.Forest.PredictMatrix
-// accumulates per-row tree contributions in the same order as the per-row
-// walk — but all fresh VMs' (window, resource) feature rows are evaluated
-// through each forest in one level-synchronous matrix pass, advancing the
-// whole batch one tree level at a time instead of pointer-chasing rows one
-// by one, and each VM's prediction windows are backed by shared flat
-// allocations. This is the inference hot path of the serving layer
-// (internal/serve), which coalesces concurrent requests into such batches.
+// day — Fig. 9); only fresh VMs fall back to the cross-VM forests, and
+// all of the batch's fresh (VM, window) feature rows go through each
+// forest in one level-synchronous mlforest.Forest.PredictMatrix pass. A
+// lone VM is already six rows per forest, so this is the only prediction
+// body: the simulator's per-arrival Predict, core's platform and the
+// serving layer's coalesced batches all run it, and a VM's prediction
+// does not depend on what it was batched with.
 func (lt *LongTerm) PredictBatchInto(tr *trace.Trace, vms []*trace.VM, preds []coachvm.Prediction, oks []bool) {
 	// First pass: resolve VMs predictable from their own observed series
 	// or rejected for insufficient history; collect the forest-path rest.
@@ -375,8 +351,7 @@ func (lt *LongTerm) PredictBatchInto(tr *trace.Trace, vms []*trace.VM, preds []c
 	}
 
 	// Second pass: one batched ensemble evaluation per (resource, target)
-	// over every fresh VM's windows, level-synchronously through the
-	// forests' breadth-first layout. Features assemble into a feature-major
+	// over every fresh VM's windows. Features assemble into a feature-major
 	// matrix carved from a pooled flat buffer (recycled across batches);
 	// only the per-VM window slices handed back inside Predictions are
 	// freshly allocated.

@@ -6,16 +6,62 @@ import (
 	"testing"
 
 	"github.com/coach-oss/coach/internal/coachvm"
+	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
+// referencePredict is the per-row reference PredictBatchInto (and so
+// Predict, its one-VM call) is held to: the §3.3 decision spelled out for
+// one VM — own observed series, else the history gate, else the forests —
+// with every (resource, window, target) cell its own Forest.Predict row
+// walk and quantisation. No matrix, no batch, no shared scratch.
+func referencePredict(lt *LongTerm, tr *trace.Trace, vm *trace.VM) (coachvm.Prediction, bool) {
+	pred := coachvm.Prediction{Windows: lt.cfg.Windows, Percentile: lt.cfg.Percentile}
+	if visible := visibleSamples(vm, lt.upTo); visible >= lt.cfg.MinSamples {
+		for _, k := range resources.Kinds {
+			s := vm.Util[k][:visible]
+			pred.Pct[k] = quantizeAll(s.WindowPercentile(lt.cfg.Windows, lt.cfg.Percentile), lt.cfg.SafetyBuckets)
+			pred.Max[k] = quantizeAll(s.LifetimeWindowMax(lt.cfg.Windows), lt.cfg.SafetyBuckets)
+		}
+		pred.Clamp()
+		return pred, true
+	}
+	if lt.HistoryCount(vm.Subscription) < lt.cfg.MinHistory {
+		return pred, false
+	}
+	for _, k := range resources.Kinds {
+		pred.Pct[k] = make([]float64, lt.cfg.Windows.PerDay)
+		pred.Max[k] = make([]float64, lt.cfg.Windows.PerDay)
+		for w := 0; w < lt.cfg.Windows.PerDay; w++ {
+			feats := lt.features(tr, vm, k, w)
+			pred.Pct[k][w] = quantize(lt.pctForest[k].Predict(feats), lt.cfg.SafetyBuckets)
+			pred.Max[k][w] = quantize(lt.maxForest[k].Predict(feats), lt.cfg.SafetyBuckets)
+		}
+	}
+	pred.Clamp()
+	return pred, true
+}
+
 // TestPredictBatchMatrixEquivalence is the predict half of the
 // level-synchronous equivalence wall: with PredictBatchInto feeding the
 // forests through the feature-major matrix path, every scenario preset's
-// batched predictions must stay gob-byte-identical to per-VM Predict at
-// each required batch size. Run under -race in CI, this also races the
-// pooled matrix scratch across parallel presets.
+// batched predictions must stay gob-byte-identical to the per-row
+// reference at each required batch size, and so must Predict, its batch
+// of one. Run under -race in CI, this also races the pooled matrix
+// scratch across parallel presets.
+func encodePredictions(t *testing.T, preds []coachvm.Prediction, oks []bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(struct {
+		P  []coachvm.Prediction
+		OK []bool
+	}{preds, oks}); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestPredictBatchMatrixEquivalence(t *testing.T) {
 	for _, name := range scenario.PresetNames {
 		name := name
@@ -39,7 +85,7 @@ func TestPredictBatchMatrixEquivalence(t *testing.T) {
 			// fresh forest-path VMs alike — cycling the population to fill
 			// the largest batch.
 			forestRows := 0
-			for _, n := range []int{1, 7, 64, 4096} {
+			for _, n := range []int{1, 2, 7, 64, 4096} {
 				vms := make([]*trace.VM, n)
 				for i := range vms {
 					vms[i] = &tr.VMs[i%len(tr.VMs)]
@@ -48,27 +94,25 @@ func TestPredictBatchMatrixEquivalence(t *testing.T) {
 				lt.PredictBatchInto(tr, vms, gotPred, gotOK)
 				wantPred := make([]coachvm.Prediction, n)
 				wantOK := make([]bool, n)
+				onePred := make([]coachvm.Prediction, n)
+				oneOK := make([]bool, n)
 				for i, vm := range vms {
-					wantPred[i], wantOK[i] = lt.Predict(tr, vm)
+					wantPred[i], wantOK[i] = referencePredict(lt, tr, vm)
+					if i < len(tr.VMs) { // later entries repeat the population
+						onePred[i], oneOK[i] = lt.Predict(tr, vm)
+					} else {
+						onePred[i], oneOK[i] = wantPred[i], wantOK[i]
+					}
 					if wantOK[i] && wantPred[i].Pct[0] != nil && n == 4096 {
 						forestRows++
 					}
 				}
-				var got, want bytes.Buffer
-				if err := gob.NewEncoder(&got).Encode(struct {
-					P  []coachvm.Prediction
-					OK []bool
-				}{gotPred, gotOK}); err != nil {
-					t.Fatal(err)
+				want := encodePredictions(t, wantPred, wantOK)
+				if !bytes.Equal(encodePredictions(t, gotPred, gotOK), want) {
+					t.Fatalf("batch %d: PredictBatchInto diverges from the per-row reference", n)
 				}
-				if err := gob.NewEncoder(&want).Encode(struct {
-					P  []coachvm.Prediction
-					OK []bool
-				}{wantPred, wantOK}); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Fatalf("batch %d: PredictBatchInto diverges from per-VM Predict", n)
+				if !bytes.Equal(encodePredictions(t, onePred, oneOK), want) {
+					t.Fatalf("batch %d: per-VM Predict diverges from the per-row reference", n)
 				}
 			}
 			if forestRows == 0 {

@@ -288,6 +288,9 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		if ok != oks[i] {
 			t.Fatalf("vm %d: batch ok=%v, single ok=%v", vm.ID, oks[i], ok)
 		}
+		if ref, refOK := referencePredict(m, tr, vm); refOK != ok || !reflect.DeepEqual(ref, single) {
+			t.Fatalf("vm %d: Predict %+v/%v diverges from the per-row reference %+v/%v", vm.ID, single, ok, ref, refOK)
+		}
 		if !ok {
 			sawNoHist = true
 			continue

@@ -37,7 +37,7 @@ func TestCandidatesIntoMatchesCandidates(t *testing.T) {
 		}
 		sort.SliceStable(want, func(i, j int) bool { return want[i].Score > want[j].Score })
 
-		got := s.Candidates(vm, exclude)
+		got := s.CandidatesInto(vm, exclude, nil)
 		if len(got) != len(want) {
 			t.Fatalf("exclude %d: %d candidates, want %d", exclude, len(got), len(want))
 		}
@@ -87,7 +87,7 @@ func BenchmarkCandidates(b *testing.B) {
 	b.Run("alloc", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			s.Candidates(vm, -1)
+			s.CandidatesInto(vm, -1, nil)
 		}
 	})
 	b.Run("scratch", func(b *testing.B) {

@@ -122,7 +122,7 @@ func (s *Scheduler) Place(vm *coachvm.CVM) (serverIdx int, ok bool) {
 
 // PlaceAt assigns vm to an explicit server, bypassing the best-fit
 // preference but not the feasibility check. The migration engine uses it
-// to commit a destination chosen from a Candidates ranking (possibly in
+// to commit a destination chosen from a CandidatesInto ranking (possibly in
 // another shard's scheduler); serve uses it to commit admissions.
 func (s *Scheduler) PlaceAt(vm *coachvm.CVM, server int) error {
 	if server < 0 || server >= len(s.servers) {
@@ -158,24 +158,19 @@ type Candidate struct {
 	Score float64
 }
 
-// Candidates ranks every feasible server for vm in placement-preference
-// order: best-fit score descending, ties broken on the lowest index.
-// exclude (-1 = none) is never considered — migration must move a VM off
-// its current host. The ranking is the reference placement order: Place
-// takes its head, the migration engine and crash recovery filter it by
-// data-plane pressure, and admission reads its dense per-server form
-// (ScoreRowInto), so every layer agrees on what "the scheduler's
-// placement policy" means.
-func (s *Scheduler) Candidates(vm *coachvm.CVM, exclude int) []Candidate {
-	return s.CandidatesInto(vm, exclude, nil)
-}
-
-// CandidatesInto is Candidates appending into a caller-provided scratch
-// slice (overwritten from index 0, reallocated only when too small) and
-// returning the slice used. The hot decision paths — migration relanding
-// and recovery call the ranking per VM per tick — reuse one
-// scratch across calls and stay allocation-free in steady state; the
-// ranking itself is identical to Candidates'.
+// CandidatesInto ranks every feasible server for vm in
+// placement-preference order: best-fit score descending, ties broken on
+// the lowest index. exclude (-1 = none) is never considered — migration
+// must move a VM off its current host. The ranking is the reference
+// placement order: Place takes its head, the migration engine and crash
+// recovery filter it by data-plane pressure, and admission reads its dense
+// per-server form (ScoreRowInto), so every layer agrees on what "the
+// scheduler's placement policy" means.
+//
+// The ranking is appended into scratch (overwritten from index 0,
+// reallocated only when too small; nil allocates) and the slice used is
+// returned: migration relanding and recovery call it per VM per tick,
+// reuse one scratch across calls and stay allocation-free in steady state.
 func (s *Scheduler) CandidatesInto(vm *coachvm.CVM, exclude int, scratch []Candidate) []Candidate {
 	out := scratch[:0]
 	for i, st := range s.servers {
@@ -259,7 +254,7 @@ func (s *Scheduler) Remove(vmID int) (*coachvm.CVM, int) {
 }
 
 // MigrateTo moves a VM to an explicit server — the destination a
-// migration engine picked from Candidates. On failure the VM's placement
+// migration engine picked from CandidatesInto. On failure the VM's placement
 // is unchanged and the error is typed: ErrUnknownVM when the scheduler
 // never placed vmID (drop the migration), ErrNoCapacity when the target is
 // down or cannot fit it (re-route cross-shard or leave in place).
@@ -312,7 +307,7 @@ func (s *Scheduler) ServerOf(vmID int) int {
 }
 
 // SetDown marks a server failed (down=true) or recovered (false). A
-// down server is skipped by Place, PlaceAt, Candidates, ScoreRowInto and
+// down server is skipped by Place, PlaceAt, CandidatesInto, ScoreRowInto and
 // MigrateTo; VMs already placed there stay in the bookkeeping until the
 // caller removes them.
 func (s *Scheduler) SetDown(server int, down bool) {

@@ -211,7 +211,7 @@ func TestCandidatesRankingMatchesPlace(t *testing.T) {
 	s.PlaceAt(guaranteedVM(10, 8, 32), 2)
 	s.PlaceAt(guaranteedVM(11, 4, 16), 1)
 	probe := guaranteedVM(1, 2, 8)
-	cands := s.Candidates(probe, -1)
+	cands := s.CandidatesInto(probe, -1, nil)
 	if len(cands) != 4 {
 		t.Fatalf("got %d candidates, want 4", len(cands))
 	}
@@ -225,13 +225,13 @@ func TestCandidatesRankingMatchesPlace(t *testing.T) {
 		t.Errorf("Place chose %d, Candidates ranked %d first", want, cands[0].Server)
 	}
 	// Excluding the best candidate removes exactly it.
-	rest := s.Candidates(guaranteedVM(2, 2, 8), cands[0].Server)
+	rest := s.CandidatesInto(guaranteedVM(2, 2, 8), cands[0].Server, nil)
 	for _, c := range rest {
 		if c.Server == cands[0].Server {
 			t.Error("excluded server still ranked")
 		}
 	}
-	if got := s.Candidates(guaranteedVM(4, 99, 8), -1); len(got) != 0 {
+	if got := s.CandidatesInto(guaranteedVM(4, 99, 8), -1, nil); len(got) != 0 {
 		t.Errorf("unplaceable VM ranked %d candidates", len(got))
 	}
 }
@@ -473,7 +473,7 @@ func TestDownTracking(t *testing.T) {
 	if err := s.PlaceAt(guaranteedVM(5, 1, 4), 0); err == nil {
 		t.Fatal("PlaceAt onto a down server succeeded")
 	}
-	if got := s.Candidates(guaranteedVM(6, 16, 64), 1); len(got) != 0 {
+	if got := s.CandidatesInto(guaranteedVM(6, 16, 64), 1, nil); len(got) != 0 {
 		t.Fatalf("Candidates ranked the down server: %v", got)
 	}
 

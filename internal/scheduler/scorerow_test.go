@@ -19,7 +19,7 @@ func TestScoreRowIntoMatchesCandidates(t *testing.T) {
 	s.ScoreRowInto(vm, row)
 
 	byServer := make(map[int]float64)
-	for _, c := range s.Candidates(vm, -1) {
+	for _, c := range s.CandidatesInto(vm, -1, nil) {
 		byServer[c.Server] = c.Score
 	}
 	for i, sc := range row {
