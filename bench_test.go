@@ -527,40 +527,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-func BenchmarkSchedulerPlace(b *testing.B) {
-	ctx := benchContext()
-	tr, err := ctx.Trace()
-	if err != nil {
-		b.Fatal(err)
-	}
-	fleet := NewFleet(DefaultClusters(50))
-	platform, err := NewPlatform(fleet, DefaultPlatformConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := platform.Train(tr, tr.Horizon/2); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		vm := &tr.VMs[i%len(tr.VMs)]
-		cvm, err := platform.Request(vm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cvm.ID = 1_000_000 + i // unique id per placement
-		if _, ok := platform.Place(cvm); ok && i%200 == 199 {
-			// Periodically drain to keep the fleet from saturating.
-			b.StopTimer()
-			for j := i - 199; j <= i; j++ {
-				platform.Deallocate(1_000_000 + j)
-			}
-			b.StartTimer()
-		}
-	}
-}
-
 func BenchmarkMemsimTick(b *testing.B) {
 	srv, err := NewServer(DefaultServerConfig(16, 8))
 	if err != nil {

@@ -26,6 +26,7 @@ func TestSplitVariant(t *testing.T) {
 	}
 }
 
+// A benchmark repeated under -count keeps its fastest repetition.
 func TestParseBench(t *testing.T) {
 	const out = `goos: linux
 goarch: amd64
@@ -33,6 +34,7 @@ pkg: github.com/coach-oss/coach
 cpu: Intel(R) Xeon(R) CPU @ 2.10GHz
 BenchmarkServeAdmit/clients=1/mode=serial-2         	   30000	     33500 ns/op	    5120 B/op	      19 allocs/op
 BenchmarkServeAdmit/clients=1/mode=batched-2        	   30000	     32200 ns/op	    5008 B/op	      18 allocs/op
+BenchmarkServeAdmit/clients=1/mode=batched-2        	   30000	     39900 ns/op	    5008 B/op	      18 allocs/op
 BenchmarkServeAdmit/clients=8/mode=batched          	   60000	     18100 ns/op
 BenchmarkServeAdmit/clients=8/mode=experimental-2   	   60000	     1 ns/op
 BenchmarkServeThroughput/batched/clients=8-2        	  100000	     11000 ns/op

@@ -131,7 +131,10 @@ func (p *Prediction) VADemandFrac(k resources.Kind, t int) float64 {
 }
 
 // CVM is a placed CoachVM: an allocation plus its resolved guaranteed and
-// oversubscribed portions in absolute units.
+// oversubscribed portions in absolute units. It is immutable once built:
+// New and FullyGuaranteed are the only constructors and nothing writes a
+// field afterwards, which is what lets demand and peak cache the rest and
+// every Pool holding the VM rely on them.
 type CVM struct {
 	ID    int
 	Alloc resources.Vector
@@ -143,6 +146,11 @@ type CVM struct {
 	// VADemand[k][t] is the absolute oversubscribed demand of resource k
 	// in window t (formula 2, rounded up to granularity).
 	VADemand [resources.NumKinds][]float64
+
+	// demand is SchedDemand resolved once, flat and kind-major
+	// (demand[k*PerDay+t]); peak[k] is its maximum over windows.
+	demand []float64
+	peak   resources.Vector
 }
 
 // New resolves a prediction into a CoachVM's guaranteed/oversubscribed
@@ -167,6 +175,7 @@ func New(id int, alloc resources.Vector, pred Prediction) (*CVM, error) {
 			}
 		}
 	}
+	vm.resolveDemand()
 	return vm, nil
 }
 
@@ -181,6 +190,7 @@ func FullyGuaranteed(id int, alloc resources.Vector, w timeseries.Windows) *CVM 
 		vm.Pred.Pct[k] = ones(w.PerDay)
 		vm.VADemand[k] = make([]float64, w.PerDay)
 	}
+	vm.resolveDemand()
 	return vm
 }
 
@@ -203,25 +213,29 @@ func ones(n int) []float64 {
 //     per-window utilization directly (the paper's {2, 6, 4} cores
 //     example) — this is where complementary temporal patterns pay off.
 func (vm *CVM) SchedDemand(k resources.Kind, t int) float64 {
-	if resources.KindFungibility(k) == resources.NonFungible {
-		return vm.Guaranteed[k] + vm.VADemand[k][t]
+	return vm.demand[int(k)*vm.Pred.Windows.PerDay+t]
+}
+
+// resolveDemand fills demand and peak; the constructors end with it.
+func (vm *CVM) resolveDemand() {
+	w := vm.Pred.Windows.PerDay
+	vm.demand = make([]float64, int(resources.NumKinds)*w)
+	for _, k := range resources.Kinds {
+		for t := 0; t < w; t++ {
+			d := vm.Guaranteed[k] + vm.VADemand[k][t]
+			if resources.KindFungibility(k) == resources.Fungible {
+				d = roundUp(stats.BucketUp(vm.Pred.Max[k][t], FractionBucket)*vm.Alloc[k], vm.Alloc[k], k)
+			}
+			vm.demand[int(k)*w+t] = d
+			vm.peak[k] = max(vm.peak[k], d)
+		}
 	}
-	return roundUp(stats.BucketUp(vm.Pred.Max[k][t], FractionBucket)*vm.Alloc[k], vm.Alloc[k], k)
 }
 
 // MaxDemand returns the VM's maximum scheduling demand for resource k
 // across windows — the amount a lifetime-max allocator would reserve.
 func (vm *CVM) MaxDemand(k resources.Kind) float64 {
-	var m float64
-	for t := range vm.VADemand[k] {
-		if d := vm.SchedDemand(k, t); d > m {
-			m = d
-		}
-	}
-	if vm.Guaranteed[k] > m {
-		m = vm.Guaranteed[k]
-	}
-	return m
+	return max(vm.peak[k], vm.Guaranteed[k])
 }
 
 // TotalDemand returns guaranteed + VA demand for resource k in window t.

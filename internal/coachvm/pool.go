@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/coach-oss/coach/internal/resources"
+	"github.com/coach-oss/coach/internal/stats"
 	"github.com/coach-oss/coach/internal/timeseries"
 )
 
@@ -23,21 +24,25 @@ type Pool struct {
 
 	// guaranteed is the sum of members' guaranteed portions (formula 3).
 	guaranteed resources.Vector
-	// demandSum[k][t] is the sum of members' scheduling demand in window
-	// t (guaranteed + VA for non-fungible kinds; predicted per-window
-	// utilization for fungible kinds).
-	demandSum [resources.NumKinds][]float64
+	// demandSum is the sum of members' scheduling demand, flat and
+	// kind-major like CVM.demand: demandSum[k*PerDay+t] (guaranteed + VA
+	// for non-fungible kinds; predicted per-window utilization for
+	// fungible kinds). backed[k] caches its maximum over windows; Add and
+	// Remove re-derive it from the slab.
+	demandSum []float64
+	backed    resources.Vector
 
 	members map[int]*CVM
 }
 
 // NewPool creates an empty pool for a server of the given capacity.
 func NewPool(capacity resources.Vector, w timeseries.Windows) *Pool {
-	p := &Pool{windows: w, capacity: capacity, members: make(map[int]*CVM)}
-	for _, k := range resources.Kinds {
-		p.demandSum[k] = make([]float64, w.PerDay)
+	return &Pool{
+		windows:   w,
+		capacity:  capacity,
+		demandSum: make([]float64, int(resources.NumKinds)*w.PerDay),
+		members:   make(map[int]*CVM),
 	}
-	return p
 }
 
 // Capacity returns the server capacity the pool manages.
@@ -56,7 +61,9 @@ func (p *Pool) Members() map[int]*CVM { return p.members }
 func (p *Pool) Guaranteed() resources.Vector { return p.guaranteed }
 
 // DemandAt returns the summed scheduling demand of resource k in window t.
-func (p *Pool) DemandAt(k resources.Kind, t int) float64 { return p.demandSum[k][t] }
+func (p *Pool) DemandAt(k resources.Kind, t int) float64 {
+	return p.demandSum[int(k)*p.windows.PerDay+t]
+}
 
 // Oversubscribed returns, per resource, the multiplexed oversubscribed
 // pool size: the max across windows of the summed VA demands (formula 4).
@@ -81,16 +88,14 @@ func (p *Pool) Oversubscribed() resources.Vector {
 // Backed returns, per resource, the peak summed scheduling demand across
 // windows: the physical resources the server must actually reserve. For
 // memory this equals guaranteed + oversubscribed (formulas 3 + 4).
-func (p *Pool) Backed() resources.Vector {
-	var out resources.Vector
-	for _, k := range resources.Kinds {
-		for _, s := range p.demandSum[k] {
-			if s > out[k] {
-				out[k] = s
-			}
-		}
+func (p *Pool) Backed() resources.Vector { return p.backed }
+
+// rescanBacked re-derives the cached Backed from the (non-negative) slab.
+func (p *Pool) rescanBacked() {
+	w := p.windows.PerDay
+	for k := range p.backed {
+		p.backed[k] = stats.Max(p.demandSum[k*w : (k+1)*w])
 	}
-	return out
 }
 
 // Free returns capacity - Backed, the room left for further VMs.
@@ -103,14 +108,23 @@ func (p *Pool) Fits(vm *CVM) bool {
 	if vm.Pred.Windows != p.windows {
 		return false
 	}
+	w := p.windows.PerDay
 	for _, k := range resources.Kinds {
-		if resources.KindFungibility(k) == resources.NonFungible {
-			if p.guaranteed[k]+vm.Guaranteed[k] > p.capacity[k]+1e-9 {
-				return false
-			}
+		limit := p.capacity[k] + 1e-9
+		if resources.KindFungibility(k) == resources.NonFungible && p.guaranteed[k]+vm.Guaranteed[k] > limit {
+			return false
 		}
-		for t := 0; t < p.windows.PerDay; t++ {
-			if p.demandSum[k][t]+vm.SchedDemand(k, t) > p.capacity[k]+1e-9 {
+		// O(1) accept per kind: every window's sum is at most backed[k]
+		// and every window's demand at most peak[k], and rounded float
+		// addition is monotone in both operands, so the peaks fitting
+		// means each per-window test below would pass.
+		if p.backed[k]+vm.peak[k] <= limit {
+			continue
+		}
+		lo, hi := int(k)*w, (int(k)+1)*w
+		dem := vm.demand[lo:hi]
+		for t, s := range p.demandSum[lo:hi] {
+			if s+dem[t] > limit {
 				return false
 			}
 		}
@@ -129,11 +143,10 @@ func (p *Pool) Add(vm *CVM) error {
 	}
 	p.members[vm.ID] = vm
 	p.guaranteed = p.guaranteed.Add(vm.Guaranteed)
-	for _, k := range resources.Kinds {
-		for t := 0; t < p.windows.PerDay; t++ {
-			p.demandSum[k][t] += vm.SchedDemand(k, t)
-		}
+	for i, d := range vm.demand {
+		p.demandSum[i] += d
 	}
+	p.rescanBacked()
 	return nil
 }
 
@@ -145,14 +158,13 @@ func (p *Pool) Remove(id int) *CVM {
 	}
 	delete(p.members, id)
 	p.guaranteed = p.guaranteed.Sub(vm.Guaranteed).ClampNonNegative()
-	for _, k := range resources.Kinds {
-		for t := 0; t < p.windows.PerDay; t++ {
-			p.demandSum[k][t] -= vm.SchedDemand(k, t)
-			if p.demandSum[k][t] < 0 {
-				p.demandSum[k][t] = 0
-			}
+	for i, d := range vm.demand {
+		p.demandSum[i] -= d
+		if p.demandSum[i] < 0 {
+			p.demandSum[i] = 0
 		}
 	}
+	p.rescanBacked()
 	return vm
 }
 

@@ -20,8 +20,8 @@ func equalScoreFleet(t *testing.T) (*Scheduler, int) {
 	return s, servers
 }
 
-// TestCandidatesIntoMatchesCandidates pins CandidatesInto (insertion
-// sort, scratch-backed) to the sort.SliceStable reference ranking,
+// TestCandidatesIntoMatchesCandidates pins CandidatesInto (stable sort,
+// scratch-backed) to the sort.SliceStable reference ranking,
 // including ties: equal scores must keep ascending server order.
 func TestCandidatesIntoMatchesCandidates(t *testing.T) {
 	s, _ := equalScoreFleet(t)

@@ -1,9 +1,10 @@
 package scheduler
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/coachvm"
@@ -47,6 +48,15 @@ type Scheduler struct {
 	// scheduler only refuses new placements there. Nil until the first
 	// SetDown, so the fault-free fast paths stay allocation-free.
 	down []bool
+	// pristine[i] records that servers[i].Pool is indistinguishable from
+	// a new one — no members and every sum exactly zero — kept current by
+	// addAt and takeFrom, which every pool mutation goes through. class[i]
+	// indexes the server's capacity among the fleet's distinct capacities
+	// and classSeen is Place's per-call scratch over those. Dense, so
+	// Place passes a pristine server on two loads.
+	pristine  []bool
+	class     []int32
+	classSeen []bool
 }
 
 // New builds a scheduler over the fleet with empty servers.
@@ -74,6 +84,7 @@ func NewOverServers(servers []*cluster.Server, w timeseries.Windows) (*Scheduler
 		return nil, fmt.Errorf("scheduler: no servers")
 	}
 	s := &Scheduler{windows: w, placement: make(map[int]int)}
+	var caps []resources.Vector // distinct capacities, first-seen order
 	for _, srv := range servers {
 		if !srv.Capacity().Positive() {
 			return nil, fmt.Errorf("scheduler: server %d has non-positive capacity %v", srv.ID, srv.Capacity())
@@ -82,7 +93,14 @@ func NewOverServers(servers []*cluster.Server, w timeseries.Windows) (*Scheduler
 			Server: srv,
 			Pool:   coachvm.NewPool(srv.Capacity(), w),
 		})
+		c := slices.Index(caps, srv.Capacity())
+		if c < 0 {
+			c, caps = len(caps), append(caps, srv.Capacity())
+		}
+		s.class = append(s.class, int32(c))
+		s.pristine = append(s.pristine, true)
 	}
+	s.classSeen = make([]bool, len(caps))
 	return s, nil
 }
 
@@ -105,11 +123,20 @@ func (s *Scheduler) Place(vm *coachvm.CVM) (serverIdx int, ok bool) {
 	}
 	best := -1
 	bestScore := -1.0
-	for i, st := range s.servers {
-		if s.Down(i) || !st.Pool.Fits(vm) {
-			continue
+	clear(s.classSeen)
+	for i := range s.servers {
+		// Score only the first pristine server of each capacity: a later
+		// one holds the same (all-zero) sums against the same capacity, so
+		// it fits iff the first does and scores the same bits, and equal
+		// scores already go to the lowest index. Pristine is stricter than
+		// empty — Remove's clamp can leave float residue on a drained pool.
+		if s.pristine[i] && !s.Down(i) {
+			if s.classSeen[s.class[i]] {
+				continue
+			}
+			s.classSeen[s.class[i]] = true
 		}
-		if score := s.packScore(st, vm); score > bestScore {
+		if score := s.scoreOn(i, vm); score > bestScore {
 			best, bestScore = i, score
 		}
 	}
@@ -148,6 +175,15 @@ func (s *Scheduler) addAt(vm *coachvm.CVM, server int) {
 		panic(fmt.Sprintf("scheduler: place on feasible server failed: %v", err))
 	}
 	s.placement[vm.ID] = server
+	s.pristine[server] = false
+}
+
+// takeFrom removes vmID from server's pool, returning its CVM.
+func (s *Scheduler) takeFrom(vmID, server int) *coachvm.CVM {
+	pool := s.servers[server].Pool
+	vm := pool.Remove(vmID)
+	s.pristine[server] = pool.Len() == 0 && pool.Backed().IsZero() && pool.Guaranteed().IsZero()
+	return vm
 }
 
 // Candidate is one feasible placement target with its best-fit score.
@@ -173,24 +209,16 @@ type Candidate struct {
 // reuse one scratch across calls and stay allocation-free in steady state.
 func (s *Scheduler) CandidatesInto(vm *coachvm.CVM, exclude int, scratch []Candidate) []Candidate {
 	out := scratch[:0]
-	for i, st := range s.servers {
-		if i == exclude || s.Down(i) || !st.Pool.Fits(vm) {
+	for i := range s.servers {
+		if i == exclude {
 			continue
 		}
-		out = append(out, Candidate{Server: i, Score: s.packScore(st, vm)})
-	}
-	// Insertion sort, descending by Score: moving an element only past
-	// strictly lower scores keeps equal scores in server-index order —
-	// exactly sort.SliceStable's ordering — without its allocations.
-	for i := 1; i < len(out); i++ {
-		c := out[i]
-		j := i
-		for j > 0 && out[j-1].Score < c.Score {
-			out[j] = out[j-1]
-			j--
+		if score := s.scoreOn(i, vm); score >= 0 {
+			out = append(out, Candidate{Server: i, Score: score})
 		}
-		out[j] = c
 	}
+	// Stable, so equal scores stay in server-index order.
+	slices.SortStableFunc(out, func(a, b Candidate) int { return cmp.Compare(b.Score, a.Score) })
 	return out
 }
 
@@ -207,12 +235,8 @@ func (s *Scheduler) NumServers() int { return len(s.servers) }
 // of a whole ranking. Picking the highest-scoring cell with ties on the
 // lowest index reproduces CandidatesInto's rank order exactly.
 func (s *Scheduler) ScoreRowInto(vm *coachvm.CVM, row []float64) {
-	for i, st := range s.servers {
-		if s.Down(i) || !st.Pool.Fits(vm) {
-			row[i] = -1
-			continue
-		}
-		row[i] = s.packScore(st, vm)
+	for i := range s.servers {
+		row[i] = s.scoreOn(i, vm)
 	}
 }
 
@@ -222,8 +246,15 @@ func (s *Scheduler) ScoreRowInto(vm *coachvm.CVM, row []float64) {
 // server, re-scoring that single column is bit-identical to rebuilding the
 // whole row — no other server's pool changed.
 func (s *Scheduler) ScoreAt(vm *coachvm.CVM, server int) float64 {
-	st := s.servers[server]
-	if s.Down(server) || !st.Pool.Fits(vm) {
+	return s.scoreOn(server, vm)
+}
+
+// scoreOn is the one feasibility test and score every placement path
+// shares: -1 when server i is down or vm does not fit its pool, otherwise
+// its packScore (never negative).
+func (s *Scheduler) scoreOn(i int, vm *coachvm.CVM) float64 {
+	st := s.servers[i]
+	if s.Down(i) || !st.Pool.Fits(vm) {
 		return -1
 	}
 	return s.packScore(st, vm)
@@ -234,7 +265,7 @@ func (s *Scheduler) ScoreAt(vm *coachvm.CVM, server int) float64 {
 // preference maximizes.
 func (s *Scheduler) packScore(st *ServerState, vm *coachvm.CVM) float64 {
 	backed := st.Pool.Backed().Add(vm.Guaranteed)
-	frac := backed.Utilization(st.Server.Capacity())
+	frac := backed.Utilization(st.Pool.Capacity())
 	var sum float64
 	for _, k := range resources.Kinds {
 		sum += frac[k]
@@ -250,7 +281,7 @@ func (s *Scheduler) Remove(vmID int) (*coachvm.CVM, int) {
 		return nil, -1
 	}
 	delete(s.placement, vmID)
-	return s.servers[idx].Pool.Remove(vmID), idx
+	return s.takeFrom(vmID, idx), idx
 }
 
 // MigrateTo moves a VM to an explicit server — the destination a
@@ -272,18 +303,13 @@ func (s *Scheduler) MigrateTo(vmID, target int) error {
 	if s.Down(target) {
 		return fmt.Errorf("%w: vm %d to down server %d", ErrNoCapacity, vmID, target)
 	}
-	vm := s.servers[from].Pool.Remove(vmID)
+	vm := s.takeFrom(vmID, from)
 	if !s.servers[target].Pool.Fits(vm) {
 		// Restore: capacity on the source is still reserved.
-		if err := s.servers[from].Pool.Add(vm); err != nil {
-			panic(fmt.Sprintf("scheduler: restore after failed migration: %v", err))
-		}
+		s.addAt(vm, from)
 		return fmt.Errorf("%w: vm %d on server %d", ErrNoCapacity, vmID, target)
 	}
-	if err := s.servers[target].Pool.Add(vm); err != nil {
-		panic(fmt.Sprintf("scheduler: move to feasible server failed: %v", err))
-	}
-	s.placement[vmID] = target
+	s.addAt(vm, target)
 	return nil
 }
 
@@ -331,13 +357,14 @@ func (s *Scheduler) Down(server int) bool {
 // VMsOn returns the IDs of VMs placed on server, ascending — the
 // deterministic eviction order crash handling uses.
 func (s *Scheduler) VMsOn(server int) []int {
-	var out []int
-	for id, idx := range s.placement {
-		if idx == server {
-			out = append(out, id)
-		}
+	if server < 0 || server >= len(s.servers) {
+		return nil
 	}
-	sort.Ints(out)
+	var out []int
+	for id := range s.servers[server].Pool.Members() {
+		out = append(out, id)
+	}
+	slices.Sort(out)
 	return out
 }
 

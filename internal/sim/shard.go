@@ -173,6 +173,14 @@ type shardState struct {
 	// sample-boundary exchange.
 	outbox []migRequest
 
+	// Look-ahead prediction (see nextPrediction): aheadVMs are the next
+	// arrivals of the event stream, aheadPreds/aheadOKs their predictions
+	// and aheadNext the first one not yet consumed.
+	aheadVMs   []*trace.VM
+	aheadPreds [lookAhead]coachvm.Prediction
+	aheadOKs   [lookAhead]bool
+	aheadNext  int
+
 	// fEvents is the shard's slice of the compiled fault schedule (nil
 	// without faults); fi is the applied-events cursor.
 	fEvents []fault.Event
@@ -307,11 +315,7 @@ func (st *shardState) step(t int) error {
 			continue
 		}
 		st.sr.requested++
-		var pred coachvm.Prediction
-		ok := false
-		if st.model != nil {
-			pred, ok = st.model.Predict(st.tr, ev.vm)
-		}
+		pred, ok := st.nextPrediction()
 		cvm, err := scheduler.BuildCVM(st.cfg.Policy, ev.vm.ID, ev.vm.Alloc, pred, ok, st.cfg.Windows)
 		if err != nil {
 			return err
@@ -372,6 +376,38 @@ func (st *shardState) step(t int) error {
 		st.denseContention()
 	}
 	return nil
+}
+
+// lookAhead is how many arrivals a shard predicts in one forest pass.
+const lookAhead = 64
+
+// nextPrediction returns the prediction for the arrival event step just
+// consumed. A VM's prediction is a pure function of (model, trace, VM) —
+// it depends neither on fleet state nor on what it is batched with — so
+// it is hoisted out of the ordered placement commit: when the buffer runs
+// dry, the current and the following arrivals of the shard's (fixed)
+// event stream, lookAhead in all, go through one PredictBatchInto and are
+// then consumed in event order.
+func (st *shardState) nextPrediction() (coachvm.Prediction, bool) {
+	if st.model == nil {
+		return coachvm.Prediction{}, false
+	}
+	if st.aheadNext == len(st.aheadVMs) {
+		st.aheadVMs, st.aheadNext = st.aheadVMs[:0], 0
+		for _, ev := range st.sh.events[st.ei-1:] {
+			if len(st.aheadVMs) == lookAhead {
+				break
+			}
+			if ev.arrival {
+				st.aheadVMs = append(st.aheadVMs, ev.vm)
+			}
+		}
+		n := len(st.aheadVMs)
+		st.model.PredictBatchInto(st.tr, st.aheadVMs, st.aheadPreds[:n], st.aheadOKs[:n])
+	}
+	i := st.aheadNext
+	st.aheadNext++
+	return st.aheadPreds[i], st.aheadOKs[i]
 }
 
 // denseDeltaPass is the reference demand pass: visit every placed VM,

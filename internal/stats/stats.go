@@ -53,13 +53,62 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // interpolation between order statistics. It returns 0 for empty input.
 // The input slice is not modified.
 func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
+	buf := make([]float64, len(xs))
+	copy(buf, xs)
+	return PercentileInPlace(buf, p)
+}
+
+// PercentileInPlace is Percentile for a slice the caller lets it reorder.
+// It finds the two order statistics PercentileSorted interpolates by
+// selection instead of a full sort and returns the same bits: an order
+// statistic's value does not depend on how it was found, except among NaNs
+// (no rank) and between -0 and +0 (equal, different bits) — inputs holding
+// either are sorted instead, as are the trivial cases.
+func PercentileInPlace(xs []float64, p float64) float64 {
+	selectable := len(xs) > 0 && p > 0 && p < 100
+	for _, x := range xs {
+		selectable = selectable && x == x && !(x == 0 && math.Signbit(x))
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return PercentileSorted(sorted, p)
+	if !selectable {
+		sort.Float64s(xs)
+		return PercentileSorted(xs, p)
+	}
+	rank := p / 100 * float64(len(xs)-1)
+	lo := int(math.Floor(rank))
+	selectKth(xs, lo)
+	if float64(lo) == rank {
+		return xs[lo]
+	}
+	frac := rank - float64(lo)
+	return xs[lo]*(1-frac) + Min(xs[lo+1:])*frac
+}
+
+// selectKth reorders xs so that xs[k] is its k-th smallest element with
+// nothing larger before it and nothing smaller after it (Hoare's FIND).
+// xs must hold no NaN.
+func selectKth(xs []float64, k int) {
+	for lo, hi := 0, len(xs)-1; lo < hi; {
+		pivot, i, j := xs[lo+(hi-lo)/2], lo, hi
+		for i <= j {
+			for xs[i] < pivot {
+				i++
+			}
+			for xs[j] > pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i, j = i+1, j-1
+			}
+		}
+		if k <= j {
+			hi = j
+		} else if k >= i {
+			lo = i
+		} else {
+			return
+		}
+	}
 }
 
 // PercentileSorted is Percentile for an already ascending-sorted slice.

@@ -159,15 +159,16 @@ func (s Series) LifetimeWindowMax(w Windows) []float64 {
 // falling in that window across every day. Coach uses this (e.g., P95) to
 // size the guaranteed (PA) portion per formula (1) of §3.3.
 func (s Series) WindowPercentile(w Windows, p float64) []float64 {
-	buckets := make([][]float64, w.PerDay)
 	per := w.Samples()
-	for i, v := range s {
-		win := (i % SamplesPerDay) / per
-		buckets[win] = append(buckets[win], v)
-	}
 	out := make([]float64, w.PerDay)
-	for win, xs := range buckets {
-		out[win] = stats.Percentile(xs, p)
+	// One buffer, refilled per window with that window's slice of each day.
+	buf := make([]float64, 0, (len(s)/SamplesPerDay+1)*per)
+	for win := range out {
+		buf = buf[:0]
+		for lo := win * per; lo < len(s); lo += SamplesPerDay {
+			buf = append(buf, s[lo:min(lo+per, len(s))]...)
+		}
+		out[win] = stats.PercentileInPlace(buf, p)
 	}
 	return out
 }
