@@ -236,8 +236,8 @@ func BenchmarkServeThroughput(b *testing.B) {
 // §15) at 1/8/64 concurrent clients with and without coalescing:
 // mode=serial is MaxBatch 1 (every request is its own one-row rollout:
 // its own forest pass, score row and pool sweep under the shard lock),
-// mode=batched the default (concurrent requests share one PredictMatrix
-// pass and one rollout matrix, committed in arrival order). Both run the
+// mode=batched the default (concurrent requests share one PredictSweep
+// pass per forest and one rollout matrix, committed in arrival order). Both run the
 // same decision function and produce bit-identical admission decisions
 // (pinned by the serve equivalence tests), so the grid differs only in
 // throughput. Each op is one admit/release pair against a pressure-aware
@@ -364,16 +364,22 @@ func BenchmarkForestTrain(b *testing.B) {
 // (layout=walk, one Predict call per row — the row-at-a-time reference)
 // and one tree level at a time across the whole batch (layout=matrix, one
 // PredictMatrix pass over a feature-major RowMatrix; docs/DESIGN.md §14).
-// The two produce bit-identical predictions (pinned by the mlforest
+// The production shape (DefaultForestConfig: 40 trees, depth 12) also runs
+// batches 2–16, which puts the row-count crossover on record, and
+// layout=sweep from batch 8 up: the call the predictor makes, batch÷6
+// matrix rows swept over the 6 values of the window feature in one
+// PredictSweep, so batch 8 is the lone VM and ns/row stays per answered
+// row. All three produce bit-identical predictions (pinned by the mlforest
 // equivalence wall), so the grid differs only in throughput; each
 // sub-benchmark reports ns/row so points with different batch sizes are
-// comparable. The production shape (DefaultForestConfig: 40 trees, depth
-// 12) also runs batches 2–16, which puts the row-count crossover on
-// record. Numbers are recorded in BENCH_predict.json and the matrix:walk
-// ns/row ratio is gated by cmd/coach-benchdiff -grid predict in CI.
+// comparable. Numbers are recorded in BENCH_predict.json and the
+// matrix:walk and sweep:walk ns/row ratios are gated by
+// cmd/coach-benchdiff -grid predict in CI.
 func BenchmarkPredictMatrix(b *testing.B) {
 	const poolRows = 4096
 	pool := mlforest.TraceLikeSamples(poolRows, 23)
+	const windowFeat = 6 // TraceLikeSamples' window index, as in predict
+	windows := []float64{0, 1, 2, 3, 4, 5}
 	for _, trees := range []int{8, 40} {
 		for _, depth := range []int{6, 12} {
 			cfg := mlforest.DefaultForestConfig()
@@ -384,7 +390,9 @@ func BenchmarkPredictMatrix(b *testing.B) {
 				b.Fatal(err)
 			}
 			batches := []int{1, 64, 4096}
-			if def := mlforest.DefaultForestConfig(); trees == def.Trees && depth == def.Tree.MaxDepth {
+			def := mlforest.DefaultForestConfig()
+			production := trees == def.Trees && depth == def.Tree.MaxDepth
+			if production {
 				batches = []int{1, 2, 4, 8, 16, 64, 4096}
 			}
 			for _, batch := range batches {
@@ -413,6 +421,22 @@ func BenchmarkPredictMatrix(b *testing.B) {
 						f.PredictMatrix(m, out)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch), "ns/row")
+				})
+				if !production || batch < len(windows) {
+					continue
+				}
+				vms := batch / len(windows)
+				sm := mlforest.NewRowMatrix(vms, f.NumFeatures())
+				for i := 0; i < vms; i++ {
+					sm.SetRow(i, rows[i])
+				}
+				sout := make([]float64, vms*len(windows))
+				b.Run(grid+"/layout=sweep", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						f.PredictSweep(sm, windowFeat, windows, sout)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(sout)), "ns/row")
 				})
 			}
 		}

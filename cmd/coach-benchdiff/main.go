@@ -1,6 +1,6 @@
 // Command coach-benchdiff gates CI on a committed benchmark-grid
 // baseline: it parses `go test -bench` output for one of the repo's
-// two-variant benchmark grids and compares every grid point against the
+// variant benchmark grids and compares every grid point against the
 // matching BENCH_*.json file. Exit status 1 means a regression (or a
 // missing grid point).
 //
@@ -19,10 +19,11 @@
 // benchmark appears more than once (-count), its fastest repetition is
 // the one compared.
 //
-// Each grid measures the same work under two variants — simcore runs the
-// dense reference replay loop against the event-driven core, predict runs
-// the row-at-a-time Predict against the level-synchronous PredictMatrix
-// pass over the same forest nodes, serve runs one-row admission (MaxBatch 1) against the default
+// Each grid measures the same work under a reference and its optimized
+// variants — simcore runs the dense reference replay loop against the
+// event-driven core, predict runs the row-at-a-time Predict against the
+// level-synchronous pass over the same forest nodes (PredictMatrix, and
+// PredictSweep answering the same rows as one swept feature), serve runs one-row admission (MaxBatch 1) against the default
 // coalescing admit path — and the checks are chosen to be meaningful across
 // machines (raw ns/op on shared CI runners is far too noisy to gate on):
 //
@@ -31,8 +32,8 @@
 //     deterministic, so any drift is a behavioural change: the event
 //     core visiting VMs it used to skip is exactly the regression this
 //     gate exists to catch.
-//   - the variant ratio (event:dense ns/op for simcore, matrix:walk
-//     ns/row for predict) must not exceed its baseline ratio by more
+//   - the variant ratio (event:dense ns/op for simcore, matrix:walk and
+//     sweep:walk ns/row for predict) must not exceed its baseline ratio by more
 //     than the tolerance. Comparing the two variants on the same host in
 //     the same run cancels machine speed out of the gate; for predict
 //     this is the batched-inference speedup recorded in
@@ -56,6 +57,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,14 +70,15 @@ type engineSample struct {
 	VisitsPerOp float64 `json:"visits_per_op,omitempty"`
 }
 
-// gridPoint is one grid configuration measured under both variants. The
-// simcore grid fills dense/event, the predict grid walk/matrix, the
+// gridPoint is one grid configuration measured under every variant. The
+// simcore grid fills dense/event, the predict grid walk/matrix/sweep, the
 // serve grid serial/batched.
 type gridPoint struct {
 	Dense   *engineSample `json:"dense,omitempty"`
 	Event   *engineSample `json:"event,omitempty"`
 	Walk    *engineSample `json:"walk,omitempty"`
 	Matrix  *engineSample `json:"matrix,omitempty"`
+	Sweep   *engineSample `json:"sweep,omitempty"`
 	Serial  *engineSample `json:"serial,omitempty"`
 	Batched *engineSample `json:"batched,omitempty"`
 }
@@ -90,6 +93,8 @@ func (p *gridPoint) sample(name string) *engineSample {
 		return p.Walk
 	case "matrix":
 		return p.Matrix
+	case "sweep":
+		return p.Sweep
 	case "serial":
 		return p.Serial
 	case "batched":
@@ -108,6 +113,8 @@ func (p *gridPoint) setSample(name string, s *engineSample) {
 		p.Walk = s
 	case "matrix":
 		p.Matrix = s
+	case "sweep":
+		p.Sweep = s
 	case "serial":
 		p.Serial = s
 	case "batched":
@@ -117,29 +124,30 @@ func (p *gridPoint) setSample(name string, s *engineSample) {
 
 // gridSpec describes one gated benchmark grid: which path segment names
 // the variant, which variant is the reference and which the optimized
-// path, and which reported metric feeds the ratio check.
+// paths, and which reported metric feeds the ratio check.
 type gridSpec struct {
-	baseline   string // default -baseline
-	seg        string // variant path-segment prefix, e.g. "engine="
-	base, alt  string // reference and optimized variant names
-	metricName string // reported metric feeding the ratio check
+	baseline   string   // default -baseline
+	seg        string   // variant path-segment prefix, e.g. "engine="
+	base       string   // reference variant name
+	alts       []string // optimized variant names, each gated against base
+	metricName string   // reported metric feeding the ratio check
 	metric     func(*engineSample) float64
 }
 
 var grids = map[string]gridSpec{
 	"simcore": {
 		baseline: "BENCH_simcore.json", seg: "engine=",
-		base: "dense", alt: "event",
+		base: "dense", alts: []string{"event"},
 		metricName: "ns/op", metric: func(s *engineSample) float64 { return s.NsPerOp },
 	},
 	"predict": {
 		baseline: "BENCH_predict.json", seg: "layout=",
-		base: "walk", alt: "matrix",
+		base: "walk", alts: []string{"matrix", "sweep"},
 		metricName: "ns/row", metric: func(s *engineSample) float64 { return s.NsPerRow },
 	},
 	"serve": {
 		baseline: "BENCH_serve.json", seg: "mode=",
-		base: "serial", alt: "batched",
+		base: "serial", alts: []string{"batched"},
 		metricName: "ns/op", metric: func(s *engineSample) float64 { return s.NsPerOp },
 	},
 }
@@ -225,7 +233,7 @@ func main() {
 // checkPoint compares one measured grid point against its baseline.
 func checkPoint(key string, want, have gridPoint, tol float64, spec gridSpec) []string {
 	var out []string
-	for _, name := range []string{spec.base, spec.alt} {
+	for _, name := range append([]string{spec.base}, spec.alts...) {
 		w, h := want.sample(name), have.sample(name)
 		if w == nil {
 			continue
@@ -239,15 +247,17 @@ func checkPoint(key string, want, have gridPoint, tol float64, spec gridSpec) []
 				key, spec.seg, name, h.VisitsPerOp, w.VisitsPerOp, 100*(h.VisitsPerOp/w.VisitsPerOp-1)))
 		}
 	}
-	wb, wa := want.sample(spec.base), want.sample(spec.alt)
-	hb, ha := have.sample(spec.base), have.sample(spec.alt)
-	if wb != nil && wa != nil && hb != nil && ha != nil &&
-		spec.metric(wb) > 0 && spec.metric(hb) > 0 {
-		wantRatio := spec.metric(wa) / spec.metric(wb)
-		haveRatio := spec.metric(ha) / spec.metric(hb)
-		if haveRatio > wantRatio*(1+tol) {
-			out = append(out, fmt.Sprintf("%s: %s:%s %s ratio %.2f vs baseline %.2f (the %s path lost ground to the %s reference)",
-				key, spec.alt, spec.base, spec.metricName, haveRatio, wantRatio, spec.alt, spec.base))
+	wb, hb := want.sample(spec.base), have.sample(spec.base)
+	for _, alt := range spec.alts {
+		wa, ha := want.sample(alt), have.sample(alt)
+		if wb != nil && wa != nil && hb != nil && ha != nil &&
+			spec.metric(wb) > 0 && spec.metric(hb) > 0 {
+			wantRatio := spec.metric(wa) / spec.metric(wb)
+			haveRatio := spec.metric(ha) / spec.metric(hb)
+			if haveRatio > wantRatio*(1+tol) {
+				out = append(out, fmt.Sprintf("%s: %s:%s %s ratio %.2f vs baseline %.2f (the %s path lost ground to the %s reference)",
+					key, alt, spec.base, spec.metricName, haveRatio, wantRatio, alt, spec.base))
+			}
 		}
 	}
 	return out
@@ -304,7 +314,7 @@ func parseBench(r io.Reader, spec gridSpec) (map[string]gridPoint, error) {
 				s.VisitsPerOp = v
 			}
 		}
-		if variant != spec.base && variant != spec.alt {
+		if variant != spec.base && !slices.Contains(spec.alts, variant) {
 			continue
 		}
 		p := out[key]

@@ -40,6 +40,7 @@ BenchmarkServeAdmit/clients=8/mode=experimental-2   	   60000	     1 ns/op
 BenchmarkServeThroughput/batched/clients=8-2        	  100000	     11000 ns/op
 BenchmarkSimCore/sparse-churn/vms=1000/engine=dense/days=7/workers=1-2  3  410000000 ns/op  2016000 visits/op
 BenchmarkPredictMatrix/trees=40/depth=12/batch=64/layout=matrix-2  5000  230000 ns/op  3594 ns/row
+BenchmarkPredictMatrix/trees=40/depth=12/batch=64/layout=sweep-2  9000  120000 ns/op  2000 ns/row
 PASS
 ok  	github.com/coach-oss/coach	12.3s
 `
@@ -55,7 +56,7 @@ ok  	github.com/coach-oss/coach	12.3s
 			"SimCore/sparse-churn/vms=1000/days=7/workers=1": {Dense: &engineSample{NsPerOp: 410000000, VisitsPerOp: 2016000}},
 		}},
 		{"predict", map[string]gridPoint{
-			"PredictMatrix/trees=40/depth=12/batch=64": {Matrix: &engineSample{NsPerOp: 230000, NsPerRow: 3594}},
+			"PredictMatrix/trees=40/depth=12/batch=64": {Matrix: &engineSample{NsPerOp: 230000, NsPerRow: 3594}, Sweep: &engineSample{NsPerOp: 120000, NsPerRow: 2000}},
 		}},
 	} {
 		got, err := parseBench(strings.NewReader(out), grids[tc.grid])
@@ -110,6 +111,13 @@ func TestCheckPoint(t *testing.T) {
 			want:  gridPoint{Walk: &engineSample{NsPerOp: 1, NsPerRow: 100}, Matrix: &engineSample{NsPerOp: 1, NsPerRow: 20}},
 			have:  gridPoint{Walk: &engineSample{NsPerOp: 1, NsPerRow: 100}, Matrix: &engineSample{NsPerOp: 9, NsPerRow: 40}},
 			fails: []string{"matrix:walk ns/row ratio 0.40 vs baseline 0.20"}},
+		{name: "predict gates the sweep against the walk too", grid: "predict", tol: 0.5,
+			want:  gridPoint{Walk: &engineSample{NsPerRow: 100}, Matrix: &engineSample{NsPerRow: 20}, Sweep: &engineSample{NsPerRow: 10}},
+			have:  gridPoint{Walk: &engineSample{NsPerRow: 100}, Matrix: &engineSample{NsPerRow: 25}, Sweep: &engineSample{NsPerRow: 16}},
+			fails: []string{"sweep:walk ns/row ratio 0.16 vs baseline 0.10"}},
+		{name: "a grid point recorded without a sweep does not need one", grid: "predict", tol: 0.5,
+			want: gridPoint{Walk: &engineSample{NsPerRow: 100}, Matrix: &engineSample{NsPerRow: 20}},
+			have: gridPoint{Walk: &engineSample{NsPerRow: 100}, Matrix: &engineSample{NsPerRow: 20}}},
 	} {
 		got := checkPoint("key", tc.want, tc.have, tc.tol, grids[tc.grid])
 		if len(got) != len(tc.fails) {

@@ -56,12 +56,12 @@ type node struct {
 // ordered breadth-first so one tree level is one contiguous node range,
 // and links are slab-absolute. Leaf values live in their own slab, read
 // once per (tree, row), so they never dilute the hot node lines. Predict
-// walks it one row at a time, PredictMatrix one level at a time.
+// walks it one row at a time, PredictSweep one level at a time.
 type Forest struct {
 	nodes []node
 	value []float64 // leaf values, indexed like nodes (0 for internal nodes)
 	roots []int32   // slab index of each tree's root
-	depth []int32   // per-tree max depth = PredictMatrix level count
+	depth []int32   // per-tree max depth = PredictSweep level count
 
 	// importance holds per-feature total variance reduction summed over
 	// trees in tree order (raw, unnormalized).
@@ -71,26 +71,32 @@ type Forest struct {
 	nSamples int
 
 	// Inference counters, see Stats.
-	passes, rowsIn, mismatched atomic.Int64
+	passes, rowsIn, mismatched, lanes atomic.Int64
 
-	// scratch pools PredictMatrix row frontiers.
+	// scratch pools PredictSweep working sets (*sweepScratch).
 	scratch sync.Pool
 }
 
 // Stats is a snapshot of a forest's inference counters.
 type Stats struct {
-	// Passes counts inference calls: Predict and PredictMatrix each add
-	// one regardless of batch size, so a caller batching K candidates
-	// into one matrix is distinguishable from one looping K single-row
-	// predictions.
-	Passes int64
-	// Rows counts feature rows submitted across all passes.
-	Rows int64
+	// Passes counts inference calls: Predict and PredictSweep (so
+	// PredictMatrix) each add one regardless of batch size, so a caller
+	// batching K candidates into one matrix is distinguishable from one
+	// looping K single-row predictions.
+	Passes int64 `json:"passes"`
+	// Rows counts feature rows submitted across all passes; a sweep
+	// submits rows × values.
+	Rows int64 `json:"rows"`
 	// MismatchedRows counts rows rejected for feature-dimension mismatch.
 	// Such rows predict 0 without consulting the ensemble; a nonzero count
 	// means a feature-schema bug upstream that would otherwise masquerade
 	// as a confident zero-utilization prediction.
-	MismatchedRows int64
+	MismatchedRows int64 `json:"mismatched_rows"`
+	// Lanes counts the walks PredictSweep had in flight at the end of each
+	// tree block, summed. Lanes ÷ (Rows × trees) is the share of walks left
+	// after rows that differ only in the swept feature shared theirs: 1
+	// when nothing is swept, 1/values when no tree splits on the feature.
+	Lanes int64 `json:"lanes"`
 }
 
 // Stats returns a snapshot of the forest's inference counters. Counters
@@ -101,6 +107,7 @@ func (f *Forest) Stats() Stats {
 		Passes:         f.passes.Load(),
 		Rows:           f.rowsIn.Load(),
 		MismatchedRows: f.mismatched.Load(),
+		Lanes:          f.lanes.Load(),
 	}
 }
 
@@ -387,7 +394,7 @@ func (f *Forest) GobEncode() ([]byte, error) {
 }
 
 // GobDecode restores a forest serialized by GobEncode. Predict and
-// PredictMatrix index the slabs unchecked, so every property they rely on
+// PredictSweep index the slabs unchecked, so every property they rely on
 // is validated here — a truncated or corrupt payload fails with an error
 // instead of panicking or spinning inside a later prediction.
 func (f *Forest) GobDecode(data []byte) error {

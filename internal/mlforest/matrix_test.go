@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -50,6 +52,51 @@ func (o oracle) depth(t int, n int32) int {
 		return 0
 	}
 	return 1 + max(o.depth(t, o[t].left[n]), o.depth(t, o[t].right[n]))
+}
+
+// sweepValues picks up to max strictly ascending values for sweeping feat
+// that meet the trees' thresholds on it every way a value can: equal to
+// one, just either side of one, and beyond all of them.
+func (o oracle) sweepValues(rng *rand.Rand, feat, max int) []float64 {
+	vals := []float64{-1e9, 1e9, rng.NormFloat64()}
+	for i := range o {
+		for n, f := range o[i].feature {
+			if int(f) == feat {
+				thr := o[i].threshold[n]
+				vals = append(vals, thr, math.Nextafter(thr, math.Inf(1)), math.Nextafter(thr, math.Inf(-1)))
+			}
+		}
+	}
+	rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+	vals = vals[:min(len(vals), max)]
+	slices.Sort(vals)
+	return slices.Compact(vals)
+}
+
+// checkSweep holds PredictSweep of feat over vals to the oracle: every
+// (row, value) cell must equal, bit for bit, the oracle's walk of that row
+// with the value substituted.
+func checkSweep(t *testing.T, ref oracle, f *Forest, rows [][]float64, feat int, vals []float64) {
+	t.Helper()
+	m, err := NewRowMatrixFrom(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := f.PredictSweep(m, feat, vals, nil)
+	if len(got) != len(rows)*len(vals) {
+		t.Fatalf("sweep of %d rows x %d values returned %d cells", len(rows), len(vals), len(got))
+	}
+	sub := make([]float64, len(rows[0]))
+	for r, row := range rows {
+		copy(sub, row)
+		for w, v := range vals {
+			sub[feat] = v
+			if want := ref.predict(sub); math.Float64bits(got[r*len(vals)+w]) != math.Float64bits(want) {
+				t.Fatalf("rows=%d feat=%d vals=%v: cell (%d,%d) = %v, oracle %v",
+					len(rows), feat, vals, r, w, got[r*len(vals)+w], want)
+			}
+		}
+	}
 }
 
 // growTrees grows cfg's trees serially, as trainOn does, and keeps them
@@ -110,6 +157,179 @@ func TestPredictMatrixMatchesPredict(t *testing.T) {
 			t.Fatalf("batch %d: reused output buffer diverges", n)
 		}
 	}
+
+	// The sweep is held to the same oracle: the trained forest and random
+	// arenas, every feature swept (feature 0 is also every leaf's), 1-8
+	// values, at batch sizes either side of the tree-block boundary.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 6; trial++ {
+		ref, forest := trees, f
+		if trial > 0 {
+			ref, forest = randomArena(rng, 1+rng.Intn(48), 1+rng.Intn(6), 1+rng.Intn(9))
+		}
+		for _, n := range []int{1, 7, 64, 300} {
+			rows := make([][]float64, n)
+			for r := range rows {
+				rows[r] = make([]float64, forest.NumFeatures())
+				for c := range rows[r] {
+					rows[r][c] = rng.NormFloat64()
+				}
+				if trial == 0 {
+					copy(rows[r], pool[r%len(pool)].Features)
+				}
+			}
+			for feat := 0; feat < forest.NumFeatures(); feat++ {
+				checkSweep(t, ref, forest, rows, feat, ref.sweepValues(rng, feat, 1+rng.Intn(8)))
+			}
+		}
+	}
+}
+
+// TestPredictSweepMatchesExpandedMatrix pins the sweep to the matrix it
+// stands for on a trained forest: rows x values cells equal PredictMatrix
+// over the rows x values matrix with the swept column written out.
+func TestPredictSweepMatchesExpandedMatrix(t *testing.T) {
+	f, err := Train(TraceLikeSamples(600, 31), DefaultForestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := TraceLikeSamples(64, 32)
+	vals := []float64{0, 1, 2, 3, 4, 5}
+	for feat := 0; feat < f.NumFeatures(); feat++ {
+		m := NewRowMatrix(len(pool), f.NumFeatures())
+		wide := NewRowMatrix(len(pool)*len(vals), f.NumFeatures())
+		for r, s := range pool {
+			m.SetRow(r, s.Features)
+			for w, v := range vals {
+				wide.SetRow(r*len(vals)+w, s.Features)
+				wide.Set(r*len(vals)+w, feat, v)
+			}
+		}
+		before := f.Stats()
+		got := f.PredictSweep(m, feat, vals, nil)
+		st := f.Stats()
+		if st.Passes-before.Passes != 1 || st.Rows-before.Rows != int64(len(got)) {
+			t.Fatalf("one sweep counted %d passes / %d rows, want 1 / %d", st.Passes-before.Passes, st.Rows-before.Rows, len(got))
+		}
+		// A lane per (row, tree) at least, one per cell and tree at most.
+		if lanes, walks := st.Lanes-before.Lanes, int64(len(pool)*f.NumTrees()); lanes < walks || lanes > walks*int64(len(vals)) {
+			t.Fatalf("feat %d: %d lanes for %d (row, tree) walks of %d values", feat, lanes, walks, len(vals))
+		}
+		if want := f.PredictMatrix(wide, nil); !bytes.Equal(gobBytes(t, got), gobBytes(t, want)) {
+			t.Fatalf("feat %d: PredictSweep diverges from PredictMatrix over the expanded matrix", feat)
+		}
+	}
+	if st := f.Stats(); st.MismatchedRows != 0 {
+		t.Fatalf("stats %+v: want no mismatches", st)
+	}
+}
+
+// TestPredictSweepRejectsBadValues: values the parting cannot keep as
+// contiguous ranges are a caller bug and panic; a swept feature the forest
+// does not have is a schema mismatch and counts like a wrong-width matrix.
+func TestPredictSweepRejectsBadValues(t *testing.T) {
+	f, err := Train(linearData(60, 11), DefaultForestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewRowMatrix(3, f.NumFeatures())
+	ramp := make([]float64, 256)
+	for i := range ramp {
+		ramp[i] = float64(i)
+	}
+	for name, vals := range map[string][]float64{
+		"empty":      {},
+		"descending": {2, 1},
+		"repeated":   {1, 1},
+		"nan alone":  {math.NaN()},
+		"nan inside": {0, math.NaN(), 2},
+		"nan last":   {0, math.NaN()},
+		"256 values": ramp,
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: PredictSweep did not panic", name)
+				}
+			}()
+			f.PredictSweep(m, 0, vals, nil)
+		}()
+	}
+	if s := f.Stats(); s.Passes != 0 {
+		t.Fatalf("rejected sweeps counted as passes: %+v", s)
+	}
+
+	out := f.PredictSweep(m, f.NumFeatures(), []float64{0, 1}, nil)
+	for c, v := range out {
+		if v != 0 {
+			t.Errorf("sweep of a missing feature predicted %v in cell %d, want 0", v, c)
+		}
+	}
+	if s := f.Stats(); s.Passes != 1 || s.Rows != 6 || s.MismatchedRows != 6 {
+		t.Errorf("sweep of a missing feature counted %+v, want 1 pass / 6 rows / 6 mismatched", s)
+	}
+	if got := f.PredictSweep(m, 0, ramp[:255], nil); len(got) != 3*255 {
+		t.Errorf("255 values returned %d cells", len(got))
+	}
+}
+
+// TestPredictSweepSteadyStateAllocs: with a matching out buffer the pooled
+// scratch makes a sweep allocation-free, at one row and at a batch.
+func TestPredictSweepSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under -race")
+	}
+	f, err := Train(TraceLikeSamples(600, 31), DefaultForestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := TraceLikeSamples(64, 32)
+	vals := []float64{0, 1, 2, 3, 4, 5}
+	for _, n := range []int{1, 64} {
+		m := NewRowMatrix(n, f.NumFeatures())
+		for r := 0; r < n; r++ {
+			m.SetRow(r, pool[r].Features)
+		}
+		out := make([]float64, n*len(vals))
+		if allocs := testing.AllocsPerRun(50, func() { f.PredictSweep(m, 6, vals, out) }); allocs != 0 {
+			t.Errorf("rows=%d: %v allocations per sweep, want 0", n, allocs)
+		}
+		single := make([]float64, n)
+		if allocs := testing.AllocsPerRun(50, func() { f.PredictMatrix(m, single) }); allocs != 0 {
+			t.Errorf("rows=%d: %v allocations per PredictMatrix, want 0", n, allocs)
+		}
+	}
+}
+
+// TestPredictSweepConcurrent sweeps one forest from 8 goroutines (run
+// under -race in CI): the pooled scratch must never be shared.
+func TestPredictSweepConcurrent(t *testing.T) {
+	f, err := Train(TraceLikeSamples(600, 31), DefaultForestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := TraceLikeSamples(64, 32)
+	vals := []float64{0, 1, 2, 3, 4, 5}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			n := 1 + 9*g
+			m := NewRowMatrix(n, f.NumFeatures())
+			for r := 0; r < n; r++ {
+				m.SetRow(r, pool[r].Features)
+			}
+			want := f.PredictSweep(m, 6, vals, nil)
+			for i := 0; i < 20; i++ {
+				if got := f.PredictSweep(m, 6, vals, nil); !slices.Equal(got, want) {
+					t.Errorf("goroutine %d: sweep %d differs from its first", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestPredictMatrixSingleLeafTree covers the depth-0 edge: a tree that
@@ -223,11 +443,13 @@ func FuzzPredictMatrixEquivalence(f *testing.F) {
 
 		m := NewRowMatrix(n, nf)
 		want := make([]float64, n)
-		row := make([]float64, nf)
+		all := make([][]float64, n)
 		for r := 0; r < n; r++ {
+			row := make([]float64, nf)
 			for c := range row {
 				row[c] = rng.NormFloat64()
 			}
+			all[r] = row
 			m.SetRow(r, row)
 			want[r] = ref.predict(row)
 			if got := forest.Predict(row); math.Float64bits(got) != math.Float64bits(want[r]) {
@@ -241,6 +463,9 @@ func FuzzPredictMatrixEquivalence(f *testing.F) {
 				t.Fatalf("row %d: matrix %v != oracle %v (trees=%d feat=%d depth=%d)",
 					r, got[r], want[r], nt, nf, md)
 			}
+		}
+		for feat := 0; feat < nf; feat++ {
+			checkSweep(t, ref, forest, all, feat, ref.sweepValues(rng, feat, 1+rng.Intn(8)))
 		}
 		for i := range ref {
 			if got, want := forest.TreeDepth(i), ref.depth(i, 0); got != want {

@@ -1,0 +1,7 @@
+//go:build race
+
+package mlforest
+
+// raceEnabled: under the race detector sync.Pool drops items at random,
+// so steady-state allocation bounds do not hold.
+const raceEnabled = true

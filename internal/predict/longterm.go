@@ -76,6 +76,10 @@ type subscriptionHistory struct {
 //	4: subscription type    9: history mean of means (this resource)
 const featureDim = 10
 
+// featWindow is the window-index slot: the one feature that differs
+// between a VM's per-window rows, so prediction sweeps it.
+const featWindow = 6
+
 // LongTerm is a trained cluster-level utilization predictor.
 type LongTerm struct {
 	cfg  LongTermConfig
@@ -86,35 +90,31 @@ type LongTerm struct {
 	maxForest [resources.NumKinds]*mlforest.Forest
 	history   map[int]*subscriptionHistory
 	trainRows int
+	// windowVals is 0…PerDay−1, the values featWindow is swept over.
+	windowVals []float64
 	// scratch recycles PredictBatchInto working buffers across batches
 	// (the serving hot path calls it continuously); see batchScratch.
 	scratch sync.Pool
 }
 
 // batchScratch is the reusable working set of one PredictBatchInto call:
-// the feature-major input matrix for the forest passes, a staging row for
+// which VMs take the forest path (and their subscription histories), the
+// feature-major input matrix (one row per such VM), a staging row for
 // assembling one feature vector at a time, and the raw forest outputs.
 // Only buffers not retained by the returned Predictions live here.
 type batchScratch struct {
+	fresh  []freshVM
 	m      mlforest.RowMatrix
-	row    []float64 // one featureDim staging row scattered into m
+	row    [featureDim]float64
 	pctOut []float64
 	maxOut []float64
 }
 
-// grow resizes the scratch for n rows of featureDim features. The matrix
-// reset reuses its flat backing buffer across batches.
-func (sc *batchScratch) grow(n int) {
-	sc.m.Reset(n, featureDim)
-	if sc.row == nil {
-		sc.row = make([]float64, featureDim)
-	}
-	if cap(sc.pctOut) < n {
-		sc.pctOut = make([]float64, n)
-		sc.maxOut = make([]float64, n)
-	}
-	sc.pctOut = sc.pctOut[:n]
-	sc.maxOut = sc.maxOut[:n]
+// freshVM is a batch entry needing a forest evaluation: its index into
+// the batch and its subscription's history, looked up once.
+type freshVM struct {
+	i int
+	h *subscriptionHistory
 }
 
 // TrainLongTerm fits the model on every VM of tr that ends (or is fully
@@ -133,6 +133,9 @@ func TrainLongTerm(tr *trace.Trace, upToSample int, cfg LongTermConfig) (*LongTe
 	}
 
 	lt := &LongTerm{cfg: cfg, upTo: upToSample, history: make(map[int]*subscriptionHistory)}
+	for t := 0; t < cfg.Windows.PerDay; t++ {
+		lt.windowVals = append(lt.windowVals, float64(t))
+	}
 
 	// First pass: accumulate subscription history over the training period.
 	for i := range tr.VMs {
@@ -226,21 +229,22 @@ func visibleSamples(vm *trace.VM, upToSample int) int {
 // features builds the feature vector for one (VM, resource, window).
 func (lt *LongTerm) features(tr *trace.Trace, vm *trace.VM, k resources.Kind, window int) []float64 {
 	f := make([]float64, featureDim)
-	lt.featuresInto(f, tr, vm, k, window)
+	lt.featuresInto(f, tr, vm, lt.history[vm.Subscription], k, window)
 	return f
 }
 
-// featuresInto fills a caller-provided featureDim-length buffer; the
-// batched prediction path uses it to carve rows out of one allocation.
-func (lt *LongTerm) featuresInto(f []float64, tr *trace.Trace, vm *trace.VM, k resources.Kind, window int) {
+// featuresInto fills a caller-provided featureDim-length buffer; h is the
+// VM's subscription history (nil when it has none), looked up by the
+// caller so the batched prediction path pays for it once per VM.
+func (lt *LongTerm) featuresInto(f []float64, tr *trace.Trace, vm *trace.VM, h *subscriptionHistory, k resources.Kind, window int) {
 	f[0] = vm.Cores()
 	f[1] = vm.MemoryGB()
 	f[2] = vm.MemoryGB() / vm.Cores()
 	f[3] = float64(vm.Offering)
 	f[4] = float64(tr.Subscriptions[vm.Subscription].Type)
 	f[5] = float64(tr.WeekdayAt(vm.Start))
-	f[6] = float64(window)
-	if h := lt.history[vm.Subscription]; h != nil {
+	f[featWindow] = float64(window)
+	if h != nil {
 		f[7] = math.Log1p(float64(h.count))
 		f[8] = h.meanPeak[k]
 		f[9] = h.meanMean[k]
@@ -276,6 +280,7 @@ func (lt *LongTerm) InferenceStats() mlforest.Stats {
 			s.Passes += fs.Passes
 			s.Rows += fs.Rows
 			s.MismatchedRows += fs.MismatchedRows
+			s.Lanes += fs.Lanes
 		}
 	}
 	return s
@@ -315,17 +320,23 @@ func (lt *LongTerm) Predict(tr *trace.Trace, vm *trace.VM) (coachvm.Prediction, 
 // A VM that has already run for at least a day within the training period
 // is predicted from its own observed utilization (the platform telemetry
 // keeps accumulating per-VM data, and VM behaviour is consistent day over
-// day — Fig. 9); only fresh VMs fall back to the cross-VM forests, and
-// all of the batch's fresh (VM, window) feature rows go through each
-// forest in one level-synchronous mlforest.Forest.PredictMatrix pass. A
-// lone VM is already six rows per forest, so this is the only prediction
-// body: the simulator's per-arrival Predict, core's platform and the
-// serving layer's coalesced batches all run it, and a VM's prediction
-// does not depend on what it was batched with.
+// day — Fig. 9); only fresh VMs fall back to the cross-VM forests. A VM's
+// per-window feature rows differ only in featWindow, so each fresh VM is
+// one matrix row and each forest answers all of the batch's (VM, window)
+// cells in one mlforest.Forest.PredictSweep of that feature. This is the
+// only prediction body: the simulator's per-arrival Predict, core's
+// platform and the serving layer's coalesced batches all run it, and a
+// VM's prediction does not depend on what it was batched with.
 func (lt *LongTerm) PredictBatchInto(tr *trace.Trace, vms []*trace.VM, preds []coachvm.Prediction, oks []bool) {
+	sc, _ := lt.scratch.Get().(*batchScratch)
+	if sc == nil {
+		sc = &batchScratch{}
+	}
+	defer lt.scratch.Put(sc)
+
 	// First pass: resolve VMs predictable from their own observed series
 	// or rejected for insufficient history; collect the forest-path rest.
-	var fresh []int // indexes into vms needing a forest evaluation
+	sc.fresh = sc.fresh[:0]
 	for i, vm := range vms {
 		// Fully overwrite the caller's (possibly reused) entries.
 		preds[i] = coachvm.Prediction{Windows: lt.cfg.Windows, Percentile: lt.cfg.Percentile}
@@ -340,53 +351,47 @@ func (lt *LongTerm) PredictBatchInto(tr *trace.Trace, vms []*trace.VM, preds []c
 			oks[i] = true
 			continue
 		}
-		if lt.HistoryCount(vm.Subscription) < lt.cfg.MinHistory {
+		h := lt.history[vm.Subscription]
+		if h == nil || h.count < lt.cfg.MinHistory {
 			continue
 		}
 		oks[i] = true
-		fresh = append(fresh, i)
+		sc.fresh = append(sc.fresh, freshVM{i, h})
 	}
-	if len(fresh) == 0 {
+	if len(sc.fresh) == 0 {
 		return
 	}
 
-	// Second pass: one batched ensemble evaluation per (resource, target)
-	// over every fresh VM's windows. Features assemble into a feature-major
-	// matrix carved from a pooled flat buffer (recycled across batches);
-	// only the per-VM window slices handed back inside Predictions are
-	// freshly allocated.
+	// Second pass: one sweep per (resource, target) over every fresh VM.
+	// Only the window slices handed back inside Predictions are freshly
+	// allocated, all from one slab.
 	w := lt.cfg.Windows.PerDay
-	n := len(fresh) * w
-	sc, _ := lt.scratch.Get().(*batchScratch)
-	if sc == nil {
-		sc = &batchScratch{}
+	n := len(sc.fresh)
+	sc.m.Reset(n, featureDim)
+	if cap(sc.pctOut) < n*w {
+		sc.pctOut, sc.maxOut = make([]float64, n*w), make([]float64, n*w)
 	}
-	sc.grow(n)
-	defer lt.scratch.Put(sc)
+	sc.pctOut, sc.maxOut = sc.pctOut[:n*w], sc.maxOut[:n*w]
+	windows := make([]float64, 2*int(resources.NumKinds)*n*w)
 	for _, k := range resources.Kinds {
-		for bi, vi := range fresh {
-			vm := vms[vi]
-			for t := 0; t < w; t++ {
-				lt.featuresInto(sc.row, tr, vm, k, t)
-				sc.m.SetRow(bi*w+t, sc.row)
-			}
+		for bi, fv := range sc.fresh {
+			lt.featuresInto(sc.row[:], tr, vms[fv.i], fv.h, k, 0)
+			sc.m.SetRow(bi, sc.row[:])
 		}
-		pctOut := lt.pctForest[k].PredictMatrix(&sc.m, sc.pctOut)
-		maxOut := lt.maxForest[k].PredictMatrix(&sc.m, sc.maxOut)
-		pctFlat := make([]float64, n)
-		maxFlat := make([]float64, n)
-		for bi, vi := range fresh {
-			lo, hi := bi*w, (bi+1)*w
-			preds[vi].Pct[k] = pctFlat[lo:hi:hi]
-			preds[vi].Max[k] = maxFlat[lo:hi:hi]
-			for t := 0; t < w; t++ {
-				preds[vi].Pct[k][t] = quantize(pctOut[lo+t], lt.cfg.SafetyBuckets)
-				preds[vi].Max[k][t] = quantize(maxOut[lo+t], lt.cfg.SafetyBuckets)
+		lt.pctForest[k].PredictSweep(&sc.m, featWindow, lt.windowVals, sc.pctOut)
+		lt.maxForest[k].PredictSweep(&sc.m, featWindow, lt.windowVals, sc.maxOut)
+		for bi, fv := range sc.fresh {
+			pct, mx := windows[:w:w], windows[w:2*w:2*w]
+			windows = windows[2*w:]
+			for t := range pct {
+				pct[t] = quantize(sc.pctOut[bi*w+t], lt.cfg.SafetyBuckets)
+				mx[t] = quantize(sc.maxOut[bi*w+t], lt.cfg.SafetyBuckets)
 			}
+			preds[fv.i].Pct[k], preds[fv.i].Max[k] = pct, mx
 		}
 	}
-	for _, vi := range fresh {
-		preds[vi].Clamp()
+	for _, fv := range sc.fresh {
+		preds[fv.i].Clamp()
 	}
 }
 

@@ -356,3 +356,42 @@ func TestPredictBatchIntoOverwritesReusedSlices(t *testing.T) {
 		t.Fatalf("reused slice batch diverged from Predict: %+v vs %+v", preds[0], want)
 	}
 }
+
+// TestPredictBatchIntoAllocations bounds the forest path's steady-state
+// cost: whatever the batch size, the only allocation is the one slab the
+// returned prediction windows are carved from, and every forest evaluates
+// one matrix row per VM, swept over the windows.
+func TestPredictBatchIntoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under -race")
+	}
+	tr, m := getTraceAndModel(t)
+	var fresh []*trace.VM
+	for i := range tr.VMs {
+		vm := &tr.VMs[i]
+		if vm.Start >= tr.Horizon/2 && m.HistoryCount(vm.Subscription) >= m.cfg.MinHistory {
+			fresh = append(fresh, vm)
+		}
+	}
+	if len(fresh) < 2 {
+		t.Fatalf("fixture regression: %d forest-path VMs", len(fresh))
+	}
+	for _, n := range []int{1, len(fresh)} {
+		preds, oks := make([]coachvm.Prediction, n), make([]bool, n)
+		if allocs := testing.AllocsPerRun(20, func() { m.PredictBatchInto(tr, fresh[:n], preds, oks) }); allocs > 1 {
+			t.Errorf("batch of %d: %v allocations per call, want 1", n, allocs)
+		}
+		before := m.InferenceStats()
+		m.PredictBatchInto(tr, fresh[:n], preds, oks)
+		st := m.InferenceStats()
+		forests, w := int64(2*resources.NumKinds), int64(m.cfg.Windows.PerDay)
+		if st.Passes-before.Passes != forests || st.Rows-before.Rows != forests*int64(n)*w {
+			t.Errorf("batch of %d: %d passes / %d rows, want %d / %d", n,
+				st.Passes-before.Passes, st.Rows-before.Rows, forests, forests*int64(n)*w)
+		}
+		trees := int64(m.cfg.Forest.Trees)
+		if lanes := st.Lanes - before.Lanes; lanes < forests*int64(n)*trees || lanes >= forests*int64(n)*trees*w {
+			t.Errorf("batch of %d: %d lanes, want sharing between 1 and %d per (VM, tree)", n, lanes, w)
+		}
+	}
+}

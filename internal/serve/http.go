@@ -26,27 +26,46 @@ type ResourceSeries struct {
 	Max []float64 `json:"max"`
 }
 
+// PerKind is a JSON object keyed by resource kind name. The fields are
+// in resources.Kinds order, which is also the names' sorted order, so it
+// encodes to the bytes of the map[string]T it stands for without building,
+// sorting and reflecting over a map per response.
+type PerKind[T any] struct {
+	CPU     T `json:"cpu"`
+	Memory  T `json:"memory"`
+	Network T `json:"network"`
+	SSD     T `json:"ssd"`
+}
+
+// A new resource kind needs a PerKind field: this stops compiling.
+var _ = [1]struct{}{}[resources.NumKinds-4]
+
+// perKind builds the wire object of one value per kind.
+func perKind[T any](at func(resources.Kind) T) *PerKind[T] {
+	return &PerKind[T]{CPU: at(resources.CPU), Memory: at(resources.Memory), Network: at(resources.Network), SSD: at(resources.SSD)}
+}
+
 // PredictResponse is the /v1/predict result.
 type PredictResponse struct {
 	VM         int     `json:"vm"`
 	OK         bool    `json:"ok"`
 	Percentile float64 `json:"percentile,omitempty"`
 	Windows    int     `json:"windows,omitempty"`
-	// Resources maps resource kind name (cpu, memory, network, ssd) to
-	// its per-window prediction; omitted when OK is false.
-	Resources map[string]ResourceSeries `json:"resources,omitempty"`
+	// Resources is each resource kind's per-window prediction; omitted
+	// when OK is false.
+	Resources *PerKind[ResourceSeries] `json:"resources,omitempty"`
 }
 
 // AdmitResponse is the /v1/admit result.
 type AdmitResponse struct {
-	VM             int                `json:"vm"`
-	Admitted       bool               `json:"admitted"`
-	Reason         string             `json:"reason,omitempty"`
-	Cluster        int                `json:"cluster"`
-	Server         int                `json:"server"`
-	Oversubscribed bool               `json:"oversubscribed"`
-	Alloc          map[string]float64 `json:"alloc,omitempty"`
-	Guaranteed     map[string]float64 `json:"guaranteed,omitempty"`
+	VM             int               `json:"vm"`
+	Admitted       bool              `json:"admitted"`
+	Reason         string            `json:"reason,omitempty"`
+	Cluster        int               `json:"cluster"`
+	Server         int               `json:"server"`
+	Oversubscribed bool              `json:"oversubscribed"`
+	Alloc          *PerKind[float64] `json:"alloc,omitempty"`
+	Guaranteed     *PerKind[float64] `json:"guaranteed,omitempty"`
 	// Retryable marks a rejection that capacity churn can relieve; such
 	// rejections are served as 503 with a Retry-After header.
 	Retryable bool `json:"retryable,omitempty"`
@@ -167,10 +186,9 @@ func (s *Service) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if predicted {
 		resp.Percentile = pred.Percentile
 		resp.Windows = pred.Windows.PerDay
-		resp.Resources = make(map[string]ResourceSeries, resources.NumKinds)
-		for _, k := range resources.Kinds {
-			resp.Resources[kindName(k)] = ResourceSeries{Pct: pred.Pct[k], Max: pred.Max[k]}
-		}
+		resp.Resources = perKind(func(k resources.Kind) ResourceSeries {
+			return ResourceSeries{Pct: pred.Pct[k], Max: pred.Max[k]}
+		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -201,8 +219,8 @@ func (s *Service) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		Degraded:       res.Degraded,
 	}
 	if res.Admitted {
-		resp.Alloc = vectorMap(res.Alloc)
-		resp.Guaranteed = vectorMap(res.Guaranteed)
+		resp.Alloc = perKind(func(k resources.Kind) float64 { return res.Alloc[k] })
+		resp.Guaranteed = perKind(func(k resources.Kind) float64 { return res.Guaranteed[k] })
 	} else if resp.Reason = res.Reason; resp.Reason == "" {
 		resp.Reason = "no server in the home cluster has capacity"
 	}
@@ -332,29 +350,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
-}
-
-// kindName is the wire name of a resource kind.
-func kindName(k resources.Kind) string {
-	switch k {
-	case resources.CPU:
-		return "cpu"
-	case resources.Memory:
-		return "memory"
-	case resources.Network:
-		return "network"
-	case resources.SSD:
-		return "ssd"
-	default:
-		return fmt.Sprintf("kind%d", int(k))
-	}
-}
-
-// vectorMap renders a resource vector as a JSON object keyed by kind name.
-func vectorMap(v resources.Vector) map[string]float64 {
-	out := make(map[string]float64, resources.NumKinds)
-	for _, k := range resources.Kinds {
-		out[kindName(k)] = v[k]
-	}
-	return out
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/coach-oss/coach/internal/cluster"
 )
 
 func newTestServer(t *testing.T) (*Service, *httptest.Server) {
@@ -116,7 +118,7 @@ func TestHTTPAdmitLifecycle(t *testing.T) {
 	if admitted == nil {
 		t.Fatal("no VM admitted over HTTP")
 	}
-	if admitted.Server < 0 || len(admitted.Guaranteed) == 0 {
+	if admitted.Server < 0 || admitted.Guaranteed == nil {
 		t.Fatalf("admitted response incomplete: %+v", admitted)
 	}
 
@@ -129,6 +131,99 @@ func TestHTTPAdmitLifecycle(t *testing.T) {
 	if got := s.Stats().Placed; got != 0 {
 		t.Fatalf("placed after release: %d, want 0", got)
 	}
+}
+
+// TestHTTPStatsInference reads the forests' work off /v1/stats: the
+// predict-then-admit recipe on one fresh VM is two predictions, each 8
+// forest passes of 6 window rows, evaluated on fewer lanes than (row,
+// tree, window) walks because the windows share theirs.
+func TestHTTPStatsInference(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cache = NewModelCache() // own model: the counters start at zero
+	s := newTestService(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	inference := func() map[string]int64 {
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st struct {
+			Inference map[string]int64 `json:"inference"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Inference
+	}
+	if got := inference(); len(got) != 4 || got["rows"] != 0 {
+		t.Fatalf("inference before any model or request: %v, want four zero counters", got)
+	}
+	for _, vm := range evalVMs(getTrace(t)) {
+		if _, body := post(t, ts.URL+"/v1/predict", fmt.Sprintf(`{"vm": %d}`, vm.ID)); !strings.Contains(string(body), `"ok":true`) {
+			continue
+		}
+		post(t, ts.URL+"/v1/admit", fmt.Sprintf(`{"vm": %d}`, vm.ID))
+		break
+	}
+	got := inference()
+	trees := int64(DefaultConfig().LongTerm.Forest.Trees)
+	if got["passes"] != 16 || got["rows"] != 96 || got["mismatched_rows"] != 0 {
+		t.Errorf("inference after predict+admit of one fresh VM: %v, want 16 passes / 96 rows / 0 mismatched", got)
+	}
+	if got["lanes"] < 16*trees || got["lanes"] >= 96*trees {
+		t.Errorf("inference lanes %d: want between %d (all windows share) and %d (none do)", got["lanes"], 16*trees, 96*trees)
+	}
+}
+
+// TestHTTPGoldenBodies pins the wire bytes of /v1/predict and /v1/admit to
+// bodies captured when the per-kind objects were still maps: an
+// unpredictable VM, a predicted one, a fully guaranteed and an
+// oversubscribed admission, and a capacity rejection on a one-server fleet.
+func TestHTTPGoldenBodies(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cache = testCache
+	s, err := New(getTrace(t), cluster.NewFleet(cluster.DefaultClusters(1)), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.Handler()
+	do := func(path string, id int) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(fmt.Sprintf(`{"vm":%d}`, id))))
+		return rec.Code, rec.Body.String()
+	}
+	for _, g := range []struct {
+		path string
+		vm   int
+		code int
+		body string
+	}{
+		{"/v1/predict", 4, 200, `{"vm":4,"ok":false}`},
+		{"/v1/predict", 6, 200, `{"vm":6,"ok":true,"percentile":95,"windows":6,"resources":{"cpu":{"pct":[0.4,0.4,0.45,0.45,0.35000000000000003,0.35000000000000003],"max":[0.45,0.45,0.5,0.5,0.5,0.5]},"memory":{"pct":[0.6000000000000001,0.6000000000000001,0.6000000000000001,0.6000000000000001,0.6000000000000001,0.6000000000000001],"max":[0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001]},"network":{"pct":[0.3,0.3,0.3,0.3,0.25,0.25],"max":[0.3,0.3,0.3,0.3,0.3,0.3]},"ssd":{"pct":[0.45,0.45,0.45,0.45,0.45,0.45],"max":[0.45,0.45,0.45,0.45,0.45,0.45]}}}`},
+		{"/v1/admit", 4, 200, `{"vm":4,"admitted":true,"cluster":3,"server":0,"oversubscribed":false,"alloc":{"cpu":1,"memory":2,"network":0.25,"ssd":32},"guaranteed":{"cpu":1,"memory":2,"network":0.25,"ssd":32}}`},
+		{"/v1/admit", 6, 200, `{"vm":6,"admitted":true,"cluster":0,"server":0,"oversubscribed":true,"alloc":{"cpu":8,"memory":32,"network":2,"ssd":256},"guaranteed":{"cpu":4,"memory":20,"network":0.6000000000000001,"ssd":116}}`},
+	} {
+		if code, body := do(g.path, g.vm); code != g.code || body != g.body+"\n" {
+			t.Errorf("%s vm %d: status %d body %s, want %d %s", g.path, g.vm, code, body, g.code, g.body)
+		}
+	}
+	// The rejection needs the fleet full: admit the evaluation period in
+	// order, as the capture did, until vm 191 arrives.
+	for _, vm := range evalVMs(getTrace(t)) {
+		code, body := do("/v1/admit", vm.ID)
+		if vm.ID != 191 {
+			continue
+		}
+		want := `{"vm":191,"admitted":false,"reason":"no server in the home cluster has capacity","cluster":3,"server":-1,"oversubscribed":false,"retryable":true}`
+		if code != http.StatusServiceUnavailable || body != want+"\n" {
+			t.Errorf("/v1/admit vm 191: status %d body %s, want 503 %s", code, body, want)
+		}
+		return
+	}
+	t.Fatal("fixture regression: vm 191 is not in the evaluation period")
 }
 
 // TestHTTPPredictByteIdentical posts the same body concurrently many

@@ -34,6 +34,7 @@ import (
 	"github.com/coach-oss/coach/internal/core"
 	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/memsim"
+	"github.com/coach-oss/coach/internal/mlforest"
 	"github.com/coach-oss/coach/internal/predict"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
@@ -949,7 +950,12 @@ type Stats struct {
 	Batch      BatchStats      `json:"batch"`
 	AdmitBatch AdmitBatchStats `json:"admit_batch"`
 	Cache      CacheStats      `json:"cache"`
-	DataPlane  DataPlaneStats  `json:"data_plane"`
+	// Inference is the forests' own count of the prediction work done:
+	// cumulative for the cached model, so services sharing a ModelCache
+	// share it. rows ÷ admitted VMs is what one admission costs the
+	// forests (8 forests × windows per prediction of a fresh VM).
+	Inference mlforest.Stats `json:"inference"`
+	DataPlane DataPlaneStats `json:"data_plane"`
 }
 
 // Stats snapshots admission counters, occupancy, batching effectiveness,
@@ -959,6 +965,9 @@ func (s *Service) Stats() Stats {
 	st.Degraded = s.degraded.Load()
 	st.Batch = s.predicts.stats()
 	st.AdmitBatch.BatchStats = s.admits.stats()
+	if m := s.model.Load(); m != nil {
+		st.Inference = m.InferenceStats()
+	}
 	if s.cfg.DataPlane {
 		st.DataPlane.Enabled = true
 		st.DataPlane.Policy = s.cfg.MitigationPolicy.String()
