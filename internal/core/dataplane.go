@@ -9,6 +9,7 @@ import (
 	"github.com/coach-oss/coach/internal/memsim"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
+	"github.com/coach-oss/coach/internal/timeseries"
 )
 
 // This file implements the fleet-scale memory data plane: one
@@ -18,6 +19,12 @@ import (
 // cluster shard — the same partition the scheduler and the parallel
 // simulator use — so shards tick concurrently without sharing state.
 // See docs/DESIGN.md §9.
+
+// DataPlaneTickSeconds is the simulated length of one data-plane tick:
+// one 5-minute trace sample, the granularity the paper's cluster
+// evaluation works at (§4.3 uses the 5-minute data). The simulator and
+// the serving layer both advance their data planes by it.
+const DataPlaneTickSeconds = float64(timeseries.SampleMinutes) * 60
 
 // DataPlaneConfig sizes the per-server data planes of a fleet.
 type DataPlaneConfig struct {

@@ -53,11 +53,6 @@ var ErrDataPlaneDisabled = errors.New("serve: data plane disabled")
 // a Retry-After, and /readyz reports not-ready.
 var ErrModelUnavailable = errors.New("serve: prediction model unavailable")
 
-// dpTickSeconds is the simulated length of one data-plane tick: one
-// 5-minute utilization sample, matching the cluster simulator's replay
-// granularity.
-const dpTickSeconds = float64(timeseries.SampleMinutes) * 60
-
 // Config parameterizes a Service.
 type Config struct {
 	// Policy is the oversubscription policy admissions are shaped under
@@ -822,7 +817,7 @@ func (s *Service) TickDataPlane() error {
 			tr.age++
 			sh.dp.SetWSS(id, tr.wss())
 		}
-		_, completed, err := sh.dp.Tick(dpTickSeconds)
+		_, completed, err := sh.dp.Tick(core.DataPlaneTickSeconds)
 		if err != nil {
 			sh.mu.Unlock()
 			return err

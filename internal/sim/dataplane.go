@@ -7,14 +7,7 @@ import (
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/core"
 	"github.com/coach-oss/coach/internal/memsim"
-	"github.com/coach-oss/coach/internal/timeseries"
 )
-
-// dpTickSeconds is the data-plane tick length: one trace sample (5
-// simulated minutes). The agent's monitoring pass therefore runs once per
-// sample — the granularity the paper's cluster evaluation works at (§4.3
-// uses the 5-minute data).
-const dpTickSeconds = float64(timeseries.SampleMinutes) * 60
 
 // latencyBuckets sizes the access-latency histogram: 8 buckets per
 // doubling from latencyBase ns covers 50ns..~3ms, enough for the PA-hit

@@ -77,8 +77,8 @@ func (st *shardState) crashServer(t, srv int) error {
 	st.sh.sched.SetDown(srv, true)
 	for _, id := range evicted {
 		cvm := st.sh.sched.CVM(id)
-		p, tracked := st.pos[id]
-		if !tracked || cvm == nil {
+		p := st.pos[id]
+		if p < 0 || cvm == nil {
 			// Scheduler-only residue (e.g. a reservation whose replay
 			// accounting lives elsewhere): drop the bookkeeping and move on.
 			st.sh.sched.Remove(id)
@@ -119,7 +119,7 @@ func (st *shardState) crashServer(t, srv int) error {
 			st.used++
 		}
 		st.vmCount[target]++
-		st.pos[id] = len(st.recs)
+		st.pos[id] = int32(len(st.recs))
 		st.recs = append(st.recs, placedRec{
 			vm: rec.vm, srv: target,
 			changes: rec.changes, nextCh: rec.nextCh,

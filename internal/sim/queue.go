@@ -1,7 +1,5 @@
 package sim
 
-import "sort"
-
 // eventQueue is a calendar (bucket) queue over trace ticks. The replay
 // horizon is known up front and small (a two-week trace is 4032 samples),
 // so a flat slice of buckets indexed by tick beats a heap: Push is an
@@ -9,14 +7,17 @@ import "sort"
 //
 // Each bucket holds the VM IDs with a pending event at that tick. IDs are
 // unique for the lifetime of a run and never reused, which makes the
-// shard's pos map a perfect stale-event filter: a popped ID that is no
+// shard's pos index a perfect stale-event filter: a popped ID that is no
 // longer placed (departed, or emigrated to another shard) is simply
 // skipped, so events never need to be cancelled.
 //
-// Determinism: PopDue returns IDs in ascending order. Combined with
-// shards being stepped in index order and the exchange sorting requests
-// by (Tick, SrcShard, VMID), the fleet-wide event order is the total
-// order (tick, shard, vmID) that PR 5's cross-shard handoff relies on.
+// Determinism: PopDue returns a bucket in push order, which the queue
+// does not otherwise constrain. The order events apply in is the delta
+// pass's job: it marks each due VM's record position in a bitmap and
+// walks the bits ascending, so within a shard a tick's events apply in
+// record-position order whatever order they were pushed. Shards step in
+// index order and the exchange sorts requests by (Tick, SrcShard, VMID),
+// so the fleet-wide order is (tick, shard, position).
 type eventQueue struct {
 	base     int     // tick of buckets[0]
 	buckets  [][]int // buckets[t-base] = VM IDs due at tick t
@@ -45,8 +46,8 @@ func (q *eventQueue) Push(tick, id int) {
 	q.buckets[i] = append(q.buckets[i], id)
 }
 
-// PopDue appends the IDs due at tick t to dst in ascending order and
-// drains the bucket. The bucket's backing slice is recycled immediately,
+// PopDue appends the IDs due at tick t to dst in push order and drains
+// the bucket. The bucket's backing slice is recycled immediately,
 // so callers pass a scratch buffer they own (typically reused across
 // ticks) rather than aliasing queue storage.
 func (q *eventQueue) PopDue(t int, dst []int) []int {
@@ -55,11 +56,9 @@ func (q *eventQueue) PopDue(t int, dst []int) []int {
 		return dst
 	}
 	b := q.buckets[i]
-	n := len(dst)
 	dst = append(dst, b...)
 	q.freelist = append(q.freelist, b[:0])
 	q.buckets[i] = nil
-	sort.Ints(dst[n:])
 	return dst
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sort"
 	"sync/atomic"
 
@@ -157,7 +158,7 @@ type shardState struct {
 	vmCount  []int
 	cpuLimit []float64
 	recs     []placedRec
-	pos      map[int]int // VM ID -> index into recs
+	pos      []int32 // VM ID -> index into recs, -1 when untracked
 	used     int
 	ei       int
 	zero     resources.Vector
@@ -187,19 +188,18 @@ type shardState struct {
 	fi      int
 
 	// Event-core state (nil/unused under EngineDense). queue holds one
-	// pending utilization-change event per placed VM; due, slots and
-	// slotPos are per-tick scratch — slots collects the VM ids due a
-	// demand re-sync (by id, not record index: crash evictions can
-	// swap-remove records between a slot's append and the delta pass),
-	// slotPos their resolved record positions. Contention is settled
-	// incrementally: violCPU / violMem mirror each server's
-	// contended-or-not state with running counts, and dirty lists the
-	// servers whose demand, backing or population changed this tick and
-	// need their flags re-derived.
+	// pending utilization-change event per placed VM; slots and slotBits
+	// are per-tick scratch — slots collects the VM ids due a demand
+	// re-sync (by id, not record index: crash evictions can swap-remove
+	// records between a slot's append and the delta pass), slotBits marks
+	// their resolved record positions and is all zero between ticks.
+	// Contention is settled incrementally: violCPU / violMem mirror each
+	// server's contended-or-not state with running counts, and dirty
+	// lists the servers whose demand, backing or population changed this
+	// tick and need their flags re-derived.
 	queue     *eventQueue
-	due       []int
 	slots     []int
-	slotPos   []int
+	slotBits  []uint64
 	violCPU   []bool
 	violMem   []bool
 	cpuViol   int
@@ -218,7 +218,12 @@ func newShardState(sh *shard, tr *trace.Trace, model *predict.LongTerm, cfg Conf
 		model: model,
 		cfg:   cfg,
 		sr:    &shardResult{usedByTick: make([]int, ticks)},
-		pos:   make(map[int]int),
+		// VM ids are indices into tr.VMs (Run checks), so one flat slice
+		// indexes every VM the shard can see.
+		pos: make([]int32, len(tr.VMs)),
+	}
+	for i := range st.pos {
+		st.pos[i] = -1
 	}
 	if sh.sched != nil {
 		st.servers = sh.sched.Servers()
@@ -334,7 +339,7 @@ func (st *shardState) step(t int) error {
 			st.used++
 		}
 		st.vmCount[srv]++
-		st.pos[ev.vm.ID] = len(st.recs)
+		st.pos[ev.vm.ID] = int32(len(st.recs))
 		st.recs = append(st.recs, placedRec{vm: ev.vm, srv: srv})
 		if st.queue != nil {
 			// The event core applies the new record's demand this tick via
@@ -439,48 +444,50 @@ func (st *shardState) denseDeltaPass(t int) {
 // pending change event (popped from the calendar queue), placed this
 // tick, or re-admitted by a crash are visited. Slots carry VM ids and
 // resolve to record positions here — a crash eviction swap-removes
-// records mid-tick, so positions captured earlier could go stale — then
-// apply in ascending position order, the same order the dense pass
-// walks st.recs, with the same cur != last guard, so the float
-// accumulation into st.demand is bit-identical: every slot the dense
-// pass would have updated has a change point here (utilUnchanged ⇔ no
-// change point at this offset), and spurious events for unchanged
-// demand no-op on the guard. Duplicate positions (a re-admitted VM
-// whose stale queue event also popped) are deduped after the sort.
+// records mid-tick, so positions captured earlier could go stale — and
+// each position sets its bit in slotBits. Walking the set bits word by
+// word visits the positions ascending and once each (a re-admitted VM
+// whose stale queue event also popped sets the same bit twice): the same
+// order the dense pass walks st.recs, with the same cur != last guard,
+// so the float accumulation into st.demand is bit-identical — every slot
+// the dense pass would have updated has a change point here
+// (utilUnchanged ⇔ no change point at this offset), and spurious events
+// for unchanged demand no-op on the guard.
 func (st *shardState) eventDeltaPass(t int) {
-	st.due = st.queue.PopDue(t, st.due[:0])
 	// st.slots already holds this tick's placements and re-admissions.
-	st.slots = append(st.slots, st.due...)
-	st.slotPos = st.slotPos[:0]
+	st.slots = st.queue.PopDue(t, st.slots)
+	if words := (len(st.recs) + 63) / 64; words > len(st.slotBits) {
+		st.slotBits = append(st.slotBits, make([]uint64, words-len(st.slotBits))...)
+	}
 	for _, id := range st.slots {
-		// An id missing from pos is a stale event: the VM departed,
-		// emigrated to another shard, or was lost to a crash. Ids are
-		// never reused, so the map lookup is a complete filter and events
-		// need no cancellation.
-		if p, ok := st.pos[id]; ok {
-			st.slotPos = append(st.slotPos, p)
+		// An id with pos -1 is a stale event: the VM departed, emigrated
+		// to another shard, or was lost to a crash. Ids are never reused,
+		// so pos is a complete filter and events need no cancellation.
+		if p := st.pos[id]; p >= 0 {
+			st.slotBits[p/64] |= 1 << (p % 64)
 		}
 	}
-	sort.Ints(st.slotPos)
-	applied, prev := 0, -1
-	for _, si := range st.slotPos {
-		if si == prev {
+	applied := 0
+	for w, word := range st.slotBits {
+		if word == 0 {
 			continue
 		}
-		prev = si
-		applied++
-		r := &st.recs[si]
-		cur := r.vm.DemandAt(t)
-		if cur != r.last {
-			st.demand[r.srv] = st.demand[r.srv].Add(cur.Sub(r.last))
-			r.last = cur
-			st.touchServer(r.srv)
-			if st.sdp != nil && st.sdp.dp != nil {
-				st.sdp.dp.SetWSS(r.vm.ID, cur[resources.Memory])
+		st.slotBits[w] = 0
+		for ; word != 0; word &= word - 1 {
+			applied++
+			r := &st.recs[w*64+bits.TrailingZeros64(word)]
+			cur := r.vm.DemandAt(t)
+			if cur != r.last {
+				st.demand[r.srv] = st.demand[r.srv].Add(cur.Sub(r.last))
+				r.last = cur
+				st.touchServer(r.srv)
+				if st.sdp != nil && st.sdp.dp != nil {
+					st.sdp.dp.SetWSS(r.vm.ID, cur[resources.Memory])
+				}
 			}
+			r.synced = true
+			st.scheduleNext(r, t)
 		}
-		r.synced = true
-		st.scheduleNext(r, t)
 	}
 	if st.cfg.VisitCounter != nil {
 		atomic.AddInt64(st.cfg.VisitCounter, int64(applied))
@@ -553,7 +560,7 @@ func (st *shardState) dataPlaneTick(t int) error {
 	if s.dp == nil {
 		return nil
 	}
-	frames, completed, err := s.dp.Tick(dpTickSeconds)
+	frames, completed, err := s.dp.Tick(core.DataPlaneTickSeconds)
 	if err != nil {
 		return err
 	}
@@ -615,8 +622,8 @@ func (st *shardState) applyPlan(p core.MigrationPlan) {
 // detachMemory is set, from the data plane). It returns false when the
 // shard does not track the VM — rejected on arrival, or emigrated.
 func (st *shardState) removeTracked(vmID int, detachMemory bool) bool {
-	p, ok := st.pos[vmID]
-	if !ok {
+	p := st.pos[vmID]
+	if p < 0 {
 		return false
 	}
 	if detachMemory && st.sdp != nil && st.sdp.dp != nil {
@@ -636,7 +643,7 @@ func (st *shardState) removeTracked(vmID int, detachMemory bool) bool {
 	st.recs[p] = st.recs[last]
 	st.pos[st.recs[p].vm.ID] = p
 	st.recs = st.recs[:last]
-	delete(st.pos, vmID)
+	st.pos[vmID] = -1
 	return true
 }
 
@@ -649,7 +656,7 @@ func (st *shardState) addImmigrated(rq migRequest, server int) {
 		st.used++
 	}
 	st.vmCount[server]++
-	st.pos[rq.VMID] = len(st.recs)
+	st.pos[rq.VMID] = int32(len(st.recs))
 	st.recs = append(st.recs, placedRec{
 		vm: rq.vm, srv: server,
 		changes: rq.changes, nextCh: rq.nextCh,

@@ -308,6 +308,11 @@ func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
 	if cfg.TrainUpTo <= 0 || cfg.TrainUpTo >= tr.Horizon {
 		return nil, fmt.Errorf("sim: TrainUpTo %d outside (0,%d)", cfg.TrainUpTo, tr.Horizon)
 	}
+	for i := range tr.VMs {
+		if tr.VMs[i].ID != i {
+			return nil, fmt.Errorf("sim: VM at index %d has id %d; ids must be indices into the trace", i, tr.VMs[i].ID)
+		}
+	}
 	if fleet.NumClusters() == 0 {
 		return nil, fmt.Errorf("sim: fleet has no clusters")
 	}

@@ -50,6 +50,13 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(tr, bad, cfg); err == nil {
 		t.Error("fleet with out-of-range cluster index must fail, not panic")
 	}
+	// The shard's position index is sized by len(tr.VMs) and indexed by id.
+	renumbered := *tr
+	renumbered.VMs = append([]trace.VM(nil), tr.VMs...)
+	renumbered.VMs[0].ID = len(tr.VMs)
+	if _, err := Run(&renumbered, fleet, cfg); err == nil {
+		t.Error("VM ids that are not trace indices must fail, not panic")
+	}
 }
 
 func runPolicy(t *testing.T, p scheduler.PolicyKind) *Result {

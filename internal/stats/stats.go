@@ -84,31 +84,62 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 }
 
 // selectKth reorders xs so that xs[k] is its k-th smallest element with
-// nothing larger before it and nothing smaller after it (Hoare's FIND).
-// xs must hold no NaN.
+// nothing larger before it and nothing smaller after it. xs must hold no
+// NaN.
+//
+// It is a quickselect over two branch-free Lomuto passes: every element
+// is swapped and the boundary advances by the comparison's 0/1 result
+// (SETcc, not a branch a near-random window would mispredict half the
+// time). The first pass moves x < pivot to the front; the second gathers
+// x == pivot after it and stops once k lands in that run, which keeps a
+// window of one repeated value linear instead of quadratic. The pivot is
+// the median of three fixed-seed pseudo-random positions: fixed positions
+// let Lomuto's rotations of a falling window put all three near the
+// bottom, which is quadratic too.
 func selectKth(xs []float64, k int) {
-	for lo, hi := 0, len(xs)-1; lo < hi; {
-		pivot, i, j := xs[lo+(hi-lo)/2], lo, hi
-		for i <= j {
-			for xs[i] < pivot {
-				i++
-			}
-			for xs[j] > pivot {
-				j--
-			}
-			if i <= j {
-				xs[i], xs[j] = xs[j], xs[i]
-				i, j = i+1, j-1
-			}
+	rng := uint64(0x9e3779b97f4a7c15)
+	for lo, hi := 0, len(xs); hi-lo > 1; {
+		var at [3]int
+		for i := range at {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			at[i] = lo + int(rng%uint64(hi-lo))
 		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
+		a, b, c := xs[at[0]], xs[at[1]], xs[at[2]]
+		pivot := max(min(a, b), min(max(a, b), c)) // median of three
+		lt := lo
+		for j := lo; j < hi; j++ {
+			x := xs[j]
+			xs[j] = xs[lt]
+			xs[lt] = x
+			lt += b2i(x < pivot)
+		}
+		if k < lt {
+			hi = lt
+			continue
+		}
+		eq := lt
+		for j := lt; j < hi; j++ {
+			x := xs[j]
+			xs[j] = xs[eq]
+			xs[eq] = x
+			eq += b2i(x == pivot)
+		}
+		if k < eq {
 			return
 		}
+		lo = eq
 	}
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to SETcc.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // PercentileSorted is Percentile for an already ascending-sorted slice.
