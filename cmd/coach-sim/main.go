@@ -76,7 +76,7 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.trainWorkers, "train-workers", 0, "goroutines growing forest trees during model training (0 = GOMAXPROCS); the model is identical for any value")
 	fs.BoolVar(&o.dataPlane, "data-plane", false, "run the per-server memory data plane (memsim + agent) during replay")
 	fs.StringVar(&o.mitigation, "mitigation", "all", "mitigation policy: None, Trim, Extend, Migrate or all (requires -data-plane)")
-	fs.Func("mitigation-mode", "mitigation triggering: Reactive (default) or Proactive", func(v string) (err error) {
+	fs.Func("mitigation-mode", "mitigation triggering: Reactive (default) or Proactive; Proactive builds and trains a per-server LSTM forecaster", func(v string) (err error) {
 		o.mitigationMode, err = agent.ParseMode(v)
 		return err
 	})

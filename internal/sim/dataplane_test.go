@@ -8,7 +8,9 @@ import (
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/predict"
 	"github.com/coach-oss/coach/internal/resources"
+	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
+	"github.com/coach-oss/coach/internal/trace"
 )
 
 // dataPlaneConfig returns a configuration whose data plane actually
@@ -298,5 +300,55 @@ func TestLatencyBucketRoundTrip(t *testing.T) {
 	}
 	if minTick(-1, 5) != 5 || minTick(3, -1) != 3 || minTick(7, 4) != 4 || minTick(-1, -1) != -1 {
 		t.Error("minTick wrong")
+	}
+}
+
+// TestProactiveFleetReplay replays a small sparse-churn trace with every
+// server's agent in Proactive mode, the only mode whose agents build and
+// train a local predictor. The result must not depend on Workers, and the
+// proactive trigger path must actually run: ProactiveTriggers is not in
+// Result, so the same trace under Reactive agents has to come out
+// different in the data-plane counters.
+func TestProactiveFleetReplay(t *testing.T) {
+	full, err := scenario.Preset("sparse-churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := full.Scaled(250, 25)
+	tr, err := trace.GenerateScenario(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ConfigForPolicy(scheduler.PolicyAggrCoach)
+	cfg.TrainUpTo = tr.Horizon / 2
+	cfg.DataPlane = true
+	cfg.MitigationPolicy = agent.PolicyMigrate
+	cfg.DataPlanePoolFrac = 0.02
+	cfg.DataPlaneUnallocFrac = 0.02
+	ltCfg := cfg.LongTerm
+	ltCfg.Windows = cfg.Windows
+	ltCfg.Percentile = cfg.Percentile
+	if cfg.Model, err = predict.TrainLongTerm(tr, cfg.TrainUpTo, ltCfg); err != nil {
+		t.Fatal(err)
+	}
+	run := func(mode agent.Mode, workers int) *Result {
+		t.Helper()
+		c := cfg
+		c.MitigationMode = mode
+		c.Workers = workers
+		res, err := Run(tr, cluster.NewFleet(cluster.DefaultClusters(2)), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	serial := run(agent.Proactive, 1)
+	if parallel := run(agent.Proactive, 0); !reflect.DeepEqual(serial, parallel) {
+		t.Errorf("Proactive result differs between Workers 1 and the default:\n  w1:      %+v\n  default: %+v",
+			serial.DataPlane, parallel.DataPlane)
+	}
+	if reactive := run(agent.Reactive, 1); serial.DataPlane.Counters == reactive.DataPlane.Counters {
+		t.Errorf("Proactive and Reactive agents mitigated identically (%+v): the proactive path never fired",
+			serial.DataPlane.Counters)
 	}
 }
