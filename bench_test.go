@@ -159,13 +159,12 @@ func BenchmarkSimRunParallel(b *testing.B) {
 }
 
 // BenchmarkServeThroughput measures the serving layer's prediction hot
-// path (docs/DESIGN.md §7) at 1/8/64 concurrent clients, comparing
-// one-request passes (mode unbatched = MaxBatch 1) against the default
-// batcher that coalesces concurrent requests into single forest passes.
-// Requests draw from the evaluation-period VM population (the arrivals an
-// admission service actually sees), which exercises the forest path
-// rather than the cheap own-history path. The model is trained once
-// outside the timed region via a shared cache.
+// path (docs/DESIGN.md §7) at 1/8/64 concurrent clients, each prediction
+// one forest pass on its caller's goroutine. Requests draw from the
+// evaluation-period VM population (the arrivals an admission service
+// actually sees), which exercises the forest path rather than the cheap
+// own-history path. The model is trained once outside the timed region
+// via a shared cache.
 func BenchmarkServeThroughput(b *testing.B) {
 	ctx := benchContext()
 	tr, err := ctx.Trace()
@@ -181,54 +180,43 @@ func BenchmarkServeThroughput(b *testing.B) {
 	if len(fresh) == 0 {
 		b.Fatal("no evaluation-period VMs")
 	}
-	cache := NewModelCache()
-	for _, mode := range []struct {
-		name     string
-		maxBatch int
-	}{
-		{"unbatched", 1},
-		{"batched", 0},
-	} {
-		for _, clients := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%s/clients=%d", mode.name, clients), func(b *testing.B) {
-				cfg := DefaultServiceConfig()
-				cfg.Cache = cache
-				cfg.MaxBatch = mode.maxBatch
-				svc, err := NewService(tr, NewFleet(DefaultClusters(8)), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer svc.Close()
-				if err := svc.Warm(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				per := b.N / clients
-				if b.N%clients != 0 {
-					per++
-				}
-				var failed atomic.Bool
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						for i := 0; i < per; i++ {
-							vm := fresh[(c*per+i)%len(fresh)]
-							if _, _, err := svc.Predict(vm); err != nil {
-								failed.Store(true)
-								return
-							}
+	cfg := DefaultServiceConfig()
+	cfg.Cache = NewModelCache()
+	svc, err := NewService(tr, NewFleet(DefaultClusters(8)), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	if err := svc.Warm(); err != nil {
+		b.Fatal(err)
+	}
+	for _, clients := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			b.ReportAllocs()
+			var wg sync.WaitGroup
+			per := b.N / clients
+			if b.N%clients != 0 {
+				per++
+			}
+			var failed atomic.Bool
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						vm := fresh[(c*per+i)%len(fresh)]
+						if _, _, err := svc.Predict(vm); err != nil {
+							failed.Store(true)
+							return
 						}
-					}(c)
-				}
-				wg.Wait()
-				if failed.Load() {
-					b.Fatal("prediction failed")
-				}
-			})
-		}
+					}
+				}(c)
+			}
+			wg.Wait()
+			if failed.Load() {
+				b.Fatal("prediction failed")
+			}
+		})
 	}
 }
 

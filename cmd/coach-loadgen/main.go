@@ -53,7 +53,7 @@
 //	admit:   n=378 p50=11.3ms p95=25.9ms p99=34.1ms max=48.2ms
 //	predict: n=1244 p50=8.6ms p95=20.8ms p99=29.5ms max=41.7ms
 //	release: n=378 p50=7.9ms p95=18.2ms p99=26.0ms max=37.3ms
-//	server:  batches=163 mean-size=11.9 admit-batches=48 (mean 7.9) cache hits/misses=0/1
+//	server:  predictions=1244 admit-batches=48 (mean 7.9) cache hits/misses=0/1
 package main
 
 import (
@@ -351,8 +351,8 @@ func replay(hc *httpClient, addr, scen, scaleName string, fromDay, replayDays in
 			srvReleased += cs.Released
 			srvRejected += cs.Rejected
 		}
-		fmt.Printf("server:  placed=%d released=%d rejected=%d batches=%d mean-size=%.1f admit-batches=%d (mean %.1f)\n",
-			st.Placed, srvReleased, srvRejected, st.Batch.Batches, st.Batch.MeanSize,
+		fmt.Printf("server:  placed=%d released=%d rejected=%d predictions=%d admit-batches=%d (mean %.1f)\n",
+			st.Placed, srvReleased, srvRejected, st.Batch.Requests,
 			st.AdmitBatch.Batches, st.AdmitBatch.MeanSize)
 		if st.DataPlane.Crashes > 0 || st.DataPlane.LostVMs > 0 {
 			fmt.Printf("faults:  crashes=%d recoveries=%d evicted=%d replaced=%d lost=%d\n",
@@ -445,8 +445,8 @@ func run(hc *httpClient, addr string, clients, requests int, admitFrac float64, 
 
 	var st serve.Stats
 	if err := getJSON(addr+"/v1/stats", &st); err == nil {
-		fmt.Printf("server:  batches=%d mean-size=%.1f admit-batches=%d (mean %.1f) cache hits/misses=%d/%d\n",
-			st.Batch.Batches, st.Batch.MeanSize, st.AdmitBatch.Batches, st.AdmitBatch.MeanSize,
+		fmt.Printf("server:  predictions=%d admit-batches=%d (mean %.1f) cache hits/misses=%d/%d\n",
+			st.Batch.Requests, st.AdmitBatch.Batches, st.AdmitBatch.MeanSize,
 			st.Cache.Hits, st.Cache.Misses)
 	}
 	if ec.total() > 0 {

@@ -22,16 +22,16 @@
 // against the server. It then trains the
 // long-term predictor on the first half (unless -lazy-train defers that
 // to the first request), and serves until SIGINT/SIGTERM, then shuts
-// down gracefully: in-flight requests finish, the admission and
-// prediction batchers drain, new requests get 503.
+// down gracefully: in-flight requests finish, the admission batcher
+// drains, new requests get 503.
 //
-// Concurrent predictions coalesce into single forest passes, and
-// concurrent admissions on the same cluster into fleet-sized what-if
-// rollouts (one forest pass, one score matrix, one pool sweep per batch)
-// committed in arrival order — bit-identical to admitting one VM at a
-// time (docs/DESIGN.md §15). Coalescing is opportunistic (whatever is
-// already queued, never a wait); -batch-max caps a batch, and
-// -batch-max 1 serves every request alone.
+// Each prediction runs on its request's goroutine. Concurrent admissions
+// on the same cluster coalesce into fleet-sized what-if rollouts (one
+// forest pass, one score matrix, one pool sweep per batch) committed in
+// arrival order — bit-identical to admitting one VM at a time
+// (docs/DESIGN.md §15). Coalescing is opportunistic (whatever is already
+// queued, never a wait); -batch-max caps the admissions per cluster in
+// one batch, and -batch-max 1 serves every admission alone.
 //
 // With -data-plane every fleet server runs the memory data plane (memsim
 // server + oversubscription agent): admitted VMs attach their memory, and
@@ -133,7 +133,7 @@ func parseFlags(args []string) (options, error) {
 		o.policy, err = parsePolicy(v)
 		return err
 	})
-	fs.IntVar(&o.batchMax, "batch-max", 64, "max concurrent predictions coalesced into one forest pass, and admissions per cluster into one rollout (1 = no coalescing)")
+	fs.IntVar(&o.batchMax, "batch-max", 64, "max concurrent admissions per cluster coalesced into one rollout (1 = no coalescing); predictions are never batched")
 	fs.BoolVar(&o.lazyTrain, "lazy-train", false, "defer model training to the first prediction request")
 	fs.IntVar(&o.trainWorkers, "train-workers", 0, "goroutines growing forest trees during training (0 = GOMAXPROCS); the model is identical for any value")
 	fs.BoolVar(&o.dataPlane, "data-plane", false, "run the per-server memory data plane (memsim + oversubscription agent)")
@@ -326,13 +326,13 @@ func run(o options) error {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	err = srv.Shutdown(shutdownCtx) // stop accepting, finish in-flight requests
-	svc.Close()                     // then drain the batchers
+	svc.Close()                     // then drain the admission batcher
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
 	st := svc.Stats()
-	log.Printf("final: placed=%d batches=%d (mean size %.1f, p50 %d) cache hits/misses=%d/%d",
-		st.Placed, st.Batch.Batches, st.Batch.MeanSize, st.Batch.P50Size, st.Cache.Hits, st.Cache.Misses)
+	log.Printf("final: placed=%d predictions=%d cache hits/misses=%d/%d",
+		st.Placed, st.Batch.Requests, st.Cache.Hits, st.Cache.Misses)
 	if st.AdmitBatch.Batches > 0 {
 		log.Printf("admit batches: %d over %d admissions (mean %.1f, p50 %d, max %d), conflict replays %d",
 			st.AdmitBatch.Batches, st.AdmitBatch.Requests, st.AdmitBatch.MeanSize,

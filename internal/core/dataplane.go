@@ -8,7 +8,6 @@ import (
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/memsim"
 	"github.com/coach-oss/coach/internal/resources"
-	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/timeseries"
 )
 
@@ -365,8 +364,7 @@ func (d *DataPlane) AttachMigrated(server, id int, sizeGB, paGB, wss, dirtyFrac 
 }
 
 // PressureOf returns server's pool occupancy (used fraction, 1 when the
-// server has no pool) — the signal migration targeting and pressure-aware
-// admission filter candidates on.
+// server has no pool) — the signal the least-pressured fallback ranks on.
 func (d *DataPlane) PressureOf(server int) float64 {
 	return d.ProjectedPressure(server, 0)
 }
@@ -377,7 +375,9 @@ func (d *DataPlane) PressureOf(server int) float64 {
 // spillover) lands. Filtering candidates on the projection instead of
 // the current occupancy keeps migrations from dumping a large working
 // set onto a pool too small to hold it, which would just move the
-// thrashing. Returns 1 when the server has no pool.
+// thrashing. Returns 1 when the server has no pool. Rollout derives the
+// same value per cell from its PoolStatesInto snapshot; this per-server
+// form is the reference the tests hold it to.
 func (d *DataPlane) ProjectedPressure(server int, incomingGB float64) float64 {
 	srv := d.servers[server].Server
 	pool := srv.PoolGB()
@@ -390,39 +390,13 @@ func (d *DataPlane) ProjectedPressure(server int, incomingGB float64) float64 {
 	return (srv.PoolUsed() + incomingGB) / pool
 }
 
-// ProjectPressures is the batched ProjectedPressure sweep behind the
-// what-if scorer: it fills out[i] with candidate i's pool occupancy after
-// absorbing incomingGB (reallocating out only when too small) and returns
-// the slice used. One call scores a whole candidate ranking; the values
-// are exactly ProjectedPressure per server.
-func (d *DataPlane) ProjectPressures(cands []scheduler.Candidate, incomingGB float64, out []float64) []float64 {
-	if cap(out) < len(cands) {
-		out = make([]float64, len(cands))
-	}
-	out = out[:len(cands)]
-	if incomingGB < 0 {
-		incomingGB = 0
-	}
-	for i, c := range cands {
-		srv := d.servers[c.Server].Server
-		pool := srv.PoolGB()
-		if pool <= 0 {
-			out[i] = 1
-			continue
-		}
-		out[i] = (srv.PoolUsed() + incomingGB) / pool
-	}
-	return out
-}
-
 // PoolStatesInto fills used[i] and pool[i] with server i's pool frames in
-// use and pool size, as one sweep over the shard. It is the batched-
-// admission form of ProjectPressures: the rollout captures the raw pool
-// state once per batch and derives every (request, server) projection as
-// (used+need)/pool — the exact ProjectedPressure arithmetic — so one sweep
-// serves however many requests coalesced, and a post-commit delta only has
-// to refresh the one server a placement touched. Both slices must be
-// len(Servers()).
+// use and pool size, as one sweep over the shard. A what-if rollout
+// captures the raw pool state once and derives every (request, server)
+// projection as (used+need)/pool — the exact ProjectedPressure arithmetic
+// — so one sweep serves however many requests it scores, and a
+// post-commit delta only has to refresh the one server a placement
+// touched. Both slices must be len(Servers()).
 func (d *DataPlane) PoolStatesInto(used, pool []float64) {
 	for i, sm := range d.servers {
 		used[i] = sm.Server.PoolUsed()

@@ -41,12 +41,12 @@ func TestCrashServerEvictsAndReboots(t *testing.T) {
 	}
 }
 
-// TestPickRecovery pins recovery placement: the pressure-filtered pick
-// wins when one exists, the least-pressured feasible server is the
-// fallback, and an infeasible VM is reported lost.
+// TestPickRecovery pins recovery placement (RecoveryTarget): the
+// pressure-filtered pick wins when one exists, the least-pressured
+// feasible server is the fallback, and an infeasible VM is reported lost.
 func TestPickRecovery(t *testing.T) {
 	cfg := DefaultMigrationConfig()
-	_, sched, dp := engineFixture(t, 3, cfg, 0.25)
+	eng, sched, dp := engineFixture(t, 3, cfg, 0.25)
 
 	// Server 0 down (the crash site), server 1's pool thrashing (working
 	// sets far past guarantees), server 2 empty: the pressure filter must
@@ -62,25 +62,20 @@ func TestPickRecovery(t *testing.T) {
 	if p := dp.PressureOf(1); p < cfg.PressureFrac {
 		t.Fatalf("fixture pool not pressured: %.2f < %.2f", p, cfg.PressureFrac)
 	}
-	scorer := NewWhatIfScorer(sched, dp)
-	target, ok := scorer.PickRecovery(oversubCVM(t, 3, 4, 16, 0.5), cfg.PressureFrac)
-	if !ok || target != 2 {
-		t.Fatalf("PickRecovery = (%d, %v), want the empty server 2", target, ok)
-	}
-
-	// With every pool saturated by a zero pressure budget, the fallback
-	// still finds the least-pressured feasible server rather than losing
-	// the VM.
-	target, ok = scorer.PickRecovery(oversubCVM(t, 4, 4, 16, 0.5), 0)
-	if !ok {
-		t.Fatal("fallback lost a feasible VM")
-	}
-	if target == 0 {
-		t.Fatal("fallback landed on the down server")
+	if target := eng.RecoveryTarget(oversubCVM(t, 3, 4, 16, 0.5)); target != 2 {
+		t.Fatalf("RecoveryTarget = %d, want the empty server 2", target)
 	}
 
 	// A VM no surviving server can hold is lost.
-	if _, ok := scorer.PickRecovery(oversubCVM(t, 5, 64, 256, 1), cfg.PressureFrac); ok {
-		t.Fatal("infeasible VM was placed")
+	if target := eng.RecoveryTarget(oversubCVM(t, 5, 64, 256, 1)); target >= 0 {
+		t.Fatalf("infeasible VM was placed on %d", target)
+	}
+
+	// With every pool saturated by a zero pressure budget, the fallback
+	// still finds the least-pressured feasible server — the empty one —
+	// rather than losing the VM.
+	eng.cfg.PressureFrac = 0
+	if target := eng.RecoveryTarget(oversubCVM(t, 4, 4, 16, 0.5)); target != 2 {
+		t.Fatalf("fallback chose %d, want the least-pressured server 2", target)
 	}
 }

@@ -181,8 +181,9 @@ func (e *MigrationEngine) Resolve(tick int, completed []CompletedMigration) ([]M
 			// drop it rather than re-attach an unowned VMMem.
 			continue
 		}
-		if c, ok := e.scorer.PickPlacement(cvm, cm.Server, VAPeakGB(cvm), e.cfg.PressureFrac); ok {
-			plan, err := e.commitLocal(cm, c.Server)
+		ro := e.scorer.scoreOne(cvm, VAPeakGB(cvm))
+		if target := ro.Pick(0, cm.Server, e.cfg.PressureFrac); target >= 0 {
+			plan, err := e.commitLocal(cm, target)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -202,7 +203,9 @@ func (e *MigrationEngine) Resolve(tick int, completed []CompletedMigration) ([]M
 			})
 			continue
 		}
-		plan, err := e.settleLocal(cm, cvm)
+		// Nothing changed since the pressured pick: its row serves the
+		// fallback too.
+		plan, err := e.settle(cm, ro.LeastPressured(0, cm.Server))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -211,15 +214,14 @@ func (e *MigrationEngine) Resolve(tick int, completed []CompletedMigration) ([]M
 	return plans, reqs, nil
 }
 
-// settleLocal is the same-shard-only fallback when every feasible server
-// is pressured: take the least-pressured one (ties break on candidate
-// rank, i.e. best fit), or re-land on the source when nothing fits.
-func (e *MigrationEngine) settleLocal(cm CompletedMigration, cvm *coachvm.CVM) (MigrationPlan, error) {
-	best := e.scorer.PickSettle(cvm, cm.Server)
-	if best < 0 {
+// settle is the same-shard-only fallback when every feasible server is
+// pressured: land on target, the least-pressured one, or re-land on the
+// source when nothing fits (target < 0).
+func (e *MigrationEngine) settle(cm CompletedMigration, target int) (MigrationPlan, error) {
+	if target < 0 {
 		return e.Reland(cm)
 	}
-	return e.commitLocal(cm, best)
+	return e.commitLocal(cm, target)
 }
 
 // commitLocal moves bookkeeping and memory to a same-shard target.
@@ -243,11 +245,16 @@ func (e *MigrationEngine) commitLocal(cm CompletedMigration, target int) (Migrat
 // handoff never strands the VM without capacity anywhere). Settle and
 // Reland are the declined paths.
 
-// PickInbound ranks this shard's servers for an inbound cross-shard
-// request: the best-fit candidate whose pool absorbs the incoming
-// working set below the pressure bar.
-func (e *MigrationEngine) PickInbound(req MigrationRequest) (scheduler.Candidate, bool) {
-	return e.scorer.PickPlacement(req.CVM, -1, req.VANeed(), e.cfg.PressureFrac)
+// PickInbound picks this shard's server for an inbound cross-shard
+// request: the best fit whose pool absorbs the incoming working set below
+// the pressure bar, with its packing score so the caller can compare
+// shards (ok=false when no server qualifies).
+func (e *MigrationEngine) PickInbound(req MigrationRequest) (server int, score float64, ok bool) {
+	ro := e.scorer.scoreOne(req.CVM, req.VANeed())
+	if server = ro.Pick(0, -1, e.cfg.PressureFrac); server < 0 {
+		return -1, 0, false
+	}
+	return server, ro.row(0)[server], true
 }
 
 // Reserve places the request's CoachVM on an explicit server in this
@@ -294,7 +301,21 @@ func (e *MigrationEngine) Settle(req MigrationRequest) (MigrationPlan, error) {
 	if cvm == nil {
 		return MigrationPlan{}, fmt.Errorf("core: settling unknown vm %d", req.VMID)
 	}
-	return e.settleLocal(cm, cvm)
+	return e.settle(cm, e.scorer.scoreOne(cvm, 0).LeastPressured(0, req.SrcServer))
+}
+
+// RecoveryTarget returns the server a crash-evicted VM re-admits to, or -1
+// when nothing in the shard can host it and the VM is lost: the
+// pressure-filtered best fit, else the least-pressured feasible server —
+// after a server failure the fleet is short capacity, so a
+// pressured-but-feasible home beats losing the VM. One score row serves
+// both.
+func (e *MigrationEngine) RecoveryTarget(cvm *coachvm.CVM) int {
+	ro := e.scorer.scoreOne(cvm, VAPeakGB(cvm))
+	if target := ro.Pick(0, -1, e.cfg.PressureFrac); target >= 0 {
+		return target
+	}
+	return ro.LeastPressured(0, -1)
 }
 
 // Reland puts a migration's memory back on its source server, fully warm

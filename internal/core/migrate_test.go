@@ -245,9 +245,9 @@ func TestEngineEmitsCrossShardRequests(t *testing.T) {
 	}
 }
 
-// TestPickPlacementPressureFilter checks the shared placement path:
-// candidates are taken in the scheduler's ranking order, skipping
-// pressured pools.
+// TestPickPlacementPressureFilter checks the shared placement decision
+// (Rollout.Pick): servers are taken in the scheduler's ranking order,
+// skipping pressured pools.
 func TestPickPlacementPressureFilter(t *testing.T) {
 	_, sched, dp := engineFixture(t, 3, DefaultMigrationConfig(), 0.0625)
 	// Pressure server 1's pool (the scheduler's best-fit favourite once
@@ -263,29 +263,33 @@ func TestPickPlacementPressureFilter(t *testing.T) {
 		t.Fatalf("fixture: server 1 pool pressure %v, want ~1", p)
 	}
 	probe := oversubCVM(t, 11, 2, 16, 0.05)
-	best := sched.CandidatesInto(probe, -1, nil)[0].Server
+	best := ranked(sched, probe, -1)[0].server
 	if best != 1 {
 		t.Fatalf("fixture: best-fit candidate is %d, want the loaded server 1", best)
 	}
 	scorer := NewWhatIfScorer(sched, dp)
-	c, ok := scorer.PickPlacement(probe, -1, 0, 0.75)
-	if !ok {
+	pick := func(needGB, bar float64) int { return scorer.scoreOne(probe, needGB).Pick(0, -1, bar) }
+	if got := pick(0, math.Inf(1)); got != best {
+		t.Errorf("unfiltered pick %d, want the ranking head %d", got, best)
+	}
+	c := pick(0, 0.75)
+	if c < 0 {
 		t.Fatal("no unpressured candidate found")
 	}
-	if c.Server == 1 {
+	if c == 1 {
 		t.Error("pressure filter did not skip the saturated pool")
 	}
 	// With an impossible pressure bar nothing qualifies.
-	if _, ok := scorer.PickPlacement(probe, -1, 0, 0); ok {
-		t.Error("candidate passed an impossible pressure bar")
+	if got := pick(0, 0); got >= 0 {
+		t.Errorf("server %d passed an impossible pressure bar", got)
 	}
 	// The projection counts the incoming working set: a demand larger
 	// than any empty pool (4GB here) disqualifies every server.
-	if _, ok := scorer.PickPlacement(probe, -1, 64, 0.75); ok {
-		t.Error("a working set no pool can absorb still found a target")
+	if got := pick(64, 0.75); got >= 0 {
+		t.Errorf("a working set no pool can absorb still found server %d", got)
 	}
 	// A small incoming demand still lands on an unpressured pool.
-	if c, ok := scorer.PickPlacement(probe, -1, 1, 0.75); !ok || c.Server == 1 {
-		t.Errorf("small demand should land on an empty pool, got %+v ok=%v", c, ok)
+	if got := pick(1, 0.75); got < 0 || got == 1 {
+		t.Errorf("small demand should land on an empty pool, got %d", got)
 	}
 }

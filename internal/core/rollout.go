@@ -4,28 +4,26 @@ import (
 	"github.com/coach-oss/coach/internal/coachvm"
 )
 
-// This file implements the fleet-sized admission rollout: the multi-VM
-// extension of the WhatIfScorer (docs/DESIGN.md §15). Where Score answers
-// "VM X onto any of K candidates" with one enumeration and one pressure
-// sweep, ScoreMany answers it for every request that coalesced into an
-// admit batch — one dense (request × server) score matrix filled by
-// scheduler.ScoreRowInto, one DataPlane.PoolStatesInto sweep capturing raw
-// pool state — and then supports a serial arrival-order commit loop:
+// This file implements the what-if rollout every placement decision reads
+// (docs/DESIGN.md §14, §15): one dense (request × server) score matrix
+// filled by scheduler.ScoreRowInto and one DataPlane.PoolStatesInto sweep
+// capturing raw pool state. A single-VM decision is one row; an admit
+// batch is one row per coalesced request, committed in arrival order:
 // committing request r on server s invalidates exactly column s of the
 // later rows (no other server's pool or scheduler state changed), so
 // Commit re-scores that single cell per remaining request instead of
 // re-running the sweep. Every decision read from the matrix is
 // bit-identical to what a fresh one-row rollout would have computed at the
-// same point in arrival order (and to the scorer's ranking-based
-// decisions); TestRolloutMatchesSerialAdmission and serve's equivalence
-// tests pin this.
+// same point in arrival order, and to the sorted best-fit ranking the
+// tests keep as their oracle; TestRolloutMatchesSerialAdmission and
+// serve's equivalence tests pin this.
 
-// Rollout is one batch's scored placement matrix, backed by scorer
-// scratch: valid only until the scorer's next ScoreMany (or Score) call,
-// never to be retained. Row r holds request r's post-placement packing
-// score on every server, -1 where the server is down or the VM does not
-// fit (nil CVMs — requests that failed before placement — score -1
-// everywhere). Like the scorer it is driven under the shard lock.
+// Rollout is one scored placement matrix, backed by scorer scratch: valid
+// only until the scorer's next rollout, never to be retained. Row r holds
+// request r's post-placement packing score on every server, -1 where the
+// server is down or the VM does not fit (nil CVMs — requests that failed
+// before placement — score -1 everywhere). Like the scorer it is driven
+// under the shard lock.
 type Rollout struct {
 	w     *WhatIfScorer
 	cvms  []*coachvm.CVM
@@ -35,18 +33,18 @@ type Rollout struct {
 	score []float64 // len(cvms) × ns, row-major; <0 marks infeasible
 
 	// used/pool mirror DataPlane.PoolStatesInto for pressure projection;
-	// nil when the scorer has no data plane (pressureAt then reports 1,
+	// nil when the scorer has no data plane (pressure then reports 1,
 	// matching ProjectedPressure's no-pool convention).
 	used, pool []float64
 }
 
-// ScoreMany scores every (request, server) placement of one admit batch
-// as a single rollout: one ScoreRowInto pass per request against the
-// scheduler's current state and one PoolStatesInto sweep over the data
-// plane, counted as one batch in the scorer's stats however many requests
-// coalesced. needs[r] is request r's incoming resident demand (VAPeakGB)
-// for pressure projection; cvms[r] may be nil for requests that failed
-// before placement. The returned Rollout shares the scorer's scratch.
+// ScoreMany scores every (request, server) placement as a single rollout:
+// one ScoreRowInto pass per request against the scheduler's current state
+// and one PoolStatesInto sweep over the data plane, counted as one batch
+// in the scorer's stats however many requests it holds. needs[r] is
+// request r's incoming resident demand (VAPeakGB) for pressure
+// projection; cvms[r] may be nil for requests that failed before
+// placement. The returned Rollout shares the scorer's scratch.
 func (w *WhatIfScorer) ScoreMany(cvms []*coachvm.CVM, needs []float64) *Rollout {
 	ro := &w.rollout
 	ro.w = w
@@ -90,44 +88,41 @@ func (w *WhatIfScorer) ScoreMany(cvms []*coachvm.CVM, needs []float64) *Rollout 
 	return ro
 }
 
-// HasFeasible reports whether any server can host request r — the
-// capacity question alone, against the rollout's snapshot.
-func (ro *Rollout) HasFeasible(r int) bool {
-	for _, sc := range ro.row(r) {
-		if sc >= 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// PickFit returns the best-fit server for request r (-1 when none fits):
-// the highest score with ties on the lowest index, which is exactly the
-// strict-greater ascending scan scheduler.Place runs.
-func (ro *Rollout) PickFit(r int) int {
+// Pick is the one best-fit decision: the server with the highest score
+// for request r whose pool, after absorbing needs[r], stays below bar,
+// ties going to the lowest index; never exclude (-1 = none); -1 when
+// nothing qualifies. That is the first server of the best-fit ranking
+// (score descending, ties ascending) to clear the bar, found without
+// sorting. bar = +Inf drops the pressure filter, leaving the strict-greater
+// ascending scan scheduler.Place runs, so Pick(r, -1, +Inf) >= 0 also
+// answers "does anything fit at all".
+func (ro *Rollout) Pick(r, exclude int, bar float64) int {
 	best, bestScore := -1, -1.0
 	for i, sc := range ro.row(r) {
-		if sc > bestScore {
+		if sc < 0 || sc <= bestScore || i == exclude {
+			continue
+		}
+		if ro.pressure(i, ro.needs[r]) < bar {
 			best, bestScore = i, sc
 		}
 	}
 	return best
 }
 
-// PickPressured returns the best-fit server for request r whose pool,
-// after absorbing needs[r], stays below pressureFrac (-1 when none
-// qualifies). Taking the highest score passing the pressure filter with
-// ties on the lowest index reproduces WhatIfScorer.PickPlacement — the
-// first candidate of the CandidatesInto ranking (score descending, ties
-// ascending) whose projected pressure clears the bar — without sorting.
-func (ro *Rollout) PickPressured(r int, pressureFrac float64) int {
-	best, bestScore := -1, -1.0
+// LeastPressured is the one fallback when Pick finds no server under the
+// bar (crash recovery, and a migration that may not leave its shard): the
+// feasible server for request r, never exclude, whose pool is least
+// occupied right now (used/pool, before r's demand lands), ties going to
+// the higher score and then the lower index — the order the best-fit
+// ranking would visit them in. -1 when nothing fits.
+func (ro *Rollout) LeastPressured(r, exclude int) int {
+	best, bestP, bestScore := -1, 0.0, 0.0
 	for i, sc := range ro.row(r) {
-		if sc < 0 || sc <= bestScore {
+		if sc < 0 || i == exclude {
 			continue
 		}
-		if ro.pressureAt(r, i) < pressureFrac {
-			best, bestScore = i, sc
+		if p := ro.pressure(i, 0); best < 0 || p < bestP || (p == bestP && sc > bestScore) {
+			best, bestP, bestScore = i, p, sc
 		}
 	}
 	return best
@@ -160,23 +155,15 @@ func (ro *Rollout) Commit(r, server int) int {
 	return replays
 }
 
-// pressureAt projects server s's pool occupancy after absorbing request
-// r's demand — the ProjectedPressure arithmetic against the snapshot's
-// pool state: 1 when there is no data plane or no pool, else
-// (used+need)/pool with negative need clamped to zero.
-func (ro *Rollout) pressureAt(r, s int) float64 {
-	if ro.pool == nil {
+// pressure projects server s's pool occupancy after absorbing needGB —
+// the ProjectedPressure arithmetic against the snapshot's pool state: 1
+// when there is no data plane or no pool, else (used+need)/pool with
+// negative need clamped to zero.
+func (ro *Rollout) pressure(s int, needGB float64) float64 {
+	if ro.pool == nil || ro.pool[s] <= 0 {
 		return 1
 	}
-	pool := ro.pool[s]
-	if pool <= 0 {
-		return 1
-	}
-	need := ro.needs[r]
-	if need < 0 {
-		need = 0
-	}
-	return (ro.used[s] + need) / pool
+	return (ro.used[s] + max(needGB, 0)) / ro.pool[s]
 }
 
 // row returns request r's score row.

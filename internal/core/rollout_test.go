@@ -1,10 +1,15 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
+	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/coachvm"
+	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
+	"github.com/coach-oss/coach/internal/timeseries"
 )
 
 // admitOutcome is one request's placement decision in the reference
@@ -17,17 +22,18 @@ type admitOutcome struct {
 
 // serialAdmitStep replicates serve's per-request placement decision (the
 // pressure-filtered pick, the pressure rejection, the best-fit fallback)
-// against live state, applying the placement like an admission does.
-func serialAdmitStep(t *testing.T, sched *scheduler.Scheduler, dp *DataPlane, scorer *WhatIfScorer, cvm *coachvm.CVM, frac float64) admitOutcome {
+// against live state through the ranking oracle, applying the placement
+// like an admission does.
+func serialAdmitStep(t *testing.T, sched *scheduler.Scheduler, dp *DataPlane, cvm *coachvm.CVM, frac float64) admitOutcome {
 	t.Helper()
 	need := VAPeakGB(cvm)
 	srv, placed := -1, false
 	if frac > 0 && need > 0 {
-		if c, ok := scorer.PickPlacement(cvm, -1, need, frac); ok {
-			if err := sched.PlaceAt(cvm, c.Server); err == nil {
-				srv, placed = c.Server, true
+		if c, ok := refPickPlacement(sched, dp, cvm, -1, need, frac); ok {
+			if err := sched.PlaceAt(cvm, c.server); err == nil {
+				srv, placed = c.server, true
 			}
-		} else if len(sched.CandidatesInto(cvm, -1, nil)) > 0 {
+		} else if len(ranked(sched, cvm, -1)) > 0 {
 			return admitOutcome{server: -1, pressure: true}
 		}
 	}
@@ -86,7 +92,7 @@ func TestRolloutMatchesSerialAdmission(t *testing.T) {
 	}
 
 	for _, frac := range []float64{0, 0.35, 0.95} {
-		engS, schedS, dpS := engineFixture(t, 5, DefaultMigrationConfig(), 0.25)
+		_, schedS, dpS := engineFixture(t, 5, DefaultMigrationConfig(), 0.25)
 		engB, schedB, dpB := engineFixture(t, 5, DefaultMigrationConfig(), 0.25)
 		loadFixture(t, schedS, dpS)
 		loadFixture(t, schedB, dpB)
@@ -94,7 +100,7 @@ func TestRolloutMatchesSerialAdmission(t *testing.T) {
 		reqsS, reqsB := mkReqs(), mkReqs()
 		want := make([]admitOutcome, len(reqsS))
 		for r, cvm := range reqsS {
-			want[r] = serialAdmitStep(t, schedS, dpS, engS.Scorer(), cvm, frac)
+			want[r] = serialAdmitStep(t, schedS, dpS, cvm, frac)
 		}
 
 		needs := make([]float64, len(reqsB))
@@ -112,11 +118,11 @@ func TestRolloutMatchesSerialAdmission(t *testing.T) {
 			var got admitOutcome
 			srv, placed := -1, false
 			if frac > 0 && needs[r] > 0 {
-				if c := ro.PickPressured(r, frac); c >= 0 {
+				if c := ro.Pick(r, -1, frac); c >= 0 {
 					if err := schedB.PlaceAt(cvm, c); err == nil {
 						srv, placed = c, true
 					}
-				} else if ro.HasFeasible(r) {
+				} else if ro.Pick(r, -1, math.Inf(1)) >= 0 {
 					got = admitOutcome{server: -1, pressure: true}
 					if got != want[r] {
 						t.Fatalf("frac %g request %d: batched %+v, serial %+v", frac, r, got, want[r])
@@ -125,7 +131,7 @@ func TestRolloutMatchesSerialAdmission(t *testing.T) {
 				}
 			}
 			if !placed {
-				if f := ro.PickFit(r); f >= 0 {
+				if f := ro.Pick(r, -1, math.Inf(1)); f >= 0 {
 					if err := schedB.PlaceAt(cvm, f); err == nil {
 						srv, placed = f, true
 					}
@@ -182,16 +188,114 @@ func TestRolloutNilCVMsAndNoDataPlane(t *testing.T) {
 	scorer := NewWhatIfScorer(sched, nil)
 	cvms := []*coachvm.CVM{nil, oversubCVM(t, 1, 2, 8, 0.1)}
 	ro := scorer.ScoreMany(cvms, []float64{0, 4})
-	if ro.HasFeasible(0) || ro.PickFit(0) != -1 || ro.PickPressured(0, 2) != -1 {
+	inf := math.Inf(1)
+	if ro.Pick(0, -1, inf) != -1 || ro.Pick(0, -1, 2) != -1 || ro.LeastPressured(0, -1) != -1 {
 		t.Error("nil CVM row must be entirely infeasible")
 	}
-	if !ro.HasFeasible(1) || ro.PickFit(1) < 0 {
+	fit := ro.Pick(1, -1, inf)
+	if fit < 0 {
 		t.Error("real CVM must fit an empty fleet")
 	}
-	if ro.PickPressured(1, 0.99) != -1 {
+	if ro.Pick(1, -1, 0.99) != -1 {
 		t.Error("without a data plane every projection is 1: bars below 1 never pass")
 	}
-	if got := ro.PickPressured(1, 1.5); got != ro.PickFit(1) {
-		t.Errorf("bar above 1 must reduce to best fit: got %d, want %d", got, ro.PickFit(1))
+	if got := ro.Pick(1, -1, 1.5); got != fit {
+		t.Errorf("bar above 1 must reduce to best fit: got %d, want %d", got, fit)
 	}
+	// Every pool reads 1, so the fallback's ties go to the higher score:
+	// the best fit again, and the runner-up once that is excluded.
+	if got := ro.LeastPressured(1, -1); got != fit {
+		t.Errorf("fallback with equal pressures chose %d, want the best fit %d", got, fit)
+	}
+	if got, want := ro.LeastPressured(1, fit), ro.Pick(1, fit, inf); got != want || got == fit {
+		t.Errorf("fallback excluding %d chose %d, want %d", fit, got, want)
+	}
+}
+
+// TestPickMatchesPlaceUnderChurn holds the one-row rollout's unfiltered
+// pick to scheduler.Place — which skips all but the first pristine server
+// of each capacity — after every step of a churned fleet: a server
+// drained to float residue, a down server, mixed capacities, and
+// removals and MigrateTo moves between placements.
+func TestPickMatchesPlaceUnderChurn(t *testing.T) {
+	w := timeseries.Windows{PerDay: 6}
+	small := cluster.ServerSpec{Name: "s", Generation: 1, Capacity: resources.NewVector(16, 64, 10, 1024)}
+	big := cluster.ServerSpec{Name: "b", Generation: 2, Capacity: resources.NewVector(64, 256, 40, 4096)}
+	mixed := cluster.NewFleet([]cluster.Config{{Name: "S", Spec: small, Servers: 5}, {Name: "B", Spec: big, Servers: 5}})
+	uniform := cluster.NewFleet([]cluster.Config{{Name: "S", Spec: small, Servers: 8}})
+	for name, fleet := range map[string]*cluster.Fleet{"uniform": uniform, "mixed": mixed} {
+		var view []*cluster.Server
+		for i := range fleet.Servers { // interleave capacities in the mixed fleet
+			view = append(view, &fleet.Servers[(i%2)*(len(fleet.Servers)/2)+i/2])
+		}
+		sched, err := scheduler.NewOverServers(view, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "mixed" {
+			sched.SetDown(2, true)
+		}
+		scorer := NewWhatIfScorer(sched, nil)
+		rng := rand.New(rand.NewSource(5))
+		// Fill server 0 alone, then drain it in a different order: empty,
+		// but not pristine.
+		var ids []int
+		for id := 0; id < 200; id++ {
+			if sched.PlaceAt(churnCVM(t, rng, id, w), 0) == nil {
+				ids = append(ids, id)
+			}
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		for _, id := range ids {
+			sched.Remove(id)
+		}
+
+		placed, rejected := 0, 0
+		for id := 1000; id < 1400; id++ {
+			vm := churnCVM(t, rng, id, w)
+			want := scorer.scoreOne(vm, 0).Pick(0, -1, math.Inf(1))
+			got, ok := sched.Place(vm)
+			if got != want || ok != (want >= 0) {
+				t.Fatalf("%s: vm %d placed on %d (ok=%v), one-row Pick says %d", name, id, got, ok, want)
+			}
+			if ok {
+				placed++
+			} else {
+				rejected++
+			}
+			victim := 1000 + rng.Intn(id-999)
+			switch rng.Intn(4) {
+			case 0:
+				sched.Remove(victim)
+			case 1:
+				_ = sched.MigrateTo(victim, rng.Intn(sched.NumServers()))
+			}
+		}
+		if placed == 0 || rejected == 0 {
+			t.Errorf("%s: vacuous run: %d placed, %d rejected", name, placed, rejected)
+		}
+	}
+}
+
+// churnCVM builds a Coach-policy CVM with a random per-window shape;
+// network allocations in 0.1 Gbps steps leave float residue when a pool
+// drains.
+func churnCVM(t *testing.T, rng *rand.Rand, id int, w timeseries.Windows) *coachvm.CVM {
+	t.Helper()
+	cores := float64(int(1) << rng.Intn(4))
+	alloc := resources.NewVector(cores, 4*cores, 0.1*float64(1+rng.Intn(30)), 32*cores)
+	p := coachvm.Prediction{Windows: w, Percentile: 95}
+	for _, k := range resources.Kinds {
+		p.Max[k] = make([]float64, w.PerDay)
+		p.Pct[k] = make([]float64, w.PerDay)
+		for i := range p.Max[k] {
+			p.Max[k][i] = 0.05 * float64(1+rng.Intn(20))
+			p.Pct[k][i] = p.Max[k][i] * rng.Float64()
+		}
+	}
+	cvm, err := coachvm.New(id, alloc, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cvm
 }

@@ -1,27 +1,63 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
+	"github.com/coach-oss/coach/internal/coachvm"
 	"github.com/coach-oss/coach/internal/scheduler"
 )
 
-// refPickPlacement is the pre-batching decision loop, kept as the test
-// oracle: first candidate in rank order whose per-candidate projected
+// cand is one feasible server with its best-fit score.
+type cand struct {
+	server int
+	score  float64
+}
+
+// ranked is the best-fit ranking the decision loops used to sort, kept as
+// the oracle: every feasible server except exclude (-1 = none), score
+// descending, ties on the lowest index.
+func ranked(sched *scheduler.Scheduler, cvm *coachvm.CVM, exclude int) []cand {
+	var out []cand
+	for i := 0; i < sched.NumServers(); i++ {
+		if sc := sched.ScoreAt(cvm, i); sc >= 0 && i != exclude {
+			out = append(out, cand{i, sc})
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool { return out[a].score > out[b].score })
+	return out
+}
+
+// refPickPlacement is the ranking-based decision loop, kept as the
+// oracle: the first candidate in rank order whose per-server projected
 // pressure clears the bar.
-func refPickPlacement(sched *scheduler.Scheduler, dp *DataPlane, vmID int, exclude int, needGB, pressureFrac float64) (scheduler.Candidate, bool) {
-	cvm := sched.CVM(vmID)
-	for _, c := range sched.CandidatesInto(cvm, exclude, nil) {
-		if dp.ProjectedPressure(c.Server, needGB) < pressureFrac {
+func refPickPlacement(sched *scheduler.Scheduler, dp *DataPlane, cvm *coachvm.CVM, exclude int, needGB, bar float64) (cand, bool) {
+	for _, c := range ranked(sched, cvm, exclude) {
+		if dp.ProjectedPressure(c.server, needGB) < bar {
 			return c, true
 		}
 	}
-	return scheduler.Candidate{}, false
+	return cand{}, false
 }
 
-// TestWhatIfScorerMatchesUnbatchedLoops pins the scorer's decisions to
-// the per-candidate reference loops across a spread of incoming demands
-// and pressure bars, on a fleet with some loaded and some empty pools.
+// refLeastPressured is the ranking-based fallback loop: the first
+// candidate in rank order with the lowest current pool occupancy, -1 when
+// nothing fits.
+func refLeastPressured(sched *scheduler.Scheduler, dp *DataPlane, cvm *coachvm.CVM, exclude int) int {
+	best, bestP := -1, 0.0
+	for _, c := range ranked(sched, cvm, exclude) {
+		if p := dp.PressureOf(c.server); best < 0 || p < bestP {
+			best, bestP = c.server, p
+		}
+	}
+	return best
+}
+
+// TestWhatIfScorerMatchesUnbatchedLoops pins every single-VM decision —
+// the pressured pick, the cross-shard inbound pick, crash recovery and the
+// settle fallback — to the ranking-based reference loops across a spread
+// of incoming demands and pressure bars, on a fleet with some loaded and
+// some empty pools, and each decision to exactly one rollout.
 func TestWhatIfScorerMatchesUnbatchedLoops(t *testing.T) {
 	eng, sched, dp := engineFixture(t, 6, DefaultMigrationConfig(), 0.25)
 	// Load a few pools unevenly so pressures differ across servers.
@@ -43,6 +79,7 @@ func TestWhatIfScorerMatchesUnbatchedLoops(t *testing.T) {
 	}
 	scorer := eng.Scorer()
 	base := scorer.Stats()
+	decisions := int64(0)
 	for _, tc := range []struct {
 		exclude      int
 		needGB       float64
@@ -51,62 +88,52 @@ func TestWhatIfScorerMatchesUnbatchedLoops(t *testing.T) {
 		{-1, 0, 0.75}, {-1, 3, 0.75}, {5, 3, 0.75},
 		{-1, 0, 0.0001}, {5, 100, 0.75}, {0, 2, 0.5},
 	} {
-		wantC, wantOK := refPickPlacement(sched, dp, probe.ID, tc.exclude, tc.needGB, tc.pressureFrac)
-		gotC, gotOK := scorer.PickPlacement(probe, tc.exclude, tc.needGB, tc.pressureFrac)
-		if gotOK != wantOK || gotC != wantC {
-			t.Errorf("%+v: scorer picked %+v/%v, reference %+v/%v", tc, gotC, gotOK, wantC, wantOK)
+		want, wantOK := refPickPlacement(sched, dp, probe, tc.exclude, tc.needGB, tc.pressureFrac)
+		ro := scorer.scoreOne(probe, tc.needGB)
+		got := ro.Pick(0, tc.exclude, tc.pressureFrac)
+		decisions++
+		if (got >= 0) != wantOK || (wantOK && (got != want.server || ro.row(0)[got] != want.score)) {
+			t.Errorf("%+v: rollout picked %d, reference %+v/%v", tc, got, want, wantOK)
 		}
 	}
 
-	// Recovery: pressure-filtered pick and the least-pressured fallback.
-	expectBatches := int64(6) // the PickPlacement cases above, 1 sweep each
+	// Cross-shard inbound: the pick at the engine's bar, with its score.
+	want, wantOK := refPickPlacement(sched, dp, probe, -1, VAPeakGB(probe), eng.cfg.PressureFrac)
+	wantSrv := -1
+	if wantOK {
+		wantSrv = want.server
+	}
+	srv, score, ok := eng.PickInbound(MigrationRequest{VMID: probe.ID, CVM: probe})
+	decisions++
+	if ok != wantOK || srv != wantSrv || score != want.score {
+		t.Errorf("inbound: engine %d/%v/%v, reference %+v/%v", srv, score, ok, want, wantOK)
+	}
+
+	// Recovery: the pressure-filtered pick, else the least-pressured
+	// fallback read from the same row.
 	for _, frac := range []float64{0.75, 0.0001} {
-		cands := sched.CandidatesInto(probe, -1, nil)
-		wantSrv, wantOK := -1, false
-		for _, c := range cands {
-			if dp.ProjectedPressure(c.Server, VAPeakGB(probe)) < frac {
-				wantSrv, wantOK = c.Server, true
-				break
-			}
+		eng.cfg.PressureFrac = frac
+		want := refLeastPressured(sched, dp, probe, -1)
+		if c, ok := refPickPlacement(sched, dp, probe, -1, VAPeakGB(probe), frac); ok {
+			want = c.server
 		}
-		expectBatches++ // the filtered sweep
-		if !wantOK {
-			bestP := 0.0
-			for _, c := range cands {
-				if p := dp.PressureOf(c.Server); wantSrv < 0 || p < bestP {
-					wantSrv, bestP = c.Server, p
-				}
-			}
-			wantOK = wantSrv >= 0
-			if len(cands) > 0 {
-				expectBatches++ // the fallback re-score
-			}
-		}
-		gotSrv, gotOK := scorer.PickRecovery(probe, frac)
-		if gotOK != wantOK || gotSrv != wantSrv {
-			t.Errorf("recovery frac %g: scorer %d/%v, reference %d/%v", frac, gotSrv, gotOK, wantSrv, wantOK)
+		decisions++
+		if got := eng.RecoveryTarget(probe); got != want {
+			t.Errorf("recovery frac %g: engine %d, reference %d", frac, got, want)
 		}
 	}
 
 	// Settle: least-pressured with ties on rank.
-	wantSettle := -1
-	bestP := 0.0
-	for _, c := range sched.CandidatesInto(probe, 5, nil) {
-		if p := dp.PressureOf(c.Server); wantSettle < 0 || p < bestP {
-			wantSettle, bestP = c.Server, p
-		}
-	}
-	if got := scorer.PickSettle(probe, 5); got != wantSettle {
-		t.Errorf("settle: scorer %d, reference %d", got, wantSettle)
+	decisions++
+	if got, want := scorer.scoreOne(probe, 0).LeastPressured(0, 5), refLeastPressured(sched, dp, probe, 5); got != want {
+		t.Errorf("settle: rollout %d, reference %d", got, want)
 	}
 
-	// Counter shape: one sweep per decision (plus recovery fallbacks the
-	// loop above accounted for) — batching is per decision, not per
-	// candidate.
-	expectBatches++ // the settle sweep
+	// Counter shape: one rollout per decision, recovery's fallback
+	// included — batching is per decision, not per candidate.
 	s := scorer.Stats()
-	if got := s.Batches - base.Batches; got != expectBatches {
-		t.Errorf("scorer ran %d batches, want %d", got, expectBatches)
+	if got := s.Batches - base.Batches; got != decisions {
+		t.Errorf("scorer ran %d batches, want %d", got, decisions)
 	}
 	if s.Scored <= base.Scored {
 		t.Error("scorer scored no candidates")
@@ -115,8 +142,8 @@ func TestWhatIfScorerMatchesUnbatchedLoops(t *testing.T) {
 
 // TestResolveScoresCandidatesInOneBatch is the migration half of the
 // batching acceptance test: landing one completed live migration costs
-// one what-if sweep over the whole candidate ranking, not one pressure
-// probe per candidate.
+// one what-if rollout over the whole shard, not one pressure probe per
+// candidate.
 func TestResolveScoresCandidatesInOneBatch(t *testing.T) {
 	// Pool 4GB per server: three 4GB working sets overwhelm server 0's
 	// pool and the agent migrates one (same fixture as the engine tests).
@@ -145,11 +172,11 @@ func TestResolveScoresCandidatesInOneBatch(t *testing.T) {
 		}
 		s := eng.Scorer().Stats()
 		// In this fixture every pool is too small to absorb the migrated
-		// VA demand, so each landing is exactly two batched sweeps — the
-		// pressure-filtered pick and the settle fallback — independent of
-		// how many candidate servers the shard offers.
-		if got := s.Batches - base.Batches; got != 2*int64(len(completed)) {
-			t.Errorf("%d migrations ran %d what-if batches, want two per migration", len(completed), got)
+		// VA demand, so each landing takes the pressure-filtered pick and
+		// the settle fallback — both from one rollout, independent of how
+		// many candidate servers the shard offers.
+		if got := s.Batches - base.Batches; got != int64(len(completed)) {
+			t.Errorf("%d migrations ran %d what-if batches, want one per migration", len(completed), got)
 		}
 		if perBatch := (s.Scored - base.Scored) / (s.Batches - base.Batches); perBatch < 2 {
 			t.Errorf("each sweep scored %d candidates on an 8-server shard", perBatch)
@@ -157,30 +184,4 @@ func TestResolveScoresCandidatesInOneBatch(t *testing.T) {
 		return
 	}
 	t.Fatal("no migration completed")
-}
-
-// TestProjectPressuresMatchesProjectedPressure pins the batched sweep to
-// the scalar projection per candidate.
-func TestProjectPressuresMatchesProjectedPressure(t *testing.T) {
-	_, sched, dp := engineFixture(t, 4, DefaultMigrationConfig(), 0.25)
-	place(t, sched, dp, oversubCVM(t, 1, 1, 8, 0.1), 0)
-	dp.SetWSS(1, 6)
-	if _, _, err := dp.Tick(1); err != nil {
-		t.Fatal(err)
-	}
-	cands := []scheduler.Candidate{{Server: 3}, {Server: 0}, {Server: 1}}
-	for _, need := range []float64{0, 2.5, -1} {
-		out := dp.ProjectPressures(cands, need, nil)
-		for i, c := range cands {
-			if want := dp.ProjectedPressure(c.Server, need); out[i] != want {
-				t.Errorf("need %g candidate %d: batched %v, scalar %v", need, c.Server, out[i], want)
-			}
-		}
-	}
-	// Scratch reuse: a big-enough out slice is returned as-is.
-	scratch := make([]float64, 8)
-	out := dp.ProjectPressures(cands, 1, scratch)
-	if len(out) != len(cands) || &out[0] != &scratch[0] {
-		t.Error("ProjectPressures reallocated despite sufficient scratch")
-	}
 }

@@ -1,7 +1,6 @@
 package scheduler
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -149,8 +148,8 @@ func (s *Scheduler) Place(vm *coachvm.CVM) (serverIdx int, ok bool) {
 
 // PlaceAt assigns vm to an explicit server, bypassing the best-fit
 // preference but not the feasibility check. The migration engine uses it
-// to commit a destination chosen from a CandidatesInto ranking (possibly in
-// another shard's scheduler); serve uses it to commit admissions.
+// to commit a destination chosen from a score row (possibly in another
+// shard's scheduler); serve uses it to commit admissions.
 func (s *Scheduler) PlaceAt(vm *coachvm.CVM, server int) error {
 	if server < 0 || server >= len(s.servers) {
 		return fmt.Errorf("scheduler: server %d outside [0,%d)", server, len(s.servers))
@@ -186,54 +185,16 @@ func (s *Scheduler) takeFrom(vmID, server int) *coachvm.CVM {
 	return vm
 }
 
-// Candidate is one feasible placement target with its best-fit score.
-type Candidate struct {
-	Server int
-	// Score is the post-placement packed fraction (higher = fuller =
-	// preferred by the best-fit policy).
-	Score float64
-}
-
-// CandidatesInto ranks every feasible server for vm in
-// placement-preference order: best-fit score descending, ties broken on
-// the lowest index. exclude (-1 = none) is never considered — migration
-// must move a VM off its current host. The ranking is the reference
-// placement order: Place takes its head, the migration engine and crash
-// recovery filter it by data-plane pressure, and admission reads its dense
-// per-server form (ScoreRowInto), so every layer agrees on what "the
-// scheduler's placement policy" means.
-//
-// The ranking is appended into scratch (overwritten from index 0,
-// reallocated only when too small; nil allocates) and the slice used is
-// returned: migration relanding and recovery call it per VM per tick,
-// reuse one scratch across calls and stay allocation-free in steady state.
-func (s *Scheduler) CandidatesInto(vm *coachvm.CVM, exclude int, scratch []Candidate) []Candidate {
-	out := scratch[:0]
-	for i := range s.servers {
-		if i == exclude {
-			continue
-		}
-		if score := s.scoreOn(i, vm); score >= 0 {
-			out = append(out, Candidate{Server: i, Score: score})
-		}
-	}
-	// Stable, so equal scores stay in server-index order.
-	slices.SortStableFunc(out, func(a, b Candidate) int { return cmp.Compare(b.Score, a.Score) })
-	return out
-}
-
 // NumServers returns the number of servers the scheduler packs over.
 func (s *Scheduler) NumServers() int { return len(s.servers) }
 
 // ScoreRowInto fills row (length NumServers) with vm's post-placement
 // packing score on every feasible server, and -1 where the server is down
-// or vm does not fit — the same feasibility test and score CandidatesInto
-// ranks, flattened to a dense per-server row. The batched admission
-// rollout (core.WhatIfScorer.ScoreMany) scores many VMs against one fleet
-// snapshot this way: a dense row never needs re-sorting, so committing an
-// earlier VM invalidates exactly one cell per later row (ScoreAt) instead
-// of a whole ranking. Picking the highest-scoring cell with ties on the
-// lowest index reproduces CandidatesInto's rank order exactly.
+// or vm does not fit — the one ranking every placement decision outside
+// Place reads (core.Rollout: admission, migration landing, crash
+// recovery). A dense row never needs sorting: the highest-scoring cell
+// with ties on the lowest index is Place's choice, and committing a
+// placement invalidates exactly one cell (ScoreAt).
 func (s *Scheduler) ScoreRowInto(vm *coachvm.CVM, row []float64) {
 	for i := range s.servers {
 		row[i] = s.scoreOn(i, vm)
@@ -285,7 +246,7 @@ func (s *Scheduler) Remove(vmID int) (*coachvm.CVM, int) {
 }
 
 // MigrateTo moves a VM to an explicit server — the destination a
-// migration engine picked from CandidatesInto. On failure the VM's placement
+// migration engine picked from a score row. On failure the VM's placement
 // is unchanged and the error is typed: ErrUnknownVM when the scheduler
 // never placed vmID (drop the migration), ErrNoCapacity when the target is
 // down or cannot fit it (re-route cross-shard or leave in place).
@@ -333,7 +294,7 @@ func (s *Scheduler) ServerOf(vmID int) int {
 }
 
 // SetDown marks a server failed (down=true) or recovered (false). A
-// down server is skipped by Place, PlaceAt, CandidatesInto, ScoreRowInto and
+// down server is skipped by Place, PlaceAt, ScoreRowInto and
 // MigrateTo; VMs already placed there stay in the bookkeeping until the
 // caller removes them.
 func (s *Scheduler) SetDown(server int, down bool) {

@@ -211,27 +211,27 @@ func TestCandidatesRankingMatchesPlace(t *testing.T) {
 	s.PlaceAt(guaranteedVM(10, 8, 32), 2)
 	s.PlaceAt(guaranteedVM(11, 4, 16), 1)
 	probe := guaranteedVM(1, 2, 8)
-	cands := s.CandidatesInto(probe, -1, nil)
+	cands := ranked(s, probe, -1)
 	if len(cands) != 4 {
 		t.Fatalf("got %d candidates, want 4", len(cands))
 	}
 	for i := 1; i < len(cands); i++ {
-		if cands[i].Score > cands[i-1].Score {
+		if cands[i].score > cands[i-1].score {
 			t.Fatal("candidates not sorted by descending score")
 		}
 	}
 	want, ok := s.Place(probe)
-	if !ok || want != cands[0].Server {
-		t.Errorf("Place chose %d, Candidates ranked %d first", want, cands[0].Server)
+	if !ok || want != cands[0].server {
+		t.Errorf("Place chose %d, ranking put %d first", want, cands[0].server)
 	}
 	// Excluding the best candidate removes exactly it.
-	rest := s.CandidatesInto(guaranteedVM(2, 2, 8), cands[0].Server, nil)
+	rest := ranked(s, guaranteedVM(2, 2, 8), cands[0].server)
 	for _, c := range rest {
-		if c.Server == cands[0].Server {
+		if c.server == cands[0].server {
 			t.Error("excluded server still ranked")
 		}
 	}
-	if got := s.CandidatesInto(guaranteedVM(4, 99, 8), -1, nil); len(got) != 0 {
+	if got := ranked(s, guaranteedVM(4, 99, 8), -1); len(got) != 0 {
 		t.Errorf("unplaceable VM ranked %d candidates", len(got))
 	}
 }
@@ -473,8 +473,8 @@ func TestDownTracking(t *testing.T) {
 	if err := s.PlaceAt(guaranteedVM(5, 1, 4), 0); err == nil {
 		t.Fatal("PlaceAt onto a down server succeeded")
 	}
-	if got := s.CandidatesInto(guaranteedVM(6, 16, 64), 1, nil); len(got) != 0 {
-		t.Fatalf("Candidates ranked the down server: %v", got)
+	if got := ranked(s, guaranteedVM(6, 16, 64), 1); len(got) != 0 {
+		t.Fatalf("ranking includes the down server: %v", got)
 	}
 
 	// Evict + recover: the server accepts placements again.

@@ -3,10 +3,10 @@ package scheduler
 import "testing"
 
 // TestScoreRowIntoMatchesCandidates pins the dense row form of candidate
-// scoring to the ranked form: every feasible server carries exactly the
-// score CandidatesInto ranks it by, every infeasible or down server is -1,
-// and picking the row's max with ties on the lowest index reproduces the
-// top of the ranking.
+// scoring to the ranked oracle: every feasible server carries exactly the
+// score it is ranked by, every infeasible or down server is -1, and
+// picking the row's max with ties on the lowest index reproduces the top
+// of the ranking and Place's choice.
 func TestScoreRowIntoMatchesCandidates(t *testing.T) {
 	s, servers := equalScoreFleet(t)
 	s.SetDown(3, true)
@@ -18,15 +18,16 @@ func TestScoreRowIntoMatchesCandidates(t *testing.T) {
 	row := make([]float64, servers)
 	s.ScoreRowInto(vm, row)
 
+	cands := ranked(s, vm, -1)
 	byServer := make(map[int]float64)
-	for _, c := range s.CandidatesInto(vm, -1, nil) {
-		byServer[c.Server] = c.Score
+	for _, c := range cands {
+		byServer[c.server] = c.score
 	}
 	for i, sc := range row {
 		want, feasible := byServer[i]
 		if !feasible {
 			if sc >= 0 {
-				t.Errorf("server %d: row score %v for a server Candidates excludes", i, sc)
+				t.Errorf("server %d: row score %v for a server the ranking excludes", i, sc)
 			}
 		} else if sc != want {
 			t.Errorf("server %d: row score %v, ranked score %v", i, sc, want)
@@ -36,12 +37,15 @@ func TestScoreRowIntoMatchesCandidates(t *testing.T) {
 		}
 	}
 
-	// Row argmax (strict >, ascending) == Place's choice.
+	// Row argmax (strict >, ascending) == ranking head == Place's choice.
 	best, bestScore := -1, -1.0
 	for i, sc := range row {
 		if sc > bestScore {
 			best, bestScore = i, sc
 		}
+	}
+	if len(cands) == 0 || cands[0].server != best {
+		t.Fatalf("row argmax %d, ranking head %+v", best, cands)
 	}
 	srv, ok := s.Place(vm)
 	if !ok || srv != best {

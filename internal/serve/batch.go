@@ -48,9 +48,8 @@ type job[Req, Resp any] struct {
 // depend on which requests happened to share a batch — a serial request is
 // simply a batch of one.
 //
-// Predictions use one queue; admissions use one queue per fleet shard
-// (admission never crosses cluster boundaries, so batches never do
-// either).
+// Admissions use one queue per fleet shard (admission never crosses
+// cluster boundaries, so batches never do either).
 type batcher[Req, Resp any] struct {
 	maxBatch int
 	// run performs one batched pass, filling out[i] (zeroed, len(reqs))

@@ -7,7 +7,6 @@ import (
 
 	"github.com/coach-oss/coach/internal/core"
 	"github.com/coach-oss/coach/internal/fault"
-	"github.com/coach-oss/coach/internal/scheduler"
 )
 
 // This file is the serving half of the failure-domain engine
@@ -153,26 +152,25 @@ func (s *Service) driveHandoff(in *handoffIntent) error {
 		if s.injector.CrashPoint("before-pick") {
 			return nil
 		}
-		bestShard, found := -1, false
-		var bestCand scheduler.Candidate
+		bestShard, bestServer, bestScore := -1, -1, 0.0
 		for j, dst := range s.shards {
 			if j == req.SrcShard || dst.eng == nil {
 				continue
 			}
 			dst.mu.Lock()
-			c, ok := dst.eng.PickInbound(req)
+			srv, score, ok := dst.eng.PickInbound(req)
 			dst.mu.Unlock()
 			// Strict > keeps the lowest shard index on score ties.
-			if ok && (!found || c.Score > bestCand.Score) {
-				bestShard, bestCand, found = j, c, true
+			if ok && (bestShard < 0 || score > bestScore) {
+				bestShard, bestServer, bestScore = j, srv, score
 			}
 		}
-		if !found {
+		if bestShard < 0 {
 			err := s.settleHome(src, req)
 			s.finishIntent(in)
 			return err
 		}
-		in.dstShard, in.dstServer = bestShard, bestCand.Server
+		in.dstShard, in.dstServer = bestShard, bestServer
 		in.phase = hoPicked
 		if s.injector.CrashPoint("after-pick") {
 			return nil
@@ -313,7 +311,7 @@ func (s *Service) applyFaultEvents(tick int) error {
 // crashServer fails one shard server: its data-plane memory state is
 // lost, the scheduler marks it down, and every VM attached there is
 // evicted and re-admitted through the pressure-aware recovery placement
-// (core.WhatIfScorer.PickRecovery) — or lost when no feasible server
+// (core.MigrationEngine.RecoveryTarget) — or lost when no feasible server
 // remains in the shard. Reservations held by in-flight handoffs are not dp-attached
 // and are deliberately left alone: the handoff protocol owns them.
 func (s *Service) crashServer(shard, srv int) error {
@@ -347,8 +345,7 @@ func (s *Service) crashServer(shard, srv int) error {
 
 		target := -1
 		if sh.dp != nil {
-			if s2, ok := sh.eng.Scorer().PickRecovery(cvm,
-				sh.eng.Config().PressureFrac); ok {
+			if s2 := sh.eng.RecoveryTarget(cvm); s2 >= 0 {
 				if err := sh.sched.PlaceAt(cvm, s2); err != nil {
 					sh.mu.Unlock()
 					return err

@@ -8,11 +8,11 @@
 // Three mechanisms make the hot path production-shaped rather than a thin
 // wrapper (docs/DESIGN.md §7):
 //
-//   - One request batcher (batch.go) coalesces concurrent predictions
-//     into single batched forest passes and concurrent admissions on a
-//     shard into single fleet-sized placement rollouts. Batched results
+//   - One request batcher (batch.go) coalesces concurrent admissions on
+//     a shard into single fleet-sized placement rollouts. Batched results
 //     are bit-identical to one-request-at-a-time serving, so responses
-//     never depend on batch composition.
+//     never depend on batch composition. Predictions run on the caller's
+//     goroutine against the shared read-only forests.
 //   - A trained-model cache keyed by (trace fingerprint, training config)
 //     makes cold starts pay forest training once; later services and
 //     requests share the fitted model (singleflight under concurrency).
@@ -24,6 +24,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -68,14 +69,13 @@ type Config struct {
 	// TrainUpTo is the trace sample separating the model's training
 	// period from served requests (default: half the horizon).
 	TrainUpTo int
-	// MaxBatch caps how many concurrent requests coalesce into one pass
-	// (default 64): predictions into one forest pass, admissions on the
-	// same shard into one fleet-sized what-if rollout (one forest pass,
-	// one score matrix, one pool sweep) committed in arrival order
-	// (docs/DESIGN.md §15). Larger batches amortize the sweeps further but
+	// MaxBatch caps how many concurrent admissions on one shard coalesce
+	// into one fleet-sized what-if rollout (one forest pass, one score
+	// matrix, one pool sweep) committed in arrival order (default 64;
+	// docs/DESIGN.md §15). Larger batches amortize the sweeps further but
 	// add head-of-line latency for the first request in the batch. 1
-	// serves every request alone — the serial reference the batched
-	// decisions are bit-identical to.
+	// serves every admission alone — the serial reference the batched
+	// decisions are bit-identical to. Predictions are never batched.
 	MaxBatch int
 	// Cache optionally shares a trained-model cache across services.
 	// When nil the service creates a private one.
@@ -250,20 +250,16 @@ type Service struct {
 	routeMu sync.Mutex
 	route   map[int]int
 
-	// predicts coalesces Predict calls on one queue (worker
-	// predictBatch, which owns the MaxBatch-long pbPreds/pbOKs scratch);
 	// admits coalesces Admit calls on one queue per shard (worker
-	// admitBatch).
-	predicts *batcher[*trace.VM, predictOut]
+	// admitBatch); predicts counts answered Predict calls, which run on
+	// their callers' goroutines.
 	admits   *batcher[*trace.VM, admitOut]
-	pbPreds  []coachvm.Prediction
-	pbOKs    []bool
+	predicts atomic.Int64
 
 	// dpTicks counts completed TickDataPlane passes.
 	dpTicks atomic.Int64
 
-	closeMu sync.Mutex
-	closed  bool
+	closed atomic.Bool
 
 	// model is the trained predictor, set once; the atomic pointer keeps
 	// the per-request fast path lock-free (modelMu only guards training).
@@ -395,9 +391,6 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	s.pbPreds = make([]coachvm.Prediction, cfg.MaxBatch)
-	s.pbOKs = make([]bool, cfg.MaxBatch)
-	s.predicts = newBatcher(1, cfg.MaxBatch, s.predictBatch)
 	s.admits = newBatcher(len(s.shards), cfg.MaxBatch, s.admitBatch)
 	return s, nil
 }
@@ -441,42 +434,25 @@ func (s *Service) Warm() error {
 	return err
 }
 
-// predictOut is one prediction request's response.
-type predictOut struct {
-	pred coachvm.Prediction
-	ok   bool
-	err  error
-}
-
-// predictBatch is the prediction queue's worker: one batched forest pass.
-func (s *Service) predictBatch(_ int, vms []*trace.VM, out []predictOut) {
-	m, err := s.modelFor()
-	if err != nil {
-		for i := range out {
-			out[i].err = err
-		}
-		return
-	}
-	preds, oks := s.pbPreds[:len(vms)], s.pbOKs[:len(vms)]
-	m.PredictBatchInto(s.tr, vms, preds, oks)
-	for i := range out {
-		out[i] = predictOut{pred: preds[i], ok: oks[i]}
-	}
-}
-
 // VM resolves a trace VM id (nil when unknown).
 func (s *Service) VM(id int) *trace.VM { return s.vmByID[id] }
 
 // Predict returns the per-window utilization prediction for vm. ok=false
 // means the model lacks history to predict it (§3.3: such VMs must not be
-// oversubscribed). Concurrent calls coalesce into batched forest passes
-// whose results are bit-identical to predicting each VM alone.
+// oversubscribed). It runs on the caller's goroutine: the forests are
+// read-only and pool their scratch, so concurrent calls share nothing but
+// the model and each answers exactly as LongTerm.Predict does.
 func (s *Service) Predict(vm *trace.VM) (coachvm.Prediction, bool, error) {
-	out, err := s.predicts.submit(0, vm)
+	if s.isClosed() {
+		return coachvm.Prediction{}, false, ErrClosed
+	}
+	m, err := s.modelFor()
 	if err != nil {
 		return coachvm.Prediction{}, false, err
 	}
-	return out.pred, out.ok, out.err
+	pred, ok := m.Predict(s.tr, vm)
+	s.predicts.Add(1)
+	return pred, ok, nil
 }
 
 // AdmitResult reports one admission decision.
@@ -609,11 +585,11 @@ func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) {
 		}
 		srv, placed := -1, false
 		if sh.dp != nil && s.cfg.AdmitPressureFrac > 0 && needs[r] > 0 {
-			if c := ro.PickPressured(r, s.cfg.AdmitPressureFrac); c >= 0 {
+			if c := ro.Pick(r, -1, s.cfg.AdmitPressureFrac); c >= 0 {
 				if err := sh.sched.PlaceAt(cvm, c); err == nil {
 					srv, placed = c, true
 				}
-			} else if ro.HasFeasible(r) {
+			} else if ro.Pick(r, -1, math.Inf(1)) >= 0 {
 				// Capacity exists, but no pool can absorb the VM's
 				// oversubscribed demand: admitting it would only add to
 				// the thrashing.
@@ -625,7 +601,7 @@ func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) {
 			}
 		}
 		if !placed {
-			if f := ro.PickFit(r); f >= 0 {
+			if f := ro.Pick(r, -1, math.Inf(1)); f >= 0 {
 				if err := sh.sched.PlaceAt(cvm, f); err == nil {
 					srv, placed = f, true
 				}
@@ -899,11 +875,12 @@ type DataPlaneStats struct {
 	// home cluster could absorb the VM's oversubscribed demand
 	// (Config.AdmitPressureFrac).
 	PressureRejected int64 `json:"pressure_rejected"`
-	// WhatIfBatches and WhatIfCandidates count the batched placement
-	// scoring sweeps behind admission, migration landing and crash
-	// recovery: each decision runs one sweep over its whole candidate
-	// ranking (docs/DESIGN.md §14), so batches track decisions while
-	// candidates track fleet size × decisions.
+	// WhatIfBatches and WhatIfCandidates count the what-if rollouts
+	// behind admission, migration landing and crash recovery and the
+	// feasible cells they scored: each decision (or admit batch) builds
+	// exactly one rollout over the whole shard (docs/DESIGN.md §14), so
+	// batches track decisions while candidates track fleet size ×
+	// decisions.
 	WhatIfBatches    int64 `json:"whatif_batches"`
 	WhatIfCandidates int64 `json:"whatif_candidates"`
 	// Failure-domain counters (docs/DESIGN.md §13): applied server
@@ -940,8 +917,8 @@ type Stats struct {
 	Degraded bool           `json:"degraded"`
 	Placed   int            `json:"placed"`
 	Clusters []ClusterStats `json:"clusters"`
-	// Batch and AdmitBatch report how predictions and admissions
-	// coalesced (docs/api.md).
+	// Batch counts predictions, each its own pass (requests = batches);
+	// AdmitBatch reports how admissions coalesced (docs/api.md).
 	Batch      BatchStats      `json:"batch"`
 	AdmitBatch AdmitBatchStats `json:"admit_batch"`
 	Cache      CacheStats      `json:"cache"`
@@ -958,7 +935,10 @@ type Stats struct {
 func (s *Service) Stats() Stats {
 	st := Stats{Policy: s.cfg.Policy.String(), Cache: s.cache.Stats()}
 	st.Degraded = s.degraded.Load()
-	st.Batch = s.predicts.stats()
+	if n := s.predicts.Load(); n > 0 {
+		// Every prediction is its own pass: requests = batches.
+		st.Batch = BatchStats{Requests: n, Batches: n, MaxBatch: 1, MeanSize: 1, P50Size: 1}
+	}
 	st.AdmitBatch.BatchStats = s.admits.stats()
 	if m := s.model.Load(); m != nil {
 		st.Inference = m.InferenceStats()
@@ -1024,21 +1004,14 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Close drains the batchers and rejects further requests with ErrClosed.
-// It is idempotent and safe to call concurrently with requests: in-flight
-// admissions and predictions complete before Close returns. (Admission
-// workers predict through the model directly, never through the
-// prediction queue, so the two drains are independent.)
+// Close drains the admission batcher and rejects further requests with
+// ErrClosed. It is idempotent and safe to call concurrently with
+// requests: in-flight admissions complete before Close returns. A
+// prediction that passed the closed check finishes on its own goroutine;
+// it reads only the immutable model.
 func (s *Service) Close() {
-	s.closeMu.Lock()
-	s.closed = true
-	s.closeMu.Unlock()
+	s.closed.Store(true)
 	s.admits.close()
-	s.predicts.close()
 }
 
-func (s *Service) isClosed() bool {
-	s.closeMu.Lock()
-	defer s.closeMu.Unlock()
-	return s.closed
-}
+func (s *Service) isClosed() bool { return s.closed.Load() }

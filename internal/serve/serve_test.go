@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -81,23 +82,18 @@ func TestServiceValidation(t *testing.T) {
 	}
 }
 
-// TestPredictDeterministicAcrossBatching drives many concurrent batched
-// predictions and checks every response equals the model's own per-VM
-// prediction (the pointer-walk reference) and a MaxBatch-1 service's —
-// the acceptance bar that batching must not leak batch composition into
-// results.
+// TestPredictDeterministicAcrossBatching drives 64 goroutines of
+// concurrent predictions over the evaluation VMs and checks every response
+// is bit-identical to a serial LongTerm.Predict of the same VM — the
+// forests' pooled scratch must not leak one caller's state into another's
+// answer — and that Stats().Batch counts every call as its own pass
+// (requests = batches, mean size 1), the contract
+// serve.predict_batch_mean reads.
 func TestPredictDeterministicAcrossBatching(t *testing.T) {
-	cache := NewModelCache()
-	cfgDirect := DefaultConfig()
-	cfgDirect.MaxBatch = 1
-	cfgDirect.Cache = cache
-	direct := newTestService(t, cfgDirect)
-
-	cfgBatched := DefaultConfig()
-	cfgBatched.MaxBatch = 16
-	cfgBatched.Cache = cache
-	batched := newTestService(t, cfgBatched)
-	model, err := batched.modelFor()
+	cfg := DefaultConfig()
+	cfg.Cache = NewModelCache()
+	svc := newTestService(t, cfg)
+	model, err := svc.modelFor()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,53 +103,45 @@ func TestPredictDeterministicAcrossBatching(t *testing.T) {
 	if len(vms) < 10 {
 		t.Fatalf("only %d evaluation VMs", len(vms))
 	}
-
 	want := make([]coachvm.Prediction, len(vms))
 	wantOK := make([]bool, len(vms))
 	for i, vm := range vms {
-		pred, ok, err := direct.Predict(vm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if refPred, refOK := model.Predict(tr, vm); ok != refOK || !reflect.DeepEqual(pred, refPred) {
-			t.Fatalf("vm %d: MaxBatch-1 prediction diverged from the model's per-VM walk", vm.ID)
-		}
-		want[i], wantOK[i] = pred, ok
+		want[i], wantOK[i] = model.Predict(tr, vm)
+	}
+	if st := svc.Stats().Batch; st != (BatchStats{}) {
+		t.Fatalf("batch stats %+v before any Predict call", st)
 	}
 
-	const rounds = 4
+	const goroutines = 64
 	var wg sync.WaitGroup
-	errs := make(chan error, rounds*len(vms))
-	for r := 0; r < rounds; r++ {
-		for i, vm := range vms {
-			wg.Add(1)
-			go func(i int, vm *trace.VM) {
-				defer wg.Done()
-				pred, ok, err := batched.Predict(vm)
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range vms {
+				i := (g + k) % len(vms) // goroutines start at different VMs
+				pred, ok, err := svc.Predict(vms[i])
 				if err != nil {
 					errs <- err
 					return
 				}
 				if ok != wantOK[i] || !reflect.DeepEqual(pred, want[i]) {
-					errs <- errors.New("batched prediction diverged from unbatched")
+					errs <- fmt.Errorf("vm %d: concurrent prediction diverged from the serial one", vms[i].ID)
+					return
 				}
-			}(i, vm)
-		}
+			}
+		}(g)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := batched.Stats()
-	if st.Batch.Requests != int64(rounds*len(vms)) {
-		t.Errorf("batcher saw %d requests, want %d", st.Batch.Requests, rounds*len(vms))
-	}
-	if st.Batch.Batches == 0 || st.Batch.MaxBatch > 16 || st.Batch.P50Size == 0 {
-		t.Errorf("batch stats %+v do not describe MaxBatch-16 coalescing", st.Batch)
-	}
-	if ds := direct.Stats().Batch; ds.MaxBatch != 1 || ds.Batches != ds.Requests {
-		t.Errorf("MaxBatch-1 service coalesced: %+v", ds)
+	calls := int64(goroutines * len(vms))
+	wantStats := BatchStats{Requests: calls, Batches: calls, MaxBatch: 1, MeanSize: 1, P50Size: 1}
+	if st := svc.Stats().Batch; st != wantStats {
+		t.Errorf("batch stats %+v, want %+v", st, wantStats)
 	}
 }
 

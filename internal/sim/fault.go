@@ -10,7 +10,8 @@ import (
 // A crash evicts the server's memory state wholesale and turns every
 // hosted VM into a pending re-admission through the same pressure-aware
 // placement path serve's crash handler uses
-// (core.WhatIfScorer.PickRecovery); a recovery returns the server to service empty. All processing is
+// (core.MigrationEngine.RecoveryTarget); a recovery returns the server to
+// service empty. All processing is
 // per-shard and in deterministic order (events pre-sorted, evictions in
 // ascending VM id), so faulted Results stay byte-identical for any
 // worker count and for both replay engines — the golden-equivalence
@@ -92,8 +93,7 @@ func (st *shardState) crashServer(t, srv int) error {
 
 		target := -1
 		if st.sdp != nil && st.sdp.dp != nil {
-			if s2, ok := st.sdp.eng.Scorer().PickRecovery(cvm,
-				st.sdp.eng.Config().PressureFrac); ok {
+			if s2 := st.sdp.eng.RecoveryTarget(cvm); s2 >= 0 {
 				if err := st.sh.sched.PlaceAt(cvm, s2); err != nil {
 					return err
 				}

@@ -505,18 +505,17 @@ func exchangeMigrations(states []*shardState) error {
 	})
 	for _, rq := range reqs {
 		src := states[rq.SrcShard]
-		bestShard, found := -1, false
-		var bestCand scheduler.Candidate
+		bestShard, bestServer, bestScore := -1, -1, 0.0
 		for j, dst := range states {
 			if j == rq.SrcShard || dst.sdp == nil || dst.sdp.eng == nil {
 				continue
 			}
 			// Strict > keeps the lowest shard index on score ties.
-			if c, ok := dst.sdp.eng.PickInbound(rq.MigrationRequest); ok && (!found || c.Score > bestCand.Score) {
-				bestShard, bestCand, found = j, c, true
+			if srv, score, ok := dst.sdp.eng.PickInbound(rq.MigrationRequest); ok && (bestShard < 0 || score > bestScore) {
+				bestShard, bestServer, bestScore = j, srv, score
 			}
 		}
-		if !found {
+		if bestShard < 0 {
 			plan, err := src.sdp.eng.Settle(rq.MigrationRequest)
 			if err != nil {
 				return err
@@ -525,16 +524,16 @@ func exchangeMigrations(states []*shardState) error {
 			continue
 		}
 		dst := states[bestShard]
-		if err := dst.sdp.eng.Reserve(rq.MigrationRequest, bestCand.Server); err != nil {
+		if err := dst.sdp.eng.Reserve(rq.MigrationRequest, bestServer); err != nil {
 			return err
 		}
 		src.sdp.eng.ReleaseSource(rq.VMID)
 		src.removeTracked(rq.VMID, false) // memory already left with the migration
-		plan, err := dst.sdp.eng.CommitInbound(rq.MigrationRequest, bestCand.Server)
+		plan, err := dst.sdp.eng.CommitInbound(rq.MigrationRequest, bestServer)
 		if err != nil {
 			return err
 		}
-		dst.addImmigrated(rq, bestCand.Server)
+		dst.addImmigrated(rq, bestServer)
 		src.sdp.res.CrossShardMigrations++
 		src.sdp.res.WarmArrivedGB += plan.WarmGB
 	}
