@@ -76,6 +76,9 @@ type MigrationPlan struct {
 	// Relanded is true when no feasible target existed anywhere and the
 	// VM re-landed on its source server: a failed migration.
 	Relanded bool
+	// CrossShard is true for a plan CommitInbound landed in another shard
+	// (From is then a server of the source shard).
+	CrossShard bool
 }
 
 // MigrationRequest is a completed live migration that could not land in
@@ -161,6 +164,19 @@ func VAPeakGB(cvm *coachvm.CVM) float64 {
 // VANeed is the incoming pool demand of a cross-shard request.
 func (r MigrationRequest) VANeed() float64 { return VAPeakGB(r.CVM) }
 
+// Before is the order every cross-shard apply step (the simulator's
+// exchange, serve's handoffs) walks requests in: by (Tick, SrcShard,
+// VMID), so the outcome never depends on which shard resolved first.
+func (r MigrationRequest) Before(o MigrationRequest) bool {
+	if r.Tick != o.Tick {
+		return r.Tick < o.Tick
+	}
+	if r.SrcShard != o.SrcShard {
+		return r.SrcShard < o.SrcShard
+	}
+	return r.VMID < o.VMID
+}
+
 // Resolve lands the completed migrations of one Tick. Same-shard
 // landings move the scheduler's capacity bookkeeping and the VM's memory
 // together (scheduler.MigrateTo + AttachMigrated). When no same-shard
@@ -239,10 +255,11 @@ func (e *MigrationEngine) commitLocal(cm CompletedMigration, target int) (Migrat
 // The methods below are the cross-shard handoff protocol, driven by the
 // caller that can see multiple shards (the simulator's sample-boundary
 // exchange, serve's TickDataPlane). The destination engine runs
-// PickInbound → Reserve → CommitInbound; the source engine runs
-// ReleaseSource after the reservation holds (two-phase: capacity is
+// PickInbound → Reserve → CommitInbound; the source shard releases the VM
+// (Shard.Release) after the reservation holds (two-phase: capacity is
 // reserved at the destination before the source lets go, so a crashed
-// handoff never strands the VM without capacity anywhere). Settle and
+// handoff never strands the VM without capacity anywhere), and a
+// cancelled handoff releases the reservation the same way. Settle and
 // Reland are the declined paths.
 
 // PickInbound picks this shard's server for an inbound cross-shard
@@ -263,12 +280,6 @@ func (e *MigrationEngine) Reserve(req MigrationRequest, target int) error {
 	return e.sched.PlaceAt(req.CVM, target)
 }
 
-// CancelReservation rolls a Reserve back (e.g. the source vanished
-// between reserve and commit in serve's concurrent handoff).
-func (e *MigrationEngine) CancelReservation(vmID int) {
-	e.sched.Remove(vmID)
-}
-
 // CommitInbound attaches the request's memory to the reserved server,
 // pre-copied pages arriving resident — the commit phase.
 func (e *MigrationEngine) CommitInbound(req MigrationRequest, target int) (MigrationPlan, error) {
@@ -276,13 +287,7 @@ func (e *MigrationEngine) CommitInbound(req MigrationRequest, target int) (Migra
 	if err != nil {
 		return MigrationPlan{}, err
 	}
-	return MigrationPlan{VMID: req.VMID, From: req.SrcServer, To: target, WarmGB: warm}, nil
-}
-
-// ReleaseSource drops the source-side capacity reservation once the
-// destination holds its own.
-func (e *MigrationEngine) ReleaseSource(vmID int) {
-	e.sched.Remove(vmID)
+	return MigrationPlan{VMID: req.VMID, From: req.SrcServer, To: target, WarmGB: warm, CrossShard: true}, nil
 }
 
 // Settle lands a declined cross-shard request back in its home shard:
@@ -329,10 +334,4 @@ func (e *MigrationEngine) Reland(cm CompletedMigration) (MigrationPlan, error) {
 		return MigrationPlan{}, err
 	}
 	return MigrationPlan{VMID: cm.VMID, From: cm.Server, To: cm.Server, WarmGB: warm, Relanded: true}, nil
-}
-
-// MemoryProfile extracts the memory shape admission uses when attaching
-// a CoachVM: total allocation and guaranteed (PA) portion.
-func MemoryProfile(cvm *coachvm.CVM) (sizeGB, paGB float64) {
-	return cvm.Alloc[resources.Memory], cvm.Guaranteed[resources.Memory]
 }

@@ -63,7 +63,7 @@ func place(t *testing.T, sched *scheduler.Scheduler, dp *DataPlane, cvm *coachvm
 	if err := sched.PlaceAt(cvm, server); err != nil {
 		t.Fatal(err)
 	}
-	size, pa := MemoryProfile(cvm)
+	size, pa := cvm.Alloc[resources.Memory], cvm.Guaranteed[resources.Memory]
 	if err := dp.Attach(server, cvm.ID, size, pa); err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func serialAdmitStep(t *testing.T, sched *scheduler.Scheduler, dp *DataPlane, cv
 			return admitOutcome{server: -1, capacity: true}
 		}
 	}
-	size, pa := MemoryProfile(cvm)
+	size, pa := cvm.Alloc[resources.Memory], cvm.Guaranteed[resources.Memory]
 	if err := dp.Attach(srv, cvm.ID, size, pa); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRolloutMatchesSerialAdmission(t *testing.T) {
 					continue
 				}
 			}
-			size, pa := MemoryProfile(cvm)
+			size, pa := cvm.Alloc[resources.Memory], cvm.Guaranteed[resources.Memory]
 			if err := dpB.Attach(srv, cvm.ID, size, pa); err != nil {
 				t.Fatal(err)
 			}

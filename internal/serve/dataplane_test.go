@@ -111,6 +111,26 @@ func TestDataPlaneAdmitTickRelease(t *testing.T) {
 	}
 }
 
+// TestFirstTickReplaysSampleZero pins the working-set replay to the
+// simulator's: the first tick after admission runs on each VM's first
+// utilization sample, not its second.
+func TestFirstTickReplaysSampleZero(t *testing.T) {
+	svc, tr := dpService(t, agent.PolicyTrim)
+	admitted := admitSome(t, svc, tr, 40)
+	if err := svc.TickDataPlane(); err != nil {
+		t.Fatal(err)
+	}
+	for _, vm := range admitted {
+		sh := svc.shards[svc.routedShard(vm.ID)]
+		sh.mu.Lock()
+		got := sh.DP.Servers()[sh.DP.ServerOf(vm.ID)].Server.VM(vm.ID).WSS()
+		sh.mu.Unlock()
+		if want := vm.Alloc[resources.Memory] * vm.Util[resources.Memory][0]; got != want {
+			t.Fatalf("vm %d working set %v after one tick, want sample 0's %v", vm.ID, got, want)
+		}
+	}
+}
+
 // TestDataPlaneStatsDeterministic runs the same admit/tick sequence on
 // two services and requires identical data-plane aggregates.
 func TestDataPlaneStatsDeterministic(t *testing.T) {
@@ -184,7 +204,7 @@ func TestReportDrivesWSS(t *testing.T) {
 	sh := svc.shards[ci]
 	sh.mu.Lock()
 	tracked := sh.dpVMs[vm.ID]
-	mem := sh.dp.Servers()[sh.dp.ServerOf(vm.ID)].Server.VM(vm.ID)
+	mem := sh.DP.Servers()[sh.DP.ServerOf(vm.ID)].Server.VM(vm.ID)
 	sh.mu.Unlock()
 	want := 0.5 * vm.Alloc[resources.Memory]
 	if !tracked.hasReport || tracked.wss() != want {
@@ -201,7 +221,7 @@ func TestReportDrivesWSS(t *testing.T) {
 		}
 	}
 	sh.mu.Lock()
-	got := sh.dp.Servers()[sh.dp.ServerOf(vm.ID)].Server.VM(vm.ID).WSS()
+	got := sh.DP.Servers()[sh.DP.ServerOf(vm.ID)].Server.VM(vm.ID).WSS()
 	sh.mu.Unlock()
 	if got != want {
 		t.Errorf("wss after ticks %v, want sticky reported %v", got, want)
@@ -313,7 +333,7 @@ func TestAdmitPressureAware(t *testing.T) {
 				// can only mean its VA peak was zero.
 				sh := svc.shards[res.Cluster]
 				sh.mu.Lock()
-				peak := core.VAPeakGB(sh.sched.CVM(vm.ID))
+				peak := core.VAPeakGB(sh.Sched.CVM(vm.ID))
 				sh.mu.Unlock()
 				if peak > 0 {
 					t.Fatalf("vm %d with VA peak %v admitted past an impossible pressure bar", vm.ID, peak)
@@ -381,7 +401,7 @@ func TestCrossShardHandoff(t *testing.T) {
 		}
 		svc.routeMu.Lock()
 		for id, ci := range svc.route {
-			if svc.shardIndex(svc.vmByID[id]) != ci {
+			if svc.vmByID[id].HomeShard(len(svc.shards)) != ci {
 				moved = append(moved, id)
 			}
 		}
@@ -400,8 +420,8 @@ func TestCrossShardHandoff(t *testing.T) {
 	ci := svc.routedShard(id)
 	sh := svc.shards[ci]
 	sh.mu.Lock()
-	okSched := sh.sched.ServerOf(id) >= 0
-	okMem := sh.dp.ServerOf(id) >= 0
+	okSched := sh.Sched.ServerOf(id) >= 0
+	okMem := sh.DP.ServerOf(id) >= 0
 	_, okTracked := sh.dpVMs[id]
 	sh.mu.Unlock()
 	if !okSched || !okMem || !okTracked {

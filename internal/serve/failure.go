@@ -11,8 +11,8 @@ import (
 
 // This file is the serving half of the failure-domain engine
 // (docs/DESIGN.md §13): compiled server crash/recover events apply at
-// the top of each data-plane tick through the same eviction-and-recovery
-// semantics the simulator uses, and the cross-shard handoff gains a
+// the top of each data-plane tick through the core.Shard operations the
+// simulator replays, and the cross-shard handoff gains a
 // write-ahead intent log so a coordinator crash at any point of the
 // pick/reserve/release/commit protocol leaves the VM recoverable —
 // never lost, never double-placed.
@@ -154,11 +154,11 @@ func (s *Service) driveHandoff(in *handoffIntent) error {
 		}
 		bestShard, bestServer, bestScore := -1, -1, 0.0
 		for j, dst := range s.shards {
-			if j == req.SrcShard || dst.eng == nil {
+			if j == req.SrcShard || dst.Eng == nil {
 				continue
 			}
 			dst.mu.Lock()
-			srv, score, ok := dst.eng.PickInbound(req)
+			srv, score, ok := dst.Eng.PickInbound(req)
 			dst.mu.Unlock()
 			// Strict > keeps the lowest shard index on score ties.
 			if ok && (bestShard < 0 || score > bestScore) {
@@ -183,7 +183,7 @@ func (s *Service) driveHandoff(in *handoffIntent) error {
 		}
 		dst := s.shards[in.dstShard]
 		dst.mu.Lock()
-		err := dst.eng.Reserve(req, in.dstServer)
+		err := dst.Eng.Reserve(req, in.dstServer)
 		dst.mu.Unlock()
 		if err != nil {
 			// The candidate filled up (or went down) between pick and
@@ -202,27 +202,21 @@ func (s *Service) driveHandoff(in *handoffIntent) error {
 		if s.injector.CrashPoint("before-release") {
 			return nil
 		}
-		// Verify the exact CoachVM we are migrating still lives on its
-		// source server. Pointer identity guards the ABA race where a
-		// concurrent Release and re-Admit put a fresh CVM with the same
-		// id back mid-flight; the server check guards a crash that
-		// evicted and re-homed the VM with freshly attached memory — in
-		// both cases the in-flight copy has no owner and is dropped.
+		// A source that no longer holds the VM (released, or re-homed by
+		// a crash) leaves the in-flight copy without an owner: drop it.
 		src.mu.Lock()
-		if src.sched == nil || src.sched.CVM(req.VMID) != req.CVM ||
-			src.sched.ServerOf(req.VMID) != req.SrcServer {
+		if !src.holds(req) {
 			src.mu.Unlock()
 			dst := s.shards[in.dstShard]
 			dst.mu.Lock()
-			dst.eng.CancelReservation(req.VMID)
+			dst.Release(req.VMID)
 			dst.mu.Unlock()
 			s.finishIntent(in)
 			return nil
 		}
-		src.eng.ReleaseSource(req.VMID)
+		src.Release(req.VMID)
 		in.tracked = src.dpVMs[req.VMID]
 		delete(src.dpVMs, req.VMID)
-		src.crossShardMigs++
 		src.mu.Unlock()
 		in.phase = hoReleased
 		if s.injector.CrashPoint("after-release") {
@@ -236,15 +230,15 @@ func (s *Service) driveHandoff(in *handoffIntent) error {
 		}
 		dst := s.shards[in.dstShard]
 		dst.mu.Lock()
-		plan, err := dst.eng.CommitInbound(req, in.dstServer)
+		plan, err := dst.Eng.CommitInbound(req, in.dstServer)
 		if err == nil {
+			// The memory arrived with the working set it left with; the
+			// next tick resumes the carried cursor.
 			tracked := in.tracked
 			if tracked == nil {
 				tracked = &dpTracked{vm: s.vmByID[req.VMID]}
 			}
 			dst.dpVMs[req.VMID] = tracked
-			dst.dp.SetWSS(req.VMID, tracked.wss())
-			dst.warmArrivedGB += plan.WarmGB
 		}
 		dst.mu.Unlock()
 		if err != nil {
@@ -252,6 +246,10 @@ func (s *Service) driveHandoff(in *handoffIntent) error {
 			// Rolling back here would lose the VM — the source is gone.
 			return err
 		}
+		// The handoff counts at its source, as in the simulator's exchange.
+		src.mu.Lock()
+		src.Count(plan)
+		src.mu.Unlock()
 		in.phase = hoCommitted
 		if s.injector.CrashPoint("after-commit") {
 			return nil
@@ -271,22 +269,29 @@ func (s *Service) driveHandoff(in *handoffIntent) error {
 func (s *Service) settleHome(src *fleetShard, req core.MigrationRequest) error {
 	src.mu.Lock()
 	defer src.mu.Unlock()
-	if src.sched == nil || src.sched.CVM(req.VMID) != req.CVM ||
-		src.sched.ServerOf(req.VMID) != req.SrcServer {
+	if !src.holds(req) {
 		return nil // released (or re-admitted elsewhere) mid-flight
 	}
-	plan, err := src.eng.Settle(req)
-	if err != nil {
-		return err
-	}
-	src.countPlan(plan)
-	return nil
+	_, err := src.Settle(req)
+	return err
+}
+
+// holds reports whether the shard still holds the exact CoachVM a handoff
+// is moving on its source server. Pointer identity guards the ABA race
+// where a concurrent Release and re-Admit put a fresh CVM with the same
+// id back mid-flight; the server check guards a crash that evicted and
+// re-homed the VM with freshly attached memory.
+func (sh *fleetShard) holds(req core.MigrationRequest) bool {
+	return sh.Sched != nil && sh.Sched.CVM(req.VMID) == req.CVM &&
+		sh.Sched.ServerOf(req.VMID) == req.SrcServer
 }
 
 // applyFaultEvents applies the compiled server crash/recover events due
-// at or before tick. TickDataPlane calls it once per tick, after the
-// recovery sweep, so parked handoffs complete against the fleet state
-// they were logged under before servers fail beneath them.
+// at or before tick through core.Shard's Crash and Recover. TickDataPlane
+// calls it once per tick, after the recovery sweep, so parked handoffs
+// complete against the fleet state they were logged under before servers
+// fail beneath them. A re-admitted VM keeps its utilization cursor; a
+// lost one leaves the fleet.
 func (s *Service) applyFaultEvents(tick int) error {
 	s.fMu.Lock()
 	var due []fault.Event
@@ -299,100 +304,33 @@ func (s *Service) applyFaultEvents(tick int) error {
 		if e.Shard < 0 || e.Shard >= len(s.shards) {
 			continue
 		}
+		sh := s.shards[e.Shard]
+		sh.mu.Lock()
+		var evicted []core.Eviction
+		var err error
 		if e.Up {
-			s.recoverServer(e.Shard, e.Server)
-		} else if err := s.crashServer(e.Shard, e.Server); err != nil {
+			sh.Recover(e.Server)
+		} else {
+			evicted, err = sh.Crash(e.Server)
+		}
+		var lost []int
+		for _, ev := range evicted {
+			if ev.Server < 0 {
+				delete(sh.dpVMs, ev.VMID)
+				lost = append(lost, ev.VMID)
+			}
+		}
+		sh.mu.Unlock()
+		// Clearing a lost VM's route (outside the shard lock — routeMu is
+		// never nested inside one) makes a later Release report it gone.
+		for _, id := range lost {
+			s.clearRoute(id)
+		}
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// crashServer fails one shard server: its data-plane memory state is
-// lost, the scheduler marks it down, and every VM attached there is
-// evicted and re-admitted through the pressure-aware recovery placement
-// (core.MigrationEngine.RecoveryTarget) — or lost when no feasible server
-// remains in the shard. Reservations held by in-flight handoffs are not dp-attached
-// and are deliberately left alone: the handoff protocol owns them.
-func (s *Service) crashServer(shard, srv int) error {
-	sh := s.shards[shard]
-	var lost []int
-	sh.mu.Lock()
-	if sh.sched == nil || sh.sched.Down(srv) {
-		sh.mu.Unlock()
-		return nil
-	}
-	s.crashes.Add(1)
-	var evicted []int
-	for _, id := range sh.sched.VMsOn(srv) {
-		if sh.dp == nil || sh.dp.ServerOf(id) == srv {
-			evicted = append(evicted, id)
-		}
-	}
-	if sh.dp != nil {
-		sh.dp.CrashServer(srv)
-	}
-	sh.sched.SetDown(srv, true)
-	for _, id := range evicted {
-		cvm := sh.sched.CVM(id)
-		tracked := sh.dpVMs[id]
-		sh.sched.Remove(id)
-		delete(sh.dpVMs, id)
-		if cvm == nil {
-			continue
-		}
-		s.evictedVMs.Add(1)
-
-		target := -1
-		if sh.dp != nil {
-			if s2 := sh.eng.RecoveryTarget(cvm); s2 >= 0 {
-				if err := sh.sched.PlaceAt(cvm, s2); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				target = s2
-			}
-		} else if s2, ok := sh.sched.Place(cvm); ok {
-			target = s2
-		}
-		if target < 0 {
-			s.lostVMs.Add(1)
-			lost = append(lost, id)
-			continue
-		}
-		if sh.dp != nil {
-			sizeGB, paGB := core.MemoryProfile(cvm)
-			if err := sh.dp.Attach(target, id, sizeGB, paGB); err != nil {
-				sh.mu.Unlock()
-				return err
-			}
-			if tracked == nil {
-				tracked = &dpTracked{vm: s.vmByID[id]}
-			}
-			sh.dpVMs[id] = tracked
-			sh.dp.SetWSS(id, tracked.wss())
-		}
-		s.replacedVMs.Add(1)
-	}
-	sh.mu.Unlock()
-	// Lost VMs leave the fleet entirely; clearing their routes (outside
-	// the shard lock — routeMu is never nested inside one) makes a later
-	// Release report them as already gone.
-	for _, id := range lost {
-		s.clearRoute(id)
-	}
-	return nil
-}
-
-// recoverServer returns a crashed server to service, empty.
-func (s *Service) recoverServer(shard, srv int) {
-	sh := s.shards[shard]
-	sh.mu.Lock()
-	if sh.sched != nil && sh.sched.Down(srv) {
-		sh.sched.SetDown(srv, false)
-		s.recoveries.Add(1)
-	}
-	sh.mu.Unlock()
 }
 
 // Degraded reports whether the service is running without a prediction

@@ -66,10 +66,10 @@ func parkHandoff(t *testing.T, svc *Service) int {
 func shardsHolding(svc *Service, id int) (sched, mem []int) {
 	for ci, sh := range svc.shards {
 		sh.mu.Lock()
-		if sh.sched != nil && sh.sched.ServerOf(id) >= 0 {
+		if sh.Sched != nil && sh.Sched.ServerOf(id) >= 0 {
 			sched = append(sched, ci)
 		}
-		if sh.dp != nil && sh.dp.ServerOf(id) >= 0 {
+		if sh.DP != nil && sh.DP.ServerOf(id) >= 0 {
 			mem = append(mem, ci)
 		}
 		sh.mu.Unlock()
@@ -245,7 +245,7 @@ func TestServeCrashAndRecoverEvents(t *testing.T) {
 	}
 	sh := svc.shards[0]
 	sh.mu.Lock()
-	victims := sh.sched.VMsOn(0)
+	victims := sh.Sched.VMsOn(0)
 	sh.mu.Unlock()
 	if len(victims) == 0 {
 		t.Fatal("fixture placed nothing on the crash target")
@@ -268,7 +268,7 @@ func TestServeCrashAndRecoverEvents(t *testing.T) {
 	}
 	for _, id := range victims {
 		sh.mu.Lock()
-		srv := sh.sched.ServerOf(id)
+		srv := sh.Sched.ServerOf(id)
 		sh.mu.Unlock()
 		if srv == 0 {
 			t.Fatalf("vm %d still on the crashed server", id)
@@ -279,8 +279,8 @@ func TestServeCrashAndRecoverEvents(t *testing.T) {
 			if err != nil || released {
 				t.Fatalf("release of lost vm %d = %v, %v, want (false, nil)", id, released, err)
 			}
-		} else if sh.dp.ServerOf(id) != srv {
-			t.Fatalf("vm %d bookkeeping on %d but memory on %d", id, srv, sh.dp.ServerOf(id))
+		} else if sh.DP.ServerOf(id) != srv {
+			t.Fatalf("vm %d bookkeeping on %d but memory on %d", id, srv, sh.DP.ServerOf(id))
 		}
 	}
 
@@ -292,7 +292,7 @@ func TestServeCrashAndRecoverEvents(t *testing.T) {
 		t.Fatalf("recoveries = %d, want 1", st.Recoveries)
 	}
 	sh.mu.Lock()
-	down := sh.sched.Down(0)
+	down := sh.Sched.Down(0)
 	sh.mu.Unlock()
 	if down {
 		t.Fatal("server still down after the recovery event")

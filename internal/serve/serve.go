@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -142,27 +143,19 @@ func DefaultConfig() Config {
 // locking admits full concurrency between clusters while each shard's
 // scheduler stays the deterministic single-threaded bin-packer.
 type fleetShard struct {
-	mu       sync.Mutex
-	sched    *scheduler.Scheduler // nil when the cluster has no servers
+	mu sync.Mutex
+	// Shard is the cluster's scheduler, data plane, migration engine and
+	// what-if scorer with their crash and migration counters — the same
+	// core.Shard the simulator replays — guarded by mu.
+	*core.Shard
 	admitted int64
 	released int64
 	rejected int64
 
-	// dp is the shard's memory data plane (nil unless Config.DataPlane);
 	// dpVMs tracks each attached VM's utilization cursor so TickDataPlane
-	// can replay its working set sample by sample; eng is the shard's
-	// migration engine over the same scheduler and data plane. All are
-	// guarded by mu.
-	dp    *core.DataPlane
+	// can replay its working set sample by sample (nil unless
+	// Config.DataPlane). Guarded by mu.
 	dpVMs map[int]*dpTracked
-	eng   *core.MigrationEngine
-
-	// scorer batches placement scoring for this shard: the migration
-	// engine's scorer when the data plane is on (so admission, migration
-	// and recovery share one scratch and one set of counters), a
-	// scheduler-only scorer otherwise. Guarded by mu; nil when the shard
-	// has no servers.
-	scorer *core.WhatIfScorer
 
 	// Admission-batch scratch (the first two MaxBatch long), owned
 	// exclusively by the shard's admit loop goroutine — never touched
@@ -172,30 +165,14 @@ type fleetShard struct {
 	abCVMs  []*coachvm.CVM
 	abNeeds []float64
 
-	// Migration-landing and pressure-admission counters (guarded by mu).
-	// Cross-shard landings are attributed to the source shard, warm
-	// arrivals to the landing shard.
-	sameShardMigs    int64
-	crossShardMigs   int64
-	failedMigs       int64
-	warmArrivedGB    float64
+	// Pressure-admission and conflict-replay counters (guarded by mu).
 	pressureRejected int64
 	// conflictReplays counts rollout cells re-scored by Rollout.Commit.
 	conflictReplays int64
 }
 
-// countPlan folds a landed migration plan into the shard's counters.
-func (sh *fleetShard) countPlan(p core.MigrationPlan) {
-	if p.Relanded {
-		sh.failedMigs++
-	} else {
-		sh.sameShardMigs++
-	}
-	sh.warmArrivedGB += p.WarmGB
-}
-
 // dpTracked is one admitted VM's data-plane state: age counts the
-// 5-minute ticks since admission, indexing into the VM's utilization
+// data-plane ticks it has lived through, indexing into the VM's utilization
 // series (clamped to its last sample once the series is exhausted) —
 // until a live utilization report (POST /v1/report) overrides the
 // replayed series with client-pushed truth.
@@ -283,13 +260,6 @@ type Service struct {
 	intents  map[int]*handoffIntent
 
 	degraded atomic.Bool
-
-	// Failure-domain counters, surfaced in Stats.
-	crashes     atomic.Int64
-	recoveries  atomic.Int64
-	evictedVMs  atomic.Int64
-	replacedVMs atomic.Int64
-	lostVMs     atomic.Int64
 }
 
 // New builds a service over tr and fleet. The model is trained lazily on
@@ -350,44 +320,26 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 	for i := range tr.VMs {
 		s.vmByID[tr.VMs[i].ID] = &tr.VMs[i]
 	}
+	var dpCfg *core.DataPlaneConfig
+	if cfg.DataPlane {
+		c := core.DataPlaneConfigFor(cfg.MitigationPolicy, cfg.MitigationMode,
+			cfg.DataPlanePoolFrac, cfg.DataPlaneUnallocFrac)
+		dpCfg = &c
+	}
+	mc := core.MigrationConfigFor(cfg.MigrationDirtyFrac, cfg.MigrationPressureFrac,
+		cfg.CrossShardMigration, fleet.NumClusters())
 	for ci, servers := range fleet.Shards() {
+		cs, err := core.NewShard(ci, servers, cfg.Windows, dpCfg, mc)
+		if err != nil {
+			return nil, err
+		}
 		sh := &fleetShard{
+			Shard:   cs,
 			abPreds: make([]coachvm.Prediction, cfg.MaxBatch),
 			abOKs:   make([]bool, cfg.MaxBatch),
 		}
-		if len(servers) > 0 {
-			sched, err := scheduler.NewOverServers(servers, cfg.Windows)
-			if err != nil {
-				return nil, err
-			}
-			sh.sched = sched
-			if cfg.DataPlane {
-				dpCfg := core.DefaultDataPlaneConfig()
-				dpCfg.Agent.Policy = cfg.MitigationPolicy
-				dpCfg.Agent.Mode = cfg.MitigationMode
-				if cfg.DataPlanePoolFrac > 0 {
-					dpCfg.PoolFrac = cfg.DataPlanePoolFrac
-				}
-				if cfg.DataPlaneUnallocFrac > 0 {
-					dpCfg.UnallocFrac = cfg.DataPlaneUnallocFrac
-				}
-				dp, err := core.NewDataPlane(dpCfg, servers)
-				if err != nil {
-					return nil, err
-				}
-				mc := core.MigrationConfigFor(cfg.MigrationDirtyFrac, cfg.MigrationPressureFrac,
-					cfg.CrossShardMigration, fleet.NumClusters())
-				eng, err := core.NewMigrationEngine(mc, ci, sched, dp)
-				if err != nil {
-					return nil, err
-				}
-				sh.dp = dp
-				sh.dpVMs = make(map[int]*dpTracked)
-				sh.eng = eng
-				sh.scorer = eng.Scorer()
-			} else {
-				sh.scorer = core.NewWhatIfScorer(sched, nil)
-			}
+		if cs.DP != nil {
+			sh.dpVMs = make(map[int]*dpTracked)
 		}
 		s.shards = append(s.shards, sh)
 	}
@@ -498,7 +450,7 @@ type AdmitResult struct {
 // — even when raw capacity exists — when every pool in the home cluster
 // is thrashing.
 func (s *Service) Admit(vm *trace.VM) (AdmitResult, error) {
-	out, err := s.admits.submit(s.shardIndex(vm), vm)
+	out, err := s.admits.submit(vm.HomeShard(len(s.shards)), vm)
 	if err != nil {
 		return AdmitResult{}, err
 	}
@@ -562,8 +514,8 @@ func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	var ro *core.Rollout
-	if sh.scorer != nil {
-		ro = sh.scorer.ScoreMany(cvms, needs)
+	if sh.Scorer != nil {
+		ro = sh.Scorer.ScoreMany(cvms, needs)
 	}
 	for r, vm := range vms {
 		cvm := cvms[r]
@@ -574,66 +526,46 @@ func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) {
 			out[r].err = fmt.Errorf("serve: vm %d %w", vm.ID, ErrAlreadyAdmitted)
 			continue
 		}
-		if sh.sched == nil {
+		if sh.Sched == nil {
 			sh.rejected++
 			out[r].res.Reason = "home cluster has no servers"
 			continue
 		}
-		if sh.sched.ServerOf(vm.ID) >= 0 {
+		if sh.Sched.ServerOf(vm.ID) >= 0 {
 			out[r].err = fmt.Errorf("serve: vm %d %w", vm.ID, ErrAlreadyAdmitted)
 			continue
 		}
-		srv, placed := -1, false
-		if sh.dp != nil && s.cfg.AdmitPressureFrac > 0 && needs[r] > 0 {
-			if c := ro.Pick(r, -1, s.cfg.AdmitPressureFrac); c >= 0 {
-				if err := sh.sched.PlaceAt(cvm, c); err == nil {
-					srv, placed = c, true
-				}
-			} else if ro.Pick(r, -1, math.Inf(1)) >= 0 {
+		bar := math.Inf(1)
+		if sh.DP != nil && s.cfg.AdmitPressureFrac > 0 && needs[r] > 0 {
+			bar = s.cfg.AdmitPressureFrac
+		}
+		srv := ro.Pick(r, -1, bar)
+		if srv < 0 {
+			sh.rejected++
+			out[r].res.Retryable = true
+			out[r].res.Reason = "no server in the home cluster has capacity"
+			if ro.Pick(r, -1, math.Inf(1)) >= 0 {
 				// Capacity exists, but no pool can absorb the VM's
 				// oversubscribed demand: admitting it would only add to
 				// the thrashing.
-				sh.rejected++
 				sh.pressureRejected++
 				out[r].res.Reason = "pool pressure: no server in the home cluster can absorb the VM's oversubscribed demand"
-				out[r].res.Retryable = true
-				continue
 			}
+			continue
 		}
-		if !placed {
-			if f := ro.Pick(r, -1, math.Inf(1)); f >= 0 {
-				if err := sh.sched.PlaceAt(cvm, f); err == nil {
-					srv, placed = f, true
-				}
-			}
-			if !placed {
-				sh.rejected++
-				out[r].res.Reason = "no server in the home cluster has capacity"
-				out[r].res.Retryable = true
-				continue
-			}
+		if err := sh.AdmitAt(cvm, srv); err != nil {
+			out[r].err = err
+			continue
 		}
 		sh.admitted++
 		out[r].res.Admitted = true
 		out[r].res.Server = srv
-		attached := true
-		if sh.dp != nil {
-			err := sh.dp.Attach(srv, vm.ID,
-				vm.Alloc[resources.Memory], cvm.Guaranteed[resources.Memory])
-			if err != nil {
-				out[r].err = err
-				attached = false
-			} else {
-				tr := &dpTracked{vm: vm}
-				sh.dpVMs[vm.ID] = tr
-				sh.dp.SetWSS(vm.ID, tr.wss())
-			}
+		if sh.DP != nil {
+			// TickDataPlane drives the working set from the first sample on.
+			sh.dpVMs[vm.ID] = &dpTracked{vm: vm}
 		}
-		if attached {
-			s.setRoute(vm.ID, ci)
-		}
-		// The placement mutated this server's pool whether or not the
-		// attach succeeded; fold it in so later requests see it.
+		s.setRoute(vm.ID, ci)
+		// Fold the placement into the rollout so later requests see it.
 		sh.conflictReplays += int64(ro.Commit(r, srv))
 	}
 }
@@ -681,15 +613,11 @@ func (s *Service) Release(vm *trace.VM) (released bool, err error) {
 		ci := s.routedShard(vm.ID)
 		routed := ci >= 0
 		if !routed {
-			ci = s.shardIndex(vm)
+			ci = vm.HomeShard(len(s.shards))
 		}
 		sh := s.shards[ci]
 		sh.mu.Lock()
-		if sh.sched == nil {
-			sh.mu.Unlock()
-			return false, nil
-		}
-		if cvm, _ := sh.sched.Remove(vm.ID); cvm == nil {
+		if !sh.Release(vm.ID) {
 			sh.mu.Unlock()
 			if routed && attempt < 1000 {
 				// In-flight handoff: drive its intent forward (the
@@ -706,10 +634,7 @@ func (s *Service) Release(vm *trace.VM) (released bool, err error) {
 			}
 			return false, nil
 		}
-		if sh.dp != nil {
-			sh.dp.Detach(vm.ID)
-			delete(sh.dpVMs, vm.ID)
-		}
+		delete(sh.dpVMs, vm.ID)
 		sh.released++
 		sh.mu.Unlock()
 		s.clearRoute(vm.ID)
@@ -748,7 +673,7 @@ func (s *Service) Report(vm *trace.VM, memUtil float64) (applied bool, err error
 		return false, nil
 	}
 	tr.reported, tr.hasReport = memUtil, true
-	sh.dp.SetWSS(vm.ID, tr.wss())
+	sh.DP.SetWSS(vm.ID, tr.wss())
 	return true, nil
 }
 
@@ -785,30 +710,26 @@ func (s *Service) TickDataPlane() error {
 	var handoffs []core.MigrationRequest
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.dp == nil {
+		if sh.DP == nil {
 			sh.mu.Unlock()
 			continue
 		}
+		// The sample at a VM's age drives this tick — sample 0 on the first
+		// tick after admission, as in the simulator's delta pass — and the
+		// next tick reads the one after.
 		for id, tr := range sh.dpVMs {
+			sh.DP.SetWSS(id, tr.wss())
 			tr.age++
-			sh.dp.SetWSS(id, tr.wss())
 		}
-		_, completed, err := sh.dp.Tick(core.DataPlaneTickSeconds)
+		_, _, reqs, err := sh.Tick(tick)
+		sh.mu.Unlock()
 		if err != nil {
-			sh.mu.Unlock()
 			return err
-		}
-		plans, reqs, err := sh.eng.Resolve(tick, completed)
-		if err != nil {
-			sh.mu.Unlock()
-			return err
-		}
-		for _, p := range plans {
-			sh.countPlan(p)
 		}
 		handoffs = append(handoffs, reqs...)
-		sh.mu.Unlock()
 	}
+	// The simulator's exchange order, so both layers hand off alike.
+	sort.Slice(handoffs, func(i, j int) bool { return handoffs[i].Before(handoffs[j]) })
 	for _, req := range handoffs {
 		if err := s.driveHandoff(s.newIntent(req)); err != nil {
 			return err
@@ -816,17 +737,6 @@ func (s *Service) TickDataPlane() error {
 	}
 	s.dpTicks.Add(1)
 	return nil
-}
-
-// shardIndex routes a VM to its home cluster's shard, folding trace
-// cluster indices modulo the fleet's cluster count exactly as the
-// simulator does, so serving and replay agree on placement domains.
-func (s *Service) shardIndex(vm *trace.VM) int {
-	ci := vm.Cluster % len(s.shards)
-	if ci < 0 {
-		ci += len(s.shards)
-	}
-	return ci
 }
 
 // ClusterStats is one shard's admission counters and occupancy.
@@ -948,11 +858,6 @@ func (s *Service) Stats() Stats {
 		st.DataPlane.Policy = s.cfg.MitigationPolicy.String()
 		st.DataPlane.Mode = s.cfg.MitigationMode.String()
 		st.DataPlane.Ticks = s.dpTicks.Load()
-		st.DataPlane.Crashes = s.crashes.Load()
-		st.DataPlane.Recoveries = s.recoveries.Load()
-		st.DataPlane.EvictedVMs = s.evictedVMs.Load()
-		st.DataPlane.ReplacedVMs = s.replacedVMs.Load()
-		st.DataPlane.LostVMs = s.lostVMs.Load()
 		st.DataPlane.PendingHandoffs = s.pendingHandoffs()
 	}
 	var totals memsim.Totals
@@ -962,26 +867,30 @@ func (s *Service) Stats() Stats {
 		sh.mu.Lock()
 		cs.Admitted, cs.Released, cs.Rejected = sh.admitted, sh.released, sh.rejected
 		st.AdmitBatch.ConflictReplays += sh.conflictReplays
-		if sh.sched != nil {
-			cs.Placed = sh.sched.Placed()
-			cs.UsedServers = sh.sched.UsedServers()
+		if sh.Sched != nil {
+			cs.Placed = sh.Sched.Placed()
+			cs.UsedServers = sh.Sched.UsedServers()
 		}
-		if sh.dp != nil {
-			st.DataPlane.AttachedVMs += sh.dp.Attached()
-			st.DataPlane.PoolGB += sh.dp.PoolGB()
-			st.DataPlane.PoolUsedGB += sh.dp.PoolUsedGB()
-			totals = totals.Add(sh.dp.Totals())
-			counters = counters.Add(sh.dp.Counters())
-			st.DataPlane.SameShardMigrations += sh.sameShardMigs
-			st.DataPlane.CrossShardMigrations += sh.crossShardMigs
-			st.DataPlane.FailedMigrations += sh.failedMigs
-			st.DataPlane.WarmArrivedGB += sh.warmArrivedGB
-			st.DataPlane.PressureRejected += sh.pressureRejected
-			if sh.eng != nil {
-				ws := sh.eng.Scorer().Stats()
-				st.DataPlane.WhatIfBatches += ws.Batches
-				st.DataPlane.WhatIfCandidates += ws.Scored
-			}
+		if sh.DP != nil {
+			d, c := &st.DataPlane, sh.Stats
+			d.AttachedVMs += sh.DP.Attached()
+			d.PoolGB += sh.DP.PoolGB()
+			d.PoolUsedGB += sh.DP.PoolUsedGB()
+			totals = totals.Add(sh.DP.Totals())
+			counters = counters.Add(sh.DP.Counters())
+			d.SameShardMigrations += int64(c.SameShardMigrations)
+			d.CrossShardMigrations += int64(c.CrossShardMigrations)
+			d.FailedMigrations += int64(c.FailedMigrations)
+			d.WarmArrivedGB += c.WarmArrivedGB
+			d.PressureRejected += sh.pressureRejected
+			d.Crashes += int64(c.Crashes)
+			d.Recoveries += int64(c.Recoveries)
+			d.EvictedVMs += int64(c.EvictedVMs)
+			d.ReplacedVMs += int64(c.ReplacedVMs)
+			d.LostVMs += int64(c.LostVMs)
+			ws := sh.Scorer.Stats()
+			d.WhatIfBatches += ws.Batches
+			d.WhatIfCandidates += ws.Scored
 		}
 		sh.mu.Unlock()
 		st.Placed += cs.Placed

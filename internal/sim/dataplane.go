@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/coach-oss/coach/internal/agent"
-	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/core"
 	"github.com/coach-oss/coach/internal/memsim"
 )
@@ -115,13 +114,6 @@ func (d *DataPlaneResult) mark(t int, c core.AgentCounters) {
 	d.Counters = c
 }
 
-// finish captures the end-of-run totals from the shard's data plane.
-func (d *DataPlaneResult) finish(dp *core.DataPlane) {
-	d.Servers = len(dp.Servers())
-	d.Totals = dp.Totals()
-	d.Counters = dp.Counters()
-}
-
 // merge folds o into d (shard order): sums, histogram addition, and the
 // earliest first-mitigation ticks.
 func (d *DataPlaneResult) merge(o *DataPlaneResult) {
@@ -199,18 +191,6 @@ func (d *DataPlaneResult) latencyPercentile(q float64) float64 {
 	return latencyOf(latencyBuckets - 1)
 }
 
-// shardDataPlane bundles a shard's data plane and migration engine with
-// its result accumulator.
-type shardDataPlane struct {
-	dp  *core.DataPlane
-	eng *core.MigrationEngine
-	res *DataPlaneResult
-	// sparse enables the steady-server observe cache (event engine only);
-	// obs[i] holds server i's cached per-tick histogram contribution.
-	sparse bool
-	obs    []steadyObs
-}
-
 // steadyObs caches one steady server's per-tick contribution to the
 // shard's DataPlaneResult: the VM-tick count and the latency-histogram
 // increments its (unchanging) frame produces. While the server stays
@@ -227,19 +207,20 @@ type steadyObs struct {
 	count   []int64
 }
 
-// observeSparse folds one tick's frames into the result like
+// observeSparse folds one tick's frames into the shard's result like
 // DataPlaneResult.observe, but replays cached increments for servers that
 // stayed steady and only walks frames that could have changed.
-func (s *shardDataPlane) observeSparse(frames []*memsim.TickFrame) {
-	steady := s.dp.Steady()
-	servers := s.dp.Servers()
+func (st *shardState) observeSparse(frames []*memsim.TickFrame) {
+	steady := st.sh.DP.Steady()
+	servers := st.sh.DP.Servers()
+	res := st.dpRes
 	for i, f := range frames {
-		o := &s.obs[i]
+		o := &st.obs[i]
 		tc := servers[i].Server.TickCount()
 		if steady[i] && o.valid && o.ticks == tc {
-			s.res.VMTicks += o.vmTicks
+			res.VMTicks += o.vmTicks
 			for j, b := range o.bucket {
-				s.res.LatencyHist[b] += o.count[j]
+				res.LatencyHist[b] += o.count[j]
 			}
 			continue
 		}
@@ -252,9 +233,9 @@ func (s *shardDataPlane) observeSparse(frames []*memsim.TickFrame) {
 			if f.Departed(j) {
 				continue
 			}
-			s.res.VMTicks++
+			res.VMTicks++
 			b := latencyBucket(f.At(j).MeanNs)
-			s.res.LatencyHist[b]++
+			res.LatencyHist[b]++
 			if cache {
 				o.vmTicks++
 				o.addBucket(int32(b))
@@ -274,59 +255,4 @@ func (o *steadyObs) addBucket(b int32) {
 	}
 	o.bucket = append(o.bucket, b)
 	o.count = append(o.count, 1)
-}
-
-// newShardDataPlane builds the data plane and migration engine over a
-// shard's servers (both nil when the cluster has none; the accumulator
-// still merges so the merged Result always carries a DataPlaneResult when
-// the config enables one). The engine shares the shard scheduler the
-// replay places VMs with, so a landed migration moves capacity
-// bookkeeping and memory together.
-func newShardDataPlane(sh *shard, cfg Config) (*shardDataPlane, error) {
-	sdp := &shardDataPlane{res: newDataPlaneResult(cfg)}
-	if sh.sched == nil {
-		return sdp, nil
-	}
-	dpCfg := core.DefaultDataPlaneConfig()
-	dpCfg.Agent.Policy = cfg.MitigationPolicy
-	dpCfg.Agent.Mode = cfg.MitigationMode
-	// The dense reference core re-simulates every server every tick; the
-	// event core lets provably idle servers skip (core.DataPlane docs).
-	dpCfg.AlwaysTick = cfg.Engine == EngineDense
-	if cfg.DataPlanePoolFrac > 0 {
-		dpCfg.PoolFrac = cfg.DataPlanePoolFrac
-	}
-	if cfg.DataPlaneUnallocFrac > 0 {
-		dpCfg.UnallocFrac = cfg.DataPlaneUnallocFrac
-	}
-	states := sh.sched.Servers()
-	servers := make([]*cluster.Server, len(states))
-	for i, st := range states {
-		servers[i] = st.Server
-	}
-	dp, err := core.NewDataPlane(dpCfg, servers)
-	if err != nil {
-		return nil, err
-	}
-	mc := core.MigrationConfigFor(cfg.MigrationDirtyFrac, cfg.MigrationPressureFrac,
-		cfg.CrossShardMigration, cfg.shards)
-	eng, err := core.NewMigrationEngine(mc, sh.index, sh.sched, dp)
-	if err != nil {
-		return nil, err
-	}
-	sdp.dp = dp
-	sdp.eng = eng
-	if cfg.Engine == EngineEvent {
-		sdp.sparse = true
-		sdp.obs = make([]steadyObs, len(servers))
-	}
-	return sdp, nil
-}
-
-// result finalizes and returns the shard's data-plane result.
-func (s *shardDataPlane) result() *DataPlaneResult {
-	if s.dp != nil {
-		s.res.finish(s.dp)
-	}
-	return s.res
 }

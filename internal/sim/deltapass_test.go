@@ -64,14 +64,11 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 		var visits int64
 		cfg := ConfigForPolicy(scheduler.PolicyNone)
 		cfg.TrainUpTo, cfg.Engine, cfg.VisitCounter = trainUpTo, engine, &visits
-		shards, err := buildShards(tr, fleet, cfg)
+		states, err := buildShards(tr, fleet, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := newShardState(shards[0], tr, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st := states[0]
 		for now := trainUpTo; now < tick; now++ {
 			if err := st.step(now); err != nil {
 				t.Fatal(err)
@@ -84,8 +81,8 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 		}
 		// The boundary before tick: c emigrates, b immigrates onto a
 		// server the crash spares.
-		st.sh.sched.Remove(c)
-		st.removeTracked(c, false)
+		st.sh.Sched.Remove(c)
+		st.removeTracked(c)
 		rb := tr.VMs[b]
 		st.addImmigrated(migRequest{
 			MigrationRequest: core.MigrationRequest{VMID: b, Tick: tick - 1 - trainUpTo},
@@ -103,8 +100,8 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 		if err := st.step(tick); err != nil {
 			t.Fatal(err)
 		}
-		if st.sr.faults.ReplacedVMs != 2 {
-			t.Fatalf("%v: crash re-admitted %d VMs, want 2", engine, st.sr.faults.ReplacedVMs)
+		if st.sh.Stats.ReplacedVMs != 2 {
+			t.Fatalf("%v: crash re-admitted %d VMs, want 2", engine, st.sh.Stats.ReplacedVMs)
 		}
 		if srv := st.recs[st.pos[b]].srv; st.recs[st.pos[a]].srv != srv || st.recs[st.pos[d]].srv != srv {
 			t.Fatalf("%v: fixture wants b, a and d on one server after the crash", engine)

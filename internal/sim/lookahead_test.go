@@ -26,37 +26,38 @@ type placementLedger struct {
 // ascending id order at the top of their tick.
 func replayPerArrival(t *testing.T, tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (placementLedger, int) {
 	t.Helper()
-	shards, err := buildShards(tr, fleet, cfg)
+	states, err := buildShards(tr, fleet, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var led placementLedger
 	replaced := 0
-	for _, sh := range shards {
-		faults, fi, ei := cfg.Faults.ForShard(sh.index), 0, 0
+	for _, st := range states {
+		sh := st.sh
+		faults, fi, ei := cfg.Faults.ForShard(sh.Index), 0, 0
 		for tick := cfg.TrainUpTo; tick < tr.Horizon; tick++ {
 			for ; fi < len(faults) && faults[fi].Tick <= tick-cfg.TrainUpTo; fi++ {
 				srv := faults[fi].Server
 				if faults[fi].Up {
-					sh.sched.SetDown(srv, false)
+					sh.Sched.SetDown(srv, false)
 					continue
 				}
-				if sh.sched.Down(srv) {
+				if sh.Sched.Down(srv) {
 					continue
 				}
-				evicted := sh.sched.VMsOn(srv)
-				sh.sched.SetDown(srv, true)
+				evicted := sh.Sched.VMsOn(srv)
+				sh.Sched.SetDown(srv, true)
 				for _, id := range evicted {
-					cvm, _ := sh.sched.Remove(id)
-					if _, ok := sh.sched.Place(cvm); ok {
+					cvm, _ := sh.Sched.Remove(id)
+					if _, ok := sh.Sched.Place(cvm); ok {
 						replaced++
 					}
 				}
 			}
-			for ; ei < len(sh.events) && sh.events[ei].sample == tick; ei++ {
-				ev := sh.events[ei]
+			for ; ei < len(st.events) && st.events[ei].sample == tick; ei++ {
+				ev := st.events[ei]
 				if !ev.arrival {
-					sh.sched.Remove(ev.vm.ID)
+					sh.Sched.Remove(ev.vm.ID)
 					continue
 				}
 				led.Requested++
@@ -65,7 +66,7 @@ func replayPerArrival(t *testing.T, tr *trace.Trace, fleet *cluster.Fleet, cfg C
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, placed := sh.sched.Place(cvm); !placed {
+				if _, placed := sh.Sched.Place(cvm); !placed {
 					led.Rejected++
 					continue
 				}
@@ -135,13 +136,13 @@ func TestLookAheadPredictionMatchesPerArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shards, err := buildShards(&tr, fleet, cfg)
+	states, err := buildShards(&tr, fleet, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrivals := make([]int, len(shards))
-	for i, sh := range shards {
-		for _, ev := range sh.events {
+	arrivals := make([]int, len(states))
+	for i, st := range states {
+		for _, ev := range st.events {
 			if ev.arrival {
 				arrivals[i]++
 			}

@@ -107,9 +107,9 @@ func TestRunParallelRace(t *testing.T) {
 func TestShardIndexFoldsClusters(t *testing.T) {
 	tr, _ := fixtures(t)
 	for i := range tr.VMs {
-		got := shardIndex(&tr.VMs[i], 3)
+		got := tr.VMs[i].HomeShard(3)
 		if got < 0 || got >= 3 {
-			t.Fatalf("shardIndex(%d, 3) = %d", tr.VMs[i].Cluster, got)
+			t.Fatalf("HomeShard(%d, 3) = %d", tr.VMs[i].Cluster, got)
 		}
 	}
 }

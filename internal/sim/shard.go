@@ -22,18 +22,6 @@ type event struct {
 	vm      *trace.VM
 }
 
-// shard is one independently replayable partition of the simulation: the
-// servers of a single cluster plus the event stream of the VMs homed
-// there. Clusters never share VMs in the scheduler, so shards exchange no
-// state while ticking and replay concurrently; with cross-shard migration
-// enabled they additionally trade migrated VMs at sample boundaries
-// through the deterministic exchange step (docs/DESIGN.md §10).
-type shard struct {
-	index  int
-	sched  *scheduler.Scheduler // nil when the cluster has no servers
-	events []event
-}
-
 // shardResult is the per-shard slice of Result, merged by merge().
 type shardResult struct {
 	requested      int
@@ -56,39 +44,47 @@ type shardResult struct {
 	faults FaultResult
 }
 
-// buildShards partitions the fleet into per-cluster shards and routes each
-// VM's arrival/departure events to its home cluster's shard. VM cluster
-// indices are folded modulo the fleet's cluster count so traces generated
-// for the default ten clusters replay on smaller fleets too.
-func buildShards(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) ([]*shard, error) {
+// buildShards partitions the fleet into one replay state per cluster —
+// its core.Shard (scheduler, plus data plane and migration engine when
+// Config.DataPlane is set) and the event stream of the VMs homed there —
+// at the start of the evaluation period. Clusters never share VMs in the
+// scheduler, so shards exchange no state while ticking and replay
+// concurrently; with cross-shard migration enabled they additionally
+// trade migrated VMs at sample boundaries through the deterministic
+// exchange step (docs/DESIGN.md §10).
+func buildShards(tr *trace.Trace, fleet *cluster.Fleet, model *predict.LongTerm, cfg Config) ([]*shardState, error) {
 	groups := fleet.Shards()
-	shards := make([]*shard, len(groups))
+	var dpCfg *core.DataPlaneConfig
+	if cfg.DataPlane {
+		c := core.DataPlaneConfigFor(cfg.MitigationPolicy, cfg.MitigationMode,
+			cfg.DataPlanePoolFrac, cfg.DataPlaneUnallocFrac)
+		// The dense reference core re-simulates every server every tick; the
+		// event core lets provably idle servers skip (core.DataPlane docs).
+		c.AlwaysTick = cfg.Engine == EngineDense
+		dpCfg = &c
+	}
+	mc := core.MigrationConfigFor(cfg.MigrationDirtyFrac, cfg.MigrationPressureFrac,
+		cfg.CrossShardMigration, len(groups))
+	states := make([]*shardState, len(groups))
 	for i, servers := range groups {
-		sh := &shard{index: i}
-		if len(servers) > 0 {
-			sched, err := scheduler.NewOverServers(servers, cfg.Windows)
-			if err != nil {
-				return nil, err
-			}
-			sh.sched = sched
+		sh, err := core.NewShard(i, servers, cfg.Windows, dpCfg, mc)
+		if err != nil {
+			return nil, err
 		}
-		shards[i] = sh
+		states[i] = newShardState(sh, tr, model, cfg)
 	}
 	for i := range tr.VMs {
 		vm := &tr.VMs[i]
 		if vm.End <= cfg.TrainUpTo {
 			continue
 		}
-		at := vm.Start
-		if at < cfg.TrainUpTo {
-			at = cfg.TrainUpTo
-		}
-		sh := shards[shardIndex(vm, len(shards))]
-		sh.events = append(sh.events, event{sample: at, arrival: true, vm: vm})
-		sh.events = append(sh.events, event{sample: vm.End, arrival: false, vm: vm})
+		st := states[vm.HomeShard(len(states))]
+		st.events = append(st.events,
+			event{sample: max(vm.Start, cfg.TrainUpTo), arrival: true, vm: vm},
+			event{sample: vm.End, arrival: false, vm: vm})
 	}
-	for _, sh := range shards {
-		evs := sh.events
+	for _, st := range states {
+		evs := st.events
 		sort.SliceStable(evs, func(i, j int) bool {
 			if evs[i].sample != evs[j].sample {
 				return evs[i].sample < evs[j].sample
@@ -97,15 +93,7 @@ func buildShards(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) ([]*shard, e
 			return !evs[i].arrival && evs[j].arrival
 		})
 	}
-	return shards, nil
-}
-
-func shardIndex(vm *trace.VM, n int) int {
-	c := vm.Cluster % n
-	if c < 0 {
-		c += n
-	}
-	return c
+	return states, nil
 }
 
 // placedRec tracks one placed VM's incremental-accounting state.
@@ -146,14 +134,14 @@ type migRequest struct {
 // single-threaded: inside step by the shard's worker, inside the
 // add/remove helpers by the serial exchange.
 type shardState struct {
-	sh    *shard
-	tr    *trace.Trace
-	model *predict.LongTerm
-	cfg   Config
-	sr    *shardResult
+	sh     *core.Shard
+	events []event
+	tr     *trace.Trace
+	model  *predict.LongTerm
+	cfg    Config
+	sr     *shardResult
 
 	servers  []*scheduler.ServerState
-	sdp      *shardDataPlane
 	demand   []resources.Vector
 	vmCount  []int
 	cpuLimit []float64
@@ -182,6 +170,12 @@ type shardState struct {
 	aheadOKs   [lookAhead]bool
 	aheadNext  int
 
+	// dpRes accumulates the shard's data-plane result (nil unless
+	// Config.DataPlane); obs[i] caches steady server i's per-tick
+	// histogram contribution (event core with a data plane only).
+	dpRes *DataPlaneResult
+	obs   []steadyObs
+
 	// fEvents is the shard's slice of the compiled fault schedule (nil
 	// without faults); fi is the applied-events cursor.
 	fEvents []fault.Event
@@ -209,8 +203,8 @@ type shardState struct {
 }
 
 // newShardState builds a shard's replay state at the start of the
-// evaluation period.
-func newShardState(sh *shard, tr *trace.Trace, model *predict.LongTerm, cfg Config) (*shardState, error) {
+// evaluation period; buildShards fills in its event stream.
+func newShardState(sh *core.Shard, tr *trace.Trace, model *predict.LongTerm, cfg Config) *shardState {
 	ticks := tr.Horizon - cfg.TrainUpTo
 	st := &shardState{
 		sh:    sh,
@@ -225,15 +219,14 @@ func newShardState(sh *shard, tr *trace.Trace, model *predict.LongTerm, cfg Conf
 	for i := range st.pos {
 		st.pos[i] = -1
 	}
-	if sh.sched != nil {
-		st.servers = sh.sched.Servers()
+	if sh.Sched != nil {
+		st.servers = sh.Sched.Servers()
 	}
 	if cfg.DataPlane {
-		sdp, err := newShardDataPlane(sh, cfg)
-		if err != nil {
-			return nil, err
+		st.dpRes = newDataPlaneResult(cfg)
+		if sh.DP != nil && cfg.Engine == EngineEvent {
+			st.obs = make([]steadyObs, len(st.servers))
 		}
-		st.sdp = sdp
 	}
 	st.demand = make([]resources.Vector, len(st.servers))
 	st.vmCount = make([]int, len(st.servers))
@@ -247,8 +240,8 @@ func newShardState(sh *shard, tr *trace.Trace, model *predict.LongTerm, cfg Conf
 		st.violMem = make([]bool, len(st.servers))
 		st.dirtyFlag = make([]bool, len(st.servers))
 	}
-	st.fEvents = cfg.Faults.ForShard(sh.index)
-	return st, nil
+	st.fEvents = cfg.Faults.ForShard(sh.Index)
+	return st
 }
 
 // touchServer marks a server's contention flags stale (event core): its
@@ -290,6 +283,15 @@ func (st *shardState) scheduleNext(r *placedRec, t int) {
 // updates happen in deterministic (event/slice) order, so float sums are
 // bit-reproducible across runs and worker counts.
 func (st *shardState) step(t int) error {
+	if err := st.arrive(t); err != nil {
+		return err
+	}
+	return st.advance(t)
+}
+
+// arrive applies the first half of tick t: fault events, departures and
+// arrivals, which decide every placement of the tick.
+func (st *shardState) arrive(t int) error {
 	// Fault events first: a server crashing this tick evicts its VMs
 	// before the tick's departures fire and its recovered capacity (or
 	// its absence) shapes this tick's placements.
@@ -302,21 +304,14 @@ func (st *shardState) step(t int) error {
 	// departures-before-arrivals discipline, they free capacity before
 	// this tick's arrivals place.
 	for st.xi < len(st.extra) && st.extra[st.xi].sample == t {
-		ev := st.extra[st.xi]
+		st.depart(st.extra[st.xi].vm.ID)
 		st.xi++
-		if st.removeTracked(ev.vm.ID, true) {
-			st.sh.sched.Remove(ev.vm.ID)
-		}
 	}
-	for st.ei < len(st.sh.events) && st.sh.events[st.ei].sample == t {
-		ev := st.sh.events[st.ei]
+	for st.ei < len(st.events) && st.events[st.ei].sample == t {
+		ev := st.events[st.ei]
 		st.ei++
 		if !ev.arrival {
-			// No-op when the VM was rejected on arrival or emigrated to
-			// another shard (its departure fires there instead).
-			if st.removeTracked(ev.vm.ID, true) {
-				st.sh.sched.Remove(ev.vm.ID)
-			}
+			st.depart(ev.vm.ID)
 			continue
 		}
 		st.sr.requested++
@@ -325,50 +320,53 @@ func (st *shardState) step(t int) error {
 		if err != nil {
 			return err
 		}
-		if st.sh.sched == nil {
-			st.sr.rejected++
-			continue
+		srv := -1
+		if st.sh.Sched != nil {
+			if srv, err = st.sh.Admit(cvm); err != nil {
+				return err
+			}
 		}
-		srv, placedOK := st.sh.sched.Place(cvm)
-		if !placedOK {
+		if srv < 0 {
 			st.sr.rejected++
 			continue
 		}
 		st.sr.placed++
-		if st.vmCount[srv] == 0 {
-			st.used++
-		}
-		st.vmCount[srv]++
-		st.pos[ev.vm.ID] = int32(len(st.recs))
-		st.recs = append(st.recs, placedRec{vm: ev.vm, srv: srv})
+		rec := placedRec{vm: ev.vm, srv: srv}
 		if st.queue != nil {
 			// The event core applies the new record's demand this tick via
 			// its slot; scheduleNext (in the delta pass) queues the rest of
 			// its life.
-			st.recs[len(st.recs)-1].changes = ev.vm.ChangePoints()
+			rec.changes = ev.vm.ChangePoints()
 			st.slots = append(st.slots, ev.vm.ID)
-			st.touchServer(srv)
 		}
-		if st.sdp != nil && st.sdp.dp != nil {
-			err := st.sdp.dp.Attach(srv, ev.vm.ID,
-				cvm.Alloc[resources.Memory], cvm.Guaranteed[resources.Memory])
-			if err != nil {
-				return err
-			}
-		}
+		st.track(rec)
 		if ok && st.cfg.Policy != scheduler.PolicyNone {
 			st.sr.oversubscribed++
 			st.sr.outcomes = append(st.sr.outcomes, outcome(ev.vm, cvm, st.cfg))
 		}
 	}
+	return nil
+}
 
+// depart releases a departing VM. It is a no-op when the VM was rejected
+// on arrival, lost to a crash, or emigrated to another shard (its
+// departure fires there instead).
+func (st *shardState) depart(vmID int) {
+	if st.removeTracked(vmID) {
+		st.sh.Release(vmID)
+	}
+}
+
+// advance applies the second half of tick t: the demand delta pass, the
+// data-plane tick with migration resolution, and the contention counters.
+func (st *shardState) advance(t int) error {
 	if st.queue != nil {
 		st.eventDeltaPass(t)
 	} else {
 		st.denseDeltaPass(t)
 	}
 
-	if st.sdp != nil {
+	if st.sh.DP != nil {
 		if err := st.dataPlaneTick(t - st.cfg.TrainUpTo); err != nil {
 			return err
 		}
@@ -399,7 +397,7 @@ func (st *shardState) nextPrediction() (coachvm.Prediction, bool) {
 	}
 	if st.aheadNext == len(st.aheadVMs) {
 		st.aheadVMs, st.aheadNext = st.aheadVMs[:0], 0
-		for _, ev := range st.sh.events[st.ei-1:] {
+		for _, ev := range st.events[st.ei-1:] {
 			if len(st.aheadVMs) == lookAhead {
 				break
 			}
@@ -429,8 +427,8 @@ func (st *shardState) denseDeltaPass(t int) {
 		if cur != r.last {
 			st.demand[r.srv] = st.demand[r.srv].Add(cur.Sub(r.last))
 			r.last = cur
-			if st.sdp != nil && st.sdp.dp != nil {
-				st.sdp.dp.SetWSS(r.vm.ID, cur[resources.Memory])
+			if st.sh.DP != nil {
+				st.sh.DP.SetWSS(r.vm.ID, cur[resources.Memory])
 			}
 		}
 		r.synced = true
@@ -481,8 +479,8 @@ func (st *shardState) eventDeltaPass(t int) {
 				st.demand[r.srv] = st.demand[r.srv].Add(cur.Sub(r.last))
 				r.last = cur
 				st.touchServer(r.srv)
-				if st.sdp != nil && st.sdp.dp != nil {
-					st.sdp.dp.SetWSS(r.vm.ID, cur[resources.Memory])
+				if st.sh.DP != nil {
+					st.sh.DP.SetWSS(r.vm.ID, cur[resources.Memory])
 				}
 			}
 			r.synced = true
@@ -556,22 +554,14 @@ func (st *shardState) settleContention() {
 // accounting together; cross-shard requests go to the outbox for the
 // sample-boundary exchange. t is the 0-based evaluation tick.
 func (st *shardState) dataPlaneTick(t int) error {
-	s := st.sdp
-	if s.dp == nil {
-		return nil
-	}
-	frames, completed, err := s.dp.Tick(core.DataPlaneTickSeconds)
+	frames, plans, reqs, err := st.sh.Tick(t)
 	if err != nil {
 		return err
 	}
-	if s.sparse {
-		s.observeSparse(frames)
+	if st.obs != nil {
+		st.observeSparse(frames)
 	} else {
-		s.res.observe(frames)
-	}
-	plans, reqs, err := s.eng.Resolve(t, completed)
-	if err != nil {
-		return err
+		st.dpRes.observe(frames)
 	}
 	for _, p := range plans {
 		st.applyPlan(p)
@@ -585,22 +575,17 @@ func (st *shardState) dataPlaneTick(t int) error {
 			nextCh:           rec.nextCh,
 		})
 	}
-	s.res.mark(t, s.dp.Counters())
+	st.dpRes.mark(t, st.sh.DP.Counters())
 	return nil
 }
 
 // applyPlan folds a landed migration into the incremental accounting:
 // the VM's demand contribution moves from its old server's running total
-// to the new one's.
+// to the new one's. A re-landed VM never moved.
 func (st *shardState) applyPlan(p core.MigrationPlan) {
-	dp := st.sdp.res
 	if p.Relanded {
-		dp.FailedMigrations++
-		dp.WarmArrivedGB += p.WarmGB
 		return
 	}
-	dp.SameShardMigrations++
-	dp.WarmArrivedGB += p.WarmGB
 	r := &st.recs[st.pos[p.VMID]]
 	st.demand[p.From] = st.demand[p.From].Sub(r.last)
 	st.vmCount[p.From]--
@@ -618,16 +603,25 @@ func (st *shardState) applyPlan(p core.MigrationPlan) {
 	st.touchServer(p.To)
 }
 
-// removeTracked drops a VM from the incremental accounting (and, when
-// detachMemory is set, from the data plane). It returns false when the
-// shard does not track the VM — rejected on arrival, or emigrated.
-func (st *shardState) removeTracked(vmID int, detachMemory bool) bool {
+// track adds a placed VM's record to the incremental accounting; its
+// demand folds in at the next delta pass that visits it.
+func (st *shardState) track(rec placedRec) {
+	if st.vmCount[rec.srv] == 0 {
+		st.used++
+	}
+	st.vmCount[rec.srv]++
+	st.pos[rec.vm.ID] = int32(len(st.recs))
+	st.recs = append(st.recs, rec)
+	st.touchServer(rec.srv)
+}
+
+// removeTracked drops a VM from the incremental accounting. It returns
+// false when the shard does not track the VM — rejected on arrival, lost,
+// or emigrated.
+func (st *shardState) removeTracked(vmID int) bool {
 	p := st.pos[vmID]
 	if p < 0 {
 		return false
-	}
-	if detachMemory && st.sdp != nil && st.sdp.dp != nil {
-		st.sdp.dp.Detach(vmID)
 	}
 	r := st.recs[p]
 	st.demand[r.srv] = st.demand[r.srv].Sub(r.last)
@@ -652,12 +646,7 @@ func (st *shardState) removeTracked(vmID int, detachMemory bool) bool {
 // (the next delta pass folds its demand in) plus an injected departure
 // event at the VM's end-of-life.
 func (st *shardState) addImmigrated(rq migRequest, server int) {
-	if st.vmCount[server] == 0 {
-		st.used++
-	}
-	st.vmCount[server]++
-	st.pos[rq.VMID] = int32(len(st.recs))
-	st.recs = append(st.recs, placedRec{
+	st.track(placedRec{
 		vm: rq.vm, srv: server,
 		changes: rq.changes, nextCh: rq.nextCh,
 	})
@@ -668,7 +657,6 @@ func (st *shardState) addImmigrated(rq migRequest, server int) {
 		// the same effect from an explicit event. The fired event's
 		// scheduleNext then resumes the carried change-point cursor.
 		st.queue.Push(rq.Tick+st.cfg.TrainUpTo+1, rq.VMID)
-		st.touchServer(server)
 	}
 }
 
@@ -686,11 +674,18 @@ func (st *shardState) insertExtra(ev event) {
 	st.extra[i] = ev
 }
 
-// finish seals the shard's result after the last tick.
+// finish seals the shard's result after the last tick: end-of-run data
+// plane totals and the counters the core.Shard kept.
 func (st *shardState) finish() *shardResult {
-	if st.sdp != nil {
-		st.sr.dataPlane = st.sdp.result()
+	cs, f := st.sh.Stats, &st.sr.faults
+	f.Crashes, f.Recoveries = cs.Crashes, cs.Recoveries
+	f.EvictedVMs, f.ReplacedVMs, f.LostVMs = cs.EvictedVMs, cs.ReplacedVMs, cs.LostVMs
+	if d, dp := st.dpRes, st.sh.DP; d != nil && dp != nil {
+		d.Servers, d.Totals, d.Counters = len(dp.Servers()), dp.Totals(), dp.Counters()
+		d.SameShardMigrations, d.CrossShardMigrations = cs.SameShardMigrations, cs.CrossShardMigrations
+		d.FailedMigrations, d.WarmArrivedGB = cs.FailedMigrations, cs.WarmArrivedGB
 	}
+	st.sr.dataPlane = st.dpRes
 	return st.sr
 }
 

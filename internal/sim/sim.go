@@ -130,10 +130,6 @@ type Config struct {
 	// it as the machine-independent work metric: the event core's count
 	// scales with demand changes, the dense core's with population.
 	VisitCounter *int64
-
-	// shards is the fleet's shard count, recorded by Run for the
-	// per-shard engine construction.
-	shards int
 }
 
 // EngineKind selects the simulator replay core.
@@ -351,25 +347,17 @@ func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
 		}
 	}
 
-	shards, err := buildShards(tr, fleet, cfg)
+	states, err := buildShards(tr, fleet, model, cfg)
 	if err != nil {
 		return nil, err
 	}
-	cfg.shards = len(shards)
 
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-
-	states := make([]*shardState, len(shards))
-	for i, sh := range shards {
-		if states[i], err = newShardState(sh, tr, model, cfg); err != nil {
-			return nil, err
-		}
+	if workers > len(states) {
+		workers = len(states)
 	}
 
 	// Cross-shard migration couples shards at sample boundaries; without
@@ -377,7 +365,7 @@ func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
 	// barriers. Both paths produce byte-identical Results for any worker
 	// count.
 	exchanging := cfg.DataPlane && cfg.CrossShardMigration &&
-		cfg.MitigationPolicy == agent.PolicyMigrate && len(shards) > 1
+		cfg.MitigationPolicy == agent.PolicyMigrate && len(states) > 1
 	if exchanging {
 		err = runExchanging(states, tr, cfg, workers)
 	} else {
@@ -493,30 +481,21 @@ func exchangeMigrations(states []*shardState) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	sort.SliceStable(reqs, func(i, j int) bool {
-		a, b := &reqs[i].MigrationRequest, &reqs[j].MigrationRequest
-		if a.Tick != b.Tick {
-			return a.Tick < b.Tick
-		}
-		if a.SrcShard != b.SrcShard {
-			return a.SrcShard < b.SrcShard
-		}
-		return a.VMID < b.VMID
-	})
+	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Before(reqs[j].MigrationRequest) })
 	for _, rq := range reqs {
 		src := states[rq.SrcShard]
 		bestShard, bestServer, bestScore := -1, -1, 0.0
 		for j, dst := range states {
-			if j == rq.SrcShard || dst.sdp == nil || dst.sdp.eng == nil {
+			if j == rq.SrcShard || dst.sh.Eng == nil {
 				continue
 			}
 			// Strict > keeps the lowest shard index on score ties.
-			if srv, score, ok := dst.sdp.eng.PickInbound(rq.MigrationRequest); ok && (bestShard < 0 || score > bestScore) {
+			if srv, score, ok := dst.sh.Eng.PickInbound(rq.MigrationRequest); ok && (bestShard < 0 || score > bestScore) {
 				bestShard, bestServer, bestScore = j, srv, score
 			}
 		}
 		if bestShard < 0 {
-			plan, err := src.sdp.eng.Settle(rq.MigrationRequest)
+			plan, err := src.sh.Settle(rq.MigrationRequest)
 			if err != nil {
 				return err
 			}
@@ -524,18 +503,17 @@ func exchangeMigrations(states []*shardState) error {
 			continue
 		}
 		dst := states[bestShard]
-		if err := dst.sdp.eng.Reserve(rq.MigrationRequest, bestServer); err != nil {
+		if err := dst.sh.Eng.Reserve(rq.MigrationRequest, bestServer); err != nil {
 			return err
 		}
-		src.sdp.eng.ReleaseSource(rq.VMID)
-		src.removeTracked(rq.VMID, false) // memory already left with the migration
-		plan, err := dst.sdp.eng.CommitInbound(rq.MigrationRequest, bestServer)
+		src.sh.Release(rq.VMID)
+		src.removeTracked(rq.VMID) // memory already left with the migration
+		plan, err := dst.sh.Eng.CommitInbound(rq.MigrationRequest, bestServer)
 		if err != nil {
 			return err
 		}
 		dst.addImmigrated(rq, bestServer)
-		src.sdp.res.CrossShardMigrations++
-		src.sdp.res.WarmArrivedGB += plan.WarmGB
+		src.sh.Count(plan)
 	}
 	return nil
 }

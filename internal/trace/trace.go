@@ -111,6 +111,17 @@ func (vm *VM) LongRunning() bool {
 	return vm.DurationSamples() > timeseries.SamplesPerDay
 }
 
+// HomeShard returns the shard of an n-shard fleet that hosts the VM: its
+// home cluster folded modulo n, so traces generated for more clusters
+// replay (and serve) on smaller fleets.
+func (vm *VM) HomeShard(n int) int {
+	c := vm.Cluster % n
+	if c < 0 {
+		c += n
+	}
+	return c
+}
+
 // AliveAt reports whether the VM is live at trace sample t.
 func (vm *VM) AliveAt(t int) bool { return t >= vm.Start && t < vm.End }
 
