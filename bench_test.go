@@ -221,18 +221,21 @@ func BenchmarkServeThroughput(b *testing.B) {
 }
 
 // BenchmarkServeAdmit measures the admission hot path (docs/DESIGN.md
-// §15) at 1/8/64 concurrent clients with and without coalescing:
-// mode=serial is MaxBatch 1 (every request is its own one-row rollout:
-// its own forest pass, score row and pool sweep under the shard lock),
-// mode=batched the default (concurrent requests share one PredictSweep
-// pass per forest and one rollout matrix, committed in arrival order). Both run the
-// same decision function and produce bit-identical admission decisions
-// (pinned by the serve equivalence tests), so the grid differs only in
-// throughput. Each op is one admit/release pair against a pressure-aware
-// data-plane service; clients work disjoint strides of the
-// evaluation-period VM population so ids never collide. The numbers are
-// recorded in BENCH_serve.json and the batched:serial ns/op ratio is
-// gated by cmd/coach-benchdiff -grid serve in CI.
+// §15) at 1/8/64 concurrent clients with and without coalescing. Each op
+// is one admit/release pair with no /v1/predict first, so every admit
+// predicts its VM on the client's goroutine before it queues, in both
+// modes. mode=serial is MaxBatch 1 (every request is its own one-row
+// rollout: its own score row and pool sweep under the shard lock),
+// mode=batched the default (concurrent requests share one rollout
+// matrix, committed in arrival order). Both run the same decision
+// function and produce bit-identical admission decisions (pinned by the
+// serve equivalence tests), so the grid differs only in throughput, and
+// batched:serial measures the shared score matrix, not a shared forest
+// pass. The service is a pressure-aware data-plane fleet; clients work
+// disjoint strides of the evaluation-period VM population so ids never
+// collide. The numbers are recorded in BENCH_serve.json and the
+// batched:serial ns/op ratio is gated by cmd/coach-benchdiff -grid serve
+// in CI.
 func BenchmarkServeAdmit(b *testing.B) {
 	ctx := benchContext()
 	tr, err := ctx.Trace()

@@ -1,7 +1,7 @@
 // Command coach-loadgen drives a running coachd with concurrent clients
 // and reports throughput and latency percentiles. Each client loops over
 // a deterministic per-client stream of VM ids, issuing predictions plus a
-// configurable fraction of admit/release pairs.
+// configurable fraction of admissions, each released again.
 //
 // Usage:
 //
@@ -35,8 +35,10 @@
 // coachd's predictor training ends. -clients bounds in-flight requests.
 //
 // -admit-mix picks how admissions are issued. "pair" (the default) is
-// the steady-state shape: each client admits one VM and releases it
-// before moving on, so concurrent admits only overlap by chance.
+// the steady-state shape and the documented recipe: each client predicts
+// one VM, admits it (the admit takes the prediction /v1/predict just
+// made, docs/api.md) and releases it before moving on, so concurrent
+// admits only overlap by chance.
 // "storm" buffers each client's admits and fires them as a concurrent
 // burst, then releases the placed VMs as a second burst — the shape
 // that drives the server's admission coalescing (many admits inside
@@ -53,7 +55,7 @@
 //	admit:   n=378 p50=11.3ms p95=25.9ms p99=34.1ms max=48.2ms
 //	predict: n=1244 p50=8.6ms p95=20.8ms p99=29.5ms max=41.7ms
 //	release: n=378 p50=7.9ms p95=18.2ms p99=26.0ms max=37.3ms
-//	server:  predictions=1244 admit-batches=48 (mean 7.9) cache hits/misses=0/1
+//	server:  predictions=1244 admit-batches=48 (mean 7.9) rows/admitted=47.4 cache hits/misses=0/1
 package main
 
 import (
@@ -85,7 +87,7 @@ func main() {
 	clients := flag.Int("clients", 16, "concurrent clients")
 	requests := flag.Int("requests", 2000, "total requests across all clients")
 	admitFrac := flag.Float64("admit-frac", 0.25, "fraction of requests that are admit (each later released)")
-	admitMix := flag.String("admit-mix", "pair", "admit issue pattern: pair (admit, release, move on) or storm (concurrent admit bursts that exercise admission coalescing)")
+	admitMix := flag.String("admit-mix", "pair", "admit issue pattern: pair (predict, admit, release, move on) or storm (concurrent admit bursts that exercise admission coalescing)")
 	vms := flag.Int("vms", 500, "VM id space to draw from (must match the served trace)")
 	seed := flag.Int64("seed", 1, "base RNG seed (client i uses seed+i)")
 	scenarioFlag := flag.String("scenario", "", "replay a workload scenario (preset name or spec file) instead of the random request mix; must match the served coachd's -scenario")
@@ -445,9 +447,13 @@ func run(hc *httpClient, addr string, clients, requests int, admitFrac float64, 
 
 	var st serve.Stats
 	if err := getJSON(addr+"/v1/stats", &st); err == nil {
-		fmt.Printf("server:  predictions=%d admit-batches=%d (mean %.1f) cache hits/misses=%d/%d\n",
+		var admitted int64
+		for _, cs := range st.Clusters {
+			admitted += cs.Admitted
+		}
+		fmt.Printf("server:  predictions=%d admit-batches=%d (mean %.1f) rows/admitted=%.1f cache hits/misses=%d/%d\n",
 			st.Batch.Requests, st.AdmitBatch.Batches, st.AdmitBatch.MeanSize,
-			st.Cache.Hits, st.Cache.Misses)
+			float64(st.Inference.Rows)/float64(max(admitted, 1)), st.Cache.Hits, st.Cache.Misses)
 	}
 	if ec.total() > 0 {
 		return fmt.Errorf("%d requests failed after retries (%s)", ec.total(), &ec)
@@ -463,9 +469,15 @@ func client(hc *httpClient, addr string, n int, admitFrac float64, vms int, seed
 		id := rng.Intn(vms)
 		body := fmt.Sprintf(`{"vm": %d}`, id)
 		if rng.Float64() < admitFrac {
-			// Admit then immediately release, so the fleet does not fill
-			// up over a long run and every admit exercises placement.
+			// Predict, admit, then immediately release, so the fleet does not
+			// fill up over a long run and every admit exercises placement.
 			t0 := time.Now()
+			code, _, err := hc.post(addr+"/v1/predict", body)
+			res.predictLat = append(res.predictLat, time.Since(t0).Seconds())
+			if res.errs.classify(err, code) {
+				continue
+			}
+			t0 = time.Now()
 			code, respBody, err := hc.post(addr+"/v1/admit", body)
 			res.admitLat = append(res.admitLat, time.Since(t0).Seconds())
 			// 409 (already admitted by a colliding client) is contention

@@ -25,10 +25,10 @@
 // down gracefully: in-flight requests finish, the admission batcher
 // drains, new requests get 503.
 //
-// Each prediction runs on its request's goroutine. Concurrent admissions
+// Each prediction runs on its request's goroutine, and a VM's next
+// admission takes it instead of predicting again. Concurrent admissions
 // on the same cluster coalesce into fleet-sized what-if rollouts (one
-// forest pass, one score matrix, one pool sweep per batch) committed in
-// arrival order — bit-identical to admitting one VM at a time
+// score matrix, one pool sweep per batch) committed in arrival order — bit-identical to admitting one VM at a time
 // (docs/DESIGN.md §15). Coalescing is opportunistic (whatever is already
 // queued, never a wait); -batch-max caps the admissions per cluster in
 // one batch, and -batch-max 1 serves every admission alone.

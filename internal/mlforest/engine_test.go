@@ -126,22 +126,22 @@ func TestThresholdAdjacentFloats(t *testing.T) {
 }
 
 // TestMemoryBytesArena pins MemoryBytes to the one layout's real
-// footprint: per node a 16-byte packed record and a float64 leaf-value
-// slot, per tree an int32 root and an int32 depth, per feature a float64
-// importance sum.
+// footprint: per node a 16-byte packed record (a leaf's value is its
+// threshold), per tree an int32 root and an int32 depth, per feature a
+// float64 importance sum.
 func TestMemoryBytesArena(t *testing.T) {
 	f, err := Train(TraceLikeSamples(300, 23), DefaultForestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := f.NumNodes()*(16+8) + f.NumTrees()*(4+4) + f.NumFeatures()*8
+	want := f.NumNodes()*16 + f.NumTrees()*(4+4) + f.NumFeatures()*8
 	if got := f.MemoryBytes(); got != want {
 		t.Errorf("MemoryBytes = %d, want %d (%d nodes, %d trees, %d features)",
 			got, want, f.NumNodes(), f.NumTrees(), f.NumFeatures())
 	}
-	if len(f.nodes) != f.NumNodes() || len(f.value) != f.NumNodes() || len(f.roots) != f.NumTrees() || len(f.depth) != f.NumTrees() {
-		t.Errorf("slabs hold %d nodes / %d values / %d roots / %d depths for %d nodes in %d trees",
-			len(f.nodes), len(f.value), len(f.roots), len(f.depth), f.NumNodes(), f.NumTrees())
+	if len(f.nodes) != f.NumNodes() || len(f.roots) != f.NumTrees() || len(f.depth) != f.NumTrees() {
+		t.Errorf("slabs hold %d nodes / %d roots / %d depths for %d nodes in %d trees",
+			len(f.nodes), len(f.roots), len(f.depth), f.NumNodes(), f.NumTrees())
 	}
 }
 
@@ -210,9 +210,11 @@ func TestTrainOnMatrixEquivalence(t *testing.T) {
 // wireOf copies a forest into its wire form for the corruption tests.
 func wireOf(f *Forest) forestWire {
 	return forestWire{
-		Nodes: append([]node(nil), f.nodes...), Value: append([]float64(nil), f.value...),
-		Roots: append([]int32(nil), f.roots...), Importance: append([]float64(nil), f.importance...),
-		NFeat: f.nFeat, NSamples: f.nSamples,
+		Nodes:      append([]node(nil), f.nodes...),
+		Roots:      append([]int32(nil), f.roots...),
+		Importance: append([]float64(nil), f.importance...),
+		NFeat:      f.nFeat,
+		NSamples:   f.nSamples,
 	}
 }
 
@@ -234,8 +236,7 @@ func TestGobDecodeRejectsCorruptArena(t *testing.T) {
 		name   string
 		mutate func(*forestWire)
 	}{
-		{"empty forest", func(w *forestWire) { w.Nodes, w.Value, w.Roots = nil, nil, nil }},
-		{"value slab shorter than node slab", func(w *forestWire) { w.Value = w.Value[:len(w.Value)-1] }},
+		{"empty forest", func(w *forestWire) { w.Nodes, w.Roots = nil, nil }},
 		{"importance length mismatch", func(w *forestWire) { w.Importance = w.Importance[:1] }},
 		{"first root not 0", func(w *forestWire) { w.Roots[0] = 1 }},
 		{"roots not ascending", func(w *forestWire) { w.Roots[2] = w.Roots[1] }},
@@ -243,10 +244,11 @@ func TestGobDecodeRejectsCorruptArena(t *testing.T) {
 		{"child link backward", func(w *forestWire) { w.Nodes[f.roots[1]].Lo = f.roots[1] - 1 }},
 		{"right child outside its tree block", func(w *forestWire) { w.Nodes[0].Lo = f.roots[1] - 1 }},
 		{"child link overflows", func(w *forestWire) { w.Nodes[0].Lo = math.MaxInt32 }},
-		{"leaf with finite threshold", func(w *forestWire) { w.Nodes[leaf].Thr = 0.5 }},
-		{"leaf with NaN threshold", func(w *forestWire) { w.Nodes[leaf].Thr = math.NaN() }},
-		{"leaf reading a nonzero feature", func(w *forestWire) { w.Nodes[leaf].Feat = 1 }},
-		{"feature beyond dimensionality", func(w *forestWire) { w.Nodes[0].Feat = int32(w.NFeat) }},
+		{"leaf reading a real feature", func(w *forestWire) { w.Nodes[leaf].Feat = 0 }},
+		{"leaf reading past the pad column", func(w *forestWire) { w.Nodes[leaf].Feat = int32(w.NFeat) + 1 }},
+		{"negative leaf feature", func(w *forestWire) { w.Nodes[leaf].Feat = -1 }},
+		{"internal node reading the pad column", func(w *forestWire) { w.Nodes[0].Feat = int32(w.NFeat) }},
+		{"feature beyond dimensionality", func(w *forestWire) { w.Nodes[0].Feat = int32(w.NFeat) + 1 }},
 		{"negative feature", func(w *forestWire) { w.Nodes[0].Feat = -1 }},
 	} {
 		w := wireOf(f)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,10 +39,12 @@ func DefaultForestConfig() ForestConfig {
 // node is one tree node, packed to 16 bytes so four share a cache line.
 // Only the left child index is stored: siblings are adjacent, so an
 // internal node's right child is always Lo+1. A leaf is a self-looping
-// sentinel — Lo its own index, threshold +Inf, feature 0 (a valid column)
-// — so the compare can never select Lo+1, a row that reaches it stays on
-// it, and neither inference schedule needs an is-leaf branch to stay in
-// bounds. Fields are exported for gob only.
+// node{Thr: value, Lo: self, Feat: nFeat} holding its own leaf value:
+// feature nFeat is the RowMatrix pad column, which is always NaN, and
+// NaN > v is false for every v, so the compare can never select Lo+1, a
+// row that reaches a leaf stays on it, and neither inference schedule
+// needs an is-leaf branch to stay in bounds. Fields are exported for gob
+// only.
 type node struct {
 	Thr  float64
 	Lo   int32
@@ -54,14 +55,12 @@ type node struct {
 // one layout (docs/DESIGN.md §8): trees are concatenated in training order
 // (tree t's nodes occupy [roots[t], end of its block)), each block is
 // ordered breadth-first so one tree level is one contiguous node range,
-// and links are slab-absolute. Leaf values live in their own slab, read
-// once per (tree, row), so they never dilute the hot node lines. Predict
+// and links are slab-absolute. A leaf's value is its node's Thr. Predict
 // walks it one row at a time, PredictSweep one level at a time.
 type Forest struct {
 	nodes []node
-	value []float64 // leaf values, indexed like nodes (0 for internal nodes)
-	roots []int32   // slab index of each tree's root
-	depth []int32   // per-tree max depth = PredictSweep level count
+	roots []int32 // slab index of each tree's root
+	depth []int32 // per-tree max depth = PredictSweep level count
 
 	// importance holds per-feature total variance reduction summed over
 	// trees in tree order (raw, unnormalized).
@@ -236,7 +235,6 @@ func flatten(trees []grownTree, nFeat, nSamples int) *Forest {
 	}
 	f := &Forest{
 		nodes:      make([]node, 0, total),
-		value:      make([]float64, 0, total),
 		roots:      make([]int32, 0, len(trees)),
 		importance: make([]float64, nFeat),
 		nFeat:      nFeat,
@@ -251,14 +249,12 @@ func flatten(trees []grownTree, nFeat, nSamples int) *Forest {
 		for q := 0; q < len(queue); q++ {
 			n := queue[q]
 			if t.feature[n] < 0 {
-				f.nodes = append(f.nodes, node{Thr: math.Inf(1), Lo: base + int32(q)})
-				f.value = append(f.value, t.value[n])
+				f.nodes = append(f.nodes, node{Thr: t.value[n], Lo: base + int32(q), Feat: int32(nFeat)})
 				continue
 			}
 			// Both children join the queue back to back, so the left one's
 			// slab index is the queue length and the right one's is Lo+1.
 			f.nodes = append(f.nodes, node{Thr: t.threshold[n], Lo: base + int32(len(queue)), Feat: t.feature[n]})
-			f.value = append(f.value, 0)
 			queue = append(queue, t.left[n], t.right[n])
 		}
 		for k, v := range t.importance {
@@ -290,9 +286,9 @@ func (f *Forest) setDepths() {
 }
 
 // Predict returns the ensemble mean prediction: each tree is walked from
-// its root until the row lands on a self-looping leaf. A feature vector
-// whose length differs from the trained dimensionality predicts 0 and
-// counts in Stats().MismatchedRows.
+// its root until the row lands on a self-looping leaf, whose Thr is the
+// tree's answer. A feature vector whose length differs from the trained
+// dimensionality predicts 0 and counts in Stats().MismatchedRows.
 func (f *Forest) Predict(features []float64) float64 {
 	f.passes.Add(1)
 	f.rowsIn.Add(1)
@@ -302,18 +298,15 @@ func (f *Forest) Predict(features []float64) float64 {
 	}
 	var sum float64
 	for _, i := range f.roots {
-		for {
-			nd := f.nodes[i]
-			next := nd.Lo
+		nd := f.nodes[i]
+		for nd.Lo != i {
+			i = nd.Lo
 			if features[nd.Feat] > nd.Thr {
-				next++
+				i++
 			}
-			if next == i {
-				break
-			}
-			i = next
+			nd = f.nodes[i]
 		}
-		sum += f.value[i]
+		sum += nd.Thr
 	}
 	return sum / float64(len(f.roots))
 }
@@ -356,11 +349,11 @@ func (f *Forest) FeatureImportance() []float64 {
 }
 
 // MemoryBytes reports the resident size of the model — every node's
-// 16-byte packed record and leaf-value slot, the per-tree roots and depths
-// and the per-feature importances — used by the §4.5 overhead experiment.
+// 16-byte packed record, the per-tree roots and depths and the
+// per-feature importances — used by the §4.5 overhead experiment.
 func (f *Forest) MemoryBytes() int {
 	const indexBytes, floatBytes = 4, 8
-	return len(f.nodes)*(int(unsafe.Sizeof(node{}))+floatBytes) +
+	return len(f.nodes)*int(unsafe.Sizeof(node{})) +
 		len(f.roots)*2*indexBytes +
 		len(f.importance)*floatBytes
 }
@@ -369,7 +362,6 @@ func (f *Forest) MemoryBytes() int {
 // on the wire: GobDecode recomputes them from the links.
 type forestWire struct {
 	Nodes      []node
-	Value      []float64
 	Roots      []int32
 	Importance []float64
 	NFeat      int
@@ -384,7 +376,6 @@ func (f *Forest) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(forestWire{
 		Nodes:      f.nodes,
-		Value:      f.value,
 		Roots:      f.roots,
 		Importance: f.importance,
 		NFeat:      f.nFeat,
@@ -406,9 +397,6 @@ func (f *Forest) GobDecode(data []byte) error {
 	if n == 0 || len(w.Roots) == 0 {
 		return fmt.Errorf("mlforest: decoded forest is empty")
 	}
-	if len(w.Value) != len(w.Nodes) {
-		return fmt.Errorf("mlforest: decoded forest has %d leaf-value slots for %d nodes", len(w.Value), n)
-	}
 	if len(w.Importance) != w.NFeat {
 		return fmt.Errorf("mlforest: decoded importance length %d, want %d features", len(w.Importance), w.NFeat)
 	}
@@ -426,16 +414,16 @@ func (f *Forest) GobDecode(data []byte) error {
 		}
 		for i := root; i < end; i++ {
 			nd := w.Nodes[i]
-			if nd.Feat < 0 || int(nd.Feat) >= w.NFeat {
-				return fmt.Errorf("mlforest: decoded node %d reads feature %d of %d", i, nd.Feat, w.NFeat)
-			}
 			if nd.Lo == i {
-				// A leaf must hold every row: +Inf is the only threshold no
-				// value exceeds.
-				if !math.IsInf(nd.Thr, 1) || nd.Feat != 0 {
-					return fmt.Errorf("mlforest: decoded leaf %d is not a self-looping sentinel", i)
+				// A leaf must hold every row: only the NaN pad column at
+				// NFeat exceeds no threshold.
+				if int(nd.Feat) != w.NFeat {
+					return fmt.Errorf("mlforest: decoded leaf %d reads feature %d, want the pad column %d", i, nd.Feat, w.NFeat)
 				}
 				continue
+			}
+			if nd.Feat < 0 || int(nd.Feat) >= w.NFeat {
+				return fmt.Errorf("mlforest: decoded node %d reads feature %d of %d", i, nd.Feat, w.NFeat)
 			}
 			// Children point strictly forward and stay inside the tree's
 			// block, which bounds every link and rules out cycles.
@@ -445,7 +433,6 @@ func (f *Forest) GobDecode(data []byte) error {
 		}
 	}
 	f.nodes = w.Nodes
-	f.value = w.Value
 	f.roots = w.Roots
 	f.importance = w.Importance
 	f.nFeat = w.NFeat

@@ -7,7 +7,7 @@ import (
 
 // This file implements the level-synchronous inference schedule
 // (docs/DESIGN.md §14). Each tree's block of the node slab is ordered
-// breadth-first and its leaves are self-looping sentinels (see node), so
+// breadth-first and its leaves self-loop on a NaN pad column (see node), so
 // PredictSweep advances many walks ("lanes") through a block of trees one
 // level per step — one tight compare-and-advance loop across all lanes, no
 // per-lane leaf checks, no data-dependent control flow beyond compares the
@@ -26,10 +26,12 @@ import (
 // grown trees.
 
 // RowMatrix is a feature-major batch of prediction inputs: column f holds
-// every row's value of feature f contiguously (data[f*rows+r]). The
-// batched prediction paths carve it from one flat buffer — Reset reuses
-// the backing array across batches — so a serving-rate stream of
-// fleet-sized what-if batches allocates nothing in steady state.
+// every row's value of feature f contiguously (data[f*rows+r]). One more
+// column, at nFeat, is all NaN: every leaf reads it, and NaN exceeds no
+// threshold, so a lane on a leaf stays there. The batched prediction
+// paths carve it from one flat buffer — Reset reuses the backing array
+// across batches — so a serving-rate stream of fleet-sized what-if
+// batches allocates nothing in steady state.
 //
 // A RowMatrix is not safe for concurrent mutation; fill it, then hand it
 // to PredictSweep or PredictMatrix (which only read it).
@@ -65,15 +67,18 @@ func NewRowMatrixFrom(rows [][]float64) (*RowMatrix, error) {
 }
 
 // Reset resizes the matrix for a new batch, reusing the backing buffer
-// when it is large enough. Existing cell values are unspecified after
-// Reset; callers must fill every row they submit.
+// when it is large enough, and fills the pad column with NaN. Other cells
+// are unspecified after Reset; callers must fill every row they submit.
 func (m *RowMatrix) Reset(rows, nFeat int) {
-	need := rows * nFeat
+	need := rows * (nFeat + 1)
 	if cap(m.data) < need {
 		m.data = make([]float64, need)
 	}
 	m.data = m.data[:need]
 	m.rows, m.nFeat = rows, nFeat
+	for i := rows * nFeat; i < need; i++ {
+		m.data[i] = math.NaN()
+	}
 }
 
 // Rows returns the batch size.
@@ -206,7 +211,7 @@ func (f *Forest) PredictSweep(m *RowMatrix, feat int, vals []float64, out []floa
 			swept := stepLanes(lanes[:live], f.nodes, m.data, n, int32(feat), noted)
 			live = partLanes(lanes, live, noted[:swept], f.nodes, vals)
 		}
-		landLanes(lanes[:live], f.value, sc.leaf[:live], sc.cells)
+		landLanes(lanes[:live], f.nodes, sc.leaf[:live], sc.cells)
 		landed += live
 		// Fold tree by tree, so every cell accumulates in Predict's order.
 		for t := range trees {
@@ -255,8 +260,8 @@ func stepLanes(lanes []lane, nodes []node, data []float64, n int, feat int32, no
 // rest to Lo+1, on a second lane (appended at live) only when both sides
 // are non-empty. vals ascends, so each side is a contiguous range and the
 // parting point is the count of values not above the threshold, clamped
-// into the lane's range (O(len(vals)) per noted lane). A leaf's +Inf keeps
-// every value, as in the walk.
+// into the lane's range (O(len(vals)) per noted lane). Leaves read the pad
+// column, never the swept feature, so they are never noted.
 func partLanes(lanes []lane, live int, noted []note, nodes []node, vals []float64) int {
 	for _, nt := range noted {
 		l := &lanes[nt.lane]
@@ -282,12 +287,13 @@ func partLanes(lanes []lane, live int, noted []note, nodes []node, vals []float6
 	return live
 }
 
-// landLanes hands every cell a lane carries the leaf the lane ended on.
-// The leaf loads come first, on their own, so their cache misses overlap;
-// the ragged cell fill that follows mispredicts and would serialize them.
-func landLanes(lanes []lane, value []float64, leaf []float64, cells []float64) {
+// landLanes hands every cell a lane carries the leaf value (Thr) the lane
+// ended on. The leaf loads come first, on their own, so their cache misses
+// overlap; the ragged cell fill that follows mispredicts and would
+// serialize them.
+func landLanes(lanes []lane, nodes []node, leaf []float64, cells []float64) {
 	for i := range lanes {
-		leaf[i] = value[lanes[i].node]
+		leaf[i] = nodes[lanes[i].node].Thr
 	}
 	for i := range lanes {
 		l := &lanes[i]

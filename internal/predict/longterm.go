@@ -314,7 +314,7 @@ func (lt *LongTerm) Predict(tr *trace.Trace, vm *trace.VM) (coachvm.Prediction, 
 
 // PredictBatchInto predicts a batch of VMs, writing into caller-owned
 // slices (both len(vms), entries fully overwritten) so a steady-state
-// caller — serve's admit workers reuse per-shard scratch — pays no
+// caller — the simulator's look-ahead reuses per-shard scratch — pays no
 // per-batch result allocation beyond the prediction windows themselves.
 //
 // A VM that has already run for at least a day within the training period
@@ -325,7 +325,7 @@ func (lt *LongTerm) Predict(tr *trace.Trace, vm *trace.VM) (coachvm.Prediction, 
 // one matrix row and each forest answers all of the batch's (VM, window)
 // cells in one mlforest.Forest.PredictSweep of that feature. This is the
 // only prediction body: the simulator's per-arrival Predict, core's
-// platform and the serving layer's predictions and admit batches all run
+// platform and the serving layer's predictions and admissions all run
 // it, and a VM's prediction does not depend on what it was batched with.
 func (lt *LongTerm) PredictBatchInto(tr *trace.Trace, vms []*trace.VM, preds []coachvm.Prediction, oks []bool) {
 	sc, _ := lt.scratch.Get().(*batchScratch)

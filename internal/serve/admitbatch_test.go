@@ -94,6 +94,15 @@ func sameClusterVMs(tr *trace.Trace, clusters, n int) ([]*trace.VM, int) {
 	return vms, best
 }
 
+// admitInputs predicts every VM as Admit does before it queues.
+func admitInputs(s *Service, vms []*trace.VM) []admitIn {
+	ins := make([]admitIn, len(vms))
+	for i, vm := range vms {
+		ins[i] = s.admitInput(vm)
+	}
+	return ins
+}
+
 // requireBatchEqualsOneRow is the forced-batch equivalence wall: the
 // admission decision function run once over all of vms on one service
 // must produce, row for row, what it produces run one row at a time in
@@ -102,10 +111,11 @@ func requireBatchEqualsOneRow(t *testing.T, mk func() *Service, ci int, vms []*t
 	t.Helper()
 	batched, oneRow := mk(), mk()
 	batch = make([]admitOut, len(vms))
-	batched.admitBatch(ci, vms, batch)
+	batched.admitBatch(ci, admitInputs(batched, vms), batch)
+	oneIns := admitInputs(oneRow, vms)
 	for i := range vms {
 		var one [1]admitOut
-		oneRow.admitBatch(ci, vms[i:i+1], one[:])
+		oneRow.admitBatch(ci, oneIns[i:i+1], one[:])
 		if batch[i].res != one[0].res || fmt.Sprint(batch[i].err) != fmt.Sprint(one[0].err) {
 			t.Fatalf("row %d (vm %d): batched {%+v %v} != one-row-in-order {%+v %v}",
 				i, vms[i].ID, batch[i].res, batch[i].err, one[0].res, one[0].err)
@@ -207,10 +217,9 @@ func TestAdmitBatchDegradedEquivalence(t *testing.T) {
 	}
 }
 
-// TestAdmitBatchOnePassPerBatch pins what batching buys: however many
-// admissions coalesce, the batch runs one set of forest passes (identical
-// to a single fresh prediction's) and one what-if sweep — not one per
-// request.
+// TestAdmitBatchOnePassPerBatch pins what the admit queue runs: requests
+// arrive predicted, so however many admissions coalesce, the batch runs no
+// forest pass and one what-if sweep — not one per request.
 func TestAdmitBatchOnePassPerBatch(t *testing.T) {
 	vms, ci := sameClusterVMs(getTrace(t), 10, 8)
 	if len(vms) < 4 {
@@ -223,13 +232,14 @@ func TestAdmitBatchOnePassPerBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// cost runs one decision pass over batch and returns its forest
-	// passes and what-if sweeps.
+	// cost runs one decision pass over batch, predicted beforehand as
+	// Admit does, and returns its forest passes and what-if sweeps.
 	cost := func(batch []*trace.VM) (passes, sweeps int64) {
+		ins := admitInputs(s, batch)
 		passes0 := model.InferenceStats().Passes
 		sweeps0 := s.Stats().DataPlane.WhatIfBatches
 		out := make([]admitOut, len(batch))
-		s.admitBatch(ci, batch, out)
+		s.admitBatch(ci, ins, out)
 		for i, o := range out {
 			if o.err != nil {
 				t.Fatalf("vm %d: %v", batch[i].ID, o.err)
@@ -238,8 +248,8 @@ func TestAdmitBatchOnePassPerBatch(t *testing.T) {
 		return model.InferenceStats().Passes - passes0, s.Stats().DataPlane.WhatIfBatches - sweeps0
 	}
 
-	// Reference cost: a batch of one — a predictable evaluation-period
-	// VM (no samples of its own before TrainUpTo), so the forests run.
+	// A batch of one: a predictable evaluation-period VM (no samples of
+	// its own before TrainUpTo), whose prediction runs the forests.
 	fresh := -1
 	for i, vm := range vms {
 		if _, ok := model.Predict(getTrace(t), vm); ok {
@@ -251,17 +261,14 @@ func TestAdmitBatchOnePassPerBatch(t *testing.T) {
 		t.Fatal("fixture regression: no forest-predicted VM in the batch")
 	}
 	vms[0], vms[fresh] = vms[fresh], vms[0]
-	passesSolo, sweepsSolo := cost(vms[:1])
-	if passesSolo == 0 || sweepsSolo != 1 {
-		t.Fatalf("single admission ran %d forest passes and %d what-if sweeps, want >0 and 1", passesSolo, sweepsSolo)
+	if passes, sweeps := cost(vms[:1]); passes != 0 || sweeps != 1 {
+		t.Fatalf("single admission ran %d forest passes and %d what-if sweeps, want 0 and 1", passes, sweeps)
 	}
 	if _, err := s.Release(vms[0]); err != nil {
 		t.Fatal(err)
 	}
-	passes, sweeps := cost(vms)
-	if passes != passesSolo || sweeps != 1 {
-		t.Errorf("batch of %d ran %d forest passes and %d what-if sweeps, want %d and 1 (same as a batch of 1)",
-			len(vms), passes, sweeps, passesSolo)
+	if passes, sweeps := cost(vms); passes != 0 || sweeps != 1 {
+		t.Errorf("batch of %d ran %d forest passes and %d what-if sweeps, want 0 and 1", len(vms), passes, sweeps)
 	}
 }
 
@@ -289,14 +296,14 @@ func TestAdmitStormBatchedSerialEquivalence(t *testing.T) {
 	var mu sync.Mutex
 	byShard := make(map[int][]int) // shard → VM ids in coalesced arrival order
 	run := batched.admits.run
-	batched.admits.run = func(shard int, vms []*trace.VM, out []admitOut) {
+	batched.admits.run = func(shard int, ins []admitIn, out []admitOut) {
 		mu.Lock()
-		for _, vm := range vms {
-			byShard[shard] = append(byShard[shard], vm.ID)
+		for _, in := range ins {
+			byShard[shard] = append(byShard[shard], in.vm.ID)
 		}
 		mu.Unlock()
 		time.Sleep(200 * time.Microsecond)
-		run(shard, vms, out)
+		run(shard, ins, out)
 	}
 
 	vms := evalVMs(tr)

@@ -401,7 +401,7 @@ func TestCrossShardHandoff(t *testing.T) {
 		}
 		svc.routeMu.Lock()
 		for id, ci := range svc.route {
-			if svc.vmByID[id].HomeShard(len(svc.shards)) != ci {
+			if svc.VM(id).HomeShard(len(svc.shards)) != ci {
 				moved = append(moved, id)
 			}
 		}

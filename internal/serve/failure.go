@@ -236,7 +236,7 @@ func (s *Service) driveHandoff(in *handoffIntent) error {
 			// next tick resumes the carried cursor.
 			tracked := in.tracked
 			if tracked == nil {
-				tracked = &dpTracked{vm: s.vmByID[req.VMID]}
+				tracked = &dpTracked{vm: s.VM(req.VMID)}
 			}
 			dst.dpVMs[req.VMID] = tracked
 		}

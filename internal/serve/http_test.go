@@ -134,9 +134,11 @@ func TestHTTPAdmitLifecycle(t *testing.T) {
 }
 
 // TestHTTPStatsInference reads the forests' work off /v1/stats: the
-// predict-then-admit recipe on one fresh VM is two predictions, each 8
-// forest passes of 6 window rows, evaluated on fewer lanes than (row,
-// tree, window) walks because the windows share theirs.
+// predict-then-admit recipe on one fresh VM is one prediction, 8 forest
+// passes of 6 window rows, because the admit takes the prediction
+// /v1/predict left for it; evaluated on fewer lanes than (row, tree,
+// window) walks because the windows share theirs. An admit with no
+// prediction waiting runs the forests itself, once per admit.
 func TestHTTPStatsInference(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cache = NewModelCache() // own model: the counters start at zero
@@ -160,20 +162,50 @@ func TestHTTPStatsInference(t *testing.T) {
 	if got := inference(); len(got) != 4 || got["rows"] != 0 {
 		t.Fatalf("inference before any model or request: %v, want four zero counters", got)
 	}
-	for _, vm := range evalVMs(getTrace(t)) {
+	// Unpredictable VMs cost the forests nothing, so the requests before
+	// the first fresh VM leave the counters at zero.
+	vms := evalVMs(getTrace(t))
+	first := -1
+	for i, vm := range vms {
 		if _, body := post(t, ts.URL+"/v1/predict", fmt.Sprintf(`{"vm": %d}`, vm.ID)); !strings.Contains(string(body), `"ok":true`) {
 			continue
 		}
 		post(t, ts.URL+"/v1/admit", fmt.Sprintf(`{"vm": %d}`, vm.ID))
+		first = i
 		break
+	}
+	if first < 0 {
+		t.Fatal("fixture regression: no fresh evaluation VM")
 	}
 	got := inference()
 	trees := int64(DefaultConfig().LongTerm.Forest.Trees)
-	if got["passes"] != 16 || got["rows"] != 96 || got["mismatched_rows"] != 0 {
-		t.Errorf("inference after predict+admit of one fresh VM: %v, want 16 passes / 96 rows / 0 mismatched", got)
+	if got["passes"] != 8 || got["rows"] != 48 || got["mismatched_rows"] != 0 {
+		t.Errorf("inference after predict+admit of one fresh VM: %v, want 8 passes / 48 rows / 0 mismatched", got)
 	}
-	if got["lanes"] < 16*trees || got["lanes"] >= 96*trees {
-		t.Errorf("inference lanes %d: want between %d (all windows share) and %d (none do)", got["lanes"], 16*trees, 96*trees)
+	if got["lanes"] < 8*trees || got["lanes"] >= 48*trees {
+		t.Errorf("inference lanes %d: want between %d (all windows share) and %d (none do)", got["lanes"], 8*trees, 48*trees)
+	}
+
+	// Admit alone: the next fresh VM, never predicted, costs one pass set.
+	for _, vm := range vms[first+1:] {
+		_, body := post(t, ts.URL+"/v1/admit", fmt.Sprintf(`{"vm": %d}`, vm.ID))
+		if strings.Contains(string(body), `"oversubscribed":true`) {
+			break
+		}
+	}
+	if got := inference(); got["rows"] != 96 {
+		t.Errorf("inference after admitting a second fresh VM unpredicted: %d rows, want 96", got["rows"])
+	}
+
+	// The prediction was taken once: releasing the first VM and admitting
+	// it again with no new /v1/predict runs the forests again.
+	id := vms[first].ID
+	if code, body := post(t, ts.URL+"/v1/release", fmt.Sprintf(`{"vm": %d}`, id)); code != http.StatusOK {
+		t.Fatalf("release vm %d: status %d %s", id, code, body)
+	}
+	post(t, ts.URL+"/v1/admit", fmt.Sprintf(`{"vm": %d}`, id))
+	if got := inference(); got["rows"] != 144 {
+		t.Errorf("inference after release and re-admit without a predict: %d rows, want 144", got["rows"])
 	}
 }
 

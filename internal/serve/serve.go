@@ -12,7 +12,8 @@
 //     a shard into single fleet-sized placement rollouts. Batched results
 //     are bit-identical to one-request-at-a-time serving, so responses
 //     never depend on batch composition. Predictions run on the caller's
-//     goroutine against the shared read-only forests.
+//     goroutine against the shared read-only forests; a VM's next
+//     admission takes its last prediction instead of predicting again.
 //   - A trained-model cache keyed by (trace fingerprint, training config)
 //     makes cold starts pay forest training once; later services and
 //     requests share the fitted model (singleflight under concurrency).
@@ -71,8 +72,8 @@ type Config struct {
 	// period from served requests (default: half the horizon).
 	TrainUpTo int
 	// MaxBatch caps how many concurrent admissions on one shard coalesce
-	// into one fleet-sized what-if rollout (one forest pass, one score
-	// matrix, one pool sweep) committed in arrival order (default 64;
+	// into one fleet-sized what-if rollout (one score matrix, one pool
+	// sweep) committed in arrival order (default 64;
 	// docs/DESIGN.md §15). Larger batches amortize the sweeps further but
 	// add head-of-line latency for the first request in the batch. 1
 	// serves every admission alone — the serial reference the batched
@@ -157,11 +158,8 @@ type fleetShard struct {
 	// Config.DataPlane). Guarded by mu.
 	dpVMs map[int]*dpTracked
 
-	// Admission-batch scratch (the first two MaxBatch long), owned
-	// exclusively by the shard's admit loop goroutine — never touched
-	// elsewhere, so it needs no locking of its own.
-	abPreds []coachvm.Prediction
-	abOKs   []bool
+	// Admission-batch scratch, owned exclusively by the shard's admit loop
+	// goroutine, so it needs no locking of its own.
 	abCVMs  []*coachvm.CVM
 	abNeeds []float64
 
@@ -216,8 +214,11 @@ type Service struct {
 	// trainCfg is the full training configuration, including the
 	// Forest.Workers throughput knob the cache key normalizes away.
 	trainCfg predict.LongTermConfig
-	vmByID   map[int]*trace.VM
-	shards   []*fleetShard
+	// vmIndex maps a VM id to its index in tr.VMs and slots: the
+	// prediction Predict last made for the VM that no Admit has taken yet.
+	vmIndex map[int]int
+	slots   []atomic.Pointer[admitIn]
+	shards  []*fleetShard
 
 	// route maps an admitted VM to the shard that currently holds it.
 	// Admission always lands a VM in its home cluster's shard, but a
@@ -230,7 +231,7 @@ type Service struct {
 	// admits coalesces Admit calls on one queue per shard (worker
 	// admitBatch); predicts counts answered Predict calls, which run on
 	// their callers' goroutines.
-	admits   *batcher[*trace.VM, admitOut]
+	admits   *batcher[admitIn, admitOut]
 	predicts atomic.Int64
 
 	// dpTicks counts completed TickDataPlane passes.
@@ -310,7 +311,8 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		fleet:    fleet,
 		cache:    cache,
 		trainCfg: ltCfg,
-		vmByID:   make(map[int]*trace.VM, len(tr.VMs)),
+		vmIndex:  make(map[int]int, len(tr.VMs)),
+		slots:    make([]atomic.Pointer[admitIn], len(tr.VMs)),
 		route:    make(map[int]int),
 		key:      ModelKey{TraceID: Fingerprint(tr), TrainUpTo: cfg.TrainUpTo, Config: keyCfg},
 		injector: fault.NewInjector(cfg.Faults),
@@ -318,7 +320,7 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		intents:  make(map[int]*handoffIntent),
 	}
 	for i := range tr.VMs {
-		s.vmByID[tr.VMs[i].ID] = &tr.VMs[i]
+		s.vmIndex[tr.VMs[i].ID] = i
 	}
 	var dpCfg *core.DataPlaneConfig
 	if cfg.DataPlane {
@@ -333,11 +335,7 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh := &fleetShard{
-			Shard:   cs,
-			abPreds: make([]coachvm.Prediction, cfg.MaxBatch),
-			abOKs:   make([]bool, cfg.MaxBatch),
-		}
+		sh := &fleetShard{Shard: cs}
 		if cs.DP != nil {
 			sh.dpVMs = make(map[int]*dpTracked)
 		}
@@ -387,13 +385,27 @@ func (s *Service) Warm() error {
 }
 
 // VM resolves a trace VM id (nil when unknown).
-func (s *Service) VM(id int) *trace.VM { return s.vmByID[id] }
+func (s *Service) VM(id int) *trace.VM {
+	if i, ok := s.vmIndex[id]; ok {
+		return &s.tr.VMs[i]
+	}
+	return nil
+}
+
+// slot returns vm's prediction slot (nil for a VM not of the trace).
+func (s *Service) slot(vm *trace.VM) *atomic.Pointer[admitIn] {
+	if i, ok := s.vmIndex[vm.ID]; ok && &s.tr.VMs[i] == vm {
+		return &s.slots[i]
+	}
+	return nil
+}
 
 // Predict returns the per-window utilization prediction for vm. ok=false
 // means the model lacks history to predict it (§3.3: such VMs must not be
 // oversubscribed). It runs on the caller's goroutine: the forests are
 // read-only and pool their scratch, so concurrent calls share nothing but
-// the model and each answers exactly as LongTerm.Predict does.
+// the model and each answers exactly as LongTerm.Predict does. The answer
+// waits in vm's slot for its next Admit, so callers must not modify it.
 func (s *Service) Predict(vm *trace.VM) (coachvm.Prediction, bool, error) {
 	if s.isClosed() {
 		return coachvm.Prediction{}, false, ErrClosed
@@ -404,6 +416,9 @@ func (s *Service) Predict(vm *trace.VM) (coachvm.Prediction, bool, error) {
 	}
 	pred, ok := m.Predict(s.tr, vm)
 	s.predicts.Add(1)
+	if sl := s.slot(vm); sl != nil {
+		sl.Store(&admitIn{vm: vm, pred: pred, ok: ok})
+	}
 	return pred, ok, nil
 }
 
@@ -437,7 +452,10 @@ type AdmitResult struct {
 }
 
 // Admit predicts vm, shapes it into a CoachVM under the configured policy
-// and places it onto its home cluster's shard. Admissions of distinct
+// and places it onto its home cluster's shard. It takes the prediction the
+// VM's last Predict left in its slot, or predicts on the caller's
+// goroutine: the model never changes and a VM's prediction does not depend
+// on its batch, so both are the same bits. Admissions of distinct
 // clusters run concurrently; within a cluster concurrent admissions
 // coalesce into batched decision passes (admitBatch) whose results are
 // bit-identical to admitting one VM at a time in arrival order — the
@@ -450,11 +468,40 @@ type AdmitResult struct {
 // — even when raw capacity exists — when every pool in the home cluster
 // is thrashing.
 func (s *Service) Admit(vm *trace.VM) (AdmitResult, error) {
-	out, err := s.admits.submit(vm.HomeShard(len(s.shards)), vm)
+	if s.isClosed() {
+		return AdmitResult{}, ErrClosed
+	}
+	out, err := s.admits.submit(vm.HomeShard(len(s.shards)), s.admitInput(vm))
 	if err != nil {
 		return AdmitResult{}, err
 	}
 	return out.res, out.err
+}
+
+// admitIn is one queued admission: the VM and its prediction. degraded
+// marks a VM shaped without a model (modelFor's only error): fully
+// guaranteed best-fit, the safe envelope §3.3 prescribes.
+type admitIn struct {
+	vm       *trace.VM
+	pred     coachvm.Prediction
+	ok       bool
+	degraded bool
+}
+
+// admitInput takes vm's prediction from its slot, or predicts it.
+func (s *Service) admitInput(vm *trace.VM) admitIn {
+	if sl := s.slot(vm); sl != nil {
+		if in := sl.Swap(nil); in != nil {
+			return *in
+		}
+	}
+	in := admitIn{vm: vm}
+	if m, err := s.modelFor(); err != nil {
+		in.degraded = true
+	} else {
+		in.pred, in.ok = m.Predict(s.tr, vm)
+	}
+	return in
 }
 
 // admitOut is one admission request's response.
@@ -467,33 +514,19 @@ type admitOut struct {
 // admit-queue worker over every request that coalesced there — a lone
 // request is a batch of one (docs/DESIGN.md §15).
 //
-// The expensive sweeps run once per batch: one batched forest pass
-// (PredictBatchInto), one scored (request × server) matrix plus one
-// pool-state sweep (ScoreMany). A commit loop then walks the requests in
-// arrival order under the shard lock, and Rollout.Commit folds each
-// placement into the snapshot so request i+1 observes the capacity request
-// i consumed: an N-row batch decides exactly as N one-row batches in the
-// same order would (admitbatch_test.go pins the bit-identity).
-func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) {
+// Requests arrive predicted (admitInput), so the batch runs no forest;
+// it shares one scored (request × server) matrix plus one pool-state sweep
+// (ScoreMany). A commit loop then walks the requests in arrival order
+// under the shard lock, and Rollout.Commit folds each placement into the
+// snapshot so request i+1 observes the capacity request i consumed: an
+// N-row batch decides exactly as N one-row batches in the same order
+// would (admitbatch_test.go pins the bit-identity).
+func (s *Service) admitBatch(ci int, ins []admitIn, out []admitOut) {
 	sh := s.shards[ci]
 
-	preds, oks := sh.abPreds[:len(vms)], sh.abOKs[:len(vms)]
-	// modelFor fails only with ErrModelUnavailable. Degraded admission: no
-	// model, no oversubscription — every VM in the batch is shaped fully
-	// guaranteed and best-fit placed, the safe envelope §3.3 prescribes
-	// for unpredictable VMs.
-	m, merr := s.modelFor()
-	degraded := merr != nil
-	if degraded {
-		clear(preds)
-		clear(oks)
-	} else {
-		m.PredictBatchInto(s.tr, vms, preds, oks)
-	}
-
 	cvms, needs := sh.abCVMs[:0], sh.abNeeds[:0]
-	for i, vm := range vms {
-		cvm, err := scheduler.BuildCVM(s.cfg.Policy, vm.ID, vm.Alloc, preds[i], oks[i], s.cfg.Windows)
+	for i, in := range ins {
+		cvm, err := scheduler.BuildCVM(s.cfg.Policy, in.vm.ID, in.vm.Alloc, in.pred, in.ok, s.cfg.Windows)
 		if err != nil {
 			out[i] = admitOut{err: err}
 			cvms, needs = append(cvms, nil), append(needs, 0)
@@ -502,10 +535,10 @@ func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) {
 		out[i].res = AdmitResult{
 			Cluster:        ci,
 			Server:         -1,
-			Oversubscribed: oks[i] && s.cfg.Policy != scheduler.PolicyNone,
-			Alloc:          vm.Alloc,
+			Oversubscribed: in.ok && s.cfg.Policy != scheduler.PolicyNone,
+			Alloc:          in.vm.Alloc,
 			Guaranteed:     cvm.Guaranteed,
-			Degraded:       degraded,
+			Degraded:       in.degraded,
 		}
 		cvms, needs = append(cvms, cvm), append(needs, core.VAPeakGB(cvm))
 	}
@@ -517,8 +550,8 @@ func (s *Service) admitBatch(ci int, vms []*trace.VM, out []admitOut) {
 	if sh.Scorer != nil {
 		ro = sh.Scorer.ScoreMany(cvms, needs)
 	}
-	for r, vm := range vms {
-		cvm := cvms[r]
+	for r, in := range ins {
+		vm, cvm := in.vm, cvms[r]
 		if cvm == nil {
 			continue // BuildCVM failed; out[r] already carries the error
 		}

@@ -10,7 +10,9 @@ import (
 
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/coachvm"
+	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/predict"
+	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -143,6 +145,162 @@ func TestPredictDeterministicAcrossBatching(t *testing.T) {
 	if st := svc.Stats().Batch; st != wantStats {
 		t.Errorf("batch stats %+v, want %+v", st, wantStats)
 	}
+}
+
+// freshVM returns an evaluation VM the forests predict (ok=true with no
+// samples of its own before TrainUpTo).
+func freshVM(t *testing.T, model *predict.LongTerm) *trace.VM {
+	t.Helper()
+	for _, vm := range evalVMs(getTrace(t)) {
+		if _, ok := model.Predict(getTrace(t), vm); ok {
+			return vm
+		}
+	}
+	t.Fatal("fixture regression: no forest-predicted evaluation VM")
+	return nil
+}
+
+// TestPredictionSlot pins the predict-then-admit handoff: Predict leaves
+// its answer in the VM's slot, the VM's next Admit takes it instead of
+// running the forests, and every answer is bit-equal to one computed
+// afresh — on a MaxBatch-1 twin that never had a prediction waiting.
+func TestPredictionSlot(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cache = NewModelCache()
+	twinCfg := cfg
+	twinCfg.MaxBatch = 1
+	mk := func(cfg Config) *Service {
+		s := newTestService(t, cfg)
+		if err := s.Warm(); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	twin := mk(twinCfg)
+	model, err := twin.modelFor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vm := freshVM(t, model)
+	wantPred, _ := model.Predict(getTrace(t), vm)
+	wantRes, err := twin.Admit(vm)
+	if err != nil || !wantRes.Admitted || !wantRes.Oversubscribed {
+		t.Fatalf("twin admit of vm %d: %+v %v, want an oversubscribed admission", vm.ID, wantRes, err)
+	}
+
+	t.Run("admit takes the slot", func(t *testing.T) {
+		s := mk(cfg)
+		if _, _, err := s.Predict(vm); err != nil {
+			t.Fatal(err)
+		}
+		if s.slot(vm).Load() == nil {
+			t.Fatal("Predict left no prediction for the admit")
+		}
+		passes := model.InferenceStats().Passes
+		res, err := s.Admit(vm)
+		if err != nil || res != wantRes {
+			t.Fatalf("admit %+v %v, want %+v", res, err, wantRes)
+		}
+		if got := model.InferenceStats().Passes - passes; got != 0 {
+			t.Errorf("admit after predict ran %d forest passes, want 0", got)
+		}
+		if s.slot(vm).Load() != nil {
+			t.Error("admit left the prediction in the slot")
+		}
+	})
+
+	t.Run("second predict leaves identical bits", func(t *testing.T) {
+		s := mk(cfg)
+		var seen []*admitIn
+		for i := 0; i < 2; i++ {
+			pred, ok, err := s.Predict(vm)
+			if err != nil || !ok || !reflect.DeepEqual(pred, wantPred) {
+				t.Fatalf("predict %d: ok=%v err=%v, or windows differ from LongTerm.Predict", i, ok, err)
+			}
+			seen = append(seen, s.slot(vm).Load())
+		}
+		if seen[0] == seen[1] || !reflect.DeepEqual(*seen[0], *seen[1]) {
+			t.Error("a second Predict must replace the slot with an identical prediction")
+		}
+		if res, err := s.Admit(vm); err != nil || res != wantRes {
+			t.Fatalf("admit %+v %v, want %+v", res, err, wantRes)
+		}
+	})
+
+	t.Run("degraded predict leaves no slot", func(t *testing.T) {
+		sched, err := fault.Compile([]scenario.Fault{{Kind: "train-fail"}}, 1, []int{1}, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dcfg := cfg
+		dcfg.Faults = sched
+		s := newTestService(t, dcfg)
+		if _, _, err := s.Predict(vm); !errors.Is(err, ErrModelUnavailable) {
+			t.Fatalf("degraded predict: %v, want ErrModelUnavailable", err)
+		}
+		if s.slot(vm).Load() != nil {
+			t.Fatal("a failed Predict left a prediction in the slot")
+		}
+		if res, err := s.Admit(vm); err != nil || !res.Degraded || res.Oversubscribed {
+			t.Fatalf("degraded admit %+v %v, want a fully guaranteed degraded admission", res, err)
+		}
+	})
+
+	// Run under -race: predictions, admissions and releases of one VM race
+	// on its slot, and every answer must still be the twin's.
+	t.Run("concurrent predict admit release", func(t *testing.T) {
+		s := mk(cfg)
+		const goroutines, rounds = 8, 60
+		var wg sync.WaitGroup
+		var admitted, released atomic.Int64
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < rounds; k++ {
+					switch (g + k) % 3 {
+					case 0:
+						pred, ok, err := s.Predict(vm)
+						if err != nil || !ok || !reflect.DeepEqual(pred, wantPred) {
+							errs <- fmt.Errorf("predict: ok=%v err=%v, or windows differ", ok, err)
+							return
+						}
+					case 1:
+						res, err := s.Admit(vm)
+						if errors.Is(err, ErrAlreadyAdmitted) {
+							continue
+						}
+						if err != nil || res != wantRes {
+							errs <- fmt.Errorf("admit %+v %v, want %+v", res, err, wantRes)
+							return
+						}
+						admitted.Add(1)
+					case 2:
+						ok, err := s.Release(vm)
+						if err != nil {
+							errs <- err
+							return
+						}
+						if ok {
+							released.Add(1)
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if admitted.Load() == 0 {
+			t.Fatal("no admission succeeded: the race was never run")
+		}
+		if got, want := int64(s.Stats().Placed), admitted.Load()-released.Load(); got != want {
+			t.Errorf("placed %d, want admitted-released %d", got, want)
+		}
+	})
 }
 
 // TestConcurrentAdmitRelease churns admissions and releases from many
