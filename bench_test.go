@@ -221,21 +221,12 @@ func BenchmarkServeThroughput(b *testing.B) {
 }
 
 // BenchmarkServeAdmit measures the admission hot path (docs/DESIGN.md
-// §15) at 1/8/64 concurrent clients with and without coalescing. Each op
-// is one admit/release pair with no /v1/predict first, so every admit
-// predicts its VM on the client's goroutine before it queues, in both
-// modes. mode=serial is MaxBatch 1 (every request is its own one-row
-// rollout: its own score row and pool sweep under the shard lock),
-// mode=batched the default (concurrent requests share one rollout
-// matrix, committed in arrival order). Both run the same decision
-// function and produce bit-identical admission decisions (pinned by the
-// serve equivalence tests), so the grid differs only in throughput, and
-// batched:serial measures the shared score matrix, not a shared forest
-// pass. The service is a pressure-aware data-plane fleet; clients work
+// §7) at 1/8/64 concurrent clients. Each op is one admit/release pair
+// with no /v1/predict first, so every admit predicts its VM on the
+// client's goroutine, then makes its one-row decision under the shard
+// lock. The service is a pressure-aware data-plane fleet; clients work
 // disjoint strides of the evaluation-period VM population so ids never
-// collide. The numbers are recorded in BENCH_serve.json and the
-// batched:serial ns/op ratio is gated by cmd/coach-benchdiff -grid serve
-// in CI.
+// collide.
 func BenchmarkServeAdmit(b *testing.B) {
 	ctx := benchContext()
 	tr, err := ctx.Trace()
@@ -249,71 +240,62 @@ func BenchmarkServeAdmit(b *testing.B) {
 		}
 	}
 	cache := NewModelCache()
-	for _, mode := range []struct {
-		name     string
-		maxBatch int
-	}{
-		{"serial", 1},
-		{"batched", 0},
-	} {
-		for _, clients := range []int{1, 8, 64} {
-			if clients > len(fresh) {
-				b.Fatalf("only %d evaluation-period VMs for %d clients", len(fresh), clients)
+	for _, clients := range []int{1, 8, 64} {
+		if clients > len(fresh) {
+			b.Fatalf("only %d evaluation-period VMs for %d clients", len(fresh), clients)
+		}
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			cfg := DefaultServiceConfig()
+			cfg.Cache = cache
+			cfg.DataPlane = true
+			cfg.AdmitPressureFrac = 0.95
+			svc, err := NewService(tr, NewFleet(DefaultClusters(8)), cfg)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(fmt.Sprintf("clients=%d/mode=%s", clients, mode.name), func(b *testing.B) {
-				cfg := DefaultServiceConfig()
-				cfg.Cache = cache
-				cfg.DataPlane = true
-				cfg.AdmitPressureFrac = 0.95
-				cfg.MaxBatch = mode.maxBatch
-				svc, err := NewService(tr, NewFleet(DefaultClusters(8)), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer svc.Close()
-				if err := svc.Warm(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				per := b.N / clients
-				if b.N%clients != 0 {
-					per++
-				}
-				var failed atomic.Bool
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						// Client c owns the VMs at indices ≡ c (mod
-						// clients): no two clients ever race on one id.
-						var own []*trace.VM
-						for j := c; j < len(fresh); j += clients {
-							own = append(own, fresh[j])
+			defer svc.Close()
+			if err := svc.Warm(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			per := b.N / clients
+			if b.N%clients != 0 {
+				per++
+			}
+			var failed atomic.Bool
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					// Client c owns the VMs at indices ≡ c (mod
+					// clients): no two clients ever race on one id.
+					var own []*trace.VM
+					for j := c; j < len(fresh); j += clients {
+						own = append(own, fresh[j])
+					}
+					for i := 0; i < per; i++ {
+						vm := own[i%len(own)]
+						res, err := svc.Admit(vm)
+						if err != nil {
+							failed.Store(true)
+							return
 						}
-						for i := 0; i < per; i++ {
-							vm := own[i%len(own)]
-							res, err := svc.Admit(vm)
-							if err != nil {
+						if res.Admitted {
+							if _, err := svc.Release(vm); err != nil {
 								failed.Store(true)
 								return
 							}
-							if res.Admitted {
-								if _, err := svc.Release(vm); err != nil {
-									failed.Store(true)
-									return
-								}
-							}
 						}
-					}(c)
-				}
-				wg.Wait()
-				if failed.Load() {
-					b.Fatal("admission failed")
-				}
-			})
-		}
+					}
+				}(c)
+			}
+			wg.Wait()
+			if failed.Load() {
+				b.Fatal("admission failed")
+			}
+		})
 	}
 }
 

@@ -12,9 +12,6 @@
 //	go test -run=NONE -bench='^BenchmarkPredictMatrix$' . > out.txt
 //	coach-benchdiff -grid predict [-tolerance 0.25] out.txt
 //
-//	go test -run=NONE -bench='^BenchmarkServeAdmit$' . > out.txt
-//	coach-benchdiff -grid serve [-tolerance 0.5] out.txt
-//
 // With no file argument the bench output is read from stdin. When a
 // benchmark appears more than once (-count), its fastest repetition is
 // the one compared.
@@ -23,9 +20,9 @@
 // variants — simcore runs the dense reference replay loop against the
 // event-driven core, predict runs the row-at-a-time Predict against the
 // level-synchronous pass over the same forest nodes (PredictMatrix, and
-// PredictSweep answering the same rows as one swept feature), serve runs one-row admission (MaxBatch 1) against the default
-// coalescing admit path — and the checks are chosen to be meaningful across
-// machines (raw ns/op on shared CI runners is far too noisy to gate on):
+// PredictSweep answering the same rows as one swept feature) — and the
+// checks are chosen to be meaningful across machines (raw ns/op on shared
+// CI runners is far too noisy to gate on):
 //
 //   - visits/op, where the grid reports it (simcore), must match the
 //     baseline within the tolerance for each variant. The count is
@@ -38,9 +35,7 @@
 //     the same run cancels machine speed out of the gate; for predict
 //     this is the batched-inference speedup recorded in
 //     BENCH_predict.json, so the gate fires when the level-synchronous
-//     pass loses ground to the row-at-a-time reference. For serve the ratio is
-//     batched:serial admit ns/op per client count (BENCH_serve.json), so
-//     the gate fires when admission coalescing stops paying for itself.
+//     pass loses ground to the row-at-a-time reference.
 //
 // Baseline grid points whose names never appear in the bench output fail
 // the gate too — a renamed or silently skipped benchmark would otherwise
@@ -71,16 +66,13 @@ type engineSample struct {
 }
 
 // gridPoint is one grid configuration measured under every variant. The
-// simcore grid fills dense/event, the predict grid walk/matrix/sweep, the
-// serve grid serial/batched.
+// simcore grid fills dense/event, the predict grid walk/matrix/sweep.
 type gridPoint struct {
-	Dense   *engineSample `json:"dense,omitempty"`
-	Event   *engineSample `json:"event,omitempty"`
-	Walk    *engineSample `json:"walk,omitempty"`
-	Matrix  *engineSample `json:"matrix,omitempty"`
-	Sweep   *engineSample `json:"sweep,omitempty"`
-	Serial  *engineSample `json:"serial,omitempty"`
-	Batched *engineSample `json:"batched,omitempty"`
+	Dense  *engineSample `json:"dense,omitempty"`
+	Event  *engineSample `json:"event,omitempty"`
+	Walk   *engineSample `json:"walk,omitempty"`
+	Matrix *engineSample `json:"matrix,omitempty"`
+	Sweep  *engineSample `json:"sweep,omitempty"`
 }
 
 func (p *gridPoint) sample(name string) *engineSample {
@@ -95,10 +87,6 @@ func (p *gridPoint) sample(name string) *engineSample {
 		return p.Matrix
 	case "sweep":
 		return p.Sweep
-	case "serial":
-		return p.Serial
-	case "batched":
-		return p.Batched
 	}
 	return nil
 }
@@ -115,10 +103,6 @@ func (p *gridPoint) setSample(name string, s *engineSample) {
 		p.Matrix = s
 	case "sweep":
 		p.Sweep = s
-	case "serial":
-		p.Serial = s
-	case "batched":
-		p.Batched = s
 	}
 }
 
@@ -145,11 +129,6 @@ var grids = map[string]gridSpec{
 		base: "walk", alts: []string{"matrix", "sweep"},
 		metricName: "ns/row", metric: func(s *engineSample) float64 { return s.NsPerRow },
 	},
-	"serve": {
-		baseline: "BENCH_serve.json", seg: "mode=",
-		base: "serial", alts: []string{"batched"},
-		metricName: "ns/op", metric: func(s *engineSample) float64 { return s.NsPerOp },
-	},
 }
 
 // baseline mirrors BENCH_simcore.json. Narrative fields (description,
@@ -163,14 +142,14 @@ type baseline struct {
 }
 
 func main() {
-	gridName := flag.String("grid", "simcore", "benchmark grid to gate: simcore, predict or serve")
+	gridName := flag.String("grid", "simcore", "benchmark grid to gate: simcore or predict")
 	baselinePath := flag.String("baseline", "", "committed baseline JSON (defaults per -grid)")
 	tolerance := flag.Float64("tolerance", 0.25, "allowed relative drift for visits/op and for the variant ratio")
 	flag.Parse()
 
 	spec, ok := grids[*gridName]
 	if !ok {
-		fatal(fmt.Errorf("unknown -grid %q (want simcore, predict or serve)", *gridName))
+		fatal(fmt.Errorf("unknown -grid %q (want simcore or predict)", *gridName))
 	}
 	if *baselinePath == "" {
 		*baselinePath = spec.baseline
@@ -280,8 +259,7 @@ func relDrift(have, want float64) float64 {
 // the benchmark name with the "Benchmark" prefix, the GOMAXPROCS "-N"
 // suffix and the variant path segment removed, e.g.
 // "SimCore/sparse-churn/vms=1000/days=7/workers=1",
-// "PredictMatrix/trees=40/depth=12/batch=64" or
-// "ServeAdmit/clients=64".
+// or "PredictMatrix/trees=40/depth=12/batch=64".
 func parseBench(r io.Reader, spec gridSpec) (map[string]gridPoint, error) {
 	out := make(map[string]gridPoint)
 	sc := bufio.NewScanner(r)

@@ -14,9 +14,8 @@ func TestSplitVariant(t *testing.T) {
 	}{
 		{"SimCore/sparse-churn/vms=1000/engine=event/days=7/workers=1", "engine=", "SimCore/sparse-churn/vms=1000/days=7/workers=1", "event", true},
 		{"PredictMatrix/trees=40/depth=12/batch=64/layout=walk", "layout=", "PredictMatrix/trees=40/depth=12/batch=64", "walk", true},
-		{"ServeAdmit/clients=64/mode=batched", "mode=", "ServeAdmit/clients=64", "batched", true},
-		{"ServeAdmit/clients=64", "mode=", "", "", false},
-		{"ServeAdmit/clients=64/mode=", "mode=", "", "", false},
+		{"PredictMatrix/trees=40/depth=12/batch=64", "layout=", "", "", false},
+		{"PredictMatrix/trees=40/depth=12/batch=64/layout=", "layout=", "", "", false},
 	} {
 		key, variant, ok := splitVariant(tc.name, tc.seg)
 		if key != tc.key || variant != tc.variant || ok != tc.ok {
@@ -32,13 +31,12 @@ func TestParseBench(t *testing.T) {
 goarch: amd64
 pkg: github.com/coach-oss/coach
 cpu: Intel(R) Xeon(R) CPU @ 2.10GHz
-BenchmarkServeAdmit/clients=1/mode=serial-2         	   30000	     33500 ns/op	    5120 B/op	      19 allocs/op
-BenchmarkServeAdmit/clients=1/mode=batched-2        	   30000	     32200 ns/op	    5008 B/op	      18 allocs/op
-BenchmarkServeAdmit/clients=1/mode=batched-2        	   30000	     39900 ns/op	    5008 B/op	      18 allocs/op
-BenchmarkServeAdmit/clients=8/mode=batched          	   60000	     18100 ns/op
-BenchmarkServeAdmit/clients=8/mode=experimental-2   	   60000	     1 ns/op
-BenchmarkServeThroughput/batched/clients=8-2        	  100000	     11000 ns/op
 BenchmarkSimCore/sparse-churn/vms=1000/engine=dense/days=7/workers=1-2  3  410000000 ns/op  2016000 visits/op
+BenchmarkSimCore/sparse-churn/vms=1000/engine=event/days=7/workers=1-2  3  90000000 ns/op  300000 visits/op
+BenchmarkSimCore/sparse-churn/vms=1000/engine=event/days=7/workers=1-2  3  99000000 ns/op  300000 visits/op
+BenchmarkSimCore/sparse-churn/vms=1000/engine=event/days=7/workers=2    3  60000000 ns/op  300000 visits/op
+BenchmarkSimCore/sparse-churn/vms=1000/engine=experimental/days=7/workers=2-2  3  1 ns/op
+BenchmarkServeThroughput/clients=8-2        	  100000	     11000 ns/op	    5008 B/op	      18 allocs/op
 BenchmarkPredictMatrix/trees=40/depth=12/batch=64/layout=matrix-2  5000  230000 ns/op  3594 ns/row
 BenchmarkPredictMatrix/trees=40/depth=12/batch=64/layout=sweep-2  9000  120000 ns/op  2000 ns/row
 PASS
@@ -48,12 +46,12 @@ ok  	github.com/coach-oss/coach	12.3s
 		grid string
 		want map[string]gridPoint
 	}{
-		{"serve", map[string]gridPoint{
-			"ServeAdmit/clients=1": {Serial: &engineSample{NsPerOp: 33500}, Batched: &engineSample{NsPerOp: 32200}},
-			"ServeAdmit/clients=8": {Batched: &engineSample{NsPerOp: 18100}},
-		}},
 		{"simcore", map[string]gridPoint{
-			"SimCore/sparse-churn/vms=1000/days=7/workers=1": {Dense: &engineSample{NsPerOp: 410000000, VisitsPerOp: 2016000}},
+			"SimCore/sparse-churn/vms=1000/days=7/workers=1": {
+				Dense: &engineSample{NsPerOp: 410000000, VisitsPerOp: 2016000},
+				Event: &engineSample{NsPerOp: 90000000, VisitsPerOp: 300000},
+			},
+			"SimCore/sparse-churn/vms=1000/days=7/workers=2": {Event: &engineSample{NsPerOp: 60000000, VisitsPerOp: 300000}},
 		}},
 		{"predict", map[string]gridPoint{
 			"PredictMatrix/trees=40/depth=12/batch=64": {Matrix: &engineSample{NsPerOp: 230000, NsPerRow: 3594}, Sweep: &engineSample{NsPerOp: 120000, NsPerRow: 2000}},
@@ -79,26 +77,26 @@ func TestCheckPoint(t *testing.T) {
 		tol        float64
 		fails      []string // one substring per expected failure, in order
 	}{
-		{name: "same ratio on a faster host", grid: "serve", tol: 0.5,
-			want: gridPoint{Serial: ns(30000), Batched: ns(30000)},
-			have: gridPoint{Serial: ns(10000), Batched: ns(10000)}},
-		{name: "ratio drift inside the tolerance", grid: "serve", tol: 0.5,
-			want: gridPoint{Serial: ns(100), Batched: ns(100)},
-			have: gridPoint{Serial: ns(100), Batched: ns(149)}},
-		{name: "ratio drift past the tolerance", grid: "serve", tol: 0.5,
-			want:  gridPoint{Serial: ns(100), Batched: ns(100)},
-			have:  gridPoint{Serial: ns(100), Batched: ns(151)},
-			fails: []string{"batched:serial ns/op ratio 1.51 vs baseline 1.00"}},
-		{name: "an improved ratio never fails", grid: "serve", tol: 0.25,
-			want: gridPoint{Serial: ns(100), Batched: ns(100)},
-			have: gridPoint{Serial: ns(100), Batched: ns(10)}},
-		{name: "variant missing from the output", grid: "serve", tol: 0.5,
-			want:  gridPoint{Serial: ns(100), Batched: ns(100)},
-			have:  gridPoint{Serial: ns(100)},
-			fails: []string{"mode=batched missing"}},
-		{name: "variant absent from the baseline is not required", grid: "serve", tol: 0.5,
-			want: gridPoint{Serial: ns(100)},
-			have: gridPoint{Serial: ns(900)}},
+		{name: "same ratio on a faster host", grid: "simcore", tol: 0.5,
+			want: gridPoint{Dense: ns(30000), Event: ns(30000)},
+			have: gridPoint{Dense: ns(10000), Event: ns(10000)}},
+		{name: "ratio drift inside the tolerance", grid: "simcore", tol: 0.5,
+			want: gridPoint{Dense: ns(100), Event: ns(100)},
+			have: gridPoint{Dense: ns(100), Event: ns(149)}},
+		{name: "ratio drift past the tolerance", grid: "simcore", tol: 0.5,
+			want:  gridPoint{Dense: ns(100), Event: ns(100)},
+			have:  gridPoint{Dense: ns(100), Event: ns(151)},
+			fails: []string{"event:dense ns/op ratio 1.51 vs baseline 1.00"}},
+		{name: "an improved ratio never fails", grid: "simcore", tol: 0.25,
+			want: gridPoint{Dense: ns(100), Event: ns(100)},
+			have: gridPoint{Dense: ns(100), Event: ns(10)}},
+		{name: "variant missing from the output", grid: "simcore", tol: 0.5,
+			want:  gridPoint{Dense: ns(100), Event: ns(100)},
+			have:  gridPoint{Dense: ns(100)},
+			fails: []string{"engine=event missing"}},
+		{name: "variant absent from the baseline is not required", grid: "simcore", tol: 0.5,
+			want: gridPoint{Dense: ns(100)},
+			have: gridPoint{Dense: ns(900)}},
 		{name: "visits drift is a behavioural change", grid: "simcore", tol: 0.25,
 			want:  gridPoint{Dense: visits(100, 1000), Event: visits(80, 100)},
 			have:  gridPoint{Dense: visits(100, 1000), Event: visits(80, 130)},

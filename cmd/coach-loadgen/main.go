@@ -6,7 +6,7 @@
 // Usage:
 //
 //	coach-loadgen [-addr http://localhost:8080] [-clients 16]
-//	              [-requests 2000] [-admit-frac 0.25] [-admit-mix pair|storm]
+//	              [-requests 2000] [-admit-frac 0.25]
 //	              [-vms 500] [-seed 1]
 //	              [-scenario NAME|spec.txt] [-scale small|medium|full]
 //	              [-speedup 3600] [-from-day -1] [-replay-days 1]
@@ -34,19 +34,13 @@
 // its departure; -from-day -1 starts at the trace midpoint, where
 // coachd's predictor training ends. -clients bounds in-flight requests.
 //
-// -admit-mix picks how admissions are issued. "pair" (the default) is
-// the steady-state shape and the documented recipe: each client predicts
-// one VM, admits it (the admit takes the prediction /v1/predict just
-// made, docs/api.md) and releases it before moving on, so concurrent
-// admits only overlap by chance.
-// "storm" buffers each client's admits and fires them as a concurrent
-// burst, then releases the placed VMs as a second burst — the shape
-// that drives the server's admission coalescing (many admits inside
-// one batch window) even at low client counts.
+// Each admitting client follows the documented recipe: it predicts one
+// VM, admits it (the admit takes the prediction /v1/predict just made,
+// docs/api.md) and releases it before moving on.
 //
 // Latency percentiles are reported both overall and per endpoint, so a
-// run shows directly what admission batching costs or saves relative
-// to predictions and releases.
+// run shows directly what admission costs relative to predictions and
+// releases.
 //
 // Example output:
 //
@@ -55,7 +49,7 @@
 //	admit:   n=378 p50=11.3ms p95=25.9ms p99=34.1ms max=48.2ms
 //	predict: n=1244 p50=8.6ms p95=20.8ms p99=29.5ms max=41.7ms
 //	release: n=378 p50=7.9ms p95=18.2ms p99=26.0ms max=37.3ms
-//	server:  predictions=1244 admit-batches=48 (mean 7.9) rows/admitted=47.4 cache hits/misses=0/1
+//	server:  predictions=1244 rows/admitted=47.4 cache hits/misses=0/1
 package main
 
 import (
@@ -87,7 +81,6 @@ func main() {
 	clients := flag.Int("clients", 16, "concurrent clients")
 	requests := flag.Int("requests", 2000, "total requests across all clients")
 	admitFrac := flag.Float64("admit-frac", 0.25, "fraction of requests that are admit (each later released)")
-	admitMix := flag.String("admit-mix", "pair", "admit issue pattern: pair (predict, admit, release, move on) or storm (concurrent admit bursts that exercise admission coalescing)")
 	vms := flag.Int("vms", 500, "VM id space to draw from (must match the served trace)")
 	seed := flag.Int64("seed", 1, "base RNG seed (client i uses seed+i)")
 	scenarioFlag := flag.String("scenario", "", "replay a workload scenario (preset name or spec file) instead of the random request mix; must match the served coachd's -scenario")
@@ -118,7 +111,7 @@ func main() {
 	if *scenarioFlag != "" {
 		err = replay(hc, *addr, *scenarioFlag, *scale, *fromDay, *replayDays, *speedup, *clients)
 	} else {
-		err = run(hc, *addr, *clients, *requests, *admitFrac, *admitMix, *vms, *seed)
+		err = run(hc, *addr, *clients, *requests, *admitFrac, *vms, *seed)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coach-loadgen:", err)
@@ -353,9 +346,8 @@ func replay(hc *httpClient, addr, scen, scaleName string, fromDay, replayDays in
 			srvReleased += cs.Released
 			srvRejected += cs.Rejected
 		}
-		fmt.Printf("server:  placed=%d released=%d rejected=%d predictions=%d admit-batches=%d (mean %.1f)\n",
-			st.Placed, srvReleased, srvRejected, st.Batch.Requests,
-			st.AdmitBatch.Batches, st.AdmitBatch.MeanSize)
+		fmt.Printf("server:  placed=%d released=%d rejected=%d predictions=%d\n",
+			st.Placed, srvReleased, srvRejected, st.Batch.Requests)
 		if st.DataPlane.Crashes > 0 || st.DataPlane.LostVMs > 0 {
 			fmt.Printf("faults:  crashes=%d recoveries=%d evicted=%d replaced=%d lost=%d\n",
 				st.DataPlane.Crashes, st.DataPlane.Recoveries, st.DataPlane.EvictedVMs,
@@ -390,12 +382,9 @@ func latLine(name string, lat []float64) {
 		dur(stats.PercentileSorted(lat, 99)), dur(lat[n-1]))
 }
 
-func run(hc *httpClient, addr string, clients, requests int, admitFrac float64, admitMix string, vms int, seed int64) error {
+func run(hc *httpClient, addr string, clients, requests int, admitFrac float64, vms int, seed int64) error {
 	if clients < 1 || requests < 1 {
 		return fmt.Errorf("clients and requests must be positive")
-	}
-	if admitMix != "pair" && admitMix != "storm" {
-		return fmt.Errorf("unknown -admit-mix %q (want pair or storm)", admitMix)
 	}
 	if err := check(addr + "/healthz"); err != nil {
 		return fmt.Errorf("coachd not reachable at %s: %w", addr, err)
@@ -412,11 +401,7 @@ func run(hc *httpClient, addr string, clients, requests int, admitFrac float64, 
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			if admitMix == "storm" {
-				results[c] = stormClient(hc, addr, perClient, admitFrac, vms, seed+int64(c))
-			} else {
-				results[c] = client(hc, addr, perClient, admitFrac, vms, seed+int64(c))
-			}
+			results[c] = client(hc, addr, perClient, admitFrac, vms, seed+int64(c))
 		}(c)
 	}
 	wg.Wait()
@@ -451,9 +436,8 @@ func run(hc *httpClient, addr string, clients, requests int, admitFrac float64, 
 		for _, cs := range st.Clusters {
 			admitted += cs.Admitted
 		}
-		fmt.Printf("server:  predictions=%d admit-batches=%d (mean %.1f) rows/admitted=%.1f cache hits/misses=%d/%d\n",
-			st.Batch.Requests, st.AdmitBatch.Batches, st.AdmitBatch.MeanSize,
-			float64(st.Inference.Rows)/float64(max(admitted, 1)), st.Cache.Hits, st.Cache.Misses)
+		fmt.Printf("server:  predictions=%d rows/admitted=%.1f cache hits/misses=%d/%d\n",
+			st.Batch.Requests, float64(st.Inference.Rows)/float64(max(admitted, 1)), st.Cache.Hits, st.Cache.Misses)
 	}
 	if ec.total() > 0 {
 		return fmt.Errorf("%d requests failed after retries (%s)", ec.total(), &ec)
@@ -508,94 +492,6 @@ func client(hc *httpClient, addr string, n int, admitFrac float64, vms int, seed
 			res.errs.transport++
 		}
 	}
-	return res
-}
-
-// stormClient is the -admit-mix storm shape: admits are buffered and
-// fired as a concurrent burst so they land inside one server batch
-// window, then the placed VMs are released as a second burst. Predicts
-// interleave serially as in the pair mix.
-func stormClient(hc *httpClient, addr string, n int, admitFrac float64, vms int, seed int64) result {
-	rng := rand.New(rand.NewSource(seed))
-	var res result
-	const burst = 8
-	var pending []int
-	type out struct {
-		lat    float64
-		code   int
-		err    error
-		reject bool
-	}
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		outs := make([]out, len(pending))
-		var wg sync.WaitGroup
-		for i, id := range pending {
-			wg.Add(1)
-			go func(i, id int) {
-				defer wg.Done()
-				body := fmt.Sprintf(`{"vm": %d}`, id)
-				t0 := time.Now()
-				code, respBody, err := hc.post(addr+"/v1/admit", body)
-				outs[i] = out{lat: time.Since(t0).Seconds(), code: code, err: err,
-					reject: code == http.StatusServiceUnavailable && definitiveAdmitReject(respBody)}
-			}(i, id)
-		}
-		wg.Wait()
-		var placed []int
-		for i, o := range outs {
-			res.admitLat = append(res.admitLat, o.lat)
-			if o.reject {
-				continue
-			}
-			if res.errs.classify(o.err, o.code) {
-				continue
-			}
-			if o.code == http.StatusOK {
-				placed = append(placed, pending[i])
-			}
-		}
-		rel := make([]out, len(placed))
-		var rg sync.WaitGroup
-		for i, id := range placed {
-			rg.Add(1)
-			go func(i, id int) {
-				defer rg.Done()
-				body := fmt.Sprintf(`{"vm": %d}`, id)
-				t0 := time.Now()
-				code, _, err := hc.post(addr+"/v1/release", body)
-				rel[i] = out{lat: time.Since(t0).Seconds(), code: code, err: err}
-			}(i, id)
-		}
-		rg.Wait()
-		for _, o := range rel {
-			res.releaseLat = append(res.releaseLat, o.lat)
-			res.errs.classify(o.err, o.code)
-		}
-		pending = pending[:0]
-	}
-	for i := 0; i < n; i++ {
-		id := rng.Intn(vms)
-		if rng.Float64() < admitFrac {
-			pending = append(pending, id)
-			if len(pending) == burst {
-				flush()
-			}
-			continue
-		}
-		body := fmt.Sprintf(`{"vm": %d}`, id)
-		t0 := time.Now()
-		code, _, err := hc.post(addr+"/v1/predict", body)
-		res.predictLat = append(res.predictLat, time.Since(t0).Seconds())
-		if !res.errs.classify(err, code) && code != http.StatusOK {
-			// Unexpected non-200 on predict (404/405/...): misconfigured
-			// run — surface it as a transport-class failure.
-			res.errs.transport++
-		}
-	}
-	flush()
 	return res
 }
 

@@ -8,7 +8,7 @@
 //
 //	coachd [-addr :8080] [-scale small|medium|full] [-scenario NAME|spec.txt]
 //	       [-servers N] [-policy none|single|coach|aggrcoach]
-//	       [-batch-max N] [-lazy-train] [-train-workers N]
+//	       [-lazy-train] [-train-workers N]
 //	       [-drain-timeout 10s]
 //	       [-data-plane] [-mitigation None|Trim|Extend|Migrate]
 //	       [-mitigation-mode Reactive|Proactive] [-dp-interval 2s]
@@ -22,16 +22,12 @@
 // against the server. It then trains the
 // long-term predictor on the first half (unless -lazy-train defers that
 // to the first request), and serves until SIGINT/SIGTERM, then shuts
-// down gracefully: in-flight requests finish, the admission batcher
-// drains, new requests get 503.
+// down gracefully: in-flight requests finish, new requests get 503.
 //
-// Each prediction runs on its request's goroutine, and a VM's next
-// admission takes it instead of predicting again. Concurrent admissions
-// on the same cluster coalesce into fleet-sized what-if rollouts (one
-// score matrix, one pool sweep per batch) committed in arrival order — bit-identical to admitting one VM at a time
-// (docs/DESIGN.md §15). Coalescing is opportunistic (whatever is already
-// queued, never a wait); -batch-max caps the admissions per cluster in
-// one batch, and -batch-max 1 serves every admission alone.
+// Every request runs on its own goroutine. A VM's next admission takes
+// the prediction its last /v1/predict made instead of predicting again,
+// and each admission makes one placement decision under its home
+// cluster's shard lock (docs/DESIGN.md §7).
 //
 // With -data-plane every fleet server runs the memory data plane (memsim
 // server + oversubscription agent): admitted VMs attach their memory, and
@@ -107,7 +103,6 @@ type options struct {
 	scenario       string
 	servers        int
 	policy         scheduler.PolicyKind
-	batchMax       int
 	lazyTrain      bool
 	trainWorkers   int
 	dataPlane      bool
@@ -133,7 +128,6 @@ func parseFlags(args []string) (options, error) {
 		o.policy, err = parsePolicy(v)
 		return err
 	})
-	fs.IntVar(&o.batchMax, "batch-max", 64, "max concurrent admissions per cluster coalesced into one rollout (1 = no coalescing); predictions are never batched")
 	fs.BoolVar(&o.lazyTrain, "lazy-train", false, "defer model training to the first prediction request")
 	fs.IntVar(&o.trainWorkers, "train-workers", 0, "goroutines growing forest trees during training (0 = GOMAXPROCS); the model is identical for any value")
 	fs.BoolVar(&o.dataPlane, "data-plane", false, "run the per-server memory data plane (memsim + oversubscription agent)")
@@ -165,7 +159,6 @@ func serveConfig(o options) (serve.Config, error) {
 		// oversubscribed pool.
 		cfg.Percentile = 50
 	}
-	cfg.MaxBatch = o.batchMax
 	cfg.LongTerm.Forest.Workers = o.trainWorkers
 	if o.dataPlane {
 		if o.dpInterval <= 0 {
@@ -326,18 +319,13 @@ func run(o options) error {
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	err = srv.Shutdown(shutdownCtx) // stop accepting, finish in-flight requests
-	svc.Close()                     // then drain the admission batcher
+	svc.Close()                     // then reject what is still arriving
 	if err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return err
 	}
 	st := svc.Stats()
 	log.Printf("final: placed=%d predictions=%d cache hits/misses=%d/%d",
 		st.Placed, st.Batch.Requests, st.Cache.Hits, st.Cache.Misses)
-	if st.AdmitBatch.Batches > 0 {
-		log.Printf("admit batches: %d over %d admissions (mean %.1f, p50 %d, max %d), conflict replays %d",
-			st.AdmitBatch.Batches, st.AdmitBatch.Requests, st.AdmitBatch.MeanSize,
-			st.AdmitBatch.P50Size, st.AdmitBatch.MaxBatch, st.AdmitBatch.ConflictReplays)
-	}
 	if st.DataPlane.Enabled {
 		log.Printf("data plane: ticks=%d attached=%d pool used %.1f/%.1f GB, trims=%d (%.1f GB) extends=%d (%.1f GB) migrations=%d (%.1f GB), faults hard %.1f GB / soft %.1f GB, stolen %.1f GB",
 			st.DataPlane.Ticks, st.DataPlane.AttachedVMs,

@@ -19,28 +19,23 @@ func TestFlagsToConfig(t *testing.T) {
 		args []string
 		want func(*serve.Config)
 	}{
-		{"defaults", nil, func(c *serve.Config) { c.MaxBatch = 64 }},
-		{"batch-max 1 is the serial reference", []string{"-batch-max", "1"},
-			func(c *serve.Config) { c.MaxBatch = 1 }},
-		{"aggrcoach guarantees the P50", []string{"-policy", "AggrCoach", "-batch-max", "8", "-train-workers", "3"},
+		{"defaults", nil, func(c *serve.Config) {}},
+		{"aggrcoach guarantees the P50", []string{"-policy", "AggrCoach", "-train-workers", "3"},
 			func(c *serve.Config) {
 				c.Policy, c.Percentile = scheduler.PolicyAggrCoach, 50
-				c.MaxBatch = 8
 				c.LongTerm.Forest.Workers = 3
 			}},
 		{"data-plane flags are inert without -data-plane",
 			[]string{"-mitigation", "Migrate", "-admit-pressure", "0.9", "-dp-pool-frac", "0.1", "-dp-interval", "0s"},
-			func(c *serve.Config) { c.MaxBatch = 64 }},
+			func(c *serve.Config) {}},
 		{"data plane defaults", []string{"-data-plane"},
 			func(c *serve.Config) {
-				c.MaxBatch = 64
 				c.DataPlane, c.CrossShardMigration = true, true
 				c.MitigationPolicy, c.MitigationMode = agent.PolicyTrim, agent.Reactive
 			}},
 		{"data plane, every knob", []string{"-data-plane", "-mitigation", "migrate", "-mitigation-mode", "Proactive",
 			"-dp-pool-frac", "0.02", "-cross-shard=false", "-admit-pressure", "0.95"},
 			func(c *serve.Config) {
-				c.MaxBatch = 64
 				c.DataPlane = true
 				c.MitigationPolicy, c.MitigationMode = agent.PolicyMigrate, agent.Proactive
 				c.DataPlanePoolFrac, c.DataPlaneUnallocFrac = 0.02, 0.02
@@ -91,8 +86,8 @@ func TestFlagErrors(t *testing.T) {
 		{"-policy", "greedy"},
 		{"-mitigation", "Evict"},
 		{"-mitigation-mode", "Psychic"},
-		{"-batch-max", "many"},
-		{"-no-batch"}, // removed in PR 15; must not come back silently
+		{"-no-batch"},        // retired flags must not come back silently
+		{"-batch-max", "64"}, // retired with the admission batcher
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("%v: parsed without error", args)

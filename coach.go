@@ -302,7 +302,7 @@ type (
 	// same API for embedding.
 	Service = serve.Service
 	// ServiceConfig parameterizes a Service: policy, windows, percentile,
-	// the batch-size cap and the shared trained-model cache.
+	// the data plane and the shared trained-model cache.
 	ServiceConfig = serve.Config
 	// ModelCache memoizes trained predictors by (trace, config) so cold
 	// starts pay forest training once; share one across Services to reuse
@@ -310,7 +310,7 @@ type (
 	ModelCache = serve.ModelCache
 	// AdmitResult reports one admission decision.
 	AdmitResult = serve.AdmitResult
-	// ServiceStats snapshots admission counters, batching effectiveness,
+	// ServiceStats snapshots admission counters, request counts,
 	// model-cache behaviour and the fleet data plane.
 	ServiceStats = serve.Stats
 	// ServiceDataPlaneStats aggregates the serving fleet's memory data
@@ -324,12 +324,12 @@ type (
 func NewModelCache() *ModelCache { return serve.NewModelCache() }
 
 // DefaultServiceConfig returns the deployed serving configuration: Coach
-// policy, 6x4h windows, P95, opportunistic batching.
+// policy, 6x4h windows, P95.
 func DefaultServiceConfig() ServiceConfig { return serve.DefaultConfig() }
 
 // NewService builds a prediction-and-admission service over a trace and a
 // fleet. The model trains lazily through the config's cache on the first
-// prediction (or Service.Warm); Close drains in-flight requests.
+// prediction (or Service.Warm); Close rejects further requests.
 func NewService(tr *Trace, fleet *Fleet, cfg ServiceConfig) (*Service, error) {
 	return serve.New(tr, fleet, cfg)
 }

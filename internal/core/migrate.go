@@ -197,8 +197,8 @@ func (e *MigrationEngine) Resolve(tick int, completed []CompletedMigration) ([]M
 			// drop it rather than re-attach an unowned VMMem.
 			continue
 		}
-		ro := e.scorer.scoreOne(cvm, VAPeakGB(cvm))
-		if target := ro.Pick(0, cm.Server, e.cfg.PressureFrac); target >= 0 {
+		ro := e.scorer.Score(cvm, VAPeakGB(cvm))
+		if target := ro.Pick(cm.Server, e.cfg.PressureFrac); target >= 0 {
 			plan, err := e.commitLocal(cm, target)
 			if err != nil {
 				return nil, nil, err
@@ -221,7 +221,7 @@ func (e *MigrationEngine) Resolve(tick int, completed []CompletedMigration) ([]M
 		}
 		// Nothing changed since the pressured pick: its row serves the
 		// fallback too.
-		plan, err := e.settle(cm, ro.LeastPressured(0, cm.Server))
+		plan, err := e.settle(cm, ro.LeastPressured(cm.Server))
 		if err != nil {
 			return nil, nil, err
 		}
@@ -267,11 +267,11 @@ func (e *MigrationEngine) commitLocal(cm CompletedMigration, target int) (Migrat
 // the pressure bar, with its packing score so the caller can compare
 // shards (ok=false when no server qualifies).
 func (e *MigrationEngine) PickInbound(req MigrationRequest) (server int, score float64, ok bool) {
-	ro := e.scorer.scoreOne(req.CVM, req.VANeed())
-	if server = ro.Pick(0, -1, e.cfg.PressureFrac); server < 0 {
+	ro := e.scorer.Score(req.CVM, req.VANeed())
+	if server = ro.Pick(-1, e.cfg.PressureFrac); server < 0 {
 		return -1, 0, false
 	}
-	return server, ro.row(0)[server], true
+	return server, ro.score[server], true
 }
 
 // Reserve places the request's CoachVM on an explicit server in this
@@ -306,7 +306,7 @@ func (e *MigrationEngine) Settle(req MigrationRequest) (MigrationPlan, error) {
 	if cvm == nil {
 		return MigrationPlan{}, fmt.Errorf("core: settling unknown vm %d", req.VMID)
 	}
-	return e.settle(cm, e.scorer.scoreOne(cvm, 0).LeastPressured(0, req.SrcServer))
+	return e.settle(cm, e.scorer.Score(cvm, 0).LeastPressured(req.SrcServer))
 }
 
 // RecoveryTarget returns the server a crash-evicted VM re-admits to, or -1
@@ -316,11 +316,11 @@ func (e *MigrationEngine) Settle(req MigrationRequest) (MigrationPlan, error) {
 // pressured-but-feasible home beats losing the VM. One score row serves
 // both.
 func (e *MigrationEngine) RecoveryTarget(cvm *coachvm.CVM) int {
-	ro := e.scorer.scoreOne(cvm, VAPeakGB(cvm))
-	if target := ro.Pick(0, -1, e.cfg.PressureFrac); target >= 0 {
+	ro := e.scorer.Score(cvm, VAPeakGB(cvm))
+	if target := ro.Pick(-1, e.cfg.PressureFrac); target >= 0 {
 		return target
 	}
-	return ro.LeastPressured(0, -1)
+	return ro.LeastPressured(-1)
 }
 
 // Reland puts a migration's memory back on its source server, fully warm

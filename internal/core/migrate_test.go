@@ -268,7 +268,7 @@ func TestPickPlacementPressureFilter(t *testing.T) {
 		t.Fatalf("fixture: best-fit candidate is %d, want the loaded server 1", best)
 	}
 	scorer := NewWhatIfScorer(sched, dp)
-	pick := func(needGB, bar float64) int { return scorer.scoreOne(probe, needGB).Pick(0, -1, bar) }
+	pick := func(needGB, bar float64) int { return scorer.Score(probe, needGB).Pick(-1, bar) }
 	if got := pick(0, math.Inf(1)); got != best {
 		t.Errorf("unfiltered pick %d, want the ranking head %d", got, best)
 	}

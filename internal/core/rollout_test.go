@@ -52,7 +52,7 @@ func serialAdmitStep(t *testing.T, sched *scheduler.Scheduler, dp *DataPlane, cv
 }
 
 // loadFixture skews one fixture's pools so servers differ in pressure,
-// identically for the serial and batched copies.
+// identically for the serial and rollout copies.
 func loadFixture(t *testing.T, sched *scheduler.Scheduler, dp *DataPlane) {
 	t.Helper()
 	id := 1000
@@ -68,11 +68,12 @@ func loadFixture(t *testing.T, sched *scheduler.Scheduler, dp *DataPlane) {
 	}
 }
 
-// TestRolloutMatchesSerialAdmission is the core half of the bit-identity
-// contract: one ScoreMany rollout committed in arrival order must make
-// exactly the decisions the serial per-request sequence makes on an
-// identical twin fixture — including requests rejected because earlier
-// requests consumed the capacity or pool headroom they needed.
+// TestRolloutMatchesSerialAdmission is the core half of the admission
+// contract: one rollout per request, read by serve's decision (the
+// pressure-filtered pick, the pressure rejection, the best-fit fallback),
+// must make exactly the decisions the ranking-based serial sequence makes
+// on an identical twin fixture — including requests rejected because
+// earlier requests consumed the capacity or pool headroom they needed.
 func TestRolloutMatchesSerialAdmission(t *testing.T) {
 	mkReqs := func() []*coachvm.CVM {
 		var reqs []*coachvm.CVM
@@ -93,66 +94,46 @@ func TestRolloutMatchesSerialAdmission(t *testing.T) {
 
 	for _, frac := range []float64{0, 0.35, 0.95} {
 		_, schedS, dpS := engineFixture(t, 5, DefaultMigrationConfig(), 0.25)
-		engB, schedB, dpB := engineFixture(t, 5, DefaultMigrationConfig(), 0.25)
+		engR, schedR, dpR := engineFixture(t, 5, DefaultMigrationConfig(), 0.25)
 		loadFixture(t, schedS, dpS)
-		loadFixture(t, schedB, dpB)
+		loadFixture(t, schedR, dpR)
 
-		reqsS, reqsB := mkReqs(), mkReqs()
+		reqsS, reqsR := mkReqs(), mkReqs()
 		want := make([]admitOutcome, len(reqsS))
 		for r, cvm := range reqsS {
 			want[r] = serialAdmitStep(t, schedS, dpS, cvm, frac)
 		}
 
-		needs := make([]float64, len(reqsB))
-		for r, cvm := range reqsB {
-			needs[r] = VAPeakGB(cvm)
-		}
-		scorer := engB.Scorer()
+		scorer := engR.Scorer()
 		base := scorer.Stats()
-		ro := scorer.ScoreMany(reqsB, needs)
-		if got := scorer.Stats().Batches - base.Batches; got != 1 {
-			t.Fatalf("frac %g: ScoreMany ran %d batches, want 1", frac, got)
-		}
-		replays := 0
-		for r, cvm := range reqsB {
-			var got admitOutcome
-			srv, placed := -1, false
-			if frac > 0 && needs[r] > 0 {
-				if c := ro.Pick(r, -1, frac); c >= 0 {
-					if err := schedB.PlaceAt(cvm, c); err == nil {
-						srv, placed = c, true
-					}
-				} else if ro.Pick(r, -1, math.Inf(1)) >= 0 {
-					got = admitOutcome{server: -1, pressure: true}
-					if got != want[r] {
-						t.Fatalf("frac %g request %d: batched %+v, serial %+v", frac, r, got, want[r])
-					}
-					continue
-				}
+		for r, cvm := range reqsR {
+			need := VAPeakGB(cvm)
+			bar := math.Inf(1)
+			if frac > 0 && need > 0 {
+				bar = frac
 			}
-			if !placed {
-				if f := ro.Pick(r, -1, math.Inf(1)); f >= 0 {
-					if err := schedB.PlaceAt(cvm, f); err == nil {
-						srv, placed = f, true
-					}
+			ro := scorer.Score(cvm, need)
+			got := admitOutcome{server: ro.Pick(-1, bar)}
+			switch {
+			case got.server >= 0:
+				if err := schedR.PlaceAt(cvm, got.server); err != nil {
+					t.Fatal(err)
 				}
-				if !placed {
-					got = admitOutcome{server: -1, capacity: true}
-					if got != want[r] {
-						t.Fatalf("frac %g request %d: batched %+v, serial %+v", frac, r, got, want[r])
-					}
-					continue
+				size, pa := cvm.Alloc[resources.Memory], cvm.Guaranteed[resources.Memory]
+				if err := dpR.Attach(got.server, cvm.ID, size, pa); err != nil {
+					t.Fatal(err)
 				}
+			case ro.Pick(-1, math.Inf(1)) >= 0:
+				got.pressure = true
+			default:
+				got.capacity = true
 			}
-			size, pa := cvm.Alloc[resources.Memory], cvm.Guaranteed[resources.Memory]
-			if err := dpB.Attach(srv, cvm.ID, size, pa); err != nil {
-				t.Fatal(err)
-			}
-			replays += ro.Commit(r, srv)
-			got = admitOutcome{server: srv}
 			if got != want[r] {
-				t.Fatalf("frac %g request %d: batched %+v, serial %+v", frac, r, got, want[r])
+				t.Fatalf("frac %g request %d: rollout %+v, serial %+v", frac, r, got, want[r])
 			}
+		}
+		if got := scorer.Stats().Batches - base.Batches; got != int64(len(reqsR)) {
+			t.Fatalf("frac %g: %d requests ran %d rollouts, want one each", frac, len(reqsR), got)
 		}
 
 		// The shapes above are chosen to produce every outcome class at the
@@ -172,42 +153,34 @@ func TestRolloutMatchesSerialAdmission(t *testing.T) {
 			if admits == 0 || prejects == 0 || crejects == 0 {
 				t.Fatalf("outcome mix admits=%d pressure=%d capacity=%d leaves a branch untested", admits, prejects, crejects)
 			}
-			if replays == 0 {
-				t.Fatal("no conflict replays despite in-batch commits")
-			}
 		}
 	}
 }
 
-// TestRolloutNilCVMsAndNoDataPlane covers the edge rows: a nil CVM
-// (a request that failed before placement) scores infeasible everywhere,
-// and without a data plane every pressure projection reports 1 — the
-// no-pool convention — so only a bar above 1 ever passes.
-func TestRolloutNilCVMsAndNoDataPlane(t *testing.T) {
+// TestRolloutNoDataPlane covers a scorer without a data plane: every
+// pressure projection reports 1 — the no-pool convention — so only a bar
+// above 1 ever passes.
+func TestRolloutNoDataPlane(t *testing.T) {
 	_, sched, _ := engineFixture(t, 3, DefaultMigrationConfig(), 0.25)
 	scorer := NewWhatIfScorer(sched, nil)
-	cvms := []*coachvm.CVM{nil, oversubCVM(t, 1, 2, 8, 0.1)}
-	ro := scorer.ScoreMany(cvms, []float64{0, 4})
+	ro := scorer.Score(oversubCVM(t, 1, 2, 8, 0.1), 4)
 	inf := math.Inf(1)
-	if ro.Pick(0, -1, inf) != -1 || ro.Pick(0, -1, 2) != -1 || ro.LeastPressured(0, -1) != -1 {
-		t.Error("nil CVM row must be entirely infeasible")
-	}
-	fit := ro.Pick(1, -1, inf)
+	fit := ro.Pick(-1, inf)
 	if fit < 0 {
 		t.Error("real CVM must fit an empty fleet")
 	}
-	if ro.Pick(1, -1, 0.99) != -1 {
+	if ro.Pick(-1, 0.99) != -1 {
 		t.Error("without a data plane every projection is 1: bars below 1 never pass")
 	}
-	if got := ro.Pick(1, -1, 1.5); got != fit {
+	if got := ro.Pick(-1, 1.5); got != fit {
 		t.Errorf("bar above 1 must reduce to best fit: got %d, want %d", got, fit)
 	}
 	// Every pool reads 1, so the fallback's ties go to the higher score:
 	// the best fit again, and the runner-up once that is excluded.
-	if got := ro.LeastPressured(1, -1); got != fit {
+	if got := ro.LeastPressured(-1); got != fit {
 		t.Errorf("fallback with equal pressures chose %d, want the best fit %d", got, fit)
 	}
-	if got, want := ro.LeastPressured(1, fit), ro.Pick(1, fit, inf); got != want || got == fit {
+	if got, want := ro.LeastPressured(fit), ro.Pick(fit, inf); got != want || got == fit {
 		t.Errorf("fallback excluding %d chose %d, want %d", fit, got, want)
 	}
 }
@@ -253,7 +226,7 @@ func TestPickMatchesPlaceUnderChurn(t *testing.T) {
 		placed, rejected := 0, 0
 		for id := 1000; id < 1400; id++ {
 			vm := churnCVM(t, rng, id, w)
-			want := scorer.scoreOne(vm, 0).Pick(0, -1, math.Inf(1))
+			want := scorer.Score(vm, 0).Pick(-1, math.Inf(1))
 			got, ok := sched.Place(vm)
 			if got != want || ok != (want >= 0) {
 				t.Fatalf("%s: vm %d placed on %d (ok=%v), one-row Pick says %d", name, id, got, ok, want)

@@ -15,12 +15,14 @@ type cand struct {
 }
 
 // ranked is the best-fit ranking the decision loops used to sort, kept as
-// the oracle: every feasible server except exclude (-1 = none), score
-// descending, ties on the lowest index.
+// the oracle: every feasible server of a ScoreRowInto row except exclude
+// (-1 = none), score descending, ties on the lowest index.
 func ranked(sched *scheduler.Scheduler, cvm *coachvm.CVM, exclude int) []cand {
+	row := make([]float64, sched.NumServers())
+	sched.ScoreRowInto(cvm, row)
 	var out []cand
-	for i := 0; i < sched.NumServers(); i++ {
-		if sc := sched.ScoreAt(cvm, i); sc >= 0 && i != exclude {
+	for i, sc := range row {
+		if sc >= 0 && i != exclude {
 			out = append(out, cand{i, sc})
 		}
 	}
@@ -89,10 +91,10 @@ func TestWhatIfScorerMatchesUnbatchedLoops(t *testing.T) {
 		{-1, 0, 0.0001}, {5, 100, 0.75}, {0, 2, 0.5},
 	} {
 		want, wantOK := refPickPlacement(sched, dp, probe, tc.exclude, tc.needGB, tc.pressureFrac)
-		ro := scorer.scoreOne(probe, tc.needGB)
-		got := ro.Pick(0, tc.exclude, tc.pressureFrac)
+		ro := scorer.Score(probe, tc.needGB)
+		got := ro.Pick(tc.exclude, tc.pressureFrac)
 		decisions++
-		if (got >= 0) != wantOK || (wantOK && (got != want.server || ro.row(0)[got] != want.score)) {
+		if (got >= 0) != wantOK || (wantOK && (got != want.server || ro.score[got] != want.score)) {
 			t.Errorf("%+v: rollout picked %d, reference %+v/%v", tc, got, want, wantOK)
 		}
 	}
@@ -125,7 +127,7 @@ func TestWhatIfScorerMatchesUnbatchedLoops(t *testing.T) {
 
 	// Settle: least-pressured with ties on rank.
 	decisions++
-	if got, want := scorer.scoreOne(probe, 0).LeastPressured(0, 5), refLeastPressured(sched, dp, probe, 5); got != want {
+	if got, want := scorer.Score(probe, 0).LeastPressured(5), refLeastPressured(sched, dp, probe, 5); got != want {
 		t.Errorf("settle: rollout %d, reference %d", got, want)
 	}
 

@@ -140,8 +140,8 @@ func presetSkewedHotCold() *Spec {
 
 // presetBursty trades Poisson smoothness for clumped arrivals: gamma
 // inter-arrivals at CV 3 on the interactive class and a heavy-tailed
-// Weibull batch class, stressing admission and batcher behaviour with
-// temporary overloads at unchanged average rate.
+// Weibull batch class, stressing admission with temporary overloads at
+// unchanged average rate.
 func presetBursty() *Spec {
 	sp := base("bursty", 7)
 	sp.Seasonality = Seasonality{DiurnalAmp: 0.25, PeakHour: 15, WeekendFactor: 0.9}

@@ -20,7 +20,7 @@ type cand struct {
 func ranked(s *Scheduler, vm *coachvm.CVM, exclude int) []cand {
 	var out []cand
 	for i := 0; i < s.NumServers(); i++ {
-		if sc := s.ScoreAt(vm, i); sc >= 0 && i != exclude {
+		if sc := s.scoreOn(i, vm); sc >= 0 && i != exclude {
 			out = append(out, cand{i, sc})
 		}
 	}

@@ -193,21 +193,11 @@ func (s *Scheduler) NumServers() int { return len(s.servers) }
 // or vm does not fit — the one ranking every placement decision outside
 // Place reads (core.Rollout: admission, migration landing, crash
 // recovery). A dense row never needs sorting: the highest-scoring cell
-// with ties on the lowest index is Place's choice, and committing a
-// placement invalidates exactly one cell (ScoreAt).
+// with ties on the lowest index is Place's choice.
 func (s *Scheduler) ScoreRowInto(vm *coachvm.CVM, row []float64) {
 	for i := range s.servers {
 		row[i] = s.scoreOn(i, vm)
 	}
-}
-
-// ScoreAt re-evaluates one (vm, server) cell of a ScoreRowInto row against
-// the scheduler's current state: -1 when server is down or vm no longer
-// fits, the packing score otherwise. After a placement commits on a
-// server, re-scoring that single column is bit-identical to rebuilding the
-// whole row — no other server's pool changed.
-func (s *Scheduler) ScoreAt(vm *coachvm.CVM, server int) float64 {
-	return s.scoreOn(server, vm)
 }
 
 // scoreOn is the one feasibility test and score every placement path

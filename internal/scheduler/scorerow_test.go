@@ -32,9 +32,6 @@ func TestScoreRowIntoMatchesCandidates(t *testing.T) {
 		} else if sc != want {
 			t.Errorf("server %d: row score %v, ranked score %v", i, sc, want)
 		}
-		if got := s.ScoreAt(vm, i); got != sc {
-			t.Errorf("server %d: ScoreAt %v != row %v", i, got, sc)
-		}
 	}
 
 	// Row argmax (strict >, ascending) == ranking head == Place's choice.

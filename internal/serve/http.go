@@ -108,7 +108,7 @@ type ErrorResponse struct {
 //
 //	GET  /healthz     — liveness probe (process up)
 //	GET  /readyz      — readiness probe (model trained, not degraded)
-//	GET  /v1/stats    — admission counters, batching and cache stats
+//	GET  /v1/stats    — admission counters, request counts and cache stats
 //	POST /v1/predict  — per-window utilization prediction for one VM
 //	POST /v1/admit    — predict, shape into a CoachVM and place it
 //	POST /v1/release  — free an admitted VM's capacity

@@ -8,12 +8,12 @@
 // Three mechanisms make the hot path production-shaped rather than a thin
 // wrapper (docs/DESIGN.md §7):
 //
-//   - One request batcher (batch.go) coalesces concurrent admissions on
-//     a shard into single fleet-sized placement rollouts. Batched results
-//     are bit-identical to one-request-at-a-time serving, so responses
-//     never depend on batch composition. Predictions run on the caller's
-//     goroutine against the shared read-only forests; a VM's next
-//     admission takes its last prediction instead of predicting again.
+//   - Requests run on their callers' goroutines. Predictions read the
+//     shared read-only forests, and a VM's next admission takes its last
+//     prediction instead of predicting again. An admission shapes its
+//     CoachVM outside any lock, then makes one placement decision under
+//     its home shard's lock, so every response is the one a serial replay
+//     of that shard's lock order would give.
 //   - A trained-model cache keyed by (trace fingerprint, training config)
 //     makes cold starts pay forest training once; later services and
 //     requests share the fitted model (singleflight under concurrency).
@@ -71,14 +71,6 @@ type Config struct {
 	// TrainUpTo is the trace sample separating the model's training
 	// period from served requests (default: half the horizon).
 	TrainUpTo int
-	// MaxBatch caps how many concurrent admissions on one shard coalesce
-	// into one fleet-sized what-if rollout (one score matrix, one pool
-	// sweep) committed in arrival order (default 64;
-	// docs/DESIGN.md §15). Larger batches amortize the sweeps further but
-	// add head-of-line latency for the first request in the batch. 1
-	// serves every admission alone — the serial reference the batched
-	// decisions are bit-identical to. Predictions are never batched.
-	MaxBatch int
 	// Cache optionally shares a trained-model cache across services.
 	// When nil the service creates a private one.
 	Cache *ModelCache
@@ -127,8 +119,7 @@ type Config struct {
 	Faults *fault.Schedule
 }
 
-// DefaultConfig returns the paper's deployed configuration with
-// opportunistic batching.
+// DefaultConfig returns the paper's deployed configuration.
 func DefaultConfig() Config {
 	return Config{
 		Policy:     scheduler.PolicyCoach,
@@ -158,15 +149,8 @@ type fleetShard struct {
 	// Config.DataPlane). Guarded by mu.
 	dpVMs map[int]*dpTracked
 
-	// Admission-batch scratch, owned exclusively by the shard's admit loop
-	// goroutine, so it needs no locking of its own.
-	abCVMs  []*coachvm.CVM
-	abNeeds []float64
-
-	// Pressure-admission and conflict-replay counters (guarded by mu).
+	// pressureRejected counts pressure-aware rejections (guarded by mu).
 	pressureRejected int64
-	// conflictReplays counts rollout cells re-scored by Rollout.Commit.
-	conflictReplays int64
 }
 
 // dpTracked is one admitted VM's data-plane state: age counts the
@@ -228,11 +212,15 @@ type Service struct {
 	routeMu sync.Mutex
 	route   map[int]int
 
-	// admits coalesces Admit calls on one queue per shard (worker
-	// admitBatch); predicts counts answered Predict calls, which run on
-	// their callers' goroutines.
-	admits   *batcher[admitIn, admitOut]
+	// predicts and admits count answered Predict calls and admission
+	// decisions; both run on their callers' goroutines.
 	predicts atomic.Int64
+	admits   atomic.Int64
+
+	// onDecide, when set, is called with the shard and VM id of every
+	// admission decision, under that shard's lock (nil in production;
+	// the ordering wall records each shard's lock order through it).
+	onDecide func(shard, vmID int)
 
 	// dpTicks counts completed TickDataPlane passes.
 	dpTicks atomic.Int64
@@ -292,10 +280,6 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 	if cache == nil {
 		cache = NewModelCache()
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = defaultMaxBatch
-	}
-
 	ltCfg := cfg.LongTerm
 	ltCfg.Windows = cfg.Windows
 	ltCfg.Percentile = cfg.Percentile
@@ -341,7 +325,6 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		}
 		s.shards = append(s.shards, sh)
 	}
-	s.admits = newBatcher(len(s.shards), cfg.MaxBatch, s.admitBatch)
 	return s, nil
 }
 
@@ -417,7 +400,7 @@ func (s *Service) Predict(vm *trace.VM) (coachvm.Prediction, bool, error) {
 	pred, ok := m.Predict(s.tr, vm)
 	s.predicts.Add(1)
 	if sl := s.slot(vm); sl != nil {
-		sl.Store(&admitIn{vm: vm, pred: pred, ok: ok})
+		sl.Store(&admitIn{pred: pred, ok: ok})
 	}
 	return pred, ok, nil
 }
@@ -454,13 +437,12 @@ type AdmitResult struct {
 // Admit predicts vm, shapes it into a CoachVM under the configured policy
 // and places it onto its home cluster's shard. It takes the prediction the
 // VM's last Predict left in its slot, or predicts on the caller's
-// goroutine: the model never changes and a VM's prediction does not depend
-// on its batch, so both are the same bits. Admissions of distinct
-// clusters run concurrently; within a cluster concurrent admissions
-// coalesce into batched decision passes (admitBatch) whose results are
-// bit-identical to admitting one VM at a time in arrival order — the
-// shard lock serializes placement, so the underlying best-fit packer
-// stays deterministic.
+// goroutine: the model never changes, so both are the same bits. The
+// CoachVM is built outside any lock; the placement decision (admitOne)
+// runs under the home shard's lock, so admissions of distinct clusters
+// run concurrently while each shard's best-fit packer stays deterministic:
+// every response is the one a serial replay of the shard's lock order
+// would give.
 //
 // With AdmitPressureFrac set, admission of an oversubscribed VM consults
 // the shard's data-plane pressure: the VM is re-routed to the best-fit
@@ -471,18 +453,31 @@ func (s *Service) Admit(vm *trace.VM) (AdmitResult, error) {
 	if s.isClosed() {
 		return AdmitResult{}, ErrClosed
 	}
-	out, err := s.admits.submit(vm.HomeShard(len(s.shards)), s.admitInput(vm))
+	in := s.admitInput(vm)
+	cvm, err := scheduler.BuildCVM(s.cfg.Policy, vm.ID, vm.Alloc, in.pred, in.ok, s.cfg.Windows)
 	if err != nil {
 		return AdmitResult{}, err
 	}
-	return out.res, out.err
+	need := core.VAPeakGB(cvm)
+	ci := vm.HomeShard(len(s.shards))
+	res := AdmitResult{
+		Cluster:        ci,
+		Server:         -1,
+		Oversubscribed: in.ok && s.cfg.Policy != scheduler.PolicyNone,
+		Alloc:          vm.Alloc,
+		Guaranteed:     cvm.Guaranteed,
+		Degraded:       in.degraded,
+	}
+	sh := s.shards[ci]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return s.admitOne(ci, vm, cvm, need, res)
 }
 
-// admitIn is one queued admission: the VM and its prediction. degraded
-// marks a VM shaped without a model (modelFor's only error): fully
-// guaranteed best-fit, the safe envelope §3.3 prescribes.
+// admitIn is one admission's input: the VM's prediction. degraded marks
+// a VM shaped without a model (modelFor's only error): fully guaranteed
+// best-fit, the safe envelope §3.3 prescribes.
 type admitIn struct {
-	vm       *trace.VM
 	pred     coachvm.Prediction
 	ok       bool
 	degraded bool
@@ -495,7 +490,7 @@ func (s *Service) admitInput(vm *trace.VM) admitIn {
 			return *in
 		}
 	}
-	in := admitIn{vm: vm}
+	var in admitIn
 	if m, err := s.modelFor(); err != nil {
 		in.degraded = true
 	} else {
@@ -504,103 +499,60 @@ func (s *Service) admitInput(vm *trace.VM) admitIn {
 	return in
 }
 
-// admitOut is one admission request's response.
-type admitOut struct {
-	res AdmitResult
-	err error
-}
-
-// admitBatch is the one admission decision function, run as shard ci's
-// admit-queue worker over every request that coalesced there — a lone
-// request is a batch of one (docs/DESIGN.md §15).
-//
-// Requests arrive predicted (admitInput), so the batch runs no forest;
-// it shares one scored (request × server) matrix plus one pool-state sweep
-// (ScoreMany). A commit loop then walks the requests in arrival order
-// under the shard lock, and Rollout.Commit folds each placement into the
-// snapshot so request i+1 observes the capacity request i consumed: an
-// N-row batch decides exactly as N one-row batches in the same order
-// would (admitbatch_test.go pins the bit-identity).
-func (s *Service) admitBatch(ci int, ins []admitIn, out []admitOut) {
+// admitOne is the one admission decision: shard ci's lock is held, cvm is
+// vm's shaped CoachVM, need its peak VA demand and res the response with
+// everything but the decision filled in.
+func (s *Service) admitOne(ci int, vm *trace.VM, cvm *coachvm.CVM, need float64, res AdmitResult) (AdmitResult, error) {
+	if s.isClosed() {
+		return AdmitResult{}, ErrClosed
+	}
+	if s.onDecide != nil {
+		s.onDecide(ci, vm.ID)
+	}
+	s.admits.Add(1)
 	sh := s.shards[ci]
-
-	cvms, needs := sh.abCVMs[:0], sh.abNeeds[:0]
-	for i, in := range ins {
-		cvm, err := scheduler.BuildCVM(s.cfg.Policy, in.vm.ID, in.vm.Alloc, in.pred, in.ok, s.cfg.Windows)
-		if err != nil {
-			out[i] = admitOut{err: err}
-			cvms, needs = append(cvms, nil), append(needs, 0)
-			continue
-		}
-		out[i].res = AdmitResult{
-			Cluster:        ci,
-			Server:         -1,
-			Oversubscribed: in.ok && s.cfg.Policy != scheduler.PolicyNone,
-			Alloc:          in.vm.Alloc,
-			Guaranteed:     cvm.Guaranteed,
-			Degraded:       in.degraded,
-		}
-		cvms, needs = append(cvms, cvm), append(needs, core.VAPeakGB(cvm))
+	if s.routedShard(vm.ID) >= 0 {
+		return AdmitResult{}, fmt.Errorf("serve: vm %d %w", vm.ID, ErrAlreadyAdmitted)
 	}
-	sh.abCVMs, sh.abNeeds = cvms, needs
-
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	var ro *core.Rollout
-	if sh.Scorer != nil {
-		ro = sh.Scorer.ScoreMany(cvms, needs)
+	if sh.Sched == nil {
+		sh.rejected++
+		res.Reason = "home cluster has no servers"
+		return res, nil
 	}
-	for r, in := range ins {
-		vm, cvm := in.vm, cvms[r]
-		if cvm == nil {
-			continue // BuildCVM failed; out[r] already carries the error
-		}
-		if s.routedShard(vm.ID) >= 0 {
-			out[r].err = fmt.Errorf("serve: vm %d %w", vm.ID, ErrAlreadyAdmitted)
-			continue
-		}
-		if sh.Sched == nil {
-			sh.rejected++
-			out[r].res.Reason = "home cluster has no servers"
-			continue
-		}
-		if sh.Sched.ServerOf(vm.ID) >= 0 {
-			out[r].err = fmt.Errorf("serve: vm %d %w", vm.ID, ErrAlreadyAdmitted)
-			continue
-		}
-		bar := math.Inf(1)
-		if sh.DP != nil && s.cfg.AdmitPressureFrac > 0 && needs[r] > 0 {
-			bar = s.cfg.AdmitPressureFrac
-		}
-		srv := ro.Pick(r, -1, bar)
-		if srv < 0 {
-			sh.rejected++
-			out[r].res.Retryable = true
-			out[r].res.Reason = "no server in the home cluster has capacity"
-			if ro.Pick(r, -1, math.Inf(1)) >= 0 {
-				// Capacity exists, but no pool can absorb the VM's
-				// oversubscribed demand: admitting it would only add to
-				// the thrashing.
-				sh.pressureRejected++
-				out[r].res.Reason = "pool pressure: no server in the home cluster can absorb the VM's oversubscribed demand"
-			}
-			continue
-		}
-		if err := sh.AdmitAt(cvm, srv); err != nil {
-			out[r].err = err
-			continue
-		}
-		sh.admitted++
-		out[r].res.Admitted = true
-		out[r].res.Server = srv
-		if sh.DP != nil {
-			// TickDataPlane drives the working set from the first sample on.
-			sh.dpVMs[vm.ID] = &dpTracked{vm: vm}
-		}
-		s.setRoute(vm.ID, ci)
-		// Fold the placement into the rollout so later requests see it.
-		sh.conflictReplays += int64(ro.Commit(r, srv))
+	if sh.Sched.ServerOf(vm.ID) >= 0 {
+		return AdmitResult{}, fmt.Errorf("serve: vm %d %w", vm.ID, ErrAlreadyAdmitted)
 	}
+	bar := math.Inf(1)
+	if sh.DP != nil && s.cfg.AdmitPressureFrac > 0 && need > 0 {
+		bar = s.cfg.AdmitPressureFrac
+	}
+	ro := sh.Scorer.Score(cvm, need)
+	srv := ro.Pick(-1, bar)
+	if srv < 0 {
+		sh.rejected++
+		res.Retryable = true
+		res.Reason = "no server in the home cluster has capacity"
+		if ro.Pick(-1, math.Inf(1)) >= 0 {
+			// Capacity exists, but no pool can absorb the VM's
+			// oversubscribed demand: admitting it would only add to the
+			// thrashing.
+			sh.pressureRejected++
+			res.Reason = "pool pressure: no server in the home cluster can absorb the VM's oversubscribed demand"
+		}
+		return res, nil
+	}
+	if err := sh.AdmitAt(cvm, srv); err != nil {
+		return AdmitResult{}, err
+	}
+	sh.admitted++
+	res.Admitted = true
+	res.Server = srv
+	if sh.DP != nil {
+		// TickDataPlane drives the working set from the first sample on.
+		sh.dpVMs[vm.ID] = &dpTracked{vm: vm}
+	}
+	s.setRoute(vm.ID, ci)
+	return res, nil
 }
 
 // routedShard returns the shard currently holding vmID (-1 when not
@@ -629,7 +581,8 @@ func (s *Service) clearRoute(vmID int) {
 // Release removes an admitted VM from its server — wherever migration
 // routed it — freeing its capacity. released reports whether the VM was
 // admitted; after Close it returns ErrClosed like every other mutating
-// call, so a post-shutdown Stats snapshot is final.
+// call — closed is re-checked under the shard lock — so a post-shutdown
+// Stats snapshot is final.
 //
 // A Release can race a cross-shard handoff mid-flight: the route still
 // names the source shard while the VM's bookkeeping has left it but not
@@ -650,6 +603,10 @@ func (s *Service) Release(vm *trace.VM) (released bool, err error) {
 		}
 		sh := s.shards[ci]
 		sh.mu.Lock()
+		if s.isClosed() {
+			sh.mu.Unlock()
+			return false, ErrClosed
+		}
 		if !sh.Release(vm.ID) {
 			sh.mu.Unlock()
 			if routed && attempt < 1000 {
@@ -701,6 +658,9 @@ func (s *Service) Report(vm *trace.VM, memUtil float64) (applied bool, err error
 	sh := s.shards[ci]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if s.isClosed() {
+		return false, ErrClosed
+	}
 	tr, ok := sh.dpVMs[vm.ID]
 	if !ok {
 		return false, nil
@@ -820,8 +780,8 @@ type DataPlaneStats struct {
 	PressureRejected int64 `json:"pressure_rejected"`
 	// WhatIfBatches and WhatIfCandidates count the what-if rollouts
 	// behind admission, migration landing and crash recovery and the
-	// feasible cells they scored: each decision (or admit batch) builds
-	// exactly one rollout over the whole shard (docs/DESIGN.md §14), so
+	// feasible cells they scored: each decision builds exactly one
+	// rollout over the whole shard (docs/DESIGN.md §14), so
 	// batches track decisions while candidates track fleet size ×
 	// decisions.
 	WhatIfBatches    int64 `json:"whatif_batches"`
@@ -840,14 +800,11 @@ type DataPlaneStats struct {
 	PendingHandoffs int `json:"pending_handoffs"`
 }
 
-// AdmitBatchStats is the admission queues' BatchStats plus the commit-time
-// rework the shared rollouts cost.
+// AdmitBatchStats counts admission decisions, each its own pass. It keeps
+// the shape admission coalescing once reported, for wire compatibility:
+// ConflictReplays is always 0.
 type AdmitBatchStats struct {
 	BatchStats
-	// ConflictReplays counts (request, server) cells re-scored after an
-	// earlier request in the same batch committed a placement on that
-	// server — the incremental work that keeps batched decisions
-	// bit-identical to one-at-a-time arrival order (core.Rollout.Commit).
 	ConflictReplays int64 `json:"conflict_replays"`
 }
 
@@ -860,8 +817,8 @@ type Stats struct {
 	Degraded bool           `json:"degraded"`
 	Placed   int            `json:"placed"`
 	Clusters []ClusterStats `json:"clusters"`
-	// Batch counts predictions, each its own pass (requests = batches);
-	// AdmitBatch reports how admissions coalesced (docs/api.md).
+	// Batch counts predictions and AdmitBatch admission decisions, each
+	// its own pass (requests = batches; docs/api.md).
 	Batch      BatchStats      `json:"batch"`
 	AdmitBatch AdmitBatchStats `json:"admit_batch"`
 	Cache      CacheStats      `json:"cache"`
@@ -873,16 +830,13 @@ type Stats struct {
 	DataPlane DataPlaneStats `json:"data_plane"`
 }
 
-// Stats snapshots admission counters, occupancy, batching effectiveness,
+// Stats snapshots admission counters, occupancy, request counts,
 // model-cache behaviour and the data-plane aggregates.
 func (s *Service) Stats() Stats {
 	st := Stats{Policy: s.cfg.Policy.String(), Cache: s.cache.Stats()}
 	st.Degraded = s.degraded.Load()
-	if n := s.predicts.Load(); n > 0 {
-		// Every prediction is its own pass: requests = batches.
-		st.Batch = BatchStats{Requests: n, Batches: n, MaxBatch: 1, MeanSize: 1, P50Size: 1}
-	}
-	st.AdmitBatch.BatchStats = s.admits.stats()
+	st.Batch = onePerPass(s.predicts.Load())
+	st.AdmitBatch.BatchStats = onePerPass(s.admits.Load())
 	if m := s.model.Load(); m != nil {
 		st.Inference = m.InferenceStats()
 	}
@@ -899,7 +853,6 @@ func (s *Service) Stats() Stats {
 		cs := ClusterStats{Cluster: ci, Name: s.fleet.Clusters[ci].Name, Servers: s.fleet.Clusters[ci].Servers}
 		sh.mu.Lock()
 		cs.Admitted, cs.Released, cs.Rejected = sh.admitted, sh.released, sh.rejected
-		st.AdmitBatch.ConflictReplays += sh.conflictReplays
 		if sh.Sched != nil {
 			cs.Placed = sh.Sched.Placed()
 			cs.UsedServers = sh.Sched.UsedServers()
@@ -946,14 +899,19 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Close drains the admission batcher and rejects further requests with
-// ErrClosed. It is idempotent and safe to call concurrently with
-// requests: in-flight admissions complete before Close returns. A
-// prediction that passed the closed check finishes on its own goroutine;
-// it reads only the immutable model.
+// Close rejects further requests with ErrClosed. It is idempotent and
+// safe to call concurrently with requests: it sets the flag, then takes
+// and drops every shard lock once, so a decision already under a lock
+// completes before Close returns and every later Admit, Release or Report
+// sees the flag when it takes its lock. A prediction that passed the
+// closed check finishes on its own goroutine; it reads only the immutable
+// model.
 func (s *Service) Close() {
 	s.closed.Store(true)
-	s.admits.close()
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.mu.Unlock()
+	}
 }
 
 func (s *Service) isClosed() bool { return s.closed.Load() }

@@ -163,12 +163,10 @@ func freshVM(t *testing.T, model *predict.LongTerm) *trace.VM {
 // TestPredictionSlot pins the predict-then-admit handoff: Predict leaves
 // its answer in the VM's slot, the VM's next Admit takes it instead of
 // running the forests, and every answer is bit-equal to one computed
-// afresh — on a MaxBatch-1 twin that never had a prediction waiting.
+// afresh — on a twin that never had a prediction waiting.
 func TestPredictionSlot(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cache = NewModelCache()
-	twinCfg := cfg
-	twinCfg.MaxBatch = 1
 	mk := func(cfg Config) *Service {
 		s := newTestService(t, cfg)
 		if err := s.Warm(); err != nil {
@@ -176,7 +174,7 @@ func TestPredictionSlot(t *testing.T) {
 		}
 		return s
 	}
-	twin := mk(twinCfg)
+	twin := mk(cfg)
 	model, err := twin.modelFor()
 	if err != nil {
 		t.Fatal(err)

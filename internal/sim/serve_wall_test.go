@@ -23,8 +23,8 @@ import (
 // run the same core.Shard operations, so every admission decision
 // (admitted, cluster, server), every cluster's Placed/UsedServers, the
 // fault ledger and the data-plane aggregates must agree exactly after
-// every tick. MaxBatch 1 and AdmitPressureFrac 0 make serve's
-// Pick(+Inf) the scheduler's Place.
+// every tick. AdmitPressureFrac 0 makes serve's Pick(+Inf) the
+// scheduler's Place.
 //
 // Differences the wall removes or states:
 //   - A VM alive across TrainUpTo enters sim at sample TrainUpTo-Start of
@@ -123,7 +123,6 @@ func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config) {
 
 	sc := serve.DefaultConfig()
 	sc.Policy, sc.Percentile, sc.TrainUpTo = cfg.Policy, cfg.Percentile, cfg.TrainUpTo
-	sc.MaxBatch = 1
 	sc.DataPlane = cfg.DataPlane
 	sc.MitigationPolicy, sc.MitigationMode = cfg.MitigationPolicy, cfg.MitigationMode
 	sc.DataPlanePoolFrac, sc.DataPlaneUnallocFrac = cfg.DataPlanePoolFrac, cfg.DataPlaneUnallocFrac
