@@ -316,9 +316,9 @@ func (a *Agent) mitigate(lookaheadGB float64) {
 	}
 	var colds []coldVM
 	var totalCold float64
-	for _, id := range a.server.VMs() {
-		if c := a.server.VM(id).Trimmable(); c > 1e-6 {
-			colds = append(colds, coldVM{id, c})
+	for _, vm := range a.server.Members() {
+		if c := vm.Trimmable(); c > 1e-6 {
+			colds = append(colds, coldVM{vm.ID, c})
 			totalCold += c
 		}
 	}
@@ -369,8 +369,8 @@ func (a *Agent) mitigate(lookaheadGB float64) {
 // minus what is already free.
 func (a *Agent) deficitGB() float64 {
 	var missing float64
-	for _, id := range a.server.VMs() {
-		missing += a.server.VM(id).Missing()
+	for _, vm := range a.server.Members() {
+		missing += vm.Missing()
 	}
 	// Aim past the detection threshold (1.5x), otherwise the pool idles
 	// exactly at the contention boundary and every later wobble
@@ -391,16 +391,14 @@ func (a *Agent) deficitGB() float64 {
 // contention" preference of §3.4 — breaking ties toward smaller total
 // memory (cheaper to migrate).
 func (a *Agent) pickMigrationVictim() (int, bool) {
-	best := -1
-	bestScore := -1.0
-	for _, id := range a.server.VMs() {
-		if a.server.Migrating(id) {
+	best, bestScore, bestSize := -1, -1.0, 0.0
+	for _, vm := range a.server.Members() {
+		if a.server.Migrating(vm.ID) {
 			continue
 		}
-		vm := a.server.VM(id)
 		score := vm.ResidentVA() + vm.Missing()
-		if score > bestScore || (score == bestScore && best >= 0 && vm.SizeGB < a.server.VM(best).SizeGB) {
-			best, bestScore = id, score
+		if score > bestScore || (score == bestScore && best >= 0 && vm.SizeGB < bestSize) {
+			best, bestScore, bestSize = vm.ID, score, vm.SizeGB
 		}
 	}
 	return best, best >= 0

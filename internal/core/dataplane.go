@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
@@ -76,12 +75,12 @@ func (c AgentCounters) Add(o AgentCounters) AgentCounters {
 	return c
 }
 
-// attachment records where a VM's memory lives and how to rebuild it
-// after a live migration re-homes it.
+// attachment records where a VM's memory lives and the working set it
+// was last driven to; mem's size and PA portion rebuild it after a live
+// migration re-homes it.
 type attachment struct {
+	mem    *memsim.VMMem
 	server int
-	sizeGB float64
-	paGB   float64
 	wss    float64
 }
 
@@ -112,7 +111,10 @@ type DataPlane struct {
 	cfg     DataPlaneConfig
 	servers []*ServerManager
 	frames  []*memsim.TickFrame // last Tick's frames, parallel to servers
-	vms     map[int]*attachment
+	// vms is indexed by VM id, grown on Attach (nil: not attached);
+	// attached counts the non-nil entries.
+	vms      []*attachment
+	attached int
 
 	// steady marks servers whose next Tick is a provable no-op: the last
 	// full tick moved nothing (memsim.Server.Quiet), no operations are in
@@ -140,7 +142,6 @@ func NewDataPlane(cfg DataPlaneConfig, servers []*cluster.Server) (*DataPlane, e
 		cfg:     cfg,
 		servers: make([]*ServerManager, len(servers)),
 		frames:  make([]*memsim.TickFrame, len(servers)),
-		vms:     make(map[int]*attachment),
 		steady:  make([]bool, len(servers)),
 	}
 	for i, srv := range servers {
@@ -182,7 +183,21 @@ func (d *DataPlane) touch(server int) {
 func (d *DataPlane) Servers() []*ServerManager { return d.servers }
 
 // Attached returns the number of VMs currently attached.
-func (d *DataPlane) Attached() int { return len(d.vms) }
+func (d *DataPlane) Attached() int { return d.attached }
+
+// att returns id's attachment, or nil when id is not attached.
+func (d *DataPlane) att(id int) *attachment {
+	if id < 0 || id >= len(d.vms) {
+		return nil
+	}
+	return d.vms[id]
+}
+
+// detach forgets id's attachment; its memory is the caller's to remove.
+func (d *DataPlane) detach(id int) {
+	d.vms[id] = nil
+	d.attached--
+}
 
 // ServerOf returns the index of the server hosting id's memory, or -1 —
 // including for a VM whose live migration completed but has not been
@@ -190,8 +205,8 @@ func (d *DataPlane) Attached() int { return len(d.vms) }
 // landed, memory and scheduler placement agree by construction
 // (docs/DESIGN.md §10).
 func (d *DataPlane) ServerOf(id int) int {
-	if att, ok := d.vms[id]; ok {
-		return att.server
+	if a := d.att(id); a != nil {
+		return a.server
 	}
 	return -1
 }
@@ -202,7 +217,10 @@ func (d *DataPlane) Attach(server, id int, sizeGB, paGB float64) error {
 	if server < 0 || server >= len(d.servers) {
 		return fmt.Errorf("core: data-plane server %d outside [0,%d)", server, len(d.servers))
 	}
-	if _, dup := d.vms[id]; dup {
+	if id < 0 {
+		return fmt.Errorf("core: negative vm id %d", id)
+	}
+	if d.att(id) != nil {
 		return fmt.Errorf("core: vm %d already attached", id)
 	}
 	if paGB > sizeGB {
@@ -215,7 +233,11 @@ func (d *DataPlane) Attach(server, id int, sizeGB, paGB float64) error {
 	if err := d.servers[server].Server.AddVM(vm); err != nil {
 		return err
 	}
-	d.vms[id] = &attachment{server: server, sizeGB: sizeGB, paGB: paGB}
+	if id >= len(d.vms) {
+		d.vms = append(d.vms, make([]*attachment, id+1-len(d.vms))...)
+	}
+	d.vms[id] = &attachment{mem: vm, server: server}
+	d.attached++
 	d.touch(server)
 	return nil
 }
@@ -223,13 +245,13 @@ func (d *DataPlane) Attach(server, id int, sizeGB, paGB float64) error {
 // Detach removes VM id's memory, freeing its pool frames. Returns false
 // when the VM is not attached.
 func (d *DataPlane) Detach(id int) bool {
-	att, ok := d.vms[id]
-	if !ok {
+	a := d.att(id)
+	if a == nil {
 		return false
 	}
-	delete(d.vms, id)
-	d.touch(att.server)
-	return d.servers[att.server].Server.RemoveVM(id)
+	d.detach(id)
+	d.touch(a.server)
+	return d.servers[a.server].Server.RemoveVM(id)
 }
 
 // CrashServer fails server: every attached VM's memory is lost (the
@@ -245,15 +267,12 @@ func (d *DataPlane) CrashServer(server int) []int {
 	if server < 0 || server >= len(d.servers) {
 		return nil
 	}
+	// Only Attach adds a data-plane server's members, so the server's
+	// ascending member list is exactly its attached VMs.
 	var evicted []int
-	for id, att := range d.vms {
-		if att.server == server {
-			evicted = append(evicted, id)
-		}
-	}
-	sort.Ints(evicted)
-	for _, id := range evicted {
-		delete(d.vms, id)
+	for _, vm := range d.servers[server].Server.Members() {
+		evicted = append(evicted, vm.ID)
+		d.detach(vm.ID)
 	}
 	d.servers[server].Server.Crash()
 	d.touch(server)
@@ -264,11 +283,11 @@ func (d *DataPlane) CrashServer(server int) []int {
 // SetWSS drives VM id's working set (a no-op for unattached ids and for
 // VMs whose memory is mid-migration off their server).
 func (d *DataPlane) SetWSS(id int, wss float64) {
-	att, ok := d.vms[id]
-	if !ok {
+	a := d.att(id)
+	if a == nil {
 		return
 	}
-	if att.wss == wss {
+	if a.wss == wss {
 		// Value-unchanged updates are no-ops on the VM's page populations
 		// (VMMem.SetWSS with the same working set moves nothing), so they
 		// must not wake a steady server. serve re-asserts every attached
@@ -276,11 +295,9 @@ func (d *DataPlane) SetWSS(id int, wss float64) {
 		// asserts from defeating sparse ticking.
 		return
 	}
-	att.wss = wss
-	if vm := d.servers[att.server].Server.VM(id); vm != nil {
-		vm.SetWSS(wss)
-		d.touch(att.server)
-	}
+	a.wss = wss
+	a.mem.SetWSS(wss)
+	d.touch(a.server)
 }
 
 // Tick advances every server by dt seconds (hypervisor paging plus agent
@@ -322,18 +339,18 @@ func (d *DataPlane) Tick(dt float64) ([]*memsim.TickFrame, []CompletedMigration,
 				continue
 			}
 			id := f.ID(j)
-			att, ok := d.vms[id]
-			if !ok || att.server != i {
+			a := d.att(id)
+			if a == nil || a.server != i {
 				continue // detached mid-tick (VM ended)
 			}
 			d.completed = append(d.completed, CompletedMigration{
 				VMID:   id,
 				Server: i,
-				SizeGB: att.sizeGB,
-				PAGB:   att.paGB,
-				WSS:    att.wss,
+				SizeGB: a.mem.SizeGB,
+				PAGB:   a.mem.PAGB,
+				WSS:    a.wss,
 			})
-			delete(d.vms, id)
+			d.detach(id)
 		}
 	}
 	return d.frames, d.completed, nil
@@ -356,45 +373,15 @@ func (d *DataPlane) AttachMigrated(server, id int, sizeGB, paGB, wss, dirtyFrac 
 		return 0, err
 	}
 	d.SetWSS(id, wss)
-	srv := d.servers[server].Server
-	if vm := srv.VM(id); vm != nil {
-		warmGB = srv.AdmitWarm(id, (1-dirtyFrac)*vm.Missing())
-	}
+	warmGB = d.servers[server].Server.AdmitWarm(id, (1-dirtyFrac)*d.vms[id].mem.Missing())
 	return warmGB, nil
-}
-
-// PressureOf returns server's pool occupancy (used fraction, 1 when the
-// server has no pool) — the signal the least-pressured fallback ranks on.
-func (d *DataPlane) PressureOf(server int) float64 {
-	return d.ProjectedPressure(server, 0)
-}
-
-// ProjectedPressure returns server's pool occupancy after absorbing
-// incomingGB of additional resident demand — what the pool would look
-// like once a migrated-in working set (or a newly admitted VM's
-// spillover) lands. Filtering candidates on the projection instead of
-// the current occupancy keeps migrations from dumping a large working
-// set onto a pool too small to hold it, which would just move the
-// thrashing. Returns 1 when the server has no pool. Rollout derives the
-// same value per cell from its PoolStatesInto snapshot; this per-server
-// form is the reference the tests hold it to.
-func (d *DataPlane) ProjectedPressure(server int, incomingGB float64) float64 {
-	srv := d.servers[server].Server
-	pool := srv.PoolGB()
-	if pool <= 0 {
-		return 1
-	}
-	if incomingGB < 0 {
-		incomingGB = 0
-	}
-	return (srv.PoolUsed() + incomingGB) / pool
 }
 
 // PoolStatesInto fills used[i] and pool[i] with server i's pool frames in
 // use and pool size, as one sweep over the shard. A what-if rollout
 // captures the raw pool state once and derives every (request, server)
-// projection as (used+need)/pool — the exact ProjectedPressure arithmetic
-// — so one sweep serves however many requests it scores, and a
+// projection as (used+need)/pool, so one sweep serves however many
+// requests it scores, and a
 // post-commit delta only has to refresh the one server a placement
 // touched. Both slices must be len(Servers()).
 func (d *DataPlane) PoolStatesInto(used, pool []float64) {

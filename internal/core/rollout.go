@@ -21,8 +21,8 @@ type Rollout struct {
 	score []float64 // one cell per server; <0 marks infeasible
 
 	// used/pool mirror DataPlane.PoolStatesInto for pressure projection;
-	// nil when the scorer has no data plane (pressure then reports 1,
-	// matching ProjectedPressure's no-pool convention).
+	// nil when the scorer has no data plane (pressure then reports 1, as
+	// for a server with no pool).
 	used, pool []float64
 }
 
@@ -100,10 +100,10 @@ func (ro *Rollout) LeastPressured(exclude int) int {
 	return best
 }
 
-// pressure projects server s's pool occupancy after absorbing needGB —
-// the ProjectedPressure arithmetic against the snapshot's pool state: 1
-// when there is no data plane or no pool, else (used+need)/pool with
-// negative need clamped to zero.
+// pressure projects server s's pool occupancy after absorbing needGB of
+// incoming resident demand — projecting keeps a large working set off a
+// pool too small to hold it: 1 when there is no data plane or no pool,
+// else (used+need)/pool with negative need clamped to zero.
 func (ro *Rollout) pressure(s int, needGB float64) float64 {
 	if ro.pool == nil || ro.pool[s] <= 0 {
 		return 1

@@ -8,6 +8,21 @@ import (
 	"github.com/coach-oss/coach/internal/scheduler"
 )
 
+// ProjectedPressure is the per-server oracle for Rollout's pressure
+// projection: server's pool occupancy after absorbing incomingGB, 1 when
+// the server has no pool.
+func (d *DataPlane) ProjectedPressure(server int, incomingGB float64) float64 {
+	srv := d.servers[server].Server
+	pool := srv.PoolGB()
+	if pool <= 0 {
+		return 1
+	}
+	return (srv.PoolUsed() + max(incomingGB, 0)) / pool
+}
+
+// PressureOf is server's current pool occupancy.
+func (d *DataPlane) PressureOf(server int) float64 { return d.ProjectedPressure(server, 0) }
+
 // cand is one feasible server with its best-fit score.
 type cand struct {
 	server int

@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// poolUsedNaive recomputes pool usage from the per-VM populations in
+// deterministic order; tests pin the incremental counter against it.
+func (s *Server) poolUsedNaive() float64 {
+	var used float64
+	for _, vm := range s.members {
+		used += vm.ResidentVA()
+	}
+	return used
+}
+
 func mustVM(t *testing.T, id int, size, pa float64) *VMMem {
 	t.Helper()
 	vm, err := NewVMMem(id, size, pa)
@@ -780,5 +790,112 @@ func TestServerCrash(t *testing.T) {
 	}
 	if _, err := s.Tick(60); err != nil {
 		t.Fatalf("Tick after crash: %v", err)
+	}
+}
+
+// FuzzServerMembership drives random AddVM/RemoveVM/SetWSS/StartMigrate/
+// StartTrim/Tick/Crash sequences against a map reference of the members.
+// After every operation the server's id order, its member view, VM(id)
+// and the incremental PoolUsed must match the reference; after every
+// Tick each frame position must agree with the reference about whether
+// its VM departed (a completed live migration) and what Lookup reports.
+func FuzzServerMembership(f *testing.F) {
+	// Two members, one migrates away mid-tick, then a crash and a re-add.
+	f.Add([]byte{0, 3, 0, 1, 2, 3, 5, 6, 3, 3, 5, 119, 1, 1, 6, 0, 0, 3})
+	// Duplicate adds, a trim and a removal between ticks.
+	f.Add([]byte{0, 9, 0, 9, 0, 5, 2, 9, 5, 30, 4, 9, 1, 5, 5, 255})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		s := NewServer(DefaultConfig(), 24, 8)
+		ref := map[int]*VMMem{}
+		migrating := map[int]bool{}
+		for k := 0; k+1 < len(ops); k += 2 {
+			op, arg := ops[k]%7, int(ops[k+1])
+			id := arg % 12
+			switch op {
+			case 0:
+				vm, err := NewVMMem(id, float64(2+arg%7), float64(arg%3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, dup := ref[id]
+				if err := s.AddVM(vm); (err != nil) != dup {
+					t.Fatalf("AddVM(%d): err %v with dup=%v", id, err, dup)
+				}
+				if !dup {
+					ref[id] = vm
+				}
+			case 1:
+				_, had := ref[id]
+				if got := s.RemoveVM(id); got != had {
+					t.Fatalf("RemoveVM(%d) = %v, reference has it: %v", id, got, had)
+				}
+				delete(ref, id)
+				delete(migrating, id)
+			case 2:
+				if vm := ref[id]; vm != nil {
+					vm.SetWSS(float64(arg%9) * 0.5)
+				}
+			case 3:
+				if s.StartMigrate(id) {
+					migrating[id] = true
+				}
+			case 4:
+				s.StartTrim(id, float64(arg%4))
+			case 5:
+				before := len(ref)
+				fr, err := s.Tick(float64(1 + arg%120))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fr.Len() != before {
+					t.Fatalf("frame holds %d VMs, %d were members", fr.Len(), before)
+				}
+				for i := 0; i < fr.Len(); i++ {
+					vid := fr.ID(i)
+					_, present := fr.Lookup(vid)
+					if fr.Departed(i) {
+						if !migrating[vid] || s.VM(vid) != nil || present {
+							t.Fatalf("vm %d departed: migrating=%v still member=%v lookup=%v",
+								vid, migrating[vid], s.VM(vid) != nil, present)
+						}
+						delete(ref, vid)
+						delete(migrating, vid)
+					} else if !present || s.VM(vid) != ref[vid] {
+						t.Fatalf("vm %d stayed but lookup=%v member=%v", vid, present, s.VM(vid) != nil)
+					}
+				}
+			case 6:
+				s.Crash()
+				clear(ref)
+				clear(migrating)
+			}
+			checkMembership(t, s, ref)
+		}
+	})
+}
+
+// checkMembership compares the server's members against the reference.
+func checkMembership(t *testing.T, s *Server, ref map[int]*VMMem) {
+	t.Helper()
+	ids := s.VMs()
+	members := s.Members()
+	if len(ids) != len(ref) || len(members) != len(ref) {
+		t.Fatalf("server holds %d ids and %d members, reference %d", len(ids), len(members), len(ref))
+	}
+	for i, id := range ids {
+		if i > 0 && ids[i-1] >= id {
+			t.Fatalf("ids not ascending: %v", ids)
+		}
+		if ref[id] == nil || members[i] != ref[id] || members[i].ID != id {
+			t.Fatalf("position %d: id %d, member %p, reference %p", i, id, members[i], ref[id])
+		}
+	}
+	for id := -1; id <= 12; id++ {
+		if got := s.VM(id); got != ref[id] {
+			t.Fatalf("VM(%d) = %p, reference %p", id, got, ref[id])
+		}
+	}
+	if got, want := s.PoolUsed(), s.poolUsedNaive(); math.Abs(got-want) > 1e-6 {
+		t.Fatalf("incremental PoolUsed %v != naive %v", got, want)
 	}
 }

@@ -77,8 +77,8 @@ func (s *Server) HostUpdate() HostUpdateReport {
 		CancelledMigrations: len(s.migrations),
 	}
 	s.migrations = nil
-	for _, id := range s.order {
-		rep.PersistedGB += s.vms[id].ResidentVA()
+	for _, vm := range s.members {
+		rep.PersistedGB += vm.ResidentVA()
 	}
 	rep.DowntimeS += rep.PersistedGB * hostUpdatePerGBS
 	s.now += rep.DowntimeS

@@ -2,7 +2,7 @@ package memsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // TickStats reports one VM's memory behaviour over one simulated tick.
@@ -37,14 +37,13 @@ func (t TickStats) Slowdown(cfg Config) float64 {
 // TickFrame holds one tick's per-VM stats in the server's deterministic
 // (ascending VM id) order at the start of the tick. The frame and its
 // backing arrays are owned by the server and reused on the next Tick:
-// callers must copy anything they keep. Replacing the former per-tick
-// map[int]TickStats, it makes ticking allocation-free in steady state and
-// gives every consumer (agent, fleet simulator) a fixed iteration order,
-// so float accumulations over it are bit-reproducible.
+// callers must copy anything they keep. Ticking is allocation-free in
+// steady state, and every consumer (agent, fleet simulator) iterates in a
+// fixed order, so float accumulations over the frame are bit-reproducible.
 type TickFrame struct {
-	ids      []int
-	stats    []TickStats
-	departed []bool
+	ids   []int
+	vms   []*VMMem // the member at each position; nil once it departed
+	stats []TickStats
 }
 
 // Len returns the number of VMs present at the start of the tick.
@@ -60,11 +59,10 @@ func (f *TickFrame) At(i int) TickStats { return f.stats[i] }
 
 // Departed reports whether the VM at position i left the server mid-tick
 // (its live migration completed).
-func (f *TickFrame) Departed(i int) bool { return f.departed[i] }
+func (f *TickFrame) Departed(i int) bool { return f.vms[i] == nil }
 
 // Get returns the stats for VM id, or the zero TickStats when the VM was
-// absent at the start of the tick or departed mid-tick — matching the
-// former map semantics, where such lookups read as the zero value.
+// absent at the start of the tick or departed mid-tick.
 func (f *TickFrame) Get(id int) TickStats {
 	st, _ := f.Lookup(id)
 	return st
@@ -72,44 +70,42 @@ func (f *TickFrame) Get(id int) TickStats {
 
 // Lookup is Get with an explicit presence report.
 func (f *TickFrame) Lookup(id int) (TickStats, bool) {
-	i := f.index(id)
-	if i < 0 || f.departed[i] {
+	i := indexOf(f.ids, id)
+	if i < 0 || f.vms[i] == nil {
 		return TickStats{}, false
 	}
 	return f.stats[i], true
 }
 
-// index returns id's frame position, or -1. ids are sorted ascending.
-func (f *TickFrame) index(id int) int {
-	i := sort.SearchInts(f.ids, id)
-	if i >= len(f.ids) || f.ids[i] != id {
-		return -1
+// indexOf returns id's position in the ascending ids, or -1.
+func indexOf(ids []int, id int) int {
+	if i, ok := slices.BinarySearch(ids, id); ok {
+		return i
 	}
-	return i
+	return -1
 }
 
-// reset re-points the frame at the given VM order, zeroing stats in place.
-func (f *TickFrame) reset(order []int) {
+// reset re-points the frame at the server's members, zeroing stats in
+// place.
+func (f *TickFrame) reset(order []int, members []*VMMem) {
 	n := len(order)
 	if cap(f.ids) < n {
 		f.ids = make([]int, n)
+		f.vms = make([]*VMMem, n)
 		f.stats = make([]TickStats, n)
-		f.departed = make([]bool, n)
 	}
 	f.ids = f.ids[:n]
+	f.vms = f.vms[:n]
 	f.stats = f.stats[:n]
-	f.departed = f.departed[:n]
 	copy(f.ids, order)
-	for i := range f.stats {
-		f.stats[i] = TickStats{}
-		f.departed[i] = false
-	}
+	copy(f.vms, members)
+	clear(f.stats)
 }
 
 // depart marks id as gone mid-tick.
 func (f *TickFrame) depart(id int) {
-	if i := f.index(id); i >= 0 {
-		f.departed[i] = true
+	if i := indexOf(f.ids, id); i >= 0 {
+		f.vms[i] = nil
 	}
 }
 
@@ -195,8 +191,10 @@ type Server struct {
 	initPoolGB    float64
 	initUnallocGB float64
 
-	vms   map[int]*VMMem
-	order []int // sorted VM ids for deterministic iteration
+	// order holds the member VM ids ascending, the deterministic iteration
+	// order; members holds each one's memory at the same position.
+	order   []int
+	members []*VMMem
 
 	// residentGB tracks the pool frames holding resident VA pages,
 	// maintained incrementally at every admit/trim/steal/migrate so
@@ -233,7 +231,6 @@ func NewServer(cfg Config, poolGB, unallocGB float64) *Server {
 	return &Server{
 		cfg: cfg, poolGB: poolGB, unallocGB: unallocGB,
 		initPoolGB: poolGB, initUnallocGB: unallocGB,
-		vms: make(map[int]*VMMem),
 	}
 }
 
@@ -256,16 +253,6 @@ func (s *Server) PoolUsed() float64 {
 	return s.residentGB
 }
 
-// poolUsedNaive recomputes pool usage from the per-VM populations in
-// deterministic order; tests pin the incremental counter against it.
-func (s *Server) poolUsedNaive() float64 {
-	var used float64
-	for _, id := range s.order {
-		used += s.vms[id].ResidentVA()
-	}
-	return used
-}
-
 // PoolFree returns the available oversubscribed memory — the quantity
 // plotted in Fig. 21a.
 func (s *Server) PoolFree() float64 {
@@ -285,31 +272,26 @@ func (s *Server) Totals() Totals { return s.totals }
 // AddVM registers a VM. Its working set starts at zero; drive it with
 // VM(id).SetWSS.
 func (s *Server) AddVM(vm *VMMem) error {
-	if _, dup := s.vms[vm.ID]; dup {
+	i, dup := slices.BinarySearch(s.order, vm.ID)
+	if dup {
 		return fmt.Errorf("memsim: vm %d already on server", vm.ID)
 	}
-	s.vms[vm.ID] = vm
-	s.order = append(s.order, vm.ID)
-	sort.Ints(s.order)
+	s.order = slices.Insert(s.order, i, vm.ID)
+	s.members = slices.Insert(s.members, i, vm)
 	s.residentGB += vm.ResidentVA()
 	return nil
 }
 
 // RemoveVM detaches a VM, freeing its pool frames. Returns false if absent.
 func (s *Server) RemoveVM(id int) bool {
-	vm, ok := s.vms[id]
-	if !ok {
+	i := indexOf(s.order, id)
+	if i < 0 {
 		return false
 	}
-	s.residentGB -= vm.ResidentVA()
-	delete(s.vms, id)
-	for i, v := range s.order {
-		if v == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	if len(s.vms) == 0 {
+	s.residentGB -= s.members[i].ResidentVA()
+	s.order = slices.Delete(s.order, i, i+1)
+	s.members = slices.Delete(s.members, i, i+1)
+	if len(s.order) == 0 {
 		// Cancel residual float drift from the incremental updates.
 		s.residentGB = 0
 	}
@@ -325,9 +307,8 @@ func (s *Server) RemoveVM(id int) bool {
 // empty. The server is left non-quiet so the next data-plane pass runs
 // a full tick instead of replaying a stale cached frame.
 func (s *Server) Crash() {
-	for id := range s.vms {
-		delete(s.vms, id)
-	}
+	clear(s.members)
+	s.members = s.members[:0]
 	s.order = s.order[:0]
 	s.residentGB = 0
 	s.trims = s.trims[:0]
@@ -335,12 +316,17 @@ func (s *Server) Crash() {
 	s.migrations = s.migrations[:0]
 	s.poolGB = s.initPoolGB
 	s.unallocGB = s.initUnallocGB
-	s.frame.reset(nil)
+	s.frame.reset(nil, nil)
 	s.quiet = false
 }
 
 // VM returns the memory state of a VM (nil when absent).
-func (s *Server) VM(id int) *VMMem { return s.vms[id] }
+func (s *Server) VM(id int) *VMMem {
+	if i := indexOf(s.order, id); i >= 0 {
+		return s.members[i]
+	}
+	return nil
+}
 
 // AdmitWarm makes up to gb of the VM's pending working-set demand
 // resident immediately, clamped to free pool frames, without fault
@@ -351,8 +337,8 @@ func (s *Server) VM(id int) *VMMem { return s.vms[id] }
 // after the final pre-copy pass, or beyond the free pool) demand-faults
 // like any cold arrival.
 func (s *Server) AdmitWarm(id int, gb float64) float64 {
-	vm, ok := s.vms[id]
-	if !ok || gb <= 0 {
+	vm := s.VM(id)
+	if vm == nil || gb <= 0 {
 		return 0
 	}
 	free := s.poolGB - s.residentGB
@@ -370,6 +356,11 @@ func (s *Server) VMs() []int {
 	copy(out, s.order)
 	return out
 }
+
+// Members returns the resident VMs in ascending id order without copying.
+// The slice is the server's own: callers must not modify it, and it is
+// only valid until the next AddVM, RemoveVM, Tick or Crash.
+func (s *Server) Members() []*VMMem { return s.members }
 
 // StartTrim schedules trimming up to gb of the VM's cold pages at the trim
 // bandwidth (§4.5: 1.1 GB/s).
@@ -391,8 +382,8 @@ func (s *Server) StartExtend(gb float64) {
 // the VM's working set plus its trimmed cold memory, which must be paged
 // in during pre-copy (§3.2).
 func (s *Server) StartMigrate(vmID int) bool {
-	vm, ok := s.vms[vmID]
-	if !ok {
+	vm := s.VM(vmID)
+	if vm == nil {
 		return false
 	}
 	for _, m := range s.migrations {
@@ -451,8 +442,7 @@ func (s *Server) SkipTick(dt float64) *TickFrame {
 // fully served (below the same 1e-9 threshold the fault path uses, so a
 // residue the fault loop would ignore does not keep the server busy).
 func (s *Server) settled() bool {
-	for _, id := range s.order {
-		vm := s.vms[id]
+	for _, vm := range s.members {
 		if vm.Missing() > 1e-9 || vm.pinnedDemand() > 1e-9 {
 			return false
 		}
@@ -479,12 +469,11 @@ func (s *Server) Tick(dt float64) (*TickFrame, error) {
 	}
 	totalsBefore := s.totals
 	f := &s.frame
-	f.reset(s.order)
+	f.reset(s.order, s.members)
 	// The latency mixture is evaluated against the demand present at the
 	// start of the tick: pages that must fault in during this tick are
 	// the ones whose accesses pay the fault latency.
-	for i, id := range f.ids {
-		vm := s.vms[id]
+	for i, vm := range f.vms {
 		st := &f.stats[i]
 		pPA, pVA, pSoft, pHard := vm.accessMix()
 		st.PPA, st.PVA, st.PSoft, st.PHard = pPA, pVA, pSoft, pHard
@@ -501,8 +490,8 @@ func (s *Server) Tick(dt float64) (*TickFrame, error) {
 	if err := s.stepFaults(dt, f); err != nil {
 		return nil, err
 	}
-	for _, id := range s.order {
-		if err := s.vms[id].checkInvariants(); err != nil {
+	for _, vm := range s.members {
+		if err := vm.checkInvariants(); err != nil {
 			return nil, err
 		}
 	}
@@ -540,7 +529,7 @@ func (s *Server) stepTrims(dt float64) {
 	budget := s.cfg.TrimBandwidthGBs * dt
 	rest := s.trims[:0]
 	for _, op := range s.trims {
-		vm := s.vms[op.vmID]
+		vm := s.VM(op.vmID)
 		if vm == nil {
 			continue
 		}
@@ -567,8 +556,7 @@ func (s *Server) stepMigrations(dt float64, f *TickFrame) {
 	budget := s.cfg.MigrateBandwidthGBs * dt / float64(len(s.migrations))
 	rest := s.migrations[:0]
 	for _, op := range s.migrations {
-		vm := s.vms[op.vmID]
-		if vm == nil {
+		if s.VM(op.vmID) == nil {
 			continue
 		}
 		op.leftGB -= budget
@@ -596,8 +584,7 @@ func (s *Server) stepFaults(dt float64, f *TickFrame) error {
 
 	// DMA-pinned ranges are backed eagerly and first: devices must never
 	// hit an invalid translation (§3.2 guest enlightenments).
-	for _, id := range f.ids {
-		vm := s.vms[id]
+	for _, vm := range f.vms {
 		if vm == nil {
 			continue // departed mid-tick
 		}
@@ -619,8 +606,8 @@ func (s *Server) stepFaults(dt float64, f *TickFrame) error {
 		s.allowance = make([]float64, len(f.ids))
 	}
 	allowance := s.allowance[:len(f.ids)]
-	for i, id := range f.ids {
-		if vm := s.vms[id]; vm != nil {
+	for i, vm := range f.vms {
+		if vm != nil {
 			allowance[i] = vm.Missing()
 		} else {
 			allowance[i] = 0
@@ -632,8 +619,7 @@ func (s *Server) stepFaults(dt float64, f *TickFrame) error {
 	for iter := 0; iter < 64 && faultBudget > 1e-9; iter++ {
 		pending = pending[:0]
 		var totalMissing float64
-		for i, id := range f.ids {
-			vm := s.vms[id]
+		for i, vm := range f.vms {
 			if vm == nil {
 				continue
 			}
@@ -647,7 +633,7 @@ func (s *Server) stepFaults(dt float64, f *TickFrame) error {
 		}
 		progressed := false
 		for _, i := range pending {
-			vm := s.vms[f.ids[i]]
+			vm := f.vms[i]
 			m := min2(vm.Missing(), allowance[i])
 			want := min2(m, faultBudget*m/totalMissing+1e-12)
 			if want <= 1e-9 {
@@ -691,8 +677,7 @@ func (s *Server) stepFaults(dt float64, f *TickFrame) error {
 // known-cold pages ahead of demand (StartTrim).
 func (s *Server) makeRoom(gb float64, evictBudget *float64, f *TickFrame) float64 {
 	var totalCold, totalRes float64
-	for _, id := range s.order {
-		vm := s.vms[id]
+	for _, vm := range s.members {
 		totalCold += vm.coldResident
 		totalRes += vm.needResident
 	}
@@ -702,8 +687,7 @@ func (s *Server) makeRoom(gb float64, evictBudget *float64, f *TickFrame) float6
 	}
 	want := min2(min2(gb, *evictBudget), evictable)
 	var freed float64
-	for i, id := range f.ids {
-		vm := s.vms[id]
+	for i, vm := range f.vms {
 		if vm == nil {
 			continue // departed mid-tick
 		}

@@ -401,7 +401,7 @@ func TestCrossShardHandoff(t *testing.T) {
 		}
 		svc.routeMu.Lock()
 		for id, ci := range svc.route {
-			if svc.VM(id).HomeShard(len(svc.shards)) != ci {
+			if ci >= 0 && svc.VM(id).HomeShard(len(svc.shards)) != ci {
 				moved = append(moved, id)
 			}
 		}
@@ -422,7 +422,7 @@ func TestCrossShardHandoff(t *testing.T) {
 	sh.mu.Lock()
 	okSched := sh.Sched.ServerOf(id) >= 0
 	okMem := sh.DP.ServerOf(id) >= 0
-	_, okTracked := sh.dpVMs[id]
+	okTracked := sh.dpVMs[id] != nil
 	sh.mu.Unlock()
 	if !okSched || !okMem || !okTracked {
 		t.Fatalf("handed-off vm %d inconsistent in shard %d: sched=%v mem=%v tracked=%v",

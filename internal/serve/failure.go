@@ -216,7 +216,7 @@ func (s *Service) driveHandoff(in *handoffIntent) error {
 		}
 		src.Release(req.VMID)
 		in.tracked = src.dpVMs[req.VMID]
-		delete(src.dpVMs, req.VMID)
+		src.dpVMs[req.VMID] = nil
 		src.mu.Unlock()
 		in.phase = hoReleased
 		if s.injector.CrashPoint("after-release") {
@@ -316,7 +316,7 @@ func (s *Service) applyFaultEvents(tick int) error {
 		var lost []int
 		for _, ev := range evicted {
 			if ev.Server < 0 {
-				delete(sh.dpVMs, ev.VMID)
+				sh.dpVMs[ev.VMID] = nil
 				lost = append(lost, ev.VMID)
 			}
 		}
@@ -324,7 +324,7 @@ func (s *Service) applyFaultEvents(tick int) error {
 		// Clearing a lost VM's route (outside the shard lock — routeMu is
 		// never nested inside one) makes a later Release report it gone.
 		for _, id := range lost {
-			s.clearRoute(id)
+			s.setRoute(id, -1)
 		}
 		if err != nil {
 			return err

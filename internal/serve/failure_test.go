@@ -109,7 +109,7 @@ func TestHandoffCrashPointsExhaustive(t *testing.T) {
 			}
 			sh := svc.shards[sched[0]]
 			sh.mu.Lock()
-			_, tracked := sh.dpVMs[id]
+			tracked := sh.dpVMs[id] != nil
 			sh.mu.Unlock()
 			if !tracked {
 				t.Fatalf("vm %d has no utilization tracking in shard %d", id, sched[0])

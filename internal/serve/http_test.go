@@ -62,12 +62,21 @@ func TestHTTPHealthAndStats(t *testing.T) {
 }
 
 func TestHTTPErrorCodes(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 
-	for _, tc := range []struct {
+	type row struct {
 		name, path, body string
 		want             int
-	}{
+	}
+	// The per-VM tables are slices indexed by id: an id just outside
+	// [0, len(tr.VMs)) must be a 404 on every endpoint, never a panic.
+	var outside []row
+	for _, path := range []string{"/v1/predict", "/v1/admit", "/v1/release", "/v1/report"} {
+		for _, id := range []int{-1, len(s.tr.VMs)} {
+			outside = append(outside, row{fmt.Sprintf("vm %d", id), path, fmt.Sprintf(`{"vm": %d}`, id), http.StatusNotFound})
+		}
+	}
+	for _, tc := range append(outside, []row{
 		{"malformed body", "/v1/predict", "{not json", http.StatusBadRequest},
 		{"unknown vm", "/v1/predict", `{"vm": 99999999}`, http.StatusNotFound},
 		{"release of unadmitted vm", "/v1/release", `{"vm": 0}`, http.StatusConflict},
@@ -76,9 +85,9 @@ func TestHTTPErrorCodes(t *testing.T) {
 		{"trailing garbage", "/v1/report", `{"vm":1,"memory_util":0.5} x`, http.StatusBadRequest},
 		{"oversized body", "/v1/admit", `{"vm": 0` + strings.Repeat(" ", 2*maxBodyBytes) + `}`, http.StatusRequestEntityTooLarge},
 		{"oversized trailer", "/v1/release", `{"vm": 0}` + strings.Repeat(" ", 2*maxBodyBytes), http.StatusRequestEntityTooLarge},
-	} {
+	}...) {
 		if code, body := post(t, ts.URL+tc.path, tc.body); code != tc.want {
-			t.Errorf("%s: status %d, want %d (%s)", tc.name, code, tc.want, body)
+			t.Errorf("%s %s: status %d, want %d (%s)", tc.path, tc.name, code, tc.want, body)
 		}
 	}
 	// GET on the POST endpoints.

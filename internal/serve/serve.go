@@ -144,10 +144,10 @@ type fleetShard struct {
 	released int64
 	rejected int64
 
-	// dpVMs tracks each attached VM's utilization cursor so TickDataPlane
-	// can replay its working set sample by sample (nil unless
-	// Config.DataPlane). Guarded by mu.
-	dpVMs map[int]*dpTracked
+	// dpVMs holds, per VM id, the utilization cursor TickDataPlane replays
+	// an attached VM's working set from (nil: not attached here). Guarded
+	// by mu.
+	dpVMs []*dpTracked
 
 	// pressureRejected counts pressure-aware rejections (guarded by mu).
 	pressureRejected int64
@@ -198,19 +198,19 @@ type Service struct {
 	// trainCfg is the full training configuration, including the
 	// Forest.Workers throughput knob the cache key normalizes away.
 	trainCfg predict.LongTermConfig
-	// vmIndex maps a VM id to its index in tr.VMs and slots: the
-	// prediction Predict last made for the VM that no Admit has taken yet.
-	vmIndex map[int]int
-	slots   []atomic.Pointer[admitIn]
-	shards  []*fleetShard
+	// slots holds, per VM id, the prediction Predict last made for the
+	// VM that no Admit has taken yet. A VM id is its index in tr.VMs
+	// (New checks), so every per-VM table here is a slice indexed by id.
+	slots  []atomic.Pointer[admitIn]
+	shards []*fleetShard
 
-	// route maps an admitted VM to the shard that currently holds it.
-	// Admission always lands a VM in its home cluster's shard, but a
-	// cross-shard migration can move it; Release, Report and duplicate
-	// detection follow the route, not the home. Guarded by routeMu,
-	// never held together with a shard lock.
+	// route holds, per VM id, the shard that currently holds the VM (-1
+	// when not admitted). Admission always lands a VM in its home
+	// cluster's shard, but a cross-shard migration can move it; Release,
+	// Report and duplicate detection follow the route, not the home.
+	// Guarded by routeMu, never held together with a shard lock.
 	routeMu sync.Mutex
-	route   map[int]int
+	route   []int
 
 	// predicts and admits count answered Predict calls and admission
 	// decisions; both run on their callers' goroutines.
@@ -270,6 +270,9 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 	if cfg.TrainUpTo <= 0 || cfg.TrainUpTo >= tr.Horizon {
 		return nil, fmt.Errorf("serve: TrainUpTo %d outside (0,%d)", cfg.TrainUpTo, tr.Horizon)
 	}
+	if err := tr.CheckIDsAreIndices(); err != nil {
+		return nil, err
+	}
 	if err := fleet.Validate(); err != nil {
 		return nil, err
 	}
@@ -295,16 +298,15 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		fleet:    fleet,
 		cache:    cache,
 		trainCfg: ltCfg,
-		vmIndex:  make(map[int]int, len(tr.VMs)),
 		slots:    make([]atomic.Pointer[admitIn], len(tr.VMs)),
-		route:    make(map[int]int),
+		route:    make([]int, len(tr.VMs)),
 		key:      ModelKey{TraceID: Fingerprint(tr), TrainUpTo: cfg.TrainUpTo, Config: keyCfg},
 		injector: fault.NewInjector(cfg.Faults),
 		fEvents:  cfg.Faults.Events(),
 		intents:  make(map[int]*handoffIntent),
 	}
-	for i := range tr.VMs {
-		s.vmIndex[tr.VMs[i].ID] = i
+	for i := range s.route {
+		s.route[i] = -1
 	}
 	var dpCfg *core.DataPlaneConfig
 	if cfg.DataPlane {
@@ -319,11 +321,7 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh := &fleetShard{Shard: cs}
-		if cs.DP != nil {
-			sh.dpVMs = make(map[int]*dpTracked)
-		}
-		s.shards = append(s.shards, sh)
+		s.shards = append(s.shards, &fleetShard{Shard: cs, dpVMs: make([]*dpTracked, len(tr.VMs))})
 	}
 	return s, nil
 }
@@ -367,18 +365,19 @@ func (s *Service) Warm() error {
 	return err
 }
 
-// VM resolves a trace VM id (nil when unknown).
+// VM resolves a trace VM id (nil when unknown). It is the only way an id
+// from outside the process reaches the id-indexed tables.
 func (s *Service) VM(id int) *trace.VM {
-	if i, ok := s.vmIndex[id]; ok {
-		return &s.tr.VMs[i]
+	if id < 0 || id >= len(s.tr.VMs) {
+		return nil
 	}
-	return nil
+	return &s.tr.VMs[id]
 }
 
 // slot returns vm's prediction slot (nil for a VM not of the trace).
 func (s *Service) slot(vm *trace.VM) *atomic.Pointer[admitIn] {
-	if i, ok := s.vmIndex[vm.ID]; ok && &s.tr.VMs[i] == vm {
-		return &s.slots[i]
+	if s.VM(vm.ID) == vm {
+		return &s.slots[vm.ID]
 	}
 	return nil
 }
@@ -452,6 +451,9 @@ type AdmitResult struct {
 func (s *Service) Admit(vm *trace.VM) (AdmitResult, error) {
 	if s.isClosed() {
 		return AdmitResult{}, ErrClosed
+	}
+	if s.VM(vm.ID) == nil {
+		return AdmitResult{}, fmt.Errorf("serve: vm %d is not in the trace", vm.ID)
 	}
 	in := s.admitInput(vm)
 	cvm, err := scheduler.BuildCVM(s.cfg.Policy, vm.ID, vm.Alloc, in.pred, in.ok, s.cfg.Windows)
@@ -556,25 +558,20 @@ func (s *Service) admitOne(ci int, vm *trace.VM, cvm *coachvm.CVM, need float64,
 }
 
 // routedShard returns the shard currently holding vmID (-1 when not
-// admitted).
+// admitted, or not of the trace).
 func (s *Service) routedShard(vmID int) int {
+	if s.VM(vmID) == nil {
+		return -1
+	}
 	s.routeMu.Lock()
 	defer s.routeMu.Unlock()
-	if ci, ok := s.route[vmID]; ok {
-		return ci
-	}
-	return -1
+	return s.route[vmID]
 }
 
+// setRoute points vmID's route at shard (-1 clears it).
 func (s *Service) setRoute(vmID, shard int) {
 	s.routeMu.Lock()
 	s.route[vmID] = shard
-	s.routeMu.Unlock()
-}
-
-func (s *Service) clearRoute(vmID int) {
-	s.routeMu.Lock()
-	delete(s.route, vmID)
 	s.routeMu.Unlock()
 }
 
@@ -624,10 +621,10 @@ func (s *Service) Release(vm *trace.VM) (released bool, err error) {
 			}
 			return false, nil
 		}
-		delete(sh.dpVMs, vm.ID)
+		sh.dpVMs[vm.ID] = nil
 		sh.released++
 		sh.mu.Unlock()
-		s.clearRoute(vm.ID)
+		s.setRoute(vm.ID, -1)
 		return true, nil
 	}
 }
@@ -661,8 +658,8 @@ func (s *Service) Report(vm *trace.VM, memUtil float64) (applied bool, err error
 	if s.isClosed() {
 		return false, ErrClosed
 	}
-	tr, ok := sh.dpVMs[vm.ID]
-	if !ok {
+	tr := sh.dpVMs[vm.ID]
+	if tr == nil {
 		return false, nil
 	}
 	tr.reported, tr.hasReport = memUtil, true
@@ -711,8 +708,10 @@ func (s *Service) TickDataPlane() error {
 		// tick after admission, as in the simulator's delta pass — and the
 		// next tick reads the one after.
 		for id, tr := range sh.dpVMs {
-			sh.DP.SetWSS(id, tr.wss())
-			tr.age++
+			if tr != nil {
+				sh.DP.SetWSS(id, tr.wss())
+				tr.age++
+			}
 		}
 		_, _, reqs, err := sh.Tick(tick)
 		sh.mu.Unlock()

@@ -314,3 +314,30 @@ func simStats(states []*shardState) serve.DataPlaneStats {
 	d.Contentions, d.Trims, d.Extends, d.Migrations = counters.Contentions, counters.Trims, counters.Extends, counters.Migrations
 	return d
 }
+
+// TestIDRuleSharedBySimAndServe feeds both entry points a trace whose
+// ids are offset by one: sim.Run and serve.New index their per-VM tables
+// by id, so both must refuse it, with the one error trace states.
+func TestIDRuleSharedBySimAndServe(t *testing.T) {
+	tr, fleet := fixtures(t)
+	offset := *tr
+	offset.VMs = append([]trace.VM(nil), tr.VMs...)
+	for i := range offset.VMs {
+		offset.VMs[i].ID++
+	}
+	want := offset.CheckIDsAreIndices()
+	if want == nil {
+		t.Fatal("CheckIDsAreIndices accepts ids offset by one")
+	}
+	cfg := DefaultConfig()
+	cfg.TrainUpTo = tr.Horizon / 2
+	if _, err := Run(&offset, fleet, cfg); err == nil || err.Error() != want.Error() {
+		t.Errorf("sim.Run: %v, want %v", err, want)
+	}
+	if _, err := serve.New(&offset, fleet, serve.DefaultConfig()); err == nil || err.Error() != want.Error() {
+		t.Errorf("serve.New: %v, want %v", err, want)
+	}
+	if err := tr.CheckIDsAreIndices(); err != nil {
+		t.Errorf("generated trace: %v", err)
+	}
+}

@@ -200,6 +200,18 @@ func (tr *Trace) InCluster(c int) []*VM {
 	return out
 }
 
+// CheckIDsAreIndices reports the first VM whose id is not its index in
+// tr.VMs. The simulator and the serving layer index their per-VM tables
+// by id, so both reject a trace that breaks this rule.
+func (tr *Trace) CheckIDsAreIndices() error {
+	for i := range tr.VMs {
+		if tr.VMs[i].ID != i {
+			return fmt.Errorf("trace: VM at index %d has id %d; ids must be indices into the trace", i, tr.VMs[i].ID)
+		}
+	}
+	return nil
+}
+
 // Validate checks trace internal consistency: sample ranges, series
 // lengths, and index references. It is used by tests and by readers of
 // externally supplied traces.
