@@ -347,7 +347,7 @@ func BenchmarkForestTrain(b *testing.B) {
 // sub-benchmark reports ns/row so points with different batch sizes are
 // comparable. Numbers are recorded in BENCH_predict.json and the
 // matrix:walk and sweep:walk ns/row ratios are gated by
-// cmd/coach-benchdiff -grid predict in CI.
+// cmd/coach-benchdiff in CI.
 func BenchmarkPredictMatrix(b *testing.B) {
 	const poolRows = 4096
 	pool := mlforest.TraceLikeSamples(poolRows, 23)

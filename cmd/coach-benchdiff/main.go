@@ -1,47 +1,32 @@
-// Command coach-benchdiff gates CI on a committed benchmark-grid
-// baseline: it parses `go test -bench` output for one of the repo's
-// variant benchmark grids and compares every grid point against the
-// matching BENCH_*.json file. Exit status 1 means a regression (or a
-// missing grid point).
+// Command coach-benchdiff gates CI on the committed forest-inference
+// baseline: it parses `go test -bench` output for the
+// BenchmarkPredictMatrix grid and compares every grid point against
+// BENCH_predict.json. Exit status 1 means a regression (or a missing grid
+// point).
 //
 // Usage:
 //
-//	go test -run=NONE -bench='^BenchmarkSimCore$' -benchtime=3x . > out.txt
-//	coach-benchdiff -grid simcore [-tolerance 0.25] out.txt
-//
 //	go test -run=NONE -bench='^BenchmarkPredictMatrix$' . > out.txt
-//	coach-benchdiff -grid predict [-tolerance 0.25] out.txt
+//	coach-benchdiff [-tolerance 0.25] [-baseline BENCH_predict.json] out.txt
 //
 // With no file argument the bench output is read from stdin. When a
 // benchmark appears more than once (-count), its fastest repetition is
 // the one compared.
 //
-// Each grid measures the same work under a reference and its optimized
-// variants — simcore runs the dense reference replay loop against the
-// event-driven core, predict runs the row-at-a-time Predict against the
-// level-synchronous pass over the same forest nodes (PredictMatrix, and
-// PredictSweep answering the same rows as one swept feature) — and the
-// checks are chosen to be meaningful across machines (raw ns/op on shared
-// CI runners is far too noisy to gate on):
-//
-//   - visits/op, where the grid reports it (simcore), must match the
-//     baseline within the tolerance for each variant. The count is
-//     deterministic, so any drift is a behavioural change: the event
-//     core visiting VMs it used to skip is exactly the regression this
-//     gate exists to catch.
-//   - the variant ratio (event:dense ns/op for simcore, matrix:walk and
-//     sweep:walk ns/row for predict) must not exceed its baseline ratio by more
-//     than the tolerance. Comparing the two variants on the same host in
-//     the same run cancels machine speed out of the gate; for predict
-//     this is the batched-inference speedup recorded in
-//     BENCH_predict.json, so the gate fires when the level-synchronous
-//     pass loses ground to the row-at-a-time reference.
+// Each grid point measures the same rows under the row-at-a-time
+// Predict (layout=walk, the reference) and the level-synchronous pass
+// over the same forest nodes (layout=matrix, PredictMatrix, and
+// layout=sweep, PredictSweep answering the same rows as one swept
+// feature). Raw ns/op on shared CI runners is far too noisy to gate on,
+// so the check is a ratio: matrix:walk and sweep:walk ns/row must not
+// exceed the baseline ratio by more than the tolerance. Comparing the
+// schedules on the same host in the same run cancels machine speed out
+// of the gate, so it fires when the level-synchronous pass loses ground
+// to the row-at-a-time reference.
 //
 // Baseline grid points whose names never appear in the bench output fail
 // the gate too — a renamed or silently skipped benchmark would otherwise
-// pass forever. Entries under "full_scale" in the baseline are recorded
-// for documentation (the opt-in COACH_BENCH_FULL acceptance run) and are
-// compared only when present in the output.
+// pass forever.
 package main
 
 import (
@@ -50,112 +35,66 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// engineSample is one (grid point, engine) measurement.
-type engineSample struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	NsPerRow    float64 `json:"ns_per_row,omitempty"`
-	VisitsPerOp float64 `json:"visits_per_op,omitempty"`
+// variantSeg is the benchmark path segment naming the schedule;
+// reference is the row-at-a-time schedule and alts the ones gated
+// against it.
+const (
+	variantSeg = "layout="
+	reference  = "walk"
+)
+
+var alts = []string{"matrix", "sweep"}
+
+// sample is one (grid point, schedule) measurement.
+type sample struct {
+	NsPerOp  float64 `json:"ns_per_op"`
+	NsPerRow float64 `json:"ns_per_row,omitempty"`
 }
 
-// gridPoint is one grid configuration measured under every variant. The
-// simcore grid fills dense/event, the predict grid walk/matrix/sweep.
+// gridPoint is one grid configuration measured under every schedule.
 type gridPoint struct {
-	Dense  *engineSample `json:"dense,omitempty"`
-	Event  *engineSample `json:"event,omitempty"`
-	Walk   *engineSample `json:"walk,omitempty"`
-	Matrix *engineSample `json:"matrix,omitempty"`
-	Sweep  *engineSample `json:"sweep,omitempty"`
+	Walk   *sample `json:"walk,omitempty"`
+	Matrix *sample `json:"matrix,omitempty"`
+	Sweep  *sample `json:"sweep,omitempty"`
 }
 
-func (p *gridPoint) sample(name string) *engineSample {
+func (p *gridPoint) slot(name string) **sample {
 	switch name {
-	case "dense":
-		return p.Dense
-	case "event":
-		return p.Event
 	case "walk":
-		return p.Walk
+		return &p.Walk
 	case "matrix":
-		return p.Matrix
+		return &p.Matrix
 	case "sweep":
-		return p.Sweep
+		return &p.Sweep
 	}
 	return nil
 }
 
-func (p *gridPoint) setSample(name string, s *engineSample) {
-	switch name {
-	case "dense":
-		p.Dense = s
-	case "event":
-		p.Event = s
-	case "walk":
-		p.Walk = s
-	case "matrix":
-		p.Matrix = s
-	case "sweep":
-		p.Sweep = s
+func (p *gridPoint) sample(name string) *sample {
+	if s := p.slot(name); s != nil {
+		return *s
 	}
+	return nil
 }
 
-// gridSpec describes one gated benchmark grid: which path segment names
-// the variant, which variant is the reference and which the optimized
-// paths, and which reported metric feeds the ratio check.
-type gridSpec struct {
-	baseline   string   // default -baseline
-	seg        string   // variant path-segment prefix, e.g. "engine="
-	base       string   // reference variant name
-	alts       []string // optimized variant names, each gated against base
-	metricName string   // reported metric feeding the ratio check
-	metric     func(*engineSample) float64
-}
-
-var grids = map[string]gridSpec{
-	"simcore": {
-		baseline: "BENCH_simcore.json", seg: "engine=",
-		base: "dense", alts: []string{"event"},
-		metricName: "ns/op", metric: func(s *engineSample) float64 { return s.NsPerOp },
-	},
-	"predict": {
-		baseline: "BENCH_predict.json", seg: "layout=",
-		base: "walk", alts: []string{"matrix", "sweep"},
-		metricName: "ns/row", metric: func(s *engineSample) float64 { return s.NsPerRow },
-	},
-}
-
-// baseline mirrors BENCH_simcore.json. Narrative fields (description,
-// analysis) are carried so the file stays self-documenting; only the two
-// grids matter here.
+// baseline mirrors BENCH_predict.json; its narrative description is not
+// read.
 type baseline struct {
-	Description string               `json:"description"`
-	Benchmarks  map[string]gridPoint `json:"benchmarks"`
-	FullScale   map[string]gridPoint `json:"full_scale"`
-	Analysis    json.RawMessage      `json:"analysis"`
+	Benchmarks map[string]gridPoint `json:"benchmarks"`
 }
 
 func main() {
-	gridName := flag.String("grid", "simcore", "benchmark grid to gate: simcore or predict")
-	baselinePath := flag.String("baseline", "", "committed baseline JSON (defaults per -grid)")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed relative drift for visits/op and for the variant ratio")
+	baselinePath := flag.String("baseline", "BENCH_predict.json", "committed baseline JSON")
+	tolerance := flag.Float64("tolerance", 0.25, "allowed relative drift of each schedule's ns/row ratio to the walk")
 	flag.Parse()
 
-	spec, ok := grids[*gridName]
-	if !ok {
-		fatal(fmt.Errorf("unknown -grid %q (want simcore or predict)", *gridName))
-	}
-	if *baselinePath == "" {
-		*baselinePath = spec.baseline
-	}
-
-	base, err := loadBaseline(*baselinePath)
+	bl, err := loadBaseline(*baselinePath)
 	if err != nil {
 		fatal(err)
 	}
@@ -168,36 +107,19 @@ func main() {
 		defer f.Close()
 		in = f
 	}
-	got, err := parseBench(in, spec)
+	got, err := parseBench(in)
 	if err != nil {
 		fatal(err)
 	}
 
 	var failures []string
-	checked := 0
-	for _, grid := range []struct {
-		name     string
-		points   map[string]gridPoint
-		required bool
-	}{
-		{"benchmarks", base.Benchmarks, true},
-		{"full_scale", base.FullScale, false},
-	} {
-		for _, key := range sortedKeys(grid.points) {
-			want := grid.points[key]
-			have, ok := got[key]
-			if !ok {
-				if grid.required {
-					failures = append(failures, fmt.Sprintf("%s: grid point missing from bench output", key))
-				}
-				continue
-			}
-			checked++
-			failures = append(failures, checkPoint(key, want, have, *tolerance, spec)...)
+	for _, key := range sortedKeys(bl.Benchmarks) {
+		have, ok := got[key]
+		if !ok {
+			failures = append(failures, fmt.Sprintf("%s: grid point missing from bench output", key))
+			continue
 		}
-	}
-	if checked == 0 {
-		failures = append(failures, fmt.Sprintf("no baseline grid point found in bench output (did the %s grid run?)", *gridName))
+		failures = append(failures, checkPoint(key, bl.Benchmarks[key], have, *tolerance)...)
 	}
 
 	if len(failures) > 0 {
@@ -206,61 +128,39 @@ func main() {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("coach-benchdiff: %d grid points within %.0f%% of %s\n", checked, 100**tolerance, *baselinePath)
+	fmt.Printf("coach-benchdiff: %d grid points within %.0f%% of %s\n", len(bl.Benchmarks), 100**tolerance, *baselinePath)
 }
 
 // checkPoint compares one measured grid point against its baseline.
-func checkPoint(key string, want, have gridPoint, tol float64, spec gridSpec) []string {
+func checkPoint(key string, want, have gridPoint, tol float64) []string {
 	var out []string
-	for _, name := range append([]string{spec.base}, spec.alts...) {
-		w, h := want.sample(name), have.sample(name)
-		if w == nil {
-			continue
-		}
-		if h == nil {
-			out = append(out, fmt.Sprintf("%s: %s%s missing from bench output", key, spec.seg, name))
-			continue
-		}
-		if drift := relDrift(h.VisitsPerOp, w.VisitsPerOp); drift > tol {
-			out = append(out, fmt.Sprintf("%s %s%s: visits/op %.0f vs baseline %.0f (%+.0f%%)",
-				key, spec.seg, name, h.VisitsPerOp, w.VisitsPerOp, 100*(h.VisitsPerOp/w.VisitsPerOp-1)))
+	for _, name := range append([]string{reference}, alts...) {
+		if want.sample(name) != nil && have.sample(name) == nil {
+			out = append(out, fmt.Sprintf("%s: %s%s missing from bench output", key, variantSeg, name))
 		}
 	}
-	wb, hb := want.sample(spec.base), have.sample(spec.base)
-	for _, alt := range spec.alts {
+	wb, hb := want.sample(reference), have.sample(reference)
+	for _, alt := range alts {
 		wa, ha := want.sample(alt), have.sample(alt)
 		if wb != nil && wa != nil && hb != nil && ha != nil &&
-			spec.metric(wb) > 0 && spec.metric(hb) > 0 {
-			wantRatio := spec.metric(wa) / spec.metric(wb)
-			haveRatio := spec.metric(ha) / spec.metric(hb)
+			wb.NsPerRow > 0 && hb.NsPerRow > 0 {
+			wantRatio := wa.NsPerRow / wb.NsPerRow
+			haveRatio := ha.NsPerRow / hb.NsPerRow
 			if haveRatio > wantRatio*(1+tol) {
-				out = append(out, fmt.Sprintf("%s: %s:%s %s ratio %.2f vs baseline %.2f (the %s path lost ground to the %s reference)",
-					key, alt, spec.base, spec.metricName, haveRatio, wantRatio, alt, spec.base))
+				out = append(out, fmt.Sprintf("%s: %s:%s ns/row ratio %.2f vs baseline %.2f (the %s path lost ground to the %s reference)",
+					key, alt, reference, haveRatio, wantRatio, alt, reference))
 			}
 		}
 	}
 	return out
 }
 
-// relDrift is |have-want|/want, treating a zero baseline as only
-// matching zero.
-func relDrift(have, want float64) float64 {
-	if want == 0 {
-		if have == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(have-want) / want
-}
-
-// parseBench reads `go test -bench` output and folds the two variant
+// parseBench reads `go test -bench` output and folds the schedule
 // sub-benchmarks of each grid point together. Keys match the baseline's:
 // the benchmark name with the "Benchmark" prefix, the GOMAXPROCS "-N"
-// suffix and the variant path segment removed, e.g.
-// "SimCore/sparse-churn/vms=1000/days=7/workers=1",
-// or "PredictMatrix/trees=40/depth=12/batch=64".
-func parseBench(r io.Reader, spec gridSpec) (map[string]gridPoint, error) {
+// suffix and the schedule path segment removed, e.g.
+// "PredictMatrix/trees=40/depth=12/batch=64".
+func parseBench(r io.Reader) (map[string]gridPoint, error) {
 	out := make(map[string]gridPoint)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -273,11 +173,11 @@ func parseBench(r io.Reader, spec gridSpec) (map[string]gridPoint, error) {
 		if i := strings.LastIndex(name, "-"); i > strings.LastIndex(name, "/") {
 			name = name[:i] // strip the -GOMAXPROCS suffix
 		}
-		key, variant, ok := splitVariant(name, spec.seg)
+		key, variant, ok := splitVariant(name)
 		if !ok {
 			continue
 		}
-		s := engineSample{}
+		s := sample{}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -288,32 +188,30 @@ func parseBench(r io.Reader, spec gridSpec) (map[string]gridPoint, error) {
 				s.NsPerOp = v
 			case "ns/row":
 				s.NsPerRow = v
-			case "visits/op":
-				s.VisitsPerOp = v
 			}
 		}
-		if variant != spec.base && !slices.Contains(spec.alts, variant) {
+		p := out[key]
+		slot := p.slot(variant)
+		if slot == nil {
 			continue
 		}
-		p := out[key]
 		// Under -count the fastest repetition stands: a busy neighbour
 		// only ever slows a repetition down.
-		if prev := p.sample(variant); prev == nil || spec.metric(&s) < spec.metric(prev) {
-			p.setSample(variant, &s)
+		if *slot == nil || s.NsPerRow < (*slot).NsPerRow {
+			*slot = &s
 		}
 		out[key] = p
 	}
 	return out, sc.Err()
 }
 
-// splitVariant removes the variant path segment (e.g. "engine=X",
-// "layout=X") from a benchmark name, returning the remaining key and the
-// variant.
-func splitVariant(name, segPrefix string) (key, variant string, ok bool) {
+// splitVariant removes the schedule path segment ("layout=X") from a
+// benchmark name, returning the remaining key and the schedule.
+func splitVariant(name string) (key, variant string, ok bool) {
 	segs := strings.Split(name, "/")
 	rest := segs[:0]
 	for _, seg := range segs {
-		if v, found := strings.CutPrefix(seg, segPrefix); found {
+		if v, found := strings.CutPrefix(seg, variantSeg); found {
 			variant = v
 			continue
 		}

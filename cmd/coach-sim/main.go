@@ -13,7 +13,7 @@
 //	          [-train-workers 0]
 //	          [-data-plane] [-mitigation None|Trim|Extend|Migrate|all]
 //	          [-mitigation-mode Reactive|Proactive] [-dp-pool-frac 0.02]
-//	          [-cross-shard] [-engine event|dense]
+//	          [-cross-shard]
 //
 // -preset replays a declarative workload scenario (internal/scenario)
 // instead of the calibrated GenConfig trace: a shipped preset name or a
@@ -23,10 +23,8 @@
 // shard through the simulator's sample-boundary exchange (docs/DESIGN.md
 // §10); results stay byte-identical for any -workers value.
 //
-// -engine selects the replay core (docs/DESIGN.md §12): "event" (the
-// default) drives each shard from a calendar queue of utilization change
-// events and skips steady data-plane servers; "dense" is the reference
-// loop. Both produce byte-identical results — -engine only changes speed.
+// -mitigation, -mitigation-mode, -dp-pool-frac and -cross-shard
+// configure the data plane and are rejected without -data-plane.
 package main
 
 import (
@@ -34,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/coach-oss/coach/internal/agent"
@@ -59,12 +58,14 @@ type options struct {
 	mitigationMode        agent.Mode
 	dpPoolFrac            float64
 	crossShard            bool
-	engine                sim.EngineKind
 }
+
+// dataPlaneFlags are the flags that only configure the data plane.
+var dataPlaneFlags = []string{"mitigation", "mitigation-mode", "dp-pool-frac", "cross-shard"}
 
 // parseFlags parses the command line (without the program name).
 func parseFlags(args []string) (options, error) {
-	o := options{mitigationMode: agent.Reactive, engine: sim.EngineEvent}
+	o := options{mitigationMode: agent.Reactive}
 	fs := flag.NewFlagSet("coach-sim", flag.ContinueOnError)
 	fs.StringVar(&o.scale, "scale", "medium", "input scale: small, medium or full")
 	fs.StringVar(&o.preset, "preset", "", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path; empty uses the calibrated GenConfig trace")
@@ -76,17 +77,29 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.trainWorkers, "train-workers", 0, "goroutines growing forest trees during model training (0 = GOMAXPROCS); the model is identical for any value")
 	fs.BoolVar(&o.dataPlane, "data-plane", false, "run the per-server memory data plane (memsim + agent) during replay")
 	fs.StringVar(&o.mitigation, "mitigation", "all", "mitigation policy: None, Trim, Extend, Migrate or all (requires -data-plane)")
-	fs.Func("mitigation-mode", "mitigation triggering: Reactive (default) or Proactive; Proactive builds and trains a per-server LSTM forecaster", func(v string) (err error) {
+	fs.Func("mitigation-mode", "mitigation triggering: Reactive (default) or Proactive; Proactive builds and trains a per-server LSTM forecaster (requires -data-plane)", func(v string) (err error) {
 		o.mitigationMode, err = agent.ParseMode(v)
 		return err
 	})
-	fs.Float64Var(&o.dpPoolFrac, "dp-pool-frac", 0.02, "oversubscribed pool as a fraction of server memory; small values provoke the contention the mitigation ladder resolves")
+	fs.Float64Var(&o.dpPoolFrac, "dp-pool-frac", 0.02, "oversubscribed pool as a fraction of server memory; small values provoke the contention the mitigation ladder resolves (requires -data-plane)")
 	fs.BoolVar(&o.crossShard, "cross-shard", false, "let completed live migrations land in other cluster shards via the sample-boundary exchange (requires -data-plane)")
-	fs.Func("engine", "replay core: event (default; calendar-queue, skips unchanged VMs and steady servers) or dense (reference loop); results are byte-identical", func(v string) (err error) {
-		o.engine, err = sim.ParseEngine(v)
-		return err
-	})
-	return o, fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if !o.dataPlane {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(dataPlaneFlags, f.Name) {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			err := fmt.Errorf("%s requires -data-plane", strings.Join(set, ", "))
+			fmt.Fprintln(fs.Output(), err)
+			return o, err
+		}
+	}
+	return o, nil
 }
 
 // simConfig maps the flags onto the replay configuration for one scheduler
@@ -97,7 +110,6 @@ func simConfig(o options, p scheduler.PolicyKind, horizon int) sim.Config {
 	cfg.Windows = timeseries.Windows{PerDay: o.windows}
 	cfg.TrainUpTo = horizon / 2
 	cfg.Workers = o.workers
-	cfg.Engine = o.engine
 	cfg.LongTerm.Forest.Workers = o.trainWorkers
 	if o.percentile > 0 {
 		cfg.Percentile = o.percentile

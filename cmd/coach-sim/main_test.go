@@ -22,21 +22,16 @@ func TestFlagsToConfig(t *testing.T) {
 		want   func(*sim.Config)
 	}{
 		{"defaults", nil, scheduler.PolicyCoach, func(*sim.Config) {}},
-		{"engine and workers", []string{"-engine", "dense", "-workers", "4", "-train-workers", "2"}, scheduler.PolicyCoach,
+		{"workers", []string{"-workers", "4", "-train-workers", "2"}, scheduler.PolicyCoach,
 			func(c *sim.Config) {
-				c.Engine, c.Workers = sim.EngineDense, 4
+				c.Workers = 4
 				c.LongTerm.Forest.Workers = 2
 			}},
-		{"event engine by name", []string{"-engine", "event"}, scheduler.PolicyNone,
-			func(c *sim.Config) { c.Engine = sim.EngineEvent }},
 		{"windows and percentile override", []string{"-windows", "4", "-percentile", "90"}, scheduler.PolicyAggrCoach,
 			func(c *sim.Config) {
 				c.Windows = timeseries.Windows{PerDay: 4}
 				c.Percentile = 90
 			}},
-		{"data-plane flags are inert without -data-plane",
-			[]string{"-mitigation-mode", "Proactive", "-dp-pool-frac", "0.5", "-cross-shard"}, scheduler.PolicyCoach,
-			func(*sim.Config) {}},
 		{"data plane defaults", []string{"-data-plane"}, scheduler.PolicyAggrCoach,
 			func(c *sim.Config) {
 				c.DataPlane, c.MitigationMode = true, agent.Reactive
@@ -75,7 +70,7 @@ func TestFlagsOutsideConfig(t *testing.T) {
 	if o.scale != "medium" || o.preset != "" || o.policy != "all" || o.fleetFrac != 0.55 || o.mitigation != "all" {
 		t.Errorf("defaults: %+v", o)
 	}
-	o, err = parseFlags([]string{"-scale", "small", "-preset", "sparse-churn", "-policy", "Coach", "-fleet-frac", "0.7", "-mitigation", "Migrate"})
+	o, err = parseFlags([]string{"-scale", "small", "-preset", "sparse-churn", "-policy", "Coach", "-fleet-frac", "0.7", "-data-plane", "-mitigation", "Migrate"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +90,17 @@ func TestFlagsOutsideConfig(t *testing.T) {
 
 func TestFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-engine", "sparse"},
-		{"-mitigation-mode", "Psychic"},
+		{"-data-plane", "-mitigation-mode", "Psychic"},
 		{"-workers", "many"},
 		{"-no-such-flag"},
+		// Data-plane flags set without -data-plane, even to their
+		// defaults or to values main would reject later.
+		{"-mitigation", "Bogus"},
+		{"-mitigation", "all"},
+		{"-mitigation-mode", "Proactive"},
+		{"-dp-pool-frac", "0.5"},
+		{"-cross-shard"},
+		{"-cross-shard=false", "-policy", "Coach"},
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("%v: parsed without error", args)

@@ -38,12 +38,6 @@ type DataPlaneConfig struct {
 	// UnallocFrac is the spare memory Extend can claim, as a fraction of
 	// the server's memory capacity.
 	UnallocFrac float64
-	// AlwaysTick disables sparse ticking: every server runs a full memsim
-	// tick on every Tick even when provably steady. The event-driven
-	// simulator's dense reference engine sets it so the golden-equivalence
-	// tests compare the sparse path against a ground-truth full replay;
-	// production paths leave it off.
-	AlwaysTick bool
 }
 
 // DefaultDataPlaneConfig returns the fleet defaults: a quarter of each
@@ -108,7 +102,6 @@ type CompletedMigration struct {
 // for any worker count. It is not safe for concurrent use; callers (one
 // simulator shard, one serve shard under its lock) serialize access.
 type DataPlane struct {
-	cfg     DataPlaneConfig
 	servers []*ServerManager
 	frames  []*memsim.TickFrame // last Tick's frames, parallel to servers
 	// vms is indexed by VM id, grown on Attach (nil: not attached);
@@ -139,7 +132,6 @@ func NewDataPlane(cfg DataPlaneConfig, servers []*cluster.Server) (*DataPlane, e
 		return nil, fmt.Errorf("core: unallocated fraction %g outside [0,1]", cfg.UnallocFrac)
 	}
 	d := &DataPlane{
-		cfg:     cfg,
 		servers: make([]*ServerManager, len(servers)),
 		frames:  make([]*memsim.TickFrame, len(servers)),
 		steady:  make([]bool, len(servers)),
@@ -159,7 +151,7 @@ func NewDataPlane(cfg DataPlaneConfig, servers []*cluster.Server) (*DataPlane, e
 		// A freshly built server hosts no VMs, has no demand and no
 		// operations: it is steady from birth, so a server that never
 		// receives a VM never runs a single full tick.
-		d.steady[i] = !cfg.AlwaysTick
+		d.steady[i] = true
 		d.frames[i] = sm.Server.Frame()
 	}
 	return d, nil
@@ -331,9 +323,7 @@ func (d *DataPlane) Tick(dt float64) ([]*memsim.TickFrame, []CompletedMigration,
 			return nil, nil, err
 		}
 		d.frames[i] = f
-		if !d.cfg.AlwaysTick {
-			d.steady[i] = sm.Server.Quiet() && sm.Server.OpsInFlight() == 0
-		}
+		d.steady[i] = sm.Server.Quiet() && sm.Server.OpsInFlight() == 0
 		for j := 0; j < f.Len(); j++ {
 			if !f.Departed(j) {
 				continue

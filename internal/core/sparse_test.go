@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/coach-oss/coach/internal/agent"
@@ -108,69 +109,98 @@ func TestDataPlaneSteadyWakesOnMutation(t *testing.T) {
 	}
 }
 
-// TestDataPlaneSparseTotalsMatchAlwaysTick is the regression wall for
+// TestDataPlaneSparseTotalsMatchFullTick is the regression wall for
 // the skip path: the same scripted workload replayed on a sparse data
-// plane and on an always-tick one must end with identical cumulative
+// plane and on one forced to run a full memsim tick on every server
+// every round (steady cleared before each Tick) must complete the same
+// live migrations on every tick and end with identical cumulative
 // Totals and agent Counters — a skipped tick must be observably
-// indistinguishable from re-simulating a steady server.
-func TestDataPlaneSparseTotalsMatchAlwaysTick(t *testing.T) {
-	run := func(alwaysTick bool) *DataPlane {
-		cfg := DefaultDataPlaneConfig()
-		cfg.Agent.Policy = agent.PolicyTrim
-		cfg.PoolFrac = 0.0625
-		cfg.UnallocFrac = 0.05
-		cfg.AlwaysTick = alwaysTick
-		servers := make([]*cluster.Server, 3)
-		for i := range servers {
-			servers[i] = &cluster.Server{
-				ID:   i,
-				Spec: cluster.ServerSpec{Name: "t", Generation: 1, Capacity: resources.NewVector(16, 64, 10, 100)},
-			}
-		}
-		dp, err := NewDataPlane(cfg, servers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id := 1; id <= 4; id++ {
-			if err := dp.Attach(id%2, id, 16, 1); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Phased script: pressure builds, holds (letting servers settle),
-		// then releases — covering busy ticks, steady stretches and
-		// wake-ups on the same trajectory.
-		for tick := 0; tick < 400; tick++ {
-			switch {
-			case tick == 0:
-				for id := 1; id <= 4; id++ {
-					dp.SetWSS(id, 5)
+// indistinguishable from re-simulating a steady server. Completed
+// migrations land warm on the next server, the same way in both runs.
+func TestDataPlaneSparseTotalsMatchFullTick(t *testing.T) {
+	for _, policy := range []agent.Policy{agent.PolicyTrim, agent.PolicyExtend, agent.PolicyMigrate} {
+		t.Run(policy.String(), func(t *testing.T) {
+			run := func(fullTick bool) (*DataPlane, [][]CompletedMigration) {
+				cfg := DefaultDataPlaneConfig()
+				cfg.Agent.Policy = policy
+				cfg.PoolFrac = 0.0625
+				cfg.UnallocFrac = 0.05
+				servers := make([]*cluster.Server, 3)
+				for i := range servers {
+					servers[i] = &cluster.Server{
+						ID:   i,
+						Spec: cluster.ServerSpec{Name: "t", Generation: 1, Capacity: resources.NewVector(16, 64, 10, 100)},
+					}
 				}
-			case tick == 150:
-				for id := 1; id <= 4; id++ {
-					dp.SetWSS(id, 2)
+				dp, err := NewDataPlane(cfg, servers)
+				if err != nil {
+					t.Fatal(err)
 				}
-			case tick == 300:
-				dp.SetWSS(1, 6)
+				for id := 1; id <= 4; id++ {
+					if err := dp.Attach(id%2, id, 16, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var completed [][]CompletedMigration
+				// Phased script: pressure builds, holds (letting servers
+				// settle), then releases — covering busy ticks, steady
+				// stretches and wake-ups on the same trajectory.
+				for tick := 0; tick < 400; tick++ {
+					switch {
+					case tick == 0:
+						for id := 1; id <= 4; id++ {
+							dp.SetWSS(id, 5)
+						}
+					case tick == 150:
+						for id := 1; id <= 4; id++ {
+							dp.SetWSS(id, 2)
+						}
+					case tick == 300:
+						dp.SetWSS(1, 6)
+					}
+					if fullTick {
+						clear(dp.steady)
+					}
+					_, done, err := dp.Tick(300)
+					if err != nil {
+						t.Fatal(err)
+					}
+					completed = append(completed, append([]CompletedMigration(nil), done...))
+					for _, c := range done {
+						if _, err := dp.AttachMigrated((c.Server+1)%len(servers), c.VMID, c.SizeGB, c.PAGB, c.WSS, 0.1); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				return dp, completed
 			}
-			if _, _, err := dp.Tick(300); err != nil {
-				t.Fatal(err)
+			sparse, sparseDone := run(false)
+			full, fullDone := run(true)
+			migrations := 0
+			for tick := range sparseDone {
+				if !reflect.DeepEqual(sparseDone[tick], fullDone[tick]) {
+					t.Fatalf("tick %d: sparse completed %+v, full-tick completed %+v", tick, sparseDone[tick], fullDone[tick])
+				}
+				migrations += len(sparseDone[tick])
 			}
-		}
-		return dp
-	}
-	sparse := run(false)
-	dense := run(true)
-	if got, want := sparse.Totals(), dense.Totals(); got != want {
-		t.Errorf("sparse Totals %+v != always-tick Totals %+v", got, want)
-	}
-	if got, want := sparse.Counters(), dense.Counters(); got != want {
-		t.Errorf("sparse Counters %+v != always-tick Counters %+v", got, want)
-	}
-	var skips int64
-	for _, sm := range sparse.Servers() {
-		skips += sm.Server.SkipCount()
-	}
-	if skips == 0 {
-		t.Error("fixture regression: sparse run never skipped a tick")
+			if got, want := sparse.Totals(), full.Totals(); got != want {
+				t.Errorf("sparse Totals %+v != full-tick Totals %+v", got, want)
+			}
+			if got, want := sparse.Counters(), full.Counters(); got != want {
+				t.Errorf("sparse Counters %+v != full-tick Counters %+v", got, want)
+			}
+			var skips, fullSkips int64
+			for i, sm := range sparse.Servers() {
+				skips += sm.Server.SkipCount()
+				fullSkips += full.Servers()[i].Server.SkipCount()
+			}
+			if skips == 0 || fullSkips != 0 {
+				t.Errorf("fixture regression: sparse run skipped %d ticks, full-tick run %d", skips, fullSkips)
+			}
+			if policy == agent.PolicyMigrate && migrations == 0 {
+				t.Error("fixture regression: no live migration completed")
+			}
+			t.Logf("%d skipped ticks, %d completed migrations", skips, migrations)
+		})
 	}
 }

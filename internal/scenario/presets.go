@@ -255,9 +255,9 @@ func presetChurn() *Spec {
 // built for: a large steady population whose quantized utilization
 // samples stay flat for long runs (most VMs change demand at only a
 // handful of ticks), plus an ephemeral tail that keeps placement and
-// release bookkeeping honest. Dense replay visits every VM every tick;
+// release bookkeeping honest. A full replay visits every VM every tick;
 // event replay visits each VM only at its change points — this preset
-// is where the gap is widest, and BenchmarkSimCore measures it here.
+// is where the gap is widest, and sim's TestEventCoreVisits pins it here.
 func presetSparseChurn() *Spec {
 	sp := base("sparse-churn", 424242)
 	sp.Seasonality = Seasonality{DiurnalAmp: 0.2, PeakHour: 13, WeekendFactor: 0.9}

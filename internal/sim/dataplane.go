@@ -86,19 +86,6 @@ func newDataPlaneResult(cfg Config) *DataPlaneResult {
 	}
 }
 
-// observe folds one tick's frames into the histogram and tick counters.
-func (d *DataPlaneResult) observe(frames []*memsim.TickFrame) {
-	for _, f := range frames {
-		for i := 0; i < f.Len(); i++ {
-			if f.Departed(i) {
-				continue
-			}
-			d.VMTicks++
-			d.LatencyHist[latencyBucket(f.At(i).MeanNs)]++
-		}
-	}
-}
-
 // mark records first-mitigation ticks from the counter deltas at
 // evaluation tick t.
 func (d *DataPlaneResult) mark(t int, c core.AgentCounters) {
@@ -207,9 +194,10 @@ type steadyObs struct {
 	count   []int64
 }
 
-// observeSparse folds one tick's frames into the shard's result like
-// DataPlaneResult.observe, but replays cached increments for servers that
-// stayed steady and only walks frames that could have changed.
+// observeSparse folds one tick's frames into the shard's result: every
+// live VM slot of a frame adds one VM-tick and one latency-histogram
+// count. Servers that stayed steady replay their cached increments
+// instead; only frames that could have changed are walked.
 func (st *shardState) observeSparse(frames []*memsim.TickFrame) {
 	steady := st.sh.DP.Steady()
 	servers := st.sh.DP.Servers()

@@ -13,8 +13,8 @@ import (
 	"github.com/coach-oss/coach/internal/trace"
 )
 
-// TestEventDeltaPassStaleAndDuplicateSlots drives both replay cores
-// through one tick whose event delta pass sees, at once:
+// TestEventDeltaPassStaleAndDuplicateSlots drives a shard through one
+// tick whose event delta pass sees, at once:
 //   - crash re-admissions whose stale queue events also pop (each record
 //     is named twice and must be visited once),
 //   - a VM immigrated at the previous sample boundary (its record sits
@@ -22,8 +22,9 @@ import (
 //   - a VM that left the shard with its change event still queued (its
 //     id no longer resolves and must be skipped).
 //
-// The dense pass is the reference: the event pass must leave every
-// server's demand with the same bits and count the same visits.
+// The reference's full pass (referenceAdvance) is the oracle: the event
+// pass must leave every server's demand with the same bits and count the
+// same visits.
 func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 	const trainUpTo, horizon, tick = 10, 20, 13
 	// Every VM's utilization changes at offset tick-trainUpTo, so each has
@@ -60,24 +61,36 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 	clusters := cluster.DefaultClusters(3)[:2]
 	fleet := cluster.NewFleet(clusters)
 
-	run := func(engine EngineKind) (*shardState, int64) {
+	run := func(name string, reference bool) (*shardState, int64) {
 		var visits int64
 		cfg := ConfigForPolicy(scheduler.PolicyNone)
-		cfg.TrainUpTo, cfg.Engine, cfg.VisitCounter = trainUpTo, engine, &visits
+		cfg.TrainUpTo, cfg.VisitCounter = trainUpTo, &visits
 		states, err := buildShards(tr, fleet, nil, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := states[0]
-		for now := trainUpTo; now < tick; now++ {
-			if err := st.step(now); err != nil {
+		step := func(now int) {
+			t.Helper()
+			var err error
+			if reference {
+				if err = st.arrive(now); err == nil {
+					err = st.referenceAdvance(now)
+				}
+			} else {
+				err = st.step(now)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}
+		for now := trainUpTo; now < tick; now++ {
+			step(now)
+		}
 		ra, rd := st.recs[st.pos[a]], st.recs[st.pos[d]]
 		if ra.srv != rd.srv || len(st.recs) != 3 {
-			t.Fatalf("%v: fixture wants a and d co-located among 3 records, got %d records, servers %d and %d",
-				engine, len(st.recs), ra.srv, rd.srv)
+			t.Fatalf("%s: fixture wants a and d co-located among 3 records, got %d records, servers %d and %d",
+				name, len(st.recs), ra.srv, rd.srv)
 		}
 		// The boundary before tick: c emigrates, b immigrates onto a
 		// server the crash spares.
@@ -89,7 +102,7 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 			vm:               &tr.VMs[b],
 			changes:          rb.ChangePoints(),
 		}, (ra.srv+1)%len(st.servers))
-		if st.queue != nil {
+		if !reference {
 			due := st.queue.buckets[tick-st.queue.base]
 			if !sameIDs(due, []int{a, b, c, d}) {
 				t.Fatalf("queue bucket at tick = %v, want a, b, c and d", due)
@@ -97,27 +110,25 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 		}
 		st.fEvents = []fault.Event{{Tick: tick - trainUpTo, Server: ra.srv}}
 		before := visits
-		if err := st.step(tick); err != nil {
-			t.Fatal(err)
-		}
+		step(tick)
 		if st.sh.Stats.ReplacedVMs != 2 {
-			t.Fatalf("%v: crash re-admitted %d VMs, want 2", engine, st.sh.Stats.ReplacedVMs)
+			t.Fatalf("%s: crash re-admitted %d VMs, want 2", name, st.sh.Stats.ReplacedVMs)
 		}
 		if srv := st.recs[st.pos[b]].srv; st.recs[st.pos[a]].srv != srv || st.recs[st.pos[d]].srv != srv {
-			t.Fatalf("%v: fixture wants b, a and d on one server after the crash", engine)
+			t.Fatalf("%s: fixture wants b, a and d on one server after the crash", name)
 		}
 		return st, visits - before
 	}
-	dense, denseVisits := run(EngineDense)
-	event, eventVisits := run(EngineEvent)
-	if eventVisits != denseVisits || denseVisits != 3 {
-		t.Fatalf("visits at tick: event %d, dense %d, want 3 each", eventVisits, denseVisits)
+	ref, refVisits := run("reference", true)
+	event, eventVisits := run("event", false)
+	if eventVisits != refVisits || refVisits != 3 {
+		t.Fatalf("visits at tick: event %d, reference %d, want 3 each", eventVisits, refVisits)
 	}
-	for i := range dense.demand {
+	for i := range ref.demand {
 		for _, k := range resources.Kinds {
-			db, eb := math.Float64bits(dense.demand[i][k]), math.Float64bits(event.demand[i][k])
-			if db != eb {
-				t.Fatalf("server %d %v demand: event %#x, dense %#x", i, k, eb, db)
+			rb, eb := math.Float64bits(ref.demand[i][k]), math.Float64bits(event.demand[i][k])
+			if rb != eb {
+				t.Fatalf("server %d %v demand: event %#x, reference %#x", i, k, eb, rb)
 			}
 		}
 	}

@@ -6,8 +6,8 @@ package sim
 // through core.Shard's Crash and Recover — the same operations serve's
 // data-plane tick runs. All processing is per-shard and in deterministic
 // order (events pre-sorted, evictions in ascending VM id), so faulted
-// Results stay byte-identical for any worker count and for both replay
-// engines — the golden-equivalence tests pin this via the chaos preset.
+// Results stay byte-identical for any worker count — the
+// golden-equivalence tests pin this via the chaos preset.
 
 // FaultResult aggregates the failure-domain engine's outcomes across
 // shards. It is map-free so gob encodings stay deterministic.
@@ -40,8 +40,8 @@ func (f *FaultResult) merge(o FaultResult) {
 // applyFaults processes the shard's fault events due at trace tick t
 // (Run pre-sorts them by tick, so a cursor walk suffices) and folds each
 // crash's evictions into the replay accounting: a re-admitted VM gets a
-// fresh unsynced record carrying its change-point cursor (this tick's
-// delta pass folds its demand in) and one downtime tick; a lost VM leaves
+// fresh record carrying its change-point cursor (this tick's delta pass
+// folds its demand in through its slot) and one downtime tick; a lost VM leaves
 // the replay, its remaining lifetime attributed as downtime.
 func (st *shardState) applyFaults(t int) error {
 	evTick := t - st.cfg.TrainUpTo
@@ -64,9 +64,7 @@ func (st *shardState) applyFaults(t int) error {
 				vm: rec.vm, srv: ev.Server,
 				changes: rec.changes, nextCh: rec.nextCh,
 			})
-			if st.queue != nil {
-				st.slots = append(st.slots, ev.VMID)
-			}
+			st.slots = append(st.slots, ev.VMID)
 			st.sr.faults.DowntimeTicks++
 		}
 		if err != nil {

@@ -13,12 +13,12 @@ import (
 // TestFaultScheduleDeterminism is the fault-path determinism pin, run
 // under -race in CI: the chaos preset's compiled schedule must produce
 // byte-identical Results on repeated runs of the same configuration —
-// dense and event engines, Workers 1/2/8 — and the fault counters must
-// satisfy the accounting identities (every evicted VM is replaced or
-// lost, one downtime tick minimum per displacement). Golden equivalence
-// (golden_test.go) pins dense-vs-event; this pins run-vs-run, which
-// would catch nondeterminism that happened to bite both engines the
-// same way.
+// the reference replay and Run at Workers 1/2/8 — and the fault counters
+// must satisfy the accounting identities (every evicted VM is replaced
+// or lost, one downtime tick minimum per displacement). Golden
+// equivalence (golden_test.go) pins Run against the reference; this
+// pins run-vs-run, which would catch nondeterminism that happened to
+// bite both the same way.
 func TestFaultScheduleDeterminism(t *testing.T) {
 	full, err := scenario.Preset("chaos")
 	if err != nil {
@@ -35,24 +35,23 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 
 	type variant struct {
 		name    string
-		engine  EngineKind
+		run     func(*trace.Trace, *cluster.Fleet, Config) (*Result, error)
 		workers int
 	}
 	variants := []variant{
-		{"dense-w1", EngineDense, 1},
-		{"event-w1", EngineEvent, 1},
-		{"event-w2", EngineEvent, 2},
-		{"event-w8", EngineEvent, 8},
+		{"reference", runReference, 1},
+		{"event-w1", Run, 1},
+		{"event-w2", Run, 2},
+		{"event-w8", Run, 8},
 	}
 	var golden []byte
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			c := cfg
-			c.Engine = v.engine
 			c.Workers = v.workers
 			fleet := cluster.NewFleet(cluster.DefaultClusters(2))
-			first, err := Run(tr, fleet, c)
+			first, err := v.run(tr, fleet, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +67,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 				t.Fatalf("downtime %d ticks < %d displacements", f.DowntimeTicks, f.EvictedVMs)
 			}
 			enc := encodeResult(t, first)
-			again, err := Run(tr, fleet, c)
+			again, err := v.run(tr, fleet, c)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +78,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 			if golden == nil {
 				golden = enc
 			} else if !bytes.Equal(golden, enc) {
-				t.Fatalf("%s diverges from dense-w1 under faults: %+v", v.name, summary(first))
+				t.Fatalf("%s diverges from the reference under faults: %+v", v.name, summary(first))
 			}
 		})
 	}

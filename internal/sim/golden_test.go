@@ -25,13 +25,13 @@ func encodeResult(t *testing.T, r *Result) []byte {
 	return buf.Bytes()
 }
 
-// TestGoldenEquivalence is the wall the event-driven core was rebuilt
-// behind: for every scenario preset, the event core's Result must be
-// gob-byte-identical to the dense reference core's, at every worker
+// TestGoldenEquivalence is the wall the event-driven core stands behind:
+// for every scenario preset, Run's Result must be gob-byte-identical to
+// the full-recomputation reference's (runReference), at every worker
 // count, on both the decoupled replay path (plain scheduler replay, no
 // data plane) and the cross-shard-barrier path (data plane + migration
 // mitigation + cross-shard exchange over a multi-cluster fleet). Run
-// under -race in CI, this also races the event core's per-shard state.
+// under -race in CI, this also races the per-shard state.
 func TestGoldenEquivalence(t *testing.T) {
 	for _, name := range scenario.PresetNames {
 		name := name
@@ -81,29 +81,26 @@ func TestGoldenEquivalence(t *testing.T) {
 				t.Run(v.name, func(t *testing.T) {
 					fleet := cluster.NewFleet(cluster.DefaultClusters(2))
 					cfg := v.cfg
-					cfg.Engine = EngineDense
-					cfg.Workers = 1
-					dense, err := Run(tr, fleet, cfg)
+					ref, err := runReference(tr, fleet, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if dense.Requested == 0 || dense.Placed == 0 {
-						t.Fatalf("fixture regression: no work done: %+v", summary(dense))
+					if ref.Requested == 0 || ref.Placed == 0 {
+						t.Fatalf("fixture regression: no work done: %+v", summary(ref))
 					}
-					if len(sp.Faults) > 0 && (dense.Faults == nil || dense.Faults.Crashes == 0) {
-						t.Fatalf("fixture regression: fault schedule never fired: %+v", dense.Faults)
+					if len(sp.Faults) > 0 && (ref.Faults == nil || ref.Faults.Crashes == 0) {
+						t.Fatalf("fixture regression: fault schedule never fired: %+v", ref.Faults)
 					}
-					golden := encodeResult(t, dense)
+					golden := encodeResult(t, ref)
 					for _, workers := range []int{1, 2, 8} {
-						cfg.Engine = EngineEvent
 						cfg.Workers = workers
 						ev, err := Run(tr, fleet, cfg)
 						if err != nil {
-							t.Fatalf("event workers=%d: %v", workers, err)
+							t.Fatalf("workers=%d: %v", workers, err)
 						}
 						if got := encodeResult(t, ev); !bytes.Equal(golden, got) {
-							t.Errorf("event core (workers=%d) diverges from dense core:\n  dense: %+v\n  event: %+v",
-								workers, summary(dense), summary(ev))
+							t.Errorf("Run (workers=%d) diverges from the reference:\n  ref: %+v\n  run: %+v",
+								workers, summary(ref), summary(ev))
 						}
 					}
 				})

@@ -86,8 +86,8 @@ func replayPerArrival(t *testing.T, tr *trace.Trace, fleet *cluster.Fleet, cfg C
 // prediction to the per-arrival path. Three shards: one with exactly
 // lookAhead arrivals, one with more than two buffers' worth on too few
 // servers (rejections), and one whose arrivals interleave with server
-// crashes and the re-admissions they trigger. Both engines, Workers 1
-// and 4.
+// crashes and the re-admissions they trigger. The reference replay and
+// Run at Workers 1 and 4.
 func TestLookAheadPredictionMatchesPerArrival(t *testing.T) {
 	gen := trace.DefaultGenConfig()
 	gen.VMs = 800
@@ -158,27 +158,33 @@ func TestLookAheadPredictionMatchesPerArrival(t *testing.T) {
 	}
 
 	var first *Result
-	for _, engine := range []EngineKind{EngineDense, EngineEvent} {
-		for _, workers := range []int{1, 4} {
-			c := cfg
-			c.Engine, c.Workers = engine, workers
-			res, err := Run(&tr, fleet, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := placementLedger{res.Requested, res.Placed, res.Rejected, res.Oversubscribed, res.Outcomes}
-			if !reflect.DeepEqual(got, want) {
-				got.Outcomes, want.Outcomes = nil, nil
-				t.Fatalf("%v/workers=%d: ledger %+v, per-arrival replay %+v (or outcomes differ)", engine, workers, got, want)
-			}
-			if res.Faults == nil || res.Faults.ReplacedVMs != replaced {
-				t.Fatalf("%v/workers=%d: faults %+v, per-arrival replay re-admitted %d", engine, workers, res.Faults, replaced)
-			}
-			if first == nil {
-				first = res
-			} else if !reflect.DeepEqual(res, first) {
-				t.Fatalf("%v/workers=%d: Result differs from dense/workers=1", engine, workers)
-			}
+	for _, v := range []struct {
+		name    string
+		run     func(*trace.Trace, *cluster.Fleet, Config) (*Result, error)
+		workers int
+	}{
+		{"reference", runReference, 1},
+		{"workers=1", Run, 1},
+		{"workers=4", Run, 4},
+	} {
+		c := cfg
+		c.Workers = v.workers
+		res, err := v.run(&tr, fleet, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := placementLedger{res.Requested, res.Placed, res.Rejected, res.Oversubscribed, res.Outcomes}
+		if !reflect.DeepEqual(got, want) {
+			got.Outcomes, want.Outcomes = nil, nil
+			t.Fatalf("%s: ledger %+v, per-arrival replay %+v (or outcomes differ)", v.name, got, want)
+		}
+		if res.Faults == nil || res.Faults.ReplacedVMs != replaced {
+			t.Fatalf("%s: faults %+v, per-arrival replay re-admitted %d", v.name, res.Faults, replaced)
+		}
+		if first == nil {
+			first = res
+		} else if !reflect.DeepEqual(res, first) {
+			t.Fatalf("%s: Result differs from the reference", v.name)
 		}
 	}
 }

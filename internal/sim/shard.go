@@ -58,9 +58,6 @@ func buildShards(tr *trace.Trace, fleet *cluster.Fleet, model *predict.LongTerm,
 	if cfg.DataPlane {
 		c := core.DataPlaneConfigFor(cfg.MitigationPolicy, cfg.MitigationMode,
 			cfg.DataPlanePoolFrac, cfg.DataPlaneUnallocFrac)
-		// The dense reference core re-simulates every server every tick; the
-		// event core lets provably idle servers skip (core.DataPlane docs).
-		c.AlwaysTick = cfg.Engine == EngineDense
 		dpCfg = &c
 	}
 	mc := core.MigrationConfigFor(cfg.MigrationDirtyFrac, cfg.MigrationPressureFrac,
@@ -103,14 +100,9 @@ type placedRec struct {
 	// last is the demand vector currently accumulated into the server's
 	// running total for this VM.
 	last resources.Vector
-	// synced is set once last reflects a delta pass; until then the
-	// unchanged-sample fast path must not fire (a VM arriving mid-life
-	// can have an unchanged but nonzero sample at its arrival tick).
-	synced bool
-	// changes and nextCh drive the event core: changes is the VM's
+	// changes and nextCh drive the event queue: changes is the VM's
 	// utilization change-point list (trace.VM.ChangePoints, computed once
 	// at placement) and nextCh the cursor of the next unscheduled one.
-	// Unused by the dense core.
 	changes []int32
 	nextCh  int
 }
@@ -172,7 +164,7 @@ type shardState struct {
 
 	// dpRes accumulates the shard's data-plane result (nil unless
 	// Config.DataPlane); obs[i] caches steady server i's per-tick
-	// histogram contribution (event core with a data plane only).
+	// histogram contribution.
 	dpRes *DataPlaneResult
 	obs   []steadyObs
 
@@ -181,12 +173,12 @@ type shardState struct {
 	fEvents []fault.Event
 	fi      int
 
-	// Event-core state (nil/unused under EngineDense). queue holds one
-	// pending utilization-change event per placed VM; slots and slotBits
-	// are per-tick scratch — slots collects the VM ids due a demand
-	// re-sync (by id, not record index: crash evictions can swap-remove
-	// records between a slot's append and the delta pass), slotBits marks
-	// their resolved record positions and is all zero between ticks.
+	// Event state. queue holds one pending utilization-change event per
+	// placed VM; slots and slotBits are per-tick scratch — slots collects
+	// the VM ids due a demand re-sync (by id, not record index: crash
+	// evictions can swap-remove records between a slot's append and the
+	// delta pass), slotBits marks their resolved record positions and is
+	// all zero between ticks.
 	// Contention is settled incrementally: violCPU / violMem mirror each
 	// server's contended-or-not state with running counts, and dirty
 	// lists the servers whose demand, backing or population changed this
@@ -224,9 +216,7 @@ func newShardState(sh *core.Shard, tr *trace.Trace, model *predict.LongTerm, cfg
 	}
 	if cfg.DataPlane {
 		st.dpRes = newDataPlaneResult(cfg)
-		if sh.DP != nil && cfg.Engine == EngineEvent {
-			st.obs = make([]steadyObs, len(st.servers))
-		}
+		st.obs = make([]steadyObs, len(st.servers))
 	}
 	st.demand = make([]resources.Vector, len(st.servers))
 	st.vmCount = make([]int, len(st.servers))
@@ -234,20 +224,18 @@ func newShardState(sh *core.Shard, tr *trace.Trace, model *predict.LongTerm, cfg
 	for i, srv := range st.servers {
 		st.cpuLimit[i] = cfg.CPUContentionFrac * srv.Server.Capacity()[resources.CPU]
 	}
-	if cfg.Engine == EngineEvent {
-		st.queue = newEventQueue(cfg.TrainUpTo, tr.Horizon)
-		st.violCPU = make([]bool, len(st.servers))
-		st.violMem = make([]bool, len(st.servers))
-		st.dirtyFlag = make([]bool, len(st.servers))
-	}
+	st.queue = newEventQueue(cfg.TrainUpTo, tr.Horizon)
+	st.violCPU = make([]bool, len(st.servers))
+	st.violMem = make([]bool, len(st.servers))
+	st.dirtyFlag = make([]bool, len(st.servers))
 	st.fEvents = cfg.Faults.ForShard(sh.Index)
 	return st
 }
 
-// touchServer marks a server's contention flags stale (event core): its
-// demand, backed capacity or population changed this tick.
+// touchServer marks a server's contention flags stale: its demand,
+// backed capacity or population changed this tick.
 func (st *shardState) touchServer(srv int) {
-	if st.dirtyFlag == nil || st.dirtyFlag[srv] {
+	if st.dirtyFlag[srv] {
 		return
 	}
 	st.dirtyFlag[srv] = true
@@ -331,15 +319,10 @@ func (st *shardState) arrive(t int) error {
 			continue
 		}
 		st.sr.placed++
-		rec := placedRec{vm: ev.vm, srv: srv}
-		if st.queue != nil {
-			// The event core applies the new record's demand this tick via
-			// its slot; scheduleNext (in the delta pass) queues the rest of
-			// its life.
-			rec.changes = ev.vm.ChangePoints()
-			st.slots = append(st.slots, ev.vm.ID)
-		}
-		st.track(rec)
+		// The new record's demand applies this tick via its slot;
+		// scheduleNext (in the delta pass) queues the rest of its life.
+		st.track(placedRec{vm: ev.vm, srv: srv, changes: ev.vm.ChangePoints()})
+		st.slots = append(st.slots, ev.vm.ID)
 		if ok && st.cfg.Policy != scheduler.PolicyNone {
 			st.sr.oversubscribed++
 			st.sr.outcomes = append(st.sr.outcomes, outcome(ev.vm, cvm, st.cfg))
@@ -360,24 +343,14 @@ func (st *shardState) depart(vmID int) {
 // advance applies the second half of tick t: the demand delta pass, the
 // data-plane tick with migration resolution, and the contention counters.
 func (st *shardState) advance(t int) error {
-	if st.queue != nil {
-		st.eventDeltaPass(t)
-	} else {
-		st.denseDeltaPass(t)
-	}
-
+	st.eventDeltaPass(t)
 	if st.sh.DP != nil {
 		if err := st.dataPlaneTick(t - st.cfg.TrainUpTo); err != nil {
 			return err
 		}
 	}
-
 	st.sr.usedByTick[t-st.cfg.TrainUpTo] = st.used
-	if st.queue != nil {
-		st.settleContention()
-	} else {
-		st.denseContention()
-	}
+	st.settleContention()
 	return nil
 }
 
@@ -413,44 +386,18 @@ func (st *shardState) nextPrediction() (coachvm.Prediction, bool) {
 	return st.aheadPreds[i], st.aheadOKs[i]
 }
 
-// denseDeltaPass is the reference demand pass: visit every placed VM,
-// fold in its demand change if this tick's utilization sample differs.
-// The same change drives the VM's working set on the data plane, so WSS
-// updates ride the delta fast path.
-func (st *shardState) denseDeltaPass(t int) {
-	for i := range st.recs {
-		r := &st.recs[i]
-		if r.synced && utilUnchanged(r.vm, t) {
-			continue
-		}
-		cur := r.vm.DemandAt(t)
-		if cur != r.last {
-			st.demand[r.srv] = st.demand[r.srv].Add(cur.Sub(r.last))
-			r.last = cur
-			if st.sh.DP != nil {
-				st.sh.DP.SetWSS(r.vm.ID, cur[resources.Memory])
-			}
-		}
-		r.synced = true
-	}
-	if st.cfg.VisitCounter != nil {
-		atomic.AddInt64(st.cfg.VisitCounter, int64(len(st.recs)))
-	}
-}
-
-// eventDeltaPass is the event core's demand pass: only VMs with a
-// pending change event (popped from the calendar queue), placed this
-// tick, or re-admitted by a crash are visited. Slots carry VM ids and
-// resolve to record positions here — a crash eviction swap-removes
-// records mid-tick, so positions captured earlier could go stale — and
-// each position sets its bit in slotBits. Walking the set bits word by
-// word visits the positions ascending and once each (a re-admitted VM
-// whose stale queue event also popped sets the same bit twice): the same
-// order the dense pass walks st.recs, with the same cur != last guard,
-// so the float accumulation into st.demand is bit-identical — every slot
-// the dense pass would have updated has a change point here
-// (utilUnchanged ⇔ no change point at this offset), and spurious events
-// for unchanged demand no-op on the guard.
+// eventDeltaPass is the demand pass: only VMs with a pending change
+// event (popped from the calendar queue), placed this tick, or
+// re-admitted by a crash are visited. Slots carry VM ids and resolve to
+// record positions here — a crash eviction swap-removes records
+// mid-tick, so positions captured earlier could go stale — and each
+// position sets its bit in slotBits. Walking the set bits word by word
+// visits the positions ascending and once each (a re-admitted VM whose
+// stale queue event also popped sets the same bit twice): the order a
+// full pass over st.recs takes, with the same cur != last guard, so the
+// float accumulation into st.demand is bit-identical to visiting every
+// record — a record skipped here has no change point at this offset,
+// and spurious events for unchanged demand no-op on the guard.
 func (st *shardState) eventDeltaPass(t int) {
 	// st.slots already holds this tick's placements and re-admissions.
 	st.slots = st.queue.PopDue(t, st.slots)
@@ -483,7 +430,6 @@ func (st *shardState) eventDeltaPass(t int) {
 					st.sh.DP.SetWSS(r.vm.ID, cur[resources.Memory])
 				}
 			}
-			r.synced = true
 			st.scheduleNext(r, t)
 		}
 	}
@@ -493,32 +439,13 @@ func (st *shardState) eventDeltaPass(t int) {
 	st.slots = st.slots[:0]
 }
 
-// denseContention is the reference per-tick contention accounting: scan
-// every server.
-func (st *shardState) denseContention() {
-	for i := range st.servers {
-		if st.vmCount[i] == 0 {
-			continue
-		}
-		st.sr.serverTicks++
-		if st.demand[i][resources.CPU] > st.cpuLimit[i] {
-			st.sr.cpuViolations++
-		}
-		// Memory contention: utilized memory beyond the physically
-		// backed amount pages to disk (§4.3).
-		if st.demand[i][resources.Memory] > st.servers[i].Pool.Backed()[resources.Memory]+1e-9 {
-			st.sr.memViolations++
-		}
-	}
-}
-
-// settleContention is the event core's contention accounting: servers
-// whose demand, backed capacity or population changed this tick were
-// marked dirty; re-derive just their contended/not flags and keep
-// running counts. An untouched server's inputs are all unchanged —
-// every mutation path (delta, placement, removal, migration landing,
+// settleContention is the per-tick contention accounting: servers whose
+// demand, backed capacity or population changed this tick were marked
+// dirty; re-derive just their contended/not flags and keep running
+// counts. An untouched server's inputs are all unchanged — every
+// mutation path (delta, placement, removal, migration landing,
 // exchange) marks the server — so its flags from the previous tick
-// still hold and the counts equal the dense scan's.
+// still hold and the counts equal a scan of every server's.
 func (st *shardState) settleContention() {
 	for _, i := range st.dirty {
 		st.dirtyFlag[i] = false
@@ -558,11 +485,7 @@ func (st *shardState) dataPlaneTick(t int) error {
 	if err != nil {
 		return err
 	}
-	if st.obs != nil {
-		st.observeSparse(frames)
-	} else {
-		st.dpRes.observe(frames)
-	}
+	st.observeSparse(frames)
 	for _, p := range plans {
 		st.applyPlan(p)
 	}
@@ -642,8 +565,8 @@ func (st *shardState) removeTracked(vmID int) bool {
 }
 
 // addImmigrated registers a cross-shard-migrated VM in this shard's
-// accounting after the exchange committed it: a fresh unsynced record
-// (the next delta pass folds its demand in) plus an injected departure
+// accounting after the exchange committed it: a fresh record (the next
+// tick's delta pass folds its demand in) plus an injected departure
 // event at the VM's end-of-life.
 func (st *shardState) addImmigrated(rq migRequest, server int) {
 	st.track(placedRec{
@@ -651,13 +574,9 @@ func (st *shardState) addImmigrated(rq migRequest, server int) {
 		changes: rq.changes, nextCh: rq.nextCh,
 	})
 	st.insertExtra(event{sample: rq.vm.End, arrival: false, vm: rq.vm})
-	if st.queue != nil {
-		// Re-sync on the very next tick — the dense core's unsynced
-		// record is picked up by its next full pass; the event core gets
-		// the same effect from an explicit event. The fired event's
-		// scheduleNext then resumes the carried change-point cursor.
-		st.queue.Push(rq.Tick+st.cfg.TrainUpTo+1, rq.VMID)
-	}
+	// Re-sync on the very next tick; the fired event's scheduleNext then
+	// resumes the carried change-point cursor.
+	st.queue.Push(rq.Tick+st.cfg.TrainUpTo+1, rq.VMID)
 }
 
 // insertExtra queues a migration-injected event, keeping the pending
@@ -687,29 +606,4 @@ func (st *shardState) finish() *shardResult {
 	}
 	st.sr.dataPlane = st.dpRes
 	return st.sr
-}
-
-// utilUnchanged reports whether every resource's utilization sample at
-// trace tick t equals the previous tick's, in which case the VM's demand —
-// and therefore its server's running total — needs no update.
-func utilUnchanged(vm *trace.VM, t int) bool {
-	i := t - vm.Start
-	if i <= 0 {
-		return false
-	}
-	for _, k := range resources.Kinds {
-		s := vm.Util[k]
-		if i >= len(s) {
-			// Outside the recorded series both samples read as zero
-			// unless i-1 is the final sample.
-			if i-1 < len(s) && s[i-1] != 0 {
-				return false
-			}
-			continue
-		}
-		if s[i] != s[i-1] {
-			return false
-		}
-	}
-	return true
 }

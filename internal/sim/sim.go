@@ -112,61 +112,18 @@ type Config struct {
 	// compiles the scenario's faults against the fleet's shard shape, so
 	// one spec drives the identical fault schedule here and in a live
 	// coachd. Server crash/recover events apply at the top of each
-	// evaluation tick in both engines; train-fail skips model training
-	// (every admission degrades to the fully-guaranteed best-fit split);
-	// serving-only faults (latency, handoff crash points) are ignored.
+	// evaluation tick; train-fail skips model training (every admission
+	// degrades to the fully-guaranteed best-fit split); serving-only
+	// faults (latency, handoff crash points) are ignored.
 	// Result.Faults then reports crash/eviction/loss/downtime counters,
 	// still byte-identical for any Workers value. See docs/DESIGN.md §13.
 	Faults *fault.Schedule
-	// Engine selects the replay core. EngineEvent (the zero value)
-	// drives each shard from a calendar queue of per-VM utilization
-	// change events and skips steady data-plane servers; EngineDense is
-	// the reference loop that visits every placed VM and ticks every
-	// server each sample. Both produce byte-identical Results — the
-	// golden-equivalence tests pin this. See docs/DESIGN.md §12.
-	Engine EngineKind
 	// VisitCounter, when non-nil, is incremented atomically with the
-	// number of placed-VM records each shard tick visits. Benchmarks use
-	// it as the machine-independent work metric: the event core's count
-	// scales with demand changes, the dense core's with population.
+	// number of placed-VM records each shard tick visits: the VMs whose
+	// utilization changed, plus the tick's placements and re-admissions.
+	// Benchmarks use it as the machine-independent work metric of the
+	// delta pass.
 	VisitCounter *int64
-}
-
-// EngineKind selects the simulator replay core.
-type EngineKind int
-
-const (
-	// EngineEvent is the event-driven core: a per-shard calendar queue
-	// schedules one event per VM utilization change point, each tick
-	// touches only due VMs, and provably idle data-plane servers reuse
-	// their last tick's frame instead of re-simulating.
-	EngineEvent EngineKind = iota
-	// EngineDense is the reference core: every placed VM is visited and
-	// every server fully ticked each sample.
-	EngineDense
-)
-
-func (e EngineKind) String() string {
-	switch e {
-	case EngineEvent:
-		return "event"
-	case EngineDense:
-		return "dense"
-	default:
-		return fmt.Sprintf("EngineKind(%d)", int(e))
-	}
-}
-
-// ParseEngine converts a string flag into an EngineKind.
-func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "event":
-		return EngineEvent, nil
-	case "dense":
-		return EngineDense, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown engine %q (event|dense)", s)
-	}
 }
 
 // DefaultConfig returns the Coach policy configuration.
@@ -289,62 +246,10 @@ func (r *Result) UnderAllocFrac(k resources.Kind) float64 {
 // Per-shard results are merged deterministically — the Result (including
 // Outcomes order, sorted by VMID) is byte-identical for any worker count.
 func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
-	if tr == nil {
-		if cfg.Scenario == nil {
-			return nil, fmt.Errorf("sim: nil trace and no Config.Scenario to generate one from")
-		}
-		var err error
-		if tr, err = trace.GenerateScenario(cfg.Scenario); err != nil {
-			return nil, err
-		}
-		if cfg.TrainUpTo == 0 {
-			cfg.TrainUpTo = tr.Horizon / 2
-		}
-	}
-	if cfg.TrainUpTo <= 0 || cfg.TrainUpTo >= tr.Horizon {
-		return nil, fmt.Errorf("sim: TrainUpTo %d outside (0,%d)", cfg.TrainUpTo, tr.Horizon)
-	}
-	if err := tr.CheckIDsAreIndices(); err != nil {
+	tr, cfg, model, err := prepare(tr, fleet, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if fleet.NumClusters() == 0 {
-		return nil, fmt.Errorf("sim: fleet has no clusters")
-	}
-	if err := fleet.Validate(); err != nil {
-		return nil, err
-	}
-
-	if cfg.Faults == nil && cfg.Scenario != nil && len(cfg.Scenario.Faults) > 0 {
-		groups := fleet.Shards()
-		sizes := make([]int, len(groups))
-		for i, g := range groups {
-			sizes[i] = len(g)
-		}
-		var err error
-		cfg.Faults, err = fault.Compile(cfg.Scenario.Faults, cfg.Scenario.Seed,
-			sizes, tr.Horizon-cfg.TrainUpTo)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	model := cfg.Model
-	if cfg.Faults.TrainFail() {
-		// Injected training failure: the run degrades exactly like a live
-		// coachd whose lazy training errored — no model, every VM admitted
-		// on its fully-guaranteed best-fit split.
-		model = nil
-	} else if model == nil && cfg.Policy != scheduler.PolicyNone {
-		ltCfg := cfg.LongTerm
-		ltCfg.Windows = cfg.Windows
-		ltCfg.Percentile = cfg.Percentile
-		var err error
-		model, err = predict.TrainLongTerm(tr, cfg.TrainUpTo, ltCfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	states, err := buildShards(tr, fleet, model, cfg)
 	if err != nil {
 		return nil, err
@@ -378,6 +283,69 @@ func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
 		results[i] = st.finish()
 	}
 	return merge(cfg, results, tr.Horizon-cfg.TrainUpTo), nil
+}
+
+// prepare resolves a Run's inputs: it generates the trace from
+// cfg.Scenario when tr is nil, validates the trace and fleet, compiles
+// the scenario's faults against the fleet's shard shape and picks the
+// model (cfg.Model, a freshly trained one, or none).
+func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, Config, *predict.LongTerm, error) {
+	if tr == nil {
+		if cfg.Scenario == nil {
+			return nil, cfg, nil, fmt.Errorf("sim: nil trace and no Config.Scenario to generate one from")
+		}
+		var err error
+		if tr, err = trace.GenerateScenario(cfg.Scenario); err != nil {
+			return nil, cfg, nil, err
+		}
+		if cfg.TrainUpTo == 0 {
+			cfg.TrainUpTo = tr.Horizon / 2
+		}
+	}
+	if cfg.TrainUpTo <= 0 || cfg.TrainUpTo >= tr.Horizon {
+		return nil, cfg, nil, fmt.Errorf("sim: TrainUpTo %d outside (0,%d)", cfg.TrainUpTo, tr.Horizon)
+	}
+	if err := tr.CheckIDsAreIndices(); err != nil {
+		return nil, cfg, nil, err
+	}
+	if fleet.NumClusters() == 0 {
+		return nil, cfg, nil, fmt.Errorf("sim: fleet has no clusters")
+	}
+	if err := fleet.Validate(); err != nil {
+		return nil, cfg, nil, err
+	}
+
+	if cfg.Faults == nil && cfg.Scenario != nil && len(cfg.Scenario.Faults) > 0 {
+		groups := fleet.Shards()
+		sizes := make([]int, len(groups))
+		for i, g := range groups {
+			sizes[i] = len(g)
+		}
+		var err error
+		cfg.Faults, err = fault.Compile(cfg.Scenario.Faults, cfg.Scenario.Seed,
+			sizes, tr.Horizon-cfg.TrainUpTo)
+		if err != nil {
+			return nil, cfg, nil, err
+		}
+	}
+
+	model := cfg.Model
+	if cfg.Faults.TrainFail() {
+		// Injected training failure: the run degrades exactly like a live
+		// coachd whose lazy training errored — no model, every VM admitted
+		// on its fully-guaranteed best-fit split.
+		model = nil
+	} else if model == nil && cfg.Policy != scheduler.PolicyNone {
+		ltCfg := cfg.LongTerm
+		ltCfg.Windows = cfg.Windows
+		ltCfg.Percentile = cfg.Percentile
+		var err error
+		model, err = predict.TrainLongTerm(tr, cfg.TrainUpTo, ltCfg)
+		if err != nil {
+			return nil, cfg, nil, err
+		}
+	}
+	return tr, cfg, model, nil
 }
 
 // runDecoupled replays every shard to completion independently on the
