@@ -220,6 +220,7 @@ func run(o options) error {
 
 	var tr *trace.Trace
 	var sp *scenario.Spec
+	genStart := time.Now()
 	if o.scenario != "" {
 		loaded, err := scenario.Load(o.scenario)
 		if err != nil {
@@ -236,6 +237,7 @@ func run(o options) error {
 			return err
 		}
 	}
+	log.Printf("trace generated in %s (%d VMs)", time.Since(genStart).Round(time.Millisecond), len(tr.VMs))
 	fleet := cluster.NewFleet(cluster.DefaultClusters(o.servers))
 
 	if sp != nil && len(sp.Faults) > 0 {

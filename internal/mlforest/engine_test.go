@@ -2,9 +2,12 @@ package mlforest
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -57,6 +60,37 @@ func TestForestByteIdenticalAcrossWorkers(t *testing.T) {
 		if !bytes.Equal(enc, want) {
 			t.Fatalf("forest trained with Workers=%d differs from Workers=1", workers)
 		}
+	}
+}
+
+// Gob numbers each type the first time a process encodes it, and the
+// numbers are part of the bytes. Encoding a Forest before any test runs
+// gives its wire types the same numbers in every run of this test
+// binary, so the pinned hash below does not depend on which tests ran
+// first.
+func init() { _, _ = (&Forest{}).GobEncode() }
+
+// TestForestFingerprint pins the SHA-256 of the default forest's gob
+// bytes on the benchmark training set, so "training is unchanged" is a
+// check, not a claim: an engine rewrite (the branch-free partition, say)
+// must reproduce it bit for bit. A change that means to alter the model
+// updates the hash in its own diff. Other architectures may fuse
+// multiply-adds and round differently, so the pin holds on amd64 only.
+func TestForestFingerprint(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("fingerprint is pinned on amd64, not %s", runtime.GOARCH)
+	}
+	const want = "76ccf6a37b9f00f31a646a5c8d8b6fa8d12af1745089a351b952a2ff6822fc40"
+	f, err := Train(TraceLikeSamples(3000, 11), DefaultForestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := f.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != want {
+		t.Errorf("forest SHA-256 %s, pinned %s", got, want)
 	}
 }
 

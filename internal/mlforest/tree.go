@@ -12,9 +12,10 @@
 // set is transposed into a feature-major matrix with per-feature argsorted
 // index columns once per Train call, each tree derives its bootstrap's
 // sorted columns in O(n·features) without sorting, and nodes are grown by
-// linear sweeps plus stable in-place partitioning. Trees grow in parallel
-// on a worker pool with per-tree RNGs, and the trained ensemble is
-// flattened into one contiguous breadth-first node slab (see Forest).
+// linear sweeps plus branch-free stable in-place partitioning. Trees grow
+// in parallel on a worker pool with per-tree RNGs, and the trained
+// ensemble is flattened into one contiguous breadth-first node slab (see
+// Forest).
 package mlforest
 
 import (
@@ -80,8 +81,8 @@ type treeBuilder struct {
 
 	counts   []int32 // counting-sort offsets (len n+1)
 	posByRow []int32 // positions grouped by dataset row
-	goesLeft []bool  // split membership, indexed by position
-	part     []int32 // stable-partition scratch (cap n, never grows)
+	goesLeft []uint8 // split membership (1 left, 0 right), by position
+	part     []int32 // stable-partition scratch (len n)
 	featOrd  []int   // partial Fisher–Yates scratch (len nFeat)
 
 	// Node output, reset per tree and copied out exact-size when done.
@@ -106,8 +107,8 @@ func newTreeBuilder(ds *dataset, targets []float64, cfg TreeConfig) *treeBuilder
 		sorted:     make([][]int32, nFeat),
 		counts:     make([]int32, n+1),
 		posByRow:   make([]int32, n),
-		goesLeft:   make([]bool, n),
-		part:       make([]int32, 0, n),
+		goesLeft:   make([]uint8, n),
+		part:       make([]int32, n),
 		featOrd:    make([]int, nFeat),
 	}
 	for f := 0; f < nFeat; f++ {
@@ -251,10 +252,10 @@ func (b *treeBuilder) build(lo, hi, depth int) int32 {
 	// contiguous, sorted segments.
 	col := b.sorted[feat]
 	for _, p := range col[lo : lo+nl] {
-		b.goesLeft[p] = true
+		b.goesLeft[p] = 1
 	}
 	for _, p := range col[lo+nl : hi] {
-		b.goesLeft[p] = false
+		b.goesLeft[p] = 0
 	}
 	for f := 0; f < b.ds.nFeat; f++ {
 		if f != feat {
@@ -341,22 +342,25 @@ func (b *treeBuilder) bestSplit(lo, hi int, segSum, segSq, parentVar float64) (f
 }
 
 // partition stably splits col[lo:hi] by goesLeft: left-marked positions
-// first, then the rest, each side keeping its sorted order. The write
-// cursor never passes the read cursor, so compaction is in place; the
-// right side stages through a scratch slice whose capacity was
-// preallocated to n (append never allocates).
+// first, then the rest, each side keeping its sorted order. It is
+// branch-free — membership is random with respect to this column's
+// order, so a branch on it mispredicts about half the time: every
+// position is written to both the left cursor (in place; it never
+// passes the read cursor) and the right side's scratch cursor, and the
+// membership bit advances exactly one of them. The right side is then
+// copied back behind the left.
 func (b *treeBuilder) partition(col []int32, lo, hi int) {
-	scratch := b.part[:0]
-	w := lo
-	for _, p := range col[lo:hi] {
-		if b.goesLeft[p] {
-			col[w] = p
-			w++
-		} else {
-			scratch = append(scratch, p)
-		}
+	seg := col[lo:hi]
+	scratch := b.part[:len(seg)]
+	w, s := 0, 0
+	for _, p := range seg {
+		l := int(b.goesLeft[p])
+		seg[w] = p
+		scratch[s] = p
+		w += l
+		s += 1 - l
 	}
-	copy(col[w:hi], scratch)
+	copy(seg[w:], scratch[:s])
 }
 
 // treeSeed derives tree t's RNG seed from the forest seed with a

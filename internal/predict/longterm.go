@@ -16,6 +16,7 @@ import (
 
 	"github.com/coach-oss/coach/internal/coachvm"
 	"github.com/coach-oss/coach/internal/mlforest"
+	"github.com/coach-oss/coach/internal/par"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/stats"
 	"github.com/coach-oss/coach/internal/timeseries"
@@ -137,24 +138,53 @@ func TrainLongTerm(tr *trace.Trace, upToSample int, cfg LongTermConfig) (*LongTe
 		lt.windowVals = append(lt.windowVals, float64(t))
 	}
 
-	// First pass: accumulate subscription history over the training period.
-	for i := range tr.VMs {
+	// Preparation runs on every core and stays byte-identical: each VM's
+	// statistics, targets and feature rows are computed into slots it
+	// alone writes, and everything order-sensitive — the history's float
+	// sums, the row order of each matrix — is folded in VM order.
+	//
+	// First pass: each visible VM's lifetime max and mean per resource.
+	type vmStats struct {
+		visible    int
+		peak, mean [resources.NumKinds]float64
+	}
+	st := make([]vmStats, len(tr.VMs))
+	par.ForEach(0, len(tr.VMs), func(i int) {
 		vm := &tr.VMs[i]
 		visible := visibleSamples(vm, upToSample)
 		if visible < cfg.MinSamples {
-			continue
+			return
 		}
-		h := lt.history[vm.Subscription]
-		if h == nil {
-			h = &subscriptionHistory{}
-			lt.history[vm.Subscription] = h
-		}
+		st[i].visible = visible
 		for _, k := range resources.Kinds {
 			s := vm.Util[k][:visible]
-			h.meanPeak[k] += s.Max()
-			h.meanMean[k] += s.Mean()
+			st[i].peak[k] = s.Max()
+			st[i].mean[k] = s.Mean()
+		}
+	})
+
+	// Fold the subscription history in VM order, and give each training
+	// VM its first row: every one contributes PerDay rows per resource.
+	w := cfg.Windows.PerDay
+	rowStart := make([]int, len(tr.VMs))
+	rows := 0
+	for i := range tr.VMs {
+		if st[i].visible == 0 {
+			continue
+		}
+		sub := tr.VMs[i].Subscription
+		h := lt.history[sub]
+		if h == nil {
+			h = &subscriptionHistory{}
+			lt.history[sub] = h
+		}
+		for _, k := range resources.Kinds {
+			h.meanPeak[k] += st[i].peak[k]
+			h.meanMean[k] += st[i].mean[k]
 		}
 		h.count++
+		rowStart[i] = rows
+		rows += w
 	}
 	for _, h := range lt.history {
 		for _, k := range resources.Kinds {
@@ -162,55 +192,72 @@ func TrainLongTerm(tr *trace.Trace, upToSample int, cfg LongTermConfig) (*LongTe
 			h.meanMean[k] /= float64(h.count)
 		}
 	}
+	if rows == 0 {
+		return nil, fmt.Errorf("predict: no training rows (horizon %d, upTo %d)", tr.Horizon, upToSample)
+	}
+	lt.trainRows = rows * int(resources.NumKinds)
 
-	// Second pass: build one training row per (VM, window) with targets
-	// from the observed series. The percentile and max forests share each
-	// resource's feature rows — only their target vectors differ — so the
-	// rows are kept once per resource and both forests train on one
-	// columnar matrix below.
+	// Second pass: one training row per (VM, window) with targets from
+	// the observed series, each VM writing its own rows. The percentile
+	// and max forests share each resource's feature rows — only their
+	// target vectors differ — so the rows are kept once per resource and
+	// both forests train on one columnar matrix below.
 	var featRows [resources.NumKinds][][]float64
 	var pctTargets, maxTargets [resources.NumKinds][]float64
-	for i := range tr.VMs {
-		vm := &tr.VMs[i]
-		visible := visibleSamples(vm, upToSample)
-		if visible < cfg.MinSamples {
-			continue
+	for _, k := range resources.Kinds {
+		slab := make([]float64, rows*featureDim)
+		featRows[k] = make([][]float64, rows)
+		for r := range featRows[k] {
+			featRows[k][r] = slab[r*featureDim : (r+1)*featureDim : (r+1)*featureDim]
 		}
+		pctTargets[k] = make([]float64, rows)
+		maxTargets[k] = make([]float64, rows)
+	}
+	par.ForEach(0, len(tr.VMs), func(i int) {
+		if st[i].visible == 0 {
+			return
+		}
+		vm := &tr.VMs[i]
+		h := lt.history[vm.Subscription]
+		r0 := rowStart[i]
 		for _, k := range resources.Kinds {
-			s := vm.Util[k][:visible]
-			pct := s.WindowPercentile(cfg.Windows, cfg.Percentile)
-			mx := s.LifetimeWindowMax(cfg.Windows)
-			for t := 0; t < cfg.Windows.PerDay; t++ {
-				featRows[k] = append(featRows[k], lt.features(tr, vm, k, t))
-				pctTargets[k] = append(pctTargets[k], pct[t])
-				maxTargets[k] = append(maxTargets[k], mx[t])
-				lt.trainRows++
+			s := vm.Util[k][:st[i].visible]
+			copy(pctTargets[k][r0:r0+w], s.WindowPercentile(cfg.Windows, cfg.Percentile))
+			copy(maxTargets[k][r0:r0+w], s.LifetimeWindowMax(cfg.Windows))
+			for t := 0; t < w; t++ {
+				lt.featuresInto(featRows[k][r0+t], tr, vm, h, k, t)
 			}
 		}
-	}
+	})
 
+	// One transpose + argsort per resource, shared by both forests; the
+	// four matrices build concurrently. A matrix copies its rows, so the
+	// rows are dropped once it is built, and the matrix once its forests
+	// are trained.
+	var mats [resources.NumKinds]*mlforest.Matrix
+	var errs [resources.NumKinds]error
+	par.ForEach(0, len(mats), func(k int) {
+		mats[k], errs[k] = mlforest.NewMatrix(featRows[k])
+		featRows[k] = nil
+	})
 	for _, k := range resources.Kinds {
-		if len(featRows[k]) == 0 {
-			return nil, fmt.Errorf("predict: no training rows for %v (horizon %d, upTo %d)", k, tr.Horizon, upToSample)
-		}
-		// One transpose + argsort per resource, shared by both forests.
-		m, err := mlforest.NewMatrix(featRows[k])
-		if err != nil {
-			return nil, err
+		if errs[k] != nil {
+			return nil, errs[k]
 		}
 		fc := cfg.Forest
 		fc.Seed = cfg.Forest.Seed + int64(k)
-		pf, err := mlforest.TrainOnMatrix(m, pctTargets[k], fc)
+		pf, err := mlforest.TrainOnMatrix(mats[k], pctTargets[k], fc)
 		if err != nil {
 			return nil, err
 		}
 		fc.Seed += 100
-		mf, err := mlforest.TrainOnMatrix(m, maxTargets[k], fc)
+		mf, err := mlforest.TrainOnMatrix(mats[k], maxTargets[k], fc)
 		if err != nil {
 			return nil, err
 		}
 		lt.pctForest[k] = pf
 		lt.maxForest[k] = mf
+		mats[k] = nil
 	}
 	return lt, nil
 }
@@ -226,16 +273,10 @@ func visibleSamples(vm *trace.VM, upToSample int) int {
 	return end - vm.Start
 }
 
-// features builds the feature vector for one (VM, resource, window).
-func (lt *LongTerm) features(tr *trace.Trace, vm *trace.VM, k resources.Kind, window int) []float64 {
-	f := make([]float64, featureDim)
-	lt.featuresInto(f, tr, vm, lt.history[vm.Subscription], k, window)
-	return f
-}
-
-// featuresInto fills a caller-provided featureDim-length buffer; h is the
-// VM's subscription history (nil when it has none), looked up by the
-// caller so the batched prediction path pays for it once per VM.
+// featuresInto fills a caller-provided featureDim-length buffer with the
+// feature vector for one (VM, resource, window); h is the VM's
+// subscription history (nil when it has none), looked up by the caller
+// so the batched prediction path pays for it once per VM.
 func (lt *LongTerm) featuresInto(f []float64, tr *trace.Trace, vm *trace.VM, h *subscriptionHistory, k resources.Kind, window int) {
 	f[0] = vm.Cores()
 	f[1] = vm.MemoryGB()

@@ -33,8 +33,9 @@ func referencePredict(lt *LongTerm, tr *trace.Trace, vm *trace.VM) (coachvm.Pred
 	for _, k := range resources.Kinds {
 		pred.Pct[k] = make([]float64, lt.cfg.Windows.PerDay)
 		pred.Max[k] = make([]float64, lt.cfg.Windows.PerDay)
+		feats := make([]float64, featureDim)
 		for w := 0; w < lt.cfg.Windows.PerDay; w++ {
-			feats := lt.features(tr, vm, k, w)
+			lt.featuresInto(feats, tr, vm, lt.history[vm.Subscription], k, w)
 			pred.Pct[k][w] = quantize(lt.pctForest[k].Predict(feats), lt.cfg.SafetyBuckets)
 			pred.Max[k][w] = quantize(lt.maxForest[k].Predict(feats), lt.cfg.SafetyBuckets)
 		}

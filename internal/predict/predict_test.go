@@ -1,13 +1,18 @@
 package predict
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/coach-oss/coach/internal/coachvm"
+	"github.com/coach-oss/coach/internal/mlforest"
 	"github.com/coach-oss/coach/internal/mllstm"
 	"github.com/coach-oss/coach/internal/resources"
+	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
@@ -447,4 +452,69 @@ func TestPredictBatchIntoAllocations(t *testing.T) {
 			t.Errorf("batch of %d: %d lanes, want sharing between 1 and %d per (VM, tree)", n, lanes, w)
 		}
 	}
+}
+
+// Gob numbers each type the first time a process encodes it, and the
+// numbers are part of the bytes. Encoding a Forest before any test runs
+// gives its wire types the same numbers in every run of this test
+// binary, so the pinned model hash below does not depend on which tests
+// ran first.
+func init() { _, _ = (&mlforest.Forest{}).GobEncode() }
+
+// TestTrainLongTermAcrossWorkers trains one mini scenario at GOMAXPROCS
+// 1 and 4 and requires the same model bit for bit: every forest's gob
+// bytes and every subscription history's float sums. Training
+// preparation runs on every core and folds its per-VM slots in VM order,
+// so neither may depend on the core count. On amd64 the model is also
+// pinned to its SHA-256 (other architectures may fuse multiply-adds); a
+// change that means to alter the model updates the hash in its own diff.
+func TestTrainLongTermAcrossWorkers(t *testing.T) {
+	sp, err := scenario.Preset("sparse-churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.GenerateScenario(sp.Scaled(300, 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sums [2]string
+	for i, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			lt, err := TrainLongTerm(tr, tr.Horizon/2, DefaultLongTermConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sums[i] = modelSHA256(t, tr, lt)
+		}()
+	}
+	if sums[0] != sums[1] {
+		t.Fatalf("model trained at GOMAXPROCS 1 (%s) differs from GOMAXPROCS 4 (%s)", sums[0], sums[1])
+	}
+	const want = "fbeca22936eb4376bce47a3cab9cb790d840301f335830e41b321bd7badfb094"
+	if runtime.GOARCH == "amd64" && sums[0] != want {
+		t.Errorf("model SHA-256 %s, pinned %s", sums[0], want)
+	}
+}
+
+// modelSHA256 hashes every forest's gob bytes in resource order, then
+// each subscription history in subscription order.
+func modelSHA256(t *testing.T, tr *trace.Trace, lt *LongTerm) string {
+	t.Helper()
+	h := sha256.New()
+	for _, k := range resources.Kinds {
+		for _, f := range [...]*mlforest.Forest{lt.pctForest[k], lt.maxForest[k]} {
+			enc, err := f.GobEncode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Write(enc)
+		}
+	}
+	for sub := range tr.Subscriptions {
+		if sh := lt.history[sub]; sh != nil {
+			fmt.Fprintf(h, "%d %d %v %v\n", sub, sh.count, sh.meanPeak, sh.meanMean)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -27,6 +27,7 @@ import (
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/coachvm"
 	"github.com/coach-oss/coach/internal/fault"
+	"github.com/coach-oss/coach/internal/par"
 	"github.com/coach-oss/coach/internal/predict"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scenario"
@@ -348,40 +349,19 @@ func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, C
 	return tr, cfg, model, nil
 }
 
-// runDecoupled replays every shard to completion independently on the
-// worker pool — the fast path when no inter-shard coupling is possible.
+// runDecoupled replays every shard to completion independently, one
+// shard per par.ForEach index — the fast path when no inter-shard
+// coupling is possible. Errors land by shard index, so the first one
+// reported does not depend on scheduling.
 func runDecoupled(states []*shardState, tr *trace.Trace, cfg Config, workers int) error {
-	runShard := func(st *shardState) error {
+	errs := make([]error, len(states))
+	par.ForEach(workers, len(states), func(i int) {
 		for t := cfg.TrainUpTo; t < tr.Horizon; t++ {
-			if err := st.step(t); err != nil {
-				return err
+			if errs[i] = states[i].step(t); errs[i] != nil {
+				return
 			}
 		}
-		return nil
-	}
-	errs := make([]error, len(states))
-	if workers <= 1 {
-		for i, st := range states {
-			errs[i] = runShard(st)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					errs[i] = runShard(states[i])
-				}
-			}()
-		}
-		for i := range states {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
+	})
 	return firstErr(errs)
 }
 

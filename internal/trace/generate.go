@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/coach-oss/coach/internal/par"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/timeseries"
 )
@@ -101,7 +102,9 @@ func DefaultConfigs() []VMConfig {
 }
 
 // Generate synthesizes a trace. The same config always yields the same
-// trace: every VM derives its own rand stream from (Seed, VM ID).
+// trace: every VM derives its own rand stream from (Seed, VM ID) and
+// writes only its own record, so VMs synthesize on every core and the
+// trace is byte-identical for any GOMAXPROCS.
 func Generate(cfg GenConfig) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -124,11 +127,16 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	}
 
 	tr.VMs = make([]VM, cfg.VMs)
-	for i := range tr.VMs {
-		vmRng := rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15)))
-		tr.VMs[i] = generateVM(cfg, tr, i, vmRng)
-	}
+	par.ForEach(0, len(tr.VMs), func(i int) {
+		tr.VMs[i] = generateVM(cfg, tr, i, vmRand(cfg.Seed, i))
+	})
 	return tr, nil
+}
+
+// vmRand returns VM id's own rand stream, derived from (seed, id) alone
+// so no VM's draws depend on another's or on which worker synthesizes it.
+func vmRand(seed int64, id int) *rand.Rand {
+	return rand.New(rand.NewSource(seed ^ int64(uint64(id+1)*0x9e3779b97f4a7c15)))
 }
 
 // defaultArchetypeWeights bias subscription archetypes toward the

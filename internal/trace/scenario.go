@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"github.com/coach-oss/coach/internal/par"
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/timeseries"
 )
@@ -18,7 +19,9 @@ import (
 // working-set draw re-centering memory, and surge windows lifting the
 // diurnal amplitude). The same spec always yields the same trace: class
 // arrival streams derive from (Seed, class) and every VM derives its
-// own rand stream from (Seed, VM ID). See docs/DESIGN.md §11.
+// own rand stream from (Seed, VM ID), so VMs synthesize on every core
+// and the trace is byte-identical for any GOMAXPROCS. See
+// docs/DESIGN.md §11.
 func GenerateScenario(spec *scenario.Spec) (*Trace, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -71,10 +74,10 @@ func GenerateScenario(spec *scenario.Spec) (*Trace, error) {
 	})
 
 	tr.VMs = make([]VM, len(evs))
-	for id, e := range evs {
-		vmRng := rand.New(rand.NewSource(spec.Seed ^ int64(uint64(id+1)*0x9e3779b97f4a7c15)))
-		tr.VMs[id] = generateScenarioVM(spec, tr, id, e.class, e.t, vmRng)
-	}
+	par.ForEach(0, len(evs), func(id int) {
+		e := evs[id]
+		tr.VMs[id] = generateScenarioVM(spec, tr, id, e.class, e.t, vmRand(spec.Seed, id))
+	})
 	return tr, nil
 }
 

@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/coach-oss/coach/internal/scenario"
@@ -38,27 +42,63 @@ func TestGenerateScenarioValid(t *testing.T) {
 	}
 }
 
-// TestGenerateScenarioDeterministic gob-serializes two independent
-// generations of the same spec and requires byte identity — stronger
-// than field spot checks, and exactly what the replay tooling relies
-// on when loadgen and the simulator regenerate the trace separately.
+// TestGenerateScenarioDeterministic gob-serializes generations of the
+// same spec at GOMAXPROCS 1 and 8 and requires byte identity — stronger
+// than field spot checks, and exactly what the replay tooling relies on
+// when loadgen and the simulator regenerate the trace separately, on
+// hosts with different core counts.
 func TestGenerateScenarioDeterministic(t *testing.T) {
 	for _, name := range scenario.PresetNames {
 		t.Run(name, func(t *testing.T) {
 			var bufs [2]bytes.Buffer
-			for i := range bufs {
-				tr, err := GenerateScenario(miniSpec(t, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := tr.Save(&bufs[i]); err != nil {
-					t.Fatal(err)
-				}
+			for i, procs := range []int{1, 8} {
+				withProcs(procs, func() {
+					tr, err := GenerateScenario(miniSpec(t, name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := tr.Save(&bufs[i]); err != nil {
+						t.Fatal(err)
+					}
+				})
 			}
 			if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
-				t.Fatal("same spec produced different trace bytes")
+				t.Fatal("same spec produced different trace bytes at GOMAXPROCS 1 and 8")
 			}
 		})
+	}
+}
+
+// Gob numbers each type the first time a process encodes it, and the
+// numbers are part of the bytes. Encoding a Trace before any test runs
+// gives its types the same numbers in every run of this test binary, so
+// the pinned hashes below do not depend on which tests ran first.
+func init() { _ = (&Trace{}).Save(io.Discard) }
+
+// TestTraceFingerprint pins the SHA-256 of two mini traces' Save bytes,
+// so "synthesis is unchanged" is a check, not a claim. A change that
+// means to alter generated traces updates these hashes in its own diff.
+// Other architectures may fuse multiply-adds and round differently, so
+// the pins hold on amd64 only.
+func TestTraceFingerprint(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("fingerprints are pinned on amd64, not %s", runtime.GOARCH)
+	}
+	for name, want := range map[string]string{
+		"capacity":     "5ab15e0c3406c0827b6d3615308aea1646b9e9d8df547f8428f9746cf6f83db1",
+		"sparse-churn": "89548c3f902593022be7b5d047a0aa611bcd369e1e889ae317498577e83b2c06",
+	} {
+		tr, err := GenerateScenario(miniSpec(t, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+			t.Errorf("%s trace SHA-256 %s, pinned %s", name, got, want)
+		}
 	}
 }
 

@@ -238,7 +238,8 @@ func (tr *Trace) Validate() error {
 				return fmt.Errorf("trace: vm %d %v series has %d samples, want %d", vm.ID, k, got, want)
 			}
 			for _, u := range vm.Util[k] {
-				if u < 0 || u > 1 {
+				// Negated so NaN, which fails every comparison, is rejected too.
+				if !(u >= 0 && u <= 1) {
 					return fmt.Errorf("trace: vm %d %v utilization %f outside [0,1]", vm.ID, k, u)
 				}
 			}

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -76,33 +78,33 @@ func TestGenerateValidates(t *testing.T) {
 	}
 }
 
+// TestGenerateDeterministic generates the same config at GOMAXPROCS 1
+// and 8 and requires byte-identical Save output: VMs synthesize on every
+// core, and no VM may see another's draws or the worker count.
 func TestGenerateDeterministic(t *testing.T) {
 	cfg := DefaultGenConfig()
-	cfg.VMs = 50
-	a, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.VMs) != len(b.VMs) {
-		t.Fatal("different VM counts")
-	}
-	for i := range a.VMs {
-		av, bv := &a.VMs[i], &b.VMs[i]
-		if av.Start != bv.Start || av.End != bv.End || av.Alloc != bv.Alloc || av.Subscription != bv.Subscription {
-			t.Fatalf("vm %d differs between runs", i)
-		}
-		for _, k := range resources.Kinds {
-			for j := range av.Util[k] {
-				if av.Util[k][j] != bv.Util[k][j] {
-					t.Fatalf("vm %d %v sample %d differs", i, k, j)
-				}
+	cfg.VMs = 200
+	var bufs [2]bytes.Buffer
+	for i, procs := range []int{1, 8} {
+		withProcs(procs, func() {
+			tr, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if err := tr.Save(&bufs[i]); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
+	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
+		t.Fatal("same config produced different trace bytes at GOMAXPROCS 1 and 8")
+	}
+}
+
+// withProcs runs f at the given GOMAXPROCS and restores the old value.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
 }
 
 func TestCalibrationLongRunningShare(t *testing.T) {
@@ -240,6 +242,11 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	tr.VMs[0].Util[0][0] = 1.5
 	if err := tr.Validate(); err == nil {
 		t.Error("out-of-range utilization must fail validation")
+	}
+	tr, _ = Generate(cfg)
+	tr.VMs[0].Util[1][0] = math.NaN()
+	if err := tr.Validate(); err == nil {
+		t.Error("NaN utilization must fail validation")
 	}
 	tr, _ = Generate(cfg)
 	tr.VMs[0].Config = 999
