@@ -24,7 +24,9 @@
 // §10); results stay byte-identical for any -workers value.
 //
 // -mitigation, -mitigation-mode, -dp-pool-frac and -cross-shard
-// configure the data plane and are rejected without -data-plane.
+// configure the data plane and are rejected without -data-plane, like a
+// -percentile outside [0, 100] or a -fleet-frac that is not positive
+// (exit 2).
 package main
 
 import (
@@ -85,6 +87,18 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&o.crossShard, "cross-shard", false, "let completed live migrations land in other cluster shards via the sample-boundary exchange (requires -data-plane)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
+	}
+	// Negated comparisons also reject NaN.
+	var bad error
+	switch {
+	case !(o.percentile >= 0 && o.percentile <= 100):
+		bad = fmt.Errorf("-percentile %v outside [0, 100]", o.percentile)
+	case !(o.fleetFrac > 0):
+		bad = fmt.Errorf("-fleet-frac %v must be positive", o.fleetFrac)
+	}
+	if bad != nil {
+		fmt.Fprintln(fs.Output(), bad)
+		return o, bad
 	}
 	if !o.dataPlane {
 		var set []string

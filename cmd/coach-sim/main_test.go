@@ -93,6 +93,12 @@ func TestFlagErrors(t *testing.T) {
 		{"-data-plane", "-mitigation-mode", "Psychic"},
 		{"-workers", "many"},
 		{"-no-such-flag"},
+		// Out-of-range values main would otherwise replace with the
+		// policy default or reject late with a misleading error.
+		{"-percentile", "-5"},
+		{"-percentile", "101"},
+		{"-fleet-frac", "-1"},
+		{"-fleet-frac", "0"},
 		// Data-plane flags set without -data-plane, even to their
 		// defaults or to values main would reject later.
 		{"-mitigation", "Bogus"},

@@ -354,9 +354,10 @@ func (lt *LongTerm) Predict(tr *trace.Trace, vm *trace.VM) (coachvm.Prediction, 
 }
 
 // PredictBatchInto predicts a batch of VMs, writing into caller-owned
-// slices (both len(vms), entries fully overwritten) so a steady-state
-// caller — the simulator's look-ahead reuses per-shard scratch — pays no
-// per-batch result allocation beyond the prediction windows themselves.
+// slices (both len(vms), entries fully overwritten) so a caller — the
+// simulator's arrival phase fills each shard's prediction slots 64 at a
+// time — pays no per-batch result allocation beyond the prediction
+// windows themselves.
 //
 // A VM that has already run for at least a day within the training period
 // is predicted from its own observed utilization (the platform telemetry

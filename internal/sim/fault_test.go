@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/coach-oss/coach/internal/cluster"
+	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/trace"
@@ -81,5 +82,61 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 				t.Fatalf("%s diverges from the reference under faults: %+v", v.name, summary(first))
 			}
 		})
+	}
+}
+
+// TestTrainFailDegradedReplay runs the train-fail fault: Policy is Coach
+// but no model exists, so every arrival is placed on its fully guaranteed
+// split and none is judged. The arrival phase must still list every
+// arrival's change points without a model — the reference's full
+// recomputation would otherwise see demand changes the event queue
+// missed — so Run matches runReference byte for byte at Workers 1 and 8.
+func TestTrainFailDegradedReplay(t *testing.T) {
+	full, err := scenario.Preset("sparse-churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := full.Scaled(300, 30)
+	tr, err := trace.GenerateScenario(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := cluster.NewFleet(cluster.DefaultClusters(3))
+	cfg := ConfigForPolicy(scheduler.PolicyCoach)
+	cfg.TrainUpTo = tr.Horizon / 2
+	sizes := make([]int, fleet.NumClusters())
+	for i, g := range fleet.Shards() {
+		sizes[i] = len(g)
+	}
+	if cfg.Faults, err = fault.Compile([]scenario.Fault{{Kind: "train-fail"}}, sp.Seed, sizes, tr.Horizon-cfg.TrainUpTo); err != nil {
+		t.Fatal(err)
+	}
+
+	var golden []byte
+	for _, v := range []struct {
+		name    string
+		run     func(*trace.Trace, *cluster.Fleet, Config) (*Result, error)
+		workers int
+	}{
+		{"reference", runReference, 1},
+		{"workers=1", Run, 1},
+		{"workers=8", Run, 8},
+	} {
+		c := cfg
+		c.Workers = v.workers
+		res, err := v.run(tr, fleet, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Placed == 0 || res.Oversubscribed != 0 || len(res.Outcomes) != 0 {
+			t.Fatalf("%s: degraded replay placed %d, oversubscribed %d, judged %d; want >0, 0, 0",
+				v.name, res.Placed, res.Oversubscribed, len(res.Outcomes))
+		}
+		enc := encodeResult(t, res)
+		if golden == nil {
+			golden = enc
+		} else if !bytes.Equal(golden, enc) {
+			t.Fatalf("%s diverges from the reference under train-fail: %+v", v.name, summary(res))
+		}
 	}
 }

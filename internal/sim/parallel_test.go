@@ -11,7 +11,8 @@ import (
 // TestRunDeterministicAcrossWorkers is the hard requirement of the sharded
 // engine: the merged Result — counters, peak server usage, and Outcomes
 // (sorted by VMID) — must be identical whether shards replay serially or
-// on any number of workers.
+// on any number of workers, including Workers 0 (GOMAXPROCS), the
+// default the benchmark runs.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	tr, fleet := fixtures(t)
 	for _, p := range []scheduler.PolicyKind{scheduler.PolicyCoach, scheduler.PolicyNone} {
@@ -33,7 +34,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		}
 
 		var base *Result
-		for _, workers := range []int{1, 2, 8} {
+		for _, workers := range []int{1, 2, 8, 0} {
 			cfg.Workers = workers
 			res, err := Run(tr, fleet, cfg)
 			if err != nil {

@@ -20,9 +20,10 @@ type placementLedger struct {
 	Outcomes                                    []VMOutcome
 }
 
-// replayPerArrival computes the placement ledger the way step did before
-// look-ahead prediction: one LongTerm.Predict + BuildCVM + Place per
-// arrival, in event order, with crashes evicting and re-placing VMs in
+// replayPerArrival computes the placement ledger the way the tick loop
+// did before the arrival and judging phases: one LongTerm.Predict +
+// BuildCVM + Place per arrival, in event order, each outcome judged from
+// the placed CVM at once, with crashes evicting and re-placing VMs in
 // ascending id order at the top of their tick.
 func replayPerArrival(t *testing.T, tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (placementLedger, int) {
 	t.Helper()
@@ -82,13 +83,14 @@ func replayPerArrival(t *testing.T, tr *trace.Trace, fleet *cluster.Fleet, cfg C
 	return led, replaced
 }
 
-// TestLookAheadPredictionMatchesPerArrival pins step's look-ahead
-// prediction to the per-arrival path. Three shards: one with exactly
-// lookAhead arrivals, one with more than two buffers' worth on too few
-// servers (rejections), and one whose arrivals interleave with server
-// crashes and the re-admissions they trigger. The reference replay and
-// Run at Workers 1 and 4.
-func TestLookAheadPredictionMatchesPerArrival(t *testing.T) {
+// TestArrivalPhaseMatchesPerArrival pins the arrival and judging phases
+// to the per-arrival path, under Coach and under Single, whose CVMs
+// carry collapsed windows instead of the raw prediction. Three shards:
+// one with exactly lookAhead arrivals, one with more than two spans'
+// worth on too few servers (rejections), and one whose arrivals
+// interleave with server crashes and the re-admissions they trigger. The
+// reference replay and Run at Workers 1 and 4.
+func TestArrivalPhaseMatchesPerArrival(t *testing.T) {
 	gen := trace.DefaultGenConfig()
 	gen.VMs = 800
 	gen.Subscriptions = 30
@@ -152,39 +154,47 @@ func TestLookAheadPredictionMatchesPerArrival(t *testing.T) {
 		t.Fatalf("fixture arrivals per shard = %v, want %d, >%d, >%d", arrivals, lookAhead, 2*lookAhead, lookAhead)
 	}
 
-	want, replaced := replayPerArrival(t, &tr, fleet, cfg)
-	if want.Rejected == 0 || want.Oversubscribed == 0 || replaced == 0 {
-		t.Fatalf("vacuous fixture: %d rejected, %d oversubscribed, %d re-admitted", want.Rejected, want.Oversubscribed, replaced)
-	}
+	// Single judges the same trained model's predictions after collapsing
+	// their windows.
+	for _, policy := range []scheduler.PolicyKind{scheduler.PolicyCoach, scheduler.PolicySingle} {
+		cfg := cfg
+		cfg.Policy = policy
+		t.Run(policy.String(), func(t *testing.T) {
+			want, replaced := replayPerArrival(t, &tr, fleet, cfg)
+			if want.Rejected == 0 || want.Oversubscribed == 0 || replaced == 0 {
+				t.Fatalf("vacuous fixture: %d rejected, %d oversubscribed, %d re-admitted", want.Rejected, want.Oversubscribed, replaced)
+			}
 
-	var first *Result
-	for _, v := range []struct {
-		name    string
-		run     func(*trace.Trace, *cluster.Fleet, Config) (*Result, error)
-		workers int
-	}{
-		{"reference", runReference, 1},
-		{"workers=1", Run, 1},
-		{"workers=4", Run, 4},
-	} {
-		c := cfg
-		c.Workers = v.workers
-		res, err := v.run(&tr, fleet, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := placementLedger{res.Requested, res.Placed, res.Rejected, res.Oversubscribed, res.Outcomes}
-		if !reflect.DeepEqual(got, want) {
-			got.Outcomes, want.Outcomes = nil, nil
-			t.Fatalf("%s: ledger %+v, per-arrival replay %+v (or outcomes differ)", v.name, got, want)
-		}
-		if res.Faults == nil || res.Faults.ReplacedVMs != replaced {
-			t.Fatalf("%s: faults %+v, per-arrival replay re-admitted %d", v.name, res.Faults, replaced)
-		}
-		if first == nil {
-			first = res
-		} else if !reflect.DeepEqual(res, first) {
-			t.Fatalf("%s: Result differs from the reference", v.name)
-		}
+			var first *Result
+			for _, v := range []struct {
+				name    string
+				run     func(*trace.Trace, *cluster.Fleet, Config) (*Result, error)
+				workers int
+			}{
+				{"reference", runReference, 1},
+				{"workers=1", Run, 1},
+				{"workers=4", Run, 4},
+			} {
+				c := cfg
+				c.Workers = v.workers
+				res, err := v.run(&tr, fleet, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := placementLedger{res.Requested, res.Placed, res.Rejected, res.Oversubscribed, res.Outcomes}
+				if !reflect.DeepEqual(got, want) {
+					got.Outcomes, want.Outcomes = nil, nil
+					t.Fatalf("%s: ledger %+v, per-arrival replay %+v (or outcomes differ)", v.name, got, want)
+				}
+				if res.Faults == nil || res.Faults.ReplacedVMs != replaced {
+					t.Fatalf("%s: faults %+v, per-arrival replay re-admitted %d", v.name, res.Faults, replaced)
+				}
+				if first == nil {
+					first = res
+				} else if !reflect.DeepEqual(res, first) {
+					t.Fatalf("%s: Result differs from the reference", v.name)
+				}
+			}
+		})
 	}
 }

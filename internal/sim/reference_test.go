@@ -14,7 +14,7 @@ import (
 
 // runReference is the replay the event-driven core is checked against.
 // It drives the same shard states Run builds — the same arrive,
-// dataPlaneTick, exchangeMigrations, finish and merge — serially, one
+// dataPlaneTick, exchangeMigrations and seal — serially, one
 // tick of every shard at a time with the exchange after each, but
 // replaces each shard's incremental bookkeeping with full recomputation
 // (referenceAdvance): every placed VM is visited, every frame walked and
@@ -44,11 +44,7 @@ func runReference(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, e
 			return nil, err
 		}
 	}
-	results := make([]*shardResult, len(states))
-	for i, st := range states {
-		results[i] = st.finish()
-	}
-	return merge(cfg, results, tr.Horizon-cfg.TrainUpTo), nil
+	return seal(states, cfg, tr.Horizon-cfg.TrainUpTo), nil
 }
 
 // referenceAdvance is advance by full recomputation. The delta pass

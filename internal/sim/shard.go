@@ -47,7 +47,8 @@ type shardResult struct {
 // buildShards partitions the fleet into one replay state per cluster —
 // its core.Shard (scheduler, plus data plane and migration engine when
 // Config.DataPlane is set) and the event stream of the VMs homed there —
-// at the start of the evaluation period. Clusters never share VMs in the
+// at the start of the evaluation period, then fills every shard's
+// arrival slots (arrivalPhase). Clusters never share VMs in the
 // scheduler, so shards exchange no state while ticking and replay
 // concurrently; with cross-shard migration enabled they additionally
 // trade migrated VMs at sample boundaries through the deterministic
@@ -68,7 +69,7 @@ func buildShards(tr *trace.Trace, fleet *cluster.Fleet, model *predict.LongTerm,
 		if err != nil {
 			return nil, err
 		}
-		states[i] = newShardState(sh, tr, model, cfg)
+		states[i] = newShardState(sh, tr, cfg)
 	}
 	for i := range tr.VMs {
 		vm := &tr.VMs[i]
@@ -90,6 +91,7 @@ func buildShards(tr *trace.Trace, fleet *cluster.Fleet, model *predict.LongTerm,
 			return !evs[i].arrival && evs[j].arrival
 		})
 	}
+	arrivalPhase(states, tr, model, cfg.Workers)
 	return states, nil
 }
 
@@ -102,7 +104,8 @@ type placedRec struct {
 	last resources.Vector
 	// changes and nextCh drive the event queue: changes is the VM's
 	// utilization change-point list (trace.VM.ChangePoints, computed once
-	// at placement) and nextCh the cursor of the next unscheduled one.
+	// by the arrival phase) and nextCh the cursor of the next unscheduled
+	// one.
 	changes []int32
 	nextCh  int
 }
@@ -129,7 +132,6 @@ type shardState struct {
 	sh     *core.Shard
 	events []event
 	tr     *trace.Trace
-	model  *predict.LongTerm
 	cfg    Config
 	sr     *shardResult
 
@@ -154,13 +156,15 @@ type shardState struct {
 	// sample-boundary exchange.
 	outbox []migRequest
 
-	// Look-ahead prediction (see nextPrediction): aheadVMs are the next
-	// arrivals of the event stream, aheadPreds/aheadOKs their predictions
-	// and aheadNext the first one not yet consumed.
-	aheadVMs   []*trace.VM
-	aheadPreds [lookAhead]coachvm.Prediction
-	aheadOKs   [lookAhead]bool
-	aheadNext  int
+	// Arrival slots, filled by arrivalPhase: preds[a], oks[a] and
+	// changes[a] are the a-th arrival's prediction and change points; ai
+	// is the next slot arrive consumes. judged lists the placed,
+	// oversubscribed VMs whose outcomes judgePhase computes.
+	preds   []coachvm.Prediction
+	oks     []bool
+	changes [][]int32
+	ai      int
+	judged  []judgement
 
 	// dpRes accumulates the shard's data-plane result (nil unless
 	// Config.DataPlane); obs[i] caches steady server i's per-tick
@@ -195,15 +199,15 @@ type shardState struct {
 }
 
 // newShardState builds a shard's replay state at the start of the
-// evaluation period; buildShards fills in its event stream.
-func newShardState(sh *core.Shard, tr *trace.Trace, model *predict.LongTerm, cfg Config) *shardState {
+// evaluation period; buildShards fills in its event stream and arrival
+// slots.
+func newShardState(sh *core.Shard, tr *trace.Trace, cfg Config) *shardState {
 	ticks := tr.Horizon - cfg.TrainUpTo
 	st := &shardState{
-		sh:    sh,
-		tr:    tr,
-		model: model,
-		cfg:   cfg,
-		sr:    &shardResult{usedByTick: make([]int, ticks)},
+		sh:  sh,
+		tr:  tr,
+		cfg: cfg,
+		sr:  &shardResult{usedByTick: make([]int, ticks)},
 		// VM ids are indices into tr.VMs (Run checks), so one flat slice
 		// indexes every VM the shard can see.
 		pos: make([]int32, len(tr.VMs)),
@@ -303,7 +307,11 @@ func (st *shardState) arrive(t int) error {
 			continue
 		}
 		st.sr.requested++
-		pred, ok := st.nextPrediction()
+		a := st.ai
+		st.ai++
+		pred, ok, changes := st.preds[a], st.oks[a], st.changes[a]
+		// Cleared slots keep departed VMs' predictions collectable.
+		st.preds[a], st.changes[a] = coachvm.Prediction{}, nil
 		cvm, err := scheduler.BuildCVM(st.cfg.Policy, ev.vm.ID, ev.vm.Alloc, pred, ok, st.cfg.Windows)
 		if err != nil {
 			return err
@@ -321,11 +329,11 @@ func (st *shardState) arrive(t int) error {
 		st.sr.placed++
 		// The new record's demand applies this tick via its slot;
 		// scheduleNext (in the delta pass) queues the rest of its life.
-		st.track(placedRec{vm: ev.vm, srv: srv, changes: ev.vm.ChangePoints()})
+		st.track(placedRec{vm: ev.vm, srv: srv, changes: changes})
 		st.slots = append(st.slots, ev.vm.ID)
 		if ok && st.cfg.Policy != scheduler.PolicyNone {
 			st.sr.oversubscribed++
-			st.sr.outcomes = append(st.sr.outcomes, outcome(ev.vm, cvm, st.cfg))
+			st.judged = append(st.judged, judgement{ev.vm, cvm})
 		}
 	}
 	return nil
@@ -352,38 +360,6 @@ func (st *shardState) advance(t int) error {
 	st.sr.usedByTick[t-st.cfg.TrainUpTo] = st.used
 	st.settleContention()
 	return nil
-}
-
-// lookAhead is how many arrivals a shard predicts in one forest pass.
-const lookAhead = 64
-
-// nextPrediction returns the prediction for the arrival event step just
-// consumed. A VM's prediction is a pure function of (model, trace, VM) —
-// it depends neither on fleet state nor on what it is batched with — so
-// it is hoisted out of the ordered placement commit: when the buffer runs
-// dry, the current and the following arrivals of the shard's (fixed)
-// event stream, lookAhead in all, go through one PredictBatchInto and are
-// then consumed in event order.
-func (st *shardState) nextPrediction() (coachvm.Prediction, bool) {
-	if st.model == nil {
-		return coachvm.Prediction{}, false
-	}
-	if st.aheadNext == len(st.aheadVMs) {
-		st.aheadVMs, st.aheadNext = st.aheadVMs[:0], 0
-		for _, ev := range st.events[st.ei-1:] {
-			if len(st.aheadVMs) == lookAhead {
-				break
-			}
-			if ev.arrival {
-				st.aheadVMs = append(st.aheadVMs, ev.vm)
-			}
-		}
-		n := len(st.aheadVMs)
-		st.model.PredictBatchInto(st.tr, st.aheadVMs, st.aheadPreds[:n], st.aheadOKs[:n])
-	}
-	i := st.aheadNext
-	st.aheadNext++
-	return st.aheadPreds[i], st.aheadOKs[i]
 }
 
 // eventDeltaPass is the demand pass: only VMs with a pending change

@@ -19,9 +19,7 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
@@ -59,8 +57,9 @@ type Config struct {
 	// (§4.3: "CPU contention occurs when demand exceeds 50% of the
 	// server capacity" — the hyperthread-sharing threshold).
 	CPUContentionFrac float64
-	// Workers bounds how many cluster shards are replayed concurrently.
-	// 0 (the default) uses runtime.GOMAXPROCS(0); 1 replays serially.
+	// Workers bounds how many goroutines replay cluster shards and run
+	// the arrival and judging phases around the replay. 0 (the default)
+	// uses runtime.GOMAXPROCS(0); 1 runs everything serially.
 	// The merged Result is byte-identical for any value.
 	Workers int
 	// Model optionally supplies a pre-trained long-term predictor to
@@ -256,14 +255,6 @@ func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(states) {
-		workers = len(states)
-	}
-
 	// Cross-shard migration couples shards at sample boundaries; without
 	// it shards stay closed worlds and replay to completion without
 	// barriers. Both paths produce byte-identical Results for any worker
@@ -271,19 +262,25 @@ func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
 	exchanging := cfg.DataPlane && cfg.CrossShardMigration &&
 		cfg.MitigationPolicy == agent.PolicyMigrate && len(states) > 1
 	if exchanging {
-		err = runExchanging(states, tr, cfg, workers)
+		err = runExchanging(states, tr, cfg)
 	} else {
-		err = runDecoupled(states, tr, cfg, workers)
+		err = runDecoupled(states, tr, cfg)
 	}
 	if err != nil {
 		return nil, err
 	}
+	return seal(states, cfg, tr.Horizon-cfg.TrainUpTo), nil
+}
 
+// seal ends a replay: the judging phase scores the placed VMs, then every
+// shard's result is finished and merged.
+func seal(states []*shardState, cfg Config, ticks int) *Result {
+	judgePhase(states, cfg)
 	results := make([]*shardResult, len(states))
 	for i, st := range states {
 		results[i] = st.finish()
 	}
-	return merge(cfg, results, tr.Horizon-cfg.TrainUpTo), nil
+	return merge(cfg, results, ticks)
 }
 
 // prepare resolves a Run's inputs: it generates the trace from
@@ -353,9 +350,9 @@ func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, C
 // shard per par.ForEach index — the fast path when no inter-shard
 // coupling is possible. Errors land by shard index, so the first one
 // reported does not depend on scheduling.
-func runDecoupled(states []*shardState, tr *trace.Trace, cfg Config, workers int) error {
+func runDecoupled(states []*shardState, tr *trace.Trace, cfg Config) error {
 	errs := make([]error, len(states))
-	par.ForEach(workers, len(states), func(i int) {
+	par.ForEach(cfg.Workers, len(states), func(i int) {
 		for t := cfg.TrainUpTo; t < tr.Horizon; t++ {
 			if errs[i] = states[i].step(t); errs[i] != nil {
 				return
@@ -366,29 +363,14 @@ func runDecoupled(states []*shardState, tr *trace.Trace, cfg Config, workers int
 }
 
 // runExchanging advances every shard one 5-minute sample in parallel,
-// then applies the cross-shard migration exchange at the sample boundary
-// — the ordered-parallelism discipline: compute in parallel, trade state
-// only at the barrier, in one deterministic order.
-func runExchanging(states []*shardState, tr *trace.Trace, cfg Config, workers int) error {
+// one shard per par.ForEach index, then applies the cross-shard
+// migration exchange at the sample boundary — the ordered-parallelism
+// discipline: compute in parallel, trade state only at the barrier, in
+// one deterministic order.
+func runExchanging(states []*shardState, tr *trace.Trace, cfg Config) error {
 	errs := make([]error, len(states))
-	var wg sync.WaitGroup
 	for t := cfg.TrainUpTo; t < tr.Horizon; t++ {
-		if workers <= 1 {
-			for i, st := range states {
-				errs[i] = st.step(t)
-			}
-		} else {
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := w; i < len(states); i += workers {
-						errs[i] = states[i].step(t)
-					}
-				}(w)
-			}
-			wg.Wait()
-		}
+		par.ForEach(cfg.Workers, len(states), func(i int) { errs[i] = states[i].step(t) })
 		if err := firstErr(errs); err != nil {
 			return err
 		}
