@@ -12,6 +12,7 @@ package coach
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -301,9 +302,9 @@ func BenchmarkServeAdmit(b *testing.B) {
 
 // BenchmarkForestTrain measures the columnar pre-sorted training engine
 // (docs/DESIGN.md §8) on small (3k-row) and large (20k-row) trace-shaped
-// training sets at 1/2/4/8 tree-growth workers. The trained forest is
-// byte-identical for any worker count, so the sub-benchmarks differ only
-// in throughput. Before/after numbers against the seed engine are
+// training sets at GOMAXPROCS 1/2/4/8 (one tree builder per core). The
+// trained forest is byte-identical for any core count, so the
+// sub-benchmarks differ only in throughput. Before/after numbers against the seed engine are
 // recorded in BENCH_forest.json; on a single-CPU host extra workers show
 // no wall-clock win (the pool adds negligible overhead), while the
 // algorithmic rewrite alone is the ≥2× single-threaded speedup.
@@ -318,8 +319,8 @@ func BenchmarkForestTrain(b *testing.B) {
 		data := mlforest.TraceLikeSamples(size.rows, 11)
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers=%d", size.name, workers), func(b *testing.B) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 				cfg := mlforest.DefaultForestConfig()
-				cfg.Workers = workers
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -5,7 +5,7 @@
 //
 //	coach-experiments [-scale small|medium|full] [-preset NAME|spec.txt]
 //	                  [-run id[,id...]] [-parallel n]
-//	                  [-train-workers n] [-markdown] [-list]
+//	                  [-markdown] [-list]
 //
 // Experiments are independent, so -parallel n runs up to n of them
 // concurrently over a shared context (n <= 0 uses GOMAXPROCS). Output is
@@ -14,14 +14,10 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 
 	"github.com/coach-oss/coach/internal/experiments"
 	"github.com/coach-oss/coach/internal/scenario"
@@ -34,7 +30,6 @@ func main() {
 	parallel := flag.Int("parallel", 1, "experiments to run concurrently (<=0: GOMAXPROCS)")
 	markdown := flag.Bool("markdown", false, "emit Markdown (EXPERIMENTS.md format)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	trainWorkers := flag.Int("train-workers", 0, "goroutines growing forest trees during model training (0 = GOMAXPROCS); output is identical for any value")
 	flag.Parse()
 
 	if *list {
@@ -61,16 +56,7 @@ func main() {
 		}
 	}
 
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(selected) {
-		workers = len(selected)
-	}
-
 	ctx := experiments.NewContext(s)
-	ctx.TrainWorkers = *trainWorkers
 	if *preset != "" {
 		sp, err := scenario.Load(*preset)
 		if err != nil {
@@ -78,66 +64,9 @@ func main() {
 		}
 		ctx.Scenario = s.ScenarioSpec(sp)
 	}
-	outs := make([]bytes.Buffer, len(selected))
-	errs := make([]error, len(selected))
-	if workers <= 1 {
-		// Serial: stream directly so progress is visible as it happens.
-		for _, e := range selected {
-			if err := runOne(ctx, e, *markdown, os.Stdout); err != nil {
-				fatal(err)
-			}
-		}
-		return
+	if err := experiments.Write(os.Stdout, ctx, selected, *parallel, *markdown); err != nil {
+		fatal(err)
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = runOne(ctx, selected[i], *markdown, &outs[i])
-			}
-		}()
-	}
-	for i := range selected {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for i := range selected {
-		if errs[i] != nil {
-			fatal(errs[i])
-		}
-		if _, err := outs[i].WriteTo(os.Stdout); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// runOne renders one experiment's header and tables to w.
-func runOne(ctx *experiments.Context, e experiments.Experiment, markdown bool, w io.Writer) error {
-	if markdown {
-		fmt.Fprintf(w, "## %s (`%s`)\n\n**Paper:** %s\n\n", e.Title, e.ID, e.PaperClaim)
-	} else {
-		fmt.Fprintf(w, "### %s — %s\n", e.ID, e.Title)
-		fmt.Fprintf(w, "paper: %s\n\n", e.PaperClaim)
-	}
-	tables, err := e.Run(ctx)
-	if err != nil {
-		return fmt.Errorf("%s: %w", e.ID, err)
-	}
-	for _, t := range tables {
-		if markdown {
-			err = t.Markdown(w)
-		} else {
-			err = t.Render(w)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func fatal(err error) {

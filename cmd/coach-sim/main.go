@@ -10,7 +10,6 @@
 //	coach-sim [-scale small|medium|full] [-preset NAME|spec.txt]
 //	          [-policy None|Single|Coach|AggrCoach|all]
 //	          [-percentile 95] [-windows 6] [-fleet-frac 0.55] [-workers 0]
-//	          [-train-workers 0]
 //	          [-data-plane] [-mitigation None|Trim|Extend|Migrate|all]
 //	          [-mitigation-mode Reactive|Proactive] [-dp-pool-frac 0.02]
 //	          [-cross-shard]
@@ -54,7 +53,7 @@ type options struct {
 	percentile            float64
 	windows               int
 	fleetFrac             float64
-	workers, trainWorkers int
+	workers               int
 	dataPlane             bool
 	mitigation            string
 	mitigationMode        agent.Mode
@@ -76,7 +75,6 @@ func parseFlags(args []string) (options, error) {
 	fs.IntVar(&o.windows, "windows", 6, "time windows per day")
 	fs.Float64Var(&o.fleetFrac, "fleet-frac", 0.55, "fleet capacity as a fraction of peak demand")
 	fs.IntVar(&o.workers, "workers", 0, "shard replay workers (0 = GOMAXPROCS); results are identical for any value")
-	fs.IntVar(&o.trainWorkers, "train-workers", 0, "goroutines growing forest trees during model training (0 = GOMAXPROCS); the model is identical for any value")
 	fs.BoolVar(&o.dataPlane, "data-plane", false, "run the per-server memory data plane (memsim + agent) during replay")
 	fs.StringVar(&o.mitigation, "mitigation", "all", "mitigation policy: None, Trim, Extend, Migrate or all (requires -data-plane)")
 	fs.Func("mitigation-mode", "mitigation triggering: Reactive (default) or Proactive; Proactive builds and trains a per-server LSTM forecaster (requires -data-plane)", func(v string) (err error) {
@@ -124,7 +122,6 @@ func simConfig(o options, p scheduler.PolicyKind, horizon int) sim.Config {
 	cfg.Windows = timeseries.Windows{PerDay: o.windows}
 	cfg.TrainUpTo = horizon / 2
 	cfg.Workers = o.workers
-	cfg.LongTerm.Forest.Workers = o.trainWorkers
 	if o.percentile > 0 {
 		cfg.Percentile = o.percentile
 	}
@@ -151,7 +148,6 @@ func main() {
 		fatal(err)
 	}
 	ctx := experiments.NewContext(s)
-	ctx.TrainWorkers = o.trainWorkers
 	if o.preset != "" {
 		sp, err := scenario.Load(o.preset)
 		if err != nil {
@@ -214,10 +210,7 @@ func main() {
 	// The mitigation policy never affects training: train the predictor
 	// once and share it across the sweep.
 	if p != scheduler.PolicyNone {
-		ltCfg := cfg.LongTerm
-		ltCfg.Windows = cfg.Windows
-		ltCfg.Percentile = cfg.Percentile
-		model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, ltCfg)
+		model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig())
 		if err != nil {
 			fatal(err)
 		}

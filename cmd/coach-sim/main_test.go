@@ -22,11 +22,8 @@ func TestFlagsToConfig(t *testing.T) {
 		want   func(*sim.Config)
 	}{
 		{"defaults", nil, scheduler.PolicyCoach, func(*sim.Config) {}},
-		{"workers", []string{"-workers", "4", "-train-workers", "2"}, scheduler.PolicyCoach,
-			func(c *sim.Config) {
-				c.Workers = 4
-				c.LongTerm.Forest.Workers = 2
-			}},
+		{"workers", []string{"-workers", "4"}, scheduler.PolicyCoach,
+			func(c *sim.Config) { c.Workers = 4 }},
 		{"windows and percentile override", []string{"-windows", "4", "-percentile", "90"}, scheduler.PolicyAggrCoach,
 			func(c *sim.Config) {
 				c.Windows = timeseries.Windows{PerDay: 4}
@@ -92,6 +89,9 @@ func TestFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-data-plane", "-mitigation-mode", "Psychic"},
 		{"-workers", "many"},
+		// Training always uses every core: the forest is identical for
+		// any count, so there is no knob.
+		{"-train-workers", "2"},
 		{"-no-such-flag"},
 		// Out-of-range values main would otherwise replace with the
 		// policy default or reject late with a misleading error.

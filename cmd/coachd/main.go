@@ -8,7 +8,7 @@
 //
 //	coachd [-addr :8080] [-scale small|medium|full] [-scenario NAME|spec.txt]
 //	       [-servers N] [-policy none|single|coach|aggrcoach]
-//	       [-lazy-train] [-train-workers N]
+//	       [-lazy-train]
 //	       [-drain-timeout 10s]
 //	       [-data-plane] [-mitigation None|Trim|Extend|Migrate]
 //	       [-mitigation-mode Reactive|Proactive] [-dp-interval 2s]
@@ -74,6 +74,7 @@ import (
 
 	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
+	"github.com/coach-oss/coach/internal/core"
 	"github.com/coach-oss/coach/internal/experiments"
 	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/scenario"
@@ -104,7 +105,6 @@ type options struct {
 	servers        int
 	policy         scheduler.PolicyKind
 	lazyTrain      bool
-	trainWorkers   int
 	dataPlane      bool
 	mitigation     agent.Policy
 	mitigationMode agent.Mode
@@ -129,7 +129,6 @@ func parseFlags(args []string) (options, error) {
 		return err
 	})
 	fs.BoolVar(&o.lazyTrain, "lazy-train", false, "defer model training to the first prediction request")
-	fs.IntVar(&o.trainWorkers, "train-workers", 0, "goroutines growing forest trees during training (0 = GOMAXPROCS); the model is identical for any value")
 	fs.BoolVar(&o.dataPlane, "data-plane", false, "run the per-server memory data plane (memsim + oversubscription agent)")
 	fs.Func("mitigation", "data-plane mitigation policy: None, Trim (default), Extend or Migrate", func(v string) (err error) {
 		o.mitigation, err = agent.ParsePolicy(v)
@@ -152,14 +151,7 @@ func parseFlags(args []string) (options, error) {
 // the flags do not name keeps serve.DefaultConfig's value.
 func serveConfig(o options) (serve.Config, error) {
 	cfg := serve.DefaultConfig()
-	cfg.Policy = o.policy
-	if o.policy == scheduler.PolicyAggrCoach {
-		// Mirror sim.ConfigForPolicy: AggrCoach guarantees the P50, not
-		// the P95 — the aggressive split that actually exercises the
-		// oversubscribed pool.
-		cfg.Percentile = 50
-	}
-	cfg.LongTerm.Forest.Workers = o.trainWorkers
+	cfg.FleetConfig = core.FleetConfigForPolicy(o.policy)
 	if o.dataPlane {
 		if o.dpInterval <= 0 {
 			return cfg, fmt.Errorf("non-positive -dp-interval %s", o.dpInterval)

@@ -20,11 +20,8 @@ func TestFlagsToConfig(t *testing.T) {
 		want func(*serve.Config)
 	}{
 		{"defaults", nil, func(c *serve.Config) {}},
-		{"aggrcoach guarantees the P50", []string{"-policy", "AggrCoach", "-train-workers", "3"},
-			func(c *serve.Config) {
-				c.Policy, c.Percentile = scheduler.PolicyAggrCoach, 50
-				c.LongTerm.Forest.Workers = 3
-			}},
+		{"aggrcoach guarantees the P50", []string{"-policy", "AggrCoach"},
+			func(c *serve.Config) { c.Policy, c.Percentile = scheduler.PolicyAggrCoach, 50 }},
 		{"data-plane flags are inert without -data-plane",
 			[]string{"-mitigation", "Migrate", "-admit-pressure", "0.9", "-dp-pool-frac", "0.1", "-dp-interval", "0s"},
 			func(c *serve.Config) {}},
@@ -86,8 +83,9 @@ func TestFlagErrors(t *testing.T) {
 		{"-policy", "greedy"},
 		{"-mitigation", "Evict"},
 		{"-mitigation-mode", "Psychic"},
-		{"-no-batch"},        // retired flags must not come back silently
-		{"-batch-max", "64"}, // retired with the admission batcher
+		{"-no-batch"},           // retired flags must not come back silently
+		{"-batch-max", "64"},    // retired with the admission batcher
+		{"-train-workers", "3"}, // training always uses every core
 	} {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("%v: parsed without error", args)

@@ -161,9 +161,8 @@ type (
 	// (docs/DESIGN.md §10): the pre-copy dirty fraction that
 	// demand-faults at the target, the projected pool occupancy above
 	// which a server is not a migration target, and whether migrations
-	// may land cross-shard. The simulator and coachd expose its knobs as
-	// MigrationDirtyFrac / MigrationPressureFrac / CrossShardMigration
-	// on their configs.
+	// may land cross-shard. The simulator and coachd run the default
+	// fractions and set only CrossShardMigration on their configs.
 	MigrationConfig = core.MigrationConfig
 	// MigrationPlan records one landed migration: source and destination
 	// servers (capacity bookkeeping and memory move together), the

@@ -28,7 +28,8 @@ type ClusterConfig struct {
 	Windows timeseries.Windows
 	// Percentile sizes the guaranteed portion (default P95).
 	Percentile float64
-	// LongTerm configures predictor training.
+	// LongTerm configures predictor training; TrainConfig overrides its
+	// Windows and Percentile with the ones above.
 	LongTerm predict.LongTermConfig
 }
 
@@ -55,12 +56,7 @@ type ClusterManager struct {
 
 // NewClusterManager builds a manager over the fleet.
 func NewClusterManager(fleet *cluster.Fleet, cfg ClusterConfig) (*ClusterManager, error) {
-	if cfg.Percentile == 0 {
-		cfg.Percentile = 95
-	}
-	if cfg.Windows.PerDay == 0 {
-		cfg.Windows = timeseries.Windows{PerDay: 6}
-	}
+	cfg = cfg.WithDefaults()
 	sched, err := scheduler.New(fleet, cfg.Windows)
 	if err != nil {
 		return nil, err
@@ -71,10 +67,7 @@ func NewClusterManager(fleet *cluster.Fleet, cfg ClusterConfig) (*ClusterManager
 // Train fits the long-term prediction model on the trace up to sample
 // upTo. It must be called before Request for any policy other than None.
 func (m *ClusterManager) Train(tr *trace.Trace, upTo int) error {
-	ltCfg := m.cfg.LongTerm
-	ltCfg.Windows = m.cfg.Windows
-	ltCfg.Percentile = m.cfg.Percentile
-	model, err := predict.TrainLongTerm(tr, upTo, ltCfg)
+	model, err := predict.TrainLongTerm(tr, upTo, m.cfg.TrainConfig())
 	if err != nil {
 		return err
 	}

@@ -45,24 +45,6 @@ func DefaultMigrationConfig() MigrationConfig {
 	return MigrationConfig{DirtyFrac: 0.2, PressureFrac: 0.75}
 }
 
-// MigrationConfigFor derives an engine configuration from caller knobs
-// (0 keeps the default): the single place the simulator and serve turn
-// their config fields into a MigrationConfig, so the two layers cannot
-// drift. crossShard is ignored for a lone shard — there is nowhere to
-// escape to, and emitting undeliverable requests would just defer the
-// same-shard fallback.
-func MigrationConfigFor(dirtyFrac, pressureFrac float64, crossShard bool, shards int) MigrationConfig {
-	mc := DefaultMigrationConfig()
-	if dirtyFrac > 0 {
-		mc.DirtyFrac = dirtyFrac
-	}
-	if pressureFrac > 0 {
-		mc.PressureFrac = pressureFrac
-	}
-	mc.CrossShard = crossShard && shards > 1
-	return mc
-}
-
 // MigrationPlan records one landed migration: where the VM's capacity
 // bookkeeping and memory moved, and how much of its working set arrived
 // resident.

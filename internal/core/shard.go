@@ -1,7 +1,6 @@
 package core
 
 import (
-	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/coachvm"
 	"github.com/coach-oss/coach/internal/memsim"
@@ -48,21 +47,6 @@ type Shard struct {
 	Eng    *MigrationEngine
 	Scorer *WhatIfScorer
 	Stats  ShardStats
-}
-
-// DataPlaneConfigFor derives a data-plane configuration from caller knobs
-// (0 keeps a default fraction), as MigrationConfigFor does for migration.
-func DataPlaneConfigFor(policy agent.Policy, mode agent.Mode, poolFrac, unallocFrac float64) DataPlaneConfig {
-	c := DefaultDataPlaneConfig()
-	c.Agent.Policy = policy
-	c.Agent.Mode = mode
-	if poolFrac > 0 {
-		c.PoolFrac = poolFrac
-	}
-	if unallocFrac > 0 {
-		c.UnallocFrac = unallocFrac
-	}
-	return c
 }
 
 // NewShard builds shard index over servers. A nil dp leaves the data

@@ -22,7 +22,8 @@ func shardFixture(t *testing.T, n int, dataPlane bool) *Shard {
 	}
 	var dp *DataPlaneConfig
 	if dataPlane {
-		c := DataPlaneConfigFor(agent.PolicyMigrate, agent.Reactive, 0.25, 0)
+		c := DefaultDataPlaneConfig()
+		c.Agent.Policy = agent.PolicyMigrate
 		dp = &c
 	}
 	sh, err := NewShard(0, servers, timeseries.Windows{PerDay: 6}, dp, DefaultMigrationConfig())

@@ -103,10 +103,7 @@ func runAblForest(c *Context) ([]*report.Table, error) {
 	}
 	for _, trees := range []int{5, 10, 20, 40, 80} {
 		cfg := predict.DefaultLongTermConfig()
-		// Carry the context's training parallelism: this is the one
-		// experiment that reports train time, so -train-workers must
-		// actually govern it.
-		cfg.Forest = mlforest.ForestConfig{Trees: trees, Tree: cfg.Forest.Tree, Seed: 1, Workers: c.TrainWorkers}
+		cfg.Forest = mlforest.ForestConfig{Trees: trees, Tree: cfg.Forest.Tree, Seed: 1}
 		start := time.Now()
 		model, err := predict.TrainLongTerm(tr, tr.Horizon/2, cfg)
 		if err != nil {

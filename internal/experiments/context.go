@@ -96,12 +96,6 @@ func (s Scale) ScenarioSpec(sp *scenario.Spec) *scenario.Spec {
 type Context struct {
 	Scale Scale
 
-	// TrainWorkers bounds how many goroutines grow forest trees when the
-	// context trains a predictor (0 = GOMAXPROCS). The trained model is
-	// byte-identical for any value, so experiment output never depends on
-	// it; cmd tools expose it as -train-workers. Set before first use.
-	TrainWorkers int
-
 	// Scenario, when non-nil, replaces the GenConfig generator: the
 	// context's trace comes from trace.GenerateScenario on this spec
 	// (already scaled — see Scale.ScenarioSpec), and every experiment,
@@ -157,7 +151,6 @@ func (c *Context) Model(percentile float64) (*predict.LongTerm, error) {
 	}
 	cfg := predict.DefaultLongTermConfig()
 	cfg.Percentile = percentile
-	cfg.Forest.Workers = c.TrainWorkers
 	m, err := predict.TrainLongTerm(tr, trainUpTo(tr), cfg)
 	if err != nil {
 		return nil, err

@@ -47,7 +47,6 @@ func runAblFaults(c *Context) ([]*report.Table, error) {
 		return nil, err
 	}
 	sub := NewContext(c.Scale)
-	sub.TrainWorkers = c.TrainWorkers
 	sub.Scenario = c.Scale.ScenarioSpec(sp)
 
 	tr, err := sub.Trace()

@@ -38,7 +38,6 @@ func runAblScenarios(c *Context) ([]*report.Table, error) {
 			return nil, err
 		}
 		sub := NewContext(c.Scale)
-		sub.TrainWorkers = c.TrainWorkers
 		sub.Scenario = c.Scale.ScenarioSpec(sp)
 
 		tr, err := sub.Trace()

@@ -38,14 +38,15 @@ func TestMSEParityWithSeedEngine(t *testing.T) {
 // TestForestByteIdenticalAcrossWorkers is the training-engine counterpart
 // of the simulator's worker-count determinism guarantee: the gob encoding
 // of the whole forest (every node, leaf value, root and importance sum)
-// must match byte for byte whichever way the trees were scheduled.
+// must match byte for byte whichever way the trees were scheduled:
+// serially at GOMAXPROCS 1, on parallel builders above it.
 func TestForestByteIdenticalAcrossWorkers(t *testing.T) {
 	data := TraceLikeSamples(600, 21)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []byte
 	for _, workers := range []int{1, 2, 8} {
-		cfg := DefaultForestConfig()
-		cfg.Workers = workers
-		f, err := Train(data, cfg)
+		runtime.GOMAXPROCS(workers)
+		f, err := Train(data, DefaultForestConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestForestByteIdenticalAcrossWorkers(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(enc, want) {
-			t.Fatalf("forest trained with Workers=%d differs from Workers=1", workers)
+			t.Fatalf("forest trained at GOMAXPROCS %d differs from GOMAXPROCS 1", workers)
 		}
 	}
 }
@@ -354,11 +355,11 @@ func FuzzForestGobDecode(f *testing.F) {
 
 // TestWorkersIgnoredByQuality sanity-checks that parallel training trains
 // the same number of usable trees (every root reachable, every walk
-// terminating) by predicting through a forest trained with many workers.
+// terminating) by predicting through a forest trained on eight builders.
 func TestWorkersIgnoredByQuality(t *testing.T) {
 	data := TraceLikeSamples(400, 24)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	cfg := DefaultForestConfig()
-	cfg.Workers = 8
 	f, err := Train(data, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -18,12 +18,6 @@ type ForestConfig struct {
 	Tree TreeConfig
 	// Seed makes training deterministic.
 	Seed int64
-	// Workers bounds how many trees are grown concurrently. 0 (the
-	// default) uses runtime.GOMAXPROCS(0); 1 trains serially. Each tree's
-	// RNG derives from (Seed, tree index), so the trained forest is
-	// byte-identical for any value — Workers is a throughput knob, never
-	// part of the model's identity.
-	Workers int
 }
 
 // DefaultForestConfig mirrors a small production-style regressor: 40 trees,
@@ -113,10 +107,10 @@ func (f *Forest) Stats() Stats {
 // Train fits a forest with bootstrap bagging. Each tree sees a bootstrap
 // resample of the training set and random feature subsets per split.
 //
-// Trees grow concurrently on cfg.Workers goroutines; because every tree's
+// Trees grow concurrently on GOMAXPROCS goroutines; because every tree's
 // randomness comes from its own (Seed, index)-derived RNG and trees
 // assemble into the forest in index order, the result is byte-identical
-// for any worker count.
+// for any core count.
 func Train(samples []Sample, cfg ForestConfig) (*Forest, error) {
 	if err := validateSamples(samples); err != nil {
 		return nil, err
@@ -188,13 +182,7 @@ func trainOn(ds *dataset, targets []float64, cfg ForestConfig) (*Forest, error) 
 	if cfg.Tree.FeatureFrac <= 0 || cfg.Tree.FeatureFrac > 1 {
 		cfg.Tree.FeatureFrac = 1
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Trees {
-		workers = cfg.Trees
-	}
+	workers := min(runtime.GOMAXPROCS(0), cfg.Trees)
 
 	trees := make([]grownTree, cfg.Trees)
 	if workers == 1 {
@@ -370,7 +358,7 @@ type forestWire struct {
 
 // GobEncode serializes the forest. Encoding is deterministic: two forests
 // trained from the same samples, seed and configuration produce identical
-// bytes regardless of Workers, which is how the determinism tests compare
+// bytes on any core count, which is how the determinism tests compare
 // whole models.
 func (f *Forest) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer

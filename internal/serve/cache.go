@@ -16,10 +16,7 @@ import (
 // configuration (predict.LongTermConfig is a comparable value type, so any
 // hyperparameter difference — forest size, tree bounds, safety buckets,
 // history thresholds — yields a distinct key). Two services with equal
-// keys can share a model. Config.Forest.Workers must be normalized to 0
-// by the key's builder: it is a training-throughput knob that provably
-// does not change the trained forest (byte-identical for any value), so
-// it must not split the cache.
+// keys can share a model.
 type ModelKey struct {
 	TraceID   uint64
 	TrainUpTo int

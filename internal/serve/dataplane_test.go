@@ -300,8 +300,7 @@ func TestAdmitPressureAware(t *testing.T) {
 	tr := getTrace(t)
 	sc := DefaultConfig()
 	sc.Cache = testCache
-	sc.Policy = scheduler.PolicyAggrCoach
-	sc.Percentile = 50
+	sc.FleetConfig = core.FleetConfigForPolicy(scheduler.PolicyAggrCoach)
 	sc.DataPlane = true
 	sc.MitigationPolicy = agent.PolicyTrim
 	// An (effectively) unreachable bar: every oversubscribed admission
@@ -373,8 +372,7 @@ func TestCrossShardHandoff(t *testing.T) {
 	tr := getTrace(t)
 	sc := DefaultConfig()
 	sc.Cache = testCache
-	sc.Policy = scheduler.PolicyAggrCoach
-	sc.Percentile = 50
+	sc.FleetConfig = core.FleetConfigForPolicy(scheduler.PolicyAggrCoach)
 	sc.DataPlane = true
 	sc.MitigationPolicy = agent.PolicyMigrate
 	sc.CrossShardMigration = true

@@ -152,19 +152,11 @@ func (s *Service) driveHandoff(in *handoffIntent) error {
 		if s.injector.CrashPoint("before-pick") {
 			return nil
 		}
-		bestShard, bestServer, bestScore := -1, -1, 0.0
-		for j, dst := range s.shards {
-			if j == req.SrcShard || dst.Eng == nil {
-				continue
-			}
-			dst.mu.Lock()
-			srv, score, ok := dst.Eng.PickInbound(req)
-			dst.mu.Unlock()
-			// Strict > keeps the lowest shard index on score ties.
-			if ok && (bestShard < 0 || score > bestScore) {
-				bestShard, bestServer, bestScore = j, srv, score
-			}
-		}
+		bestShard, bestServer := core.BestInbound(s.cores, req, func(j int, pick func()) {
+			s.shards[j].mu.Lock()
+			pick()
+			s.shards[j].mu.Unlock()
+		})
 		if bestShard < 0 {
 			err := s.settleHome(src, req)
 			s.finishIntent(in)

@@ -6,6 +6,7 @@ import (
 
 	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
+	"github.com/coach-oss/coach/internal/core"
 	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
@@ -19,8 +20,7 @@ func handoffFixture(t *testing.T) *Service {
 	tr := getTrace(t)
 	sc := DefaultConfig()
 	sc.Cache = testCache
-	sc.Policy = scheduler.PolicyAggrCoach
-	sc.Percentile = 50
+	sc.FleetConfig = core.FleetConfigForPolicy(scheduler.PolicyAggrCoach)
 	sc.DataPlane = true
 	sc.MitigationPolicy = agent.PolicyMigrate
 	sc.CrossShardMigration = true

@@ -31,7 +31,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/coachvm"
 	"github.com/coach-oss/coach/internal/core"
@@ -41,7 +40,6 @@ import (
 	"github.com/coach-oss/coach/internal/predict"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
-	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -56,51 +54,24 @@ var ErrDataPlaneDisabled = errors.New("serve: data plane disabled")
 // a Retry-After, and /readyz reports not-ready.
 var ErrModelUnavailable = errors.New("serve: prediction model unavailable")
 
-// Config parameterizes a Service.
+// Config parameterizes a Service. The embedded FleetConfig is the block
+// sim.Config shares: the policy (default Coach, 6x4h windows, P95),
+// TrainUpTo (default: half the horizon), the data plane, cross-shard
+// migration and faults. With DataPlane set, admitted VMs attach their
+// memory and TickDataPlane advances the fleet by one 5-minute sample
+// (cmd/coachd drives it on a timer); GET /v1/stats then reports
+// fleet-wide mitigation aggregates. CrossShardMigration runs through the
+// two-phase (reserve-then-commit) handoff in TickDataPlane. Faults is the
+// schedule the simulator applies for the same spec: server crash/recover
+// events apply on data-plane ticks; train-fail forces degraded
+// (best-fit-only) serving; latency windows delay requests; handoff crash
+// points kill the cross-shard handoff coordinator mid-protocol,
+// exercising the intent-log recovery sweep. See docs/DESIGN.md §13.
 type Config struct {
-	// Policy is the oversubscription policy admissions are shaped under
-	// (default Coach).
-	Policy scheduler.PolicyKind
-	// Windows is the time-window split (default 6x4h).
-	Windows timeseries.Windows
-	// Percentile sizes the guaranteed portion (default 95).
-	Percentile float64
-	// LongTerm configures predictor training; Windows/Percentile above
-	// override its corresponding fields.
-	LongTerm predict.LongTermConfig
-	// TrainUpTo is the trace sample separating the model's training
-	// period from served requests (default: half the horizon).
-	TrainUpTo int
+	core.FleetConfig
 	// Cache optionally shares a trained-model cache across services.
 	// When nil the service creates a private one.
 	Cache *ModelCache
-	// DataPlane enables the per-server memory data plane: every fleet
-	// server runs a memsim server plus oversubscription agent, admitted
-	// VMs attach their memory, and TickDataPlane advances the fleet by one
-	// 5-minute sample (cmd/coachd drives it on a timer). GET /v1/stats
-	// then reports fleet-wide mitigation aggregates.
-	DataPlane bool
-	// MitigationPolicy and MitigationMode configure the per-server agents
-	// when DataPlane is set.
-	MitigationPolicy agent.Policy
-	MitigationMode   agent.Mode
-	// DataPlanePoolFrac and DataPlaneUnallocFrac override the per-server
-	// pool sizing (fractions of memory capacity; 0 = the
-	// core.DefaultDataPlaneConfig defaults), mirroring the simulator's
-	// knobs so coachd can serve the same pressure scenarios experiments
-	// replay.
-	DataPlanePoolFrac    float64
-	DataPlaneUnallocFrac float64
-	// CrossShardMigration lets completed live migrations escape their
-	// home cluster shard through the two-phase (reserve-then-commit)
-	// handoff in TickDataPlane. Requires DataPlane.
-	CrossShardMigration bool
-	// MigrationDirtyFrac and MigrationPressureFrac override the
-	// migration engine defaults (0 = core.DefaultMigrationConfig): the
-	// working-set fraction that demand-faults at a migration target, and
-	// the projected pool occupancy above which a server is not a target.
-	MigrationDirtyFrac    float64
-	MigrationPressureFrac float64
 	// AdmitPressureFrac makes admission pressure-aware (0 = off): an
 	// oversubscribed VM is only placed on a server whose pool, after
 	// absorbing the VM's scheduled peak VA demand, stays below this
@@ -108,25 +79,11 @@ type Config struct {
 	// is thrashing, and rejecting it when no server in the home cluster
 	// can absorb it (even if raw capacity exists). Requires DataPlane.
 	AdmitPressureFrac float64
-	// Faults optionally supplies a compiled fault schedule (internal/
-	// fault) — the same schedule the simulator applies for this spec, so
-	// one scenario drives identical failure sequences in both. Server
-	// crash/recover events apply on data-plane ticks; train-fail forces
-	// degraded (best-fit-only) serving; latency windows delay requests;
-	// handoff crash points kill the cross-shard handoff coordinator
-	// mid-protocol, exercising the intent-log recovery sweep. See
-	// docs/DESIGN.md §13.
-	Faults *fault.Schedule
 }
 
 // DefaultConfig returns the paper's deployed configuration.
 func DefaultConfig() Config {
-	return Config{
-		Policy:     scheduler.PolicyCoach,
-		Windows:    timeseries.Windows{PerDay: 6},
-		Percentile: 95,
-		LongTerm:   predict.DefaultLongTermConfig(),
-	}
+	return Config{FleetConfig: core.FleetConfigForPolicy(scheduler.PolicyCoach)}
 }
 
 // fleetShard is one cluster's independently lockable slice of fleet
@@ -195,14 +152,14 @@ type Service struct {
 	fleet *cluster.Fleet
 	cache *ModelCache
 	key   ModelKey
-	// trainCfg is the full training configuration, including the
-	// Forest.Workers throughput knob the cache key normalizes away.
-	trainCfg predict.LongTermConfig
 	// slots holds, per VM id, the prediction Predict last made for the
 	// VM that no Admit has taken yet. A VM id is its index in tr.VMs
 	// (New checks), so every per-VM table here is a slice indexed by id.
 	slots  []atomic.Pointer[admitIn]
 	shards []*fleetShard
+	// cores lists each fleetShard's core.Shard, in shard order, for
+	// core.BestInbound.
+	cores []*core.Shard
 
 	// route holds, per VM id, the shard that currently holds the VM (-1
 	// when not admitted). Admission always lands a VM in its home
@@ -255,52 +212,27 @@ type Service struct {
 // the first prediction (through the model cache — see Warm to front-load
 // it) so construction stays cheap.
 func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
-	if cfg.Percentile == 0 {
-		cfg.Percentile = 95
-	}
-	if cfg.Windows.PerDay == 0 {
-		cfg.Windows = timeseries.Windows{PerDay: 6}
-	}
-	if err := cfg.Windows.Validate(); err != nil {
-		return nil, err
-	}
+	cfg.ClusterConfig = cfg.WithDefaults()
 	if cfg.TrainUpTo == 0 {
 		cfg.TrainUpTo = tr.Horizon / 2
 	}
-	if cfg.TrainUpTo <= 0 || cfg.TrainUpTo >= tr.Horizon {
-		return nil, fmt.Errorf("serve: TrainUpTo %d outside (0,%d)", cfg.TrainUpTo, tr.Horizon)
-	}
-	if err := tr.CheckIDsAreIndices(); err != nil {
+	cores, err := cfg.NewShards(tr, fleet)
+	if err != nil {
 		return nil, err
-	}
-	if err := fleet.Validate(); err != nil {
-		return nil, err
-	}
-	if fleet.NumClusters() == 0 {
-		return nil, fmt.Errorf("serve: fleet has no clusters")
 	}
 	cache := cfg.Cache
 	if cache == nil {
 		cache = NewModelCache()
 	}
-	ltCfg := cfg.LongTerm
-	ltCfg.Windows = cfg.Windows
-	ltCfg.Percentile = cfg.Percentile
-	// Forest.Workers only sets how many goroutines grow trees — the
-	// trained forest is byte-identical for any value — so it is zeroed in
-	// the cache key: services differing only in training parallelism share
-	// one model instead of each paying a cold start.
-	keyCfg := ltCfg
-	keyCfg.Forest.Workers = 0
 	s := &Service{
 		cfg:      cfg,
 		tr:       tr,
 		fleet:    fleet,
 		cache:    cache,
-		trainCfg: ltCfg,
 		slots:    make([]atomic.Pointer[admitIn], len(tr.VMs)),
+		cores:    cores,
 		route:    make([]int, len(tr.VMs)),
-		key:      ModelKey{TraceID: Fingerprint(tr), TrainUpTo: cfg.TrainUpTo, Config: keyCfg},
+		key:      ModelKey{TraceID: Fingerprint(tr), TrainUpTo: cfg.TrainUpTo, Config: cfg.TrainConfig()},
 		injector: fault.NewInjector(cfg.Faults),
 		fEvents:  cfg.Faults.Events(),
 		intents:  make(map[int]*handoffIntent),
@@ -308,19 +240,7 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 	for i := range s.route {
 		s.route[i] = -1
 	}
-	var dpCfg *core.DataPlaneConfig
-	if cfg.DataPlane {
-		c := core.DataPlaneConfigFor(cfg.MitigationPolicy, cfg.MitigationMode,
-			cfg.DataPlanePoolFrac, cfg.DataPlaneUnallocFrac)
-		dpCfg = &c
-	}
-	mc := core.MigrationConfigFor(cfg.MigrationDirtyFrac, cfg.MigrationPressureFrac,
-		cfg.CrossShardMigration, fleet.NumClusters())
-	for ci, servers := range fleet.Shards() {
-		cs, err := core.NewShard(ci, servers, cfg.Windows, dpCfg, mc)
-		if err != nil {
-			return nil, err
-		}
+	for _, cs := range cores {
 		s.shards = append(s.shards, &fleetShard{Shard: cs, dpVMs: make([]*dpTracked, len(tr.VMs))})
 	}
 	return s, nil
@@ -347,7 +267,7 @@ func (s *Service) modelFor() (*predict.LongTerm, error) {
 		return nil, fmt.Errorf("%w: injected training failure", ErrModelUnavailable)
 	}
 	m, err := s.cache.Get(s.key, func() (*predict.LongTerm, error) {
-		return predict.TrainLongTerm(s.tr, s.key.TrainUpTo, s.trainCfg)
+		return predict.TrainLongTerm(s.tr, s.key.TrainUpTo, s.key.Config)
 	})
 	if err != nil {
 		s.degraded.Store(true)

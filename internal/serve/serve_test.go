@@ -13,6 +13,7 @@ import (
 	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/predict"
 	"github.com/coach-oss/coach/internal/scenario"
+	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -81,6 +82,19 @@ func TestServiceValidation(t *testing.T) {
 	}
 	if _, err := New(tr, cluster.NewFleet(nil), DefaultConfig()); err == nil {
 		t.Error("empty fleet must fail")
+	}
+	cfg = DefaultConfig()
+	cfg.Windows = timeseries.Windows{PerDay: 5}
+	if _, err := New(tr, fleet, cfg); err == nil {
+		t.Error("windows that do not divide the day must fail")
+	}
+	offset := *tr
+	offset.VMs = append([]trace.VM(nil), tr.VMs...)
+	for i := range offset.VMs {
+		offset.VMs[i].ID++
+	}
+	if _, err := New(&offset, fleet, DefaultConfig()); err == nil {
+		t.Error("a trace whose VM ids are not indices must fail")
 	}
 }
 

@@ -33,10 +33,7 @@ func dataPlaneConfig(t *testing.T, policy agent.Policy) Config {
 func sharedModel(t *testing.T, cfg Config) *predict.LongTerm {
 	t.Helper()
 	tr, _ := fixtures(t)
-	ltCfg := cfg.LongTerm
-	ltCfg.Windows = cfg.Windows
-	ltCfg.Percentile = cfg.Percentile
-	model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, ltCfg)
+	model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,10 +322,7 @@ func TestProactiveFleetReplay(t *testing.T) {
 	cfg.MitigationPolicy = agent.PolicyMigrate
 	cfg.DataPlanePoolFrac = 0.02
 	cfg.DataPlaneUnallocFrac = 0.02
-	ltCfg := cfg.LongTerm
-	ltCfg.Windows = cfg.Windows
-	ltCfg.Percentile = cfg.Percentile
-	if cfg.Model, err = predict.TrainLongTerm(tr, cfg.TrainUpTo, ltCfg); err != nil {
+	if cfg.Model, err = predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig()); err != nil {
 		t.Fatal(err)
 	}
 	run := func(mode agent.Mode, workers int) *Result {

@@ -53,10 +53,7 @@ func TestGoldenEquivalence(t *testing.T) {
 			// (if any), so the chaos preset pins golden equivalence under an
 			// active fault schedule too.
 			base.Scenario = sp
-			ltCfg := base.LongTerm
-			ltCfg.Windows = base.Windows
-			ltCfg.Percentile = base.Percentile
-			model, err := predict.TrainLongTerm(tr, base.TrainUpTo, ltCfg)
+			model, err := predict.TrainLongTerm(tr, base.TrainUpTo, base.TrainConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,10 +23,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		// engine (training is deterministic too, but retraining per worker
 		// count would triple the test's cost).
 		if p != scheduler.PolicyNone {
-			ltCfg := cfg.LongTerm
-			ltCfg.Windows = cfg.Windows
-			ltCfg.Percentile = cfg.Percentile
-			model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, ltCfg)
+			model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

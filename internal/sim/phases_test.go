@@ -124,9 +124,7 @@ func TestArrivalPhaseMatchesPerArrival(t *testing.T) {
 	clusters[0].Servers, clusters[1].Servers, clusters[2].Servers = 4, 2, 6
 	fleet := cluster.NewFleet(clusters)
 
-	lt := cfg.LongTerm
-	lt.Windows, lt.Percentile = cfg.Windows, cfg.Percentile
-	if cfg.Model, err = predict.TrainLongTerm(&tr, cfg.TrainUpTo, lt); err != nil {
+	if cfg.Model, err = predict.TrainLongTerm(&tr, cfg.TrainUpTo, cfg.TrainConfig()); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Faults, err = fault.Compile([]scenario.Fault{

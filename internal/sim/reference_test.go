@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/coach-oss/coach/internal/cluster"
+	"github.com/coach-oss/coach/internal/predict"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
@@ -23,11 +24,7 @@ import (
 // matches runReference byte for byte shows that everything those
 // shortcuts skipped was indeed unchanged.
 func runReference(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
-	tr, cfg, model, err := prepare(tr, fleet, cfg)
-	if err != nil {
-		return nil, err
-	}
-	states, err := buildShards(tr, fleet, model, cfg)
+	tr, cfg, states, err := prepare(tr, fleet, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -155,4 +152,14 @@ func TestEventCoreVisits(t *testing.T) {
 			t.Logf("visits: reference %d, event %d (%.1f×)", refVisits, eventVisits, float64(refVisits)/float64(eventVisits))
 		})
 	}
+}
+
+// buildShards builds Run's replay states over tr and fleet with the given
+// model (nil: every arrival takes the fully-guaranteed split).
+func buildShards(tr *trace.Trace, fleet *cluster.Fleet, model *predict.LongTerm, cfg Config) ([]*shardState, error) {
+	shards, err := cfg.NewShards(tr, fleet)
+	if err != nil {
+		return nil, err
+	}
+	return newShardStates(shards, tr, model, cfg), nil
 }

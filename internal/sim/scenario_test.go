@@ -36,10 +36,7 @@ func TestScenarioRunDeterministicAcrossWorkers(t *testing.T) {
 			cfg := ConfigForPolicy(scheduler.PolicyCoach)
 			cfg.Scenario = sp
 			cfg.TrainUpTo = tr.Horizon / 2
-			ltCfg := cfg.LongTerm
-			ltCfg.Windows = cfg.Windows
-			ltCfg.Percentile = cfg.Percentile
-			model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, ltCfg)
+			model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

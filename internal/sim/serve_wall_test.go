@@ -98,9 +98,7 @@ func wallTrace(t *testing.T, preset string) (*trace.Trace, *scenario.Spec) {
 
 func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config) {
 	fleet := cluster.NewFleet(cluster.DefaultClusters(4))
-	lt := cfg.LongTerm
-	lt.Windows, lt.Percentile = cfg.Windows, cfg.Percentile
-	model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, lt)
+	model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,18 +120,11 @@ func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config) {
 	exchanging := cfg.CrossShardMigration && len(states) > 1
 
 	sc := serve.DefaultConfig()
-	sc.Policy, sc.Percentile, sc.TrainUpTo = cfg.Policy, cfg.Percentile, cfg.TrainUpTo
-	sc.DataPlane = cfg.DataPlane
-	sc.MitigationPolicy, sc.MitigationMode = cfg.MitigationPolicy, cfg.MitigationMode
-	sc.DataPlanePoolFrac, sc.DataPlaneUnallocFrac = cfg.DataPlanePoolFrac, cfg.DataPlaneUnallocFrac
-	sc.CrossShardMigration = cfg.CrossShardMigration
-	sc.Faults = cfg.Faults
-	// Hand serve the simulator's model: the cache key is serve's own
-	// derivation, and a miss would only retrain the same forest.
+	sc.FleetConfig = cfg.FleetConfig
+	// Hand serve the simulator's model under the key serve derives, so a
+	// miss cannot retrain the same forest.
 	sc.Cache = serve.NewModelCache()
-	key := lt
-	key.Forest.Workers = 0
-	sc.Cache.Get(serve.ModelKey{TraceID: serve.Fingerprint(tr), TrainUpTo: cfg.TrainUpTo, Config: key},
+	sc.Cache.Get(serve.ModelKey{TraceID: serve.Fingerprint(tr), TrainUpTo: cfg.TrainUpTo, Config: cfg.TrainConfig()},
 		func() (*predict.LongTerm, error) { return model, nil })
 	svc, err := serve.New(tr, fleet, sc)
 	if err != nil {

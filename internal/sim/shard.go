@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/coachvm"
 	"github.com/coach-oss/coach/internal/core"
 	"github.com/coach-oss/coach/internal/fault"
@@ -44,31 +43,18 @@ type shardResult struct {
 	faults FaultResult
 }
 
-// buildShards partitions the fleet into one replay state per cluster —
-// its core.Shard (scheduler, plus data plane and migration engine when
-// Config.DataPlane is set) and the event stream of the VMs homed there —
-// at the start of the evaluation period, then fills every shard's
-// arrival slots (arrivalPhase). Clusters never share VMs in the
-// scheduler, so shards exchange no state while ticking and replay
-// concurrently; with cross-shard migration enabled they additionally
-// trade migrated VMs at sample boundaries through the deterministic
-// exchange step (docs/DESIGN.md §10).
-func buildShards(tr *trace.Trace, fleet *cluster.Fleet, model *predict.LongTerm, cfg Config) ([]*shardState, error) {
-	groups := fleet.Shards()
-	var dpCfg *core.DataPlaneConfig
-	if cfg.DataPlane {
-		c := core.DataPlaneConfigFor(cfg.MitigationPolicy, cfg.MitigationMode,
-			cfg.DataPlanePoolFrac, cfg.DataPlaneUnallocFrac)
-		dpCfg = &c
-	}
-	mc := core.MigrationConfigFor(cfg.MigrationDirtyFrac, cfg.MigrationPressureFrac,
-		cfg.CrossShardMigration, len(groups))
-	states := make([]*shardState, len(groups))
-	for i, servers := range groups {
-		sh, err := core.NewShard(i, servers, cfg.Windows, dpCfg, mc)
-		if err != nil {
-			return nil, err
-		}
+// newShardStates wraps each cluster's core.Shard (scheduler, plus data
+// plane and migration engine when Config.DataPlane is set; built by
+// core.FleetConfig.NewShards) in a replay state holding the event stream
+// of the VMs homed there at the start of the evaluation period, then
+// fills every shard's arrival slots (arrivalPhase). Clusters never share
+// VMs in the scheduler, so shards exchange no state while ticking and
+// replay concurrently; with cross-shard migration enabled they
+// additionally trade migrated VMs at sample boundaries through the
+// deterministic exchange step (docs/DESIGN.md §10).
+func newShardStates(shards []*core.Shard, tr *trace.Trace, model *predict.LongTerm, cfg Config) []*shardState {
+	states := make([]*shardState, len(shards))
+	for i, sh := range shards {
 		states[i] = newShardState(sh, tr, cfg)
 	}
 	for i := range tr.VMs {
@@ -92,7 +78,7 @@ func buildShards(tr *trace.Trace, fleet *cluster.Fleet, model *predict.LongTerm,
 		})
 	}
 	arrivalPhase(states, tr, model, cfg.Workers)
-	return states, nil
+	return states
 }
 
 // placedRec tracks one placed VM's incremental-accounting state.
@@ -199,8 +185,8 @@ type shardState struct {
 }
 
 // newShardState builds a shard's replay state at the start of the
-// evaluation period; buildShards fills in its event stream and arrival
-// slots.
+// evaluation period; newShardStates fills in its event stream and
+// arrival slots.
 func newShardState(sh *core.Shard, tr *trace.Trace, cfg Config) *shardState {
 	ticks := tr.Horizon - cfg.TrainUpTo
 	st := &shardState{
@@ -226,7 +212,7 @@ func newShardState(sh *core.Shard, tr *trace.Trace, cfg Config) *shardState {
 	st.vmCount = make([]int, len(st.servers))
 	st.cpuLimit = make([]float64, len(st.servers))
 	for i, srv := range st.servers {
-		st.cpuLimit[i] = cfg.CPUContentionFrac * srv.Server.Capacity()[resources.CPU]
+		st.cpuLimit[i] = cpuContentionFrac * srv.Server.Capacity()[resources.CPU]
 	}
 	st.queue = newEventQueue(cfg.TrainUpTo, tr.Horizon)
 	st.violCPU = make([]bool, len(st.servers))

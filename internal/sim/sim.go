@@ -24,6 +24,7 @@ import (
 	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/coachvm"
+	"github.com/coach-oss/coach/internal/core"
 	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/par"
 	"github.com/coach-oss/coach/internal/predict"
@@ -34,29 +35,12 @@ import (
 	"github.com/coach-oss/coach/internal/trace"
 )
 
-// Config parameterizes one simulation run.
+// Config parameterizes one simulation run. The embedded FleetConfig is
+// the block serve.Config shares (policy, training split, data plane,
+// cross-shard migration, faults); core.FleetConfig.NewShards validates it
+// and builds the shards both layers replay.
 type Config struct {
-	// Policy is the oversubscription policy under test.
-	Policy scheduler.PolicyKind
-	// Windows is the time-window split (Coach default 6x4h).
-	Windows timeseries.Windows
-	// Percentile is the guaranteed-portion percentile: 95 for Coach and
-	// Single, 50 for AggrCoach (§4.3).
-	Percentile float64
-	// TrainUpTo is the trace sample that separates the prediction model's
-	// training period from the evaluated period (default: day 7).
-	TrainUpTo int
-	// LongTerm configures predictor training; Windows/Percentile above
-	// override its corresponding fields. LongTerm.Forest.Workers sets how
-	// many goroutines grow forest trees during training (0 = GOMAXPROCS)
-	// without changing the trained model — cmd/coach-sim exposes it as
-	// -train-workers.
-	LongTerm predict.LongTermConfig
-	// CPUContentionFrac: a server tick counts as CPU-contended when
-	// utilized CPU demand exceeds this fraction of server capacity
-	// (§4.3: "CPU contention occurs when demand exceeds 50% of the
-	// server capacity" — the hyperthread-sharing threshold).
-	CPUContentionFrac float64
+	core.FleetConfig
 	// Workers bounds how many goroutines replay cluster shards and run
 	// the arrival and judging phases around the replay. 0 (the default)
 	// uses runtime.GOMAXPROCS(0); 1 runs everything serially.
@@ -64,60 +48,22 @@ type Config struct {
 	Workers int
 	// Model optionally supplies a pre-trained long-term predictor to
 	// reuse across runs (it must have been trained on the same trace up
-	// to TrainUpTo with matching Windows/Percentile). When nil, Run
-	// trains its own unless Policy is PolicyNone.
+	// to TrainUpTo with TrainConfig()). When nil, Run trains its own
+	// unless Policy is PolicyNone.
 	Model *predict.LongTerm
-	// DataPlane enables the per-server memory data plane: every fleet
-	// server runs a memsim server plus oversubscription agent, placed VMs'
-	// working sets follow their utilization samples, and each shard ticks
-	// its servers once per 5-minute sample inside the replay worker pool.
-	// Result.DataPlane then carries fleet-wide mitigation metrics, still
-	// byte-identical for any Workers value. See docs/DESIGN.md §9.
-	DataPlane bool
-	// MitigationPolicy and MitigationMode configure the per-server agents
-	// when DataPlane is set (§4.4: None/Trim/Extend/Migrate, reactive or
-	// proactive).
-	MitigationPolicy agent.Policy
-	MitigationMode   agent.Mode
-	// DataPlanePoolFrac and DataPlaneUnallocFrac override the per-server
-	// pool sizing (fractions of memory capacity; 0 = the
-	// core.DefaultDataPlaneConfig defaults). Experiments shrink the pool
-	// fraction to provoke the contention the mitigation ladder resolves.
-	DataPlanePoolFrac    float64
-	DataPlaneUnallocFrac float64
-	// CrossShardMigration lets completed live migrations escape their
-	// home cluster shard: shards tick one sample in parallel, emit
-	// migration requests into per-shard outboxes, and a deterministic
-	// sample-boundary exchange (requests sorted by (tick, srcShard,
-	// vmID)) re-homes VMs — scheduler bookkeeping, memory, and replay
-	// accounting together — across shards between samples. Result stays
-	// byte-identical for any Workers value. Requires DataPlane; only
-	// meaningful with MitigationPolicy Migrate. See docs/DESIGN.md §10.
-	CrossShardMigration bool
-	// MigrationDirtyFrac and MigrationPressureFrac override the
-	// migration engine's defaults (0 = core.DefaultMigrationConfig):
-	// the working-set fraction that demand-faults at the target because
-	// it was dirtied after the final pre-copy pass, and the pool
-	// occupancy above which a server is not a migration target.
-	MigrationDirtyFrac    float64
-	MigrationPressureFrac float64
 	// Scenario, when non-nil, is a declarative workload spec. Run called
 	// with a nil trace generates it from the scenario
 	// (trace.GenerateScenario), and a zero TrainUpTo then defaults to
 	// half the spec's horizon. When both a trace and a Scenario are
 	// given, the trace wins — the Scenario is assumed to be its source.
+	// When Faults is nil and the spec declares faults, Run compiles them
+	// against the fleet's shard shape, so one spec drives the identical
+	// fault schedule here and in a live coachd. Server crash/recover
+	// events apply at the top of each evaluation tick; train-fail skips
+	// model training (every admission degrades to the fully-guaranteed
+	// best-fit split); serving-only faults (latency, handoff crash
+	// points) are ignored. See docs/DESIGN.md §13.
 	Scenario *scenario.Spec
-	// Faults optionally supplies a pre-compiled fault schedule (see
-	// internal/fault). When nil and Config.Scenario declares faults, Run
-	// compiles the scenario's faults against the fleet's shard shape, so
-	// one spec drives the identical fault schedule here and in a live
-	// coachd. Server crash/recover events apply at the top of each
-	// evaluation tick; train-fail skips model training (every admission
-	// degrades to the fully-guaranteed best-fit split); serving-only
-	// faults (latency, handoff crash points) are ignored.
-	// Result.Faults then reports crash/eviction/loss/downtime counters,
-	// still byte-identical for any Workers value. See docs/DESIGN.md §13.
-	Faults *fault.Schedule
 	// VisitCounter, when non-nil, is incremented atomically with the
 	// number of placed-VM records each shard tick visits: the VMs whose
 	// utilization changed, plus the tick's placements and re-admissions.
@@ -126,25 +72,20 @@ type Config struct {
 	VisitCounter *int64
 }
 
-// DefaultConfig returns the Coach policy configuration.
-func DefaultConfig() Config {
-	return Config{
-		Policy:            scheduler.PolicyCoach,
-		Windows:           timeseries.Windows{PerDay: 6},
-		Percentile:        95,
-		TrainUpTo:         7 * timeseries.SamplesPerDay,
-		LongTerm:          predict.DefaultLongTermConfig(),
-		CPUContentionFrac: 0.5,
-	}
-}
+// cpuContentionFrac: a server tick counts as CPU-contended when utilized
+// CPU demand exceeds this fraction of server capacity (§4.3: "CPU
+// contention occurs when demand exceeds 50% of the server capacity" — the
+// hyperthread-sharing threshold).
+const cpuContentionFrac = 0.5
 
-// ConfigForPolicy adapts DefaultConfig to one of the Fig. 20 policies.
+// DefaultConfig returns the Coach policy configuration.
+func DefaultConfig() Config { return ConfigForPolicy(scheduler.PolicyCoach) }
+
+// ConfigForPolicy returns the §4.3 configuration for one of the Fig. 20
+// policies, evaluated from day 7.
 func ConfigForPolicy(p scheduler.PolicyKind) Config {
-	cfg := DefaultConfig()
-	cfg.Policy = p
-	if p == scheduler.PolicyAggrCoach {
-		cfg.Percentile = 50
-	}
+	cfg := Config{FleetConfig: core.FleetConfigForPolicy(p)}
+	cfg.TrainUpTo = 7 * timeseries.SamplesPerDay
 	return cfg
 }
 
@@ -246,11 +187,7 @@ func (r *Result) UnderAllocFrac(k resources.Kind) float64 {
 // Per-shard results are merged deterministically — the Result (including
 // Outcomes order, sorted by VMID) is byte-identical for any worker count.
 func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
-	tr, cfg, model, err := prepare(tr, fleet, cfg)
-	if err != nil {
-		return nil, err
-	}
-	states, err := buildShards(tr, fleet, model, cfg)
+	tr, cfg, states, err := prepare(tr, fleet, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -283,11 +220,13 @@ func seal(states []*shardState, cfg Config, ticks int) *Result {
 	return merge(cfg, results, ticks)
 }
 
-// prepare resolves a Run's inputs: it generates the trace from
-// cfg.Scenario when tr is nil, validates the trace and fleet, compiles
-// the scenario's faults against the fleet's shard shape and picks the
-// model (cfg.Model, a freshly trained one, or none).
-func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, Config, *predict.LongTerm, error) {
+// prepare resolves a Run's inputs and builds its replay states: it
+// generates the trace from cfg.Scenario when tr is nil, builds the shards
+// (core.FleetConfig.NewShards validates the trace, fleet and config),
+// compiles the scenario's faults against the fleet's shard shape and
+// picks the model (cfg.Model, a freshly trained one, or none) the
+// arrival phase predicts with.
+func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, Config, []*shardState, error) {
 	if tr == nil {
 		if cfg.Scenario == nil {
 			return nil, cfg, nil, fmt.Errorf("sim: nil trace and no Config.Scenario to generate one from")
@@ -300,26 +239,16 @@ func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, C
 			cfg.TrainUpTo = tr.Horizon / 2
 		}
 	}
-	if cfg.TrainUpTo <= 0 || cfg.TrainUpTo >= tr.Horizon {
-		return nil, cfg, nil, fmt.Errorf("sim: TrainUpTo %d outside (0,%d)", cfg.TrainUpTo, tr.Horizon)
-	}
-	if err := tr.CheckIDsAreIndices(); err != nil {
-		return nil, cfg, nil, err
-	}
-	if fleet.NumClusters() == 0 {
-		return nil, cfg, nil, fmt.Errorf("sim: fleet has no clusters")
-	}
-	if err := fleet.Validate(); err != nil {
+	shards, err := cfg.NewShards(tr, fleet)
+	if err != nil {
 		return nil, cfg, nil, err
 	}
 
 	if cfg.Faults == nil && cfg.Scenario != nil && len(cfg.Scenario.Faults) > 0 {
-		groups := fleet.Shards()
-		sizes := make([]int, len(groups))
-		for i, g := range groups {
+		sizes := make([]int, len(shards))
+		for i, g := range fleet.Shards() {
 			sizes[i] = len(g)
 		}
-		var err error
 		cfg.Faults, err = fault.Compile(cfg.Scenario.Faults, cfg.Scenario.Seed,
 			sizes, tr.Horizon-cfg.TrainUpTo)
 		if err != nil {
@@ -334,16 +263,11 @@ func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, C
 		// on its fully-guaranteed best-fit split.
 		model = nil
 	} else if model == nil && cfg.Policy != scheduler.PolicyNone {
-		ltCfg := cfg.LongTerm
-		ltCfg.Windows = cfg.Windows
-		ltCfg.Percentile = cfg.Percentile
-		var err error
-		model, err = predict.TrainLongTerm(tr, cfg.TrainUpTo, ltCfg)
-		if err != nil {
+		if model, err = predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig()); err != nil {
 			return nil, cfg, nil, err
 		}
 	}
-	return tr, cfg, model, nil
+	return tr, cfg, newShardStates(shards, tr, model, cfg), nil
 }
 
 // runDecoupled replays every shard to completion independently, one
@@ -410,18 +334,13 @@ func exchangeMigrations(states []*shardState) error {
 		return nil
 	}
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Before(reqs[j].MigrationRequest) })
+	shards := make([]*core.Shard, len(states))
+	for i, st := range states {
+		shards[i] = st.sh
+	}
 	for _, rq := range reqs {
 		src := states[rq.SrcShard]
-		bestShard, bestServer, bestScore := -1, -1, 0.0
-		for j, dst := range states {
-			if j == rq.SrcShard || dst.sh.Eng == nil {
-				continue
-			}
-			// Strict > keeps the lowest shard index on score ties.
-			if srv, score, ok := dst.sh.Eng.PickInbound(rq.MigrationRequest); ok && (bestShard < 0 || score > bestScore) {
-				bestShard, bestServer, bestScore = j, srv, score
-			}
-		}
+		bestShard, bestServer := core.BestInbound(shards, rq.MigrationRequest, nil)
 		if bestShard < 0 {
 			plan, err := src.sh.Settle(rq.MigrationRequest)
 			if err != nil {

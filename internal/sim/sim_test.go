@@ -6,6 +6,7 @@ import (
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
+	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -40,6 +41,12 @@ func TestRunValidation(t *testing.T) {
 	cfg.TrainUpTo = tr.Horizon + 1
 	if _, err := Run(tr, fleet, cfg); err == nil {
 		t.Error("TrainUpTo beyond horizon must fail")
+	}
+	cfg = DefaultConfig()
+	cfg.TrainUpTo = tr.Horizon / 2
+	cfg.Windows = timeseries.Windows{PerDay: 5}
+	if _, err := Run(tr, fleet, cfg); err == nil {
+		t.Error("windows that do not divide the day must fail")
 	}
 	cfg = DefaultConfig()
 	cfg.TrainUpTo = tr.Horizon / 2
