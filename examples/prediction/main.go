@@ -58,7 +58,7 @@ func main() {
 	w := cvm.Pred.Windows
 	fmt.Printf("memory, %d windows of %.0fh:\n", w.PerDay, w.Hours())
 	fmt.Println("window  predicted-P95  predicted-max  actual-max")
-	actual := target.Util[coach.Memory].LifetimeWindowMax(w)
+	actual := target.Runs.LifetimeWindowMax(w)[coach.Memory]
 	for t := 0; t < w.PerDay; t++ {
 		fmt.Printf("%3d     %12.0f%%  %12.0f%%  %9.0f%%\n", t,
 			100*cvm.Pred.Pct[coach.Memory][t],
@@ -83,7 +83,7 @@ func main() {
 			continue
 		}
 		n++
-		actualPct := vm.Util[coach.Memory].WindowPercentile(c.Pred.Windows, 95)
+		actualPct := vm.Runs.WindowPercentile(c.Pred.Windows, 95)[coach.Memory]
 		var actGuar float64
 		for _, v := range actualPct {
 			if v > actGuar {

@@ -90,7 +90,7 @@ func Groups(tr *trace.Trace, k resources.Kind) []GroupResult {
 		if visible > split {
 			visible = split
 		}
-		peak := vm.Util[k][:visible-vm.Start].Max()
+		peak := vm.Runs.Prefix(visible - vm.Start).Max(k)
 		for gi, g := range Groupings {
 			key := g.key(vm)
 			gs := firstWeek[gi][key]
@@ -118,7 +118,7 @@ func Groups(tr *trace.Trace, k resources.Kind) []GroupResult {
 			evaluated++
 			counts = append(counts, float64(len(gs.peaks)))
 			ranges = append(ranges, 100*(stats.Max(gs.peaks)-stats.Min(gs.peaks)))
-			ownPeak := vm.Util[k].Max()
+			ownPeak := vm.Runs.Max(k)
 			diff := 100 * abs(ownPeak-stats.Mean(gs.peaks))
 			if diff <= 10 {
 				within10++

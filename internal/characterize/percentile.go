@@ -26,7 +26,7 @@ var TradeoffPercentiles = []float64{65, 70, 75, 80, 85, 90, 95}
 // portion is the bucketed P-percentile of each window's utilization,
 // assuming uniform access over utilized memory (§3.3, Fig. 17).
 func oversubAccessPct(vm *trace.VM, k resources.Kind, w timeseries.Windows, pct float64) float64 {
-	s := vm.Util[k]
+	s := vm.Runs.Series(k, nil)
 	pa := s.WindowPercentile(w, pct)
 	// The PA allocation is static: the max across windows (formula 1),
 	// rounded up to a 5% bucket.

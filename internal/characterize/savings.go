@@ -22,17 +22,18 @@ type SavingsRow struct {
 // dailySavings computes, for the VMs of one cluster (or all when
 // cluster < 0), the resource-weighted savings fraction for resource k on
 // day d: sum over VMs of alloc * mean-over-windows(lifetimeMax - windowMax)
-// divided by the summed allocation of VMs live that day.
-func dailySavings(vms []*trace.VM, k resources.Kind, d int, w timeseries.Windows) float64 {
+// divided by the summed allocation of VMs live that day. series[i] is
+// vms[i]'s kind-k utilization.
+func dailySavings(vms []*trace.VM, series []timeseries.Series, k resources.Kind, d int, w timeseries.Windows) float64 {
 	var saved, alloc float64
 	dayStart := d * timeseries.SamplesPerDay
-	for _, vm := range vms {
+	for i, vm := range vms {
 		if vm.Start > dayStart || vm.End < dayStart+timeseries.SamplesPerDay {
 			continue
 		}
 		localDay := (dayStart - vm.Start) / timeseries.SamplesPerDay
-		lifetimeMax := vm.Util[k].Max()
-		sv := vm.Util[k].WindowSavings(localDay, w, lifetimeMax)
+		lifetimeMax := series[i].Max()
+		sv := series[i].WindowSavings(localDay, w, lifetimeMax)
 		saved += vm.Alloc[k] * stats.Mean(sv)
 		alloc += vm.Alloc[k]
 	}
@@ -44,15 +45,15 @@ func dailySavings(vms []*trace.VM, k resources.Kind, d int, w timeseries.Windows
 
 // idealSavings is dailySavings at 5-minute multiplexing: the mean gap
 // between lifetime max and each 5-minute sample.
-func idealSavings(vms []*trace.VM, k resources.Kind, d int) float64 {
+func idealSavings(vms []*trace.VM, series []timeseries.Series, k resources.Kind, d int) float64 {
 	var saved, alloc float64
 	dayStart := d * timeseries.SamplesPerDay
-	for _, vm := range vms {
+	for i, vm := range vms {
 		if vm.Start > dayStart || vm.End < dayStart+timeseries.SamplesPerDay {
 			continue
 		}
-		day := vm.Util[k][dayStart-vm.Start : dayStart-vm.Start+timeseries.SamplesPerDay]
-		lifetimeMax := vm.Util[k].Max()
+		day := series[i][dayStart-vm.Start : dayStart-vm.Start+timeseries.SamplesPerDay]
+		lifetimeMax := series[i].Max()
 		var sum float64
 		for _, u := range day {
 			if s := lifetimeMax - u; s > 0 {
@@ -82,14 +83,18 @@ func Savings(tr *trace.Trace, clusterIdx int, k resources.Kind, configs []timese
 		}
 		vms = filtered
 	}
+	series := make([]timeseries.Series, len(vms))
+	for i, vm := range vms {
+		series[i] = vm.Runs.Series(k, nil)
+	}
 	days := tr.Days()
 	rows := make([]SavingsRow, 0, days)
 	for d := 0; d < days; d++ {
 		row := SavingsRow{Day: d, Pct: make([]float64, len(configs)+1)}
 		for wi, w := range configs {
-			row.Pct[wi] = dailySavings(vms, k, d, w)
+			row.Pct[wi] = dailySavings(vms, series, k, d, w)
 		}
-		row.Pct[len(configs)] = idealSavings(vms, k, d)
+		row.Pct[len(configs)] = idealSavings(vms, series, k, d)
 		rows = append(rows, row)
 	}
 	return rows

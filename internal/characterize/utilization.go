@@ -35,10 +35,10 @@ type UtilizationSummary struct {
 func Utilization(tr *trace.Trace) UtilizationSummary {
 	var meanCPU, meanMem, rangeCPU, rangeMem []float64
 	for _, vm := range tr.LongRunning() {
-		meanCPU = append(meanCPU, vm.Util[resources.CPU].Mean())
-		meanMem = append(meanMem, vm.Util[resources.Memory].Mean())
-		rangeCPU = append(rangeCPU, vm.Util[resources.CPU].UtilRange(5, 95))
-		rangeMem = append(rangeMem, vm.Util[resources.Memory].UtilRange(5, 95))
+		meanCPU = append(meanCPU, vm.Runs.Mean(resources.CPU))
+		meanMem = append(meanMem, vm.Runs.Mean(resources.Memory))
+		rangeCPU = append(rangeCPU, vm.Runs.Series(resources.CPU, nil).UtilRange(5, 95))
+		rangeMem = append(rangeMem, vm.Runs.Series(resources.Memory, nil).UtilRange(5, 95))
 	}
 	s := UtilizationSummary{
 		MeanCorrelation:  stats.Pearson(meanCPU, meanMem),
@@ -84,10 +84,11 @@ type PeaksValleysRow struct {
 func PeaksValleys(tr *trace.Trace, k resources.Kind, w timeseries.Windows, wantPeaks bool) []PeaksValleysRow {
 	days := tr.Days()
 	rows := make([]PeaksValleysRow, 0, days)
+	vms, series := longRunningSeries(tr, k)
 	for d := 0; d < days; d++ {
 		counts := make([]float64, w.PerDay)
 		var withAny, none, total float64
-		for _, vm := range tr.LongRunning() {
+		for i, vm := range vms {
 			// The VM must cover this full trace day.
 			dayStart := d * timeseries.SamplesPerDay
 			if vm.Start > dayStart || vm.End < dayStart+timeseries.SamplesPerDay {
@@ -95,7 +96,7 @@ func PeaksValleys(tr *trace.Trace, k resources.Kind, w timeseries.Windows, wantP
 			}
 			total++
 			localDay := (dayStart - vm.Start) / timeseries.SamplesPerDay
-			peaks, valleys, has := vm.Util[k].PeaksValleys(localDay, w)
+			peaks, valleys, has := series[i].PeaksValleys(localDay, w)
 			if !has {
 				none++
 				continue
@@ -140,13 +141,14 @@ func PeaksValleys(tr *trace.Trace, k resources.Kind, w timeseries.Windows, wantP
 // consecutive days, evaluated at the given thresholds (fractions).
 func ConsistencyCDF(tr *trace.Trace, k resources.Kind, configs []timeseries.Windows, thresholds []float64) map[timeseries.Windows][]stats.CDFPoint {
 	out := make(map[timeseries.Windows][]stats.CDFPoint, len(configs))
+	_, series := longRunningSeries(tr, k)
 	for _, w := range configs {
 		var diffs []float64
-		for _, vm := range tr.LongRunning() {
-			days := vm.Util[k].Days()
+		for _, s := range series {
+			days := s.Days()
 			for d := 0; d+1 < days; d++ {
-				a := vm.Util[k].DayWindowMax(d, w)
-				b := vm.Util[k].DayWindowMax(d+1, w)
+				a := s.DayWindowMax(d, w)
+				b := s.DayWindowMax(d+1, w)
 				for wi := range a {
 					diff := a[wi] - b[wi]
 					if diff < 0 {
@@ -159,4 +161,15 @@ func ConsistencyCDF(tr *trace.Trace, k resources.Kind, configs []timeseries.Wind
 		out[w] = stats.CDF(diffs, thresholds)
 	}
 	return out
+}
+
+// longRunningSeries returns the trace's long-running VMs and each one's
+// kind-k utilization, expanded once for the per-day readers.
+func longRunningSeries(tr *trace.Trace, k resources.Kind) ([]*trace.VM, []timeseries.Series) {
+	vms := tr.LongRunning()
+	series := make([]timeseries.Series, len(vms))
+	for i, vm := range vms {
+		series[i] = vm.Runs.Series(k, nil)
+	}
+	return vms, series
 }

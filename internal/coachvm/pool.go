@@ -2,6 +2,7 @@ package coachvm
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/stats"
@@ -65,15 +66,28 @@ func (p *Pool) DemandAt(k resources.Kind, t int) float64 {
 	return p.demandSum[int(k)*p.windows.PerDay+t]
 }
 
+// byID returns the members in ascending id order. Sums over members
+// run in this order, so their bits do not depend on Go's randomized map
+// iteration.
+func (p *Pool) byID() []*CVM {
+	out := make([]*CVM, 0, len(p.members))
+	for _, vm := range p.members {
+		out = append(out, vm)
+	}
+	slices.SortFunc(out, func(a, b *CVM) int { return a.ID - b.ID })
+	return out
+}
+
 // Oversubscribed returns, per resource, the multiplexed oversubscribed
 // pool size: the max across windows of the summed VA demands (formula 4).
 func (p *Pool) Oversubscribed() resources.Vector {
+	members := p.byID()
 	var out resources.Vector
 	for _, k := range resources.Kinds {
 		var m float64
 		for t := 0; t < p.windows.PerDay; t++ {
 			var sum float64
-			for _, vm := range p.members {
+			for _, vm := range members {
 				sum += vm.VADemand[k][t]
 			}
 			if sum > m {
@@ -174,7 +188,7 @@ func (p *Pool) Remove(id int) *CVM {
 // "Multiplex Saved" quantity illustrated in Fig. 16b.
 func (p *Pool) MultiplexSavings() resources.Vector {
 	var naive resources.Vector
-	for _, vm := range p.members {
+	for _, vm := range p.byID() {
 		for _, k := range resources.Kinds {
 			var m float64
 			for _, d := range vm.VADemand[k] {

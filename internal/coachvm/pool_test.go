@@ -260,3 +260,31 @@ func TestFreeNonNegative(t *testing.T) {
 		}
 	}
 }
+
+// TestPoolSumsDeterministic sums inexact VA demands over 200 members:
+// summed in Go's randomized map order, the low bits would differ from
+// call to call.
+func TestPoolSumsDeterministic(t *testing.T) {
+	p := NewPool(resources.NewVector(1e9, 1e9, 1e9, 1e9), w6)
+	for id := 0; id < 200; id++ {
+		vm := FullyGuaranteed(id, resources.NewVector(1, 1, 1, 1), w6)
+		if err := p.Add(vm); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range resources.Kinds {
+			vm.VADemand[k] = make([]float64, w6.PerDay)
+			for i := range vm.VADemand[k] {
+				vm.VADemand[k][i] = float64(id+i)/3 + float64(k+1)/7
+			}
+		}
+	}
+	over, sav := p.Oversubscribed(), p.MultiplexSavings()
+	for call := 0; call < 50; call++ {
+		o, s := p.Oversubscribed(), p.MultiplexSavings()
+		for _, k := range resources.Kinds {
+			if math.Float64bits(o[k]) != math.Float64bits(over[k]) || math.Float64bits(s[k]) != math.Float64bits(sav[k]) {
+				t.Fatalf("call %d, %v: Oversubscribed %v / %v, MultiplexSavings %v / %v", call, k, o[k], over[k], s[k], sav[k])
+			}
+		}
+	}
+}

@@ -130,7 +130,7 @@ func runAblForest(c *Context) ([]*report.Table, error) {
 					predMax = v
 				}
 			}
-			actual := vm.Util[resources.Memory].Max()
+			actual := vm.Runs.Max(resources.Memory)
 			d := predMax - actual
 			if d < 0 {
 				d = -d

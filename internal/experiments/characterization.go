@@ -236,11 +236,13 @@ func runFig7(c *Context) ([]*report.Table, error) {
 	// Pick a long-running VM with a clear diurnal pattern: the VM with
 	// the largest CPU utilization range among week-long VMs.
 	var best *traceVM
+	var buf timeseries.Series
 	for _, vm := range tr.LongRunning() {
 		if vm.DurationSamples() < 7*timeseries.SamplesPerDay {
 			continue
 		}
-		r := vm.Util[resources.CPU].UtilRange(5, 95)
+		buf = vm.Runs.Series(resources.CPU, buf)
+		r := buf.UtilRange(5, 95)
 		if best == nil || r > best.rng {
 			best = &traceVM{vm: vm, rng: r}
 		}
@@ -249,17 +251,18 @@ func runFig7(c *Context) ([]*report.Table, error) {
 		return nil, fmt.Errorf("fig7: no week-long VM in trace")
 	}
 	w := timeseries.Windows{PerDay: 3}
-	life := best.vm.Util[resources.CPU].LifetimeWindowMax(w)
+	life := best.vm.Runs.LifetimeWindowMax(w)[resources.CPU]
+	cpu := best.vm.Runs.Series(resources.CPU, nil)
 	t := &report.Table{
 		Title:   fmt.Sprintf("VM %d weekly CPU pattern, 3x8h windows (%% utilization)", best.vm.ID),
 		Headers: []string{"day", "win 0-8h", "win 8-16h", "win 16-24h"},
 	}
-	days := best.vm.Util[resources.CPU].Days()
+	days := cpu.Days()
 	if days > 7 {
 		days = 7
 	}
 	for d := 0; d < days; d++ {
-		wm := best.vm.Util[resources.CPU].DayWindowMax(d, w)
+		wm := cpu.DayWindowMax(d, w)
 		t.AddRow(fmt.Sprintf("day %d", d), 100*wm[0], 100*wm[1], 100*wm[2])
 	}
 	t.AddRow("lifetime max", 100*life[0], 100*life[1], 100*life[2])

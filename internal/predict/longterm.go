@@ -156,10 +156,10 @@ func TrainLongTerm(tr *trace.Trace, upToSample int, cfg LongTermConfig) (*LongTe
 			return
 		}
 		st[i].visible = visible
+		u := vm.Runs.Prefix(visible)
 		for _, k := range resources.Kinds {
-			s := vm.Util[k][:visible]
-			st[i].peak[k] = s.Max()
-			st[i].mean[k] = s.Mean()
+			st[i].peak[k] = u.Max(k)
+			st[i].mean[k] = u.Mean(k)
 		}
 	})
 
@@ -220,10 +220,11 @@ func TrainLongTerm(tr *trace.Trace, upToSample int, cfg LongTermConfig) (*LongTe
 		vm := &tr.VMs[i]
 		h := lt.history[vm.Subscription]
 		r0 := rowStart[i]
+		u := vm.Runs.Prefix(st[i].visible)
+		pcts, maxes := u.WindowPercentile(cfg.Windows, cfg.Percentile), u.LifetimeWindowMax(cfg.Windows)
 		for _, k := range resources.Kinds {
-			s := vm.Util[k][:st[i].visible]
-			copy(pctTargets[k][r0:r0+w], s.WindowPercentile(cfg.Windows, cfg.Percentile))
-			copy(maxTargets[k][r0:r0+w], s.LifetimeWindowMax(cfg.Windows))
+			copy(pctTargets[k][r0:r0+w], pcts[k])
+			copy(maxTargets[k][r0:r0+w], maxes[k])
 			for t := 0; t < w; t++ {
 				lt.featuresInto(featRows[k][r0+t], tr, vm, h, k, t)
 			}
@@ -384,10 +385,11 @@ func (lt *LongTerm) PredictBatchInto(tr *trace.Trace, vms []*trace.VM, preds []c
 		preds[i] = coachvm.Prediction{Windows: lt.cfg.Windows, Percentile: lt.cfg.Percentile}
 		oks[i] = false
 		if visible := visibleSamples(vm, lt.upTo); visible >= lt.cfg.MinSamples {
+			u := vm.Runs.Prefix(visible)
+			pcts, maxes := u.WindowPercentile(lt.cfg.Windows, lt.cfg.Percentile), u.LifetimeWindowMax(lt.cfg.Windows)
 			for _, k := range resources.Kinds {
-				s := vm.Util[k][:visible]
-				preds[i].Pct[k] = quantizeAll(s.WindowPercentile(lt.cfg.Windows, lt.cfg.Percentile), lt.cfg.SafetyBuckets)
-				preds[i].Max[k] = quantizeAll(s.LifetimeWindowMax(lt.cfg.Windows), lt.cfg.SafetyBuckets)
+				preds[i].Pct[k] = quantizeAll(pcts[k], lt.cfg.SafetyBuckets)
+				preds[i].Max[k] = quantizeAll(maxes[k], lt.cfg.SafetyBuckets)
 			}
 			preds[i].Clamp()
 			oks[i] = true

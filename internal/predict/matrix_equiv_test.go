@@ -19,10 +19,11 @@ import (
 func referencePredict(lt *LongTerm, tr *trace.Trace, vm *trace.VM) (coachvm.Prediction, bool) {
 	pred := coachvm.Prediction{Windows: lt.cfg.Windows, Percentile: lt.cfg.Percentile}
 	if visible := visibleSamples(vm, lt.upTo); visible >= lt.cfg.MinSamples {
+		u := vm.Runs.Prefix(visible)
+		pcts, maxes := u.WindowPercentile(lt.cfg.Windows, lt.cfg.Percentile), u.LifetimeWindowMax(lt.cfg.Windows)
 		for _, k := range resources.Kinds {
-			s := vm.Util[k][:visible]
-			pred.Pct[k] = quantizeAll(s.WindowPercentile(lt.cfg.Windows, lt.cfg.Percentile), lt.cfg.SafetyBuckets)
-			pred.Max[k] = quantizeAll(s.LifetimeWindowMax(lt.cfg.Windows), lt.cfg.SafetyBuckets)
+			pred.Pct[k] = quantizeAll(pcts[k], lt.cfg.SafetyBuckets)
+			pred.Max[k] = quantizeAll(maxes[k], lt.cfg.SafetyBuckets)
 		}
 		pred.Clamp()
 		return pred, true

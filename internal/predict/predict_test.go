@@ -80,7 +80,7 @@ func TestOwnHistoryPredictionAccuracy(t *testing.T) {
 			continue
 		}
 		total++
-		actual := vm.Util[resources.Memory].WindowPercentile(pred.Windows, 95)
+		actual := vm.Runs.WindowPercentile(pred.Windows, 95)[resources.Memory]
 		ok2 := true
 		var predGuar, actGuar float64
 		for tt := range actual {

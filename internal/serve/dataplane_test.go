@@ -125,7 +125,7 @@ func TestFirstTickReplaysSampleZero(t *testing.T) {
 		sh.mu.Lock()
 		got := sh.DP.Servers()[sh.DP.ServerOf(vm.ID)].Server.VM(vm.ID).WSS()
 		sh.mu.Unlock()
-		if want := vm.Alloc[resources.Memory] * vm.Util[resources.Memory][0]; got != want {
+		if want := vm.Alloc[resources.Memory] * vm.UtilAt(resources.Memory, vm.Start); got != want {
 			t.Fatalf("vm %d working set %v after one tick, want sample 0's %v", vm.ID, got, want)
 		}
 	}

@@ -132,15 +132,11 @@ func (d *dpTracked) wss() float64 {
 	if d.hasReport {
 		return d.vm.Alloc[resources.Memory] * d.reported
 	}
-	s := d.vm.Util[resources.Memory]
-	if len(s) == 0 {
+	n := d.vm.Runs.Len()
+	if n == 0 {
 		return 0
 	}
-	i := d.age
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return d.vm.Alloc[resources.Memory] * s[i]
+	return d.vm.Alloc[resources.Memory] * d.vm.Runs.At(min(d.age, n-1))[resources.Memory]
 }
 
 // Service is a concurrency-safe prediction-and-admission server over one

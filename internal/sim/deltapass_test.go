@@ -42,14 +42,14 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 		return s
 	}
 	vm := func(id, cluster int, cpu, mem float64) trace.VM {
-		v := trace.VM{ID: id, Start: trainUpTo, End: horizon, Cluster: cluster,
-			Alloc: resources.NewVector(4, 16, 2, 64)}
+		var util [resources.NumKinds]timeseries.Series
 		for _, k := range resources.Kinds {
-			v.Util[k] = series(0.1, 0.3)
+			util[k] = series(0.1, 0.3)
 		}
-		v.Util[resources.CPU] = series(0.1+cpu, 0.7-cpu)
-		v.Util[resources.Memory] = series(0.2+mem, 0.9-mem)
-		return v
+		util[resources.CPU] = series(0.1+cpu, 0.7-cpu)
+		util[resources.Memory] = series(0.2+mem, 0.9-mem)
+		return trace.VM{ID: id, Start: trainUpTo, End: horizon, Cluster: cluster,
+			Alloc: resources.NewVector(4, 16, 2, 64), Runs: timeseries.NewRuns(util)}
 	}
 	const a, c, d, b = 0, 1, 2, 3
 	tr := &trace.Trace{Horizon: horizon, VMs: []trace.VM{
@@ -96,19 +96,18 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 		// server the crash spares.
 		st.sh.Sched.Remove(c)
 		st.removeTracked(c)
-		rb := tr.VMs[b]
 		st.addImmigrated(migRequest{
 			MigrationRequest: core.MigrationRequest{VMID: b, Tick: tick - 1 - trainUpTo},
 			vm:               &tr.VMs[b],
-			changes:          rb.ChangePoints(),
-		}, (ra.srv+1)%len(st.servers))
+			cur:              tr.VMs[b].Runs.CursorAt(trainUpTo, trainUpTo),
+		}, int(ra.srv+1)%len(st.servers))
 		if !reference {
 			due := st.queue.buckets[tick-st.queue.base]
 			if !sameIDs(due, []int{a, b, c, d}) {
 				t.Fatalf("queue bucket at tick = %v, want a, b, c and d", due)
 			}
 		}
-		st.fEvents = []fault.Event{{Tick: tick - trainUpTo, Server: ra.srv}}
+		st.fEvents = []fault.Event{{Tick: tick - trainUpTo, Server: int(ra.srv)}}
 		before := visits
 		step(tick)
 		if st.sh.Stats.ReplacedVMs != 2 {

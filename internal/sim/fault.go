@@ -40,7 +40,7 @@ func (f *FaultResult) merge(o FaultResult) {
 // applyFaults processes the shard's fault events due at trace tick t
 // (Run pre-sorts them by tick, so a cursor walk suffices) and folds each
 // crash's evictions into the replay accounting: a re-admitted VM gets a
-// fresh record carrying its change-point cursor (this tick's delta pass
+// fresh record carrying its run cursor (this tick's delta pass
 // folds its demand in through its slot) and one downtime tick; a lost VM leaves
 // the replay, its remaining lifetime attributed as downtime.
 func (st *shardState) applyFaults(t int) error {
@@ -57,13 +57,10 @@ func (st *shardState) applyFaults(t int) error {
 			rec := st.recs[st.pos[ev.VMID]]
 			st.removeTracked(ev.VMID) // memory already gone with the crash
 			if ev.Server < 0 {
-				st.sr.faults.DowntimeTicks += min(rec.vm.End, st.tr.Horizon) - t
+				st.sr.faults.DowntimeTicks += min(st.tr.VMs[ev.VMID].End, st.tr.Horizon) - t
 				continue
 			}
-			st.track(placedRec{
-				vm: rec.vm, srv: ev.Server,
-				changes: rec.changes, nextCh: rec.nextCh,
-			})
+			st.track(newRec(&st.tr.VMs[ev.VMID], ev.Server, rec.cur))
 			st.slots = append(st.slots, ev.VMID)
 			st.sr.faults.DowntimeTicks++
 		}

@@ -88,7 +88,7 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 // TestTrainFailDegradedReplay runs the train-fail fault: Policy is Coach
 // but no model exists, so every arrival is placed on its fully guaranteed
 // split and none is judged. The arrival phase must still list every
-// arrival's change points without a model — the reference's full
+// arrival's run cursor without a model — the reference's full
 // recomputation would otherwise see demand changes the event queue
 // missed — so Run matches runReference byte for byte at Workers 1 and 8.
 func TestTrainFailDegradedReplay(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"github.com/coach-oss/coach/internal/coachvm"
 	"github.com/coach-oss/coach/internal/par"
 	"github.com/coach-oss/coach/internal/predict"
+	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -34,7 +35,8 @@ func spans(shards int, n func(i int) int) []span {
 
 // arrivalPhase fills every shard's arrival slots in event order: one
 // PredictBatchInto per span (none without a model, leaving every slot
-// unpredicted) and each VM's change points.
+// unpredicted) and each VM's run cursor, on the run holding its arrival
+// sample.
 func arrivalPhase(states []*shardState, tr *trace.Trace, model *predict.LongTerm, workers int) {
 	vms := make([][]*trace.VM, len(states))
 	for i, st := range states {
@@ -45,7 +47,7 @@ func arrivalPhase(states []*shardState, tr *trace.Trace, model *predict.LongTerm
 		}
 		st.preds = make([]coachvm.Prediction, len(vms[i]))
 		st.oks = make([]bool, len(vms[i]))
-		st.changes = make([][]int32, len(vms[i]))
+		st.cursors = make([]timeseries.Cursor, len(vms[i]))
 	}
 	items := spans(len(states), func(i int) int { return len(vms[i]) })
 	par.ForEach(workers, len(items), func(k int) {
@@ -55,7 +57,7 @@ func arrivalPhase(states []*shardState, tr *trace.Trace, model *predict.LongTerm
 			model.PredictBatchInto(tr, batch, st.preds[it.lo:it.hi], st.oks[it.lo:it.hi])
 		}
 		for j, vm := range batch {
-			st.changes[it.lo+j] = vm.ChangePoints()
+			st.cursors[it.lo+j] = vm.Runs.CursorAt(vm.Start, max(vm.Start, st.cfg.TrainUpTo))
 		}
 	})
 }

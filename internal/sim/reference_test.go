@@ -53,12 +53,13 @@ func runReference(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, e
 func (st *shardState) referenceAdvance(t int) error {
 	for i := range st.recs {
 		r := &st.recs[i]
-		cur := r.vm.DemandAt(t)
+		vm := &st.tr.VMs[r.id]
+		cur := vm.DemandAt(t)
 		if cur != r.last {
 			st.demand[r.srv] = st.demand[r.srv].Add(cur.Sub(r.last))
 			r.last = cur
 			if st.sh.DP != nil {
-				st.sh.DP.SetWSS(r.vm.ID, cur[resources.Memory])
+				st.sh.DP.SetWSS(vm.ID, cur[resources.Memory])
 			}
 		}
 	}

@@ -87,9 +87,7 @@ func wallTrace(t *testing.T, preset string) (*trace.Trace, *scenario.Spec) {
 	for i := range tr.VMs {
 		vm := &tr.VMs[i]
 		if vm.Start < split && vm.End > split {
-			for k := range vm.Util {
-				vm.Util[k] = vm.Util[k][:min(split-vm.Start, len(vm.Util[k]))]
-			}
+			vm.Runs = vm.Runs.Prefix(split - vm.Start)
 			vm.End = split
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"github.com/coach-oss/coach/internal/predict"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
+	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -81,31 +82,33 @@ func newShardStates(shards []*core.Shard, tr *trace.Trace, model *predict.LongTe
 	return states
 }
 
-// placedRec tracks one placed VM's incremental-accounting state.
+// placedRec tracks one placed VM's incremental-accounting state in 128
+// bytes: the delta pass reads this record and its current run, not the
+// trace.
 type placedRec struct {
-	vm  *trace.VM
-	srv int // index into the shard scheduler's server slice
 	// last is the demand vector currently accumulated into the server's
-	// running total for this VM.
-	last resources.Vector
-	// changes and nextCh drive the event queue: changes is the VM's
-	// utilization change-point list (trace.VM.ChangePoints, computed once
-	// by the arrival phase) and nextCh the cursor of the next unscheduled
-	// one.
-	changes []int32
-	nextCh  int
+	// running total for this VM; alloc is the VM's allocation.
+	last, alloc resources.Vector
+	// cur is the cursor on the VM's utilization runs. It drives the event
+	// queue: one pending event per VM, at the next run's start.
+	cur timeseries.Cursor
+	// id is the VM's id (its index in the trace); srv indexes the shard
+	// scheduler's server slice.
+	id, srv int32
+}
+
+func newRec(vm *trace.VM, srv int, cur timeseries.Cursor) placedRec {
+	return placedRec{alloc: vm.Alloc, cur: cur, id: int32(vm.ID), srv: int32(srv)}
 }
 
 // migRequest pairs a cross-shard migration request with the trace VM it
 // moves, so the destination shard can keep replaying its utilization
-// series and schedule its departure. The change-point cursor rides along
-// so the destination's event queue resumes where the source's left off
-// without recomputing the list.
+// and schedule its departure. The run cursor rides along so the
+// destination's event queue resumes where the source's left off.
 type migRequest struct {
 	core.MigrationRequest
-	vm      *trace.VM
-	changes []int32
-	nextCh  int
+	vm  *trace.VM
+	cur timeseries.Cursor
 }
 
 // shardState is one shard's live replay state. It persists across ticks
@@ -143,12 +146,12 @@ type shardState struct {
 	outbox []migRequest
 
 	// Arrival slots, filled by arrivalPhase: preds[a], oks[a] and
-	// changes[a] are the a-th arrival's prediction and change points; ai
-	// is the next slot arrive consumes. judged lists the placed,
+	// cursors[a] are the a-th arrival's prediction and run cursor; ai is
+	// the next slot arrive consumes. judged lists the placed,
 	// oversubscribed VMs whose outcomes judgePhase computes.
 	preds   []coachvm.Prediction
 	oks     []bool
-	changes [][]int32
+	cursors []timeseries.Cursor
 	ai      int
 	judged  []judgement
 
@@ -232,21 +235,6 @@ func (st *shardState) touchServer(srv int) {
 	st.dirty = append(st.dirty, srv)
 }
 
-// scheduleNext queues r's next utilization-change event after tick t.
-// The cursor is left on the scheduled change point; when that event fires
-// the advance loop steps past it, so each VM has at most one pending
-// event. Push bounds-checks the horizon, so late change points of VMs
-// outliving the trace drop out naturally.
-func (st *shardState) scheduleNext(r *placedRec, t int) {
-	rel := t - r.vm.Start
-	for r.nextCh < len(r.changes) && int(r.changes[r.nextCh]) <= rel {
-		r.nextCh++
-	}
-	if r.nextCh < len(r.changes) {
-		st.queue.Push(r.vm.Start+int(r.changes[r.nextCh]), r.vm.ID)
-	}
-}
-
 // step replays one evaluation tick t: events, the incremental demand
 // delta pass, the data-plane tick with migration resolution, and the
 // contention counters. It is the single-threaded hot loop; Run schedules
@@ -295,9 +283,9 @@ func (st *shardState) arrive(t int) error {
 		st.sr.requested++
 		a := st.ai
 		st.ai++
-		pred, ok, changes := st.preds[a], st.oks[a], st.changes[a]
+		pred, ok := st.preds[a], st.oks[a]
 		// Cleared slots keep departed VMs' predictions collectable.
-		st.preds[a], st.changes[a] = coachvm.Prediction{}, nil
+		st.preds[a] = coachvm.Prediction{}
 		cvm, err := scheduler.BuildCVM(st.cfg.Policy, ev.vm.ID, ev.vm.Alloc, pred, ok, st.cfg.Windows)
 		if err != nil {
 			return err
@@ -313,9 +301,9 @@ func (st *shardState) arrive(t int) error {
 			continue
 		}
 		st.sr.placed++
-		// The new record's demand applies this tick via its slot;
-		// scheduleNext (in the delta pass) queues the rest of its life.
-		st.track(placedRec{vm: ev.vm, srv: srv, changes: changes})
+		// The new record's demand applies this tick via its slot; the
+		// delta pass queues the rest of its life one run at a time.
+		st.track(newRec(ev.vm, srv, st.cursors[a]))
 		st.slots = append(st.slots, ev.vm.ID)
 		if ok && st.cfg.Policy != scheduler.PolicyNone {
 			st.sr.oversubscribed++
@@ -358,7 +346,7 @@ func (st *shardState) advance(t int) error {
 // stale queue event also popped sets the same bit twice): the order a
 // full pass over st.recs takes, with the same cur != last guard, so the
 // float accumulation into st.demand is bit-identical to visiting every
-// record — a record skipped here has no change point at this offset,
+// record — a record skipped here starts no run at this tick,
 // and spurious events for unchanged demand no-op on the guard.
 func (st *shardState) eventDeltaPass(t int) {
 	// st.slots already holds this tick's placements and re-admissions.
@@ -383,16 +371,20 @@ func (st *shardState) eventDeltaPass(t int) {
 		for ; word != 0; word &= word - 1 {
 			applied++
 			r := &st.recs[w*64+bits.TrailingZeros64(word)]
-			cur := r.vm.DemandAt(t)
+			cur := r.alloc.Mul(r.cur.Seek(t))
 			if cur != r.last {
 				st.demand[r.srv] = st.demand[r.srv].Add(cur.Sub(r.last))
 				r.last = cur
-				st.touchServer(r.srv)
+				st.touchServer(int(r.srv))
 				if st.sh.DP != nil {
-					st.sh.DP.SetWSS(r.vm.ID, cur[resources.Memory])
+					st.sh.DP.SetWSS(int(r.id), cur[resources.Memory])
 				}
 			}
-			st.scheduleNext(r, t)
+			// The next run's start is the VM's one pending event; Push
+			// drops starts past the horizon.
+			if next, ok := r.cur.Next(); ok {
+				st.queue.Push(next, int(r.id))
+			}
 		}
 	}
 	if st.cfg.VisitCounter != nil {
@@ -453,12 +445,7 @@ func (st *shardState) dataPlaneTick(t int) error {
 	}
 	for _, r := range reqs {
 		rec := &st.recs[st.pos[r.VMID]]
-		st.outbox = append(st.outbox, migRequest{
-			MigrationRequest: r,
-			vm:               rec.vm,
-			changes:          rec.changes,
-			nextCh:           rec.nextCh,
-		})
+		st.outbox = append(st.outbox, migRequest{MigrationRequest: r, vm: &st.tr.VMs[rec.id], cur: rec.cur})
 	}
 	st.dpRes.mark(t, st.sh.DP.Counters())
 	return nil
@@ -483,7 +470,7 @@ func (st *shardState) applyPlan(p core.MigrationPlan) {
 	}
 	st.vmCount[p.To]++
 	st.demand[p.To] = st.demand[p.To].Add(r.last)
-	r.srv = p.To
+	r.srv = int32(p.To)
 	st.touchServer(p.From)
 	st.touchServer(p.To)
 }
@@ -495,9 +482,9 @@ func (st *shardState) track(rec placedRec) {
 		st.used++
 	}
 	st.vmCount[rec.srv]++
-	st.pos[rec.vm.ID] = int32(len(st.recs))
+	st.pos[rec.id] = int32(len(st.recs))
 	st.recs = append(st.recs, rec)
-	st.touchServer(rec.srv)
+	st.touchServer(int(rec.srv))
 }
 
 // removeTracked drops a VM from the incremental accounting. It returns
@@ -517,10 +504,10 @@ func (st *shardState) removeTracked(vmID int) bool {
 		// and subtracts.
 		st.demand[r.srv] = st.zero
 	}
-	st.touchServer(r.srv)
+	st.touchServer(int(r.srv))
 	last := len(st.recs) - 1
 	st.recs[p] = st.recs[last]
-	st.pos[st.recs[p].vm.ID] = p
+	st.pos[st.recs[p].id] = p
 	st.recs = st.recs[:last]
 	st.pos[vmID] = -1
 	return true
@@ -531,13 +518,10 @@ func (st *shardState) removeTracked(vmID int) bool {
 // tick's delta pass folds its demand in) plus an injected departure
 // event at the VM's end-of-life.
 func (st *shardState) addImmigrated(rq migRequest, server int) {
-	st.track(placedRec{
-		vm: rq.vm, srv: server,
-		changes: rq.changes, nextCh: rq.nextCh,
-	})
+	st.track(newRec(rq.vm, server, rq.cur))
 	st.insertExtra(event{sample: rq.vm.End, arrival: false, vm: rq.vm})
-	// Re-sync on the very next tick; the fired event's scheduleNext then
-	// resumes the carried change-point cursor.
+	// Re-sync on the very next tick, which resumes the carried run
+	// cursor.
 	st.queue.Push(rq.Tick+st.cfg.TrainUpTo+1, rq.VMID)
 }
 

@@ -369,8 +369,9 @@ func exchangeMigrations(states []*shardState) error {
 // against the VM's actual percentile utilization over its lifetime.
 func outcome(vm *trace.VM, cvm *coachvm.CVM, cfg Config) VMOutcome {
 	o := VMOutcome{VMID: vm.ID}
+	pcts := vm.Runs.WindowPercentile(cfg.Windows, cfg.Percentile)
 	for _, k := range resources.Kinds {
-		actualPct := vm.Util[k].WindowPercentile(cfg.Windows, cfg.Percentile)
+		actualPct := pcts[k]
 		var sum float64
 		var actualGuar float64
 		for t := 0; t < cfg.Windows.PerDay; t++ {

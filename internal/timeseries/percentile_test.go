@@ -3,9 +3,11 @@ package timeseries
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
+	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/stats"
 )
 
@@ -25,14 +27,56 @@ func refWindowPercentile(s Series, w Windows, p float64) []float64 {
 	return out
 }
 
+// refLifetimeWindowMax is LifetimeWindowMax as it was over per-kind
+// series: each day's DayWindowMax, folded across days.
+func refLifetimeWindowMax(s Series, w Windows) []float64 {
+	out := make([]float64, w.PerDay)
+	days := s.Days()
+	if days == 0 && len(s) > 0 {
+		days = 1
+	}
+	for win := range out {
+		out[win] = math.NaN()
+	}
+	for d := 0; d < days; d++ {
+		dm := s.DayWindowMax(d, w)
+		for win, v := range dm {
+			if math.IsNaN(v) {
+				continue
+			}
+			if math.IsNaN(out[win]) || v > out[win] {
+				out[win] = v
+			}
+		}
+	}
+	for win, v := range out {
+		if math.IsNaN(v) {
+			out[win] = 0
+		}
+	}
+	return out
+}
+
+// cpuRuns run-encodes s as the CPU kind of otherwise zero vectors: every
+// sample its own run when no two neighbours are equal, runs otherwise.
+func cpuRuns(s Series) Runs {
+	zeros := make(Series, len(s))
+	return NewRuns([resources.NumKinds]Series{s, zeros, zeros, zeros})
+}
+
+// checkWindowPercentile holds the selection over samples and over runs
+// to the sort-based reference, bit for bit.
 func checkWindowPercentile(t *testing.T, s Series, w Windows, p float64) {
 	t.Helper()
 	in := s.Clone()
-	got, want := s.WindowPercentile(w, p), refWindowPercentile(s.Clone(), w, p)
-	for win := range want {
-		if math.Float64bits(got[win]) != math.Float64bits(want[win]) {
-			t.Fatalf("len %d, %v, p%v, window %d: selection %v (%#x), sort %v (%#x)", len(s), w, p, win,
-				got[win], math.Float64bits(got[win]), want[win], math.Float64bits(want[win]))
+	want := refWindowPercentile(s.Clone(), w, p)
+	for name, got := range map[string][]float64{
+		"samples": s.WindowPercentile(w, p), "runs": cpuRuns(s).WindowPercentile(w, p)[resources.CPU]} {
+		for win := range want {
+			if math.Float64bits(got[win]) != math.Float64bits(want[win]) {
+				t.Fatalf("len %d, %v, p%v, window %d: selection over %s %v (%#x), sort %v (%#x)", len(s), w, p, win,
+					name, got[win], math.Float64bits(got[win]), want[win], math.Float64bits(want[win]))
+			}
 		}
 	}
 	for i := range in {
@@ -43,7 +87,8 @@ func checkWindowPercentile(t *testing.T, s Series, w Windows, p float64) {
 }
 
 // TestWindowPercentileSelectionMatchesSort compares the selection-based
-// WindowPercentile with the sort-based reference bit for bit: heavy ties
+// WindowPercentile, over samples and over runs, with the sort-based
+// reference bit for bit: heavy ties
 // (5% buckets), continuous values, lengths from one sample to a partial
 // last day, every window split, and series holding a NaN or a -0.
 func TestWindowPercentileSelectionMatchesSort(t *testing.T) {
@@ -83,27 +128,80 @@ func TestWindowPercentileSelectionMatchesSort(t *testing.T) {
 }
 
 // FuzzWindowPercentile feeds arbitrary short series (one byte per
-// sample: 5% buckets, with NaN and -0 among them) and percentiles.
+// sample: 5% buckets, with NaN and -0 among them) and percentiles, then
+// reads the same bytes as vector runs cut at an arbitrary visible prefix:
+// the runs' WindowPercentile, Max, Mean and (NaN-free)
+// LifetimeWindowMax must match the references over the expanded samples
+// bit for bit.
 func FuzzWindowPercentile(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5}, 95.0, uint8(6))
-	f.Add([]byte{0, 0, 0}, 50.0, uint8(1))
-	f.Add([]byte{7, 254, 7, 255, 9, 9, 9, 1}, 37.5, uint8(24))
-	f.Fuzz(func(t *testing.T, data []byte, p float64, perDay uint8) {
+	f.Add([]byte{1, 2, 3, 4, 5}, 95.0, uint8(6), uint16(3))
+	f.Add([]byte{0, 0, 0}, 50.0, uint8(1), uint16(9))
+	f.Add([]byte{7, 254, 7, 255, 9, 9, 9, 1}, 37.5, uint8(24), uint16(400))
+	f.Add([]byte{3, 200, 3, 90, 7, 255, 4, 31, 4, 1, 12, 140, 254, 60, 0, 250}, 95.0, uint8(6), uint16(1000))
+	f.Fuzz(func(t *testing.T, data []byte, p float64, perDay uint8, visible uint16) {
 		w := Windows{PerDay: int(perDay)}
 		if w.Validate() != nil || math.IsNaN(p) {
 			return
 		}
 		s := make(Series, len(data))
 		for i, b := range data {
-			switch b {
-			case 255:
-				s[i] = math.NaN()
-			case 254:
-				s[i] = math.Copysign(0, -1)
-			default:
-				s[i] = 0.05 * float64(b%21)
-			}
+			s[i] = fuzzSample(b)
 		}
 		checkWindowPercentile(t, s, w, p)
+		checkRuns(t, fuzzRuns(data), int(visible), w, p)
 	})
+}
+
+func fuzzSample(b byte) float64 {
+	switch b {
+	case 255:
+		return math.NaN()
+	case 254:
+		return math.Copysign(0, -1)
+	}
+	return 0.05 * float64(b%21)
+}
+
+// fuzzRuns reads data as (value, length) byte pairs: a run of length
+// 1 + length%97 of the value in CPU, with Memory cycling through three
+// levels from run to run, so CPU repeats across vector runs.
+func fuzzRuns(data []byte) [resources.NumKinds]Series {
+	var out [resources.NumKinds]Series
+	for i := 0; i+1 < len(data); i += 2 {
+		for n := 1 + int(data[i+1])%97; n > 0; n-- {
+			out[resources.CPU] = append(out[resources.CPU], fuzzSample(data[i]))
+			out[resources.Memory] = append(out[resources.Memory], 0.1*float64(i/2%3))
+		}
+	}
+	out[resources.Network] = make(Series, len(out[resources.CPU]))
+	out[resources.SSD] = out[resources.Network]
+	return out
+}
+
+// checkRuns run-encodes util, cuts the runs at visible (mod the length)
+// and compares every run reader with its reference over each kind's
+// expanded samples, bit for bit.
+func checkRuns(t *testing.T, util [resources.NumKinds]Series, visible int, w Windows, p float64) {
+	t.Helper()
+	visible %= len(util[resources.CPU]) + 1
+	r := NewRuns(util).Prefix(visible)
+	pcts, maxes := r.WindowPercentile(w, p), r.LifetimeWindowMax(w)
+	for _, k := range resources.Kinds {
+		s := util[k][:visible]
+		same := func(what string, got, want []float64) {
+			t.Helper()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%d samples in %d runs, %v, p%v, %v: %s[%d] runs %v (%#x), samples %v (%#x)", visible, r.NumRuns(), w, p,
+						k, what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+		same("WindowPercentile", pcts[k], refWindowPercentile(slices.Clone(s), w, p))
+		if !slices.ContainsFunc(s, math.IsNaN) {
+			same("LifetimeWindowMax", maxes[k], refLifetimeWindowMax(s, w))
+		}
+		same("Max, Mean", []float64{r.Max(k), r.Mean(k)}, []float64{stats.Max(s), stats.Mean(s)})
+		same("Series", r.Series(k, nil), s)
+	}
 }

@@ -35,9 +35,6 @@ func (s Series) Clone() Series {
 // Max returns the lifetime maximum utilization, 0 for an empty series.
 func (s Series) Max() float64 { return stats.Max(s) }
 
-// Mean returns the lifetime mean utilization.
-func (s Series) Mean() float64 { return stats.Mean(s) }
-
 // Percentile returns the p-th percentile of the samples.
 func (s Series) Percentile(p float64) float64 { return stats.Percentile(s, p) }
 
@@ -121,36 +118,6 @@ func (s Series) DayWindowMax(d int, w Windows) []float64 {
 			hi = len(day)
 		}
 		out[win] = stats.Max(day[lo:hi])
-	}
-	return out
-}
-
-// LifetimeWindowMax returns, per window, the maximum utilization across
-// every day of the series (the paper's "lifetime time window max", Fig. 7).
-func (s Series) LifetimeWindowMax(w Windows) []float64 {
-	out := make([]float64, w.PerDay)
-	days := s.Days()
-	if days == 0 && len(s) > 0 {
-		days = 1
-	}
-	for win := range out {
-		out[win] = math.NaN()
-	}
-	for d := 0; d < days; d++ {
-		dm := s.DayWindowMax(d, w)
-		for win, v := range dm {
-			if math.IsNaN(v) {
-				continue
-			}
-			if math.IsNaN(out[win]) || v > out[win] {
-				out[win] = v
-			}
-		}
-	}
-	for win, v := range out {
-		if math.IsNaN(v) {
-			out[win] = 0
-		}
 	}
 	return out
 }

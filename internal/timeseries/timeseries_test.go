@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/coach-oss/coach/internal/resources"
 )
 
 // mkSeries builds a days-long series whose value at each sample is
@@ -36,8 +38,8 @@ func TestCloneIndependent(t *testing.T) {
 
 func TestBasicAggregates(t *testing.T) {
 	s := Series{0.1, 0.5, 0.3}
-	if s.Max() != 0.5 || math.Abs(s.Mean()-0.3) > 1e-12 {
-		t.Errorf("max/mean wrong: %v %v", s.Max(), s.Mean())
+	if r := cpuRuns(s); s.Max() != 0.5 || r.Max(resources.CPU) != 0.5 || math.Abs(r.Mean(resources.CPU)-0.3) > 1e-12 {
+		t.Errorf("max/mean wrong: %v %v", s.Max(), r.Mean(resources.CPU))
 	}
 }
 
@@ -134,7 +136,7 @@ func TestLifetimeWindowMax(t *testing.T) {
 		}
 		return 0.1
 	})
-	lm := s.LifetimeWindowMax(Windows{PerDay: 3})
+	lm := cpuRuns(s).LifetimeWindowMax(Windows{PerDay: 3})[resources.CPU]
 	if lm[0] != 0.7 {
 		t.Errorf("lifetime window 0 max = %v, want 0.7", lm[0])
 	}
@@ -150,7 +152,7 @@ func TestLifetimeWindowMaxDominatesProperty(t *testing.T) {
 		days := 1 + rng.Intn(4)
 		s := mkSeries(days, func(d, i int) float64 { return rng.Float64() })
 		w := CommonWindowConfigs()[rng.Intn(7)]
-		lm := s.LifetimeWindowMax(w)
+		lm := cpuRuns(s).LifetimeWindowMax(w)[resources.CPU]
 		for d := 0; d < days; d++ {
 			dm := s.DayWindowMax(d, w)
 			for win := range dm {
@@ -168,8 +170,8 @@ func TestWindowPercentileBoundedProperty(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		s := mkSeries(2, func(d, i int) float64 { return rng.Float64() })
 		w := Windows{PerDay: 6}
-		pct := s.WindowPercentile(w, 95)
-		lm := s.LifetimeWindowMax(w)
+		pct := cpuRuns(s).WindowPercentile(w, 95)[resources.CPU]
+		lm := cpuRuns(s).LifetimeWindowMax(w)[resources.CPU]
 		for win := range pct {
 			if pct[win] > lm[win]+1e-12 {
 				t.Fatalf("window %d P95 %v > max %v", win, pct[win], lm[win])
@@ -180,7 +182,7 @@ func TestWindowPercentileBoundedProperty(t *testing.T) {
 
 func TestWindowPercentileConstantSeries(t *testing.T) {
 	s := mkSeries(1, func(d, i int) float64 { return 0.42 })
-	for _, p := range s.WindowPercentile(Windows{PerDay: 6}, 95) {
+	for _, p := range cpuRuns(s).WindowPercentile(Windows{PerDay: 6}, 95)[resources.CPU] {
 		if math.Abs(p-0.42) > 1e-9 {
 			t.Fatalf("constant series percentile = %v", p)
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"time"
 
 	"github.com/coach-oss/coach/internal/par"
@@ -128,7 +130,9 @@ func Generate(cfg GenConfig) (*Trace, error) {
 
 	tr.VMs = make([]VM, cfg.VMs)
 	par.ForEach(0, len(tr.VMs), func(i int) {
-		tr.VMs[i] = generateVM(cfg, tr, i, vmRand(cfg.Seed, i))
+		util := scratch.Get().(*[resources.NumKinds]timeseries.Series)
+		tr.VMs[i] = generateVM(cfg, tr, i, vmRand(cfg.Seed, i), util)
+		scratch.Put(util)
 	})
 	return tr, nil
 }
@@ -172,8 +176,9 @@ func pickWeighted(rng *rand.Rand, weights []float64) int {
 	return len(weights) - 1
 }
 
-// generateVM creates VM i with its full utilization series.
-func generateVM(cfg GenConfig, tr *Trace, id int, rng *rand.Rand) VM {
+// generateVM creates VM i with its full utilization, synthesized into
+// util, which keeps the samples, and run-encoded.
+func generateVM(cfg GenConfig, tr *Trace, id int, rng *rand.Rand, util *[resources.NumKinds]timeseries.Series) VM {
 	long := rng.Float64() < cfg.LongRunningFrac
 	start, end := sampleLifetime(cfg, rng, long)
 
@@ -195,7 +200,8 @@ func generateVM(cfg GenConfig, tr *Trace, id int, rng *rand.Rand) VM {
 		Offering:     offering,
 		Cluster:      rng.Intn(cfg.Clusters),
 	}
-	synthesizeUtil(&vm, tr, sub, rng)
+	synthesizeUtil(&vm, tr, sub, rng, util)
+	vm.Runs = timeseries.NewRuns(*util)
 	return vm
 }
 
@@ -262,16 +268,16 @@ func sampleConfig(rng *rand.Rand, long bool, numConfigs int) int {
 // archetype fixes the diurnal shape; per-VM jitter keeps same-subscription
 // VMs similar but not identical (Fig. 12: grouping by subscription+config
 // yields the narrowest peak ranges).
-func synthesizeUtil(vm *VM, tr *Trace, sub *Subscription, rng *rand.Rand) {
-	synthesizeShaped(vm, tr, &Archetypes[sub.Archetype], -1, nil, rng)
+func synthesizeUtil(vm *VM, tr *Trace, sub *Subscription, rng *rand.Rand, util *[resources.NumKinds]timeseries.Series) {
+	synthesizeShaped(vm, tr, &Archetypes[sub.Archetype], -1, nil, rng, util)
 }
 
 // synthesizeShaped is the shared series synthesizer behind both
-// generators. baseMem >= 0 re-centers the memory base level (the
-// scenario path's per-class working-set draw); ampAt, when non-nil,
-// multiplies the diurnal activity amplitude at each trace sample (the
-// scenario path's surge utilization lift).
-func synthesizeShaped(vm *VM, tr *Trace, archp *Archetype, baseMemCenter float64, ampAt func(t int) float64, rng *rand.Rand) {
+// generators, writing into util's reused series. baseMem >= 0 re-centers
+// the memory base level (the scenario path's per-class working-set
+// draw); ampAt, when non-nil, multiplies the diurnal activity amplitude
+// at each trace sample (the scenario path's surge utilization lift).
+func synthesizeShaped(vm *VM, tr *Trace, archp *Archetype, baseMemCenter float64, ampAt func(t int) float64, rng *rand.Rand, util *[resources.NumKinds]timeseries.Series) {
 	arch := *archp
 	if baseMemCenter < 0 {
 		baseMemCenter = arch.BaseMem
@@ -287,8 +293,8 @@ func synthesizeShaped(vm *VM, tr *Trace, archp *Archetype, baseMemCenter float64
 	phase := 0.5 * rng.NormFloat64() // hours
 
 	n := vm.DurationSamples()
-	for _, k := range resources.Kinds {
-		vm.Util[k] = make(timeseries.Series, n)
+	for k := range util {
+		util[k] = slices.Grow(util[k][:0], n)[:n]
 	}
 
 	// Memory has day-scale persistence: a slowly drifting resident set.
@@ -329,12 +335,16 @@ func synthesizeShaped(vm *VM, tr *Trace, archp *Archetype, baseMemCenter float64
 		net := 0.6*cpu + 0.02*rng.NormFloat64()
 		ssd := 0.5*mem + 0.1 + 0.01*rng.NormFloat64()
 
-		vm.Util[resources.CPU][i] = clamp01(cpu)
-		vm.Util[resources.Memory][i] = clamp01(mem)
-		vm.Util[resources.Network][i] = clamp01(net)
-		vm.Util[resources.SSD][i] = clamp01(ssd)
+		util[resources.CPU][i] = clamp01(cpu)
+		util[resources.Memory][i] = clamp01(mem)
+		util[resources.Network][i] = clamp01(net)
+		util[resources.SSD][i] = clamp01(ssd)
 	}
 }
+
+// scratch recycles the generators' per-VM sample buffers across VMs and
+// workers.
+var scratch = sync.Pool{New: func() any { return new([resources.NumKinds]timeseries.Series) }}
 
 func clamp01(x float64) float64 {
 	if x < 0 {

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"github.com/coach-oss/coach/internal/par"
+	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/timeseries"
 )
@@ -76,7 +77,9 @@ func GenerateScenario(spec *scenario.Spec) (*Trace, error) {
 	tr.VMs = make([]VM, len(evs))
 	par.ForEach(0, len(evs), func(id int) {
 		e := evs[id]
-		tr.VMs[id] = generateScenarioVM(spec, tr, id, e.class, e.t, vmRand(spec.Seed, id))
+		util := scratch.Get().(*[resources.NumKinds]timeseries.Series)
+		tr.VMs[id] = generateScenarioVM(spec, tr, id, e.class, e.t, vmRand(spec.Seed, id), util)
+		scratch.Put(util)
 	})
 	return tr, nil
 }
@@ -110,8 +113,10 @@ func resolveArchetypes(spec *scenario.Spec) ([]int, error) {
 	return out, nil
 }
 
-// generateScenarioVM creates VM id of class ci arriving at sample start.
-func generateScenarioVM(spec *scenario.Spec, tr *Trace, id, ci, start int, rng *rand.Rand) VM {
+// generateScenarioVM creates VM id of class ci arriving at sample start,
+// its utilization synthesized into util, which keeps the samples, and
+// run-encoded.
+func generateScenarioVM(spec *scenario.Spec, tr *Trace, id, ci, start int, rng *rand.Rand, util *[resources.NumKinds]timeseries.Series) VM {
 	c := &spec.Classes[ci]
 	lo, hi := spec.SubscriptionRange(ci)
 	sub := &tr.Subscriptions[lo+rng.Intn(hi-lo)]
@@ -158,10 +163,11 @@ func generateScenarioVM(spec *scenario.Spec, tr *Trace, id, ci, start int, rng *
 	if len(spec.Surges) > 0 {
 		ampAt = func(t int) float64 { return spec.UtilMultAt(ci, t) }
 	}
-	synthesizeShaped(&vm, tr, &Archetypes[sub.Archetype], ws, ampAt, rng)
+	synthesizeShaped(&vm, tr, &Archetypes[sub.Archetype], ws, ampAt, rng, util)
 	if spec.UtilQuantum > 0 {
-		quantizeUtil(&vm, spec.UtilQuantum)
+		quantizeUtil(util, spec.UtilQuantum)
 	}
+	vm.Runs = timeseries.NewRuns(*util)
 	return vm
 }
 
@@ -169,10 +175,10 @@ func generateScenarioVM(spec *scenario.Spec, tr *Trace, id, ci, start int, rng *
 // q, clamped to [0,1]. The synthesizer's per-sample noise then collapses
 // into runs of identical samples: demand changes only at genuine level
 // shifts, which is both how coarse production telemetry looks and what
-// gives the event-driven replay core change points to skip between.
-func quantizeUtil(vm *VM, q float64) {
-	for k := range vm.Util {
-		s := vm.Util[k]
+// lets the run-encoded utilization and the replay skip between changes.
+func quantizeUtil(util *[resources.NumKinds]timeseries.Series, q float64) {
+	for k := range util {
+		s := util[k]
 		for i, x := range s {
 			v := math.Round(x/q) * q
 			if v < 0 {

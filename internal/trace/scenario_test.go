@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scenario"
 )
 
@@ -174,7 +175,7 @@ func TestGenerateScenarioWorkingSetCentersMemory(t *testing.T) {
 			continue
 		}
 		ci := sp.ClassOfSubscription(vm.Subscription)
-		mem[ci] += vm.Util[1].Mean() // resources.Memory
+		mem[ci] += vm.Runs.Mean(resources.Memory)
 		n[ci]++
 	}
 	if n[0] == 0 || n[1] == 0 {
@@ -200,7 +201,7 @@ func TestGenerateScenarioQuantizedSparsity(t *testing.T) {
 		changes, samples := 0, 0
 		for i := range tr.VMs {
 			vm := &tr.VMs[i]
-			changes += len(vm.ChangePoints())
+			changes += vm.Runs.NumRuns() - 1
 			samples += vm.DurationSamples()
 		}
 		if samples == 0 {
@@ -220,8 +221,8 @@ func TestGenerateScenarioQuantizedSparsity(t *testing.T) {
 	}
 	for i := range tr.VMs {
 		vm := &tr.VMs[i]
-		for k := range vm.Util {
-			for _, x := range vm.Util[k] {
+		for _, k := range resources.Kinds {
+			for _, x := range vm.Runs.Series(k, nil) {
 				if snapped := math.Round(x/q) * q; x != snapped && !(x == 0 || x == 1) {
 					t.Fatalf("vm %d sample %v is not a multiple of quantum %v", vm.ID, x, q)
 				}

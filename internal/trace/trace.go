@@ -84,9 +84,9 @@ type VM struct {
 	// start; the VM is live for samples [Start, End).
 	Start, End int
 	Offering   Offering
-	// Util holds one fractional utilization series per resource kind,
-	// sample i covering trace sample Start+i.
-	Util [resources.NumKinds]timeseries.Series
+	// Runs is the VM's fractional utilization of every resource kind,
+	// stored as vector runs; sample i covers trace sample Start+i.
+	Runs timeseries.Runs
 	// Cluster is the home cluster index (0-based) the VM was observed in.
 	Cluster int
 }
@@ -128,22 +128,18 @@ func (vm *VM) AliveAt(t int) bool { return t >= vm.Start && t < vm.End }
 // UtilAt returns the fractional utilization of kind k at trace sample t,
 // or 0 when the VM is not live at t.
 func (vm *VM) UtilAt(k resources.Kind, t int) float64 {
-	if !vm.AliveAt(t) {
+	if !vm.AliveAt(t) || t-vm.Start >= vm.Runs.Len() {
 		return 0
 	}
-	i := t - vm.Start
-	if i >= len(vm.Util[k]) {
-		return 0
-	}
-	return vm.Util[k][i]
+	return vm.Runs.At(t - vm.Start)[k]
 }
 
 // DemandAt returns the absolute resource demand vector at trace sample t
 // (allocation x utilization fraction).
 func (vm *VM) DemandAt(t int) resources.Vector {
 	var u resources.Vector
-	for _, k := range resources.Kinds {
-		u[k] = vm.UtilAt(k, t)
+	if vm.AliveAt(t) && t-vm.Start < vm.Runs.Len() {
+		u = vm.Runs.At(t - vm.Start)
 	}
 	return vm.Alloc.Mul(u)
 }
@@ -233,13 +229,13 @@ func (tr *Trace) Validate() error {
 		if !vm.Alloc.Positive() {
 			return fmt.Errorf("trace: vm %d has non-positive allocation %v", vm.ID, vm.Alloc)
 		}
-		for _, k := range resources.Kinds {
-			if got, want := len(vm.Util[k]), vm.DurationSamples(); got != want {
-				return fmt.Errorf("trace: vm %d %v series has %d samples, want %d", vm.ID, k, got, want)
-			}
-			for _, u := range vm.Util[k] {
+		if got, want := vm.Runs.Len(), vm.DurationSamples(); got != want {
+			return fmt.Errorf("trace: vm %d utilization has %d samples, want %d", vm.ID, got, want)
+		}
+		for j := 0; j < vm.Runs.NumRuns(); j++ {
+			for _, k := range resources.Kinds {
 				// Negated so NaN, which fails every comparison, is rejected too.
-				if !(u >= 0 && u <= 1) {
+				if u := vm.Runs.Val(j)[k]; !(u >= 0 && u <= 1) {
 					return fmt.Errorf("trace: vm %d %v utilization %f outside [0,1]", vm.ID, k, u)
 				}
 			}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -154,8 +155,8 @@ func TestCalibrationMemoryNarrowerThanCPU(t *testing.T) {
 	var cpuR, memR float64
 	var n int
 	for _, vm := range tr.LongRunning() {
-		cpuR += vm.Util[resources.CPU].UtilRange(5, 95)
-		memR += vm.Util[resources.Memory].UtilRange(5, 95)
+		cpuR += vm.Runs.Series(resources.CPU, nil).UtilRange(5, 95)
+		memR += vm.Runs.Series(resources.Memory, nil).UtilRange(5, 95)
 		n++
 	}
 	if n == 0 {
@@ -172,7 +173,7 @@ func TestUtilBounds(t *testing.T) {
 	for i := range tr.VMs {
 		vm := &tr.VMs[i]
 		for _, k := range resources.Kinds {
-			for _, u := range vm.Util[k] {
+			for _, u := range vm.Runs.Series(k, nil) {
 				if u < 0 || u > 1 {
 					t.Fatalf("vm %d %v utilization %v outside [0,1]", vm.ID, k, u)
 				}
@@ -238,15 +239,23 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := tr.Validate(); err == nil {
 		t.Error("out-of-horizon VM must fail validation")
 	}
-	tr, _ = Generate(cfg)
-	tr.VMs[0].Util[0][0] = 1.5
-	if err := tr.Validate(); err == nil {
-		t.Error("out-of-range utilization must fail validation")
+	for _, bad := range []float64{1.5, math.NaN()} {
+		tr, _ = Generate(cfg)
+		vm := &tr.VMs[0]
+		var util [resources.NumKinds]timeseries.Series
+		for k := range util {
+			util[k] = make(timeseries.Series, vm.DurationSamples())
+		}
+		util[resources.Memory][0] = bad
+		vm.Runs = timeseries.NewRuns(util)
+		if err := tr.Validate(); err == nil {
+			t.Errorf("utilization %v must fail validation", bad)
+		}
 	}
 	tr, _ = Generate(cfg)
-	tr.VMs[0].Util[1][0] = math.NaN()
+	tr.VMs[0].Runs = tr.VMs[0].Runs.Prefix(tr.VMs[0].DurationSamples() - 1)
 	if err := tr.Validate(); err == nil {
-		t.Error("NaN utilization must fail validation")
+		t.Error("utilization shorter than the lifetime must fail validation")
 	}
 	tr, _ = Generate(cfg)
 	tr.VMs[0].Config = 999
@@ -273,8 +282,8 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 	if len(got.VMs) != len(tr.VMs) || got.Horizon != tr.Horizon {
 		t.Fatal("roundtrip lost data")
 	}
-	if got.VMs[3].Util[1][0] != tr.VMs[3].Util[1][0] {
-		t.Fatal("roundtrip corrupted series")
+	if !reflect.DeepEqual(got.VMs, tr.VMs) {
+		t.Fatal("roundtrip corrupted the VMs")
 	}
 }
 
@@ -326,7 +335,7 @@ func TestSubscriptionSimilarity(t *testing.T) {
 	tr := getTrace(t)
 	bySub := map[int][]float64{}
 	for _, vm := range tr.LongRunning() {
-		bySub[vm.Subscription] = append(bySub[vm.Subscription], vm.Util[resources.CPU].Max())
+		bySub[vm.Subscription] = append(bySub[vm.Subscription], vm.Runs.Max(resources.CPU))
 	}
 	var withinSpread, n float64
 	var all []float64
