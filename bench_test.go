@@ -300,14 +300,14 @@ func BenchmarkServeAdmit(b *testing.B) {
 	}
 }
 
-// BenchmarkForestTrain measures the columnar pre-sorted training engine
+// BenchmarkForestTrain measures the histogram training engine
 // (docs/DESIGN.md §8) on small (3k-row) and large (20k-row) trace-shaped
-// training sets at GOMAXPROCS 1/2/4/8 (one tree builder per core). The
+// training sets at GOMAXPROCS 1/2/4/8 (trees grow on par.ForEach). The
 // trained forest is byte-identical for any core count, so the
-// sub-benchmarks differ only in throughput. Before/after numbers against the seed engine are
-// recorded in BENCH_forest.json; on a single-CPU host extra workers show
-// no wall-clock win (the pool adds negligible overhead), while the
-// algorithmic rewrite alone is the ≥2× single-threaded speedup.
+// sub-benchmarks differ only in throughput. The large set's four
+// continuous features have up to 20 000 distinct values each, the widest
+// input the engine sees; the predictor's own features have at most a few
+// hundred.
 func BenchmarkForestTrain(b *testing.B) {
 	for _, size := range []struct {
 		name string
@@ -420,7 +420,7 @@ func BenchmarkPredictMatrix(b *testing.B) {
 // BenchmarkColdStart measures a serve ModelCache miss through to the first
 // prediction: every iteration constructs a service with a fresh cache, so
 // the timed region is dominated by training the 8 per-(resource, target)
-// forests — the cold-start path the columnar engine was rebuilt to
+// forests — the cold-start path the training engine is built to
 // shorten (docs/DESIGN.md §8).
 func BenchmarkColdStart(b *testing.B) {
 	ctx := benchContext()

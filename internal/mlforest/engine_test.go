@@ -8,10 +8,11 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
-// seedEngineMSE is the recorded test MSE of the seed (pre-columnar)
+// seedEngineMSE is the recorded test MSE of the seed (per-node sorting)
 // training engine on TraceLikeSamples(3000, 11)/TraceLikeSamples(1000, 12)
 // with DefaultForestConfig, measured at commit 60f8501 before the rewrite.
 // The parity guard below keeps the rewritten engine's quality within 5%
@@ -26,12 +27,12 @@ func TestMSEParityWithSeedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := mse(f, test)
-	t.Logf("columnar engine MSE %.10f (seed engine recorded %.10f)", got, seedEngineMSE)
+	t.Logf("histogram engine MSE %.10f (seed engine recorded %.10f)", got, seedEngineMSE)
 	if got > 1.05*seedEngineMSE {
-		t.Errorf("columnar engine MSE %v regressed more than 5%% over seed engine's %v", got, seedEngineMSE)
+		t.Errorf("histogram engine MSE %v regressed more than 5%% over seed engine's %v", got, seedEngineMSE)
 	}
 	if got < 0.5*seedEngineMSE {
-		t.Errorf("columnar engine MSE %v implausibly below seed engine's %v — suspect target leakage", got, seedEngineMSE)
+		t.Errorf("histogram engine MSE %v implausibly below seed engine's %v — suspect target leakage", got, seedEngineMSE)
 	}
 }
 
@@ -81,7 +82,7 @@ func TestForestFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("fingerprint is pinned on amd64, not %s", runtime.GOARCH)
 	}
-	const want = "76ccf6a37b9f00f31a646a5c8d8b6fa8d12af1745089a351b952a2ff6822fc40"
+	const want = "0e54cf8b8b3bc02540548b0f610316a67cfdf68d55113c60e59d1c187f4a4acf"
 	f, err := Train(TraceLikeSamples(3000, 11), DefaultForestConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -370,6 +371,160 @@ func TestWorkersIgnoredByQuality(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if p := f.Predict(data[i].Features); math.IsNaN(p) {
 			t.Fatal("NaN prediction")
+		}
+	}
+}
+
+// TestSplitIsBest holds the histogram sweep to brute force. On small
+// random sets mixing low-cardinality features (at most 8 values) with
+// all-distinct ones, every internal node splits at a threshold that is a
+// training value, scoring within 1e-12 of the best score over every
+// (feature, boundary) pair of the node's rows. FeatureFrac 1 makes every
+// feature the node's drawn set. A leaf that depth and size would let
+// split has no boundary scoring above the engine's 1e-12 floor.
+func TestSplitIsBest(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 30 + rng.Intn(90)
+		rows := make([][]float64, n)
+		targets := make([]float64, n)
+		for i := range rows {
+			rows[i] = []float64{
+				float64(rng.Intn(3)),
+				float64(rng.Intn(8)) / 2,
+				rng.Float64(),
+				rng.NormFloat64(),
+			}
+			targets[i] = rows[i][0] + math.Sin(4*rows[i][2]) + 0.3*rng.NormFloat64()
+		}
+		ds, err := newDataset(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := TreeConfig{MaxDepth: 7, MinLeaf: 1 + int(seed%3), FeatureFrac: 1}
+		b := newTreeBuilder(ds, targets, cfg)
+		for tree := 0; tree < 4; tree++ {
+			ts := treeSeed(seed, tree)
+			g := b.grow(ts)
+			// The bootstrap, drawn as grow draws it.
+			boot := rand.New(rand.NewSource(ts))
+			idx := make([]int, n)
+			for p := range idx {
+				idx[p] = boot.Intn(n)
+			}
+			c := splitCheck{t: t, g: g, rows: rows, targets: targets, cfg: cfg}
+			c.node(0, idx, 0)
+		}
+	}
+}
+
+// splitCheck walks one grown tree, routing the bootstrap rows down it.
+type splitCheck struct {
+	t       *testing.T
+	g       grownTree
+	rows    [][]float64
+	targets []float64
+	cfg     TreeConfig
+}
+
+func (c *splitCheck) node(nd int32, idx []int, depth int) {
+	best := math.Inf(-1)
+	for f := range c.rows[0] {
+		vals := make([]float64, 0, len(idx))
+		for _, r := range idx {
+			vals = append(vals, c.rows[r][f])
+		}
+		slices.Sort(vals)
+		for _, v := range slices.Compact(vals) {
+			best = max(best, c.score(idx, f, v))
+		}
+	}
+	f := int(c.g.feature[nd])
+	if f < 0 {
+		canSplit := depth < c.cfg.MaxDepth && len(idx) >= 2*c.cfg.MinLeaf
+		if canSplit && best > 2e-12 {
+			c.t.Errorf("leaf at depth %d over %d rows: a boundary scores %g", depth, len(idx), best)
+		}
+		return
+	}
+	thr := c.g.threshold[nd]
+	var left, right []int
+	training := false
+	for _, r := range idx {
+		training = training || c.rows[r][f] == thr
+		if c.rows[r][f] <= thr {
+			left = append(left, r)
+		} else {
+			right = append(right, r)
+		}
+	}
+	if !training {
+		c.t.Errorf("node %d threshold %v is no training value of feature %d in the node", nd, thr, f)
+	}
+	if got := c.score(idx, f, thr); got < best-1e-12 {
+		c.t.Errorf("node %d splits feature %d at %v scoring %.17g; brute force finds %.17g", nd, f, thr, got, best)
+	}
+	c.node(c.g.left[nd], left, depth+1)
+	c.node(c.g.right[nd], right, depth+1)
+}
+
+// score is the engine's split score written out over the node's rows:
+// the parent's variance less the size-weighted children's, each
+// E[t²] − E[t]². A side under MinLeaf rows is no split.
+func (c *splitCheck) score(idx []int, f int, thr float64) float64 {
+	var n, nl, sum, sq, sumL, sqL float64
+	for _, r := range idx {
+		y := c.targets[r]
+		n, sum, sq = n+1, sum+y, sq+y*y
+		if c.rows[r][f] <= thr {
+			nl, sumL, sqL = nl+1, sumL+y, sqL+y*y
+		}
+	}
+	nr := n - nl
+	if nl < float64(c.cfg.MinLeaf) || nr < float64(c.cfg.MinLeaf) {
+		return math.Inf(-1)
+	}
+	v := func(m, s, q float64) float64 { return q/m - (s/m)*(s/m) }
+	return max(v(n, sum, sq), 0) - (nl*v(nl, sumL, sqL)+nr*v(nr, sum-sumL, sq-sqL))/n
+}
+
+// TestTrainRejectsUncodableColumns: a feature value's code is its rank
+// among the column's distinct values in a uint16, so 65 536 distinct
+// values cannot be coded, and NaN has no rank. Both are errors from
+// NewMatrix and Train; 65 535 distinct values code as their ranks.
+func TestTrainRejectsUncodableColumns(t *testing.T) {
+	wide := make([][]float64, maxLevels+1)
+	samples := make([]Sample, len(wide))
+	for i := range wide {
+		wide[i] = []float64{1, float64(len(wide) - i)}
+		samples[i] = Sample{Features: wide[i], Target: float64(i % 7)}
+	}
+	if _, err := NewMatrix(wide); err == nil {
+		t.Errorf("NewMatrix accepted %d distinct values", len(wide))
+	}
+	if _, err := Train(samples, DefaultForestConfig()); err == nil {
+		t.Errorf("Train accepted %d distinct values", len(wide))
+	}
+	nan := [][]float64{{1, 2}, {3, math.NaN()}, {5, 6}}
+	if _, err := NewMatrix(nan); err == nil {
+		t.Error("NewMatrix accepted a NaN feature")
+	}
+	if _, err := Train([]Sample{{Features: nan[0]}, {Features: nan[1]}}, DefaultForestConfig()); err == nil {
+		t.Error("Train accepted a NaN feature")
+	}
+
+	m, err := NewMatrix(wide[1:])
+	if err != nil {
+		t.Fatalf("%d distinct values: %v", maxLevels, err)
+	}
+	for f, lv := range m.ds.levels {
+		if !slices.IsSorted(lv) {
+			t.Fatalf("feature %d levels not ascending", f)
+		}
+		for r, row := range wide[1:] {
+			if got := lv[m.ds.codes[r*2+f]]; got != row[f] {
+				t.Fatalf("row %d feature %d: value %v codes to level %v", r, f, row[f], got)
+			}
 		}
 	}
 }

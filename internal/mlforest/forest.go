@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"github.com/coach-oss/coach/internal/par"
 )
 
 // ForestConfig configures a bagged random forest.
@@ -105,28 +106,31 @@ func (f *Forest) Stats() Stats {
 }
 
 // Train fits a forest with bootstrap bagging. Each tree sees a bootstrap
-// resample of the training set and random feature subsets per split.
+// resample of the training set and random feature subsets per split. A
+// NaN feature, or a feature with more than 65 535 distinct values, is an
+// error (see NewMatrix).
 //
-// Trees grow concurrently on GOMAXPROCS goroutines; because every tree's
+// Trees grow concurrently on every core; because every tree's
 // randomness comes from its own (Seed, index)-derived RNG and trees
 // assemble into the forest in index order, the result is byte-identical
 // for any core count.
 func Train(samples []Sample, cfg ForestConfig) (*Forest, error) {
-	if err := validateSamples(samples); err != nil {
-		return nil, err
-	}
 	rows := make([][]float64, len(samples))
 	targets := make([]float64, len(samples))
 	for i := range samples {
 		rows[i] = samples[i].Features
 		targets[i] = samples[i].Target
 	}
-	return trainOn(newDataset(rows), targets, cfg)
+	ds, err := newDataset(rows)
+	if err != nil {
+		return nil, err
+	}
+	return trainOn(ds, targets, cfg)
 }
 
-// Matrix is a prebuilt columnar training matrix: the feature-major
-// transpose plus the per-feature argsorted index columns. Building it is
-// the only sorting cost in training, so callers fitting several forests
+// Matrix is a prebuilt rank-coded training matrix: each feature's sorted
+// distinct values plus every row's rank among them. Building it is the
+// only sorting cost in training, so callers fitting several forests
 // on the same rows with different targets — the long-term predictor
 // trains a percentile and a max forest per resource on one feature
 // matrix — build the Matrix once and TrainOnMatrix per target vector. A
@@ -137,21 +141,15 @@ type Matrix struct {
 }
 
 // NewMatrix builds a Matrix from row-major feature vectors. The rows are
-// copied into columnar storage; the caller may reuse them afterwards.
+// coded into the matrix's own storage; the caller may reuse them
+// afterwards. A NaN feature, or a feature with more than 65 535 distinct
+// values, is an error: a value's code is its rank, held in a uint16.
 func NewMatrix(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("mlforest: empty training matrix")
+	ds, err := newDataset(rows)
+	if err != nil {
+		return nil, err
 	}
-	nFeat := len(rows[0])
-	if nFeat == 0 {
-		return nil, fmt.Errorf("mlforest: matrix rows have no features")
-	}
-	for i, r := range rows {
-		if len(r) != nFeat {
-			return nil, fmt.Errorf("mlforest: matrix row %d has %d features, want %d", i, len(r), nFeat)
-		}
-	}
-	return &Matrix{ds: newDataset(rows)}, nil
+	return &Matrix{ds: ds}, nil
 }
 
 // NumRows returns the matrix's row count.
@@ -182,33 +180,13 @@ func trainOn(ds *dataset, targets []float64, cfg ForestConfig) (*Forest, error) 
 	if cfg.Tree.FeatureFrac <= 0 || cfg.Tree.FeatureFrac > 1 {
 		cfg.Tree.FeatureFrac = 1
 	}
-	workers := min(runtime.GOMAXPROCS(0), cfg.Trees)
-
 	trees := make([]grownTree, cfg.Trees)
-	if workers == 1 {
-		b := newTreeBuilder(ds, targets, cfg.Tree)
-		for t := range trees {
-			trees[t] = b.grow(treeSeed(cfg.Seed, t))
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				b := newTreeBuilder(ds, targets, cfg.Tree)
-				for {
-					t := int(next.Add(1)) - 1
-					if t >= len(trees) {
-						return
-					}
-					trees[t] = b.grow(treeSeed(cfg.Seed, t))
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	builders := sync.Pool{New: func() any { return newTreeBuilder(ds, targets, cfg.Tree) }}
+	par.ForEach(0, cfg.Trees, func(t int) {
+		b := builders.Get().(*treeBuilder)
+		trees[t] = b.grow(treeSeed(cfg.Seed, t))
+		builders.Put(b)
+	})
 	return flatten(trees, ds.nFeat, ds.n), nil
 }
 

@@ -108,7 +108,10 @@ func growTrees(t *testing.T, samples []Sample, cfg ForestConfig) (oracle, *Fores
 	for i, s := range samples {
 		rows[i], targets[i] = s.Features, s.Target
 	}
-	ds := newDataset(rows)
+	ds, err := newDataset(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := newTreeBuilder(ds, targets, cfg.Tree)
 	trees := make(oracle, cfg.Trees)
 	for i := range trees {

@@ -8,11 +8,10 @@ import (
 // TraceLikeSamples synthesizes a deterministic regression set shaped like
 // the long-term predictor's training rows: 10-dimensional vectors with
 // mixed categorical and continuous features and a target driven by a few
-// of them. It is the fixed dataset behind the training benchmarks
-// (BenchmarkForestTrain), the recorded before/after numbers in
-// BENCH_forest.json and the engine-parity guard (TestMSEParityWithSeedEngine)
-// — those artifacts assume this exact distribution, so changing it
-// invalidates their recorded constants.
+// of them. It is the fixed dataset behind the training benchmark
+// (BenchmarkForestTrain) and the engine-parity guard
+// (TestMSEParityWithSeedEngine), whose recorded constant assumes this
+// exact distribution, so changing it invalidates that constant.
 func TraceLikeSamples(n int, seed int64) []Sample {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]Sample, n)

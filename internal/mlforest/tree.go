@@ -8,20 +8,19 @@
 // package is that model family; internal/predict assembles the feature
 // vectors and bucket quantization around it.
 //
-// Training is columnar and pre-sorted (docs/DESIGN.md §8): the training
-// set is transposed into a feature-major matrix with per-feature argsorted
-// index columns once per Train call, each tree derives its bootstrap's
-// sorted columns in O(n·features) without sorting, and nodes are grown by
-// linear sweeps plus branch-free stable in-place partitioning. Trees grow
-// in parallel on a worker pool with per-tree RNGs, and the trained
-// ensemble is flattened into one contiguous breadth-first node slab (see
-// Forest).
+// Training runs on histograms (docs/DESIGN.md §8): each feature value is
+// coded once per training matrix as its rank among the feature's distinct
+// training values, a node's split search is one pass filling per-code
+// (weight, sum, sum of squares) histograms and a prefix sweep over them,
+// and a split stably partitions one row list. Trees grow on every core
+// with per-tree RNGs, and the trained ensemble is flattened into one
+// contiguous breadth-first node slab (see Forest).
 package mlforest
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Sample is one training example: a dense feature vector and a target.
@@ -54,11 +53,27 @@ type grownTree struct {
 	importance  []float64
 }
 
-// treeBuilder grows CART trees over one shared dataset. A builder belongs
-// to a single worker goroutine and reuses all scratch across the trees it
-// grows; everything a tree computes is derived from the tree's own RNG
-// and the read-only dataset, so the result is independent of which worker
-// grows which tree.
+// entry is one distinct row of a tree's bootstrap: the dataset row, how
+// many times the bootstrap drew it, and its target.
+type entry struct {
+	row int32
+	w   int32
+	t   float64
+}
+
+// bin is one code's histogram cell at a node: the bootstrap weight of the
+// node's rows with that code, and their weighted target sum and
+// weighted squared-target sum.
+type bin struct {
+	sum, sq float64
+	cnt     int32
+}
+
+// treeBuilder grows CART trees over one shared dataset. A builder serves
+// one tree at a time and reuses its scratch across the trees it grows;
+// everything a tree computes is derived from the tree's own RNG and the
+// read-only dataset, so the result is independent of which builder grows
+// which tree.
 type treeBuilder struct {
 	ds *dataset
 	// targets[r] is dataset row r's regression target (held outside the
@@ -67,23 +82,15 @@ type treeBuilder struct {
 	cfg     TreeConfig
 	rng     *rand.Rand
 
-	// Per-tree bootstrap state, indexed by position p in [0, n):
-	boot   []int32   // position -> sampled dataset row
-	target []float64 // position -> target of that row (cached)
-
-	// vals[f][p] caches the feature value at a position, feature-major,
-	// and sorted[f] holds the positions ordered by that value. Node
-	// [lo, hi) owns the same segment of every sorted column.
-	vals       [][]float64
-	sorted     [][]int32
-	valsFlat   []float64
-	sortedFlat []int32
-
-	counts   []int32 // counting-sort offsets (len n+1)
-	posByRow []int32 // positions grouped by dataset row
-	goesLeft []uint8 // split membership (1 left, 0 right), by position
-	part     []int32 // stable-partition scratch (len n)
-	featOrd  []int   // partial Fisher–Yates scratch (len nFeat)
+	drawn []int32 // bootstrap draws per dataset row (len n)
+	// list holds the tree's distinct bootstrap rows; node [lo, hi) owns
+	// list[lo:hi], in ascending row order.
+	list    []entry
+	part    []entry  // stable-partition scratch
+	bins    []bin    // feature f's histogram is bins[off[f]:off[f+1]]
+	off     []int    // len nFeat+1
+	touched []uint16 // sparse-sweep scratch
+	featOrd []int    // partial Fisher–Yates scratch (len nFeat)
 
 	// Node output, reset per tree and copied out exact-size when done.
 	feature     []int32
@@ -94,92 +101,46 @@ type treeBuilder struct {
 }
 
 func newTreeBuilder(ds *dataset, targets []float64, cfg TreeConfig) *treeBuilder {
-	n, nFeat := ds.n, ds.nFeat
 	b := &treeBuilder{
 		ds:         ds,
 		targets:    targets,
 		cfg:        cfg,
-		boot:       make([]int32, n),
-		target:     make([]float64, n),
-		valsFlat:   make([]float64, n*nFeat),
-		sortedFlat: make([]int32, n*nFeat),
-		vals:       make([][]float64, nFeat),
-		sorted:     make([][]int32, nFeat),
-		counts:     make([]int32, n+1),
-		posByRow:   make([]int32, n),
-		goesLeft:   make([]uint8, n),
-		part:       make([]int32, n),
-		featOrd:    make([]int, nFeat),
+		drawn:      make([]int32, ds.n),
+		off:        make([]int, ds.nFeat+1),
+		featOrd:    make([]int, ds.nFeat),
+		importance: make([]float64, ds.nFeat),
 	}
-	for f := 0; f < nFeat; f++ {
-		b.vals[f] = b.valsFlat[f*n : (f+1)*n : (f+1)*n]
-		b.sorted[f] = b.sortedFlat[f*n : (f+1)*n : (f+1)*n]
+	for f, lv := range ds.levels {
+		b.off[f+1] = b.off[f] + len(lv)
 	}
+	b.bins = make([]bin, b.off[ds.nFeat])
 	return b
 }
 
 // grow trains one tree from its own deterministic RNG: draw the bootstrap,
-// derive the sorted bootstrap columns from the dataset's global argsort,
-// and recurse. The returned tree owns its storage (the builder's scratch
-// is reused for the next tree).
+// lay its distinct rows out in ascending row order with their draw counts
+// as weights, and recurse. The returned tree owns its storage (the
+// builder's scratch is reused for the next tree).
 func (b *treeBuilder) grow(seed int64) grownTree {
 	b.rng = rand.New(rand.NewSource(seed))
 	n := b.ds.n
-
-	// Bootstrap resample (with replacement), caching targets per position.
+	clear(b.drawn)
 	for p := 0; p < n; p++ {
-		r := int32(b.rng.Intn(n))
-		b.boot[p] = r
-		b.target[p] = b.targets[r]
+		b.drawn[b.rng.Intn(n)]++
 	}
-
-	// Counting pass: group positions by dataset row. After the fill,
-	// row r's positions are posByRow[counts[r-1]:counts[r]] (counts[-1]=0),
-	// in ascending position order.
-	cnt := b.counts
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for _, r := range b.boot {
-		cnt[r+1]++
-	}
-	for r := 1; r <= n; r++ {
-		cnt[r] += cnt[r-1]
-	}
-	fill := cnt[:n] // fill[r] advances from row r's start to its end
-	for p := 0; p < n; p++ {
-		r := b.boot[p]
-		b.posByRow[fill[r]] = int32(p)
-		fill[r]++
-	}
-
-	// Derive each feature's sorted bootstrap column by walking the global
-	// argsort and emitting every sampled copy of each row — O(n) per
-	// feature, no comparison sort. vals caches values position-major so
-	// the split sweeps touch one dense array.
-	for f := 0; f < b.ds.nFeat; f++ {
-		col := b.ds.cols[f]
-		out := b.sorted[f]
-		k := 0
-		for _, r := range b.ds.sortedRows[f] {
-			lo := int32(0)
-			if r > 0 {
-				lo = cnt[r-1]
-			}
-			for _, p := range b.posByRow[lo:cnt[r]] {
-				out[k] = p
-				k++
-			}
+	b.list = b.list[:0]
+	for r, w := range b.drawn {
+		if w > 0 {
+			b.list = append(b.list, entry{row: int32(r), w: w, t: b.targets[r]})
 		}
-		vals := b.vals[f]
-		for p := 0; p < n; p++ {
-			vals[p] = col[b.boot[p]]
-		}
+	}
+	if cap(b.part) < len(b.list) {
+		b.part = make([]entry, len(b.list))
 	}
 
 	// Feature-order scratch starts as the identity permutation each tree
-	// (it must not carry state between trees: with parallel workers the
-	// previous tree a builder grew depends on scheduling).
+	// (it must not carry state between trees: which tree a builder grew
+	// before depends on scheduling).
 	for f := range b.featOrd {
 		b.featOrd[f] = f
 	}
@@ -189,35 +150,30 @@ func (b *treeBuilder) grow(seed int64) grownTree {
 	b.left = b.left[:0]
 	b.right = b.right[:0]
 	b.value = b.value[:0]
-	if b.importance == nil {
-		b.importance = make([]float64, b.ds.nFeat)
-	}
-	for f := range b.importance {
-		b.importance[f] = 0
-	}
+	clear(b.importance)
 
-	b.build(0, n, 0)
+	b.build(0, len(b.list), 0)
 
-	t := grownTree{
-		feature:    append([]int32(nil), b.feature...),
-		threshold:  append([]float64(nil), b.threshold...),
-		left:       append([]int32(nil), b.left...),
-		right:      append([]int32(nil), b.right...),
-		value:      append([]float64(nil), b.value...),
-		importance: append([]float64(nil), b.importance...),
+	return grownTree{
+		feature:    slices.Clone(b.feature),
+		threshold:  slices.Clone(b.threshold),
+		left:       slices.Clone(b.left),
+		right:      slices.Clone(b.right),
+		value:      slices.Clone(b.value),
+		importance: slices.Clone(b.importance),
 	}
-	return t
 }
 
-// build grows the subtree owning segment [lo, hi) of every sorted column
-// and returns its tree-local node index. Nodes append in pre-order.
+// build grows the subtree owning list[lo:hi] and returns its tree-local
+// node index. Nodes append in pre-order.
 func (b *treeBuilder) build(lo, hi, depth int) int32 {
-	m := hi - lo
+	var m int32
 	var sum, sq float64
-	for _, p := range b.sorted[0][lo:hi] {
-		t := b.target[p]
-		sum += t
-		sq += t * t
+	for _, e := range b.list[lo:hi] {
+		wt := float64(e.w) * e.t
+		m += e.w
+		sum += wt
+		sq += wt * e.t
 	}
 	fm := float64(m)
 	mean := sum / fm
@@ -233,134 +189,165 @@ func (b *treeBuilder) build(lo, hi, depth int) int32 {
 	b.right = append(b.right, 0)
 	b.value = append(b.value, mean)
 
-	if m < 2*b.cfg.MinLeaf || variance <= 1e-12 {
+	if int(m) < 2*b.cfg.MinLeaf || variance <= 1e-12 {
 		return me
 	}
 	if b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth {
 		return me
 	}
 
-	feat, nl, thr, gain := b.bestSplit(lo, hi, sum, sq, variance)
+	feat, code, gain := b.bestSplit(lo, hi, m, sum, sq, variance)
 	if feat < 0 {
 		return me
 	}
 	b.importance[feat] += gain * fm
+	mid := b.partition(lo, hi, feat, code)
 
-	// Mark membership straight off the chosen feature's sorted segment
-	// (its first nl positions are the left child by construction), then
-	// stably partition every other column so both children again own
-	// contiguous, sorted segments.
-	col := b.sorted[feat]
-	for _, p := range col[lo : lo+nl] {
-		b.goesLeft[p] = 1
-	}
-	for _, p := range col[lo+nl : hi] {
-		b.goesLeft[p] = 0
-	}
-	for f := 0; f < b.ds.nFeat; f++ {
-		if f != feat {
-			b.partition(b.sorted[f], lo, hi)
-		}
-	}
-
-	l := b.build(lo, lo+nl, depth+1)
-	r := b.build(lo+nl, hi, depth+1)
+	l := b.build(lo, mid, depth+1)
+	r := b.build(mid, hi, depth+1)
 	b.feature[me] = int32(feat)
-	b.threshold[me] = thr
+	b.threshold[me] = b.ds.levels[feat][code]
 	b.left[me] = l
 	b.right[me] = r
 	return me
 }
 
-// bestSplit sweeps a random subset of features' sorted segments for the
-// threshold with the largest variance reduction. It returns feature -1
-// when no valid split improves on the parent; otherwise nl is the left
-// child's size within the segment and thr the split threshold.
+// bestSplit searches a random subset of features for the code boundary
+// with the largest variance reduction. It returns feature -1 when no
+// valid split improves on the parent; otherwise rows whose code is at
+// most code go left.
 //
-// The threshold is the *left* boundary value itself (go left when
-// x <= thr), never a midpoint: (v[j]+v[j+1])/2 can round to v[j+1] for
-// adjacent floats, which would send training points that went right at
-// fit time to the left at predict time.
-func (b *treeBuilder) bestSplit(lo, hi int, segSum, segSq, parentVar float64) (feat, nl int, thr, gain float64) {
+// The threshold is the *left* boundary value itself, levels[feat][code]
+// (go left when x <= thr), never a midpoint: (v[j]+v[j+1])/2 can round
+// to v[j+1] for adjacent floats, which would send training points that
+// went right at fit time to the left at predict time.
+func (b *treeBuilder) bestSplit(lo, hi int, m int32, segSum, segSq, parentVar float64) (feat int, code uint16, gain float64) {
 	nFeat := b.ds.nFeat
 	nTry := int(math.Ceil(b.cfg.FeatureFrac * float64(nFeat)))
 	if nTry < 1 {
 		nTry = 1
 	}
 	// Partial Fisher–Yates into the reused permutation scratch: only the
-	// first nTry entries are shuffled and nothing allocates (the seed
-	// engine built a full rng.Perm slice per node).
+	// first nTry entries are shuffled and nothing allocates.
 	ord := b.featOrd
 	for i := 0; i < nTry; i++ {
 		j := i + b.rng.Intn(nFeat-i)
 		ord[i], ord[j] = ord[j], ord[i]
 	}
+	tried := ord[:nTry]
 
-	m := hi - lo
-	n := float64(m)
-	minLeaf := b.cfg.MinLeaf
-	best := math.Inf(-1)
-	feat = -1
-
-	for _, f := range ord[:nTry] {
-		col := b.sorted[f][lo:hi]
-		vals := b.vals[f]
-		var sumL, sqL float64
-		sumR, sqR := segSum, segSq
-		// One linear sweep evaluates every split point via prefix sums:
-		// weighted child variance = E[t^2] - E[t]^2 per side.
-		for j := 0; j < m-1; j++ {
-			t := b.target[col[j]]
-			sumL += t
-			sqL += t * t
-			sumR -= t
-			sqR -= t * t
-			v := vals[col[j]]
-			if v == vals[col[j+1]] {
-				continue // cannot split between equal values
-			}
-			l, r := j+1, m-j-1
-			if l < minLeaf || r < minLeaf {
-				continue
-			}
-			fl, fr := float64(l), float64(r)
-			varL := sqL/fl - (sumL/fl)*(sumL/fl)
-			varR := sqR/fr - (sumR/fr)*(sumR/fr)
-			score := parentVar - (fl*varL+fr*varR)/n
-			if score > best {
-				best = score
-				feat = f
-				nl = l
-				thr = v
-			}
+	// One pass over the node's rows fills every tried feature's histogram.
+	seg := b.list[lo:hi]
+	codes := b.ds.codes
+	for _, e := range seg {
+		row := codes[int(e.row)*nFeat : int(e.row)*nFeat+nFeat]
+		wt := float64(e.w) * e.t
+		wsq := wt * e.t
+		for _, f := range tried {
+			h := &b.bins[b.off[f]+int(row[f])]
+			h.cnt += e.w
+			h.sum += wt
+			h.sq += wsq
 		}
 	}
-	if feat < 0 || best <= 1e-12 {
-		return -1, 0, 0, 0
+
+	s := scan{m: m, minLeaf: int32(b.cfg.MinLeaf), fm: float64(m), sum: segSum, sq: segSq,
+		parentVar: parentVar, best: math.Inf(-1)}
+	feat = -1
+	for _, f := range tried {
+		s.cnt, s.sumL, s.sqL = 0, 0, 0
+		before := s.best
+		bins := b.bins[b.off[f]:b.off[f+1]]
+		if len(bins) <= 4*len(seg) {
+			// Dense: visit every code in order, then clear them all.
+			for c := range bins {
+				s.add(c, bins[c])
+			}
+			clear(bins)
+		} else {
+			// Sparse: sort the node's own codes and visit each once.
+			t := b.touched[:0]
+			for _, e := range seg {
+				t = append(t, codes[int(e.row)*nFeat+f])
+			}
+			slices.Sort(t)
+			for i, c := range t {
+				if i == 0 || c != t[i-1] {
+					s.add(int(c), bins[c])
+					bins[c] = bin{}
+				}
+			}
+			b.touched = t
+		}
+		if s.best > before {
+			feat, code = f, uint16(s.code)
+		}
 	}
-	return feat, nl, thr, best
+	if feat < 0 || s.best <= 1e-12 {
+		return -1, 0, 0
+	}
+	return feat, code, s.best
 }
 
-// partition stably splits col[lo:hi] by goesLeft: left-marked positions
-// first, then the rest, each side keeping its sorted order. It is
-// branch-free — membership is random with respect to this column's
-// order, so a branch on it mispredicts about half the time: every
-// position is written to both the left cursor (in place; it never
-// passes the read cursor) and the right side's scratch cursor, and the
-// membership bit advances exactly one of them. The right side is then
-// copied back behind the left.
-func (b *treeBuilder) partition(col []int32, lo, hi int) {
-	seg := col[lo:hi]
+// scan is the prefix sweep over one node's histograms: codes arrive in
+// ascending order, and the boundary after each is scored by weighted
+// child variance, E[t^2] - E[t]^2 per side. best carries across
+// features, so a later feature must beat it strictly.
+type scan struct {
+	m, minLeaf      int32
+	fm, sum, sq     float64
+	parentVar, best float64
+	cnt             int32 // weight left of the boundary
+	sumL, sqL       float64
+	code            int // the boundary best was scored at
+}
+
+// add moves code c's bin left of the boundary and scores the boundary
+// after it. Empty bins are no boundary.
+func (s *scan) add(c int, h bin) {
+	if h.cnt == 0 {
+		return
+	}
+	s.cnt += h.cnt
+	s.sumL += h.sum
+	s.sqL += h.sq
+	l, r := s.cnt, s.m-s.cnt
+	if l < s.minLeaf || r < s.minLeaf {
+		return
+	}
+	fl, fr := float64(l), float64(r)
+	sumR, sqR := s.sum-s.sumL, s.sq-s.sqL
+	varL := s.sqL/fl - (s.sumL/fl)*(s.sumL/fl)
+	varR := sqR/fr - (sumR/fr)*(sumR/fr)
+	if score := s.parentVar - (fl*varL+fr*varR)/s.fm; score > s.best {
+		s.best, s.code = score, c
+	}
+}
+
+// partition stably splits list[lo:hi] by feature f's code — at most code
+// goes left, each side keeping its row order — and returns the boundary.
+// It is branch-free, since membership is random in row order: every
+// entry is written to both the left cursor (in place; it never passes the
+// read cursor) and the right side's scratch cursor, and the membership
+// bit advances exactly one of them. The right side is then copied back
+// behind the left.
+func (b *treeBuilder) partition(lo, hi, f int, code uint16) int {
+	seg := b.list[lo:hi]
 	scratch := b.part[:len(seg)]
+	nFeat := b.ds.nFeat
 	w, s := 0, 0
-	for _, p := range seg {
-		l := int(b.goesLeft[p])
-		seg[w] = p
-		scratch[s] = p
+	for _, e := range seg {
+		l := 0
+		if b.ds.codes[int(e.row)*nFeat+f] <= code {
+			l = 1
+		}
+		seg[w] = e
+		scratch[s] = e
 		w += l
 		s += 1 - l
 	}
 	copy(seg[w:], scratch[:s])
+	return lo + w
 }
 
 // treeSeed derives tree t's RNG seed from the forest seed with a
@@ -374,21 +361,4 @@ func treeSeed(seed int64, t int) int64 {
 	z *= 0x94d049bb133111eb
 	z ^= z >> 31
 	return int64(z)
-}
-
-// validateSamples checks shape consistency of a training set.
-func validateSamples(samples []Sample) error {
-	if len(samples) == 0 {
-		return fmt.Errorf("mlforest: empty training set")
-	}
-	nFeat := len(samples[0].Features)
-	if nFeat == 0 {
-		return fmt.Errorf("mlforest: samples have no features")
-	}
-	for i, s := range samples {
-		if len(s.Features) != nFeat {
-			return fmt.Errorf("mlforest: sample %d has %d features, want %d", i, len(s.Features), nFeat)
-		}
-	}
-	return nil
 }

@@ -201,7 +201,7 @@ func TrainLongTerm(tr *trace.Trace, upToSample int, cfg LongTermConfig) (*LongTe
 	// the observed series, each VM writing its own rows. The percentile
 	// and max forests share each resource's feature rows — only their
 	// target vectors differ — so the rows are kept once per resource and
-	// both forests train on one columnar matrix below.
+	// both forests train on one coded matrix below.
 	var featRows [resources.NumKinds][][]float64
 	var pctTargets, maxTargets [resources.NumKinds][]float64
 	for _, k := range resources.Kinds {
@@ -231,8 +231,8 @@ func TrainLongTerm(tr *trace.Trace, upToSample int, cfg LongTermConfig) (*LongTe
 		}
 	})
 
-	// One transpose + argsort per resource, shared by both forests; the
-	// four matrices build concurrently. A matrix copies its rows, so the
+	// One coded matrix per resource, shared by both forests; the
+	// four matrices build concurrently. A matrix keeps only codes, so the
 	// rows are dropped once it is built, and the matrix once its forests
 	// are trained.
 	var mats [resources.NumKinds]*mlforest.Matrix

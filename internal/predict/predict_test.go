@@ -491,7 +491,7 @@ func TestTrainLongTermAcrossWorkers(t *testing.T) {
 	if sums[0] != sums[1] {
 		t.Fatalf("model trained at GOMAXPROCS 1 (%s) differs from GOMAXPROCS 4 (%s)", sums[0], sums[1])
 	}
-	const want = "fbeca22936eb4376bce47a3cab9cb790d840301f335830e41b321bd7badfb094"
+	const want = "d5ed74b5599d0bbf400e3049343c486820ca7710d7a7a6f4a80a8a0dc301a5fa"
 	if runtime.GOARCH == "amd64" && sums[0] != want {
 		t.Errorf("model SHA-256 %s, pinned %s", sums[0], want)
 	}

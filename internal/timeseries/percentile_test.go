@@ -68,8 +68,8 @@ func cpuRuns(s Series) Runs {
 // to the sort-based reference, bit for bit.
 func checkWindowPercentile(t *testing.T, s Series, w Windows, p float64) {
 	t.Helper()
-	in := s.Clone()
-	want := refWindowPercentile(s.Clone(), w, p)
+	in := slices.Clone(s)
+	want := refWindowPercentile(slices.Clone(s), w, p)
 	for name, got := range map[string][]float64{
 		"samples": s.WindowPercentile(w, p), "runs": cpuRuns(s).WindowPercentile(w, p)[resources.CPU]} {
 		for win := range want {

@@ -25,18 +25,8 @@ const (
 // allocation time.
 type Series []float64
 
-// Clone returns a copy of the series.
-func (s Series) Clone() Series {
-	out := make(Series, len(s))
-	copy(out, s)
-	return out
-}
-
 // Max returns the lifetime maximum utilization, 0 for an empty series.
 func (s Series) Max() float64 { return stats.Max(s) }
-
-// Percentile returns the p-th percentile of the samples.
-func (s Series) Percentile(p float64) float64 { return stats.Percentile(s, p) }
 
 // UtilRange returns the P(hi) - P(lo) spread, the paper's utilization
 // range metric (Fig. 6 uses P95-P5).

@@ -3,6 +3,7 @@ package timeseries
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func TestConstants(t *testing.T) {
 
 func TestCloneIndependent(t *testing.T) {
 	s := Series{1, 2, 3}
-	c := s.Clone()
+	c := slices.Clone(s)
 	c[0] = 99
 	if s[0] != 1 {
 		t.Error("Clone shares backing array")
@@ -55,7 +56,7 @@ func TestDaysAndDay(t *testing.T) {
 		t.Error("out-of-range day must be nil")
 	}
 	// Partial final day.
-	partial := append(s.Clone(), 0.9)
+	partial := append(slices.Clone(s), 0.9)
 	if got := partial.Day(2); len(got) != 1 || got[0] != 0.9 {
 		t.Errorf("partial day = %v", got)
 	}
