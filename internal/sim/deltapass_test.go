@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/coach-oss/coach/internal/cluster"
@@ -102,9 +104,10 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 			cur:              tr.VMs[b].Runs.CursorAt(trainUpTo, trainUpTo),
 		}, int(ra.srv+1)%len(st.servers))
 		if !reference {
-			due := st.queue.buckets[tick-st.queue.base]
+			// a, c and d wait in the queue; the immigrant b in the slots.
+			due := append(slices.Clone(st.queue.buckets[tick-st.queue.base]), st.slots...)
 			if !sameIDs(due, []int{a, b, c, d}) {
-				t.Fatalf("queue bucket at tick = %v, want a, b, c and d", due)
+				t.Fatalf("due at tick = %v, want a, b, c and d", due)
 			}
 		}
 		st.fEvents = []fault.Event{{Tick: tick - trainUpTo, Server: int(ra.srv)}}
@@ -131,4 +134,217 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDeltaPassDenseBlocks drives the dense-block path of the delta pass
+// through its edges. A dense VM (every sample its own run) reads its
+// demand from a block of staged samples, refilled from its run cursor
+// every denseBlockLen ticks; each case moves blocks or cursors between
+// refills. After every tick each shard's per-server demand must carry
+// the bits of the reference's per-sample reads (referenceAdvance), and
+// the event core must visit what it visited before blocks existed: every
+// dense record every tick, a sparse record only when placed or at a run
+// start.
+func TestDeltaPassDenseBlocks(t *testing.T) {
+	const trainUpTo, horizon = 10, 10 + 3*denseBlockLen + 7
+	rng := rand.New(rand.NewSource(7))
+	// dense gives vm a series whose every sample differs from the last,
+	// drawn so that summing co-located VMs in any but position order
+	// changes the bits.
+	dense := func(id, cluster, start, end int) trace.VM {
+		var util [resources.NumKinds]timeseries.Series
+		for k := range util {
+			util[k] = make(timeseries.Series, end-start)
+			for i := range util[k] {
+				util[k][i] = 0.05 + 0.9*rng.Float64()
+			}
+		}
+		return trace.VM{ID: id, Start: start, End: end, Cluster: cluster,
+			Alloc: resources.NewVector(4, 16, 2, 64), Runs: timeseries.NewRuns(util)}
+	}
+	// sparse gives vm two runs, the second from trace sample change.
+	sparse := func(id, cluster, start, end, change int) trace.VM {
+		var util [resources.NumKinds]timeseries.Series
+		for k := range util {
+			util[k] = make(timeseries.Series, end-start)
+			for i := range util[k] {
+				util[k][i] = 0.3
+				if start+i >= change {
+					util[k][i] = 0.6
+				}
+			}
+		}
+		return trace.VM{ID: id, Start: start, End: end, Cluster: cluster,
+			Alloc: resources.NewVector(4, 16, 2, 64), Runs: timeseries.NewRuns(util)}
+	}
+	// run replays vms on two clusters through the event core and the
+	// reference side by side, calling boundary on both before each tick
+	// (event tells which), and returns the visits per tick of each.
+	type visits struct{ event, ref []int64 }
+	run := func(t *testing.T, vms []trace.VM, boundary func(now int, states []*shardState, event bool)) visits {
+		t.Helper()
+		tr := &trace.Trace{Horizon: horizon, VMs: vms}
+		fleet := cluster.NewFleet(cluster.DefaultClusters(3)[:2])
+		build := func(counter *int64) []*shardState {
+			cfg := ConfigForPolicy(scheduler.PolicyNone)
+			cfg.TrainUpTo, cfg.VisitCounter = trainUpTo, counter
+			states, err := buildShards(tr, fleet, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return states
+		}
+		var evCount, refCount int64
+		ev, ref := build(&evCount), build(&refCount)
+		var v visits
+		for now := trainUpTo; now < horizon; now++ {
+			boundary(now, ev, true)
+			boundary(now, ref, false)
+			evBefore, refBefore := evCount, refCount
+			for i := range ev {
+				if err := ev[i].step(now); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref[i].arrive(now); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref[i].referenceAdvance(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v.event, v.ref = append(v.event, evCount-evBefore), append(v.ref, refCount-refBefore)
+			for s := range ev {
+				for p, r := range ev[s].recs {
+					isDense := tr.VMs[r.id].Runs.Offsets() == nil
+					if isDense != (ev[s].blocks[p] != nil) {
+						t.Fatalf("tick %d: vm %d dense %v but block %v", now, r.id, isDense, ev[s].blocks[p] != nil)
+					}
+					// The cursor a migration hands over stays on this tick.
+					if next, ok := r.cur.Next(); isDense && ok && next != now+1 {
+						t.Fatalf("tick %d: vm %d cursor's next run at %d, want %d", now, r.id, next, now+1)
+					}
+				}
+				for i := range ev[s].demand {
+					for _, k := range resources.Kinds {
+						eb, rb := math.Float64bits(ev[s].demand[i][k]), math.Float64bits(ref[s].demand[i][k])
+						if eb != rb {
+							t.Fatalf("tick %d shard %d server %d %v demand: event %#x, reference %#x", now, s, i, k, eb, rb)
+						}
+					}
+				}
+			}
+		}
+		return v
+	}
+	allVisited := func(t *testing.T, v visits) {
+		t.Helper()
+		if !slices.Equal(v.event, v.ref) {
+			t.Fatalf("visits per tick: event %v, reference %v", v.event, v.ref)
+		}
+	}
+	noop := func(int, []*shardState, bool) {}
+
+	t.Run("across-block-boundaries", func(t *testing.T) {
+		// Three VMs arrive at trainUpTo and one mid-block, so their blocks
+		// refill at different ticks; all live to the horizon.
+		allVisited(t, run(t, []trace.VM{
+			dense(0, 0, 0, horizon),
+			dense(1, 0, 3, horizon),
+			dense(2, 0, trainUpTo+5, horizon),
+			dense(3, 0, 0, horizon),
+		}, noop))
+	})
+	t.Run("series-ends-mid-block", func(t *testing.T) {
+		// VM 0's last block holds 13 samples, VM 1's only block 27 of
+		// its 32; both depart when their series end and VM 2, the last
+		// record, moves into the freed position.
+		allVisited(t, run(t, []trace.VM{
+			dense(0, 0, 0, trainUpTo+denseBlockLen+13),
+			dense(1, 0, trainUpTo+3, trainUpTo+30),
+			dense(2, 0, 0, horizon),
+		}, noop))
+	})
+	t.Run("departure-and-readmission-mid-block", func(t *testing.T) {
+		// VM 0 departs mid-block and VM 2, the last record, swaps into its
+		// position with a half-read block; later the server holding VM 1
+		// crashes mid-block and VM 1 is re-admitted with an empty block.
+		const departAt, crashAt = trainUpTo + 17, trainUpTo + denseBlockLen + 11
+		v := run(t, []trace.VM{
+			dense(0, 0, 0, departAt),
+			dense(1, 0, 0, horizon),
+			dense(2, 0, trainUpTo+2, horizon),
+			dense(3, 0, 0, horizon),
+		}, func(now int, states []*shardState, event bool) {
+			st := states[0]
+			switch now {
+			case departAt:
+				if !event {
+					break
+				}
+				if last := len(st.recs) - 1; st.recs[last].id != 2 || st.blocks[last].n == 0 {
+					t.Fatal("fixture wants VM 2 last, with a filled block, when VM 0 departs")
+				}
+			case crashAt:
+				st.fEvents = []fault.Event{{Tick: now - trainUpTo, Server: int(st.recs[st.pos[1]].srv)}}
+			case crashAt + 1:
+				if st.sh.Stats.ReplacedVMs == 0 || st.pos[1] < 0 {
+					t.Fatal("fixture wants VM 1 re-admitted after the crash")
+				}
+			}
+		})
+		allVisited(t, v)
+	})
+	t.Run("immigration-mid-block", func(t *testing.T) {
+		// VM 2 replays on shard 1 for half a block, then migrates to
+		// shard 0 carrying its cursor; the destination refills from it.
+		const moveAfter = trainUpTo + 2*denseBlockLen + 9
+		allVisited(t, run(t, []trace.VM{
+			dense(0, 0, 0, horizon),
+			dense(1, 0, 0, horizon),
+			dense(2, 1, 0, horizon),
+			dense(3, 1, 0, horizon),
+		}, func(now int, states []*shardState, event bool) {
+			if now != moveAfter+1 {
+				return
+			}
+			src, dst := states[1], states[0]
+			if b := src.blocks[src.pos[2]]; event && int(b.from)+int(b.n) <= now {
+				t.Fatalf("fixture wants VM 2 to move with samples left in its block, got %d+%d at %d", b.from, b.n, now)
+			}
+			cur := src.recs[src.pos[2]].cur
+			src.sh.Sched.Remove(2)
+			src.removeTracked(2)
+			dst.addImmigrated(migRequest{
+				MigrationRequest: core.MigrationRequest{VMID: 2, Tick: moveAfter - trainUpTo},
+				vm:               &states[0].tr.VMs[2],
+				cur:              cur,
+			}, int(dst.recs[dst.pos[0]].srv))
+		}))
+	})
+	t.Run("dense-and-sparse-on-one-server", func(t *testing.T) {
+		// The sparse VM is visited when placed and at its one run start;
+		// the reference visits it every tick.
+		const change = trainUpTo + denseBlockLen + 4
+		v := run(t, []trace.VM{
+			dense(0, 0, 0, horizon),
+			sparse(1, 0, 0, horizon, change),
+			dense(2, 0, 0, horizon),
+		}, func(now int, states []*shardState, _ bool) {
+			if now == trainUpTo+1 {
+				st := states[0]
+				if a, b, c := st.recs[0].srv, st.recs[1].srv, st.recs[2].srv; a != b || b != c {
+					t.Fatalf("fixture wants the three VMs on one server, got %d, %d, %d", a, b, c)
+				}
+			}
+		})
+		for i := range v.event {
+			want := v.ref[i] - 1
+			if now := trainUpTo + i; now == trainUpTo || now == change {
+				want = v.ref[i]
+			}
+			if v.event[i] != want {
+				t.Fatalf("tick %d: event visits %d, want %d (reference %d)", trainUpTo+i, v.event[i], want, v.ref[i])
+			}
+		}
+	})
 }

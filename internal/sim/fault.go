@@ -40,9 +40,9 @@ func (f *FaultResult) merge(o FaultResult) {
 // applyFaults processes the shard's fault events due at trace tick t
 // (Run pre-sorts them by tick, so a cursor walk suffices) and folds each
 // crash's evictions into the replay accounting: a re-admitted VM gets a
-// fresh record carrying its run cursor (this tick's delta pass
-// folds its demand in through its slot) and one downtime tick; a lost VM leaves
-// the replay, its remaining lifetime attributed as downtime.
+// fresh record carrying its run cursor (this tick's delta pass folds its
+// demand in) and one downtime tick; a lost VM leaves the replay, its
+// remaining lifetime attributed as downtime.
 func (st *shardState) applyFaults(t int) error {
 	evTick := t - st.cfg.TrainUpTo
 	for st.fi < len(st.fEvents) && st.fEvents[st.fi].Tick <= evTick {
@@ -54,14 +54,13 @@ func (st *shardState) applyFaults(t int) error {
 		}
 		evicted, err := st.sh.Crash(e.Server)
 		for _, ev := range evicted {
-			rec := st.recs[st.pos[ev.VMID]]
+			cur := st.recs[st.pos[ev.VMID]].cur
 			st.removeTracked(ev.VMID) // memory already gone with the crash
 			if ev.Server < 0 {
 				st.sr.faults.DowntimeTicks += min(st.tr.VMs[ev.VMID].End, st.tr.Horizon) - t
 				continue
 			}
-			st.track(newRec(&st.tr.VMs[ev.VMID], ev.Server, rec.cur))
-			st.slots = append(st.slots, ev.VMID)
+			st.track(&st.tr.VMs[ev.VMID], ev.Server, cur)
 			st.sr.faults.DowntimeTicks++
 		}
 		if err != nil {

@@ -83,22 +83,52 @@ func newShardStates(shards []*core.Shard, tr *trace.Trace, model *predict.LongTe
 }
 
 // placedRec tracks one placed VM's incremental-accounting state in 128
-// bytes: the delta pass reads this record and its current run, not the
-// trace.
+// bytes: the delta pass reads this record and, for a sparse VM, its
+// current run; a dense VM's samples come from its staged block.
 type placedRec struct {
 	// last is the demand vector currently accumulated into the server's
 	// running total for this VM; alloc is the VM's allocation.
 	last, alloc resources.Vector
-	// cur is the cursor on the VM's utilization runs. It drives the event
-	// queue: one pending event per VM, at the next run's start.
+	// cur is the cursor on the VM's utilization runs, on the run of the
+	// last visited tick. A sparse VM's drives the event queue: one pending
+	// event per VM, at the next run's start.
 	cur timeseries.Cursor
 	// id is the VM's id (its index in the trace); srv indexes the shard
 	// scheduler's server slice.
 	id, srv int32
 }
 
-func newRec(vm *trace.VM, srv int, cur timeseries.Cursor) placedRec {
-	return placedRec{alloc: vm.Alloc, cur: cur, id: int32(vm.ID), srv: int32(srv)}
+// denseBlockLen is how many ticks of samples a dense record stages at a
+// time (32 measured best of 8, 16 and 32 on the capacity preset).
+const denseBlockLen = 32
+
+// denseBlock stages a dense record's demand — its allocation times its
+// utilization — for up to denseBlockLen ticks: v[i] is the demand at
+// trace sample from+i, for i < n. n == 0 is the empty block a record
+// starts with.
+type denseBlock struct {
+	from, n int32
+	v       [denseBlockLen]resources.Vector
+}
+
+// demand returns record r's demand at trace sample t, moving r's cursor
+// to t. When t lies past the staged samples it refills the block from
+// the cursor in one sequential copy, scaled element by element as
+// Vector.Mul scales a per-sample read, so the bits are the same.
+func (b *denseBlock) demand(r *placedRec, t int) resources.Vector {
+	if i := t - int(b.from); i < int(b.n) {
+		r.cur.SeekInto(t, nil)
+		return b.v[i]
+	}
+	n := r.cur.SeekInto(t, b.v[:])
+	for i := range b.v[:n] {
+		v := &b.v[i]
+		for k := range v {
+			v[k] = r.alloc[k] * v[k]
+		}
+	}
+	b.from, b.n = int32(t), int32(n)
+	return b.v[0]
 }
 
 // migRequest pairs a cross-shard migration request with the trace VM it
@@ -167,11 +197,15 @@ type shardState struct {
 	fi      int
 
 	// Event state. queue holds one pending utilization-change event per
-	// placed VM; slots and slotBits are per-tick scratch — slots collects
-	// the VM ids due a demand re-sync (by id, not record index: crash
-	// evictions can swap-remove records between a slot's append and the
-	// delta pass), slotBits marks their resolved record positions and is
-	// all zero between ticks.
+	// placed sparse VM; slots collects the sparse VM ids due at the next
+	// delta pass without one — just placed, re-admitted or immigrated —
+	// (by id, not record index: crash evictions can swap-remove records
+	// between a slot's append and the delta pass), and slotBits marks
+	// their resolved record positions, all zero between ticks. A dense VM
+	// (every sample its own run) is due every tick until its last sample:
+	// dense marks its record position instead of the queue, and blocks
+	// holds its staged samples (nil for a sparse record; spare recycles
+	// removed records' blocks).
 	// Contention is settled incrementally: violCPU / violMem mirror each
 	// server's contended-or-not state with running counts, and dirty
 	// lists the servers whose demand, backing or population changed this
@@ -179,6 +213,9 @@ type shardState struct {
 	queue     *eventQueue
 	slots     []int
 	slotBits  []uint64
+	dense     []uint64
+	blocks    []*denseBlock
+	spare     []*denseBlock
 	violCPU   []bool
 	violMem   []bool
 	cpuViol   int
@@ -301,10 +338,8 @@ func (st *shardState) arrive(t int) error {
 			continue
 		}
 		st.sr.placed++
-		// The new record's demand applies this tick via its slot; the
-		// delta pass queues the rest of its life one run at a time.
-		st.track(newRec(ev.vm, srv, st.cursors[a]))
-		st.slots = append(st.slots, ev.vm.ID)
+		// The new record's demand applies at this tick's delta pass.
+		st.track(ev.vm, srv, st.cursors[a])
 		if ok && st.cfg.Policy != scheduler.PolicyNone {
 			st.sr.oversubscribed++
 			st.judged = append(st.judged, judgement{ev.vm, cvm})
@@ -336,24 +371,23 @@ func (st *shardState) advance(t int) error {
 	return nil
 }
 
-// eventDeltaPass is the demand pass: only VMs with a pending change
-// event (popped from the calendar queue), placed this tick, or
-// re-admitted by a crash are visited. Slots carry VM ids and resolve to
-// record positions here — a crash eviction swap-removes records
-// mid-tick, so positions captured earlier could go stale — and each
-// position sets its bit in slotBits. Walking the set bits word by word
-// visits the positions ascending and once each (a re-admitted VM whose
-// stale queue event also popped sets the same bit twice): the order a
-// full pass over st.recs takes, with the same cur != last guard, so the
-// float accumulation into st.demand is bit-identical to visiting every
-// record — a record skipped here starts no run at this tick,
-// and spurious events for unchanged demand no-op on the guard.
+// eventDeltaPass is the demand pass: only dense VMs, sparse VMs with a
+// pending change event (popped from the calendar queue), and VMs placed,
+// re-admitted or immigrated since the last pass are visited. Slots carry
+// VM ids and resolve to record positions here — a crash eviction
+// swap-removes records mid-tick, so positions captured earlier could go
+// stale — and each position sets its bit in slotBits, which the dense
+// bits join. Walking the set bits word by word visits the positions
+// ascending and once each (a re-admitted VM whose stale queue event also
+// popped sets the same bit twice): the order a full pass over st.recs
+// takes, with the same cur != last guard, so the float accumulation into
+// st.demand is bit-identical to visiting every record — a record skipped
+// here starts no run at this tick, and spurious events for unchanged
+// demand no-op on the guard. A dense record reads its demand from its
+// staged block, which touches the trace once per block, not per tick.
 func (st *shardState) eventDeltaPass(t int) {
-	// st.slots already holds this tick's placements and re-admissions.
+	// st.slots already holds the sparse VMs tracked since the last pass.
 	st.slots = st.queue.PopDue(t, st.slots)
-	if words := (len(st.recs) + 63) / 64; words > len(st.slotBits) {
-		st.slotBits = append(st.slotBits, make([]uint64, words-len(st.slotBits))...)
-	}
 	for _, id := range st.slots {
 		// An id with pos -1 is a stale event: the VM departed, emigrated
 		// to another shard, or was lost to a crash. Ids are never reused,
@@ -364,26 +398,41 @@ func (st *shardState) eventDeltaPass(t int) {
 	}
 	applied := 0
 	for w, word := range st.slotBits {
+		word |= st.dense[w]
 		if word == 0 {
 			continue
 		}
 		st.slotBits[w] = 0
 		for ; word != 0; word &= word - 1 {
 			applied++
-			r := &st.recs[w*64+bits.TrailingZeros64(word)]
-			cur := r.alloc.Mul(r.cur.Seek(t))
+			p := w*64 + bits.TrailingZeros64(word)
+			r, b := &st.recs[p], st.blocks[p]
+			var cur resources.Vector
+			if b != nil {
+				cur = b.demand(r, t)
+			} else {
+				cur = r.alloc.Mul(r.cur.Seek(t))
+			}
 			if cur != r.last {
-				st.demand[r.srv] = st.demand[r.srv].Add(cur.Sub(r.last))
+				d := &st.demand[r.srv]
+				for k := range d {
+					d[k] += cur[k] - r.last[k]
+				}
 				r.last = cur
 				st.touchServer(int(r.srv))
 				if st.sh.DP != nil {
 					st.sh.DP.SetWSS(int(r.id), cur[resources.Memory])
 				}
 			}
-			// The next run's start is the VM's one pending event; Push
-			// drops starts past the horizon.
-			if next, ok := r.cur.Next(); ok {
+			// A sparse VM's next run start is its one pending event (Push
+			// drops starts past the horizon); a dense VM stays due until
+			// its last sample.
+			next, ok := r.cur.Next()
+			switch {
+			case b == nil && ok:
 				st.queue.Push(next, int(r.id))
+			case b != nil && !ok:
+				st.dense[w] &^= 1 << (p % 64)
 			}
 		}
 	}
@@ -475,16 +524,36 @@ func (st *shardState) applyPlan(p core.MigrationPlan) {
 	st.touchServer(p.To)
 }
 
-// track adds a placed VM's record to the incremental accounting; its
-// demand folds in at the next delta pass that visits it.
-func (st *shardState) track(rec placedRec) {
-	if st.vmCount[rec.srv] == 0 {
+// track adds a record for vm, placed on server srv with run cursor cur,
+// to the incremental accounting and makes it due at the next delta pass,
+// which folds its demand in: a dense VM through its bit, with an empty
+// block that pass refills from cur, a sparse one through its slot.
+func (st *shardState) track(vm *trace.VM, srv int, cur timeseries.Cursor) {
+	if st.vmCount[srv] == 0 {
 		st.used++
 	}
-	st.vmCount[rec.srv]++
-	st.pos[rec.id] = int32(len(st.recs))
-	st.recs = append(st.recs, rec)
-	st.touchServer(int(rec.srv))
+	st.vmCount[srv]++
+	p := len(st.recs)
+	st.pos[vm.ID] = int32(p)
+	st.recs = append(st.recs, placedRec{alloc: vm.Alloc, cur: cur, id: int32(vm.ID), srv: int32(srv)})
+	if p/64 == len(st.dense) {
+		st.dense = append(st.dense, 0)
+		st.slotBits = append(st.slotBits, 0)
+	}
+	var b *denseBlock
+	if vm.Runs.Offsets() == nil {
+		if n := len(st.spare); n > 0 {
+			b, st.spare = st.spare[n-1], st.spare[:n-1]
+			b.from, b.n = 0, 0
+		} else {
+			b = new(denseBlock)
+		}
+		st.dense[p/64] |= 1 << (p % 64)
+	} else {
+		st.slots = append(st.slots, vm.ID)
+	}
+	st.blocks = append(st.blocks, b)
+	st.touchServer(srv)
 }
 
 // removeTracked drops a VM from the incremental accounting. It returns
@@ -505,24 +574,29 @@ func (st *shardState) removeTracked(vmID int) bool {
 		st.demand[r.srv] = st.zero
 	}
 	st.touchServer(int(r.srv))
+	// Swap-remove: the last record, its block and its dense bit move to
+	// p; the removed record's block is recycled.
+	if b := st.blocks[p]; b != nil {
+		st.spare = append(st.spare, b)
+	}
 	last := len(st.recs) - 1
-	st.recs[p] = st.recs[last]
+	st.recs[p], st.blocks[p] = st.recs[last], st.blocks[last]
 	st.pos[st.recs[p].id] = p
-	st.recs = st.recs[:last]
+	st.recs, st.blocks = st.recs[:last], st.blocks[:last]
 	st.pos[vmID] = -1
+	pw, pb, lw, lb := p/64, p%64, last/64, last%64
+	st.dense[pw] = st.dense[pw]&^(1<<pb) | (st.dense[lw]>>lb&1)<<pb
+	st.dense[lw] &^= 1 << lb
 	return true
 }
 
 // addImmigrated registers a cross-shard-migrated VM in this shard's
-// accounting after the exchange committed it: a fresh record (the next
-// tick's delta pass folds its demand in) plus an injected departure
-// event at the VM's end-of-life.
+// accounting after the exchange committed it: a fresh record, which the
+// next tick's delta pass folds in from the carried run cursor, plus an
+// injected departure event at the VM's end-of-life.
 func (st *shardState) addImmigrated(rq migRequest, server int) {
-	st.track(newRec(rq.vm, server, rq.cur))
+	st.track(rq.vm, server, rq.cur)
 	st.insertExtra(event{sample: rq.vm.End, arrival: false, vm: rq.vm})
-	// Re-sync on the very next tick, which resumes the carried run
-	// cursor.
-	st.queue.Push(rq.Tick+st.cfg.TrainUpTo+1, rq.VMID)
 }
 
 // insertExtra queues a migration-injected event, keeping the pending

@@ -300,13 +300,29 @@ func (c *Cursor) next() int {
 	return int(c.start + c.offs[c.j+1])
 }
 
-// Seek moves the cursor forward to the run holding trace sample t, which
-// must not precede the current run, and returns that run's vector.
-func (c *Cursor) Seek(t int) resources.Vector {
+// seek moves the cursor forward to the run holding trace sample t.
+func (c *Cursor) seek(t int) {
 	for int(c.j)+1 < len(c.vals) && c.next() <= t {
 		c.j++
 	}
+}
+
+// Seek moves the cursor forward to the run holding trace sample t, which
+// must not precede the current run, and returns that run's vector.
+func (c *Cursor) Seek(t int) resources.Vector {
+	c.seek(t)
 	return c.vals[c.j]
+}
+
+// SeekInto moves the cursor like Seek(t) and copies the vector of the
+// run it lands on, then those of the runs after it, into dst while runs
+// remain; it returns how many it copied. On runs where every sample is
+// its own run (Runs.Offsets is nil) these are the vectors of samples
+// t, t+1, …, so a reader can stage a block of them in one sequential
+// copy. An empty dst only moves the cursor, without reading a run.
+func (c *Cursor) SeekInto(t int, dst []resources.Vector) int {
+	c.seek(t)
+	return copy(dst, c.vals[c.j:])
 }
 
 // Next returns the trace sample where the run after the current one

@@ -295,3 +295,47 @@ func TestUtilRange(t *testing.T) {
 		t.Errorf("P95-P5 of ramp = %v", r)
 	}
 }
+
+// TestCursorSeekInto checks SeekInto against Seek: it lands where Seek
+// lands, copies that run's vector and the ones after it, and with an
+// empty dst only moves the cursor. On dense runs the copy is the next
+// samples; past the last sample both clamp to it.
+func TestCursorSeekInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var dense, sparse [resources.NumKinds]Series
+	for k := range dense {
+		dense[k], sparse[k] = make(Series, 40), make(Series, 40)
+		for i := range dense[k] {
+			dense[k][i] = rng.Float64()
+			sparse[k][i] = float64(i / 7)
+		}
+	}
+	for name, runs := range map[string]Runs{"dense": NewRuns(dense), "sparse": NewRuns(sparse)} {
+		const start = 100
+		a, b := runs.CursorAt(start, start), runs.CursorAt(start, start)
+		var dst [5]resources.Vector
+		for tick := start; tick < start+runs.Len()+3; tick += 2 {
+			want := a.Seek(tick)
+			if n := b.SeekInto(tick, nil); n != 0 {
+				t.Fatalf("%s tick %d: SeekInto with no room copied %d", name, tick, n)
+			}
+			n := b.SeekInto(tick, dst[:])
+			j := runs.find(min(tick-start, runs.Len()-1))
+			if n != min(len(dst), runs.NumRuns()-j) || dst[0] != want {
+				t.Fatalf("%s tick %d: copied %d, dst[0] %v; want %d, %v", name, tick, n, dst[0], min(len(dst), runs.NumRuns()-j), want)
+			}
+			for i := range dst[:n] {
+				if dst[i] != runs.Val(j+i) {
+					t.Fatalf("%s tick %d: dst[%d] = %v, want run %d's %v", name, tick, i, dst[i], j+i, runs.Val(j+i))
+				}
+				if runs.Offsets() == nil && tick+i < start+runs.Len() && dst[i] != runs.At(tick-start+i) {
+					t.Fatalf("%s tick %d: dst[%d] is not sample %d", name, tick, i, tick-start+i)
+				}
+			}
+			na, oka := a.Next()
+			if nb, okb := b.Next(); na != nb || oka != okb {
+				t.Fatalf("%s tick %d: Next after SeekInto (%d, %v), after Seek (%d, %v)", name, tick, nb, okb, na, oka)
+			}
+		}
+	}
+}

@@ -299,10 +299,16 @@ func synthesizeShaped(vm *VM, tr *Trace, archp *Archetype, baseMemCenter float64
 
 	// Memory has day-scale persistence: a slowly drifting resident set.
 	memDrift := 0.0
+	// The diurnal activity depends only on the time of day: computed over
+	// the first day, then read back.
+	var acts [timeseries.SamplesPerDay]float64
 
 	for i := 0; i < n; i++ {
 		t := vm.Start + i
-		hour := float64(t%timeseries.SamplesPerDay) / timeseries.SamplesPerHour
+		slot := t % timeseries.SamplesPerDay
+		if i < timeseries.SamplesPerDay {
+			acts[slot] = arch.activity(float64(slot)/timeseries.SamplesPerHour + phase)
+		}
 		weekday := tr.WeekdayAt(t)
 		amp := 1.0
 		if weekday == time.Saturday || weekday == time.Sunday {
@@ -311,7 +317,7 @@ func synthesizeShaped(vm *VM, tr *Trace, archp *Archetype, baseMemCenter float64
 		if ampAt != nil {
 			amp *= ampAt(t)
 		}
-		act := arch.activity(hour + phase)
+		act := acts[slot]
 
 		cpu := baseCPU + amp*peakCPU*act + arch.NoiseCPU*rng.NormFloat64()
 		if rng.Float64() < arch.SpikeProb {
