@@ -147,10 +147,12 @@ type CVM struct {
 	// in window t (formula 2, rounded up to granularity).
 	VADemand [resources.NumKinds][]float64
 
-	// demand is SchedDemand resolved once, flat and kind-major
-	// (demand[k*PerDay+t]); peak[k] is its maximum over windows.
-	demand []float64
-	peak   resources.Vector
+	// guaranteed is Guaranteed in resources.Units; demand is SchedDemand
+	// resolved once in units, flat and kind-major (demand[k*PerDay+t]);
+	// peak[k] is its maximum over windows.
+	guaranteed resources.Units
+	demand     []int64
+	peak       resources.Units
 }
 
 // New resolves a prediction into a CoachVM's guaranteed/oversubscribed
@@ -213,21 +215,23 @@ func ones(n int) []float64 {
 //     per-window utilization directly (the paper's {2, 6, 4} cores
 //     example) — this is where complementary temporal patterns pay off.
 func (vm *CVM) SchedDemand(k resources.Kind, t int) float64 {
-	return vm.demand[int(k)*vm.Pred.Windows.PerDay+t]
+	return float64(vm.demand[int(k)*vm.Pred.Windows.PerDay+t]) / resources.PerUnit
 }
 
-// resolveDemand fills demand and peak; the constructors end with it.
+// resolveDemand fills guaranteed, demand and peak; constructors end with it.
 func (vm *CVM) resolveDemand() {
 	w := vm.Pred.Windows.PerDay
-	vm.demand = make([]float64, int(resources.NumKinds)*w)
+	vm.guaranteed = vm.Guaranteed.Units()
+	vm.demand = make([]int64, int(resources.NumKinds)*w)
 	for _, k := range resources.Kinds {
 		for t := 0; t < w; t++ {
 			d := vm.Guaranteed[k] + vm.VADemand[k][t]
 			if resources.KindFungibility(k) == resources.Fungible {
 				d = roundUp(stats.BucketUp(vm.Pred.Max[k][t], FractionBucket)*vm.Alloc[k], vm.Alloc[k], k)
 			}
-			vm.demand[int(k)*w+t] = d
-			vm.peak[k] = max(vm.peak[k], d)
+			u := resources.ToUnit(d)
+			vm.demand[int(k)*w+t] = u
+			vm.peak[k] = max(vm.peak[k], u)
 		}
 	}
 }
@@ -235,12 +239,7 @@ func (vm *CVM) resolveDemand() {
 // MaxDemand returns the VM's maximum scheduling demand for resource k
 // across windows — the amount a lifetime-max allocator would reserve.
 func (vm *CVM) MaxDemand(k resources.Kind) float64 {
-	return max(vm.peak[k], vm.Guaranteed[k])
-}
-
-// TotalDemand returns guaranteed + VA demand for resource k in window t.
-func (vm *CVM) TotalDemand(k resources.Kind, t int) float64 {
-	return vm.Guaranteed[k] + vm.VADemand[k][t]
+	return float64(max(vm.peak[k], vm.guaranteed[k])) / resources.PerUnit
 }
 
 // OversubSavings returns Alloc - MaxDemand per resource: what a CoachVM

@@ -220,8 +220,8 @@ func TestCVMBoundsProperty(t *testing.T) {
 				if vm.VADemand[k][tt] < 0 {
 					t.Fatalf("negative VA demand")
 				}
-				if vm.TotalDemand(k, tt) > alloc[k]+Granularity[k]+1e-9 {
-					t.Fatalf("total demand %v exceeds alloc %v + granularity", vm.TotalDemand(k, tt), alloc[k])
+				if total := vm.Guaranteed[k] + vm.VADemand[k][tt]; total > alloc[k]+Granularity[k]+1e-9 {
+					t.Fatalf("total demand %v exceeds alloc %v + granularity", total, alloc[k])
 				}
 			}
 		}

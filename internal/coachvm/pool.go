@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"github.com/coach-oss/coach/internal/resources"
-	"github.com/coach-oss/coach/internal/stats"
 	"github.com/coach-oss/coach/internal/timeseries"
 )
 
@@ -23,15 +22,16 @@ type Pool struct {
 	windows  timeseries.Windows
 	capacity resources.Vector
 
-	// guaranteed is the sum of members' guaranteed portions (formula 3).
-	guaranteed resources.Vector
-	// demandSum is the sum of members' scheduling demand, flat and
-	// kind-major like CVM.demand: demandSum[k*PerDay+t] (guaranteed + VA
-	// for non-fungible kinds; predicted per-window utilization for
-	// fungible kinds). backed[k] caches its maximum over windows; Add and
-	// Remove re-derive it from the slab.
-	demandSum []float64
-	backed    resources.Vector
+	// Sums are in resources.Units, so they are exact whatever the order
+	// of Add and Remove. limit is capacity; guaranteed sums members'
+	// guaranteed portions (formula 3); demandSum sums their scheduling
+	// demand, flat and kind-major like CVM.demand (guaranteed + VA for
+	// non-fungible kinds; predicted per-window utilization for fungible
+	// kinds); backed[k] caches its maximum over windows.
+	limit      resources.Units
+	guaranteed resources.Units
+	demandSum  []int64
+	backed     resources.Units
 
 	members map[int]*CVM
 }
@@ -41,7 +41,8 @@ func NewPool(capacity resources.Vector, w timeseries.Windows) *Pool {
 	return &Pool{
 		windows:   w,
 		capacity:  capacity,
-		demandSum: make([]float64, int(resources.NumKinds)*w.PerDay),
+		limit:     capacity.Units(),
+		demandSum: make([]int64, int(resources.NumKinds)*w.PerDay),
 		members:   make(map[int]*CVM),
 	}
 }
@@ -59,62 +60,63 @@ func (p *Pool) Len() int { return len(p.members) }
 func (p *Pool) Members() map[int]*CVM { return p.members }
 
 // Guaranteed returns the summed guaranteed portions (formula 3).
-func (p *Pool) Guaranteed() resources.Vector { return p.guaranteed }
+func (p *Pool) Guaranteed() resources.Vector { return p.guaranteed.Vector() }
 
 // DemandAt returns the summed scheduling demand of resource k in window t.
 func (p *Pool) DemandAt(k resources.Kind, t int) float64 {
-	return p.demandSum[int(k)*p.windows.PerDay+t]
-}
-
-// byID returns the members in ascending id order. Sums over members
-// run in this order, so their bits do not depend on Go's randomized map
-// iteration.
-func (p *Pool) byID() []*CVM {
-	out := make([]*CVM, 0, len(p.members))
-	for _, vm := range p.members {
-		out = append(out, vm)
-	}
-	slices.SortFunc(out, func(a, b *CVM) int { return a.ID - b.ID })
-	return out
+	return float64(p.demandSum[int(k)*p.windows.PerDay+t]) / resources.PerUnit
 }
 
 // Oversubscribed returns, per resource, the multiplexed oversubscribed
 // pool size: the max across windows of the summed VA demands (formula 4).
 func (p *Pool) Oversubscribed() resources.Vector {
-	members := p.byID()
-	var out resources.Vector
+	_, multiplexed := p.vaPeaks()
+	return multiplexed.Vector()
+}
+
+// MultiplexSavings returns, per resource, the amount saved by multiplexing
+// the VA demands across windows instead of summing their peaks: sum over
+// VMs of max_t VA_i,t minus max_t sum over VMs VA_i,t. This is the
+// "Multiplex Saved" quantity illustrated in Fig. 16b.
+func (p *Pool) MultiplexSavings() resources.Vector {
+	naive, multiplexed := p.vaPeaks()
+	return naive.Sub(multiplexed).Vector()
+}
+
+// vaPeaks returns, per resource, the sum over members of each one's peak
+// VA demand and the peak over windows of the members' summed VA demand.
+func (p *Pool) vaPeaks() (naive, multiplexed resources.Units) {
+	sums := make([]int64, p.windows.PerDay)
 	for _, k := range resources.Kinds {
-		var m float64
-		for t := 0; t < p.windows.PerDay; t++ {
-			var sum float64
-			for _, vm := range members {
-				sum += vm.VADemand[k][t]
+		clear(sums)
+		for _, vm := range p.members {
+			var m int64
+			for t, d := range vm.VADemand[k] {
+				u := resources.ToUnit(d)
+				sums[t] += u
+				m = max(m, u)
 			}
-			if sum > m {
-				m = sum
-			}
+			naive[k] += m
 		}
-		out[k] = m
+		multiplexed[k] = slices.Max(sums)
 	}
-	return out
+	return naive, multiplexed
 }
 
 // Backed returns, per resource, the peak summed scheduling demand across
 // windows: the physical resources the server must actually reserve. For
 // memory this equals guaranteed + oversubscribed (formulas 3 + 4).
-func (p *Pool) Backed() resources.Vector { return p.backed }
+func (p *Pool) Backed() resources.Vector { return p.backed.Vector() }
 
-// rescanBacked re-derives the cached Backed from the (non-negative) slab.
+// BackedUnits returns Backed in resources.Units, exactly.
+func (p *Pool) BackedUnits() resources.Units { return p.backed }
+
+// rescanBacked re-derives the cached backed from the slab.
 func (p *Pool) rescanBacked() {
 	w := p.windows.PerDay
 	for k := range p.backed {
-		p.backed[k] = stats.Max(p.demandSum[k*w : (k+1)*w])
+		p.backed[k] = slices.Max(p.demandSum[k*w : (k+1)*w])
 	}
-}
-
-// Free returns capacity - Backed, the room left for further VMs.
-func (p *Pool) Free() resources.Vector {
-	return p.capacity.Sub(p.Backed()).ClampNonNegative()
 }
 
 // Fits reports whether adding vm would keep the pool feasible.
@@ -124,13 +126,12 @@ func (p *Pool) Fits(vm *CVM) bool {
 	}
 	w := p.windows.PerDay
 	for _, k := range resources.Kinds {
-		limit := p.capacity[k] + 1e-9
-		if resources.KindFungibility(k) == resources.NonFungible && p.guaranteed[k]+vm.Guaranteed[k] > limit {
+		limit := p.limit[k]
+		if resources.KindFungibility(k) == resources.NonFungible && p.guaranteed[k]+vm.guaranteed[k] > limit {
 			return false
 		}
 		// O(1) accept per kind: every window's sum is at most backed[k]
-		// and every window's demand at most peak[k], and rounded float
-		// addition is monotone in both operands, so the peaks fitting
+		// and every window's demand at most peak[k], so the peaks fitting
 		// means each per-window test below would pass.
 		if p.backed[k]+vm.peak[k] <= limit {
 			continue
@@ -156,7 +157,7 @@ func (p *Pool) Add(vm *CVM) error {
 		return fmt.Errorf("coachvm: vm %d does not fit in pool", vm.ID)
 	}
 	p.members[vm.ID] = vm
-	p.guaranteed = p.guaranteed.Add(vm.Guaranteed)
+	p.guaranteed = p.guaranteed.Add(vm.guaranteed)
 	for i, d := range vm.demand {
 		p.demandSum[i] += d
 	}
@@ -171,33 +172,10 @@ func (p *Pool) Remove(id int) *CVM {
 		return nil
 	}
 	delete(p.members, id)
-	p.guaranteed = p.guaranteed.Sub(vm.Guaranteed).ClampNonNegative()
+	p.guaranteed = p.guaranteed.Sub(vm.guaranteed)
 	for i, d := range vm.demand {
 		p.demandSum[i] -= d
-		if p.demandSum[i] < 0 {
-			p.demandSum[i] = 0
-		}
 	}
 	p.rescanBacked()
 	return vm
-}
-
-// MultiplexSavings returns, per resource, the amount saved by multiplexing
-// the VA demands across windows instead of summing their peaks: sum over
-// VMs of max_t VA_i,t minus max_t sum over VMs VA_i,t. This is the
-// "Multiplex Saved" quantity illustrated in Fig. 16b.
-func (p *Pool) MultiplexSavings() resources.Vector {
-	var naive resources.Vector
-	for _, vm := range p.byID() {
-		for _, k := range resources.Kinds {
-			var m float64
-			for _, d := range vm.VADemand[k] {
-				if d > m {
-					m = d
-				}
-			}
-			naive[k] += m
-		}
-	}
-	return naive.Sub(p.Oversubscribed()).ClampNonNegative()
 }

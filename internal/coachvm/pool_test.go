@@ -57,21 +57,12 @@ func TestPoolAddRemoveRoundtrip(t *testing.T) {
 	if p.Len() != 0 {
 		t.Fatalf("Len after removal = %d", p.Len())
 	}
-	if g := p.Guaranteed(); !vecAlmostZero(g) {
+	if g := p.Guaranteed(); !g.IsZero() {
 		t.Errorf("guaranteed after removal = %v", g)
 	}
-	if b := p.Backed(); !vecAlmostZero(b) {
+	if b := p.Backed(); !b.IsZero() {
 		t.Errorf("backed after removal = %v", b)
 	}
-}
-
-func vecAlmostZero(v resources.Vector) bool {
-	for i := range v {
-		if math.Abs(v[i]) > 1e-6 {
-			return false
-		}
-	}
-	return true
 }
 
 func TestPoolRejectsDuplicate(t *testing.T) {
@@ -169,7 +160,7 @@ func TestMultiplexingProperty(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		p := NewPool(resources.NewVector(1e6, 1e6, 1e6, 1e6), w6)
 		n := 1 + rng.Intn(10)
-		var naive resources.Vector
+		var naive resources.Units
 		for i := 0; i < n; i++ {
 			vm := randCVM(t, rng, i, w6)
 			if err := p.Add(vm); err != nil {
@@ -182,22 +173,19 @@ func TestMultiplexingProperty(t *testing.T) {
 						m = d
 					}
 				}
-				naive[k] += m
+				naive[k] += resources.ToUnit(m)
 			}
 		}
-		over := p.Oversubscribed()
+		over := p.Oversubscribed().Units()
 		for _, k := range resources.Kinds {
-			if over[k] > naive[k]+1e-9 {
+			if over[k] > naive[k] {
 				t.Fatalf("multiplexed pool %v exceeds naive sum %v for %v", over[k], naive[k], k)
 			}
 		}
-		sav := p.MultiplexSavings()
+		sav := p.MultiplexSavings().Units()
 		for _, k := range resources.Kinds {
-			if sav[k] < -1e-9 {
-				t.Fatalf("negative multiplex savings for %v", k)
-			}
-			if math.Abs(sav[k]-(naive[k]-over[k])) > 1e-6 {
-				t.Fatalf("savings accounting off for %v: %v vs %v", k, sav[k], naive[k]-over[k])
+			if sav[k] != naive[k]-over[k] {
+				t.Fatalf("savings accounting off for %v: %v vs %v units", k, sav[k], naive[k]-over[k])
 			}
 		}
 	}
@@ -247,43 +235,71 @@ func TestDemandAtMatchesMembers(t *testing.T) {
 	}
 }
 
-func TestFreeNonNegative(t *testing.T) {
-	p := NewPool(resources.NewVector(4, 16, 2, 128), w6)
-	vm := FullyGuaranteed(1, resources.NewVector(4, 16, 2, 128), w6)
-	if err := p.Add(vm); err != nil {
-		t.Fatal(err)
+// TestPoolChurnExact drives random Add/Remove churn over CVMs whose
+// network amounts come in 0.1 Gbps steps, which no float sum cancels
+// exactly. Pools holding the same members must report the same bits
+// whatever order they arrived and left in, on every call, and a drained
+// pool must be exactly empty.
+func TestPoolChurnExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	vms := make([]*CVM, 200)
+	for i := range vms {
+		vms[i] = stepCVM(t, rng, i)
 	}
-	free := p.Free()
-	for _, k := range resources.Kinds {
-		if free[k] < 0 {
-			t.Errorf("negative free %v for %v", free[k], k)
-		}
-	}
-}
-
-// TestPoolSumsDeterministic sums inexact VA demands over 200 members:
-// summed in Go's randomized map order, the low bits would differ from
-// call to call.
-func TestPoolSumsDeterministic(t *testing.T) {
-	p := NewPool(resources.NewVector(1e9, 1e9, 1e9, 1e9), w6)
-	for id := 0; id < 200; id++ {
-		vm := FullyGuaranteed(id, resources.NewVector(1, 1, 1, 1), w6)
-		if err := p.Add(vm); err != nil {
-			t.Fatal(err)
-		}
-		for _, k := range resources.Kinds {
-			vm.VADemand[k] = make([]float64, w6.PerDay)
-			for i := range vm.VADemand[k] {
-				vm.VADemand[k][i] = float64(id+i)/3 + float64(k+1)/7
+	big := resources.NewVector(1e6, 1e6, 1e6, 1e6)
+	churned, sorted := NewPool(big, w6), NewPool(big, w6)
+	for step := 0; step < 4000; step++ {
+		vm := vms[rng.Intn(len(vms))]
+		if churned.Remove(vm.ID) == nil {
+			if err := churned.Add(vm); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	over, sav := p.Oversubscribed(), p.MultiplexSavings()
-	for call := 0; call < 50; call++ {
-		o, s := p.Oversubscribed(), p.MultiplexSavings()
+	if churned.Len() == 0 {
+		t.Fatal("fixture regression: churn left no members")
+	}
+	for _, vm := range vms {
+		if churned.Members()[vm.ID] != nil {
+			if err := sorted.Add(vm); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	same := func(what string, a, b resources.Vector) {
+		t.Helper()
 		for _, k := range resources.Kinds {
-			if math.Float64bits(o[k]) != math.Float64bits(over[k]) || math.Float64bits(s[k]) != math.Float64bits(sav[k]) {
-				t.Fatalf("call %d, %v: Oversubscribed %v / %v, MultiplexSavings %v / %v", call, k, o[k], over[k], s[k], sav[k])
+			if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+				t.Fatalf("%s[%v]: %v vs %v", what, k, a[k], b[k])
+			}
+		}
+	}
+	same("Backed", churned.Backed(), sorted.Backed())
+	same("Guaranteed", churned.Guaranteed(), sorted.Guaranteed())
+	for _, k := range resources.Kinds {
+		for w := 0; w < w6.PerDay; w++ {
+			if a, b := churned.DemandAt(k, w), sorted.DemandAt(k, w); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("DemandAt(%v,%d): %v vs %v", k, w, a, b)
+			}
+		}
+	}
+	// Both sum their members in Go's randomized map order.
+	for call := 0; call < 20; call++ {
+		same("Oversubscribed", churned.Oversubscribed(), sorted.Oversubscribed())
+		same("MultiplexSavings", churned.MultiplexSavings(), sorted.MultiplexSavings())
+	}
+
+	for id := range churned.Members() {
+		churned.Remove(id)
+	}
+	var zero resources.Vector
+	same("drained Backed", churned.Backed(), zero)
+	same("drained Guaranteed", churned.Guaranteed(), zero)
+	same("drained Oversubscribed", churned.Oversubscribed(), zero)
+	for _, k := range resources.Kinds {
+		for w := 0; w < w6.PerDay; w++ {
+			if d := churned.DemandAt(k, w); d != 0 {
+				t.Fatalf("drained DemandAt(%v,%d) = %v", k, w, d)
 			}
 		}
 	}

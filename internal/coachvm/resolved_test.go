@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/stats"
+	"github.com/coach-oss/coach/internal/trace"
 )
 
 // refSchedDemand is the scheduling demand as it was computed per probe
@@ -19,19 +21,22 @@ func refSchedDemand(vm *CVM, k resources.Kind, t int) float64 {
 	return roundUp(stats.BucketUp(vm.Pred.Max[k][t], FractionBucket)*vm.Alloc[k], vm.Alloc[k], k)
 }
 
-// refFits is the original (windows+1)-dimensional feasibility test.
+// refFits is the original (windows+1)-dimensional feasibility test, in
+// resources.Units.
 func refFits(p *Pool, vm *CVM) bool {
 	if vm.Pred.Windows != p.Windows() {
 		return false
 	}
+	u := resources.ToUnit
 	for _, k := range resources.Kinds {
+		limit := u(p.Capacity()[k])
 		if resources.KindFungibility(k) == resources.NonFungible {
-			if p.Guaranteed()[k]+vm.Guaranteed[k] > p.Capacity()[k]+1e-9 {
+			if u(p.Guaranteed()[k])+u(vm.Guaranteed[k]) > limit {
 				return false
 			}
 		}
 		for t := 0; t < p.Windows().PerDay; t++ {
-			if p.DemandAt(k, t)+refSchedDemand(vm, k, t) > p.Capacity()[k]+1e-9 {
+			if u(p.DemandAt(k, t))+u(refSchedDemand(vm, k, t)) > limit {
 				return false
 			}
 		}
@@ -40,7 +45,7 @@ func refFits(p *Pool, vm *CVM) bool {
 }
 
 // stepCVM is randCVM with the network allocation in 0.1 Gbps steps — the
-// granularity whose sums do not cancel exactly when a pool drains.
+// granularity whose float sums do not cancel exactly when a pool drains.
 func stepCVM(t *testing.T, rng *rand.Rand, id int) *CVM {
 	t.Helper()
 	vm := randCVM(t, rng, id, w6)
@@ -54,8 +59,10 @@ func stepCVM(t *testing.T, rng *rand.Rand, id int) *CVM {
 }
 
 // TestSchedDemandMatchesFormula pins the resolved demand row and its peak
-// to the formula, for both constructors and for a prediction collapsed to
-// its lifetime maxima (what PolicySingle builds).
+// to the formula in resources.Units, for both constructors and for a
+// prediction collapsed to its lifetime maxima (what PolicySingle builds),
+// and checks that every formula value lies on the unit grid, so the
+// rounding to units loses nothing.
 func TestSchedDemandMatchesFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 300; i++ {
@@ -73,18 +80,57 @@ func TestSchedDemandMatchesFormula(t *testing.T) {
 			"New": vm, "FullyGuaranteed": FullyGuaranteed(i, vm.Alloc, w6), "collapsed": single,
 		} {
 			for _, k := range resources.Kinds {
-				var peak float64
+				var peak int64
 				for w := 0; w < w6.PerDay; w++ {
-					want := refSchedDemand(c, k, w)
-					if got := c.SchedDemand(k, w); math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("%s vm %d: SchedDemand(%v,%d) = %v, formula %v", name, i, k, w, got, want)
+					f := refSchedDemand(c, k, w)
+					want := resources.ToUnit(f)
+					if math.Abs(f*resources.PerUnit-float64(want)) > 1e-6 {
+						t.Fatalf("%s vm %d: formula %v for (%v,%d) is off the unit grid", name, i, f, k, w)
 					}
-					peak = math.Max(peak, want)
+					if got := c.demand[int(k)*w6.PerDay+w]; got != want {
+						t.Fatalf("%s vm %d: demand(%v,%d) = %d units, formula %d", name, i, k, w, got, want)
+					}
+					peak = max(peak, want)
 				}
 				if c.peak[k] != peak {
 					t.Fatalf("%s vm %d: peak[%v] = %v, want %v", name, i, k, c.peak[k], peak)
 				}
 			}
+		}
+	}
+}
+
+// TestShippedAmountsOnUnitGrid checks the premise of resources.Units:
+// every shipped VM allocation and server capacity, and every scheduling
+// demand and guaranteed portion a CVM resolves from such an allocation,
+// is a whole count of 1/PerUnit, so Pool's sums of them are exact.
+func TestShippedAmountsOnUnitGrid(t *testing.T) {
+	onGrid := func(what string, v resources.Vector) {
+		t.Helper()
+		for _, k := range resources.Kinds {
+			if math.Abs(v[k]*resources.PerUnit-float64(resources.ToUnit(v[k]))) > 1e-6 {
+				t.Fatalf("%s: %v %v is off the unit grid", what, v[k], k.Unit())
+			}
+		}
+	}
+	for _, c := range cluster.DefaultClusters(1) {
+		onGrid(c.Name, c.Spec.Capacity)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i, c := range trace.DefaultConfigs() {
+		onGrid(c.Name, c.Alloc)
+		vm := randCVM(t, rng, i, w6)
+		vm, err := New(i, c.Alloc, vm.Pred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		onGrid(c.Name+" guaranteed", vm.Guaranteed)
+		for w := 0; w < w6.PerDay; w++ {
+			var d resources.Vector
+			for _, k := range resources.Kinds {
+				d[k] = refSchedDemand(vm, k, w)
+			}
+			onGrid(c.Name+" demand", d)
 		}
 	}
 }
@@ -143,7 +189,7 @@ func TestPoolCachedBackedAndFitsProperty(t *testing.T) {
 			switch {
 			case !want:
 				rejected++
-			case p.Backed().Add(probe.peak).FitsIn(p.Capacity().Add(resources.NewVector(1e-9, 1e-9, 1e-9, 1e-9))):
+			case unitsFit(p.backed.Add(probe.peak), p.limit):
 				byPeak++
 			default:
 				byWindows++
@@ -154,4 +200,13 @@ func TestPoolCachedBackedAndFitsProperty(t *testing.T) {
 		t.Errorf("vacuous: %d fits by peak, %d by windows only, %d rejected, %d drained states",
 			byPeak, byWindows, rejected, drained)
 	}
+}
+
+func unitsFit(u, limit resources.Units) bool {
+	for k := range u {
+		if u[k] > limit[k] {
+			return false
+		}
+	}
+	return true
 }

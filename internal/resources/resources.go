@@ -208,6 +208,59 @@ func (v Vector) MaxFraction(capacity Vector) (Kind, float64) {
 	return best, frac[best]
 }
 
+// PerUnit counts of Units make one natural unit: a quarter unit (every
+// allocation's step) times a basis point. Every CoachVM amount and server
+// capacity is a whole count, so sums of Units are exact and order-free.
+const PerUnit = 40000
+
+// Units holds one integer amount per resource kind, in counts of
+// 1/PerUnit of the kind's natural unit.
+type Units [NumKinds]int64
+
+// ToUnit rounds amount to the nearest count of 1/PerUnit, halves away
+// from zero (adding a half and truncating: a third the cost of math.Round).
+func ToUnit(amount float64) int64 {
+	u := amount * PerUnit
+	if u < 0 {
+		return -int64(0.5 - u)
+	}
+	return int64(u + 0.5)
+}
+
+// Units rounds every element of v to the nearest count of 1/PerUnit.
+func (v Vector) Units() Units {
+	var u Units
+	for i := range v {
+		u[i] = ToUnit(v[i])
+	}
+	return u
+}
+
+// Add returns the element-wise sum u + o.
+func (u Units) Add(o Units) Units {
+	for i := range u {
+		u[i] += o[i]
+	}
+	return u
+}
+
+// Sub returns the element-wise difference u - o.
+func (u Units) Sub(o Units) Units {
+	for i := range u {
+		u[i] -= o[i]
+	}
+	return u
+}
+
+// Vector converts u back to natural units.
+func (u Units) Vector() Vector {
+	var v Vector
+	for i := range u {
+		v[i] = float64(u[i]) / PerUnit
+	}
+	return v
+}
+
 // String renders the vector with units, e.g.
 // "{8 cores, 32 GB, 10 Gbps, 300 GB ssd}".
 func (v Vector) String() string {

@@ -253,3 +253,27 @@ func TestFungibilityString(t *testing.T) {
 		t.Error("fungibility strings wrong")
 	}
 }
+
+func TestUnits(t *testing.T) {
+	for _, c := range []struct {
+		in   float64
+		want int64
+	}{
+		{0, 0}, {1, PerUnit}, {0.25, PerUnit / 4}, {0.1 + 0.2, 12000}, {-(0.1 + 0.2), -12000},
+		{0.4 / PerUnit, 0}, {0.6 / PerUnit, 1}, {-0.6 / PerUnit, -1}, {281.6, 11264000},
+	} {
+		if got := ToUnit(c.in); got != c.want {
+			t.Errorf("ToUnit(%v) = %d, want %d", c.in, got, c.want)
+		}
+	}
+	// Amounts on the grid convert back to the same float.
+	v := vec(96, 281.6, 0.3, 16384)
+	if got := v.Units().Vector(); got != v {
+		t.Errorf("%v round-trips to %v", v, got)
+	}
+	// Sums of units do not depend on the order of their terms.
+	a, b, c := vec(0.1, 0.2, 0.3, 0.7).Units(), vec(0.2, 0.1, 0.7, 0.3).Units(), vec(0.3, 0.7, 0.1, 0.2).Units()
+	if a.Add(b).Add(c) != c.Add(a).Add(b) || a.Add(b).Sub(b) != a {
+		t.Errorf("unit sums depend on order: %v, %v", a.Add(b).Add(c), c.Add(a).Add(b))
+	}
+}

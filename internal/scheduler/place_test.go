@@ -11,8 +11,8 @@ import (
 )
 
 // randomCVM builds a Coach-policy CVM with a random per-window shape.
-// Network allocations come in 0.1 Gbps steps, the granularity whose sums
-// leave float residue when a pool drains.
+// Network allocations come in 0.1 Gbps steps, the granularity whose float
+// sums would leave residue when a pool drains.
 func randomCVM(tb testing.TB, rng *rand.Rand, id int) *coachvm.CVM {
 	tb.Helper()
 	cores := float64(int(1) << rng.Intn(4))
@@ -46,9 +46,10 @@ func fullScanPlace(s *Scheduler, vm *coachvm.CVM) int {
 }
 
 // TestPlaceSkipsOnlyPristineServers pins Place's pristine-server rule to
-// the unskipped scan. Server 0 is filled and drained first so it is empty
-// but carries float residue: it must keep being scored (and, fuller than
-// a pristine server, chosen). Runs on a one-capacity fleet and on a
+// the unskipped scan. Server 0 is filled and drained first, in a
+// different order: its exact sums leave it pristine again, and the
+// pristine flag must track every pool's emptiness and zero sums through
+// the churn that follows. Runs on a one-capacity fleet and on a
 // mixed-capacity NewOverServers view with a down server.
 func TestPlaceSkipsOnlyPristineServers(t *testing.T) {
 	small := cluster.ServerSpec{Name: "s", Generation: 1, Capacity: resources.NewVector(16, 64, 10, 1024)}
@@ -87,8 +88,9 @@ func TestPlaceSkipsOnlyPristineServers(t *testing.T) {
 		for _, id := range ids {
 			s.Remove(id)
 		}
-		if p0 := s.servers[0].Pool; p0.Len() != 0 || s.pristine[0] {
-			t.Fatalf("%s: drained server 0 has Len %d, Backed %v: want empty with residue", name, p0.Len(), p0.Backed())
+		if p0 := s.servers[0].Pool; len(ids) == 0 || p0.Len() != 0 || !p0.Backed().IsZero() || !s.pristine[0] {
+			t.Fatalf("%s: drained server 0 of %d VMs has Len %d, Backed %v, pristine %v: want pristine",
+				name, len(ids), p0.Len(), p0.Backed(), s.pristine[0])
 		}
 
 		placed, rejected := 0, 0

@@ -47,8 +47,8 @@ type Scheduler struct {
 	// scheduler only refuses new placements there. Nil until the first
 	// SetDown, so the fault-free fast paths stay allocation-free.
 	down []bool
-	// pristine[i] records that servers[i].Pool is indistinguishable from
-	// a new one — no members and every sum exactly zero — kept current by
+	// pristine[i] records that servers[i].Pool is empty, and so (its sums
+	// being exact) indistinguishable from a new one — kept current by
 	// addAt and takeFrom, which every pool mutation goes through. class[i]
 	// indexes the server's capacity among the fleet's distinct capacities
 	// and classSeen is Place's per-call scratch over those. Dense, so
@@ -127,8 +127,7 @@ func (s *Scheduler) Place(vm *coachvm.CVM) (serverIdx int, ok bool) {
 		// Score only the first pristine server of each capacity: a later
 		// one holds the same (all-zero) sums against the same capacity, so
 		// it fits iff the first does and scores the same bits, and equal
-		// scores already go to the lowest index. Pristine is stricter than
-		// empty — Remove's clamp can leave float residue on a drained pool.
+		// scores already go to the lowest index.
 		if s.pristine[i] && !s.Down(i) {
 			if s.classSeen[s.class[i]] {
 				continue
@@ -181,7 +180,7 @@ func (s *Scheduler) addAt(vm *coachvm.CVM, server int) {
 func (s *Scheduler) takeFrom(vmID, server int) *coachvm.CVM {
 	pool := s.servers[server].Pool
 	vm := pool.Remove(vmID)
-	s.pristine[server] = pool.Len() == 0 && pool.Backed().IsZero() && pool.Guaranteed().IsZero()
+	s.pristine[server] = pool.Len() == 0
 	return vm
 }
 

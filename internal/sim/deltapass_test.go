@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -25,14 +24,12 @@ import (
 //     id no longer resolves and must be skipped).
 //
 // The reference's full pass (referenceAdvance) is the oracle: the event
-// pass must leave every server's demand with the same bits and count the
-// same visits.
+// pass must leave every server's demand equal to the reference's and
+// count the same visits.
 func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 	const trainUpTo, horizon, tick = 10, 20, 13
 	// Every VM's utilization changes at offset tick-trainUpTo, so each has
-	// a queued event at tick. b, a and d all land on one server at tick,
-	// and their fractions are chosen so that summing them grouped in any
-	// order but position order (b, a, d) gives different bits.
+	// a queued event at tick. b, a and d all land on one server at tick.
 	series := func(before, after float64) timeseries.Series {
 		s := make(timeseries.Series, horizon-trainUpTo)
 		for i := range s {
@@ -127,11 +124,8 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 		t.Fatalf("visits at tick: event %d, reference %d, want 3 each", eventVisits, refVisits)
 	}
 	for i := range ref.demand {
-		for _, k := range resources.Kinds {
-			rb, eb := math.Float64bits(ref.demand[i][k]), math.Float64bits(event.demand[i][k])
-			if rb != eb {
-				t.Fatalf("server %d %v demand: event %#x, reference %#x", i, k, eb, rb)
-			}
+		if ref.demand[i] != event.demand[i] {
+			t.Fatalf("server %d demand: event %v, reference %v", i, event.demand[i], ref.demand[i])
 		}
 	}
 }
@@ -140,17 +134,15 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 // through its edges. A dense VM (every sample its own run) reads its
 // demand from a block of staged samples, refilled from its run cursor
 // every denseBlockLen ticks; each case moves blocks or cursors between
-// refills. After every tick each shard's per-server demand must carry
-// the bits of the reference's per-sample reads (referenceAdvance), and
+// refills. After every tick each shard's per-server demand must equal
+// the reference's from per-sample reads (referenceAdvance), and
 // the event core must visit what it visited before blocks existed: every
 // dense record every tick, a sparse record only when placed or at a run
 // start.
 func TestDeltaPassDenseBlocks(t *testing.T) {
 	const trainUpTo, horizon = 10, 10 + 3*denseBlockLen + 7
 	rng := rand.New(rand.NewSource(7))
-	// dense gives vm a series whose every sample differs from the last,
-	// drawn so that summing co-located VMs in any but position order
-	// changes the bits.
+	// dense gives vm a series whose every sample differs from the last.
 	dense := func(id, cluster, start, end int) trace.VM {
 		var util [resources.NumKinds]timeseries.Series
 		for k := range util {
@@ -225,11 +217,8 @@ func TestDeltaPassDenseBlocks(t *testing.T) {
 					}
 				}
 				for i := range ev[s].demand {
-					for _, k := range resources.Kinds {
-						eb, rb := math.Float64bits(ev[s].demand[i][k]), math.Float64bits(ref[s].demand[i][k])
-						if eb != rb {
-							t.Fatalf("tick %d shard %d server %d %v demand: event %#x, reference %#x", now, s, i, k, eb, rb)
-						}
+					if ev[s].demand[i] != ref[s].demand[i] {
+						t.Fatalf("tick %d shard %d server %d demand: event %v, reference %v", now, s, i, ev[s].demand[i], ref[s].demand[i])
 					}
 				}
 			}

@@ -56,7 +56,7 @@ func (st *shardState) referenceAdvance(t int) error {
 		vm := &st.tr.VMs[r.id]
 		cur := vm.DemandAt(t)
 		if cur != r.last {
-			st.demand[r.srv] = st.demand[r.srv].Add(cur.Sub(r.last))
+			st.demand[r.srv] = st.demand[r.srv].Add(cur.Units()).Sub(r.last.Units())
 			r.last = cur
 			if st.sh.DP != nil {
 				st.sh.DP.SetWSS(vm.ID, cur[resources.Memory])
@@ -85,7 +85,7 @@ func (st *shardState) referenceAdvance(t int) error {
 		if st.demand[i][resources.CPU] > st.cpuLimit[i] {
 			st.sr.cpuViolations++
 		}
-		if st.demand[i][resources.Memory] > st.servers[i].Pool.Backed()[resources.Memory]+1e-9 {
+		if st.demand[i][resources.Memory] > st.servers[i].Pool.BackedUnits()[resources.Memory] {
 			st.sr.memViolations++
 		}
 	}

@@ -86,7 +86,7 @@ func newShardStates(shards []*core.Shard, tr *trace.Trace, model *predict.LongTe
 // bytes: the delta pass reads this record and, for a sparse VM, its
 // current run; a dense VM's samples come from its staged block.
 type placedRec struct {
-	// last is the demand vector currently accumulated into the server's
+	// last is the demand whose units are currently in the server's
 	// running total for this VM; alloc is the VM's allocation.
 	last, alloc resources.Vector
 	// cur is the cursor on the VM's utilization runs, on the run of the
@@ -154,15 +154,16 @@ type shardState struct {
 	cfg    Config
 	sr     *shardResult
 
+	// demand[i] is server i's running demand and cpuLimit[i] its CPU
+	// contention threshold, in resources.Units: exact, order-free sums.
 	servers  []*scheduler.ServerState
-	demand   []resources.Vector
+	demand   []resources.Units
 	vmCount  []int
-	cpuLimit []float64
+	cpuLimit []int64
 	recs     []placedRec
 	pos      []int32 // VM ID -> index into recs, -1 when untracked
 	used     int
 	ei       int
-	zero     resources.Vector
 
 	// extra holds migration-injected departure events for VMs that moved
 	// in from another shard, kept sorted by (sample, vm.ID); xi is the
@@ -248,11 +249,11 @@ func newShardState(sh *core.Shard, tr *trace.Trace, cfg Config) *shardState {
 		st.dpRes = newDataPlaneResult(cfg)
 		st.obs = make([]steadyObs, len(st.servers))
 	}
-	st.demand = make([]resources.Vector, len(st.servers))
+	st.demand = make([]resources.Units, len(st.servers))
 	st.vmCount = make([]int, len(st.servers))
-	st.cpuLimit = make([]float64, len(st.servers))
+	st.cpuLimit = make([]int64, len(st.servers))
 	for i, srv := range st.servers {
-		st.cpuLimit[i] = cpuContentionFrac * srv.Server.Capacity()[resources.CPU]
+		st.cpuLimit[i] = resources.ToUnit(cpuContentionFrac * srv.Server.Capacity()[resources.CPU])
 	}
 	st.queue = newEventQueue(cfg.TrainUpTo, tr.Horizon)
 	st.violCPU = make([]bool, len(st.servers))
@@ -280,11 +281,11 @@ func (st *shardState) touchServer(srv int) {
 //
 // Contention is accounted incrementally: each placed VM's current demand
 // contribution is kept in its record and in a running per-server demand
-// vector, updated on arrival/departure/migration and by a per-tick delta
-// pass that touches only VMs whose utilization sample changed — O(placed
-// deltas + occupied servers) per tick instead of a full rebuild. All
-// updates happen in deterministic (event/slice) order, so float sums are
-// bit-reproducible across runs and worker counts.
+// total in resources.Units, updated on arrival/departure/migration and by
+// a per-tick delta pass that touches only VMs whose utilization sample
+// changed — O(placed deltas + occupied servers) per tick instead of a
+// full rebuild. Integer sums are exact, so the totals do not depend on
+// the order of the updates.
 func (st *shardState) step(t int) error {
 	if err := st.arrive(t); err != nil {
 		return err
@@ -380,11 +381,11 @@ func (st *shardState) advance(t int) error {
 // bits join. Walking the set bits word by word visits the positions
 // ascending and once each (a re-admitted VM whose stale queue event also
 // popped sets the same bit twice): the order a full pass over st.recs
-// takes, with the same cur != last guard, so the float accumulation into
-// st.demand is bit-identical to visiting every record — a record skipped
-// here starts no run at this tick, and spurious events for unchanged
-// demand no-op on the guard. A dense record reads its demand from its
-// staged block, which touches the trace once per block, not per tick.
+// takes, with the same cur != last guard, so the working sets it drives
+// are those of visiting every record — a record skipped here starts no
+// run at this tick, and spurious events for unchanged demand no-op on the
+// guard. A dense record reads its demand from its staged block, which
+// touches the trace once per block, not per tick.
 func (st *shardState) eventDeltaPass(t int) {
 	// st.slots already holds the sparse VMs tracked since the last pass.
 	st.slots = st.queue.PopDue(t, st.slots)
@@ -416,7 +417,7 @@ func (st *shardState) eventDeltaPass(t int) {
 			if cur != r.last {
 				d := &st.demand[r.srv]
 				for k := range d {
-					d[k] += cur[k] - r.last[k]
+					d[k] += resources.ToUnit(cur[k]) - resources.ToUnit(r.last[k])
 				}
 				r.last = cur
 				st.touchServer(int(r.srv))
@@ -454,7 +455,7 @@ func (st *shardState) settleContention() {
 		st.dirtyFlag[i] = false
 		occupied := st.vmCount[i] > 0
 		cpu := occupied && st.demand[i][resources.CPU] > st.cpuLimit[i]
-		mem := occupied && st.demand[i][resources.Memory] > st.servers[i].Pool.Backed()[resources.Memory]+1e-9
+		mem := occupied && st.demand[i][resources.Memory] > st.servers[i].Pool.BackedUnits()[resources.Memory]
 		if cpu != st.violCPU[i] {
 			st.violCPU[i] = cpu
 			if cpu {
@@ -508,17 +509,17 @@ func (st *shardState) applyPlan(p core.MigrationPlan) {
 		return
 	}
 	r := &st.recs[st.pos[p.VMID]]
-	st.demand[p.From] = st.demand[p.From].Sub(r.last)
+	last := r.last.Units()
+	st.demand[p.From] = st.demand[p.From].Sub(last)
 	st.vmCount[p.From]--
 	if st.vmCount[p.From] == 0 {
 		st.used--
-		st.demand[p.From] = st.zero
 	}
 	if st.vmCount[p.To] == 0 {
 		st.used++
 	}
 	st.vmCount[p.To]++
-	st.demand[p.To] = st.demand[p.To].Add(r.last)
+	st.demand[p.To] = st.demand[p.To].Add(last)
 	r.srv = int32(p.To)
 	st.touchServer(p.From)
 	st.touchServer(p.To)
@@ -565,13 +566,10 @@ func (st *shardState) removeTracked(vmID int) bool {
 		return false
 	}
 	r := st.recs[p]
-	st.demand[r.srv] = st.demand[r.srv].Sub(r.last)
+	st.demand[r.srv] = st.demand[r.srv].Sub(r.last.Units())
 	st.vmCount[r.srv]--
 	if st.vmCount[r.srv] == 0 {
 		st.used--
-		// Reset to cancel residual float drift from the incremental adds
-		// and subtracts.
-		st.demand[r.srv] = st.zero
 	}
 	st.touchServer(int(r.srv))
 	// Swap-remove: the last record, its block and its dense bit move to

@@ -41,7 +41,6 @@ const (
 	Production SubscriptionType = iota
 	Test
 	InternalProduction
-	NumSubscriptionTypes
 )
 
 func (t SubscriptionType) String() string {

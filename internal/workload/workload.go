@@ -166,12 +166,8 @@ type Runner struct {
 	churnAcc float64
 
 	ticks     int
-	sumMean   float64
-	sumP99    float64
 	sumOpMean float64
-	sumOpP99  float64
 	sumFaults float64
-	worstP99  float64
 	sumPPA    float64
 	sumPVA    float64
 	sumPSoft  float64
@@ -227,20 +223,14 @@ func (r *Runner) Step(dt float64) {
 // Record accumulates one tick's memory stats into the workload metrics.
 func (r *Runner) Record(st memsim.TickStats) {
 	r.ticks++
-	r.sumMean += st.MeanNs
-	r.sumP99 += st.P99Ns
-	opMean, opP99 := r.OpLatencies(st)
+	opMean, _ := r.OpLatencies(st)
 	r.sumOpMean += opMean
-	r.sumOpP99 += opP99
 	r.sumFaults += st.FaultGB
 	r.sumPPA += st.PPA
 	r.sumPVA += st.PVA
 	r.sumPSoft += st.PSoft
 	r.sumPHard += st.PHard
 	r.sumMeanNs += st.MeanNs
-	if opP99 > r.worstP99 {
-		r.worstP99 = opP99
-	}
 }
 
 // OpLatencies converts one tick's access mixture into operation-level mean
@@ -278,14 +268,6 @@ func (r *Runner) opLatencies(meanNs, pPA, pVA, pSoft, pHard float64) (opMean, op
 // Ticks returns the number of recorded ticks.
 func (r *Runner) Ticks() int { return r.ticks }
 
-// MeanLatencyNs returns the time-averaged mean access latency.
-func (r *Runner) MeanLatencyNs() float64 {
-	if r.ticks == 0 {
-		return 0
-	}
-	return r.sumMean / float64(r.ticks)
-}
-
 // MeanOpLatencyNs returns the time-averaged mean operation latency.
 func (r *Runner) MeanOpLatencyNs() float64 {
 	if r.ticks == 0 {
@@ -293,18 +275,6 @@ func (r *Runner) MeanOpLatencyNs() float64 {
 	}
 	return r.sumOpMean / float64(r.ticks)
 }
-
-// MeanOpP99Ns returns the time-averaged P99 operation latency: the key
-// metric of the tail-latency workloads.
-func (r *Runner) MeanOpP99Ns() float64 {
-	if r.ticks == 0 {
-		return 0
-	}
-	return r.sumOpP99 / float64(r.ticks)
-}
-
-// WorstOpP99Ns returns the worst single-tick P99 operation latency.
-func (r *Runner) WorstOpP99Ns() float64 { return r.worstP99 }
 
 // TotalFaultGB returns the cumulative faulted GB.
 func (r *Runner) TotalFaultGB() float64 { return r.sumFaults }
