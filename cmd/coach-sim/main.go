@@ -12,7 +12,7 @@
 //	          [-percentile 95] [-windows 6] [-fleet-frac 0.55] [-workers 0]
 //	          [-data-plane] [-mitigation None|Trim|Extend|Migrate|all]
 //	          [-mitigation-mode Reactive|Proactive] [-dp-pool-frac 0.02]
-//	          [-cross-shard]
+//	          [-cross-shard] [-timings]
 //
 // -preset replays a declarative workload scenario (internal/scenario)
 // instead of the calibrated GenConfig trace: a shipped preset name or a
@@ -21,6 +21,11 @@
 // -cross-shard lets completed live migrations escape their home cluster
 // shard through the simulator's sample-boundary exchange (docs/DESIGN.md
 // §10); results stay byte-identical for any -workers value.
+//
+// -timings prints the stage-timer tree after the tables: trace
+// synthesis, then every replay's set-up, arrival phase, tick loop (with
+// its placement, delta pass, data-plane tick, contention, exchange and
+// fork/join wait) and judging phase, summed over the policies run.
 //
 // -mitigation, -mitigation-mode, -dp-pool-frac and -cross-shard
 // configure the data plane and are rejected without -data-plane, like a
@@ -45,6 +50,8 @@ import (
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/sim"
 	"github.com/coach-oss/coach/internal/timeseries"
+	"github.com/coach-oss/coach/internal/timing"
+	"github.com/coach-oss/coach/internal/trace"
 )
 
 // options carries the parsed flags.
@@ -59,6 +66,7 @@ type options struct {
 	mitigationMode        agent.Mode
 	dpPoolFrac            float64
 	crossShard            bool
+	timings               bool
 }
 
 // dataPlaneFlags are the flags that only configure the data plane.
@@ -83,6 +91,7 @@ func parseFlags(args []string) (options, error) {
 	})
 	fs.Float64Var(&o.dpPoolFrac, "dp-pool-frac", 0.02, "oversubscribed pool as a fraction of server memory; small values provoke the contention the mitigation ladder resolves (requires -data-plane)")
 	fs.BoolVar(&o.crossShard, "cross-shard", false, "let completed live migrations land in other cluster shards via the sample-boundary exchange (requires -data-plane)")
+	fs.BoolVar(&o.timings, "timings", false, "print the stage-timer tree of trace synthesis and every replay")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -155,7 +164,13 @@ func main() {
 		}
 		ctx.Scenario = s.ScenarioSpec(sp)
 	}
-	tr, err := ctx.Trace()
+	var tm *timing.Tree
+	if o.timings {
+		tm = sim.NewTimings()
+		defer fmt.Printf("\n%s", tm)
+	}
+	var tr *trace.Trace
+	tm.Alloc(sim.StageTrace, func() { tr, err = ctx.Trace() })
 	if err != nil {
 		fatal(err)
 	}
@@ -189,7 +204,9 @@ func main() {
 
 	if !o.dataPlane {
 		for _, p := range policies {
-			res, err := sim.Run(tr, fleet, simConfig(o, p, tr.Horizon))
+			cfg := simConfig(o, p, tr.Horizon)
+			cfg.Timings = tm
+			res, err := sim.Run(tr, fleet, cfg)
 			if err != nil {
 				fatal(fmt.Errorf("%s: %w", p, err))
 			}
@@ -207,6 +224,7 @@ func main() {
 	}
 	p := policies[0]
 	cfg := simConfig(o, p, tr.Horizon)
+	cfg.Timings = tm
 	// The mitigation policy never affects training: train the predictor
 	// once and share it across the sweep.
 	if p != scheduler.PolicyNone {

@@ -10,6 +10,7 @@ package resources
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -212,6 +213,21 @@ func (v Vector) MaxFraction(capacity Vector) (Kind, float64) {
 // allocation's step) times a basis point. Every CoachVM amount and server
 // capacity is a whole count, so sums of Units are exact and order-free.
 const PerUnit = 40000
+
+// Quarters returns v in quarter units, the step of every allocation;
+// ok is false unless every element is a whole count of quarters in
+// [0, 2³¹). With a utilization code in basis points, quarters × code is
+// a demand in Units, exactly.
+func (v Vector) Quarters() (q [NumKinds]int32, ok bool) {
+	for i, x := range v {
+		f := x * 4
+		if !(f >= 0 && f < 1<<31) || f != math.Trunc(f) {
+			return q, false
+		}
+		q[i] = int32(f)
+	}
+	return q, true
+}
 
 // Units holds one integer amount per resource kind, in counts of
 // 1/PerUnit of the kind's natural unit.

@@ -243,7 +243,7 @@ func TestHTTPGoldenBodies(t *testing.T) {
 		body string
 	}{
 		{"/v1/predict", 4, 200, `{"vm":4,"ok":false}`},
-		{"/v1/predict", 6, 200, `{"vm":6,"ok":true,"percentile":95,"windows":6,"resources":{"cpu":{"pct":[0.4,0.4,0.5,0.45,0.4,0.35000000000000003],"max":[0.4,0.45,0.5,0.55,0.5,0.5]},"memory":{"pct":[0.6000000000000001,0.6000000000000001,0.6000000000000001,0.6000000000000001,0.6000000000000001,0.55],"max":[0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001]},"network":{"pct":[0.25,0.3,0.3,0.3,0.25,0.25],"max":[0.3,0.3,0.35000000000000003,0.3,0.3,0.3]},"ssd":{"pct":[0.45,0.45,0.45,0.45,0.45,0.45],"max":[0.45,0.45,0.45,0.45,0.45,0.45]}}}`},
+		{"/v1/predict", 6, 200, `{"vm":6,"ok":true,"percentile":95,"windows":6,"resources":{"cpu":{"pct":[0.4,0.4,0.5,0.45,0.4,0.35000000000000003],"max":[0.45,0.45,0.5,0.55,0.5,0.5]},"memory":{"pct":[0.6000000000000001,0.6000000000000001,0.6000000000000001,0.6000000000000001,0.6000000000000001,0.55],"max":[0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001]},"network":{"pct":[0.3,0.3,0.3,0.3,0.25,0.25],"max":[0.3,0.3,0.35000000000000003,0.3,0.3,0.3]},"ssd":{"pct":[0.45,0.45,0.45,0.45,0.45,0.45],"max":[0.45,0.45,0.45,0.45,0.45,0.45]}}}`},
 		{"/v1/admit", 4, 200, `{"vm":4,"admitted":true,"cluster":3,"server":0,"oversubscribed":false,"alloc":{"cpu":1,"memory":2,"network":0.25,"ssd":32},"guaranteed":{"cpu":1,"memory":2,"network":0.25,"ssd":32}}`},
 		{"/v1/admit", 6, 200, `{"vm":6,"admitted":true,"cluster":0,"server":0,"oversubscribed":true,"alloc":{"cpu":8,"memory":32,"network":2,"ssd":256},"guaranteed":{"cpu":4,"memory":20,"network":0.6000000000000001,"ssd":116}}`},
 	} {

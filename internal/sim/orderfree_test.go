@@ -8,6 +8,7 @@ import (
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
+	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -109,5 +110,27 @@ func TestContentionOrderFree(t *testing.T) {
 			t.Logf("%d server-ticks: %d CPU-contended, %d memory-contended, %d exactly at the CPU limit; %d migrations, %d evictions",
 				checked, cpuViol, memViol, cpuTies, stats.SameShardMigrations, stats.EvictedVMs)
 		})
+	}
+}
+
+// TestExactUnits ties the replay's integer demand to the float demand
+// serve and the data plane compute from the same sample: for every
+// DefaultConfigs allocation and every utilization code, quarters × code
+// (placedRec) equals the float product alloc × Frac(code) rounded to
+// Units. So sums of either are the same integers.
+func TestExactUnits(t *testing.T) {
+	for _, cfg := range trace.DefaultConfigs() {
+		q, ok := cfg.Alloc.Quarters()
+		if !ok {
+			t.Fatalf("%s: allocation %v is not in whole quarter units", cfg.Name, cfg.Alloc)
+		}
+		for _, k := range resources.Kinds {
+			for c := 0; c <= timeseries.CodeScale; c++ {
+				exact := int64(q[k]) * int64(c)
+				if got := resources.ToUnit(cfg.Alloc[k] * timeseries.Frac(uint16(c))); got != exact {
+					t.Fatalf("%s %v code %d: float demand rounds to %d Units, quarters × code is %d", cfg.Name, k, c, got, exact)
+				}
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
+	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -54,12 +55,16 @@ func (st *shardState) referenceAdvance(t int) error {
 	for i := range st.recs {
 		r := &st.recs[i]
 		vm := &st.tr.VMs[r.id]
-		cur := vm.DemandAt(t)
+		var cur timeseries.Codes
+		for k, x := range vm.Runs.At(t - vm.Start) {
+			cur[k] = timeseries.ToCode(x)
+		}
 		if cur != r.last {
-			st.demand[r.srv] = st.demand[r.srv].Add(cur.Units()).Sub(r.last.Units())
+			d := vm.DemandAt(t)
+			st.demand[r.srv] = st.demand[r.srv].Add(d.Units()).Sub(r.units())
 			r.last = cur
 			if st.sh.DP != nil {
-				st.sh.DP.SetWSS(vm.ID, cur[resources.Memory])
+				st.sh.DP.SetWSS(vm.ID, d[resources.Memory])
 			}
 		}
 	}

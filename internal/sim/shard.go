@@ -12,6 +12,7 @@ import (
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/timeseries"
+	"github.com/coach-oss/coach/internal/timing"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -54,6 +55,7 @@ type shardResult struct {
 // additionally trade migrated VMs at sample boundaries through the
 // deterministic exchange step (docs/DESIGN.md §10).
 func newShardStates(shards []*core.Shard, tr *trace.Trace, model *predict.LongTerm, cfg Config) []*shardState {
+	build := cfg.Timings.Start()
 	states := make([]*shardState, len(shards))
 	for i, sh := range shards {
 		states[i] = newShardState(sh, tr, cfg)
@@ -78,17 +80,23 @@ func newShardStates(shards []*core.Shard, tr *trace.Trace, model *predict.LongTe
 			return !evs[i].arrival && evs[j].arrival
 		})
 	}
+	cfg.Timings.Since(stageBuild, build)
+	arrivals := cfg.Timings.Start()
 	arrivalPhase(states, tr, model, cfg.Workers)
+	cfg.Timings.Since(stageArrivals, arrivals)
 	return states
 }
 
-// placedRec tracks one placed VM's incremental-accounting state in 128
+// placedRec tracks one placed VM's incremental-accounting state in 88
 // bytes: the delta pass reads this record and, for a sparse VM, its
 // current run; a dense VM's samples come from its staged block.
 type placedRec struct {
-	// last is the demand whose units are currently in the server's
-	// running total for this VM; alloc is the VM's allocation.
-	last, alloc resources.Vector
+	// last is the utilization whose demand is currently in the server's
+	// running total for this VM; quarters is the VM's allocation in
+	// quarter units, so code c of kind k is a demand of quarters[k]·c
+	// resources.Units, exactly.
+	last     timeseries.Codes
+	quarters [resources.NumKinds]int32
 	// cur is the cursor on the VM's utilization runs, on the run of the
 	// last visited tick. A sparse VM's drives the event queue: one pending
 	// event per VM, at the next run's start.
@@ -98,36 +106,43 @@ type placedRec struct {
 	id, srv int32
 }
 
+// units returns the demand r's last codes stand for.
+func (r *placedRec) units() resources.Units {
+	var u resources.Units
+	for k, c := range r.last {
+		u[k] = int64(r.quarters[k]) * int64(c)
+	}
+	return u
+}
+
+// wss returns the working set r's last codes stand for, in GB: the
+// allocation times the memory code's fraction, the bits serve computes
+// from the same sample.
+func (r *placedRec) wss() float64 {
+	return float64(r.quarters[resources.Memory]) / 4 * timeseries.Frac(r.last[resources.Memory])
+}
+
 // denseBlockLen is how many ticks of samples a dense record stages at a
 // time (32 measured best of 8, 16 and 32 on the capacity preset).
 const denseBlockLen = 32
 
-// denseBlock stages a dense record's demand — its allocation times its
-// utilization — for up to denseBlockLen ticks: v[i] is the demand at
-// trace sample from+i, for i < n. n == 0 is the empty block a record
-// starts with.
+// denseBlock stages a dense record's codes for up to denseBlockLen ticks:
+// v[i] is the utilization at trace sample from+i, for i < n. n == 0 is
+// the empty block a record starts with.
 type denseBlock struct {
 	from, n int32
-	v       [denseBlockLen]resources.Vector
+	v       [denseBlockLen]timeseries.Codes
 }
 
-// demand returns record r's demand at trace sample t, moving r's cursor
-// to t. When t lies past the staged samples it refills the block from
-// the cursor in one sequential copy, scaled element by element as
-// Vector.Mul scales a per-sample read, so the bits are the same.
-func (b *denseBlock) demand(r *placedRec, t int) resources.Vector {
+// codes returns record r's codes at trace sample t, moving r's cursor to
+// t. When t lies past the staged samples it refills the block from the
+// cursor in one sequential copy.
+func (b *denseBlock) codes(r *placedRec, t int) timeseries.Codes {
 	if i := t - int(b.from); i < int(b.n) {
 		r.cur.SeekInto(t, nil)
 		return b.v[i]
 	}
-	n := r.cur.SeekInto(t, b.v[:])
-	for i := range b.v[:n] {
-		v := &b.v[i]
-		for k := range v {
-			v[k] = r.alloc[k] * v[k]
-		}
-	}
-	b.from, b.n = int32(t), int32(n)
+	b.from, b.n = int32(t), int32(r.cur.SeekInto(t, b.v[:]))
 	return b.v[0]
 }
 
@@ -197,6 +212,10 @@ type shardState struct {
 	fEvents []fault.Event
 	fi      int
 
+	// laps times the tick's stages on the shard's worker (nil unless
+	// Config.Timings).
+	laps *timing.Laps
+
 	// Event state. queue holds one pending utilization-change event per
 	// placed sparse VM; slots collects the sparse VM ids due at the next
 	// delta pass without one — just placed, re-admitted or immigrated —
@@ -260,6 +279,7 @@ func newShardState(sh *core.Shard, tr *trace.Trace, cfg Config) *shardState {
 	st.violMem = make([]bool, len(st.servers))
 	st.dirtyFlag = make([]bool, len(st.servers))
 	st.fEvents = cfg.Faults.ForShard(sh.Index)
+	st.laps = cfg.Timings.NewLaps()
 	return st
 }
 
@@ -287,9 +307,11 @@ func (st *shardState) touchServer(srv int) {
 // full rebuild. Integer sums are exact, so the totals do not depend on
 // the order of the updates.
 func (st *shardState) step(t int) error {
+	start := st.laps.Start()
 	if err := st.arrive(t); err != nil {
 		return err
 	}
+	st.laps.Lap(stagePlacement, start)
 	return st.advance(t)
 }
 
@@ -361,14 +383,18 @@ func (st *shardState) depart(vmID int) {
 // advance applies the second half of tick t: the demand delta pass, the
 // data-plane tick with migration resolution, and the contention counters.
 func (st *shardState) advance(t int) error {
+	lap := st.laps.Start()
 	st.eventDeltaPass(t)
+	lap = st.laps.Lap(stageDeltaPass, lap)
 	if st.sh.DP != nil {
 		if err := st.dataPlaneTick(t - st.cfg.TrainUpTo); err != nil {
 			return err
 		}
+		lap = st.laps.Lap(stageDataPlane, lap)
 	}
 	st.sr.usedByTick[t-st.cfg.TrainUpTo] = st.used
 	st.settleContention()
+	st.laps.Lap(stageContention, lap)
 	return nil
 }
 
@@ -384,8 +410,9 @@ func (st *shardState) advance(t int) error {
 // takes, with the same cur != last guard, so the working sets it drives
 // are those of visiting every record — a record skipped here starts no
 // run at this tick, and spurious events for unchanged demand no-op on the
-// guard. A dense record reads its demand from its staged block, which
-// touches the trace once per block, not per tick.
+// guard. A changed visit adds quarters × Δcode per kind to the server's
+// total, exactly. A dense record reads its codes from its staged block,
+// which touches the trace once per block, not per tick.
 func (st *shardState) eventDeltaPass(t int) {
 	// st.slots already holds the sparse VMs tracked since the last pass.
 	st.slots = st.queue.PopDue(t, st.slots)
@@ -408,21 +435,21 @@ func (st *shardState) eventDeltaPass(t int) {
 			applied++
 			p := w*64 + bits.TrailingZeros64(word)
 			r, b := &st.recs[p], st.blocks[p]
-			var cur resources.Vector
+			var cur timeseries.Codes
 			if b != nil {
-				cur = b.demand(r, t)
+				cur = b.codes(r, t)
 			} else {
-				cur = r.alloc.Mul(r.cur.Seek(t))
+				cur = r.cur.SeekCodes(t)
 			}
 			if cur != r.last {
 				d := &st.demand[r.srv]
 				for k := range d {
-					d[k] += resources.ToUnit(cur[k]) - resources.ToUnit(r.last[k])
+					d[k] += int64(r.quarters[k]) * (int64(cur[k]) - int64(r.last[k]))
 				}
 				r.last = cur
 				st.touchServer(int(r.srv))
 				if st.sh.DP != nil {
-					st.sh.DP.SetWSS(int(r.id), cur[resources.Memory])
+					st.sh.DP.SetWSS(int(r.id), r.wss())
 				}
 			}
 			// A sparse VM's next run start is its one pending event (Push
@@ -509,7 +536,7 @@ func (st *shardState) applyPlan(p core.MigrationPlan) {
 		return
 	}
 	r := &st.recs[st.pos[p.VMID]]
-	last := r.last.Units()
+	last := r.units()
 	st.demand[p.From] = st.demand[p.From].Sub(last)
 	st.vmCount[p.From]--
 	if st.vmCount[p.From] == 0 {
@@ -536,7 +563,8 @@ func (st *shardState) track(vm *trace.VM, srv int, cur timeseries.Cursor) {
 	st.vmCount[srv]++
 	p := len(st.recs)
 	st.pos[vm.ID] = int32(p)
-	st.recs = append(st.recs, placedRec{alloc: vm.Alloc, cur: cur, id: int32(vm.ID), srv: int32(srv)})
+	q, _ := vm.Alloc.Quarters() // prepare checked every allocation
+	st.recs = append(st.recs, placedRec{quarters: q, cur: cur, id: int32(vm.ID), srv: int32(srv)})
 	if p/64 == len(st.dense) {
 		st.dense = append(st.dense, 0)
 		st.slotBits = append(st.slotBits, 0)
@@ -566,7 +594,7 @@ func (st *shardState) removeTracked(vmID int) bool {
 		return false
 	}
 	r := st.recs[p]
-	st.demand[r.srv] = st.demand[r.srv].Sub(r.last.Units())
+	st.demand[r.srv] = st.demand[r.srv].Sub(r.units())
 	st.vmCount[r.srv]--
 	if st.vmCount[r.srv] == 0 {
 		st.used--

@@ -32,6 +32,7 @@ import (
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/timeseries"
+	"github.com/coach-oss/coach/internal/timing"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -70,6 +71,11 @@ type Config struct {
 	// Benchmarks use it as the machine-independent work metric of the
 	// delta pass.
 	VisitCounter *int64
+	// Timings, when non-nil, is a tree from NewTimings that Run adds its
+	// stage times to, and Result.Timings points to it. Results of timed
+	// runs differ in their timings, so leave it nil where Results are
+	// compared.
+	Timings *timing.Tree
 }
 
 // cpuContentionFrac: a server tick counts as CPU-contended when utilized
@@ -131,6 +137,8 @@ type Result struct {
 	// Faults aggregates the failure-domain engine's counters (nil unless
 	// a fault schedule was active). See docs/DESIGN.md §13.
 	Faults *FaultResult
+	// Timings is Config.Timings, holding this run's stage times.
+	Timings *timing.Tree
 }
 
 // CPUViolationFrac returns CPU-contended slots as a fraction of slots.
@@ -187,6 +195,20 @@ func (r *Result) UnderAllocFrac(k resources.Kind) float64 {
 // Per-shard results are merged deterministically — the Result (including
 // Outcomes order, sorted by VMID) is byte-identical for any worker count.
 func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
+	if tr == nil {
+		if cfg.Scenario == nil {
+			return nil, fmt.Errorf("sim: nil trace and no Config.Scenario to generate one from")
+		}
+		var err error
+		cfg.Timings.Alloc(StageTrace, func() { tr, err = trace.GenerateScenario(cfg.Scenario) })
+		if err != nil {
+			return nil, err
+		}
+		if cfg.TrainUpTo == 0 {
+			cfg.TrainUpTo = tr.Horizon / 2
+		}
+	}
+	start := cfg.Timings.Start()
 	tr, cfg, states, err := prepare(tr, fleet, cfg)
 	if err != nil {
 		return nil, err
@@ -198,6 +220,7 @@ func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
 	// count.
 	exchanging := cfg.DataPlane && cfg.CrossShardMigration &&
 		cfg.MitigationPolicy == agent.PolicyMigrate && len(states) > 1
+	ticks := cfg.Timings.Start()
 	if exchanging {
 		err = runExchanging(states, tr, cfg)
 	} else {
@@ -206,13 +229,19 @@ func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return seal(states, cfg, tr.Horizon-cfg.TrainUpTo), nil
+	cfg.Timings.Since(stageTicks, ticks)
+	res := seal(states, cfg, tr.Horizon-cfg.TrainUpTo)
+	res.Timings = cfg.Timings
+	cfg.Timings.Since(stageRun, start)
+	return res, nil
 }
 
 // seal ends a replay: the judging phase scores the placed VMs, then every
 // shard's result is finished and merged.
 func seal(states []*shardState, cfg Config, ticks int) *Result {
+	start := cfg.Timings.Start()
 	judgePhase(states, cfg)
+	cfg.Timings.Since(stageJudging, start)
 	results := make([]*shardResult, len(states))
 	for i, st := range states {
 		results[i] = st.finish()
@@ -221,27 +250,22 @@ func seal(states []*shardState, cfg Config, ticks int) *Result {
 }
 
 // prepare resolves a Run's inputs and builds its replay states: it
-// generates the trace from cfg.Scenario when tr is nil, builds the shards
-// (core.FleetConfig.NewShards validates the trace, fleet and config),
-// compiles the scenario's faults against the fleet's shard shape and
-// picks the model (cfg.Model, a freshly trained one, or none) the
-// arrival phase predicts with.
+// builds the shards (core.FleetConfig.NewShards validates the trace,
+// fleet and config), compiles the scenario's faults against the fleet's
+// shard shape and picks the model (cfg.Model, a freshly trained one, or
+// none) the arrival phase predicts with.
 func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, Config, []*shardState, error) {
-	if tr == nil {
-		if cfg.Scenario == nil {
-			return nil, cfg, nil, fmt.Errorf("sim: nil trace and no Config.Scenario to generate one from")
-		}
-		var err error
-		if tr, err = trace.GenerateScenario(cfg.Scenario); err != nil {
-			return nil, cfg, nil, err
-		}
-		if cfg.TrainUpTo == 0 {
-			cfg.TrainUpTo = tr.Horizon / 2
-		}
-	}
+	build := cfg.Timings.Start()
 	shards, err := cfg.NewShards(tr, fleet)
 	if err != nil {
 		return nil, cfg, nil, err
+	}
+	// The replay's demand is quarters × code (placedRec), exact only for
+	// allocations in whole quarter units.
+	for i := range tr.VMs {
+		if _, ok := tr.VMs[i].Alloc.Quarters(); !ok {
+			return nil, cfg, nil, fmt.Errorf("sim: vm %d allocation %v is not a whole count of quarter units", tr.VMs[i].ID, tr.VMs[i].Alloc)
+		}
 	}
 
 	if cfg.Faults == nil && cfg.Scenario != nil && len(cfg.Scenario.Faults) > 0 {
@@ -255,6 +279,7 @@ func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, C
 			return nil, cfg, nil, err
 		}
 	}
+	cfg.Timings.Since(stageBuild, build)
 
 	model := cfg.Model
 	if cfg.Faults.TrainFail() {
@@ -263,7 +288,8 @@ func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, C
 		// on its fully-guaranteed best-fit split.
 		model = nil
 	} else if model == nil && cfg.Policy != scheduler.PolicyNone {
-		if model, err = predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig()); err != nil {
+		cfg.Timings.Alloc(stageTrain, func() { model, err = predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig()) })
+		if err != nil {
 			return nil, cfg, nil, err
 		}
 	}
@@ -276,6 +302,7 @@ func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, C
 // reported does not depend on scheduling.
 func runDecoupled(states []*shardState, tr *trace.Trace, cfg Config) error {
 	errs := make([]error, len(states))
+	start := cfg.Timings.Start()
 	par.ForEach(cfg.Workers, len(states), func(i int) {
 		for t := cfg.TrainUpTo; t < tr.Horizon; t++ {
 			if errs[i] = states[i].step(t); errs[i] != nil {
@@ -283,6 +310,7 @@ func runDecoupled(states []*shardState, tr *trace.Trace, cfg Config) error {
 			}
 		}
 	})
+	forkJoin(cfg, states, cfg.Timings.Start()-start, 1)
 	return firstErr(errs)
 }
 
@@ -293,15 +321,23 @@ func runDecoupled(states []*shardState, tr *trace.Trace, cfg Config) error {
 // one deterministic order.
 func runExchanging(states []*shardState, tr *trace.Trace, cfg Config) error {
 	errs := make([]error, len(states))
+	tm := cfg.Timings
+	var inForks, inExchange int64
 	for t := cfg.TrainUpTo; t < tr.Horizon; t++ {
+		start := tm.Start()
 		par.ForEach(cfg.Workers, len(states), func(i int) { errs[i] = states[i].step(t) })
 		if err := firstErr(errs); err != nil {
 			return err
 		}
+		joined := tm.Start()
 		if err := exchangeMigrations(states); err != nil {
 			return err
 		}
+		inForks, inExchange = inForks+joined-start, inExchange+tm.Start()-joined
 	}
+	ticks := int64(tr.Horizon - cfg.TrainUpTo)
+	tm.Add(stageExchange, inExchange, ticks)
+	forkJoin(cfg, states, inForks, ticks)
 	return nil
 }
 

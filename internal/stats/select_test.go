@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// checkSelectKth runs selectKth(xs, k) on a copy and checks it against a
+// checkSelectKth runs SelectKth(xs, k) on a copy and checks it against a
 // sort oracle: the value at k, the partition property around it, and
 // that the result is a permutation of the input.
 func checkSelectKth(t *testing.T, name string, xs []float64, k int) {
 	t.Helper()
 	got := append([]float64(nil), xs...)
-	selectKth(got, k)
+	SelectKth(got, k)
 	want := append([]float64(nil), xs...)
 	sort.Float64s(want)
 	if got[k] != want[k] {
@@ -108,7 +108,7 @@ func TestSelectKthAllEqualIsLinear(t *testing.T) {
 		for rep := 0; rep < 20; rep++ {
 			copy(buf, src)
 			start := time.Now()
-			selectKth(buf, n*95/100)
+			SelectKth(buf, n*95/100)
 			if d := time.Since(start); d < b {
 				b = d
 			}

@@ -7,8 +7,8 @@
 package stats
 
 import (
+	"cmp"
 	"math"
-	"slices"
 	"sort"
 )
 
@@ -76,7 +76,7 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 	}
 	rank := p / 100 * float64(len(xs)-1)
 	lo := int(math.Floor(rank))
-	selectKth(xs, lo)
+	SelectKth(xs, lo)
 	if float64(lo) == rank {
 		return xs[lo]
 	}
@@ -84,62 +84,7 @@ func PercentileInPlace(xs []float64, p float64) float64 {
 	return xs[lo]*(1-frac) + Min(xs[lo+1:])*frac
 }
 
-// Run is a value repeated N times: one run of a run-length series.
-type Run struct {
-	V float64
-	N int
-}
-
-// PercentileRuns is PercentileInPlace over the samples runs stands for,
-// each V repeated N times in order, and returns the same bits. With
-// 0 < p < 100 and no NaN or -0 among the values it sorts the runs by
-// value and walks their counts to the two order statistics the
-// interpolation needs, reading O(len(runs)) values; otherwise, or when
-// runs average under two samples, it expands the samples into buf and
-// selects. runs is reordered; buf is returned for reuse.
-func PercentileRuns(runs []Run, p float64, buf []float64) (float64, []float64) {
-	n := 0
-	selectable := p > 0 && p < 100
-	for _, r := range runs {
-		n += r.N
-		selectable = selectable && r.V == r.V && !(r.V == 0 && math.Signbit(r.V))
-	}
-	if !selectable || n == 0 || 2*len(runs) > n {
-		buf = buf[:0]
-		for _, r := range runs {
-			for i := 0; i < r.N; i++ {
-				buf = append(buf, r.V)
-			}
-		}
-		return PercentileInPlace(buf, p), buf
-	}
-	// No NaN here, so < is a total order.
-	slices.SortFunc(runs, func(a, b Run) int {
-		if a.V < b.V {
-			return -1
-		}
-		return b2i(a.V > b.V)
-	})
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	// kth returns the k-th smallest sample.
-	kth := func(k int) float64 {
-		for _, r := range runs {
-			if k < r.N {
-				return r.V
-			}
-			k -= r.N
-		}
-		return runs[len(runs)-1].V
-	}
-	if float64(lo) == rank {
-		return kth(lo), buf
-	}
-	frac := rank - float64(lo)
-	return kth(lo)*(1-frac) + kth(lo+1)*frac, buf
-}
-
-// selectKth reorders xs so that xs[k] is its k-th smallest element with
+// SelectKth reorders xs so that xs[k] is its k-th smallest element with
 // nothing larger before it and nothing smaller after it. xs must hold no
 // NaN.
 //
@@ -152,7 +97,7 @@ func PercentileRuns(runs []Run, p float64, buf []float64) (float64, []float64) {
 // the median of three fixed-seed pseudo-random positions: fixed positions
 // let Lomuto's rotations of a falling window put all three near the
 // bottom, which is quadratic too.
-func selectKth(xs []float64, k int) {
+func SelectKth[T cmp.Ordered](xs []T, k int) {
 	rng := uint64(0x9e3779b97f4a7c15)
 	for lo, hi := 0, len(xs); hi-lo > 1; {
 		var at [3]int

@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"slices"
 	"sort"
@@ -64,14 +65,18 @@ func cpuRuns(s Series) Runs {
 	return NewRuns([resources.NumKinds]Series{s, zeros, zeros, zeros})
 }
 
-// checkWindowPercentile holds the selection over samples and over runs
-// to the sort-based reference, bit for bit.
+// checkWindowPercentile holds the selection over samples, and over
+// their runs of codes, to the sort-based reference over the samples and
+// over the runs' float view respectively, bit for bit.
 func checkWindowPercentile(t *testing.T, s Series, w Windows, p float64) {
 	t.Helper()
 	in := slices.Clone(s)
-	want := refWindowPercentile(slices.Clone(s), w, p)
-	for name, got := range map[string][]float64{
-		"samples": s.WindowPercentile(w, p), "runs": cpuRuns(s).WindowPercentile(w, p)[resources.CPU]} {
+	r := cpuRuns(s)
+	for name, got := range map[string][2][]float64{
+		"samples": {s.WindowPercentile(w, p), refWindowPercentile(slices.Clone(s), w, p)},
+		"runs":    {r.WindowPercentile(w, p)[resources.CPU], refWindowPercentile(r.Series(resources.CPU, nil), w, p)},
+	} {
+		got, want := got[0], got[1]
 		for win := range want {
 			if math.Float64bits(got[win]) != math.Float64bits(want[win]) {
 				t.Fatalf("len %d, %v, p%v, window %d: selection over %s %v (%#x), sort %v (%#x)", len(s), w, p, win,
@@ -180,14 +185,26 @@ func fuzzRuns(data []byte) [resources.NumKinds]Series {
 
 // checkRuns run-encodes util, cuts the runs at visible (mod the length)
 // and compares every run reader with its reference over each kind's
-// expanded samples, bit for bit.
+// expanded float view, bit for bit. The float view is each sample
+// rounded to its nearest code, and Mean is the exact mean of the codes,
+// rounded once.
 func checkRuns(t *testing.T, util [resources.NumKinds]Series, visible int, w Windows, p float64) {
 	t.Helper()
 	visible %= len(util[resources.CPU]) + 1
 	r := NewRuns(util).Prefix(visible)
 	pcts, maxes := r.WindowPercentile(w, p), r.LifetimeWindowMax(w)
 	for _, k := range resources.Kinds {
-		s := util[k][:visible]
+		s := make(Series, visible)
+		sum := new(big.Rat)
+		for i, x := range util[k][:visible] {
+			c := ToCode(x)
+			s[i] = float64(c) / CodeScale
+			sum.Add(sum, big.NewRat(int64(c), CodeScale))
+		}
+		mean := 0.0
+		if visible > 0 {
+			mean, _ = sum.Quo(sum, big.NewRat(int64(visible), 1)).Float64()
+		}
 		same := func(what string, got, want []float64) {
 			t.Helper()
 			for i := range want {
@@ -201,7 +218,7 @@ func checkRuns(t *testing.T, util [resources.NumKinds]Series, visible int, w Win
 		if !slices.ContainsFunc(s, math.IsNaN) {
 			same("LifetimeWindowMax", maxes[k], refLifetimeWindowMax(s, w))
 		}
-		same("Max, Mean", []float64{r.Max(k), r.Mean(k)}, []float64{stats.Max(s), stats.Mean(s)})
+		same("Max, Mean", []float64{r.Max(k), r.Mean(k)}, []float64{stats.Max(s), mean})
 		same("Series", r.Series(k, nil), s)
 	}
 }

@@ -151,9 +151,10 @@ func TestLifetimeWindowMaxDominatesProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		days := 1 + rng.Intn(4)
-		s := mkSeries(days, func(d, i int) float64 { return rng.Float64() })
+		r := cpuRuns(mkSeries(days, func(d, i int) float64 { return rng.Float64() }))
+		s := r.Series(resources.CPU, nil)
 		w := CommonWindowConfigs()[rng.Intn(7)]
-		lm := cpuRuns(s).LifetimeWindowMax(w)[resources.CPU]
+		lm := r.LifetimeWindowMax(w)[resources.CPU]
 		for d := 0; d < days; d++ {
 			dm := s.DayWindowMax(d, w)
 			for win := range dm {
@@ -297,7 +298,7 @@ func TestUtilRange(t *testing.T) {
 }
 
 // TestCursorSeekInto checks SeekInto against Seek: it lands where Seek
-// lands, copies that run's vector and the ones after it, and with an
+// lands, copies that run's codes and the ones after it, and with an
 // empty dst only moves the cursor. On dense runs the copy is the next
 // samples; past the last sample both clamp to it.
 func TestCursorSeekInto(t *testing.T) {
@@ -307,13 +308,13 @@ func TestCursorSeekInto(t *testing.T) {
 		dense[k], sparse[k] = make(Series, 40), make(Series, 40)
 		for i := range dense[k] {
 			dense[k][i] = rng.Float64()
-			sparse[k][i] = float64(i / 7)
+			sparse[k][i] = float64(i/7) / 8
 		}
 	}
 	for name, runs := range map[string]Runs{"dense": NewRuns(dense), "sparse": NewRuns(sparse)} {
 		const start = 100
 		a, b := runs.CursorAt(start, start), runs.CursorAt(start, start)
-		var dst [5]resources.Vector
+		var dst [5]Codes
 		for tick := start; tick < start+runs.Len()+3; tick += 2 {
 			want := a.Seek(tick)
 			if n := b.SeekInto(tick, nil); n != 0 {
@@ -321,14 +322,14 @@ func TestCursorSeekInto(t *testing.T) {
 			}
 			n := b.SeekInto(tick, dst[:])
 			j := runs.find(min(tick-start, runs.Len()-1))
-			if n != min(len(dst), runs.NumRuns()-j) || dst[0] != want {
+			if n != min(len(dst), runs.NumRuns()-j) || dst[0].Vector() != want {
 				t.Fatalf("%s tick %d: copied %d, dst[0] %v; want %d, %v", name, tick, n, dst[0], min(len(dst), runs.NumRuns()-j), want)
 			}
 			for i := range dst[:n] {
-				if dst[i] != runs.Val(j+i) {
-					t.Fatalf("%s tick %d: dst[%d] = %v, want run %d's %v", name, tick, i, dst[i], j+i, runs.Val(j+i))
+				if dst[i] != runs.Code(j+i) {
+					t.Fatalf("%s tick %d: dst[%d] = %v, want run %d's %v", name, tick, i, dst[i], j+i, runs.Code(j+i))
 				}
-				if runs.Offsets() == nil && tick+i < start+runs.Len() && dst[i] != runs.At(tick-start+i) {
+				if runs.Offsets() == nil && tick+i < start+runs.Len() && dst[i].Vector() != runs.At(tick-start+i) {
 					t.Fatalf("%s tick %d: dst[%d] is not sample %d", name, tick, i, tick-start+i)
 				}
 			}

@@ -33,8 +33,8 @@ type diskTrace struct {
 }
 
 // Save serializes the full trace (including utilization series) with
-// encoding/gob, each VM's runs expanded into one series per kind. Use
-// Load to read it back.
+// encoding/gob, each VM's runs expanded into one float series per kind
+// (each sample a code's fraction). Use Load to read it back.
 func (tr *Trace) Save(w io.Writer) error {
 	// gob writes type names, so the on-disk types keep the names the
 	// format has always had.
@@ -59,8 +59,10 @@ func (tr *Trace) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(out)
 }
 
-// Load reads a trace written by Save, run-encodes its series and
-// validates it.
+// Load reads a trace written by Save, checks that every sample is a
+// fraction in [0,1], rounds the samples to the nearest basis-point code
+// (timeseries.NewRuns), run-encodes them and validates the trace. A trace
+// Save wrote loads back to the same codes.
 func Load(r io.Reader) (*Trace, error) {
 	var in diskTrace
 	if err := gob.NewDecoder(r).Decode(&in); err != nil {
@@ -72,6 +74,12 @@ func Load(r io.Reader) (*Trace, error) {
 		for _, k := range resources.Kinds {
 			if len(d.Util[k]) != d.End-d.Start {
 				return nil, fmt.Errorf("trace: vm %d %v series has %d samples, want %d", d.ID, k, len(d.Util[k]), d.End-d.Start)
+			}
+			for _, u := range d.Util[k] {
+				// Negated so NaN, which fails every comparison, is rejected too.
+				if !(u >= 0 && u <= 1) {
+					return nil, fmt.Errorf("trace: vm %d %v utilization %f outside [0,1]", d.ID, k, u)
+				}
 			}
 		}
 		tr.VMs[i] = VM{ID: d.ID, Subscription: d.Subscription, Config: d.Config, Alloc: d.Alloc,

@@ -59,10 +59,17 @@ func TestRuns(t *testing.T) {
 // GenConfig generator, VM by VM: the run offsets are the reference
 // change points plus offset 0, they are nil exactly when every sample is
 // its own run, and expanding the runs gives back the samples the
-// generator synthesized, bit for bit.
+// generator synthesized, each rounded to its nearest code, bit for bit.
 func TestRunsMatchSamples(t *testing.T) {
-	check := func(t *testing.T, vm *VM, util [resources.NumKinds]timeseries.Series) {
+	check := func(t *testing.T, vm *VM, raw [resources.NumKinds]timeseries.Series) {
 		t.Helper()
+		var util [resources.NumKinds]timeseries.Series
+		for k, s := range raw {
+			util[k] = make(timeseries.Series, len(s))
+			for i, x := range s {
+				util[k][i] = math.Round(x*timeseries.CodeScale) / timeseries.CodeScale
+			}
+		}
 		r := vm.Runs
 		if r.Len() != len(util[0]) {
 			t.Fatalf("vm %d: %d samples in runs, generator made %d", vm.ID, r.Len(), len(util[0]))
@@ -136,6 +143,50 @@ func TestUtilAtMatchesRuns(t *testing.T) {
 					t.Fatalf("vm %d %v at %d: UtilAt %v, DemandAt %v, series %v", vm.ID, k, t0, got, d[k], want)
 				}
 			}
+		}
+	}
+}
+
+// TestSaveLoadCodes holds a Save → Load round trip to the codes: Save
+// writes each code's fraction and Load rounds it back to the same code.
+// The mini presets cover the generators; an extra VM walks every code
+// from 0 to CodeScale in each kind.
+func TestSaveLoadCodes(t *testing.T) {
+	for _, name := range []string{"capacity", "sparse-churn"} {
+		tr, err := GenerateScenario(miniSpec(t, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var util [resources.NumKinds]timeseries.Series
+		for k := range util {
+			for c := 0; c <= timeseries.CodeScale; c++ {
+				util[k] = append(util[k], timeseries.Frac(uint16((c+k*2500)%(timeseries.CodeScale+1))))
+			}
+		}
+		n := len(util[0])
+		tr.Horizon = max(tr.Horizon, n)
+		tr.VMs = append(tr.VMs, VM{ID: len(tr.VMs), Alloc: tr.Configs[0].Alloc, End: n, Runs: timeseries.NewRuns(util)})
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range tr.VMs {
+			a, b := &tr.VMs[i].Runs, &got.VMs[i].Runs
+			if a.NumRuns() != b.NumRuns() || !reflect.DeepEqual(a.Offsets(), b.Offsets()) {
+				t.Fatalf("%s vm %d: %d runs at %v, loaded %d at %v", name, i, a.NumRuns(), a.Offsets(), b.NumRuns(), b.Offsets())
+			}
+			for j := 0; j < a.NumRuns(); j++ {
+				if a.Code(j) != b.Code(j) {
+					t.Fatalf("%s vm %d run %d: codes %v, loaded %v", name, i, j, a.Code(j), b.Code(j))
+				}
+			}
+		}
+		if last := &got.VMs[len(got.VMs)-1].Runs; last.NumRuns() != n {
+			t.Fatalf("%s: the every-code VM loaded as %d runs, want %d", name, last.NumRuns(), n)
 		}
 	}
 }

@@ -172,21 +172,19 @@ func generateScenarioVM(spec *scenario.Spec, tr *Trace, id, ci, start int, rng *
 }
 
 // quantizeUtil snaps every utilization sample to the nearest multiple of
-// q, clamped to [0,1]. The synthesizer's per-sample noise then collapses
-// into runs of identical samples: demand changes only at genuine level
-// shifts, which is both how coarse production telemetry looks and what
-// lets the run-encoded utilization and the replay skip between changes.
+// q, taken as a whole count of basis-point codes, at most 1; NewRuns then
+// stores each sample as its code exactly. The synthesizer's per-sample
+// noise collapses into runs of identical samples: demand changes only at
+// genuine level shifts, which is both how coarse production telemetry
+// looks and what lets the run-encoded utilization and the replay skip
+// between changes.
 func quantizeUtil(util *[resources.NumKinds]timeseries.Series, q float64) {
+	codes := float64(max(timeseries.ToCode(q), 1))
+	step, perStep := codes/timeseries.CodeScale, timeseries.CodeScale/codes
 	for k := range util {
 		s := util[k]
 		for i, x := range s {
-			v := math.Round(x/q) * q
-			if v < 0 {
-				v = 0
-			} else if v > 1 {
-				v = 1
-			}
-			s[i] = v
+			s[i] = min(math.Round(x*perStep)*step, 1)
 		}
 	}
 }

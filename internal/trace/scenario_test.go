@@ -5,12 +5,12 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"testing"
 
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scenario"
+	"github.com/coach-oss/coach/internal/timeseries"
 )
 
 // miniSpec returns the named preset scaled down to test size.
@@ -86,8 +86,8 @@ func TestTraceFingerprint(t *testing.T) {
 		t.Skipf("fingerprints are pinned on amd64, not %s", runtime.GOARCH)
 	}
 	for name, want := range map[string]string{
-		"capacity":     "5ab15e0c3406c0827b6d3615308aea1646b9e9d8df547f8428f9746cf6f83db1",
-		"sparse-churn": "89548c3f902593022be7b5d047a0aa611bcd369e1e889ae317498577e83b2c06",
+		"capacity":     "e315cf1af03cb120643dcd1f772e7a8497f6ecd5ca76a115327d46c0f13c8aa2",
+		"sparse-churn": "376c2111913917f678b2f637042dd3b40e749a69017dfb2991537d960c24913e",
 	} {
 		tr, err := GenerateScenario(miniSpec(t, name))
 		if err != nil {
@@ -219,12 +219,13 @@ func TestGenerateScenarioQuantizedSparsity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	qc := timeseries.ToCode(q)
 	for i := range tr.VMs {
 		vm := &tr.VMs[i]
-		for _, k := range resources.Kinds {
-			for _, x := range vm.Runs.Series(k, nil) {
-				if snapped := math.Round(x/q) * q; x != snapped && !(x == 0 || x == 1) {
-					t.Fatalf("vm %d sample %v is not a multiple of quantum %v", vm.ID, x, q)
+		for j := 0; j < vm.Runs.NumRuns(); j++ {
+			for _, c := range vm.Runs.Code(j) {
+				if c%qc != 0 && c != timeseries.CodeScale {
+					t.Fatalf("vm %d code %d is not a multiple of quantum %v", vm.ID, c, q)
 				}
 			}
 		}

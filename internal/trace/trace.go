@@ -84,7 +84,8 @@ type VM struct {
 	Start, End int
 	Offering   Offering
 	// Runs is the VM's fractional utilization of every resource kind,
-	// stored as vector runs; sample i covers trace sample Start+i.
+	// stored as vector runs of basis-point codes; sample i covers trace
+	// sample Start+i.
 	Runs timeseries.Runs
 	// Cluster is the home cluster index (0-based) the VM was observed in.
 	Cluster int
@@ -233,9 +234,8 @@ func (tr *Trace) Validate() error {
 		}
 		for j := 0; j < vm.Runs.NumRuns(); j++ {
 			for _, k := range resources.Kinds {
-				// Negated so NaN, which fails every comparison, is rejected too.
-				if u := vm.Runs.Val(j)[k]; !(u >= 0 && u <= 1) {
-					return fmt.Errorf("trace: vm %d %v utilization %f outside [0,1]", vm.ID, k, u)
+				if c := vm.Runs.Code(j)[k]; c > timeseries.CodeScale {
+					return fmt.Errorf("trace: vm %d %v utilization code %d above %d", vm.ID, k, c, timeseries.CodeScale)
 				}
 			}
 		}

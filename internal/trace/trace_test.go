@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"reflect"
 	"runtime"
@@ -239,17 +240,25 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := tr.Validate(); err == nil {
 		t.Error("out-of-horizon VM must fail validation")
 	}
-	for _, bad := range []float64{1.5, math.NaN()} {
+	// Samples outside [0,1] cannot be run-encoded, which rounds them to
+	// codes, so Load checks them on the float series it decodes.
+	for _, bad := range []float64{1.5, -0.25, math.NaN()} {
 		tr, _ = Generate(cfg)
-		vm := &tr.VMs[0]
-		var util [resources.NumKinds]timeseries.Series
-		for k := range util {
-			util[k] = make(timeseries.Series, vm.DurationSamples())
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			t.Fatal(err)
 		}
-		util[resources.Memory][0] = bad
-		vm.Runs = timeseries.NewRuns(util)
-		if err := tr.Validate(); err == nil {
-			t.Errorf("utilization %v must fail validation", bad)
+		var d diskTrace
+		if err := gob.NewDecoder(&buf).Decode(&d); err != nil {
+			t.Fatal(err)
+		}
+		d.VMs[0].Util[resources.Memory][0] = bad
+		buf.Reset()
+		if err := gob.NewEncoder(&buf).Encode(d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("utilization %v must fail to load", bad)
 		}
 	}
 	tr, _ = Generate(cfg)
