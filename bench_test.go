@@ -17,9 +17,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/coach-oss/coach/internal/agent"
+	"github.com/coach-oss/coach/internal/core"
 	"github.com/coach-oss/coach/internal/experiments"
+	"github.com/coach-oss/coach/internal/memsim"
 	"github.com/coach-oss/coach/internal/mlforest"
 	"github.com/coach-oss/coach/internal/scenario"
+	"github.com/coach-oss/coach/internal/serve"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -181,9 +185,9 @@ func BenchmarkServeThroughput(b *testing.B) {
 	if len(fresh) == 0 {
 		b.Fatal("no evaluation-period VMs")
 	}
-	cfg := DefaultServiceConfig()
-	cfg.Cache = NewModelCache()
-	svc, err := NewService(tr, NewFleet(DefaultClusters(8)), cfg)
+	cfg := serve.DefaultConfig()
+	cfg.Cache = serve.NewModelCache()
+	svc, err := serve.New(tr, NewFleet(DefaultClusters(8)), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,17 +244,17 @@ func BenchmarkServeAdmit(b *testing.B) {
 			fresh = append(fresh, &tr.VMs[i])
 		}
 	}
-	cache := NewModelCache()
+	cache := serve.NewModelCache()
 	for _, clients := range []int{1, 8, 64} {
 		if clients > len(fresh) {
 			b.Fatalf("only %d evaluation-period VMs for %d clients", len(fresh), clients)
 		}
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			cfg := DefaultServiceConfig()
+			cfg := serve.DefaultConfig()
 			cfg.Cache = cache
 			cfg.DataPlane = true
 			cfg.AdmitPressureFrac = 0.95
-			svc, err := NewService(tr, NewFleet(DefaultClusters(8)), cfg)
+			svc, err := serve.New(tr, NewFleet(DefaultClusters(8)), cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -354,6 +358,7 @@ func BenchmarkPredictMatrix(b *testing.B) {
 	pool := mlforest.TraceLikeSamples(poolRows, 23)
 	const windowFeat = 6 // TraceLikeSamples' window index, as in predict
 	windows := []float64{0, 1, 2, 3, 4, 5}
+	nFeat := len(pool[0].Features)
 	for _, trees := range []int{8, 40} {
 		for _, depth := range []int{6, 12} {
 			cfg := mlforest.DefaultForestConfig()
@@ -374,7 +379,7 @@ func BenchmarkPredictMatrix(b *testing.B) {
 				for i := range rows {
 					rows[i] = pool[i%poolRows].Features
 				}
-				m := mlforest.NewRowMatrix(batch, f.NumFeatures())
+				m := mlforest.NewRowMatrix(batch, nFeat)
 				for i, r := range rows {
 					m.SetRow(i, r)
 				}
@@ -400,7 +405,7 @@ func BenchmarkPredictMatrix(b *testing.B) {
 					continue
 				}
 				vms := batch / len(windows)
-				sm := mlforest.NewRowMatrix(vms, f.NumFeatures())
+				sm := mlforest.NewRowMatrix(vms, nFeat)
 				for i := 0; i < vms; i++ {
 					sm.SetRow(i, rows[i])
 				}
@@ -442,9 +447,9 @@ func BenchmarkColdStart(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultServiceConfig()
-		cfg.Cache = NewModelCache() // fresh cache: every iteration is a cold miss
-		svc, err := NewService(tr, fleet, cfg)
+		cfg := serve.DefaultConfig()
+		cfg.Cache = serve.NewModelCache() // fresh cache: every iteration is a cold miss
+		svc, err := serve.New(tr, fleet, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -461,32 +466,14 @@ func BenchmarkColdStart(b *testing.B) {
 // simulated 5-minute sample per server (docs/DESIGN.md §9). One benchmark
 // op is one fleet-wide tick: every server's working sets move, the
 // hypervisor services faults under pool pressure, and the agent runs its
-// monitoring/mitigation pass. Before/after numbers for the incremental
-// pool accounting and the reusable tick-stats frame are recorded in
-// BENCH_dataplane.json.
+// monitoring/mitigation pass.
 func BenchmarkFleetTick(b *testing.B) {
 	for _, servers := range []int{4, 32} {
 		for _, vms := range []int{4, 16} {
 			b.Run(fmt.Sprintf("servers=%d/vms=%d", servers, vms), func(b *testing.B) {
-				fleet := make([]*Server, servers)
+				fleet := make([]*core.ServerManager, servers)
 				for s := range fleet {
-					cfg := DefaultServerConfig(3*float64(vms), 2*float64(vms))
-					cfg.Agent.Policy = MitigateExtend
-					srv, err := NewServer(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for v := 1; v <= vms; v++ {
-						vm, err := NewVMMemory(v, 8, 2)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := srv.Server.AddVM(vm); err != nil {
-							b.Fatal(err)
-						}
-						vm.SetWSS(4)
-					}
-					fleet[s] = srv
+					fleet[s] = newBenchServer(b, 3*float64(vms), 2*float64(vms), agent.PolicyExtend, vms)
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -496,8 +483,8 @@ func BenchmarkFleetTick(b *testing.B) {
 						// pool limit so faults, evictions and mitigations all
 						// stay on the hot path.
 						wss := 4 + 3*math.Sin(float64(i+7*s)*0.1)
-						for _, id := range srv.Server.VMs() {
-							srv.Server.VM(id).SetWSS(wss + 0.1*float64(id))
+						for _, vm := range srv.Server.Members() {
+							vm.SetWSS(wss + 0.1*float64(vm.ID))
 						}
 						if _, err := srv.Tick(300); err != nil {
 							b.Fatal(err)
@@ -525,13 +512,17 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
-func BenchmarkMemsimTick(b *testing.B) {
-	srv, err := NewServer(DefaultServerConfig(16, 8))
+// newBenchServer builds one server of vms 8 GB VMs, each with 2 GB
+// guaranteed and a 4 GB working set.
+func newBenchServer(b *testing.B, poolGB, unallocGB float64, policy agent.Policy, vms int) *core.ServerManager {
+	cfg := core.ServerConfig{Memory: memsim.DefaultConfig(), Agent: agent.DefaultConfig(), PoolGB: poolGB, UnallocatedGB: unallocGB}
+	cfg.Agent.Policy = policy
+	srv, err := core.NewServerManager(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 1; i <= 8; i++ {
-		vm, err := NewVMMemory(i, 8, 2)
+	for v := 1; v <= vms; v++ {
+		vm, err := memsim.NewVMMem(v, 8, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -540,6 +531,11 @@ func BenchmarkMemsimTick(b *testing.B) {
 		}
 		vm.SetWSS(4)
 	}
+	return srv
+}
+
+func BenchmarkMemsimTick(b *testing.B) {
+	srv := newBenchServer(b, 16, 8, agent.DefaultConfig().Policy, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

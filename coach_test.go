@@ -66,49 +66,6 @@ func TestTraceSaveLoadViaFacade(t *testing.T) {
 	}
 }
 
-func TestServerFacade(t *testing.T) {
-	srv, err := NewServer(DefaultServerConfig(8, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vm, err := NewVMMemory(1, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Server.AddVM(vm); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := WorkloadByName("Cache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.VMSizeGB, spec.WSSGB, spec.PhaseAmpGB = 8, 4, 0
-	run, err := NewWorkloadRunner(spec, vm, DefaultMemoryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		run.Step(1)
-		st, err := srv.Tick(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run.Record(st.Get(1))
-	}
-	if run.Ticks() != 30 {
-		t.Errorf("runner recorded %d ticks", run.Ticks())
-	}
-}
-
-func TestWorkloadsFacade(t *testing.T) {
-	if len(Workloads()) != 9 {
-		t.Error("Workloads() must return the Table 2 suite")
-	}
-	if _, err := WorkloadByName("nope"); err == nil {
-		t.Error("unknown workload must fail")
-	}
-}
-
 func TestSimulateFacade(t *testing.T) {
 	cfg := DefaultTraceConfig()
 	cfg.VMs = 120
@@ -130,10 +87,6 @@ func TestSimulateFacade(t *testing.T) {
 }
 
 func TestExperimentRegistryFacade(t *testing.T) {
-	infos := Experiments()
-	if len(infos) < 20 {
-		t.Errorf("only %d experiments registered", len(infos))
-	}
 	tables, err := RunExperiment("tab1", "small")
 	if err != nil {
 		t.Fatal(err)

@@ -170,10 +170,6 @@ func New(cfg Config, server *memsim.Server) (*Agent, error) {
 	return a, nil
 }
 
-// Local exposes the two-level predictor (for tests and overhead
-// profiling); it is nil unless the agent is Proactive.
-func (a *Agent) Local() *predict.Local { return a.local }
-
 // Tick must be called after every memsim Server.Tick with the same dt and
 // the returned stats frame; it accumulates monitoring input and, on each
 // 20 s monitoring boundary, runs detection, prediction and mitigation.

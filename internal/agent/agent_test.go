@@ -172,8 +172,8 @@ func TestMigrateOneAtATime(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tick := 0; tick < 60; tick++ {
-		for _, id := range srv.VMs() {
-			srv.VM(id).SetWSS(8)
+		for _, vm := range srv.Members() {
+			vm.SetWSS(8)
 		}
 		st, err := srv.Tick(1)
 		if err != nil {
@@ -254,13 +254,22 @@ func TestMigrationVictimIsHeaviest(t *testing.T) {
 func TestLocalPredictorFed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mode = Proactive
+	cfg.Local.WarmupWindows = 2
 	a, srv, vm := rig(t, cfg, 4, 0)
-	// 20s monitor x 15 observations = one 5-minute window per 300s.
-	if err := run(a, srv, vm, 301, func(int) float64 { return 6 }); err != nil {
+	// 20s monitor x 15 observations = one 5-minute window per 300s, so
+	// the second window, and the warmup, closes only after 600s.
+	six := func(int) float64 { return 6 }
+	if err := run(a, srv, vm, 301, six); err != nil {
 		t.Fatal(err)
 	}
-	if a.Local().CompletedWindows() != 1 {
-		t.Errorf("completed windows = %d, want 1 after 300s", a.Local().CompletedWindows())
+	if a.local.LSTMReady() {
+		t.Error("two windows closed after 300s, want one")
+	}
+	if err := run(a, srv, vm, 300, six); err != nil {
+		t.Fatal(err)
+	}
+	if !a.local.LSTMReady() {
+		t.Error("fewer than two windows closed after 600s")
 	}
 }
 
@@ -310,7 +319,7 @@ func TestReactiveCountersPinned(t *testing.T) {
 
 func TestReactiveAgentHasNoPredictor(t *testing.T) {
 	a, _, _ := rig(t, DefaultConfig(), 4, 0)
-	if a.Local() != nil {
+	if a.local != nil {
 		t.Error("a Reactive agent never reads a forecast, so it must not build a predictor")
 	}
 }

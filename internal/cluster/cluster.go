@@ -22,14 +22,6 @@ type ServerSpec struct {
 	Capacity resources.Vector
 }
 
-// GBPerCore returns the server's memory-to-CPU ratio.
-func (s ServerSpec) GBPerCore() float64 {
-	if s.Capacity[resources.CPU] == 0 {
-		return 0
-	}
-	return s.Capacity[resources.Memory] / s.Capacity[resources.CPU]
-}
-
 // Generations lists the four hardware generations in the fleet. The newest
 // matches the paper's evaluation server (§4.1: 160 hyper-threaded cores
 // normalized to 80, 512GB DRAM — we keep the paper's "core" normalization
@@ -108,17 +100,6 @@ func NewFleet(clusters []Config) *Fleet {
 		}
 	}
 	return f
-}
-
-// ClusterServers returns the servers of cluster ci.
-func (f *Fleet) ClusterServers(ci int) []*Server {
-	var out []*Server
-	for i := range f.Servers {
-		if f.Servers[i].Cluster == ci {
-			out = append(out, &f.Servers[i])
-		}
-	}
-	return out
 }
 
 // NumClusters returns the number of clusters in the fleet.

@@ -20,16 +20,6 @@ func TestGenerations(t *testing.T) {
 	}
 }
 
-func TestGBPerCore(t *testing.T) {
-	s := ServerSpec{Capacity: resources.NewVector(64, 256, 40, 4096)}
-	if s.GBPerCore() != 4 {
-		t.Errorf("GBPerCore = %v, want 4", s.GBPerCore())
-	}
-	if (ServerSpec{}).GBPerCore() != 0 {
-		t.Error("zero-CPU spec must report 0")
-	}
-}
-
 func TestDefaultClusters(t *testing.T) {
 	cs := DefaultClusters(3)
 	if len(cs) != 10 {
@@ -56,8 +46,9 @@ func TestDefaultClusters(t *testing.T) {
 			c4 = c
 		}
 	}
-	if c1.Spec.GBPerCore() <= c4.Spec.GBPerCore() {
-		t.Errorf("C1 GB/core %v must exceed C4 %v", c1.Spec.GBPerCore(), c4.Spec.GBPerCore())
+	gbPerCore := func(c Config) float64 { return c.Spec.Capacity[resources.Memory] / c.Spec.Capacity[resources.CPU] }
+	if gbPerCore(c1) <= gbPerCore(c4) {
+		t.Errorf("C1 GB/core %v must exceed C4 %v", gbPerCore(c1), gbPerCore(c4))
 	}
 }
 
@@ -88,20 +79,17 @@ func TestNewFleet(t *testing.T) {
 	}
 }
 
+// TestClusterServers: cluster ci holds exactly its configured servers.
 func TestClusterServers(t *testing.T) {
 	f := NewFleet(DefaultClusters(2))
-	total := 0
-	for ci := range f.Clusters {
-		ss := f.ClusterServers(ci)
-		total += len(ss)
-		for _, s := range ss {
-			if s.Cluster != ci {
-				t.Errorf("server %d in wrong cluster", s.ID)
-			}
-		}
+	per := make([]int, len(f.Clusters))
+	for i := range f.Servers {
+		per[f.Servers[i].Cluster]++
 	}
-	if total != len(f.Servers) {
-		t.Errorf("cluster partition covers %d of %d servers", total, len(f.Servers))
+	for ci, c := range f.Clusters {
+		if per[ci] != c.Servers {
+			t.Errorf("cluster %s holds %d servers, want %d", c.Name, per[ci], c.Servers)
+		}
 	}
 }
 

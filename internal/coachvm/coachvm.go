@@ -116,20 +116,6 @@ func (p *Prediction) PADemandFrac(k resources.Kind) float64 {
 	return m
 }
 
-// VADemandFrac implements formula (2) on fractions for window t:
-// max(0, bucketed Pmax_t - PA fraction).
-func (p *Prediction) VADemandFrac(k resources.Kind, t int) float64 {
-	pa := p.PADemandFrac(k)
-	mx := stats.BucketUp(p.Max[k][t], FractionBucket)
-	if mx > 1 {
-		mx = 1
-	}
-	if d := mx - pa; d > 0 {
-		return d
-	}
-	return 0
-}
-
 // CVM is a placed CoachVM: an allocation plus its resolved guaranteed and
 // oversubscribed portions in absolute units. It is immutable once built:
 // New and FullyGuaranteed are the only constructors and nothing writes a

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/coach-oss/coach/internal/resources"
+	"github.com/coach-oss/coach/internal/stats"
 	"github.com/coach-oss/coach/internal/timeseries"
 )
 
@@ -67,14 +68,28 @@ func TestPADemandFracFormula1(t *testing.T) {
 	}
 }
 
+// TestVADemandFracFormula2 checks formula (2) as New computes it: the VA
+// demand in window t is max(0, roundUp(BucketUp(Pmax_t)·alloc) − G), G
+// being the guaranteed portion after its own rounding up to 1 GB.
 func TestVADemandFracFormula2(t *testing.T) {
-	// Formula (2): VA_t = max(0, bucketed Pmax_t - PA).
-	p := mkPred(t, []float64{0.87, 0.25, 0.61}, []float64{0.5, 0.2, 0.5})
-	pa := p.PADemandFrac(resources.Memory) // 0.5
-	wantVA := []float64{0.90 - pa, 0, 0.65 - pa}
-	for i, want := range wantVA {
-		if got := p.VADemandFrac(resources.Memory, i); math.Abs(got-want) > 1e-9 {
-			t.Errorf("VADemandFrac[%d] = %v, want %v", i, got, want)
+	alloc := resources.NewVector(4, 32, 2, 128)
+	p := mkPred(t, []float64{0.87, 0.25, 0.61}, []float64{0.52, 0.52, 0.52})
+	vm, err := New(1, alloc, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// G = roundUp(0.55·32 = 17.6) = 18 GB. Window 0: roundUp(0.90·32 =
+	// 28.8) − 18 = 11; on fractions (0.90 − 0.55)·32 = 11.2 would round
+	// up to 12, and against the unrounded 17.6 it would be 11.4.
+	// Window 1: 0.25·32 = 8 < 18, so 0. Window 2: roundUp(20.8) − 18 = 3.
+	if g := vm.Guaranteed[resources.Memory]; g != 18 {
+		t.Fatalf("guaranteed memory = %v, want 18", g)
+	}
+	for i, want := range []float64{11, 0, 3} {
+		mx := roundUp(stats.BucketUp(p.Max[resources.Memory][i], FractionBucket)*32, 32, resources.Memory)
+		formula := math.Max(0, mx-vm.Guaranteed[resources.Memory])
+		if got := vm.VADemand[resources.Memory][i]; got != want || got != formula {
+			t.Errorf("VADemand[memory][%d] = %v, want %v (formula: %v)", i, got, want, formula)
 		}
 	}
 }

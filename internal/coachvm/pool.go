@@ -50,9 +50,6 @@ func NewPool(capacity resources.Vector, w timeseries.Windows) *Pool {
 // Capacity returns the server capacity the pool manages.
 func (p *Pool) Capacity() resources.Vector { return p.capacity }
 
-// Windows returns the time-window configuration.
-func (p *Pool) Windows() timeseries.Windows { return p.windows }
-
 // Len returns the number of member VMs.
 func (p *Pool) Len() int { return len(p.members) }
 
@@ -65,13 +62,6 @@ func (p *Pool) Guaranteed() resources.Vector { return p.guaranteed.Vector() }
 // DemandAt returns the summed scheduling demand of resource k in window t.
 func (p *Pool) DemandAt(k resources.Kind, t int) float64 {
 	return float64(p.demandSum[int(k)*p.windows.PerDay+t]) / resources.PerUnit
-}
-
-// Oversubscribed returns, per resource, the multiplexed oversubscribed
-// pool size: the max across windows of the summed VA demands (formula 4).
-func (p *Pool) Oversubscribed() resources.Vector {
-	_, multiplexed := p.vaPeaks()
-	return multiplexed.Vector()
 }
 
 // MultiplexSavings returns, per resource, the amount saved by multiplexing

@@ -24,7 +24,7 @@ func refSchedDemand(vm *CVM, k resources.Kind, t int) float64 {
 // refFits is the original (windows+1)-dimensional feasibility test, in
 // resources.Units.
 func refFits(p *Pool, vm *CVM) bool {
-	if vm.Pred.Windows != p.Windows() {
+	if vm.Pred.Windows != p.windows {
 		return false
 	}
 	u := resources.ToUnit
@@ -35,7 +35,7 @@ func refFits(p *Pool, vm *CVM) bool {
 				return false
 			}
 		}
-		for t := 0; t < p.Windows().PerDay; t++ {
+		for t := 0; t < p.windows.PerDay; t++ {
 			if u(p.DemandAt(k, t))+u(refSchedDemand(vm, k, t)) > limit {
 				return false
 			}

@@ -7,14 +7,11 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/coachvm"
 	"github.com/coach-oss/coach/internal/memsim"
 	"github.com/coach-oss/coach/internal/predict"
-	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
@@ -94,9 +91,6 @@ func (m *ClusterManager) Place(cvm *coachvm.CVM) (server int, ok bool) {
 	return m.sched.Place(cvm)
 }
 
-// Deallocate removes a VM from its server.
-func (m *ClusterManager) Deallocate(vmID int) { m.sched.Remove(vmID) }
-
 // Scheduler exposes the underlying scheduler for inspection.
 func (m *ClusterManager) Scheduler() *scheduler.Scheduler { return m.sched }
 
@@ -115,17 +109,6 @@ type ServerConfig struct {
 	UnallocatedGB float64
 }
 
-// DefaultServerConfig returns a server with the default memory parameters
-// and a reactive trim-only agent.
-func DefaultServerConfig(poolGB, unallocGB float64) ServerConfig {
-	return ServerConfig{
-		Memory:        memsim.DefaultConfig(),
-		Agent:         agent.DefaultConfig(),
-		PoolGB:        poolGB,
-		UnallocatedGB: unallocGB,
-	}
-}
-
 // ServerManager is the local component of Fig. 13: the hypervisor-level
 // memory manager plus the oversubscription agent supervising it.
 type ServerManager struct {
@@ -141,24 +124,6 @@ func NewServerManager(cfg ServerConfig) (*ServerManager, error) {
 		return nil, err
 	}
 	return &ServerManager{Server: srv, Agent: ag}, nil
-}
-
-// Attach registers a CoachVM's memory on the server: the guaranteed
-// memory portion becomes the PA region, the rest is VA.
-func (sm *ServerManager) Attach(cvm *coachvm.CVM) (*memsim.VMMem, error) {
-	size := cvm.Alloc[resources.Memory]
-	pa := cvm.Guaranteed[resources.Memory]
-	if pa > size {
-		return nil, fmt.Errorf("core: vm %d guaranteed %.1fGB exceeds size %.1fGB", cvm.ID, pa, size)
-	}
-	vm, err := memsim.NewVMMem(cvm.ID, size, pa)
-	if err != nil {
-		return nil, err
-	}
-	if err := sm.Server.AddVM(vm); err != nil {
-		return nil, err
-	}
-	return vm, nil
 }
 
 // Tick advances the server by dt seconds: hypervisor memory management

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
+	"github.com/coach-oss/coach/internal/memsim"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/trace"
@@ -59,9 +61,9 @@ func TestClusterManagerLifecycle(t *testing.T) {
 		t.Error("scheduler bookkeeping inconsistent")
 	}
 
-	// Deallocate everything; the fleet must drain.
+	// Remove everything; the fleet must drain.
 	for i := range tr.VMs {
-		m.Deallocate(tr.VMs[i].ID)
+		m.Scheduler().Remove(tr.VMs[i].ID)
 	}
 	if m.Scheduler().Placed() != 0 {
 		t.Error("deallocation left VMs behind")
@@ -86,7 +88,7 @@ func TestClusterManagerDefaults(t *testing.T) {
 }
 
 func TestServerManager(t *testing.T) {
-	sm, err := NewServerManager(DefaultServerConfig(8, 4))
+	sm, err := NewServerManager(ServerConfig{Memory: memsim.DefaultConfig(), Agent: agent.DefaultConfig(), PoolGB: 8, UnallocatedGB: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +111,11 @@ func TestServerManager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mem, err := sm.Attach(cvm)
+		mem, err := memsim.NewVMMem(cvm.ID, cvm.Alloc[resources.Memory], cvm.Guaranteed[resources.Memory])
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sm.Server.AddVM(mem); err != nil {
 			t.Fatal(err)
 		}
 		mem.SetWSS(vm.MemoryGB() * 0.5)

@@ -118,9 +118,6 @@ func NewMigrationEngine(cfg MigrationConfig, shard int, sched *scheduler.Schedul
 	return e, nil
 }
 
-// Config returns the engine's configuration.
-func (e *MigrationEngine) Config() MigrationConfig { return e.cfg }
-
 // Scorer exposes the engine's what-if scorer so the layer driving the
 // engine (sim shard, serve shard) can share one scratch — and one set of
 // batching counters — across every decision on the shard.

@@ -47,9 +47,6 @@ type Config struct {
 	ExtendBandwidthGBs float64
 	// MigrateBandwidthGBs is the live-migration copy bandwidth.
 	MigrateBandwidthGBs float64
-	// PageMB is the tracking granularity used to convert GB of faults
-	// into fault counts.
-	PageMB float64
 }
 
 // DefaultConfig returns parameters representative of a production server
@@ -66,14 +63,5 @@ func DefaultConfig() Config {
 		TrimBandwidthGBs:    1.1,
 		ExtendBandwidthGBs:  15.7,
 		MigrateBandwidthGBs: 1.0,
-		PageMB:              2,
 	}
-}
-
-// FaultPages converts GB of faulted memory into a page count.
-func (c Config) FaultPages(gb float64) float64 {
-	if c.PageMB <= 0 {
-		return 0
-	}
-	return gb * 1024 / c.PageMB
 }

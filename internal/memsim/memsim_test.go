@@ -16,6 +16,9 @@ func (s *Server) poolUsedNaive() float64 {
 	return used
 }
 
+// vmIDs returns a copy of the server's VM ids in ascending order.
+func vmIDs(s *Server) []int { return append([]int(nil), s.order...) }
+
 func mustVM(t *testing.T, id int, size, pa float64) *VMMem {
 	t.Helper()
 	vm, err := NewVMMem(id, size, pa)
@@ -254,7 +257,7 @@ func TestServerAddRemoveVM(t *testing.T) {
 	if !s.RemoveVM(1) || s.RemoveVM(1) {
 		t.Error("RemoveVM semantics wrong")
 	}
-	if len(s.VMs()) != 0 {
+	if len(vmIDs(s)) != 0 {
 		t.Error("VMs list not empty")
 	}
 }
@@ -513,24 +516,6 @@ func TestMixtureQuantile(t *testing.T) {
 	}
 }
 
-func TestPFaultSum(t *testing.T) {
-	st := TickStats{PSoft: 0.01, PHard: 0.02}
-	if st.PFault() != 0.03 {
-		t.Errorf("PFault = %v", st.PFault())
-	}
-}
-
-func TestFaultPages(t *testing.T) {
-	cfg := DefaultConfig()
-	if got := cfg.FaultPages(1); got != 512 { // 1GB at 2MB pages
-		t.Errorf("FaultPages(1GB) = %v, want 512", got)
-	}
-	cfg.PageMB = 0
-	if cfg.FaultPages(1) != 0 {
-		t.Error("zero page size must return 0")
-	}
-}
-
 // busyServer builds a server under enough pressure that every mechanism —
 // faulting, trimming, extension, migration, blind eviction — runs.
 func busyServer(t *testing.T) *Server {
@@ -547,7 +532,7 @@ func busyServer(t *testing.T) *Server {
 
 func driveBusyTick(t *testing.T, s *Server, tick int) *TickFrame {
 	t.Helper()
-	for j, id := range s.VMs() {
+	for j, id := range vmIDs(s) {
 		// Phases shift per VM so cold memory, refaults and pressure all
 		// appear at different times.
 		wss := 3 + 3*math.Sin(float64(tick+13*j)/9)
@@ -555,11 +540,11 @@ func driveBusyTick(t *testing.T, s *Server, tick int) *TickFrame {
 	}
 	switch tick % 40 {
 	case 11:
-		s.StartTrim(s.VMs()[tick%len(s.VMs())], 2)
+		s.StartTrim(vmIDs(s)[tick%len(vmIDs(s))], 2)
 	case 23:
 		s.StartExtend(1)
 	case 31:
-		if ids := s.VMs(); len(ids) > 2 {
+		if ids := vmIDs(s); len(ids) > 2 {
 			s.StartMigrate(ids[0])
 		}
 	}
@@ -583,7 +568,7 @@ func TestPoolUsedIncrementalMatchesNaive(t *testing.T) {
 		}
 	}
 	// Removing every VM resets the counter exactly (drift cancellation).
-	for _, id := range s.VMs() {
+	for _, id := range vmIDs(s) {
 		s.RemoveVM(id)
 	}
 	if s.PoolUsed() != 0 {
@@ -757,14 +742,14 @@ func TestServerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.StartTrim(1, 1)
-	ticksBefore, totalsBefore, nowBefore := s.TickCount(), s.Totals(), s.Now()
+	ticksBefore, totalsBefore, nowBefore := s.TickCount(), s.Totals(), s.now
 	if totalsBefore.SoftFaultGB <= 0 {
 		t.Fatalf("fixture never faulted pages in: %+v", totalsBefore)
 	}
 
 	s.Crash()
 
-	if s.VM(1) != nil || len(s.VMs()) != 0 {
+	if s.VM(1) != nil || len(vmIDs(s)) != 0 {
 		t.Error("VMs survived the crash")
 	}
 	if s.OpsInFlight() != 0 {
@@ -780,7 +765,7 @@ func TestServerCrash(t *testing.T) {
 	if s.Quiet() {
 		t.Error("server quiet after crash — next pass would replay a stale frame")
 	}
-	if s.TickCount() != ticksBefore || s.Totals() != totalsBefore || s.Now() != nowBefore {
+	if s.TickCount() != ticksBefore || s.Totals() != totalsBefore || s.now != nowBefore {
 		t.Error("crash rewrote history (ticks/totals/clock)")
 	}
 
@@ -877,7 +862,7 @@ func FuzzServerMembership(f *testing.F) {
 // checkMembership compares the server's members against the reference.
 func checkMembership(t *testing.T, s *Server, ref map[int]*VMMem) {
 	t.Helper()
-	ids := s.VMs()
+	ids := vmIDs(s)
 	members := s.Members()
 	if len(ids) != len(ref) || len(members) != len(ref) {
 		t.Fatalf("server holds %d ids and %d members, reference %d", len(ids), len(members), len(ref))

@@ -22,9 +22,6 @@ type TickStats struct {
 	PPA, PVA, PSoft, PHard float64
 }
 
-// PFault returns the total faulting probability (soft + hard).
-func (t TickStats) PFault() float64 { return t.PSoft + t.PHard }
-
 // Slowdown returns the mean-latency slowdown relative to a fully
 // PA-backed VM.
 func (t TickStats) Slowdown(cfg Config) float64 {
@@ -122,8 +119,7 @@ type Totals struct {
 	MigratedGB float64
 	// HardFaultGB is memory paged in from the backing store.
 	HardFaultGB float64
-	// SoftFaultGB is demand-zero memory materialized on first touch
-	// (including eagerly backed DMA-pinned ranges).
+	// SoftFaultGB is demand-zero memory materialized on first touch.
 	SoftFaultGB float64
 	// StolenGB is working-set memory blindly evicted under pool pressure
 	// (the thrashing the None policy suffers).
@@ -214,13 +210,12 @@ type Server struct {
 
 	// quiet reports whether the last full Tick was a complete no-op: no
 	// in-flight operations remained, no memory moved, and no working-set
-	// or pinned demand was left unserved. A quiet server that nothing
+	// demand was left unserved. A quiet server that nothing
 	// mutates from outside would reproduce the exact same tick forever,
 	// which is what lets callers skip it (SkipTick) and reuse its frame.
 	quiet bool
 
 	ticks int64 // full Tick passes executed
-	skips int64 // SkipTick passes executed
 
 	now float64 // seconds
 }
@@ -233,12 +228,6 @@ func NewServer(cfg Config, poolGB, unallocGB float64) *Server {
 		initPoolGB: poolGB, initUnallocGB: unallocGB,
 	}
 }
-
-// Config returns the server's hardware parameters.
-func (s *Server) Config() Config { return s.cfg }
-
-// Now returns the simulated time in seconds.
-func (s *Server) Now() float64 { return s.now }
 
 // PoolGB returns the oversubscribed pool's physical size.
 func (s *Server) PoolGB() float64 { return s.poolGB }
@@ -302,7 +291,7 @@ func (s *Server) RemoveVM(id int) bool {
 // VM's memory is lost, in-flight trim/extend/migrate operations abort,
 // and the machine comes back with its boot-time pool/unallocated split
 // (pool extensions do not survive a reboot). Cumulative totals and the
-// tick/skip counters persist — they record history, not machine state —
+// tick counter persist — they record history, not machine state —
 // but the simulated clock keeps running and the stats frame resets to
 // empty. The server is left non-quiet so the next data-plane pass runs
 // a full tick instead of replaying a stale cached frame.
@@ -348,13 +337,6 @@ func (s *Server) AdmitWarm(id int, gb float64) float64 {
 	admitted, _ := vm.admit(min2(gb, free))
 	s.residentGB += admitted
 	return admitted
-}
-
-// VMs returns the ids of resident VMs in deterministic order.
-func (s *Server) VMs() []int {
-	out := make([]int, len(s.order))
-	copy(out, s.order)
-	return out
 }
 
 // Members returns the resident VMs in ascending id order without copying.
@@ -418,9 +400,6 @@ func (s *Server) Quiet() bool { return s.quiet }
 // receive zero full ticks while skipped).
 func (s *Server) TickCount() int64 { return s.ticks }
 
-// SkipCount returns the number of SkipTick passes executed.
-func (s *Server) SkipCount() int64 { return s.skips }
-
 // Frame returns the server's tick-stats frame as of the last full Tick
 // (empty before the first). Like Tick's return value it is owned by the
 // server and overwritten by the next full Tick.
@@ -434,16 +413,14 @@ func (s *Server) Frame() *TickFrame { return &s.frame }
 // reproduce exactly that frame, so skipping is bit-identical to ticking.
 func (s *Server) SkipTick(dt float64) *TickFrame {
 	s.now += dt
-	s.skips++
 	return &s.frame
 }
 
-// settled reports whether every VM's working-set and pinned demand is
-// fully served (below the same 1e-9 threshold the fault path uses, so a
+// settled reports whether every VM's working-set demand is fully served (below the same 1e-9 threshold the fault path uses, so a
 // residue the fault loop would ignore does not keep the server busy).
 func (s *Server) settled() bool {
 	for _, vm := range s.members {
-		if vm.Missing() > 1e-9 || vm.pinnedDemand() > 1e-9 {
+		if vm.Missing() > 1e-9 {
 			return false
 		}
 	}
@@ -581,26 +558,6 @@ func (s *Server) stepMigrations(dt float64, f *TickFrame) {
 func (s *Server) stepFaults(dt float64, f *TickFrame) error {
 	faultBudget := s.cfg.FaultBandwidthGBs * dt
 	evictBudget := s.cfg.EvictBandwidthGBs * dt
-
-	// DMA-pinned ranges are backed eagerly and first: devices must never
-	// hit an invalid translation (§3.2 guest enlightenments).
-	for _, vm := range f.vms {
-		if vm == nil {
-			continue // departed mid-tick
-		}
-		want := vm.pinnedDemand()
-		if want <= 1e-9 || faultBudget <= 1e-9 {
-			continue
-		}
-		free := s.poolGB - s.residentGB
-		if free < want {
-			free += s.makeRoom(want-free, &evictBudget, f)
-		}
-		got := vm.admitPinned(min2(min2(want, free), faultBudget))
-		s.residentGB += got
-		s.totals.SoftFaultGB += got
-		faultBudget -= got
-	}
 
 	if cap(s.allowance) < len(f.ids) {
 		s.allowance = make([]float64, len(f.ids))

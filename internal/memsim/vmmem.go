@@ -36,13 +36,6 @@ type VMMem struct {
 	needFresh    float64
 	coldResident float64
 	coldStore    float64
-
-	// pinned is VA memory reserved for device DMA via guest
-	// enlightenments (§3.2); pinnedMissing is the part not yet backed.
-	// Pinned pages always hold frames once backed and are never trimmed,
-	// stolen or paged. See Pin in platform.go.
-	pinned        float64
-	pinnedMissing float64
 }
 
 // NewVMMem creates the memory state for a VM with the given total size and
@@ -64,11 +57,8 @@ func (v *VMMem) VAGB() float64 { return v.SizeGB - v.PAGB }
 // WSS returns the current working-set size.
 func (v *VMMem) WSS() float64 { return v.wss }
 
-// ResidentVA returns the VA GB currently holding pool frames, including
-// backed DMA-pinned memory.
-func (v *VMMem) ResidentVA() float64 {
-	return v.needResident + v.coldResident + (v.pinned - v.pinnedMissing)
-}
+// ResidentVA returns the VA GB currently holding pool frames.
+func (v *VMMem) ResidentVA() float64 { return v.needResident + v.coldResident }
 
 // Trimmable returns the cold resident GB a trim operation can reclaim.
 func (v *VMMem) Trimmable() float64 { return v.coldResident }
@@ -77,14 +67,13 @@ func (v *VMMem) Trimmable() float64 { return v.coldResident }
 func (v *VMMem) Missing() float64 { return v.needStore + v.needFresh }
 
 // vaNeed returns the working-set spillover into the VA region: the pages
-// zNUMA could not funnel into the guaranteed portion. DMA-pinned ranges
-// are not available to the working set.
+// zNUMA could not funnel into the guaranteed portion.
 func (v *VMMem) vaNeed() float64 {
 	n := v.wss - v.PAGB
 	if n < 0 {
 		return 0
 	}
-	if avail := v.VAGB() - v.pinned; n > avail {
+	if avail := v.VAGB(); n > avail {
 		n = avail
 	}
 	return n
@@ -270,9 +259,6 @@ func (v *VMMem) checkInvariants() error {
 		if q.val < -1e-6 {
 			return fmt.Errorf("memsim: vm %d %s negative: %g", v.ID, q.name, q.val)
 		}
-	}
-	if v.pinnedMissing < -1e-6 || v.pinnedMissing > v.pinned+1e-6 {
-		return fmt.Errorf("memsim: vm %d pinnedMissing %.3f outside [0, %.3f]", v.ID, v.pinnedMissing, v.pinned)
 	}
 	if v.ResidentVA() > v.VAGB()+1e-6 {
 		return fmt.Errorf("memsim: vm %d resident VA %.3f exceeds VA size %.3f", v.ID, v.ResidentVA(), v.VAGB())

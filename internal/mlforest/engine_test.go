@@ -38,8 +38,7 @@ func TestMSEParityWithSeedEngine(t *testing.T) {
 
 // TestForestByteIdenticalAcrossWorkers is the training-engine counterpart
 // of the simulator's worker-count determinism guarantee: the gob encoding
-// of the whole forest (every node, leaf value, root and importance sum)
-// must match byte for byte whichever way the trees were scheduled:
+// of the whole forest (every node, leaf value and root) must match byte for byte whichever way the trees were scheduled:
 // serially at GOMAXPROCS 1, on parallel builders above it.
 func TestForestByteIdenticalAcrossWorkers(t *testing.T) {
 	data := TraceLikeSamples(600, 21)
@@ -82,7 +81,7 @@ func TestForestFingerprint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("fingerprint is pinned on amd64, not %s", runtime.GOARCH)
 	}
-	const want = "0e54cf8b8b3bc02540548b0f610316a67cfdf68d55113c60e59d1c187f4a4acf"
+	const want = "2331f67753e8ab04b3b030b1b2374dca2db6e2ee9ca85cac00cab0a8ea2cea26"
 	f, err := Train(TraceLikeSamples(3000, 11), DefaultForestConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -116,13 +115,13 @@ func TestGobRoundTrip(t *testing.T) {
 			t.Fatal("decoded forest predicts differently")
 		}
 	}
-	if g.NumTrees() != f.NumTrees() || g.NumFeatures() != f.NumFeatures() || g.MemoryBytes() != f.MemoryBytes() {
+	if len(g.roots) != len(f.roots) || g.nFeat != f.nFeat || g.MemoryBytes() != f.MemoryBytes() {
 		t.Error("decoded forest shape differs")
 	}
 	// Depths are not on the wire: the decoder recomputes them.
-	for i := 0; i < f.NumTrees(); i++ {
-		if g.TreeDepth(i) != f.TreeDepth(i) {
-			t.Errorf("tree %d: decoded depth %d, trained %d", i, g.TreeDepth(i), f.TreeDepth(i))
+	for i := 0; i < len(f.roots); i++ {
+		if g.depth[i] != f.depth[i] {
+			t.Errorf("tree %d: decoded depth %d, trained %d", i, g.depth[i], f.depth[i])
 		}
 	}
 	if again, _ := g.GobEncode(); !bytes.Equal(again, enc) {
@@ -163,21 +162,18 @@ func TestThresholdAdjacentFloats(t *testing.T) {
 
 // TestMemoryBytesArena pins MemoryBytes to the one layout's real
 // footprint: per node a 16-byte packed record (a leaf's value is its
-// threshold), per tree an int32 root and an int32 depth, per feature a
-// float64 importance sum.
+// threshold), per tree an int32 root and an int32 depth.
 func TestMemoryBytesArena(t *testing.T) {
 	f, err := Train(TraceLikeSamples(300, 23), DefaultForestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := f.NumNodes()*16 + f.NumTrees()*(4+4) + f.NumFeatures()*8
+	want := len(f.nodes)*16 + len(f.roots)*(4+4)
 	if got := f.MemoryBytes(); got != want {
-		t.Errorf("MemoryBytes = %d, want %d (%d nodes, %d trees, %d features)",
-			got, want, f.NumNodes(), f.NumTrees(), f.NumFeatures())
+		t.Errorf("MemoryBytes = %d, want %d (%d nodes, %d trees)", got, want, len(f.nodes), len(f.roots))
 	}
-	if len(f.nodes) != f.NumNodes() || len(f.roots) != f.NumTrees() || len(f.depth) != f.NumTrees() {
-		t.Errorf("slabs hold %d nodes / %d roots / %d depths for %d nodes in %d trees",
-			len(f.nodes), len(f.roots), len(f.depth), f.NumNodes(), f.NumTrees())
+	if len(f.depth) != len(f.roots) {
+		t.Errorf("%d depths for %d trees", len(f.depth), len(f.roots))
 	}
 }
 
@@ -202,8 +198,8 @@ func TestTrainOnMatrixEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumRows() != len(rows) || m.NumFeatures() != 10 {
-		t.Fatalf("matrix shape %dx%d", m.NumRows(), m.NumFeatures())
+	if m.ds.n != len(rows) || m.ds.nFeat != 10 {
+		t.Fatalf("matrix shape %dx%d", m.ds.n, m.ds.nFeat)
 	}
 	got, err := TrainOnMatrix(m, targets, DefaultForestConfig())
 	if err != nil {
@@ -246,11 +242,10 @@ func TestTrainOnMatrixEquivalence(t *testing.T) {
 // wireOf copies a forest into its wire form for the corruption tests.
 func wireOf(f *Forest) forestWire {
 	return forestWire{
-		Nodes:      append([]node(nil), f.nodes...),
-		Roots:      append([]int32(nil), f.roots...),
-		Importance: append([]float64(nil), f.importance...),
-		NFeat:      f.nFeat,
-		NSamples:   f.nSamples,
+		Nodes:    append([]node(nil), f.nodes...),
+		Roots:    append([]int32(nil), f.roots...),
+		NFeat:    f.nFeat,
+		NSamples: f.nSamples,
 	}
 }
 
@@ -273,7 +268,6 @@ func TestGobDecodeRejectsCorruptArena(t *testing.T) {
 		mutate func(*forestWire)
 	}{
 		{"empty forest", func(w *forestWire) { w.Nodes, w.Roots = nil, nil }},
-		{"importance length mismatch", func(w *forestWire) { w.Importance = w.Importance[:1] }},
 		{"first root not 0", func(w *forestWire) { w.Roots[0] = 1 }},
 		{"roots not ascending", func(w *forestWire) { w.Roots[2] = w.Roots[1] }},
 		{"root outside slab", func(w *forestWire) { w.Roots[len(w.Roots)-1] = int32(len(w.Nodes)) }},
@@ -336,9 +330,9 @@ func FuzzForestGobDecode(f *testing.F) {
 		}
 		const rows = 9
 		rng := rand.New(rand.NewSource(29))
-		m := NewRowMatrix(rows, g.NumFeatures())
+		m := NewRowMatrix(rows, g.nFeat)
 		want := make([]float64, rows)
-		row := make([]float64, g.NumFeatures())
+		row := make([]float64, g.nFeat)
 		for r := range want {
 			for c := range row {
 				row[c] = 20 * rng.NormFloat64()
@@ -365,8 +359,8 @@ func TestWorkersIgnoredByQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumTrees() != cfg.Trees {
-		t.Fatalf("trained %d trees, want %d", f.NumTrees(), cfg.Trees)
+	if len(f.roots) != cfg.Trees {
+		t.Fatalf("trained %d trees, want %d", len(f.roots), cfg.Trees)
 	}
 	for i := 0; i < 50; i++ {
 		if p := f.Predict(data[i].Features); math.IsNaN(p) {

@@ -57,10 +57,6 @@ type Forest struct {
 	roots []int32 // slab index of each tree's root
 	depth []int32 // per-tree max depth = PredictSweep level count
 
-	// importance holds per-feature total variance reduction summed over
-	// trees in tree order (raw, unnormalized).
-	importance []float64
-
 	nFeat    int
 	nSamples int
 
@@ -152,12 +148,6 @@ func NewMatrix(rows [][]float64) (*Matrix, error) {
 	return &Matrix{ds: ds}, nil
 }
 
-// NumRows returns the matrix's row count.
-func (m *Matrix) NumRows() int { return m.ds.n }
-
-// NumFeatures returns the matrix's feature dimensionality.
-func (m *Matrix) NumFeatures() int { return m.ds.nFeat }
-
 // TrainOnMatrix fits a forest against one target vector over a prebuilt
 // Matrix. Train(samples, cfg) is exactly equivalent to NewMatrix over the
 // samples' features followed by TrainOnMatrix over their targets — same
@@ -191,20 +181,18 @@ func trainOn(ds *dataset, targets []float64, cfg ForestConfig) (*Forest, error) 
 }
 
 // flatten relabels the grown trees breadth-first into the forest's node
-// slab in tree order, folding per-tree importances in the same order
-// (float accumulation order is fixed, so the forest is byte-identical
-// however the trees were grown).
+// slab in tree order, so the forest is byte-identical however the trees
+// were grown.
 func flatten(trees []grownTree, nFeat, nSamples int) *Forest {
 	var total int
 	for i := range trees {
 		total += len(trees[i].feature)
 	}
 	f := &Forest{
-		nodes:      make([]node, 0, total),
-		roots:      make([]int32, 0, len(trees)),
-		importance: make([]float64, nFeat),
-		nFeat:      nFeat,
-		nSamples:   nSamples,
+		nodes:    make([]node, 0, total),
+		roots:    make([]int32, 0, len(trees)),
+		nFeat:    nFeat,
+		nSamples: nSamples,
 	}
 	var queue []int32 // per-tree scratch: tree-local node indexes in BFS order
 	for i := range trees {
@@ -222,9 +210,6 @@ func flatten(trees []grownTree, nFeat, nSamples int) *Forest {
 			// slab index is the queue length and the right one's is Lo+1.
 			f.nodes = append(f.nodes, node{Thr: t.threshold[n], Lo: base + int32(len(queue)), Feat: t.feature[n]})
 			queue = append(queue, t.left[n], t.right[n])
-		}
-		for k, v := range t.importance {
-			f.importance[k] += v
 		}
 	}
 	f.setDepths()
@@ -277,15 +262,6 @@ func (f *Forest) Predict(features []float64) float64 {
 	return sum / float64(len(f.roots))
 }
 
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.roots) }
-
-// NumFeatures returns the feature dimensionality the forest was trained on.
-func (f *Forest) NumFeatures() int { return f.nFeat }
-
-// NumNodes returns the total node count across all trees.
-func (f *Forest) NumNodes() int { return len(f.nodes) }
-
 // treeEnd returns one past the last slab index of tree t's node block.
 func (f *Forest) treeEnd(t int) int32 {
 	if t+1 < len(f.roots) {
@@ -294,44 +270,21 @@ func (f *Forest) treeEnd(t int) int32 {
 	return int32(len(f.nodes))
 }
 
-// TreeDepth returns the maximum depth of tree t (a single leaf has
-// depth 0).
-func (f *Forest) TreeDepth(t int) int { return int(f.depth[t]) }
-
-// FeatureImportance returns per-feature total variance reduction, normalized
-// to sum to 1 (all zeros when the forest never split).
-func (f *Forest) FeatureImportance() []float64 {
-	imp := append([]float64(nil), f.importance...)
-	var total float64
-	for _, v := range imp {
-		total += v
-	}
-	if total > 0 {
-		for i := range imp {
-			imp[i] /= total
-		}
-	}
-	return imp
-}
-
 // MemoryBytes reports the resident size of the model — every node's
-// 16-byte packed record, the per-tree roots and depths and the
-// per-feature importances — used by the §4.5 overhead experiment.
+// 16-byte packed record and the per-tree roots and depths — used by the
+// §4.5 overhead experiment.
 func (f *Forest) MemoryBytes() int {
-	const indexBytes, floatBytes = 4, 8
-	return len(f.nodes)*int(unsafe.Sizeof(node{})) +
-		len(f.roots)*2*indexBytes +
-		len(f.importance)*floatBytes
+	const indexBytes = 4
+	return len(f.nodes)*int(unsafe.Sizeof(node{})) + len(f.roots)*2*indexBytes
 }
 
 // forestWire mirrors Forest with exported fields for gob. Depths are not
 // on the wire: GobDecode recomputes them from the links.
 type forestWire struct {
-	Nodes      []node
-	Roots      []int32
-	Importance []float64
-	NFeat      int
-	NSamples   int
+	Nodes    []node
+	Roots    []int32
+	NFeat    int
+	NSamples int
 }
 
 // GobEncode serializes the forest. Encoding is deterministic: two forests
@@ -341,11 +294,10 @@ type forestWire struct {
 func (f *Forest) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(forestWire{
-		Nodes:      f.nodes,
-		Roots:      f.roots,
-		Importance: f.importance,
-		NFeat:      f.nFeat,
-		NSamples:   f.nSamples,
+		Nodes:    f.nodes,
+		Roots:    f.roots,
+		NFeat:    f.nFeat,
+		NSamples: f.nSamples,
 	})
 	return buf.Bytes(), err
 }
@@ -362,9 +314,6 @@ func (f *Forest) GobDecode(data []byte) error {
 	n := int32(len(w.Nodes))
 	if n == 0 || len(w.Roots) == 0 {
 		return fmt.Errorf("mlforest: decoded forest is empty")
-	}
-	if len(w.Importance) != w.NFeat {
-		return fmt.Errorf("mlforest: decoded importance length %d, want %d features", len(w.Importance), w.NFeat)
 	}
 	// Trees occupy ascending contiguous blocks [roots[t], roots[t+1]).
 	if w.Roots[0] != 0 {
@@ -400,7 +349,6 @@ func (f *Forest) GobDecode(data []byte) error {
 	}
 	f.nodes = w.Nodes
 	f.roots = w.Roots
-	f.importance = w.Importance
 	f.nFeat = w.NFeat
 	f.nSamples = w.NSamples
 	f.setDepths()

@@ -145,31 +145,14 @@ func TestPredictionWithinTargetRangeProperty(t *testing.T) {
 	}
 }
 
-func TestFeatureImportanceFindsSignal(t *testing.T) {
-	f, err := Train(linearData(400, 5), DefaultForestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	imp := f.FeatureImportance()
-	if len(imp) != 2 {
-		t.Fatalf("importance length %d", len(imp))
-	}
-	if imp[0] < imp[1] {
-		t.Errorf("informative feature importance %v < noise feature %v", imp[0], imp[1])
-	}
-	if sum := imp[0] + imp[1]; math.Abs(sum-1) > 1e-9 {
-		t.Errorf("importances sum to %v", sum)
-	}
-}
-
 func TestMaxDepthRespected(t *testing.T) {
 	cfg := ForestConfig{Trees: 3, Tree: TreeConfig{MaxDepth: 2, MinLeaf: 1, FeatureFrac: 1}, Seed: 1}
 	f, err := Train(linearData(200, 6), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < f.NumTrees(); i++ {
-		if d := f.TreeDepth(i); d > 2 {
+	for i := 0; i < len(f.roots); i++ {
+		if d := f.depth[i]; d > 2 {
 			t.Errorf("tree %d depth %d exceeds MaxDepth 2", i, d)
 		}
 	}
@@ -184,11 +167,11 @@ func TestPredictWrongDimension(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	f, _ := Train(linearData(50, 8), DefaultForestConfig())
-	if f.NumTrees() != 40 {
-		t.Errorf("NumTrees = %d", f.NumTrees())
+	if len(f.roots) != 40 {
+		t.Errorf("%d trees, want 40", len(f.roots))
 	}
-	if f.NumFeatures() != 2 {
-		t.Errorf("NumFeatures = %d", f.NumFeatures())
+	if f.nFeat != 2 {
+		t.Errorf("%d features, want 2", f.nFeat)
 	}
 	if f.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes must be positive")
@@ -205,8 +188,8 @@ func TestTreeSingleLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.TreeDepth(0) != 0 {
-		t.Errorf("unsplittable data produced depth %d", f.TreeDepth(0))
+	if f.depth[0] != 0 {
+		t.Errorf("unsplittable data produced depth %d", f.depth[0])
 	}
 	if got := f.Predict([]float64{1}); got != 5 {
 		t.Errorf("predict = %v", got)

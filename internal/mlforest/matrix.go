@@ -49,23 +49,6 @@ func NewRowMatrix(rows, nFeat int) *RowMatrix {
 	return m
 }
 
-// NewRowMatrixFrom builds a matrix from row-major feature vectors, the
-// transposing convenience the tests and one-shot callers use.
-func NewRowMatrixFrom(rows [][]float64) (*RowMatrix, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("mlforest: empty row matrix")
-	}
-	nFeat := len(rows[0])
-	m := NewRowMatrix(len(rows), nFeat)
-	for r, row := range rows {
-		if len(row) != nFeat {
-			return nil, fmt.Errorf("mlforest: row %d has %d features, want %d", r, len(row), nFeat)
-		}
-		m.SetRow(r, row)
-	}
-	return m, nil
-}
-
 // Reset resizes the matrix for a new batch, reusing the backing buffer
 // when it is large enough, and fills the pad column with NaN. Other cells
 // are unspecified after Reset; callers must fill every row they submit.
@@ -81,20 +64,8 @@ func (m *RowMatrix) Reset(rows, nFeat int) {
 	}
 }
 
-// Rows returns the batch size.
-func (m *RowMatrix) Rows() int { return m.rows }
-
-// NumFeatures returns the feature dimensionality.
-func (m *RowMatrix) NumFeatures() int { return m.nFeat }
-
-// Set stores one cell.
-func (m *RowMatrix) Set(r, f int, v float64) { m.data[f*m.rows+r] = v }
-
-// At reads one cell.
-func (m *RowMatrix) At(r, f int) float64 { return m.data[f*m.rows+r] }
-
 // SetRow scatters one row-major feature vector into the matrix's columns.
-// feats must have exactly NumFeatures values.
+// feats must have exactly the matrix's feature count of values.
 func (m *RowMatrix) SetRow(r int, feats []float64) {
 	if len(feats) != m.nFeat {
 		panic(fmt.Sprintf("mlforest: SetRow with %d features, want %d", len(feats), m.nFeat))

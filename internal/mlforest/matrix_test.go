@@ -3,6 +3,7 @@ package mlforest
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -138,7 +139,7 @@ func TestPredictMatrixMatchesPredict(t *testing.T) {
 	}
 	pool := TraceLikeSamples(512, 32)
 	for _, n := range []int{1, 7, 64, 4096} {
-		m := NewRowMatrix(n, f.NumFeatures())
+		m := NewRowMatrix(n, f.nFeat)
 		want := make([]float64, n)
 		walk := make([]float64, n)
 		for r := 0; r < n; r++ {
@@ -173,7 +174,7 @@ func TestPredictMatrixMatchesPredict(t *testing.T) {
 		for _, n := range []int{1, 7, 64, 300} {
 			rows := make([][]float64, n)
 			for r := range rows {
-				rows[r] = make([]float64, forest.NumFeatures())
+				rows[r] = make([]float64, forest.nFeat)
 				for c := range rows[r] {
 					rows[r][c] = rng.NormFloat64()
 				}
@@ -181,7 +182,7 @@ func TestPredictMatrixMatchesPredict(t *testing.T) {
 					copy(rows[r], pool[r%len(pool)].Features)
 				}
 			}
-			for feat := 0; feat < forest.NumFeatures(); feat++ {
+			for feat := 0; feat < forest.nFeat; feat++ {
 				checkSweep(t, ref, forest, rows, feat, ref.sweepValues(rng, feat, 1+rng.Intn(8)))
 			}
 		}
@@ -198,14 +199,14 @@ func TestPredictSweepMatchesExpandedMatrix(t *testing.T) {
 	}
 	pool := TraceLikeSamples(64, 32)
 	vals := []float64{0, 1, 2, 3, 4, 5}
-	for feat := 0; feat < f.NumFeatures(); feat++ {
-		m := NewRowMatrix(len(pool), f.NumFeatures())
-		wide := NewRowMatrix(len(pool)*len(vals), f.NumFeatures())
+	for feat := 0; feat < f.nFeat; feat++ {
+		m := NewRowMatrix(len(pool), f.nFeat)
+		wide := NewRowMatrix(len(pool)*len(vals), f.nFeat)
 		for r, s := range pool {
 			m.SetRow(r, s.Features)
 			for w, v := range vals {
 				wide.SetRow(r*len(vals)+w, s.Features)
-				wide.Set(r*len(vals)+w, feat, v)
+				wide.data[feat*wide.rows+r*len(vals)+w] = v
 			}
 		}
 		before := f.Stats()
@@ -215,7 +216,7 @@ func TestPredictSweepMatchesExpandedMatrix(t *testing.T) {
 			t.Fatalf("one sweep counted %d passes / %d rows, want 1 / %d", st.Passes-before.Passes, st.Rows-before.Rows, len(got))
 		}
 		// A lane per (row, tree) at least, one per cell and tree at most.
-		if lanes, walks := st.Lanes-before.Lanes, int64(len(pool)*f.NumTrees()); lanes < walks || lanes > walks*int64(len(vals)) {
+		if lanes, walks := st.Lanes-before.Lanes, int64(len(pool)*len(f.roots)); lanes < walks || lanes > walks*int64(len(vals)) {
 			t.Fatalf("feat %d: %d lanes for %d (row, tree) walks of %d values", feat, lanes, walks, len(vals))
 		}
 		if want := f.PredictMatrix(wide, nil); !bytes.Equal(gobBytes(t, got), gobBytes(t, want)) {
@@ -235,7 +236,7 @@ func TestPredictSweepRejectsBadValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewRowMatrix(3, f.NumFeatures())
+	m := NewRowMatrix(3, f.nFeat)
 	ramp := make([]float64, 256)
 	for i := range ramp {
 		ramp[i] = float64(i)
@@ -262,7 +263,7 @@ func TestPredictSweepRejectsBadValues(t *testing.T) {
 		t.Fatalf("rejected sweeps counted as passes: %+v", s)
 	}
 
-	out := f.PredictSweep(m, f.NumFeatures(), []float64{0, 1}, nil)
+	out := f.PredictSweep(m, f.nFeat, []float64{0, 1}, nil)
 	for c, v := range out {
 		if v != 0 {
 			t.Errorf("sweep of a missing feature predicted %v in cell %d, want 0", v, c)
@@ -289,7 +290,7 @@ func TestPredictSweepSteadyStateAllocs(t *testing.T) {
 	pool := TraceLikeSamples(64, 32)
 	vals := []float64{0, 1, 2, 3, 4, 5}
 	for _, n := range []int{1, 64} {
-		m := NewRowMatrix(n, f.NumFeatures())
+		m := NewRowMatrix(n, f.nFeat)
 		for r := 0; r < n; r++ {
 			m.SetRow(r, pool[r].Features)
 		}
@@ -319,7 +320,7 @@ func TestPredictSweepConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			n := 1 + 9*g
-			m := NewRowMatrix(n, f.NumFeatures())
+			m := NewRowMatrix(n, f.nFeat)
 			for r := 0; r < n; r++ {
 				m.SetRow(r, pool[r].Features)
 			}
@@ -403,7 +404,6 @@ func randomArena(rng *rand.Rand, trees, nFeat, maxDepth int) (oracle, *Forest) {
 	o := make(oracle, trees)
 	for i := range o {
 		t := &o[i]
-		t.importance = make([]float64, nFeat)
 		var build func(depth int) int32
 		build = func(depth int) int32 {
 			n := int32(len(t.feature))
@@ -471,9 +471,25 @@ func FuzzPredictMatrixEquivalence(f *testing.F) {
 			checkSweep(t, ref, forest, all, feat, ref.sweepValues(rng, feat, 1+rng.Intn(8)))
 		}
 		for i := range ref {
-			if got, want := forest.TreeDepth(i), ref.depth(i, 0); got != want {
+			if got, want := int(forest.depth[i]), ref.depth(i, 0); got != want {
 				t.Fatalf("tree %d: stored depth %d, oracle depth %d", i, got, want)
 			}
 		}
 	})
+}
+
+// NewRowMatrixFrom builds a matrix from row-major feature vectors.
+func NewRowMatrixFrom(rows [][]float64) (*RowMatrix, error) {
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("mlforest: empty row matrix")
+	}
+	nFeat := len(rows[0])
+	m := NewRowMatrix(len(rows), nFeat)
+	for r, row := range rows {
+		if len(row) != nFeat {
+			return nil, fmt.Errorf("mlforest: row %d has %d features, want %d", r, len(row), nFeat)
+		}
+		m.SetRow(r, row)
+	}
+	return m, nil
 }

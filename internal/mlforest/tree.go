@@ -43,14 +43,12 @@ type TreeConfig struct {
 }
 
 // grownTree is one trained tree before flattening: pre-order SoA node storage
-// (leaves have feature == -1; child indexes are tree-local) plus the
-// per-feature variance reduction it accumulated.
+// (leaves have feature == -1; child indexes are tree-local).
 type grownTree struct {
 	feature     []int32
 	threshold   []float64
 	left, right []int32
 	value       []float64
-	importance  []float64
 }
 
 // entry is one distinct row of a tree's bootstrap: the dataset row, how
@@ -97,18 +95,16 @@ type treeBuilder struct {
 	threshold   []float64
 	left, right []int32
 	value       []float64
-	importance  []float64
 }
 
 func newTreeBuilder(ds *dataset, targets []float64, cfg TreeConfig) *treeBuilder {
 	b := &treeBuilder{
-		ds:         ds,
-		targets:    targets,
-		cfg:        cfg,
-		drawn:      make([]int32, ds.n),
-		off:        make([]int, ds.nFeat+1),
-		featOrd:    make([]int, ds.nFeat),
-		importance: make([]float64, ds.nFeat),
+		ds:      ds,
+		targets: targets,
+		cfg:     cfg,
+		drawn:   make([]int32, ds.n),
+		off:     make([]int, ds.nFeat+1),
+		featOrd: make([]int, ds.nFeat),
 	}
 	for f, lv := range ds.levels {
 		b.off[f+1] = b.off[f] + len(lv)
@@ -150,17 +146,15 @@ func (b *treeBuilder) grow(seed int64) grownTree {
 	b.left = b.left[:0]
 	b.right = b.right[:0]
 	b.value = b.value[:0]
-	clear(b.importance)
 
 	b.build(0, len(b.list), 0)
 
 	return grownTree{
-		feature:    slices.Clone(b.feature),
-		threshold:  slices.Clone(b.threshold),
-		left:       slices.Clone(b.left),
-		right:      slices.Clone(b.right),
-		value:      slices.Clone(b.value),
-		importance: slices.Clone(b.importance),
+		feature:   slices.Clone(b.feature),
+		threshold: slices.Clone(b.threshold),
+		left:      slices.Clone(b.left),
+		right:     slices.Clone(b.right),
+		value:     slices.Clone(b.value),
 	}
 }
 
@@ -196,11 +190,10 @@ func (b *treeBuilder) build(lo, hi, depth int) int32 {
 		return me
 	}
 
-	feat, code, gain := b.bestSplit(lo, hi, m, sum, sq, variance)
+	feat, code := b.bestSplit(lo, hi, m, sum, sq, variance)
 	if feat < 0 {
 		return me
 	}
-	b.importance[feat] += gain * fm
 	mid := b.partition(lo, hi, feat, code)
 
 	l := b.build(lo, mid, depth+1)
@@ -221,7 +214,7 @@ func (b *treeBuilder) build(lo, hi, depth int) int32 {
 // (go left when x <= thr), never a midpoint: (v[j]+v[j+1])/2 can round
 // to v[j+1] for adjacent floats, which would send training points that
 // went right at fit time to the left at predict time.
-func (b *treeBuilder) bestSplit(lo, hi int, m int32, segSum, segSq, parentVar float64) (feat int, code uint16, gain float64) {
+func (b *treeBuilder) bestSplit(lo, hi int, m int32, segSum, segSq, parentVar float64) (feat int, code uint16) {
 	nFeat := b.ds.nFeat
 	nTry := int(math.Ceil(b.cfg.FeatureFrac * float64(nFeat)))
 	if nTry < 1 {
@@ -284,9 +277,9 @@ func (b *treeBuilder) bestSplit(lo, hi int, m int32, segSum, segSq, parentVar fl
 		}
 	}
 	if feat < 0 || s.best <= 1e-12 {
-		return -1, 0, 0
+		return -1, 0
 	}
-	return feat, code, s.best
+	return feat, code
 }
 
 // scan is the prefix sweep over one node's histograms: codes arrive in

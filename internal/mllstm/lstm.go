@@ -99,8 +99,6 @@ type LSTM struct {
 	// BPTT state, and a zero vector standing in for the hidden and cell
 	// state before the first step.
 	dh, dc, dhPrev, dcPrev, zero []float64
-
-	steps int // training steps taken
 }
 
 // New creates an initialized network. Forget-gate biases start at 1, the
@@ -251,12 +249,8 @@ func (l *LSTM) Train(seq [][]float64, target float64) float64 {
 	for k, gk := range g.slab {
 		p.slab[k] -= lr * clipVal(gk, clip)
 	}
-	l.steps++
 	return dy
 }
-
-// Steps returns the number of online training steps performed.
-func (l *LSTM) Steps() int { return l.steps }
 
 // MemoryBytes is the size of the model's parameters (§4.5: ~25KB per
 // local predictor); the gradient slab and training scratch beside them

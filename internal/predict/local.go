@@ -125,9 +125,6 @@ func (l *Local) PredictFiveMin() float64 {
 // LSTMReady reports whether the LSTM has trained past its warmup.
 func (l *Local) LSTMReady() bool { return l.completed >= l.cfg.WarmupWindows }
 
-// CompletedWindows returns the number of closed 5-minute windows.
-func (l *Local) CompletedWindows() int { return l.completed }
-
 // MemoryBytes estimates the predictor's resident size (§4.5: ~25KB).
 func (l *Local) MemoryBytes() int {
 	return l.lstm.MemoryBytes() + len(l.hist)*2*8 + 64

@@ -70,15 +70,6 @@ func NewVector(cpu, memory, network, ssd float64) Vector {
 	return Vector{CPU: cpu, Memory: memory, Network: network, SSD: ssd}
 }
 
-// Get returns the amount for kind k.
-func (v Vector) Get(k Kind) float64 { return v[k] }
-
-// With returns a copy of v with kind k set to amount.
-func (v Vector) With(k Kind, amount float64) Vector {
-	v[k] = amount
-	return v
-}
-
 // Add returns the element-wise sum v + o.
 func (v Vector) Add(o Vector) Vector {
 	for i := range v {
@@ -116,16 +107,6 @@ func (v Vector) Mul(o Vector) Vector {
 func (v Vector) Max(o Vector) Vector {
 	for i := range v {
 		if o[i] > v[i] {
-			v[i] = o[i]
-		}
-	}
-	return v
-}
-
-// Min returns the element-wise minimum of v and o.
-func (v Vector) Min(o Vector) Vector {
-	for i := range v {
-		if o[i] < v[i] {
 			v[i] = o[i]
 		}
 	}
@@ -174,16 +155,6 @@ func (v Vector) Positive() bool {
 	return true
 }
 
-// DotProduct returns the sum over kinds of v[k]*o[k]. Schedulers use it as
-// an alignment score between VM demand and remaining server capacity.
-func (v Vector) DotProduct(o Vector) float64 {
-	var sum float64
-	for i := range v {
-		sum += v[i] * o[i]
-	}
-	return sum
-}
-
 // Utilization returns, per kind, v[k]/capacity[k] (0 when the capacity is
 // zero). It converts absolute demand back into fractions of a server.
 func (v Vector) Utilization(capacity Vector) Vector {
@@ -194,19 +165,6 @@ func (v Vector) Utilization(capacity Vector) Vector {
 		}
 	}
 	return out
-}
-
-// MaxFraction returns the largest element of v.Utilization(capacity) and
-// the kind that attains it. It identifies the bottleneck resource.
-func (v Vector) MaxFraction(capacity Vector) (Kind, float64) {
-	frac := v.Utilization(capacity)
-	best := CPU
-	for _, k := range Kinds {
-		if frac[k] > frac[best] {
-			best = k
-		}
-	}
-	return best, frac[best]
 }
 
 // PerUnit counts of Units make one natural unit: a quarter unit (every

@@ -89,27 +89,6 @@ func (a Arrival) Validate() error {
 	return nil
 }
 
-// MeanCV returns the theoretical coefficient of variation of the
-// process's inter-arrival times.
-func (a Arrival) MeanCV() float64 {
-	switch a.Process {
-	case Gamma:
-		if a.CV == 0 {
-			return 1
-		}
-		return a.CV
-	case WeibullArrivals:
-		k := a.Shape
-		if k == 0 {
-			k = 1
-		}
-		m := math.Gamma(1 + 1/k)
-		return math.Sqrt(math.Gamma(1+2/k)/(m*m) - 1)
-	default:
-		return 1
-	}
-}
-
 // Draw samples one unit-mean inter-arrival time.
 func (a Arrival) Draw(rng *rand.Rand) float64 {
 	switch a.Process {

@@ -67,9 +67,6 @@ type Dist struct {
 	Shape float64
 }
 
-// Fixed returns a constant distribution.
-func Fixed(v float64) Dist { return Dist{Kind: DistFixed, Value: v} }
-
 // Uniform returns a uniform distribution on [min, max].
 func Uniform(min, max float64) Dist { return Dist{Kind: DistUniform, Min: min, Max: max} }
 

@@ -101,3 +101,7 @@ func TestProcessStrings(t *testing.T) {
 		t.Error("unknown process must fail")
 	}
 }
+
+// Fixed returns a constant distribution, the form Parse gives
+// "fixed value=v".
+func Fixed(v float64) Dist { return Dist{Kind: DistFixed, Value: v} }

@@ -13,10 +13,9 @@ import (
 // "classes:", "surges:" and "faults:" sections, and full-line "#"
 // comments.
 // Distributions and arrival processes are one-line expressions
-// ("lognormal mean=40 sigma=1.1", "gamma cv=2.5"). Parse and Format
-// round-trip: for any accepted input, Parse(Format(Parse(in))) equals
-// Parse(in) — pinned by FuzzParseSpec. See docs/DESIGN.md §11 for the
-// full grammar and docs/experiments.md for examples.
+// ("lognormal mean=40 sigma=1.1", "gamma cv=2.5"). Every preset's text
+// is in testdata/. See docs/DESIGN.md §11 for the full grammar and
+// docs/experiments.md for examples.
 
 // Parse reads a workload spec from its text form. It performs only
 // syntactic checks; call Validate on the result before use.
@@ -388,144 +387,6 @@ func parseParams(fields []string) (map[string]float64, error) {
 		out[k] = x
 	}
 	return out, nil
-}
-
-// Format renders the spec in its canonical text form. Parse(Format(sp))
-// reproduces sp for any spec Parse can produce.
-func Format(sp *Spec) string {
-	var b strings.Builder
-	if sp.Name != "" {
-		fmt.Fprintf(&b, "name: %s\n", sp.Name)
-	}
-	fmt.Fprintf(&b, "seed: %d\n", sp.Seed)
-	fmt.Fprintf(&b, "days: %d\n", sp.Days)
-	fmt.Fprintf(&b, "vms: %d\n", sp.VMs)
-	fmt.Fprintf(&b, "subscriptions: %d\n", sp.Subscriptions)
-	fmt.Fprintf(&b, "clusters: %d\n", sp.Clusters)
-	fmt.Fprintf(&b, "start-weekday: %s\n", sp.StartWeekday)
-	if sp.UtilQuantum != 0 {
-		// Emitted only when set so pre-quantization spec files round-trip
-		// byte-identically.
-		fmt.Fprintf(&b, "util-quantum: %s\n", ftoa(sp.UtilQuantum))
-	}
-	fmt.Fprintf(&b, "seasonality:\n")
-	fmt.Fprintf(&b, "  diurnal-amp: %s\n", ftoa(sp.Seasonality.DiurnalAmp))
-	fmt.Fprintf(&b, "  peak-hour: %s\n", ftoa(sp.Seasonality.PeakHour))
-	fmt.Fprintf(&b, "  weekend-factor: %s\n", ftoa(sp.Seasonality.WeekendFactor))
-	if len(sp.Classes) > 0 {
-		fmt.Fprintf(&b, "classes:\n")
-		for i := range sp.Classes {
-			c := &sp.Classes[i]
-			fmt.Fprintf(&b, "  - name: %s\n", c.Name)
-			fmt.Fprintf(&b, "    fraction: %s\n", ftoa(c.Fraction))
-			if c.Archetype != "" {
-				fmt.Fprintf(&b, "    archetype: %s\n", c.Archetype)
-			}
-			if c.Size != "" {
-				fmt.Fprintf(&b, "    size: %s\n", c.Size)
-			}
-			if len(c.Clusters) > 0 {
-				fmt.Fprintf(&b, "    clusters: %s\n", joinInts(c.Clusters))
-			}
-			fmt.Fprintf(&b, "    arrival: %s\n", formatArrival(c.Arrival))
-			fmt.Fprintf(&b, "    lifetime: %s\n", formatDist(c.Lifetime))
-			fmt.Fprintf(&b, "    working-set: %s\n", formatDist(c.WorkingSet))
-		}
-	}
-	if len(sp.Surges) > 0 {
-		fmt.Fprintf(&b, "surges:\n")
-		for i := range sp.Surges {
-			sg := &sp.Surges[i]
-			fmt.Fprintf(&b, "  - kind: %s\n", sg.Kind)
-			if len(sg.Classes) > 0 {
-				fmt.Fprintf(&b, "    classes: %s\n", strings.Join(sg.Classes, ","))
-			}
-			fmt.Fprintf(&b, "    day: %s\n", ftoa(sg.Day))
-			fmt.Fprintf(&b, "    duration-hours: %s\n", ftoa(sg.DurationHours))
-			if sg.RateMult != 0 {
-				fmt.Fprintf(&b, "    rate-mult: %s\n", ftoa(sg.RateMult))
-			}
-			if sg.UtilMult != 0 {
-				fmt.Fprintf(&b, "    util-mult: %s\n", ftoa(sg.UtilMult))
-			}
-			if sg.Cluster != -1 {
-				fmt.Fprintf(&b, "    cluster: %d\n", sg.Cluster)
-			}
-		}
-	}
-	if len(sp.Faults) > 0 {
-		fmt.Fprintf(&b, "faults:\n")
-		for i := range sp.Faults {
-			f := &sp.Faults[i]
-			fmt.Fprintf(&b, "  - kind: %s\n", f.Kind)
-			fmt.Fprintf(&b, "    day: %s\n", ftoa(f.Day))
-			if f.DurationHours != 0 {
-				fmt.Fprintf(&b, "    duration-hours: %s\n", ftoa(f.DurationHours))
-			}
-			if f.RecoverHours != 0 {
-				fmt.Fprintf(&b, "    recover-hours: %s\n", ftoa(f.RecoverHours))
-			}
-			if f.MTBFHours != 0 {
-				fmt.Fprintf(&b, "    mtbf-hours: %s\n", ftoa(f.MTBFHours))
-			}
-			if f.DelayMs != 0 {
-				fmt.Fprintf(&b, "    delay-ms: %s\n", ftoa(f.DelayMs))
-			}
-			if f.JitterMs != 0 {
-				fmt.Fprintf(&b, "    jitter-ms: %s\n", ftoa(f.JitterMs))
-			}
-			if f.Cluster != -1 {
-				fmt.Fprintf(&b, "    cluster: %d\n", f.Cluster)
-			}
-			if f.Server != -1 {
-				fmt.Fprintf(&b, "    server: %d\n", f.Server)
-			}
-			if f.Phase != "" {
-				fmt.Fprintf(&b, "    phase: %s\n", f.Phase)
-			}
-			if f.Nth != 0 {
-				fmt.Fprintf(&b, "    nth: %d\n", f.Nth)
-			}
-		}
-	}
-	return b.String()
-}
-
-func formatArrival(a Arrival) string {
-	switch a.Process {
-	case Gamma:
-		return fmt.Sprintf("gamma cv=%s", ftoa(a.CV))
-	case WeibullArrivals:
-		return fmt.Sprintf("weibull shape=%s", ftoa(a.Shape))
-	default:
-		return "poisson"
-	}
-}
-
-func formatDist(d Dist) string {
-	switch d.Kind {
-	case DistUniform:
-		return fmt.Sprintf("uniform min=%s max=%s", ftoa(d.Min), ftoa(d.Max))
-	case DistExponential:
-		return fmt.Sprintf("exponential mean=%s", ftoa(d.Mean))
-	case DistLognormal:
-		return fmt.Sprintf("lognormal mean=%s sigma=%s", ftoa(d.Mean), ftoa(d.Sigma))
-	case DistWeibull:
-		return fmt.Sprintf("weibull mean=%s shape=%s", ftoa(d.Mean), ftoa(d.Shape))
-	default:
-		return fmt.Sprintf("fixed value=%s", ftoa(d.Value))
-	}
-}
-
-// ftoa formats floats so they re-parse to the exact same bits.
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func joinInts(xs []int) string {
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
-	}
-	return strings.Join(parts, ",")
 }
 
 func parseWeekday(s string) (time.Weekday, error) {

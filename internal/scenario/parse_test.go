@@ -100,26 +100,6 @@ func TestParseHandwritten(t *testing.T) {
 	}
 }
 
-// TestFormatParseRoundTrip: Parse(Format(sp)) must reproduce sp exactly
-// for every preset and for the handwritten spec.
-func TestFormatParseRoundTrip(t *testing.T) {
-	specs := Presets()
-	hw, err := Parse(handwrittenSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs = append(specs, hw)
-	for _, sp := range specs {
-		got, err := Parse(Format(sp))
-		if err != nil {
-			t.Fatalf("%s: reparse: %v", sp.Name, err)
-		}
-		if !reflect.DeepEqual(got, sp) {
-			t.Errorf("%s: round trip changed the spec:\nbefore: %+v\nafter:  %+v", sp.Name, sp, got)
-		}
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, text, wantErr string
@@ -180,16 +160,5 @@ func TestParseWeekdayCaseInsensitive(t *testing.T) {
 		if err != nil || wd != time.Monday {
 			t.Errorf("parseWeekday(%s) = %v, %v", s, wd, err)
 		}
-	}
-}
-
-func TestFormatOmitsDefaults(t *testing.T) {
-	sp, _ := Preset("surge")
-	text := Format(sp)
-	if strings.Contains(text, "cluster: -1") {
-		t.Error("Format must omit the default surge cluster")
-	}
-	if strings.Contains(text, "size: mixed") || strings.Contains(text, "archetype: mixed") {
-		t.Error("Format must omit mixed size/archetype")
 	}
 }

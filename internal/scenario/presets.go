@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 )
@@ -24,16 +23,6 @@ func Preset(name string) (*Spec, error) {
 		return nil, fmt.Errorf("scenario: unknown preset %q (have %s)", name, strings.Join(PresetNames, ", "))
 	}
 	return mk(), nil
-}
-
-// Presets returns fresh copies of every shipped preset, in canonical
-// order.
-func Presets() []*Spec {
-	out := make([]*Spec, len(PresetNames))
-	for i, name := range PresetNames {
-		out[i], _ = Preset(name)
-	}
-	return out
 }
 
 // Load resolves a preset name or reads and parses a spec file. The
@@ -315,15 +304,4 @@ func presetChaos() *Spec {
 		{Kind: "chaos", Day: 0.5, MTBFHours: 8, RecoverHours: 3, Cluster: -1, Server: -1},
 	}
 	return sp
-}
-
-// sortedPresetNames is used by tests to assert PresetNames covers the
-// preset map exactly.
-func sortedPresetNames() []string {
-	out := make([]string, 0, len(presets))
-	for name := range presets {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -29,19 +29,41 @@ func TestPresetsValid(t *testing.T) {
 // TestPresetNamesCoverMap: the canonical name list and the preset map
 // must agree exactly, so no preset is unreachable or phantom.
 func TestPresetNamesCoverMap(t *testing.T) {
-	want := sortedPresetNames()
+	var want []string
+	for name := range presets {
+		want = append(want, name)
+	}
+	sort.Strings(want)
 	got := append([]string(nil), PresetNames...)
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("PresetNames %v != preset map keys %v", got, want)
 	}
-	specs := Presets()
-	if len(specs) != len(PresetNames) {
-		t.Fatalf("Presets() returned %d specs", len(specs))
+}
+
+// TestPresetText: testdata/<name>.spec is each preset's canonical text,
+// and Parse must reproduce the preset from it exactly (float for float),
+// so a spec written out by hand means what the preset means.
+func TestPresetText(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "*.spec"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, sp := range specs {
-		if sp.Name != PresetNames[i] {
-			t.Errorf("Presets()[%d] = %q, want %q", i, sp.Name, PresetNames[i])
+	if len(files) != len(PresetNames) {
+		t.Errorf("testdata holds %d spec files for %d presets", len(files), len(PresetNames))
+	}
+	for _, name := range PresetNames {
+		text, err := os.ReadFile(filepath.Join("testdata", name+".spec"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Parse(string(text))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, _ := Preset(name)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: parsed text differs from the preset:\nparsed: %+v\npreset: %+v", name, got, want)
 		}
 	}
 }
@@ -81,16 +103,12 @@ func TestLoadPresetName(t *testing.T) {
 
 func TestLoadSpecFile(t *testing.T) {
 	want, _ := Preset("surge")
-	path := filepath.Join(t.TempDir(), "surge.txt")
-	if err := os.WriteFile(path, []byte(Format(want)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sp, err := Load(path)
+	sp, err := Load(filepath.Join("testdata", "surge.spec"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sp, want) {
-		t.Error("Load(file) differs from the formatted preset")
+		t.Error("Load(file) differs from the preset")
 	}
 }
 

@@ -37,7 +37,6 @@ func (s *ServerState) Used() bool { return s.Pool.Len() > 0 }
 // over the (windows+1)-dimensional demand vectors of §3.3. It is
 // deterministic: ties break on the lowest server ID.
 type Scheduler struct {
-	windows timeseries.Windows
 	servers []*ServerState
 	// placement maps VM ID -> index into servers.
 	placement map[int]int
@@ -82,7 +81,7 @@ func NewOverServers(servers []*cluster.Server, w timeseries.Windows) (*Scheduler
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("scheduler: no servers")
 	}
-	s := &Scheduler{windows: w, placement: make(map[int]int)}
+	s := &Scheduler{placement: make(map[int]int)}
 	var caps []resources.Vector // distinct capacities, first-seen order
 	for _, srv := range servers {
 		if !srv.Capacity().Positive() {
@@ -102,9 +101,6 @@ func NewOverServers(servers []*cluster.Server, w timeseries.Windows) (*Scheduler
 	s.classSeen = make([]bool, len(caps))
 	return s, nil
 }
-
-// Windows returns the time-window configuration.
-func (s *Scheduler) Windows() timeseries.Windows { return s.windows }
 
 // Servers returns the server states (shared slice: do not mutate).
 func (s *Scheduler) Servers() []*ServerState { return s.servers }
@@ -330,13 +326,4 @@ func (s *Scheduler) UsedServers() int {
 		}
 	}
 	return n
-}
-
-// TotalBacked returns the fleet-wide physically backed resources.
-func (s *Scheduler) TotalBacked() resources.Vector {
-	var total resources.Vector
-	for _, st := range s.servers {
-		total = total.Add(st.Pool.Backed())
-	}
-	return total
 }

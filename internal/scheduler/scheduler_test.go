@@ -286,17 +286,6 @@ func TestPlaceDeterministic(t *testing.T) {
 	}
 }
 
-func TestTotalBacked(t *testing.T) {
-	s := mustScheduler(t, smallFleet(2))
-	s.Place(guaranteedVM(1, 4, 16))
-	s.Place(guaranteedVM(2, 2, 8))
-	got := s.TotalBacked()
-	want := resources.NewVector(6, 24, 2, 64)
-	if got != want {
-		t.Errorf("TotalBacked = %v, want %v", got, want)
-	}
-}
-
 func TestBuildCVMNonePolicy(t *testing.T) {
 	alloc := resources.NewVector(4, 16, 2, 128)
 	vm, err := BuildCVM(PolicyNone, 1, alloc, coachvm.Prediction{}, true, w6)

@@ -325,10 +325,6 @@ func (s *Service) applyFaultEvents(tick int) error {
 	return nil
 }
 
-// Degraded reports whether the service is running without a prediction
-// model (training failed or was fault-injected to fail).
-func (s *Service) Degraded() bool { return s.degraded.Load() }
-
 // Ready reports readiness for /readyz: the service can serve
 // model-backed admissions. It is not-ready while shutting down, while
 // degraded, and before the (possibly lazy) training run has produced a

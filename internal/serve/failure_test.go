@@ -175,7 +175,7 @@ func TestServeDegradedMode(t *testing.T) {
 	if err := svc.Warm(); !errors.Is(err, ErrModelUnavailable) {
 		t.Fatalf("Warm under train-fail = %v, want ErrModelUnavailable", err)
 	}
-	if !svc.Degraded() {
+	if !svc.degraded.Load() {
 		t.Fatal("service not degraded after injected training failure")
 	}
 	if ready, reason := svc.Ready(); ready || reason == "" {

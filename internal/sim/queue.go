@@ -61,12 +61,3 @@ func (q *eventQueue) PopDue(t int, dst []int) []int {
 	q.buckets[i] = nil
 	return dst
 }
-
-// Len reports the number of pending events (testing helper).
-func (q *eventQueue) Len() int {
-	n := 0
-	for _, b := range q.buckets {
-		n += len(b)
-	}
-	return n
-}

@@ -318,7 +318,7 @@ func TestIDRuleSharedBySimAndServe(t *testing.T) {
 	if want == nil {
 		t.Fatal("CheckIDsAreIndices accepts ids offset by one")
 	}
-	cfg := DefaultConfig()
+	cfg := ConfigForPolicy(scheduler.PolicyCoach)
 	cfg.TrainUpTo = tr.Horizon / 2
 	if _, err := Run(&offset, fleet, cfg); err == nil || err.Error() != want.Error() {
 		t.Errorf("sim.Run: %v, want %v", err, want)

@@ -84,9 +84,6 @@ type Config struct {
 // hyperthread-sharing threshold).
 const cpuContentionFrac = 0.5
 
-// DefaultConfig returns the Coach policy configuration.
-func DefaultConfig() Config { return ConfigForPolicy(scheduler.PolicyCoach) }
-
 // ConfigForPolicy returns the §4.3 configuration for one of the Fig. 20
 // policies, evaluated from day 7.
 func ConfigForPolicy(p scheduler.PolicyKind) Config {

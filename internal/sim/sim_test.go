@@ -33,7 +33,7 @@ func fixtures(t *testing.T) (*trace.Trace, *cluster.Fleet) {
 
 func TestRunValidation(t *testing.T) {
 	tr, fleet := fixtures(t)
-	cfg := DefaultConfig()
+	cfg := ConfigForPolicy(scheduler.PolicyCoach)
 	cfg.TrainUpTo = 0
 	if _, err := Run(tr, fleet, cfg); err == nil {
 		t.Error("zero TrainUpTo must fail")
@@ -42,13 +42,13 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(tr, fleet, cfg); err == nil {
 		t.Error("TrainUpTo beyond horizon must fail")
 	}
-	cfg = DefaultConfig()
+	cfg = ConfigForPolicy(scheduler.PolicyCoach)
 	cfg.TrainUpTo = tr.Horizon / 2
 	cfg.Windows = timeseries.Windows{PerDay: 5}
 	if _, err := Run(tr, fleet, cfg); err == nil {
 		t.Error("windows that do not divide the day must fail")
 	}
-	cfg = DefaultConfig()
+	cfg = ConfigForPolicy(scheduler.PolicyCoach)
 	cfg.TrainUpTo = tr.Horizon / 2
 	bad := &cluster.Fleet{
 		Clusters: cluster.DefaultClusters(1)[:2],

@@ -34,6 +34,3 @@ func (e *EWMA) Observe(x float64) {
 // Predict returns the current smoothed value, the forecast for the next
 // interval. Before any observation it returns 0.
 func (e *EWMA) Predict() float64 { return e.value }
-
-// Primed reports whether at least one observation has been folded in.
-func (e *EWMA) Primed() bool { return e.primed }

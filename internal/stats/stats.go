@@ -1,5 +1,5 @@
 // Package stats provides the statistical primitives the Coach reproduction
-// relies on: percentiles, histograms, CDFs, violin summaries (paper Fig. 11),
+// relies on: percentiles, CDFs, violin summaries (paper Fig. 11),
 // correlation (Fig. 6) and exponentially weighted moving averages (§3.4).
 //
 // Everything is implemented from scratch on the standard library so the
@@ -23,32 +23,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Percentile returns the p-th percentile (p in [0,100]) of xs using linear
 // interpolation between order statistics. It returns 0 for empty input.
@@ -278,47 +252,6 @@ func CDF(xs []float64, thresholds []float64) []CDFPoint {
 		out[i] = CDFPoint{Value: t, Fraction: frac}
 	}
 	return out
-}
-
-// Histogram counts samples into equal-width bins over [lo, hi). Samples
-// outside the range are clamped into the first or last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
 }
 
 // BucketUp rounds x up to the next multiple of step (e.g., 17.3 -> 20 with

@@ -19,25 +19,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestSum(t *testing.T) {
-	if Sum([]float64{1, 2, 3.5}) != 6.5 {
-		t.Error("sum wrong")
-	}
-}
-
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if !almost(Variance(xs), 4) {
-		t.Errorf("variance = %v, want 4", Variance(xs))
-	}
-	if !almost(StdDev(xs), 2) {
-		t.Errorf("stddev = %v, want 2", StdDev(xs))
-	}
-	if Variance([]float64{5}) != 0 {
-		t.Error("variance of single sample != 0")
-	}
-}
-
 func TestPercentileKnownValues(t *testing.T) {
 	xs := []float64{10, 20, 30, 40, 50}
 	cases := []struct{ p, want float64 }{
@@ -186,30 +167,6 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 9.9, 10, 100, -5} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Errorf("total = %d", h.Total())
-	}
-	// -5 clamps to bin 0; 10 and 100 clamp to bin 4.
-	if h.Counts[0] != 3 {
-		t.Errorf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 3 {
-		t.Errorf("bin 4 = %d, want 3", h.Counts[4])
-	}
-	var sum float64
-	for i := range h.Counts {
-		sum += h.Fraction(i)
-	}
-	if !almost(sum, 1) {
-		t.Errorf("fractions sum to %v", sum)
-	}
-}
-
 func TestBucketUpPaperExample(t *testing.T) {
 	// Paper: "rounded to 5% buckets (e.g., 17.3 -> 20.0%)".
 	if got := BucketUp(17.3, 5); got != 20 {
@@ -247,7 +204,7 @@ func TestBucketUpProperty(t *testing.T) {
 
 func TestEWMAConstantInput(t *testing.T) {
 	e := NewEWMA(0.5)
-	if e.Primed() {
+	if e.primed {
 		t.Error("new EWMA must not be primed")
 	}
 	for i := 0; i < 10; i++ {

@@ -83,13 +83,6 @@ func CommonWindowConfigs() []Windows {
 	return []Windows{{1}, {2}, {4}, {6}, {8}, {12}, {24}}
 }
 
-// WindowOf returns the day index and window index of sample i.
-func (w Windows) WindowOf(i int) (day, window int) {
-	day = i / SamplesPerDay
-	window = (i % SamplesPerDay) / w.Samples()
-	return day, window
-}
-
 // DayWindowMax returns, for day d, the maximum utilization in each of the
 // w.PerDay windows (the paper's "current time window max", Fig. 7).
 // Windows with no samples (partial final day) report NaN.

@@ -86,18 +86,6 @@ func TestWindowsHoursSamples(t *testing.T) {
 	}
 }
 
-func TestWindowOf(t *testing.T) {
-	w := Windows{PerDay: 3} // 8h windows, 96 samples each
-	day, win := w.WindowOf(0)
-	if day != 0 || win != 0 {
-		t.Errorf("WindowOf(0) = %d,%d", day, win)
-	}
-	day, win = w.WindowOf(SamplesPerDay + 96)
-	if day != 1 || win != 1 {
-		t.Errorf("WindowOf(day1+96) = %d,%d", day, win)
-	}
-}
-
 func TestDayWindowMax(t *testing.T) {
 	// Day 0: window 0 peaks at 0.8, window 1 flat 0.2, window 2 flat 0.4.
 	s := mkSeries(1, func(d, i int) float64 {

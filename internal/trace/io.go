@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"strconv"
 	"time"
 
 	"github.com/coach-oss/coach/internal/resources"
@@ -89,42 +87,4 @@ func Load(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return tr, nil
-}
-
-// summaryHeader is the column layout of WriteSummaryCSV.
-var summaryHeader = []string{
-	"vm_id", "subscription", "config", "cluster", "offering",
-	"cores", "memory_gb", "network_gbps", "ssd_gb",
-	"start_sample", "end_sample",
-	"cpu_max", "cpu_mean", "mem_max", "mem_mean",
-}
-
-// WriteSummaryCSV emits one row per VM with its allocation, lifetime and
-// aggregate utilization — the shape of the paper's long-term telemetry
-// store. It intentionally omits the raw series (use Save for those).
-func (tr *Trace) WriteSummaryCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(summaryHeader); err != nil {
-		return err
-	}
-	f := func(x float64) string { return strconv.FormatFloat(x, 'g', 6, 64) }
-	for i := range tr.VMs {
-		vm := &tr.VMs[i]
-		row := []string{
-			strconv.Itoa(vm.ID),
-			strconv.Itoa(vm.Subscription),
-			tr.Configs[vm.Config].Name,
-			strconv.Itoa(vm.Cluster),
-			vm.Offering.String(),
-			f(vm.Alloc[0]), f(vm.Alloc[1]), f(vm.Alloc[2]), f(vm.Alloc[3]),
-			strconv.Itoa(vm.Start), strconv.Itoa(vm.End),
-			f(vm.Runs.Max(resources.CPU)), f(vm.Runs.Mean(resources.CPU)),
-			f(vm.Runs.Max(resources.Memory)), f(vm.Runs.Mean(resources.Memory)),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

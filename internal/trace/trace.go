@@ -185,17 +185,6 @@ func (tr *Trace) LongRunning() []*VM {
 	return out
 }
 
-// InCluster returns the VMs homed in cluster c.
-func (tr *Trace) InCluster(c int) []*VM {
-	var out []*VM
-	for i := range tr.VMs {
-		if tr.VMs[i].Cluster == c {
-			out = append(out, &tr.VMs[i])
-		}
-	}
-	return out
-}
-
 // CheckIDsAreIndices reports the first VM whose id is not its index in
 // tr.VMs. The simulator and the serving layer index their per-VM tables
 // by id, so both reject a trace that breaks this rule.

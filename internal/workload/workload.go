@@ -187,9 +187,6 @@ func NewRunner(spec Spec, vm *memsim.VMMem, cfg memsim.Config) (*Runner, error) 
 	return &Runner{Spec: spec, vm: vm, cfg: cfg}, nil
 }
 
-// VM returns the driven memory state.
-func (r *Runner) VM() *memsim.VMMem { return r.vm }
-
 // WSSAt returns the working set the spec prescribes at elapsed seconds:
 // the base plus PhaseAmpGB during the burst window of each period.
 func (s Spec) WSSAt(elapsed float64) float64 {
@@ -264,9 +261,6 @@ func (r *Runner) opLatencies(meanNs, pPA, pVA, pSoft, pHard float64) (opMean, op
 	}
 	return opMean, opP99
 }
-
-// Ticks returns the number of recorded ticks.
-func (r *Runner) Ticks() int { return r.ticks }
 
 // MeanOpLatencyNs returns the time-averaged mean operation latency.
 func (r *Runner) MeanOpLatencyNs() float64 {

@@ -157,8 +157,8 @@ func TestSelfSlowdownIsOne(t *testing.T) {
 	if got := r.Slowdown(r); math.Abs(got-1) > 1e-9 {
 		t.Errorf("self slowdown = %v", got)
 	}
-	if r.Ticks() != 60 {
-		t.Errorf("Ticks = %d", r.Ticks())
+	if r.ticks != 60 {
+		t.Errorf("ticks = %d", r.ticks)
 	}
 }
 
