@@ -33,20 +33,11 @@ var (
 )
 
 // benchContext shares one small-scale context (trace, fleets, trained
-// models) across all benchmarks, mirroring how the cmd tools run with
-// -preset: the trace comes from the capacity scenario preset rescaled to
-// ScaleSmall, so benchmarks exercise the same declarative generator the
-// scenario tests and the simulator presets do (docs/DESIGN.md §11)
-// rather than the legacy GenConfig path.
+// models) across all benchmarks: the trace is the capacity preset
+// rescaled to ScaleSmall, as every cmd tool runs by default
+// (docs/DESIGN.md §11).
 func benchContext() *experiments.Context {
-	benchCtxOnce.Do(func() {
-		benchCtx = experiments.NewContext(experiments.ScaleSmall)
-		sp, err := scenario.Preset("capacity")
-		if err != nil {
-			panic(err)
-		}
-		benchCtx.Scenario = experiments.ScaleSmall.ScenarioSpec(sp)
-	})
+	benchCtxOnce.Do(func() { benchCtx = experiments.NewContext(experiments.ScaleSmall, nil) })
 	return benchCtx
 }
 

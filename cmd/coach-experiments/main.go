@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	coach-experiments [-scale small|medium|full] [-preset NAME|spec.txt]
+//	coach-experiments [-scale small|medium|full] [-preset capacity|NAME|spec.txt]
 //	                  [-run id[,id...]] [-parallel n]
 //	                  [-markdown] [-list]
 //
@@ -25,7 +25,7 @@ import (
 
 func main() {
 	scale := flag.String("scale", "medium", "input scale: small, medium or full")
-	preset := flag.String("preset", "", "workload scenario (preset name or spec file) replacing the calibrated trace for every selected experiment")
+	preset := flag.String("preset", "capacity", "workload scenario (preset name or spec file) every selected experiment runs on")
 	run := flag.String("run", "", "comma-separated experiment ids (default: all)")
 	parallel := flag.Int("parallel", 1, "experiments to run concurrently (<=0: GOMAXPROCS)")
 	markdown := flag.Bool("markdown", false, "emit Markdown (EXPERIMENTS.md format)")
@@ -56,15 +56,11 @@ func main() {
 		}
 	}
 
-	ctx := experiments.NewContext(s)
-	if *preset != "" {
-		sp, err := scenario.Load(*preset)
-		if err != nil {
-			fatal(err)
-		}
-		ctx.Scenario = s.ScenarioSpec(sp)
+	sp, err := scenario.Load(*preset)
+	if err != nil {
+		fatal(err)
 	}
-	if err := experiments.Write(os.Stdout, ctx, selected, *parallel, *markdown); err != nil {
+	if err := experiments.Write(os.Stdout, experiments.NewContext(s, sp), selected, *parallel, *markdown); err != nil {
 		fatal(err)
 	}
 }

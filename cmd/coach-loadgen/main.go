@@ -1,20 +1,20 @@
 // Command coach-loadgen drives a running coachd with concurrent clients
 // and reports throughput and latency percentiles. Each client loops over
 // a deterministic per-client stream of VM ids, issuing predictions plus a
-// configurable fraction of admissions, each released again.
+// configurable fraction of admissions, each released again. The ids are
+// drawn from the trace a default coachd at the same -scale serves: the
+// capacity preset, which loadgen regenerates (the scenario engine is
+// deterministic from its seed) to learn its VM count.
 //
 // Usage:
 //
 //	coach-loadgen [-addr http://localhost:8080] [-clients 16]
 //	              [-requests 2000] [-admit-frac 0.25]
-//	              [-vms 500] [-seed 1]
+//	              [-seed 1]
 //	              [-scenario NAME|spec.txt] [-scale small|medium|full]
 //	              [-speedup 3600] [-from-day -1] [-replay-days 1]
 //	              [-timeout 10s] [-retries 3] [-retry-backoff 100ms]
 //	              [-pprof-addr ""]
-//
-// -vms must match the served trace's VM population (coachd -scale small
-// serves 500 VMs); unknown ids count as errors.
 //
 // Every request carries a -timeout deadline, and transient failures —
 // transport errors, timeouts and 5xx responses that are not definitive
@@ -81,10 +81,9 @@ func main() {
 	clients := flag.Int("clients", 16, "concurrent clients")
 	requests := flag.Int("requests", 2000, "total requests across all clients")
 	admitFrac := flag.Float64("admit-frac", 0.25, "fraction of requests that are admit (each later released)")
-	vms := flag.Int("vms", 500, "VM id space to draw from (must match the served trace)")
 	seed := flag.Int64("seed", 1, "base RNG seed (client i uses seed+i)")
 	scenarioFlag := flag.String("scenario", "", "replay a workload scenario (preset name or spec file) instead of the random request mix; must match the served coachd's -scenario")
-	scale := flag.String("scale", "small", "trace scale of the served coachd (scenario replay only)")
+	scale := flag.String("scale", "small", "trace scale of the served coachd")
 	speedup := flag.Float64("speedup", 3600, "trace-time compression for scenario replay (3600 = 1 trace hour per second)")
 	fromDay := flag.Int("from-day", -1, "first trace day to replay (-1 = the trace midpoint, where training ends)")
 	replayDays := flag.Int("replay-days", 1, "number of trace days to replay")
@@ -106,12 +105,18 @@ func main() {
 		}()
 	}
 
-	hc := newHTTPClient(*timeout, *retries, *retryBackoff, *seed)
-	var err error
-	if *scenarioFlag != "" {
-		err = replay(hc, *addr, *scenarioFlag, *scale, *fromDay, *replayDays, *speedup, *clients)
-	} else {
-		err = run(hc, *addr, *clients, *requests, *admitFrac, *vms, *seed)
+	scen := *scenarioFlag
+	if scen == "" {
+		scen = "capacity" // what a coachd without -scenario serves
+	}
+	tr, spec, err := servedTrace(scen, *scale)
+	if err == nil {
+		hc := newHTTPClient(*timeout, *retries, *retryBackoff, *seed)
+		if *scenarioFlag != "" {
+			err = replay(hc, *addr, tr, spec, *fromDay, *replayDays, *speedup, *clients)
+		} else {
+			err = run(hc, *addr, *clients, *requests, *admitFrac, len(tr.VMs), *seed)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coach-loadgen:", err)
@@ -237,24 +242,27 @@ func (e *errClasses) classify(err error, code int) bool {
 	return false
 }
 
-// replay regenerates the scenario's trace and replays one window of its
-// arrival/departure schedule against the server.
-func replay(hc *httpClient, addr, scen, scaleName string, fromDay, replayDays int, speedup float64, clients int) error {
-	if clients < 1 {
-		return fmt.Errorf("clients must be positive")
-	}
+// servedTrace regenerates the trace a coachd started with -scenario scen
+// and -scale scaleName serves.
+func servedTrace(scen, scaleName string) (*trace.Trace, *scenario.Spec, error) {
 	sc, err := experiments.ParseScale(scaleName)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	sp, err := scenario.Load(scen)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	spec := sc.ScenarioSpec(sp)
 	tr, err := trace.GenerateScenario(spec)
-	if err != nil {
-		return err
+	return tr, spec, err
+}
+
+// replay replays one window of the scenario trace's arrival/departure
+// schedule against the server.
+func replay(hc *httpClient, addr string, tr *trace.Trace, spec *scenario.Spec, fromDay, replayDays int, speedup float64, clients int) error {
+	if clients < 1 {
+		return fmt.Errorf("clients must be positive")
 	}
 	if fromDay < 0 {
 		fromDay = spec.Days / 2

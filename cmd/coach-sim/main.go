@@ -7,16 +7,16 @@
 //
 // Usage:
 //
-//	coach-sim [-scale small|medium|full] [-preset NAME|spec.txt]
+//	coach-sim [-scale small|medium|full] [-preset capacity|NAME|spec.txt]
 //	          [-policy None|Single|Coach|AggrCoach|all]
 //	          [-percentile 95] [-windows 6] [-fleet-frac 0.55] [-workers 0]
 //	          [-data-plane] [-mitigation None|Trim|Extend|Migrate|all]
 //	          [-mitigation-mode Reactive|Proactive] [-dp-pool-frac 0.02]
 //	          [-cross-shard] [-timings]
 //
-// -preset replays a declarative workload scenario (internal/scenario)
-// instead of the calibrated GenConfig trace: a shipped preset name or a
-// path to a spec file, rescaled to the chosen -scale.
+// -preset names the declarative workload scenario (internal/scenario)
+// the trace is generated from: a shipped preset name (default capacity)
+// or a path to a spec file, rescaled to the chosen -scale.
 //
 // -cross-shard lets completed live migrations escape their home cluster
 // shard through the simulator's sample-boundary exchange (docs/DESIGN.md
@@ -77,7 +77,7 @@ func parseFlags(args []string) (options, error) {
 	o := options{mitigationMode: agent.Reactive}
 	fs := flag.NewFlagSet("coach-sim", flag.ContinueOnError)
 	fs.StringVar(&o.scale, "scale", "medium", "input scale: small, medium or full")
-	fs.StringVar(&o.preset, "preset", "", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path; empty uses the calibrated GenConfig trace")
+	fs.StringVar(&o.preset, "preset", "capacity", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path")
 	fs.StringVar(&o.policy, "policy", "all", "None, Single, Coach, AggrCoach or all")
 	fs.Float64Var(&o.percentile, "percentile", 0, "override prediction percentile (0 = policy default)")
 	fs.IntVar(&o.windows, "windows", 6, "time windows per day")
@@ -156,14 +156,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	ctx := experiments.NewContext(s)
-	if o.preset != "" {
-		sp, err := scenario.Load(o.preset)
-		if err != nil {
-			fatal(err)
-		}
-		ctx.Scenario = s.ScenarioSpec(sp)
+	sp, err := scenario.Load(o.preset)
+	if err != nil {
+		fatal(err)
 	}
+	ctx := experiments.NewContext(s, sp)
 	var tm *timing.Tree
 	if o.timings {
 		tm = sim.NewTimings()

@@ -64,7 +64,7 @@ func TestFlagsOutsideConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.scale != "medium" || o.preset != "" || o.policy != "all" || o.fleetFrac != 0.55 || o.mitigation != "all" {
+	if o.scale != "medium" || o.preset != "capacity" || o.policy != "all" || o.fleetFrac != 0.55 || o.mitigation != "all" {
 		t.Errorf("defaults: %+v", o)
 	}
 	o, err = parseFlags([]string{"-scale", "small", "-preset", "sparse-churn", "-policy", "Coach", "-fleet-frac", "0.7", "-data-plane", "-mitigation", "Migrate"})

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	coachd [-addr :8080] [-scale small|medium|full] [-scenario NAME|spec.txt]
+//	coachd [-addr :8080] [-scale small|medium|full] [-scenario capacity|NAME|spec.txt]
 //	       [-servers N] [-policy none|single|coach|aggrcoach]
 //	       [-lazy-train]
 //	       [-drain-timeout 10s]
@@ -15,11 +15,10 @@
 //	       [-dp-pool-frac 0] [-cross-shard=true] [-admit-pressure 0]
 //	       [-pprof-addr ""]
 //
-// On start, coachd generates the trace for the chosen scale — from the
-// calibrated GenConfig generator, or with -scenario from a declarative
-// workload spec (a preset name or spec file, see internal/scenario);
-// cmd/coach-loadgen can replay the same scenario's arrival schedule
-// against the server. It then trains the
+// On start, coachd generates the trace for the chosen scale from the
+// -scenario workload spec (a preset name, default capacity, or a spec
+// file, see internal/scenario); cmd/coach-loadgen can replay the same
+// scenario's arrival schedule against the server. It then trains the
 // long-term predictor on the first half (unless -lazy-train defers that
 // to the first request), and serves until SIGINT/SIGTERM, then shuts
 // down gracefully: in-flight requests finish, new requests get 503.
@@ -122,7 +121,7 @@ func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("coachd", flag.ContinueOnError)
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&o.scale, "scale", "small", "trace scale: small, medium or full")
-	fs.StringVar(&o.scenario, "scenario", "", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path; empty uses the calibrated GenConfig trace")
+	fs.StringVar(&o.scenario, "scenario", "capacity", "workload scenario: a preset name ("+strings.Join(scenario.PresetNames, ", ")+") or a spec file path")
 	fs.IntVar(&o.servers, "servers", 8, "servers per cluster in the ten-cluster fleet")
 	fs.Func("policy", "oversubscription policy: none, single, coach (default) or aggrcoach", func(v string) (err error) {
 		o.policy, err = parsePolicy(v)
@@ -210,29 +209,21 @@ func run(o options) error {
 		return err
 	}
 
-	var tr *trace.Trace
-	var sp *scenario.Spec
+	loaded, err := scenario.Load(o.scenario)
+	if err != nil {
+		return err
+	}
+	sp := sc.ScenarioSpec(loaded)
 	genStart := time.Now()
-	if o.scenario != "" {
-		loaded, err := scenario.Load(o.scenario)
-		if err != nil {
-			return err
-		}
-		sp = sc.ScenarioSpec(loaded)
-		log.Printf("generating %s-scale trace from scenario %q", sc, sp.Name)
-		if tr, err = trace.GenerateScenario(sp); err != nil {
-			return err
-		}
-	} else {
-		log.Printf("generating %s-scale trace", sc)
-		if tr, err = trace.Generate(sc.GenConfig()); err != nil {
-			return err
-		}
+	log.Printf("generating %s-scale trace from scenario %q", sc, sp.Name)
+	tr, err := trace.GenerateScenario(sp)
+	if err != nil {
+		return err
 	}
 	log.Printf("trace generated in %s (%d VMs)", time.Since(genStart).Round(time.Millisecond), len(tr.VMs))
 	fleet := cluster.NewFleet(cluster.DefaultClusters(o.servers))
 
-	if sp != nil && len(sp.Faults) > 0 {
+	if len(sp.Faults) > 0 {
 		// Compile the scenario's fault schedule against this fleet — the
 		// same compilation the simulator runs for this spec, so one
 		// scenario drives identical failure sequences in both. Crash and

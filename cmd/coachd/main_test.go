@@ -63,7 +63,7 @@ func TestFlagsOutsideConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.addr != ":8080" || o.scale != "small" || o.scenario != "" || o.servers != 8 || o.lazyTrain ||
+	if o.addr != ":8080" || o.scale != "small" || o.scenario != "capacity" || o.servers != 8 || o.lazyTrain ||
 		o.dpInterval != 2*time.Second || o.drainTimeout != 10*time.Second || o.pprofAddr != "" {
 		t.Errorf("defaults: %+v", o)
 	}

@@ -24,6 +24,7 @@ import (
 	"github.com/coach-oss/coach/internal/experiments"
 	"github.com/coach-oss/coach/internal/report"
 	"github.com/coach-oss/coach/internal/resources"
+	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/sim"
 	"github.com/coach-oss/coach/internal/trace"
@@ -44,16 +45,25 @@ type (
 	Trace = trace.Trace
 	// VM is one trace record.
 	VM = trace.VM
-	// TraceConfig parameterizes the synthetic generator.
-	TraceConfig = trace.GenConfig
+	// TraceConfig is a declarative workload spec: client classes,
+	// arrival processes, lifetimes, seasonality and surges.
+	TraceConfig = scenario.Spec
 )
 
-// DefaultTraceConfig returns the calibrated 2-week, 10-cluster default.
-func DefaultTraceConfig() TraceConfig { return trace.DefaultGenConfig() }
+// DefaultTraceConfig returns the capacity preset: a 2-week, 10-cluster
+// mix of resident, daily, batch and test VMs.
+func DefaultTraceConfig() *TraceConfig {
+	sp, err := scenario.Preset("capacity")
+	if err != nil {
+		panic(err)
+	}
+	return sp
+}
 
 // GenerateTrace synthesizes a trace with the paper's §2 distributional
-// properties. The same config always produces the same trace.
-func GenerateTrace(cfg TraceConfig) (*Trace, error) { return trace.Generate(cfg) }
+// properties. The same config always produces the same trace; its VM
+// count is drawn around cfg.VMs.
+func GenerateTrace(cfg *TraceConfig) (*Trace, error) { return trace.GenerateScenario(cfg) }
 
 // LoadTrace reads a trace previously written with Trace.Save.
 func LoadTrace(r io.Reader) (*Trace, error) { return trace.Load(r) }
@@ -155,5 +165,5 @@ func RunExperiment(id, scale string) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(experiments.NewContext(s))
+	return e.Run(experiments.NewContext(s, nil))
 }

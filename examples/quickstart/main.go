@@ -47,11 +47,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !cvm.OversubSavings().IsZero() {
-			oversubscribed++
-		}
 		if _, ok := platform.Place(cvm); ok {
 			placed++
+			if !cvm.OversubSavings().IsZero() {
+				oversubscribed++
+			}
 		} else {
 			rejected++
 		}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/resources"
+	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
@@ -15,10 +16,11 @@ var charTrace *trace.Trace
 func getTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	if charTrace == nil {
-		cfg := trace.DefaultGenConfig()
-		cfg.VMs = 400
-		cfg.Subscriptions = 40
-		tr, err := trace.Generate(cfg)
+		sp, err := scenario.Preset("capacity")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.GenerateScenario(sp.Scaled(400, 40))
 		if err != nil {
 			t.Fatal(err)
 		}

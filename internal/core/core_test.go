@@ -7,16 +7,18 @@ import (
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/memsim"
 	"github.com/coach-oss/coach/internal/resources"
+	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
 func testTrace(t *testing.T) *trace.Trace {
 	t.Helper()
-	cfg := trace.DefaultGenConfig()
-	cfg.VMs = 200
-	cfg.Subscriptions = 20
-	tr, err := trace.Generate(cfg)
+	sp, err := scenario.Preset("capacity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.GenerateScenario(sp.Scaled(200, 20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,36 +56,19 @@ func ParseScale(s string) (Scale, error) {
 	}
 }
 
-// GenConfig returns the trace generator configuration for a scale; the
-// cmd/ tools (including coachd) use it so every entry point at a given
-// scale serves the exact trace the tests and benchmarks use.
-func (s Scale) GenConfig() trace.GenConfig {
-	cfg := trace.DefaultGenConfig()
-	vms, subs := s.population()
-	cfg.VMs = vms
-	cfg.Subscriptions = subs
-	return cfg
-}
-
-// population is the (VMs, Subscriptions) sizing shared by the GenConfig
-// and scenario trace paths at each scale.
-func (s Scale) population() (vms, subscriptions int) {
+// ScenarioSpec rescales a workload spec's population to this scale,
+// leaving its shape (classes, seasonality, surges) untouched. The cmd/
+// tools (including coachd and coach-loadgen) use it so every entry point
+// at a given scale serves the exact trace the tests and benchmarks use.
+func (s Scale) ScenarioSpec(sp *scenario.Spec) *scenario.Spec {
 	switch s {
 	case ScaleSmall:
-		return 500, 50
+		return sp.Scaled(500, 50)
 	case ScaleMedium:
-		return 1500, 100
+		return sp.Scaled(1500, 100)
 	default:
-		return 3000, 150
+		return sp.Scaled(3000, 150)
 	}
-}
-
-// ScenarioSpec rescales a workload spec's population to this scale,
-// leaving its shape (classes, seasonality, surges) untouched — the
-// scenario analogue of GenConfig.
-func (s Scale) ScenarioSpec(sp *scenario.Spec) *scenario.Spec {
-	vms, subs := s.population()
-	return sp.Scaled(vms, subs)
 }
 
 // Context carries lazily built, cached artifacts shared across
@@ -96,21 +79,27 @@ func (s Scale) ScenarioSpec(sp *scenario.Spec) *scenario.Spec {
 type Context struct {
 	Scale Scale
 
-	// Scenario, when non-nil, replaces the GenConfig generator: the
-	// context's trace comes from trace.GenerateScenario on this spec
-	// (already scaled — see Scale.ScenarioSpec), and every experiment,
-	// fleet sizing and model in the context follows it. Set before
-	// first use; cmd tools expose it as -preset.
-	Scenario *scenario.Spec
+	// spec is the workload scenario, already rescaled to Scale, that the
+	// context's trace comes from; every experiment, fleet sizing and
+	// model in the context follows it.
+	spec *scenario.Spec
 
 	mu     sync.Mutex
 	tr     *trace.Trace
 	models map[float64]*predict.LongTerm
 }
 
-// NewContext creates an empty context for the given scale.
-func NewContext(scale Scale) *Context {
-	return &Context{Scale: scale, models: make(map[float64]*predict.LongTerm)}
+// NewContext creates an empty context whose trace is sp rescaled to
+// scale (Scale.ScenarioSpec); a nil sp is the capacity preset. cmd tools
+// expose sp as -preset.
+func NewContext(scale Scale, sp *scenario.Spec) *Context {
+	if sp == nil {
+		var err error
+		if sp, err = scenario.Preset("capacity"); err != nil {
+			panic(err)
+		}
+	}
+	return &Context{Scale: scale, spec: scale.ScenarioSpec(sp), models: make(map[float64]*predict.LongTerm)}
 }
 
 // Trace returns the context's trace, generating it on first use.
@@ -122,13 +111,7 @@ func (c *Context) Trace() (*trace.Trace, error) {
 
 func (c *Context) traceLocked() (*trace.Trace, error) {
 	if c.tr == nil {
-		var tr *trace.Trace
-		var err error
-		if c.Scenario != nil {
-			tr, err = trace.GenerateScenario(c.Scenario)
-		} else {
-			tr, err = trace.Generate(c.Scale.GenConfig())
-		}
+		tr, err := trace.GenerateScenario(c.spec)
 		if err != nil {
 			return nil, err
 		}

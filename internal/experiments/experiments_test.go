@@ -77,7 +77,7 @@ func TestParseScale(t *testing.T) {
 }
 
 func TestContextCachesTrace(t *testing.T) {
-	ctx := NewContext(ScaleSmall)
+	ctx := NewContext(ScaleSmall, nil)
 	a, err := ctx.Trace()
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestContextCachesTrace(t *testing.T) {
 }
 
 func TestCapacityFleetSizing(t *testing.T) {
-	ctx := NewContext(ScaleSmall)
+	ctx := NewContext(ScaleSmall, nil)
 	small, err := ctx.CapacityFleet(0.4)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestCapacityFleetSizing(t *testing.T) {
 
 // TestFastExperimentsRun smoke-tests the quick experiments end to end.
 func TestFastExperimentsRun(t *testing.T) {
-	ctx := NewContext(ScaleSmall)
+	ctx := NewContext(ScaleSmall, nil)
 	for _, id := range []string{"tab1", "tab2", "fig2", "fig3", "fig6", "fig7", "fig15"} {
 		e, err := ByID(id)
 		if err != nil {
@@ -134,7 +134,7 @@ func TestSlowExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow experiments skipped in -short mode")
 	}
-	ctx := NewContext(ScaleSmall)
+	ctx := NewContext(ScaleSmall, nil)
 	for _, id := range []string{"fig18", "fig21"} {
 		e, err := ByID(id)
 		if err != nil {

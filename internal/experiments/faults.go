@@ -46,8 +46,7 @@ func runAblFaults(c *Context) ([]*report.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := NewContext(c.Scale)
-	sub.Scenario = c.Scale.ScenarioSpec(sp)
+	sub := NewContext(c.Scale, sp)
 
 	tr, err := sub.Trace()
 	if err != nil {
@@ -75,7 +74,7 @@ func runAblFaults(c *Context) ([]*report.Table, error) {
 	} {
 		cfg := sim.ConfigForPolicy(l.policy)
 		cfg.TrainUpTo = trainUpTo(tr)
-		cfg.Scenario = sub.Scenario // threads the faults: section into the run
+		cfg.Scenario = sub.spec // threads the faults: section into the run
 		if l.policy != scheduler.PolicyNone {
 			cfg.Model = model
 		}

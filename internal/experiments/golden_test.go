@@ -30,7 +30,7 @@ func TestPaperGolden(t *testing.T) {
 		t.Skip("the whole registry is checked in non-race builds")
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, NewContext(ScaleSmall), All(), 0, false); err != nil {
+	if err := Write(&buf, NewContext(ScaleSmall, nil), All(), 0, false); err != nil {
 		t.Fatal(err)
 	}
 	got := maskWallClock(buf.String())

@@ -37,8 +37,7 @@ func runAblScenarios(c *Context) ([]*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sub := NewContext(c.Scale)
-		sub.Scenario = c.Scale.ScenarioSpec(sp)
+		sub := NewContext(c.Scale, sp)
 
 		tr, err := sub.Trace()
 		if err != nil {

@@ -25,10 +25,11 @@ var (
 func getTraceAndModel(t *testing.T) (*trace.Trace, *LongTerm) {
 	t.Helper()
 	if cachedTrace == nil {
-		cfg := trace.DefaultGenConfig()
-		cfg.VMs = 300
-		cfg.Subscriptions = 30
-		tr, err := trace.Generate(cfg)
+		sp, err := scenario.Preset("capacity")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.GenerateScenario(sp.Scaled(300, 30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,12 +68,15 @@ func TestModelTrained(t *testing.T) {
 
 func TestOwnHistoryPredictionAccuracy(t *testing.T) {
 	// For VMs observable during training, the prediction comes from their
-	// own history and must cover their actual P95 in most cases.
+	// own history and must cover their actual P95 in most cases. Each VM
+	// here runs at least a day on both sides of the split, so its actual
+	// P95 includes samples the model never saw.
 	tr, m := getTraceAndModel(t)
+	split := tr.Horizon / 2
 	covered, total := 0, 0
 	for i := range tr.VMs {
 		vm := &tr.VMs[i]
-		if vm.Start > 0 || vm.End < tr.Horizon-1 || !vm.LongRunning() {
+		if vm.Start > split-timeseries.SamplesPerDay || vm.End < split+timeseries.SamplesPerDay {
 			continue
 		}
 		pred, ok := m.Predict(tr, vm)
@@ -99,7 +103,7 @@ func TestOwnHistoryPredictionAccuracy(t *testing.T) {
 		}
 	}
 	if total == 0 {
-		t.Skip("no full-lifetime VMs at this scale")
+		t.Skip("no VM spans the train/evaluate split at this scale")
 	}
 	if frac := float64(covered) / float64(total); frac < 0.8 {
 		t.Errorf("own-history coverage = %.2f, want >= 0.8", frac)
@@ -331,12 +335,11 @@ func TestPredictionClampAgainstMax(t *testing.T) {
 
 func TestPredictBatchMatchesPredict(t *testing.T) {
 	tr, m := getTraceAndModel(t)
+	// VM ids are chronological: take 120 spread over the whole trace, so
+	// the batch holds VMs of both halves.
 	var vms []*trace.VM
-	for i := range tr.VMs {
+	for i := 0; i < len(tr.VMs) && len(vms) < 120; i += max(1, len(tr.VMs)/120) {
 		vms = append(vms, &tr.VMs[i])
-		if len(vms) == 120 {
-			break
-		}
 	}
 	preds, oks := make([]coachvm.Prediction, len(vms)), make([]bool, len(vms))
 	m.PredictBatchInto(tr, vms, preds, oks)

@@ -70,11 +70,13 @@ func base(name string, seed int64) *Spec {
 	}
 }
 
-// presetCapacity formalizes the archetype mix the GenConfig generator
-// produced implicitly: a resident core holding most resource-hours,
-// daily business traffic, nightly batch and short-lived test churn,
-// under gentle business-week seasonality. It is the neutral baseline
-// the Fig. 20-style capacity comparisons pack into a fixed fleet.
+// presetCapacity is the default workload, the trace every tool and
+// experiment runs on unless told otherwise: a resident core holding most
+// resource-hours, daily business traffic, nightly batch and short-lived
+// test churn, under gentle business-week seasonality, matching the §2
+// distributions (the trace package's calibration tests hold it to them).
+// It is the neutral baseline the Fig. 20 capacity comparison packs into
+// a fixed fleet.
 func presetCapacity() *Spec {
 	sp := base("capacity", 42)
 	sp.Seasonality = Seasonality{DiurnalAmp: 0.3, PeakHour: 14, WeekendFactor: 0.8}

@@ -76,7 +76,7 @@ type Class struct {
 	Fraction float64
 	// Archetype names the behavioural template (trace.Archetypes) that
 	// shapes this class's utilization series; "mixed" (or empty) draws
-	// archetypes per subscription like the GenConfig generator.
+	// an archetype per subscription from a default mix.
 	Archetype string
 	// Size biases the VM configuration ladder: "small", "large" or
 	// "mixed" (empty = mixed).

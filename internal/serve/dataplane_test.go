@@ -369,29 +369,7 @@ func serveHotColdFleet() *cluster.Fleet {
 // re-homes scheduler bookkeeping and memory into the cold cluster —
 // after which Release must find the VM in its new shard.
 func TestCrossShardHandoff(t *testing.T) {
-	tr := getTrace(t)
-	sc := DefaultConfig()
-	sc.Cache = testCache
-	sc.FleetConfig = core.FleetConfigForPolicy(scheduler.PolicyAggrCoach)
-	sc.DataPlane = true
-	sc.MitigationPolicy = agent.PolicyMigrate
-	sc.CrossShardMigration = true
-	sc.DataPlanePoolFrac = 0.02
-	sc.DataPlaneUnallocFrac = 0.02
-	svc, err := New(tr, serveHotColdFleet(), sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(svc.Close)
-
-	for i := range tr.VMs {
-		vm := &tr.VMs[i]
-		if vm.Start >= tr.Horizon/2 {
-			if _, err := svc.Admit(vm); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	svc := handoffFixture(t)
 	var moved []int
 	for i := 0; i < 120 && len(moved) == 0; i++ {
 		if err := svc.TickDataPlane(); err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"github.com/coach-oss/coach/internal/agent"
@@ -10,14 +11,34 @@ import (
 	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
+	"github.com/coach-oss/coach/internal/trace"
+)
+
+var (
+	handoffOnce  sync.Once
+	handoffTrace *trace.Trace
 )
 
 // handoffFixture builds the hot/cold cross-shard service and admits the
-// evaluation population — the same pressure cooker TestCrossShardHandoff
-// uses, so handoffs fire within a bounded number of ticks.
+// evaluation population, so handoffs fire within a bounded number of
+// ticks. Its trace is the sparse-churn preset, whose churning population
+// keeps the single hot server's tiny pool contended; the capacity mix
+// fills that server with one large resident VM and never migrates.
 func handoffFixture(t *testing.T) *Service {
 	t.Helper()
-	tr := getTrace(t)
+	handoffOnce.Do(func() {
+		sp, err := scenario.Preset("sparse-churn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if handoffTrace, err = trace.GenerateScenario(sp.Scaled(300, 30)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	tr := handoffTrace
+	if tr == nil {
+		t.Fatal("trace generation failed earlier")
+	}
 	sc := DefaultConfig()
 	sc.Cache = testCache
 	sc.FleetConfig = core.FleetConfigForPolicy(scheduler.PolicyAggrCoach)

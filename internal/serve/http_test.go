@@ -218,10 +218,11 @@ func TestHTTPStatsInference(t *testing.T) {
 	}
 }
 
-// TestHTTPGoldenBodies pins the wire bytes of /v1/predict and /v1/admit to
-// bodies captured when the per-kind objects were still maps: an
-// unpredictable VM, a predicted one, a fully guaranteed and an
-// oversubscribed admission, and a capacity rejection on a one-server fleet.
+// TestHTTPGoldenBodies pins the wire bytes of /v1/predict and /v1/admit:
+// an unpredictable VM, a predicted one, a fully guaranteed and an
+// oversubscribed admission, and a retryable capacity rejection on a
+// one-server fleet. The bodies were first captured when the per-kind
+// objects were still maps, and recaptured on the capacity-preset trace.
 func TestHTTPGoldenBodies(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cache = testCache
@@ -242,29 +243,29 @@ func TestHTTPGoldenBodies(t *testing.T) {
 		code int
 		body string
 	}{
-		{"/v1/predict", 4, 200, `{"vm":4,"ok":false}`},
-		{"/v1/predict", 6, 200, `{"vm":6,"ok":true,"percentile":95,"windows":6,"resources":{"cpu":{"pct":[0.4,0.4,0.5,0.45,0.4,0.35000000000000003],"max":[0.45,0.45,0.5,0.55,0.5,0.5]},"memory":{"pct":[0.6000000000000001,0.6000000000000001,0.6000000000000001,0.6000000000000001,0.6000000000000001,0.55],"max":[0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001,0.6500000000000001]},"network":{"pct":[0.3,0.3,0.3,0.3,0.25,0.25],"max":[0.3,0.3,0.35000000000000003,0.3,0.3,0.3]},"ssd":{"pct":[0.45,0.45,0.45,0.45,0.45,0.45],"max":[0.45,0.45,0.45,0.45,0.45,0.45]}}}`},
-		{"/v1/admit", 4, 200, `{"vm":4,"admitted":true,"cluster":3,"server":0,"oversubscribed":false,"alloc":{"cpu":1,"memory":2,"network":0.25,"ssd":32},"guaranteed":{"cpu":1,"memory":2,"network":0.25,"ssd":32}}`},
-		{"/v1/admit", 6, 200, `{"vm":6,"admitted":true,"cluster":0,"server":0,"oversubscribed":true,"alloc":{"cpu":8,"memory":32,"network":2,"ssd":256},"guaranteed":{"cpu":4,"memory":20,"network":0.6000000000000001,"ssd":116}}`},
+		{"/v1/predict", 5, 200, `{"vm":5,"ok":false}`},
+		{"/v1/predict", 4, 200, `{"vm":4,"ok":true,"percentile":95,"windows":6,"resources":{"cpu":{"pct":[0.6000000000000001,0.6500000000000001,0.6000000000000001,0.25,0.2,0.3],"max":[0.6000000000000001,0.7000000000000001,0.7500000000000001,0.25,0.25,0.3]},"memory":{"pct":[0.5,0.55,0.5,0.45,0.4,0.4],"max":[0.6500000000000001,0.55,0.55,0.55,0.4,0.6000000000000001]},"network":{"pct":[0.4,0.45,0.4,0.2,0.15000000000000002,0.2],"max":[0.4,0.45,0.5,0.2,0.2,0.25]},"ssd":{"pct":[0.4,0.4,0.4,0.35000000000000003,0.35000000000000003,0.35000000000000003],"max":[0.45,0.4,0.4,0.4,0.35000000000000003,0.4]}}}`},
+		{"/v1/admit", 5, 200, `{"vm":5,"admitted":true,"cluster":4,"server":0,"oversubscribed":false,"alloc":{"cpu":1,"memory":8,"network":0.25,"ssd":32},"guaranteed":{"cpu":1,"memory":8,"network":0.25,"ssd":32}}`},
+		{"/v1/admit", 4, 200, `{"vm":4,"admitted":true,"cluster":5,"server":0,"oversubscribed":true,"alloc":{"cpu":4,"memory":16,"network":1,"ssd":128},"guaranteed":{"cpu":3,"memory":9,"network":0.5,"ssd":52}}`},
 	} {
 		if code, body := do(g.path, g.vm); code != g.code || body != g.body+"\n" {
 			t.Errorf("%s vm %d: status %d body %s, want %d %s", g.path, g.vm, code, body, g.code, g.body)
 		}
 	}
 	// The rejection needs the fleet full: admit the evaluation period in
-	// order, as the capture did, until vm 191 arrives.
+	// order, as the capture did, until vm 157 arrives.
 	for _, vm := range evalVMs(getTrace(t)) {
 		code, body := do("/v1/admit", vm.ID)
-		if vm.ID != 191 {
+		if vm.ID != 157 {
 			continue
 		}
-		want := `{"vm":191,"admitted":false,"reason":"no server in the home cluster has capacity","cluster":3,"server":-1,"oversubscribed":false,"retryable":true}`
+		want := `{"vm":157,"admitted":false,"reason":"no server in the home cluster has capacity","cluster":6,"server":-1,"oversubscribed":true,"retryable":true}`
 		if code != http.StatusServiceUnavailable || body != want+"\n" {
-			t.Errorf("/v1/admit vm 191: status %d body %s, want 503 %s", code, body, want)
+			t.Errorf("/v1/admit vm 157: status %d body %s, want 503 %s", code, body, want)
 		}
 		return
 	}
-	t.Fatal("fixture regression: vm 191 is not in the evaluation period")
+	t.Fatal("fixture regression: vm 157 is not in the evaluation period")
 }
 
 // TestHTTPPredictByteIdentical posts the same body concurrently many

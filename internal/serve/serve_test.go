@@ -30,10 +30,11 @@ var (
 func getTrace(t *testing.T) *trace.Trace {
 	t.Helper()
 	testOnce.Do(func() {
-		cfg := trace.DefaultGenConfig()
-		cfg.VMs = 300
-		cfg.Subscriptions = 30
-		tr, err := trace.Generate(cfg)
+		sp, err := scenario.Preset("capacity")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.GenerateScenario(sp.Scaled(300, 30))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -514,10 +515,11 @@ func TestFingerprintDistinguishesTraces(t *testing.T) {
 	if Fingerprint(tr) != Fingerprint(tr) {
 		t.Fatal("fingerprint not deterministic")
 	}
-	cfg := trace.DefaultGenConfig()
-	cfg.VMs = 120
-	cfg.Subscriptions = 12
-	other, err := trace.Generate(cfg)
+	sp, err := scenario.Preset("capacity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := trace.GenerateScenario(sp.Scaled(120, 12))
 	if err != nil {
 		t.Fatal(err)
 	}

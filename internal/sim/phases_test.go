@@ -91,10 +91,11 @@ func replayPerArrival(t *testing.T, tr *trace.Trace, fleet *cluster.Fleet, cfg C
 // interleave with server crashes and the re-admissions they trigger. The
 // reference replay and Run at Workers 1 and 4.
 func TestArrivalPhaseMatchesPerArrival(t *testing.T) {
-	gen := trace.DefaultGenConfig()
-	gen.VMs = 800
-	gen.Subscriptions = 30
-	src, err := trace.Generate(gen)
+	sp, err := scenario.Preset("capacity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := trace.GenerateScenario(sp.Scaled(800, 30))
 	if err != nil {
 		t.Fatal(err)
 	}

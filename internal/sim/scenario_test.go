@@ -27,8 +27,7 @@ func TestScenarioRunDeterministicAcrossWorkers(t *testing.T) {
 			}
 			sp := full.Scaled(300, 30)
 			// Pre-train one model from the identically-generated trace so
-			// the worker sweep isolates replay (as in the GenConfig-trace
-			// determinism test).
+			// the worker sweep isolates replay.
 			tr, err := trace.GenerateScenario(sp)
 			if err != nil {
 				t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/resources"
+	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
@@ -18,10 +19,11 @@ var (
 func fixtures(t *testing.T) (*trace.Trace, *cluster.Fleet) {
 	t.Helper()
 	if simTrace == nil {
-		cfg := trace.DefaultGenConfig()
-		cfg.VMs = 250
-		cfg.Subscriptions = 25
-		tr, err := trace.Generate(cfg)
+		sp, err := scenario.Preset("capacity")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.GenerateScenario(sp.Scaled(250, 25))
 		if err != nil {
 			t.Fatal(err)
 		}

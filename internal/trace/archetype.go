@@ -24,10 +24,10 @@ type Archetype struct {
 	// SecondPeakHour, when >= 0, adds a second daily bump at 60% height.
 	SecondPeakHour float64
 
-	// BaseMem and PeakMem shape the memory series the same way. Memory
-	// ranges are much narrower than CPU (§2.3: 50% of VMs have a memory
-	// range below 10%).
-	BaseMem float64
+	// PeakMem is the additional memory utilization at the top of the
+	// daily peak; the base level is the scenario class's working-set
+	// draw. Memory ranges are much narrower than CPU (§2.3: 50% of VMs
+	// have a memory range below 10%).
 	PeakMem float64
 
 	// WeekendFactor scales the peak amplitude on Saturday and Sunday
@@ -54,42 +54,42 @@ type Archetype struct {
 var Archetypes = []Archetype{
 	{
 		Name: "business-hours", BaseCPU: 0.10, PeakCPU: 0.45, PeakHour: 13, PeakWidthHours: 3.5,
-		SecondPeakHour: -1, BaseMem: 0.45, PeakMem: 0.15, WeekendFactor: 0.35,
+		SecondPeakHour: -1, PeakMem: 0.15, WeekendFactor: 0.35,
 		NoiseCPU: 0.03, NoiseMem: 0.010, SpikeProb: 0.015, SpikeAmp: 0.30,
 	},
 	{
 		Name: "nightly-batch", BaseCPU: 0.08, PeakCPU: 0.55, PeakHour: 2, PeakWidthHours: 2.5,
-		SecondPeakHour: -1, BaseMem: 0.35, PeakMem: 0.20, WeekendFactor: 1.0,
+		SecondPeakHour: -1, PeakMem: 0.20, WeekendFactor: 1.0,
 		NoiseCPU: 0.03, NoiseMem: 0.012, SpikeProb: 0.012, SpikeAmp: 0.25,
 	},
 	{
 		Name: "morning-peak", BaseCPU: 0.12, PeakCPU: 0.40, PeakHour: 8, PeakWidthHours: 2.0,
-		SecondPeakHour: -1, BaseMem: 0.50, PeakMem: 0.12, WeekendFactor: 0.6,
+		SecondPeakHour: -1, PeakMem: 0.12, WeekendFactor: 0.6,
 		NoiseCPU: 0.035, NoiseMem: 0.010, SpikeProb: 0.015, SpikeAmp: 0.25,
 	},
 	{
 		Name: "evening-peak", BaseCPU: 0.12, PeakCPU: 0.42, PeakHour: 20, PeakWidthHours: 2.5,
-		SecondPeakHour: -1, BaseMem: 0.40, PeakMem: 0.14, WeekendFactor: 1.25,
+		SecondPeakHour: -1, PeakMem: 0.14, WeekendFactor: 1.25,
 		NoiseCPU: 0.035, NoiseMem: 0.010, SpikeProb: 0.015, SpikeAmp: 0.25,
 	},
 	{
 		Name: "double-peak", BaseCPU: 0.10, PeakCPU: 0.38, PeakHour: 10, PeakWidthHours: 1.8,
-		SecondPeakHour: 19, BaseMem: 0.42, PeakMem: 0.12, WeekendFactor: 0.8,
+		SecondPeakHour: 19, PeakMem: 0.12, WeekendFactor: 0.8,
 		NoiseCPU: 0.03, NoiseMem: 0.010, SpikeProb: 0.015, SpikeAmp: 0.25,
 	},
 	{
 		Name: "steady-high", BaseCPU: 0.55, PeakCPU: 0.08, PeakHour: 12, PeakWidthHours: 5,
-		SecondPeakHour: -1, BaseMem: 0.70, PeakMem: 0.05, WeekendFactor: 1.0,
+		SecondPeakHour: -1, PeakMem: 0.05, WeekendFactor: 1.0,
 		NoiseCPU: 0.02, NoiseMem: 0.008, SpikeProb: 0.008, SpikeAmp: 0.15,
 	},
 	{
 		Name: "steady-low", BaseCPU: 0.06, PeakCPU: 0.03, PeakHour: 12, PeakWidthHours: 6,
-		SecondPeakHour: -1, BaseMem: 0.30, PeakMem: 0.03, WeekendFactor: 1.0,
+		SecondPeakHour: -1, PeakMem: 0.03, WeekendFactor: 1.0,
 		NoiseCPU: 0.012, NoiseMem: 0.006, SpikeProb: 0.006, SpikeAmp: 0.10,
 	},
 	{
 		Name: "unpredictable", BaseCPU: 0.20, PeakCPU: 0.15, PeakHour: 15, PeakWidthHours: 4,
-		SecondPeakHour: -1, BaseMem: 0.45, PeakMem: 0.10, WeekendFactor: 1.0,
+		SecondPeakHour: -1, PeakMem: 0.10, WeekendFactor: 1.0,
 		NoiseCPU: 0.14, NoiseMem: 0.05, SpikeProb: 0.02, SpikeAmp: 0.45,
 	},
 }

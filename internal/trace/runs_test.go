@@ -55,11 +55,11 @@ func TestRuns(t *testing.T) {
 	}
 }
 
-// TestRunsMatchSamples checks every preset at mini scale, and the
-// GenConfig generator, VM by VM: the run offsets are the reference
-// change points plus offset 0, they are nil exactly when every sample is
-// its own run, and expanding the runs gives back the samples the
-// generator synthesized, each rounded to its nearest code, bit for bit.
+// TestRunsMatchSamples checks every preset at mini scale, VM by VM: the
+// run offsets are the reference change points plus offset 0, they are
+// nil exactly when every sample is its own run, and expanding the runs
+// gives back the samples the generator synthesized, each rounded to its
+// nearest code, bit for bit.
 func TestRunsMatchSamples(t *testing.T) {
 	check := func(t *testing.T, vm *VM, raw [resources.NumKinds]timeseries.Series) {
 		t.Helper()
@@ -107,15 +107,6 @@ func TestRunsMatchSamples(t *testing.T) {
 			}
 		})
 	}
-	t.Run("GenConfig", func(t *testing.T) {
-		tr := getTrace(t)
-		cfg := DefaultGenConfig()
-		cfg.VMs, cfg.Subscriptions = len(tr.VMs), len(tr.Subscriptions)
-		for id := range tr.VMs {
-			generateVM(cfg, tr, id, vmRand(cfg.Seed, id), &util)
-			check(t, &tr.VMs[id], util)
-		}
-	})
 }
 
 // TestUtilAtMatchesRuns pins UtilAt and DemandAt to the expanded series

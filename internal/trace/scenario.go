@@ -12,17 +12,17 @@ import (
 	"github.com/coach-oss/coach/internal/timeseries"
 )
 
-// GenerateScenario synthesizes a trace from a declarative workload
-// spec — the scenario-backed sibling of Generate(GenConfig). Arrivals
-// come from each class's renewal process modulated by seasonality and
-// surges; lifetimes and working sets come from the class distributions;
-// utilization series reuse the archetype synthesizer (with the class's
-// working-set draw re-centering memory, and surge windows lifting the
-// diurnal amplitude). The same spec always yields the same trace: class
-// arrival streams derive from (Seed, class) and every VM derives its
-// own rand stream from (Seed, VM ID), so VMs synthesize on every core
-// and the trace is byte-identical for any GOMAXPROCS. See
-// docs/DESIGN.md §11.
+// GenerateScenario synthesizes a trace from a declarative workload spec;
+// it is the only trace generator (the default spec is the capacity
+// preset). Arrivals come from each class's renewal process modulated by
+// seasonality and surges; lifetimes and working sets come from the class
+// distributions; utilization series come from the archetype synthesizer
+// (with the class's working-set draw setting the memory base level, and
+// surge windows lifting the diurnal amplitude). The same spec always
+// yields the same trace: class arrival streams derive from (Seed, class)
+// and every VM derives its own rand stream from (Seed, VM ID), so VMs
+// synthesize on every core and the trace is byte-identical for any
+// GOMAXPROCS. See docs/DESIGN.md §11.
 func GenerateScenario(spec *scenario.Spec) (*Trace, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -189,29 +189,27 @@ func quantizeUtil(util *[resources.NumKinds]timeseries.Series, q float64) {
 	}
 }
 
-// scenarioConfig picks a VM configuration index under the class's size
-// bias. "mixed" follows the GenConfig generator's long/short split;
-// "small" concentrates on the bottom of the size ladder; "large"
-// shifts both the size ladder and the ratio families toward the
-// memory-heavy end (the hot-class shape of the migration studies).
+// scenarioConfig picks a VM configuration index (DefaultConfigs' layout:
+// 4 ratio families x 7 sizes) under the class's size bias. "small"
+// concentrates on the bottom of the size ladder; "large" shifts both
+// the size ladder and the ratio families toward the memory-heavy end
+// (the hot-class shape of the migration studies); "mixed" skews VMs
+// that outlive a day larger (§2.1: larger VMs hold most resource hours)
+// over a ratio mix averaging ~4.6 GB/core, aligned with the
+// general-purpose server shapes (misalignment is studied separately in
+// the stranding analysis, §2.2).
 func scenarioConfig(rng *rand.Rand, size string, long bool, numConfigs int) int {
-	switch size {
-	case "small":
-		s := pickWeighted(rng, []float64{0.35, 0.30, 0.22, 0.09, 0.03, 0.01, 0})
-		ratio := pickWeighted(rng, []float64{0.25, 0.60, 0.12, 0.03})
-		return clampConfig(ratio*7+s, numConfigs)
-	case "large":
-		s := pickWeighted(rng, []float64{0.02, 0.06, 0.17, 0.25, 0.23, 0.17, 0.10})
-		ratio := pickWeighted(rng, []float64{0.10, 0.45, 0.30, 0.15})
-		return clampConfig(ratio*7+s, numConfigs)
+	var sizeW, ratioW []float64
+	switch {
+	case size == "small":
+		sizeW, ratioW = []float64{0.35, 0.30, 0.22, 0.09, 0.03, 0.01, 0}, []float64{0.25, 0.60, 0.12, 0.03}
+	case size == "large":
+		sizeW, ratioW = []float64{0.02, 0.06, 0.17, 0.25, 0.23, 0.17, 0.10}, []float64{0.10, 0.45, 0.30, 0.15}
+	case long:
+		sizeW, ratioW = []float64{0.07, 0.15, 0.28, 0.22, 0.15, 0.09, 0.04}, []float64{0.18, 0.62, 0.15, 0.05}
 	default:
-		return sampleConfig(rng, long, numConfigs)
+		sizeW, ratioW = []float64{0.20, 0.27, 0.30, 0.13, 0.06, 0.03, 0.01}, []float64{0.18, 0.62, 0.15, 0.05}
 	}
-}
-
-func clampConfig(idx, numConfigs int) int {
-	if idx >= numConfigs {
-		return numConfigs - 1
-	}
-	return idx
+	s := pickWeighted(rng, sizeW)
+	return min(pickWeighted(rng, ratioW)*7+s, numConfigs-1)
 }

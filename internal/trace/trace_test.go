@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/coach-oss/coach/internal/resources"
+	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/timeseries"
 )
 
@@ -20,86 +21,30 @@ var testTrace *Trace
 func getTrace(t *testing.T) *Trace {
 	t.Helper()
 	if testTrace == nil {
-		cfg := DefaultGenConfig()
-		cfg.VMs = 400
-		cfg.Subscriptions = 40
-		tr, err := Generate(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		testTrace = tr
+		testTrace = capacityTrace(t, 400, 40)
 	}
 	return testTrace
 }
 
-func TestGenConfigValidate(t *testing.T) {
-	good := DefaultGenConfig()
-	if err := good.Validate(); err != nil {
+// capacityTrace generates the capacity preset rescaled to a target of
+// vms VMs (the realized count is a Poisson draw around it).
+func capacityTrace(t *testing.T, vms, subscriptions int) *Trace {
+	t.Helper()
+	sp, err := scenario.Preset("capacity")
+	if err != nil {
 		t.Fatal(err)
 	}
-	// One case per field, each mutating a valid config, so every error
-	// branch is pinned to the field that trips it.
-	cases := []struct {
-		name    string
-		mutate  func(*GenConfig)
-		errWant string
-	}{
-		{"days-zero", func(c *GenConfig) { c.Days = 0 }, "Days"},
-		{"days-negative", func(c *GenConfig) { c.Days = -3 }, "Days"},
-		{"vms-zero", func(c *GenConfig) { c.VMs = 0 }, "VMs"},
-		{"vms-negative", func(c *GenConfig) { c.VMs = -1 }, "VMs"},
-		{"subscriptions-zero", func(c *GenConfig) { c.Subscriptions = 0 }, "Subscriptions"},
-		{"clusters-zero", func(c *GenConfig) { c.Clusters = 0 }, "Clusters"},
-		{"long-frac-negative", func(c *GenConfig) { c.LongRunningFrac = -0.1 }, "LongRunningFrac"},
-		{"long-frac-above-one", func(c *GenConfig) { c.LongRunningFrac = 1.5 }, "LongRunningFrac"},
-		{"weekday-negative", func(c *GenConfig) { c.StartWeekday = -1 }, "StartWeekday"},
-		{"weekday-above-saturday", func(c *GenConfig) { c.StartWeekday = 7 }, "StartWeekday"},
+	tr, err := GenerateScenario(sp.Scaled(vms, subscriptions))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultGenConfig()
-			tc.mutate(&cfg)
-			err := cfg.Validate()
-			if err == nil {
-				t.Fatal("config should be invalid")
-			}
-			if !strings.Contains(err.Error(), tc.errWant) {
-				t.Errorf("error %q does not name field %s", err, tc.errWant)
-			}
-			if _, err := Generate(cfg); err == nil {
-				t.Error("Generate must reject what Validate rejects")
-			}
-		})
-	}
+	return tr
 }
 
 func TestGenerateValidates(t *testing.T) {
 	tr := getTrace(t)
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestGenerateDeterministic generates the same config at GOMAXPROCS 1
-// and 8 and requires byte-identical Save output: VMs synthesize on every
-// core, and no VM may see another's draws or the worker count.
-func TestGenerateDeterministic(t *testing.T) {
-	cfg := DefaultGenConfig()
-	cfg.VMs = 200
-	var bufs [2]bytes.Buffer
-	for i, procs := range []int{1, 8} {
-		withProcs(procs, func() {
-			tr, err := Generate(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tr.Save(&bufs[i]); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
-		t.Fatal("same config produced different trace bytes at GOMAXPROCS 1 and 8")
 	}
 }
 
@@ -229,12 +174,7 @@ func TestInCluster(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	cfg := DefaultGenConfig()
-	cfg.VMs = 5
-	tr, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := capacityTrace(t, 20, 4)
 	tr.VMs[0].End = tr.Horizon + 1
 	if err := tr.Validate(); err == nil {
 		t.Error("out-of-horizon VM must fail validation")
@@ -242,7 +182,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	// Samples outside [0,1] cannot be run-encoded, which rounds them to
 	// codes, so Load checks them on the float series it decodes.
 	for _, bad := range []float64{1.5, -0.25, math.NaN()} {
-		tr, _ = Generate(cfg)
+		tr = capacityTrace(t, 20, 4)
 		var buf bytes.Buffer
 		if err := tr.Save(&buf); err != nil {
 			t.Fatal(err)
@@ -260,12 +200,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			t.Errorf("utilization %v must fail to load", bad)
 		}
 	}
-	tr, _ = Generate(cfg)
+	tr = capacityTrace(t, 20, 4)
 	tr.VMs[0].Runs = tr.VMs[0].Runs.Prefix(tr.VMs[0].DurationSamples() - 1)
 	if err := tr.Validate(); err == nil {
 		t.Error("utilization shorter than the lifetime must fail validation")
 	}
-	tr, _ = Generate(cfg)
+	tr = capacityTrace(t, 20, 4)
 	tr.VMs[0].Config = 999
 	if err := tr.Validate(); err == nil {
 		t.Error("dangling config reference must fail validation")
@@ -273,12 +213,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 }
 
 func TestSaveLoadRoundtrip(t *testing.T) {
-	cfg := DefaultGenConfig()
-	cfg.VMs = 20
-	tr, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := capacityTrace(t, 20, 4)
 	var buf bytes.Buffer
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
