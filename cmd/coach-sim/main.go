@@ -24,8 +24,8 @@
 //
 // -timings prints the stage-timer tree after the tables: trace
 // synthesis, then every replay's set-up, arrival phase, tick loop (with
-// its placement, delta pass, data-plane tick, contention, exchange and
-// fork/join wait) and judging phase, summed over the policies run.
+// its placement, delta pass, data-plane tick, contention, exchange,
+// imbalance and barrier) and judging phase, summed over the policies run.
 //
 // -mitigation, -mitigation-mode, -dp-pool-frac and -cross-shard
 // configure the data plane and are rejected without -data-plane, like a

@@ -159,9 +159,11 @@ func TestDataPlanePolicies(t *testing.T) {
 // byte-identity requirement to the sample-boundary exchange: with
 // cross-shard migration enabled — shards coupled at every sample
 // boundary — the merged Result, including every migration counter, must
-// be identical whether shards tick serially or on any number of workers.
-// The fixture's single-server clusters leave migrations no same-shard
-// target, so the exchange path genuinely runs (asserted below).
+// be identical whether shards tick serially or on any number of workers:
+// the default (0), counts that do and do not divide the shard count, and
+// one above it. The fixture's single-server clusters leave migrations no
+// same-shard target, so the exchange path genuinely runs (asserted
+// below).
 func TestCrossShardMigrationDeterministicAcrossWorkers(t *testing.T) {
 	tr, fleet := fixtures(t)
 	cfg := dataPlaneConfig(t, agent.PolicyMigrate)
@@ -169,7 +171,7 @@ func TestCrossShardMigrationDeterministicAcrossWorkers(t *testing.T) {
 	cfg.Model = sharedModel(t, cfg)
 
 	var base *Result
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 0, 2, 3, 8, fleet.NumClusters() + 1} {
 		cfg.Workers = workers
 		res, err := Run(tr, fleet, cfg)
 		if err != nil {

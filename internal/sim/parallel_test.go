@@ -2,9 +2,13 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/predict"
+	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
 )
 
@@ -108,6 +112,81 @@ func TestShardIndexFoldsClusters(t *testing.T) {
 		got := tr.VMs[i].HomeShard(3)
 		if got < 0 || got >= 3 {
 			t.Fatalf("HomeShard(%d, 3) = %d", tr.VMs[i].Cluster, got)
+		}
+	}
+}
+
+// TestOwnShards pins the gang's deal: equal shards go round robin, shard
+// i to worker i mod w, and unequal ones largest first to the least-loaded
+// worker, so the caller does not carry every large cluster.
+func TestOwnShards(t *testing.T) {
+	sized := func(servers ...int) []*shardState {
+		states := make([]*shardState, len(servers))
+		for i, n := range servers {
+			states[i] = &shardState{servers: make([]*scheduler.ServerState, n)}
+		}
+		return states
+	}
+	for _, c := range []struct {
+		servers []int
+		w       int
+		want    [][]int
+	}{
+		{[]int{30, 30, 30, 30, 30}, 2, [][]int{{0, 2, 4}, {1, 3}}},
+		{[]int{30, 30, 30, 30, 30}, 3, [][]int{{0, 3}, {1, 4}, {2}}},
+		{[]int{19, 6, 7, 6, 6, 6, 18, 6, 18, 6}, 2, [][]int{{0, 1, 2, 3, 5, 9}, {4, 6, 7, 8}}},
+		{[]int{0, 0, 0}, 1, [][]int{{0, 1, 2}}},
+	} {
+		if got := ownShards(sized(c.servers...), c.w); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ownShards(%v, %d) = %v, want %v", c.servers, c.w, got, c.want)
+		}
+	}
+}
+
+// TestExchangingLeavesNoGoroutine: the exchanging replay's workers live
+// for one run. After Run returns, and after a replay that stops on a
+// shard's error mid-run, the goroutine count is back where it was. No
+// valid input makes a shard step fail, so the second replay corrupts one
+// arrival's prediction in place: its CVM build fails at that tick.
+func TestExchangingLeavesNoGoroutine(t *testing.T) {
+	tr, fleet := fixtures(t)
+	cfg := dataPlaneConfig(t, agent.PolicyMigrate)
+	cfg.CrossShardMigration = true
+	cfg.Model = sharedModel(t, cfg)
+	cfg.Workers = fleet.NumClusters()
+	before := runtime.NumGoroutine()
+	if _, err := Run(tr, fleet, cfg); err != nil {
+		t.Fatal(err)
+	}
+	awaitGoroutines(t, before)
+
+	_, cfg, states, err := prepare(tr, fleet, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last shard is never the caller's alone: with two or more
+	// workers a worker beside the caller steps it.
+	st := states[len(states)-1]
+	a := len(st.oks) / 2
+	for a < len(st.oks) && !st.oks[a] {
+		a++
+	}
+	if a == len(st.oks) {
+		t.Fatal("no predicted arrival in the second half of the last shard")
+	}
+	st.preds[a].Pct[resources.CPU] = nil
+	if err := runExchanging(states, tr, cfg); err == nil {
+		t.Fatal("a corrupt prediction must fail its shard's step")
+	}
+	awaitGoroutines(t, before)
+}
+
+// awaitGoroutines polls until no more than n goroutines run.
+func awaitGoroutines(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the replay, %d before it", runtime.NumGoroutine()-n, n)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 
 // runReference is the replay the event-driven core is checked against.
 // It drives the same shard states Run builds — the same arrive,
-// dataPlaneTick, exchangeMigrations and seal — serially, one
+// dataPlaneTick, exchange and seal — serially, one
 // tick of every shard at a time with the exchange after each, but
 // replaces each shard's incremental bookkeeping with full recomputation
 // (referenceAdvance): every placed VM is visited, every frame walked and
@@ -29,6 +29,7 @@ func runReference(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, e
 	if err != nil {
 		return nil, err
 	}
+	x := newExchange(states)
 	for t := cfg.TrainUpTo; t < tr.Horizon; t++ {
 		for _, st := range states {
 			if err := st.arrive(t); err != nil {
@@ -38,7 +39,7 @@ func runReference(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, e
 				return nil, err
 			}
 		}
-		if err := exchangeMigrations(states); err != nil {
+		if err := x.apply(); err != nil {
 			return nil, err
 		}
 	}

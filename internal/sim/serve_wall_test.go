@@ -116,6 +116,7 @@ func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config) {
 		t.Fatal(err)
 	}
 	exchanging := cfg.CrossShardMigration && len(states) > 1
+	x := newExchange(states)
 
 	sc := serve.DefaultConfig()
 	sc.FleetConfig = cfg.FleetConfig
@@ -195,7 +196,7 @@ func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config) {
 			}
 		}
 		if exchanging {
-			if err := exchangeMigrations(states); err != nil {
+			if err := x.apply(); err != nil {
 				t.Fatal(err)
 			}
 		}

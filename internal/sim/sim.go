@@ -19,7 +19,10 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
@@ -299,43 +302,236 @@ func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, C
 // reported does not depend on scheduling.
 func runDecoupled(states []*shardState, tr *trace.Trace, cfg Config) error {
 	errs := make([]error, len(states))
-	start := cfg.Timings.Start()
+	tm := cfg.Timings
+	// span[i] is shard i's first and last clock reading (zero untimed).
+	span := make([][2]int64, len(states))
+	start := tm.Start()
 	par.ForEach(cfg.Workers, len(states), func(i int) {
+		span[i][0] = tm.Start()
+		defer func() { span[i][1] = tm.Start() }()
 		for t := cfg.TrainUpTo; t < tr.Horizon; t++ {
 			if errs[i] = states[i].step(t); errs[i] != nil {
 				return
 			}
 		}
 	})
-	forkJoin(cfg, states, cfg.Timings.Start()-start, 1)
+	if tm != nil {
+		w := cfg.Workers
+		if w <= 0 {
+			w = runtime.GOMAXPROCS(0)
+		}
+		w = max(1, min(w, len(states)))
+		// The slowest worker's busy time is the span from the first
+		// shard's start to the last one's end.
+		first, last, work := span[0][0], span[0][1], int64(0)
+		for _, s := range span {
+			first, last, work = min(first, s[0]), max(last, s[1]), work+s[1]-s[0]
+		}
+		splitWait(tm, states, w, tm.Start()-start, last-first-work/int64(w), 1)
+	}
 	return firstErr(errs)
 }
 
-// runExchanging advances every shard one 5-minute sample in parallel,
-// one shard per par.ForEach index, then applies the cross-shard
-// migration exchange at the sample boundary — the ordered-parallelism
-// discipline: compute in parallel, trade state only at the barrier, in
-// one deterministic order.
+// runExchanging advances every shard one 5-minute sample in parallel on
+// a gang of workers started once for the run, then applies the
+// cross-shard migration exchange on the calling goroutine at the sample
+// boundary — the ordered-parallelism discipline: compute in parallel,
+// trade state only at the barrier, in one deterministic order.
 func runExchanging(states []*shardState, tr *trace.Trace, cfg Config) error {
-	errs := make([]error, len(states))
+	g := startGang(states, cfg)
+	defer g.stop()
+	x := newExchange(states)
 	tm := cfg.Timings
-	var inForks, inExchange int64
+	var inSteps, inExchange int64
 	for t := cfg.TrainUpTo; t < tr.Horizon; t++ {
 		start := tm.Start()
-		par.ForEach(cfg.Workers, len(states), func(i int) { errs[i] = states[i].step(t) })
-		if err := firstErr(errs); err != nil {
+		if err := g.tick(t); err != nil {
 			return err
 		}
 		joined := tm.Start()
-		if err := exchangeMigrations(states); err != nil {
+		if err := x.apply(); err != nil {
 			return err
 		}
-		inForks, inExchange = inForks+joined-start, inExchange+tm.Start()-joined
+		inSteps, inExchange = inSteps+joined-start, inExchange+tm.Start()-joined
 	}
 	ticks := int64(tr.Horizon - cfg.TrainUpTo)
 	tm.Add(stageExchange, inExchange, ticks)
-	forkJoin(cfg, states, inForks, ticks)
+	splitWait(tm, states, g.w, inSteps, g.imbalance, ticks)
 	return nil
+}
+
+// The gang's waits spin gangSpins times on the counter, then yield
+// gangYields times, then park until the counter moves.
+const (
+	gangSpins  = 1000
+	gangYields = 1000
+)
+
+// gang steps one replay's shards, one tick at a time, on w workers that
+// live for the whole run. Each shard stays on the worker ownShards deals
+// it to, so its state stays in one core's cache; the calling goroutine
+// is worker 0. The caller publishes tick t by raising epoch, steps its own
+// shards and waits for done to count every other worker's tick: one
+// barrier per tick, no goroutine started after the first.
+type gang struct {
+	states []*shardState
+	w      int
+	own    [][]int // own[k]: worker k's shard indices, ascending
+	tm     *timing.Tree
+	t      int     // the tick published by the latest epoch
+	halt   bool    // set before the final epoch: workers exit
+	errs   []error // by shard index
+	// busy[k] is worker k's time stepping its shards this tick (timed
+	// runs only); imbalance sums the slowest worker's busy time less the
+	// mean over the ticks.
+	busy      []int64
+	imbalance int64
+
+	epoch atomic.Int64 // ticks published
+	_     [56]byte
+	done  atomic.Int64 // worker ticks finished, w-1 per epoch
+	_     [56]byte
+
+	parked atomic.Int32 // goroutines blocked in cond.Wait
+	mu     sync.Mutex
+	cond   sync.Cond // on mu
+	wg     sync.WaitGroup
+}
+
+// startGang starts min(Workers, GOMAXPROCS, shards) - 1 workers beside
+// the caller; Workers 0 means GOMAXPROCS.
+func startGang(states []*shardState, cfg Config) *gang {
+	procs := runtime.GOMAXPROCS(0)
+	w := cfg.Workers
+	if w <= 0 {
+		w = procs
+	}
+	g := &gang{states: states, w: max(1, min(w, procs, len(states))), tm: cfg.Timings, errs: make([]error, len(states))}
+	g.own = ownShards(states, g.w)
+	g.cond.L = &g.mu
+	if g.tm != nil {
+		g.busy = make([]int64, g.w)
+	}
+	g.wg.Add(g.w - 1)
+	for k := 1; k < g.w; k++ {
+		go g.work(k)
+	}
+	return g
+}
+
+// ownShards deals the shards to w workers by server count, a shard's
+// work per tick scaling with its servers: largest first, each to the
+// least-loaded worker, ties to the lower index. Equal shards deal round
+// robin, shard i to worker i mod w.
+func ownShards(states []*shardState, w int) [][]int {
+	order := make([]int, len(states))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return len(states[b].servers) - len(states[a].servers) })
+	own, load := make([][]int, w), make([]int, w)
+	for _, i := range order {
+		k := 0
+		for j := range load {
+			if load[j] < load[k] {
+				k = j
+			}
+		}
+		own[k] = append(own[k], i)
+		load[k] += 1 + len(states[i].servers)
+	}
+	for _, o := range own {
+		slices.Sort(o)
+	}
+	return own
+}
+
+// work is worker k's loop: wait for each epoch, step its shards, count
+// itself done.
+func (g *gang) work(k int) {
+	defer g.wg.Done()
+	for e := int64(1); ; e++ {
+		g.await(&g.epoch, e)
+		if g.halt {
+			return
+		}
+		g.stepOwn(k)
+		g.done.Add(1)
+		g.wake()
+	}
+}
+
+// tick steps every shard through tick t and returns the lowest-indexed
+// shard's error, so failures are independent of scheduling order.
+func (g *gang) tick(t int) error {
+	g.t = t
+	e := g.epoch.Add(1)
+	g.wake()
+	g.stepOwn(0)
+	g.await(&g.done, e*int64(g.w-1))
+	if g.busy != nil {
+		var sum, slowest int64
+		for _, ns := range g.busy {
+			sum += ns
+			slowest = max(slowest, ns)
+		}
+		g.imbalance += slowest - sum/int64(g.w)
+	}
+	return firstErr(g.errs)
+}
+
+// stepOwn steps worker k's shards through the published tick.
+func (g *gang) stepOwn(k int) {
+	start := g.tm.Start()
+	for _, i := range g.own[k] {
+		g.errs[i] = g.states[i].step(g.t)
+	}
+	if g.busy != nil {
+		g.busy[k] = timing.Now() - start
+	}
+}
+
+// stop publishes a final epoch that tells the workers to exit and waits
+// until they have, so no goroutine outlives the replay.
+func (g *gang) stop() {
+	g.halt = true
+	g.epoch.Add(1)
+	g.wake()
+	g.wg.Wait()
+}
+
+// await returns once *c reaches target: it spins, then yields, then
+// parks until a wake.
+func (g *gang) await(c *atomic.Int64, target int64) {
+	for i := 0; c.Load() < target; i++ {
+		if i < gangSpins {
+			continue
+		}
+		if i < gangSpins+gangYields {
+			runtime.Gosched()
+			continue
+		}
+		g.mu.Lock()
+		g.parked.Add(1)
+		for c.Load() < target {
+			g.cond.Wait()
+		}
+		g.parked.Add(-1)
+		g.mu.Unlock()
+		return
+	}
+}
+
+// wake rouses parked goroutines after a counter they wait on moved. A
+// waiter counts itself parked before its last look at the counter, and
+// the mover raised the counter before looking at parked, so one of the
+// two sees the other.
+func (g *gang) wake() {
+	if g.parked.Load() > 0 {
+		g.mu.Lock()
+		g.cond.Broadcast()
+		g.mu.Unlock()
+	}
 }
 
 // firstErr returns the lowest-indexed shard's error so failures are
@@ -349,31 +545,53 @@ func firstErr(errs []error) error {
 	return nil
 }
 
-// exchangeMigrations is the serial inter-shard apply step: collect every
-// shard's outbox, order requests by (tick, srcShard, vmID), and land each
-// on the best unpressured best-fit server across all other shards —
-// reserve at the destination, release the source, commit the memory,
-// move the replay accounting. Requests no shard can take settle back in
-// their home shard (least-pressured feasible server, else a warm re-land
-// on the source). Serial execution over a sorted order keeps the merged
-// Result byte-identical for any worker count.
-func exchangeMigrations(states []*shardState) error {
-	var reqs []migRequest
-	for _, st := range states {
+// exchange is the serial inter-shard apply step of one replay. It keeps
+// the shards' view BestInbound scans and the tick's request buffer for
+// the whole run.
+type exchange struct {
+	states []*shardState
+	shards []*core.Shard
+	reqs   []migRequest
+}
+
+func newExchange(states []*shardState) *exchange {
+	x := &exchange{states: states, shards: make([]*core.Shard, len(states))}
+	for i, st := range states {
+		x.shards[i] = st.sh
+	}
+	return x
+}
+
+// apply collects every shard's outbox, orders requests by (tick,
+// srcShard, vmID), and lands each on the best unpressured best-fit
+// server across all other shards — reserve at the destination, release
+// the source, commit the memory, move the replay accounting. Requests no
+// shard can take settle back in their home shard (least-pressured
+// feasible server, else a warm re-land on the source). Serial execution
+// over a sorted order keeps the merged Result byte-identical for any
+// worker count.
+func (x *exchange) apply() error {
+	reqs := x.reqs[:0]
+	for _, st := range x.states {
 		reqs = append(reqs, st.outbox...)
 		st.outbox = st.outbox[:0]
 	}
+	x.reqs = reqs
 	if len(reqs) == 0 {
 		return nil
 	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Before(reqs[j].MigrationRequest) })
-	shards := make([]*core.Shard, len(states))
-	for i, st := range states {
-		shards[i] = st.sh
-	}
+	slices.SortStableFunc(reqs, func(a, b migRequest) int {
+		switch {
+		case a.Before(b.MigrationRequest):
+			return -1
+		case b.Before(a.MigrationRequest):
+			return 1
+		}
+		return 0
+	})
 	for _, rq := range reqs {
-		src := states[rq.SrcShard]
-		bestShard, bestServer := core.BestInbound(shards, rq.MigrationRequest, nil)
+		src := x.states[rq.SrcShard]
+		bestShard, bestServer := core.BestInbound(x.shards, rq.MigrationRequest, nil)
 		if bestShard < 0 {
 			plan, err := src.sh.Settle(rq.MigrationRequest)
 			if err != nil {
@@ -382,7 +600,7 @@ func exchangeMigrations(states []*shardState) error {
 			src.applyPlan(plan)
 			continue
 		}
-		dst := states[bestShard]
+		dst := x.states[bestShard]
 		if err := dst.sh.Eng.Reserve(rq.MigrationRequest, bestServer); err != nil {
 			return err
 		}

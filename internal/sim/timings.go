@@ -1,19 +1,17 @@
 package sim
 
-import (
-	"runtime"
-
-	"github.com/coach-oss/coach/internal/timing"
-)
+import "github.com/coach-oss/coach/internal/timing"
 
 // The stages a timed Run records (Config.Timings). Trace synthesis is a
 // root of its own, since callers usually generate the trace before Run;
 // run is the rest of Run. The tick loop's placement, delta-pass,
 // data-plane and contention stages run on the shard workers: each is
 // their summed time divided by the number of workers that replayed side
-// by side, so the loop's children add up to its wall time and fork/join
-// wait is what they leave — forking and joining the workers and waiting
-// for the slowest shard.
+// by side, so the loop's children add up to its wall time. What they
+// leave is the imbalance — the slowest worker's busy time less the mean,
+// per tick when shards exchange and over the run when they do not — and
+// the barrier, the rest: starting, waking and joining the workers, and
+// the timers' own clock reads inside a shard's step.
 const (
 	// StageTrace is trace synthesis, a root: Run records it when it
 	// generates the trace from Config.Scenario, and a caller that
@@ -29,7 +27,8 @@ const (
 	stageDataPlane
 	stageContention
 	stageExchange
-	stageForkJoin
+	stageImbalance
+	stageBarrier
 	stageJudging
 )
 
@@ -45,28 +44,26 @@ var stages = []timing.Stage{
 	stageDataPlane:  {Name: "data-plane tick", Parent: stageTicks},
 	stageContention: {Name: "contention", Parent: stageTicks},
 	stageExchange:   {Name: "exchange", Parent: stageTicks},
-	stageForkJoin:   {Name: "fork/join wait", Parent: stageTicks},
+	stageImbalance:  {Name: "imbalance", Parent: stageTicks},
+	stageBarrier:    {Name: "barrier", Parent: stageTicks},
 	stageJudging:    {Name: "judging phase", Parent: stageRun},
 }
 
 // NewTimings returns an empty tree of Run's stages, for Config.Timings.
 func NewTimings() *timing.Tree { return timing.New(stages) }
 
-// forkJoin records the tick loop's shard laps and its fork/join wait:
-// wall is the time the loop spent inside par.ForEach, over calls forks.
-func forkJoin(cfg Config, states []*shardState, wall, calls int64) {
-	tm := cfg.Timings
+// splitWait records the tick loop's shard laps and splits what they
+// leave of wall, the time the loop spent stepping shards on w workers
+// over calls waits, into imbalance and the barrier, the rest.
+func splitWait(tm *timing.Tree, states []*shardState, w int, wall, imbalance, calls int64) {
 	if tm == nil {
 		return
 	}
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	w = max(1, min(w, len(states)))
 	for _, st := range states {
 		tm.Merge(st.laps, int64(w))
 		wall -= st.laps.Total() / int64(w)
 	}
-	tm.Add(stageForkJoin, wall, calls)
+	imbalance = max(0, min(imbalance, wall))
+	tm.Add(stageImbalance, imbalance, calls)
+	tm.Add(stageBarrier, wall-imbalance, calls)
 }

@@ -48,10 +48,10 @@ func TestRunTimings(t *testing.T) {
 			calls := map[int]int64{
 				stageRun: 1, stageBuild: 2, stageArrivals: 1, stageTicks: 1, stageJudging: 1,
 				stagePlacement: shardTicks, stageDeltaPass: shardTicks, stageDataPlane: shardTicks, stageContention: shardTicks,
-				stageForkJoin: 1, stageExchange: 0, StageTrace: 0, stageTrain: 0,
+				stageImbalance: 1, stageBarrier: 1, stageExchange: 0, StageTrace: 0, stageTrain: 0,
 			}
 			if cfg.CrossShardMigration {
-				calls[stageForkJoin], calls[stageExchange] = ticks, ticks
+				calls[stageImbalance], calls[stageBarrier], calls[stageExchange] = ticks, ticks, ticks
 			}
 			for id, want := range calls {
 				if _, got, _ := cfg.Timings.Read(id); got != want {
@@ -59,10 +59,10 @@ func TestRunTimings(t *testing.T) {
 				}
 			}
 			// The loop's children share its wall time: the shard stages
-			// at their workers' share, the fork/join wait the rest.
+			// at their workers' share, the imbalance and barrier the rest.
 			loop, _, _ := cfg.Timings.Read(stageTicks)
 			var children int64
-			for id := stagePlacement; id <= stageForkJoin; id++ {
+			for id := stagePlacement; id <= stageBarrier; id++ {
 				ns, _, _ := cfg.Timings.Read(id)
 				if ns < 0 {
 					t.Errorf("stage %q: %d ns", stages[id].Name, ns)
@@ -72,7 +72,7 @@ func TestRunTimings(t *testing.T) {
 			if children > loop {
 				t.Errorf("the tick loop's stages add up to %d ns, more than its %d ns", children, loop)
 			}
-			if table := cfg.Timings.String(); !strings.Contains(table, "    fork/join wait") || !strings.Contains(table, "leaves cover") {
+			if table := cfg.Timings.String(); !strings.Contains(table, "    barrier") || !strings.Contains(table, "leaves cover") {
 				t.Errorf("table lacks the nested tick loop or its coverage line:\n%s", table)
 			}
 		})
