@@ -82,7 +82,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&o.percentile, "percentile", 0, "override prediction percentile (0 = policy default)")
 	fs.IntVar(&o.windows, "windows", 6, "time windows per day")
 	fs.Float64Var(&o.fleetFrac, "fleet-frac", 0.55, "fleet capacity as a fraction of peak demand")
-	fs.IntVar(&o.workers, "workers", 0, "shard replay workers (0 = GOMAXPROCS); results are identical for any value")
+	fs.IntVar(&o.workers, "workers", 0, "shard replay workers, at most min(workers, GOMAXPROCS, shards) (0 = GOMAXPROCS); results are identical for any value")
 	fs.BoolVar(&o.dataPlane, "data-plane", false, "run the per-server memory data plane (memsim + agent) during replay")
 	fs.StringVar(&o.mitigation, "mitigation", "all", "mitigation policy: None, Trim, Extend, Migrate or all (requires -data-plane)")
 	fs.Func("mitigation-mode", "mitigation triggering: Reactive (default) or Proactive; Proactive builds and trains a per-server LSTM forecaster (requires -data-plane)", func(v string) (err error) {

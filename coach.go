@@ -125,13 +125,14 @@ const (
 // Cluster-scale simulation.
 type (
 	// SimConfig parameterizes a cluster simulation run. Its Workers
-	// field bounds how many cluster shards replay concurrently
-	// (0 = GOMAXPROCS); the Result is identical for any value. Setting
-	// DataPlane runs the per-server memory data plane (memsim +
-	// oversubscription agent) during replay under MitigationPolicy /
-	// MitigationMode; CrossShardMigration additionally lets completed
-	// live migrations re-home across cluster shards through the
-	// deterministic sample-boundary exchange (docs/DESIGN.md §10).
+	// field bounds the replay's workers: at most min(Workers,
+	// GOMAXPROCS, shards), 0 = GOMAXPROCS; the Result is identical for
+	// any value. Setting DataPlane runs the per-server memory data plane
+	// (memsim + oversubscription agent) during replay under
+	// MitigationPolicy / MitigationMode; CrossShardMigration additionally
+	// lets completed live migrations re-home across cluster shards
+	// through the deterministic sample-boundary exchange
+	// (docs/DESIGN.md §10).
 	SimConfig = sim.Config
 	// SimResult summarizes capacity and violations; its DataPlane field
 	// (non-nil when SimConfig.DataPlane is set) aggregates fleet-wide
@@ -144,9 +145,9 @@ func SimConfigForPolicy(p PolicyKind) SimConfig { return sim.ConfigForPolicy(p) 
 
 // Simulate replays tr against fleet under cfg. The fleet is partitioned
 // into one independent shard per cluster and shards replay concurrently
-// on a worker pool (see SimConfig.Workers); per-shard results merge
-// deterministically, so the Result is byte-identical for any worker
-// count.
+// on min(Workers, GOMAXPROCS, shards) workers (see SimConfig.Workers);
+// per-shard results merge deterministically, so the Result is
+// byte-identical for any worker count.
 func Simulate(tr *Trace, fleet *Fleet, cfg SimConfig) (*SimResult, error) {
 	return sim.Run(tr, fleet, cfg)
 }

@@ -53,7 +53,9 @@ func runAblWindows(c *Context) ([]*report.Table, error) {
 	for _, perDay := range []int{1, 2, 4, 6, 8, 12} {
 		cfg := sim.ConfigForPolicy(scheduler.PolicyCoach)
 		cfg.Windows = timeseries.Windows{PerDay: perDay}
-		cfg.TrainUpTo = tr.Horizon / 2
+		if err := c.shareModel(&cfg); err != nil {
+			return nil, err
+		}
 		res, err := sim.Run(tr, fleet, cfg)
 		if err != nil {
 			return nil, err
@@ -80,7 +82,9 @@ func runAblPercentile(c *Context) ([]*report.Table, error) {
 	for _, pct := range []float64{50, 65, 75, 85, 90, 95} {
 		cfg := sim.ConfigForPolicy(scheduler.PolicyCoach)
 		cfg.Percentile = pct
-		cfg.TrainUpTo = tr.Horizon / 2
+		if err := c.shareModel(&cfg); err != nil {
+			return nil, err
+		}
 		res, err := sim.Run(tr, fleet, cfg)
 		if err != nil {
 			return nil, err

@@ -48,7 +48,9 @@ func runFig19(c *Context) ([]*report.Table, error) {
 	for _, pct := range []float64{95, 90, 85} {
 		cfg := sim.ConfigForPolicy(scheduler.PolicyCoach)
 		cfg.Percentile = pct
-		cfg.TrainUpTo = tr.Horizon / 2
+		if err := c.shareModel(&cfg); err != nil {
+			return nil, err
+		}
 		res, err := sim.Run(tr, fleet, cfg)
 		if err != nil {
 			return nil, err
@@ -77,7 +79,9 @@ func runFig20(c *Context) ([]*report.Table, error) {
 	results := make(map[scheduler.PolicyKind]*sim.Result, len(scheduler.Policies))
 	for _, p := range scheduler.Policies {
 		cfg := sim.ConfigForPolicy(p)
-		cfg.TrainUpTo = tr.Horizon / 2
+		if err := c.shareModel(&cfg); err != nil {
+			return nil, err
+		}
 		res, err := sim.Run(tr, tight, cfg)
 		if err != nil {
 			return nil, err
@@ -126,7 +130,9 @@ func runFig20(c *Context) ([]*report.Table, error) {
 	var noneServers int
 	for _, p := range []scheduler.PolicyKind{scheduler.PolicyNone, scheduler.PolicyCoach} {
 		cfg := sim.ConfigForPolicy(p)
-		cfg.TrainUpTo = tr.Horizon / 2
+		if err := c.shareModel(&cfg); err != nil {
+			return nil, err
+		}
 		res, err := sim.Run(tr, ample, cfg)
 		if err != nil {
 			return nil, err

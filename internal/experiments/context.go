@@ -13,6 +13,8 @@ import (
 	"github.com/coach-oss/coach/internal/predict"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scenario"
+	"github.com/coach-oss/coach/internal/scheduler"
+	"github.com/coach-oss/coach/internal/sim"
 	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
@@ -140,6 +142,23 @@ func (c *Context) Model(percentile float64) (*predict.LongTerm, error) {
 	}
 	c.models[percentile] = m
 	return m, nil
+}
+
+// shareModel puts a sim.Run config on the context's train/evaluate split
+// and gives it the cached model Run would otherwise train for itself:
+// one at cfg.Percentile, for a policy that predicts with the default
+// windows.
+func (c *Context) shareModel(cfg *sim.Config) error {
+	tr, err := c.Trace()
+	if err != nil {
+		return err
+	}
+	cfg.TrainUpTo = trainUpTo(tr)
+	if cfg.Policy == scheduler.PolicyNone || cfg.Windows != predict.DefaultLongTermConfig().Windows {
+		return nil
+	}
+	cfg.Model, err = c.Model(cfg.Percentile)
+	return err
 }
 
 // trainUpTo is the train/evaluate split: the first half of the trace

@@ -1,11 +1,12 @@
 // Package par runs independent indexed work on every core.
 //
-// It is the one worker helper behind the repository's set-up and replay
-// loops (trace synthesis, long-term model preparation, the simulator's
-// shard replay and its arrival and judging phases). Callers keep output
-// independent of the worker count by having fn(i) write only slot i of a
-// result they own and folding the slots in index order afterwards —
-// compute in parallel, commit in a fixed order (docs/DESIGN.md §8).
+// It is the one worker helper behind the repository's data-parallel
+// loops (trace synthesis, long-term model preparation, forest training,
+// the simulator's arrival and judging phases, parallel experiments).
+// Callers keep output independent of the worker count by having fn(i)
+// write only slot i of a result they own and folding the slots in index
+// order afterwards — compute in parallel, commit in a fixed order
+// (docs/DESIGN.md §8).
 package par
 
 import (

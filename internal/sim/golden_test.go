@@ -28,9 +28,9 @@ func encodeResult(t *testing.T, r *Result) []byte {
 // TestGoldenEquivalence is the wall the event-driven core stands behind:
 // for every scenario preset, Run's Result must be gob-byte-identical to
 // the full-recomputation reference's (runReference), at every worker
-// count, on both the decoupled replay path (plain scheduler replay, no
-// data plane) and the cross-shard-barrier path (data plane + migration
-// mitigation + cross-shard exchange over a multi-cluster fleet). Run
+// count, with one replay epoch per run (plain scheduler replay, no data
+// plane) and one per tick (data plane + migration mitigation +
+// cross-shard exchange over a multi-cluster fleet). Run
 // under -race in CI, this also races the per-shard state.
 func TestGoldenEquivalence(t *testing.T) {
 	for _, name := range scenario.PresetNames {

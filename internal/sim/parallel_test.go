@@ -16,7 +16,7 @@ import (
 // engine: the merged Result — counters, peak server usage, and Outcomes
 // (sorted by VMID) — must be identical whether shards replay serially or
 // on any number of workers, including Workers 0 (GOMAXPROCS), the
-// default the benchmark runs.
+// default the benchmark runs, and more workers than shards.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	tr, fleet := fixtures(t)
 	for _, p := range []scheduler.PolicyKind{scheduler.PolicyCoach, scheduler.PolicyNone} {
@@ -35,7 +35,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 		}
 
 		var base *Result
-		for _, workers := range []int{1, 2, 8, 0} {
+		for _, workers := range []int{1, 2, 8, 0, fleet.NumClusters() + 1} {
 			cfg.Workers = workers
 			res, err := Run(tr, fleet, cfg)
 			if err != nil {
@@ -143,42 +143,54 @@ func TestOwnShards(t *testing.T) {
 	}
 }
 
-// TestExchangingLeavesNoGoroutine: the exchanging replay's workers live
-// for one run. After Run returns, and after a replay that stops on a
-// shard's error mid-run, the goroutine count is back where it was. No
-// valid input makes a shard step fail, so the second replay corrupts one
-// arrival's prediction in place: its CVM build fails at that tick.
-func TestExchangingLeavesNoGoroutine(t *testing.T) {
+// TestReplayLeavesNoGoroutine: the replay's workers live for one run,
+// whether it meets them once (no exchange) or every tick (exchanging).
+// After Run returns, and after a replay that stops on a shard's error
+// mid-run, the goroutine count is back where it was. No valid input
+// makes a shard step fail, so the second replay corrupts one arrival's
+// prediction in place: its CVM build fails at that tick.
+func TestReplayLeavesNoGoroutine(t *testing.T) {
 	tr, fleet := fixtures(t)
-	cfg := dataPlaneConfig(t, agent.PolicyMigrate)
-	cfg.CrossShardMigration = true
-	cfg.Model = sharedModel(t, cfg)
-	cfg.Workers = fleet.NumClusters()
-	before := runtime.NumGoroutine()
-	if _, err := Run(tr, fleet, cfg); err != nil {
-		t.Fatal(err)
-	}
-	awaitGoroutines(t, before)
+	plain := ConfigForPolicy(scheduler.PolicyCoach)
+	plain.TrainUpTo = tr.Horizon / 2
+	exchanging := dataPlaneConfig(t, agent.PolicyMigrate)
+	exchanging.CrossShardMigration = true
+	for _, c := range []struct {
+		name       string
+		cfg        Config
+		exchanging bool
+	}{{"one-epoch", plain, false}, {"exchanging", exchanging, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Model = sharedModel(t, cfg)
+			cfg.Workers = fleet.NumClusters()
+			before := runtime.NumGoroutine()
+			if _, err := Run(tr, fleet, cfg); err != nil {
+				t.Fatal(err)
+			}
+			awaitGoroutines(t, before)
 
-	_, cfg, states, err := prepare(tr, fleet, cfg)
-	if err != nil {
-		t.Fatal(err)
+			_, cfg, states, err := prepare(tr, fleet, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The last shard is never the caller's alone: with two or more
+			// workers a worker beside the caller steps it.
+			st := states[len(states)-1]
+			a := len(st.oks) / 2
+			for a < len(st.oks) && !st.oks[a] {
+				a++
+			}
+			if a == len(st.oks) {
+				t.Fatal("no predicted arrival in the second half of the last shard")
+			}
+			st.preds[a].Pct[resources.CPU] = nil
+			if err := replay(states, tr, cfg, c.exchanging); err == nil {
+				t.Fatal("a corrupt prediction must fail its shard's step")
+			}
+			awaitGoroutines(t, before)
+		})
 	}
-	// The last shard is never the caller's alone: with two or more
-	// workers a worker beside the caller steps it.
-	st := states[len(states)-1]
-	a := len(st.oks) / 2
-	for a < len(st.oks) && !st.oks[a] {
-		a++
-	}
-	if a == len(st.oks) {
-		t.Fatal("no predicted arrival in the second half of the last shard")
-	}
-	st.preds[a].Pct[resources.CPU] = nil
-	if err := runExchanging(states, tr, cfg); err == nil {
-		t.Fatal("a corrupt prediction must fail its shard's step")
-	}
-	awaitGoroutines(t, before)
 }
 
 // awaitGoroutines polls until no more than n goroutines run.

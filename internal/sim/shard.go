@@ -158,10 +158,9 @@ type migRequest struct {
 
 // shardState is one shard's live replay state. It persists across ticks
 // so Run can advance every shard one 5-minute sample in parallel, apply
-// the cross-shard migration exchange at the boundary, and continue —
-// replacing the former run-to-completion loop. All mutation is
-// single-threaded: inside step by the shard's worker, inside the
-// add/remove helpers by the serial exchange.
+// the cross-shard migration exchange at the boundary, and continue. All
+// mutation is single-threaded: inside step by the shard's worker, inside
+// the add/remove helpers by the serial exchange.
 type shardState struct {
 	sh     *core.Shard
 	events []event
@@ -296,8 +295,7 @@ func (st *shardState) touchServer(srv int) {
 // step replays one evaluation tick t: events, the incremental demand
 // delta pass, the data-plane tick with migration resolution, and the
 // contention counters. It is the single-threaded hot loop; Run schedules
-// one step per shard per tick (or whole shards when no exchange is
-// possible) on the worker pool.
+// one step per shard per tick on the worker gang.
 //
 // Contention is accounted incrementally: each placed VM's current demand
 // contribution is kept in its record and in a running per-server demand

@@ -29,7 +29,6 @@ import (
 	"github.com/coach-oss/coach/internal/coachvm"
 	"github.com/coach-oss/coach/internal/core"
 	"github.com/coach-oss/coach/internal/fault"
-	"github.com/coach-oss/coach/internal/par"
 	"github.com/coach-oss/coach/internal/predict"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scenario"
@@ -46,8 +45,9 @@ import (
 type Config struct {
 	core.FleetConfig
 	// Workers bounds how many goroutines replay cluster shards and run
-	// the arrival and judging phases around the replay. 0 (the default)
-	// uses runtime.GOMAXPROCS(0); 1 runs everything serially.
+	// the arrival and judging phases around the replay; the replay uses
+	// at most min(Workers, GOMAXPROCS, shards). 0 (the default) uses
+	// runtime.GOMAXPROCS(0); 1 runs everything serially.
 	// The merged Result is byte-identical for any value.
 	Workers int
 	// Model optionally supplies a pre-trained long-term predictor to
@@ -191,7 +191,8 @@ func (r *Result) UnderAllocFrac(k resources.Kind) float64 {
 // The fleet is partitioned into one shard per cluster (clusters never
 // share VMs in the scheduler, so shards are independent), each VM's
 // arrival/departure events are routed to its home cluster's shard, and
-// shards replay concurrently on a worker pool bounded by cfg.Workers.
+// shards replay concurrently on min(cfg.Workers, GOMAXPROCS, shards)
+// workers.
 // Per-shard results are merged deterministically — the Result (including
 // Outcomes order, sorted by VMID) is byte-identical for any worker count.
 func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
@@ -214,19 +215,14 @@ func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Cross-shard migration couples shards at sample boundaries; without
-	// it shards stay closed worlds and replay to completion without
-	// barriers. Both paths produce byte-identical Results for any worker
-	// count.
+	// Cross-shard migration couples shards at sample boundaries, so
+	// with it the replay meets at a barrier every tick; without it shards
+	// stay closed worlds and meet once, at the end of the run. Both give
+	// byte-identical Results for any worker count.
 	exchanging := cfg.DataPlane && cfg.CrossShardMigration &&
 		cfg.MitigationPolicy == agent.PolicyMigrate && len(states) > 1
 	ticks := cfg.Timings.Start()
-	if exchanging {
-		err = runExchanging(states, tr, cfg)
-	} else {
-		err = runDecoupled(states, tr, cfg)
-	}
-	if err != nil {
+	if err := replay(states, tr, cfg, exchanging); err != nil {
 		return nil, err
 	}
 	cfg.Timings.Since(stageTicks, ticks)
@@ -296,67 +292,41 @@ func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, C
 	return tr, cfg, newShardStates(shards, tr, model, cfg), nil
 }
 
-// runDecoupled replays every shard to completion independently, one
-// shard per par.ForEach index — the fast path when no inter-shard
-// coupling is possible. Errors land by shard index, so the first one
-// reported does not depend on scheduling.
-func runDecoupled(states []*shardState, tr *trace.Trace, cfg Config) error {
-	errs := make([]error, len(states))
-	tm := cfg.Timings
-	// span[i] is shard i's first and last clock reading (zero untimed).
-	span := make([][2]int64, len(states))
-	start := tm.Start()
-	par.ForEach(cfg.Workers, len(states), func(i int) {
-		span[i][0] = tm.Start()
-		defer func() { span[i][1] = tm.Start() }()
-		for t := cfg.TrainUpTo; t < tr.Horizon; t++ {
-			if errs[i] = states[i].step(t); errs[i] != nil {
-				return
-			}
-		}
-	})
-	if tm != nil {
-		w := cfg.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		w = max(1, min(w, len(states)))
-		// The slowest worker's busy time is the span from the first
-		// shard's start to the last one's end.
-		first, last, work := span[0][0], span[0][1], int64(0)
-		for _, s := range span {
-			first, last, work = min(first, s[0]), max(last, s[1]), work+s[1]-s[0]
-		}
-		splitWait(tm, states, w, tm.Start()-start, last-first-work/int64(w), 1)
-	}
-	return firstErr(errs)
-}
-
-// runExchanging advances every shard one 5-minute sample in parallel on
-// a gang of workers started once for the run, then applies the
-// cross-shard migration exchange on the calling goroutine at the sample
-// boundary — the ordered-parallelism discipline: compute in parallel,
-// trade state only at the barrier, in one deterministic order.
-func runExchanging(states []*shardState, tr *trace.Trace, cfg Config) error {
+// replay steps every shard through the evaluation period on a gang of
+// workers started once for the run, one epoch of ticks at a time. With
+// the exchange an epoch is one 5-minute sample, and the cross-shard
+// migration exchange runs on the calling goroutine at its boundary —
+// the ordered-parallelism discipline: compute in parallel, trade state
+// only at the barrier, in one deterministic order. Without it one epoch
+// covers the whole period, and each worker replays its shards to the
+// end one at a time.
+func replay(states []*shardState, tr *trace.Trace, cfg Config, exchanging bool) error {
 	g := startGang(states, cfg)
 	defer g.stop()
-	x := newExchange(states)
+	epochLen := tr.Horizon - cfg.TrainUpTo
+	var x *exchange
+	if exchanging {
+		epochLen, x = 1, newExchange(states)
+	}
 	tm := cfg.Timings
-	var inSteps, inExchange int64
-	for t := cfg.TrainUpTo; t < tr.Horizon; t++ {
+	var inSteps, inExchange, epochs int64
+	for t := cfg.TrainUpTo; t < tr.Horizon; t += epochLen {
 		start := tm.Start()
-		if err := g.tick(t); err != nil {
+		if err := g.run(t, t+epochLen); err != nil {
 			return err
 		}
 		joined := tm.Start()
-		if err := x.apply(); err != nil {
-			return err
+		if x != nil {
+			if err := x.apply(); err != nil {
+				return err
+			}
 		}
-		inSteps, inExchange = inSteps+joined-start, inExchange+tm.Start()-joined
+		inSteps, inExchange, epochs = inSteps+joined-start, inExchange+tm.Start()-joined, epochs+1
 	}
-	ticks := int64(tr.Horizon - cfg.TrainUpTo)
-	tm.Add(stageExchange, inExchange, ticks)
-	splitWait(tm, states, g.w, inSteps, g.imbalance, ticks)
+	if x != nil {
+		tm.Add(stageExchange, inExchange, epochs)
+	}
+	splitWait(tm, states, g.w, inSteps, g.imbalance, epochs)
 	return nil
 }
 
@@ -367,29 +337,30 @@ const (
 	gangYields = 1000
 )
 
-// gang steps one replay's shards, one tick at a time, on w workers that
-// live for the whole run. Each shard stays on the worker ownShards deals
-// it to, so its state stays in one core's cache; the calling goroutine
-// is worker 0. The caller publishes tick t by raising epoch, steps its own
-// shards and waits for done to count every other worker's tick: one
-// barrier per tick, no goroutine started after the first.
+// gang steps one replay's shards, one epoch of ticks at a time, on w
+// workers that live for the whole run. Each shard stays on the worker
+// ownShards deals it to, so its state stays in one core's cache; the
+// calling goroutine is worker 0. The caller publishes the ticks [t, end)
+// by raising epoch, steps its own shards and waits for done to count
+// every other worker's epoch: one barrier per epoch, no goroutine
+// started after the first.
 type gang struct {
 	states []*shardState
 	w      int
 	own    [][]int // own[k]: worker k's shard indices, ascending
 	tm     *timing.Tree
-	t      int     // the tick published by the latest epoch
+	t, end int     // the ticks [t, end) published by the latest epoch
 	halt   bool    // set before the final epoch: workers exit
-	errs   []error // by shard index
-	// busy[k] is worker k's time stepping its shards this tick (timed
+	errs   []error // by shard index, set only when a step fails
+	// busy[k] is worker k's time stepping its shards this epoch (timed
 	// runs only); imbalance sums the slowest worker's busy time less the
-	// mean over the ticks.
+	// mean over the epochs.
 	busy      []int64
 	imbalance int64
 
-	epoch atomic.Int64 // ticks published
+	epoch atomic.Int64 // epochs published
 	_     [56]byte
-	done  atomic.Int64 // worker ticks finished, w-1 per epoch
+	done  atomic.Int64 // worker epochs finished, w-1 per epoch
 	_     [56]byte
 
 	parked atomic.Int32 // goroutines blocked in cond.Wait
@@ -461,10 +432,11 @@ func (g *gang) work(k int) {
 	}
 }
 
-// tick steps every shard through tick t and returns the lowest-indexed
-// shard's error, so failures are independent of scheduling order.
-func (g *gang) tick(t int) error {
-	g.t = t
+// run steps every shard through the ticks [t, end) and returns the
+// lowest-indexed shard's error, so failures are independent of
+// scheduling order. A shard whose step fails stops there.
+func (g *gang) run(t, end int) error {
+	g.t, g.end = t, end
 	e := g.epoch.Add(1)
 	g.wake()
 	g.stepOwn(0)
@@ -480,11 +452,17 @@ func (g *gang) tick(t int) error {
 	return firstErr(g.errs)
 }
 
-// stepOwn steps worker k's shards through the published tick.
+// stepOwn steps worker k's shards through the published ticks, one
+// shard at a time.
 func (g *gang) stepOwn(k int) {
 	start := g.tm.Start()
 	for _, i := range g.own[k] {
-		g.errs[i] = g.states[i].step(g.t)
+		for t := g.t; t < g.end; t++ {
+			if err := g.states[i].step(t); err != nil {
+				g.errs[i] = err
+				break
+			}
+		}
 	}
 	if g.busy != nil {
 		g.busy[k] = timing.Now() - start

@@ -10,7 +10,7 @@ import (
 	"github.com/coach-oss/coach/internal/agent"
 )
 
-// TestRunTimings runs the decoupled and the exchanging tick loop timed
+// TestRunTimings runs the tick loop without and with the exchange, timed
 // and untimed. Timing must not change the Result, Result.Timings must be
 // the configured tree, every stage the run passes through must have
 // recorded its calls — one per shard tick for the shard stages, one per
