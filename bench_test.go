@@ -107,15 +107,16 @@ func BenchmarkAblationFleetMitigation(b *testing.B) { benchExperiment(b, "abl-fl
 // BenchmarkFleetMigration regenerates the abl-fleetmig ladders
 // (no-migration vs same-shard vs cross-shard live migration, docs/
 // DESIGN.md §10), so bench-smoke compiles and runs the sample-boundary
-// exchange path on every push; before/after numbers for the unified
-// engine are recorded in BENCH_migration.json.
+// exchange path on every push; its small-scale rows are checked in
+// internal/experiments/testdata/paper_small.txt.
 func BenchmarkFleetMigration(b *testing.B) { benchExperiment(b, "abl-fleetmig") }
 
 // BenchmarkAblationFaults regenerates the abl-faults ladders (None vs
 // Coach vs Coach+Recovery under the chaos fault schedule, docs/
 // DESIGN.md §13), so bench-smoke drives the failure-domain engine —
 // crash eviction, recovery placement, downtime attribution — on every
-// push; loss/downtime deltas are recorded in BENCH_faults.json.
+// push; its small-scale rows are checked in
+// internal/experiments/testdata/paper_small.txt.
 func BenchmarkAblationFaults(b *testing.B) { benchExperiment(b, "abl-faults") }
 
 // BenchmarkSimRunParallel measures the sharded cluster-simulation engine

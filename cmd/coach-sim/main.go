@@ -16,7 +16,9 @@
 //
 // -preset names the declarative workload scenario (internal/scenario)
 // the trace is generated from: a shipped preset name (default capacity)
-// or a path to a spec file, rescaled to the chosen -scale.
+// or a path to a spec file, rescaled to the chosen -scale. Every replay
+// applies the spec's faults: section (the chaos preset's crashes) and
+// then prints its fault counters in a table of their own.
 //
 // -cross-shard lets completed live migrations escape their home cluster
 // shard through the simulator's sample-boundary exchange (docs/DESIGN.md
@@ -37,6 +39,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"strings"
@@ -124,13 +127,15 @@ func parseFlags(args []string) (options, error) {
 }
 
 // simConfig maps the flags onto the replay configuration for one scheduler
-// policy over a trace of the given horizon. With -data-plane everything
-// but the mitigation policy — the dimension main sweeps — is set here.
-func simConfig(o options, p scheduler.PolicyKind, horizon int) sim.Config {
+// policy over a trace of the given horizon, generated from spec (whose
+// faults: section the replay applies). With -data-plane everything but
+// the mitigation policy — the dimension run sweeps — is set here.
+func simConfig(o options, p scheduler.PolicyKind, spec *scenario.Spec, horizon int) sim.Config {
 	cfg := sim.ConfigForPolicy(p)
 	cfg.Windows = timeseries.Windows{PerDay: o.windows}
 	cfg.TrainUpTo = horizon / 2
 	cfg.Workers = o.workers
+	cfg.Scenario = spec
 	if o.percentile > 0 {
 		cfg.Percentile = o.percentile
 	}
@@ -152,33 +157,42 @@ func main() {
 		}
 		os.Exit(2) // the FlagSet has already reported it
 	}
+	if err := run(o, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "coach-sim:", err)
+		os.Exit(1)
+	}
+}
+
+// run generates the trace, replays it under every chosen policy (or
+// mitigation, with -data-plane) and writes the tables to w.
+func run(o options, w io.Writer) error {
 	s, err := experiments.ParseScale(o.scale)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	sp, err := scenario.Load(o.preset)
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	spec := s.ScenarioSpec(sp)
 	ctx := experiments.NewContext(s, sp)
 	var tm *timing.Tree
 	if o.timings {
 		tm = sim.NewTimings()
-		defer fmt.Printf("\n%s", tm)
 	}
 	var tr *trace.Trace
 	tm.Alloc(sim.StageTrace, func() { tr, err = ctx.Trace() })
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fleet, err := ctx.CapacityFleet(o.fleetFrac)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	policies, err := parsePolicies(o.policy)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if o.dataPlane && o.policy == "all" {
 		// One scheduler policy per data-plane sweep; default to AggrCoach,
@@ -198,36 +212,60 @@ func main() {
 			res.UsedServers, 100*res.MeanOverAllocFrac(resources.Memory),
 			100*res.UnderAllocFrac(resources.Memory))
 	}
+	faults := &report.Table{
+		Title:   fmt.Sprintf("Failure domains (%s fault schedule)", spec.Name),
+		Headers: []string{"run", "crashes", "recoveries", "evicted", "replaced", "lost", "downtime h"},
+	}
+	addFaults := func(res *sim.Result, run string) {
+		if f := res.Faults; f != nil {
+			faults.AddRow(run, f.Crashes, f.Recoveries, f.EvictedVMs, f.ReplacedVMs,
+				f.LostVMs, float64(f.DowntimeTicks)/12)
+		}
+	}
+	// finish writes the tables, the fault counters if the spec scheduled
+	// any, and the -timings tree.
+	finish := func(tables ...*report.Table) error {
+		if len(faults.Rows) > 0 {
+			tables = append(tables, faults)
+		}
+		for _, tb := range tables {
+			if err := tb.Render(w); err != nil {
+				return err
+			}
+		}
+		if tm != nil {
+			fmt.Fprintf(w, "\n%s", tm)
+		}
+		return nil
+	}
 
 	if !o.dataPlane {
 		for _, p := range policies {
-			cfg := simConfig(o, p, tr.Horizon)
+			cfg := simConfig(o, p, spec, tr.Horizon)
 			cfg.Timings = tm
 			res, err := sim.Run(tr, fleet, cfg)
 			if err != nil {
-				fatal(fmt.Errorf("%s: %w", p, err))
+				return fmt.Errorf("%s: %w", p, err)
 			}
 			addRow(res, p)
+			addFaults(res, p.String())
 		}
-		if err := t.Render(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
+		return finish(t)
 	}
 
 	mits, err := parseMitigations(o.mitigation)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	p := policies[0]
-	cfg := simConfig(o, p, tr.Horizon)
+	cfg := simConfig(o, p, spec, tr.Horizon)
 	cfg.Timings = tm
 	// The mitigation policy never affects training: train the predictor
 	// once and share it across the sweep.
 	if p != scheduler.PolicyNone {
 		model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig())
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cfg.Model = model
 	}
@@ -246,12 +284,13 @@ func main() {
 		cfg.MitigationPolicy = m
 		res, err := sim.Run(tr, fleet, cfg)
 		if err != nil {
-			fatal(fmt.Errorf("%s/%s: %w", p, m, err))
+			return fmt.Errorf("%s/%s: %w", p, m, err)
 		}
 		if i == 0 {
 			// Capacity results do not depend on the mitigation policy.
 			addRow(res, p)
 		}
+		addFaults(res, p.String()+"/"+m.String())
 		dp := res.DataPlane
 		dpTable.AddRow(m.String(), dp.Counters.Contentions, dp.Counters.Trims,
 			dp.Counters.Extends, dp.Counters.Migrations,
@@ -260,13 +299,7 @@ func main() {
 			dp.Totals.HardFaultGB, 100*dp.SoftFaultFrac(), dp.Totals.StolenGB,
 			dp.AccessP50Ns(), dp.AccessP99Ns(), dp.AccessMaxNs())
 	}
-	if err := t.Render(os.Stdout); err != nil {
-		fatal(err)
-	}
-	fmt.Println()
-	if err := dpTable.Render(os.Stdout); err != nil {
-		fatal(err)
-	}
+	return finish(t, dpTable)
 }
 
 func parsePolicies(s string) ([]scheduler.PolicyKind, error) {
@@ -290,9 +323,4 @@ func parseMitigations(s string) ([]agent.Policy, error) {
 		return nil, err
 	}
 	return []agent.Policy{p}, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "coach-sim:", err)
-	os.Exit(1)
 }

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/coach-oss/coach/internal/agent"
+	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/sim"
 	"github.com/coach-oss/coach/internal/timeseries"
@@ -11,10 +15,14 @@ import (
 
 // TestFlagsToConfig pins the flag → sim.Config mapping: each row names the
 // fields its flags must move off sim.ConfigForPolicy (with the command's
-// own defaults: 6 windows, training on the first half of the horizon), and
-// everything else must stay put.
+// own defaults: 6 windows, training on the first half of the horizon, and
+// the trace's spec as Scenario), and everything else must stay put.
 func TestFlagsToConfig(t *testing.T) {
 	const horizon = 4032
+	spec, err := scenario.Preset("chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -51,8 +59,9 @@ func TestFlagsToConfig(t *testing.T) {
 		want.Windows = timeseries.Windows{PerDay: 6}
 		want.TrainUpTo = horizon / 2
 		tc.want(&want)
-		// MitigationPolicy is the dimension main sweeps, never a flag's.
-		if got := simConfig(o, tc.policy, horizon); got != want {
+		want.Scenario = spec
+		// MitigationPolicy is the dimension run sweeps, never a flag's.
+		if got := simConfig(o, tc.policy, spec, horizon); got != want {
 			t.Errorf("%s:\n got %+v\nwant %+v", tc.name, got, want)
 		}
 	}
@@ -117,5 +126,49 @@ func TestFlagErrors(t *testing.T) {
 	}
 	if _, err := parseMitigations("Evict"); err == nil {
 		t.Error("unknown mitigation must fail")
+	}
+}
+
+// TestRunAppliesSpecFaults: a preset's faults: section reaches the
+// replay. The chaos preset's schedule must crash servers and every
+// eviction must be replaced or lost; a spec without faults prints no
+// fault table.
+func TestRunAppliesSpecFaults(t *testing.T) {
+	for _, preset := range []string{"chaos", "capacity"} {
+		o, err := parseFlags([]string{"-scale", "small", "-preset", preset, "-policy", "Coach"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run(o, &out); err != nil {
+			t.Fatalf("%s: %v", preset, err)
+		}
+		_, table, found := strings.Cut(out.String(), "== Failure domains")
+		if preset == "capacity" {
+			if found {
+				t.Errorf("capacity has no faults but printed:\n%s", out.String())
+			}
+			continue
+		}
+		var row []string
+		for _, line := range strings.Split(table, "\n") {
+			if f := strings.Fields(line); len(f) == 7 && f[0] == "Coach" {
+				row = f
+			}
+		}
+		if row == nil {
+			t.Fatalf("chaos: no Coach row in the fault table:\n%s", out.String())
+		}
+		n := make([]int, 5)
+		for i := range n {
+			if n[i], err = strconv.Atoi(row[i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		crashes, evicted, replaced, lost := n[0], n[2], n[3], n[4]
+		if crashes == 0 || evicted == 0 || evicted != replaced+lost {
+			t.Errorf("chaos: crashes %d, evicted %d, replaced %d, lost %d:\n%s",
+				crashes, evicted, replaced, lost, out.String())
+		}
 	}
 }

@@ -58,16 +58,6 @@ type Arrival struct {
 	Shape float64
 }
 
-// PoissonArrival returns a Poisson arrival spec.
-func PoissonArrival() Arrival { return Arrival{Process: Poisson} }
-
-// GammaArrival returns a bursty (cv > 1) or regular (cv < 1) gamma
-// arrival spec.
-func GammaArrival(cv float64) Arrival { return Arrival{Process: Gamma, CV: cv} }
-
-// WeibullArrival returns a Weibull arrival spec with the given shape.
-func WeibullArrival(shape float64) Arrival { return Arrival{Process: WeibullArrivals, Shape: shape} }
-
 // Validate reports an error for out-of-range parameters.
 func (a Arrival) Validate() error {
 	switch a.Process {

@@ -18,7 +18,7 @@ func flatSpec(arrival Arrival, vms, days int) *Spec {
 		Seasonality: Seasonality{WeekendFactor: 1},
 		Classes: []Class{{
 			Name: "only", Fraction: 1, Arrival: arrival,
-			Lifetime: Exponential(10), WorkingSet: Uniform(0.2, 0.5),
+			Lifetime: Dist{Kind: DistExponential, Mean: 10}, WorkingSet: Dist{Kind: DistUniform, Min: 0.2, Max: 0.5},
 		}},
 	}
 }
@@ -46,13 +46,13 @@ func TestArrivalDrawMoments(t *testing.T) {
 		name string
 		a    Arrival
 	}{
-		{"poisson", PoissonArrival()},
-		{"gamma-cv0.5", GammaArrival(0.5)},
-		{"gamma-cv2.5", GammaArrival(2.5)},
-		{"gamma-cv3", GammaArrival(3)},
-		{"weibull-shape0.55", WeibullArrival(0.55)},
-		{"weibull-shape0.7", WeibullArrival(0.7)},
-		{"weibull-shape2", WeibullArrival(2)},
+		{"poisson", Arrival{Process: Poisson}},
+		{"gamma-cv0.5", Arrival{Process: Gamma, CV: 0.5}},
+		{"gamma-cv2.5", Arrival{Process: Gamma, CV: 2.5}},
+		{"gamma-cv3", Arrival{Process: Gamma, CV: 3}},
+		{"weibull-shape0.55", Arrival{Process: WeibullArrivals, Shape: 0.55}},
+		{"weibull-shape0.7", Arrival{Process: WeibullArrivals, Shape: 0.7}},
+		{"weibull-shape2", Arrival{Process: WeibullArrivals, Shape: 2}},
 	}
 	const n = 200000
 	for _, tc := range cases {
@@ -81,7 +81,7 @@ func TestArrivalDrawMoments(t *testing.T) {
 // near VMs*Fraction for every process — BaseRate calibrates the renewal
 // process against seasonality.
 func TestClassArrivalsCalibration(t *testing.T) {
-	for _, a := range []Arrival{PoissonArrival(), GammaArrival(3), WeibullArrival(0.55)} {
+	for _, a := range []Arrival{{Process: Poisson}, {Process: Gamma, CV: 3}, {Process: WeibullArrivals, Shape: 0.55}} {
 		sp := flatSpec(a, 5000, 14)
 		got := len(sp.ClassArrivals(0))
 		if math.Abs(float64(got)-5000)/5000 > 0.10 {
@@ -89,7 +89,7 @@ func TestClassArrivalsCalibration(t *testing.T) {
 		}
 	}
 	// Calibration holds under seasonality too.
-	sp := flatSpec(PoissonArrival(), 5000, 14)
+	sp := flatSpec(Arrival{Process: Poisson}, 5000, 14)
 	sp.Seasonality = Seasonality{DiurnalAmp: 0.6, PeakHour: 12, WeekendFactor: 0.5}
 	got := len(sp.ClassArrivals(0))
 	if math.Abs(float64(got)-5000)/5000 > 0.10 {
@@ -98,7 +98,7 @@ func TestClassArrivalsCalibration(t *testing.T) {
 }
 
 func TestClassArrivalsDeterministicAndSorted(t *testing.T) {
-	sp := flatSpec(GammaArrival(2), 2000, 7)
+	sp := flatSpec(Arrival{Process: Gamma, CV: 2}, 2000, 7)
 	a := sp.ClassArrivals(0)
 	b := sp.ClassArrivals(0)
 	if len(a) != len(b) {
@@ -121,7 +121,7 @@ func TestClassArrivalsDeterministicAndSorted(t *testing.T) {
 // peak hour over the trough hour must approach (1+a)/(1-a).
 func TestDiurnalPeakToTrough(t *testing.T) {
 	const amp = 0.6
-	sp := flatSpec(PoissonArrival(), 40000, 28)
+	sp := flatSpec(Arrival{Process: Poisson}, 40000, 28)
 	sp.Seasonality = Seasonality{DiurnalAmp: amp, PeakHour: 12, WeekendFactor: 1}
 	byHour := make([]int, 24)
 	for _, s := range sp.ClassArrivals(0) {
@@ -139,7 +139,7 @@ func TestDiurnalPeakToTrough(t *testing.T) {
 // must approach WeekendFactor.
 func TestWeekendFactor(t *testing.T) {
 	const wf = 0.5
-	sp := flatSpec(PoissonArrival(), 40000, 28)
+	sp := flatSpec(Arrival{Process: Poisson}, 40000, 28)
 	sp.Seasonality = Seasonality{WeekendFactor: wf}
 	var weekend, weekday, weekendDays, weekdayDays float64
 	perDay := make([]int, sp.Days)
@@ -165,7 +165,7 @@ func TestWeekendFactor(t *testing.T) {
 // TestSurgeRateLift: a 4x surge window must receive ~4x the arrivals of
 // the same window on a quiet day.
 func TestSurgeRateLift(t *testing.T) {
-	sp := flatSpec(PoissonArrival(), 40000, 14)
+	sp := flatSpec(Arrival{Process: Poisson}, 40000, 14)
 	sp.Surges = []Surge{{Kind: "stampede", Day: 10, DurationHours: 6, RateMult: 4, Cluster: -1}}
 	inWindow := func(day float64) int {
 		lo := int(day * timeseries.SamplesPerDay)
@@ -200,7 +200,7 @@ func TestArrivalValidate(t *testing.T) {
 			t.Errorf("arrival %d should be invalid", i)
 		}
 	}
-	good := []Arrival{PoissonArrival(), GammaArrival(0), GammaArrival(10), WeibullArrival(0.2), WeibullArrival(0)}
+	good := []Arrival{{Process: Poisson}, {Process: Gamma, CV: 0}, {Process: Gamma, CV: 10}, {Process: WeibullArrivals, Shape: 0.2}, {Process: WeibullArrivals, Shape: 0}}
 	for i, a := range good {
 		if err := a.Validate(); err != nil {
 			t.Errorf("arrival %d: %v", i, err)
@@ -210,7 +210,7 @@ func TestArrivalValidate(t *testing.T) {
 
 func TestBaseRateDegenerate(t *testing.T) {
 	// A zero seasonality multiplier everywhere must not divide by zero.
-	sp := flatSpec(PoissonArrival(), 100, 7)
+	sp := flatSpec(Arrival{Process: Poisson}, 100, 7)
 	sp.Seasonality = Seasonality{WeekendFactor: 1}
 	sp.Surges = []Surge{{Kind: "kill", Day: 0, DurationHours: 24.0 * 7, RateMult: 0.0000001, Cluster: -1}}
 	if r := sp.BaseRate(0); math.IsInf(r, 0) || math.IsNaN(r) {

@@ -67,16 +67,6 @@ type Dist struct {
 	Shape float64
 }
 
-// Uniform returns a uniform distribution on [min, max].
-func Uniform(min, max float64) Dist { return Dist{Kind: DistUniform, Min: min, Max: max} }
-
-// Exponential returns an exponential distribution with the given mean.
-func Exponential(mean float64) Dist { return Dist{Kind: DistExponential, Mean: mean} }
-
-// Lognormal returns a lognormal distribution with the given arithmetic
-// mean and log-space standard deviation.
-func Lognormal(mean, sigma float64) Dist { return Dist{Kind: DistLognormal, Mean: mean, Sigma: sigma} }
-
 // Weibull returns a Weibull distribution with the given mean and shape.
 func Weibull(mean, shape float64) Dist { return Dist{Kind: DistWeibull, Mean: mean, Shape: shape} }
 

@@ -15,10 +15,10 @@ func TestDistSampleMean(t *testing.T) {
 		d    Dist
 	}{
 		{"fixed", Fixed(3.5)},
-		{"uniform", Uniform(0.2, 0.8)},
-		{"exponential", Exponential(8)},
-		{"lognormal", Lognormal(40, 1.1)},
-		{"lognormal-tight", Lognormal(140, 0.3)},
+		{"uniform", Dist{Kind: DistUniform, Min: 0.2, Max: 0.8}},
+		{"exponential", Dist{Kind: DistExponential, Mean: 8}},
+		{"lognormal", Dist{Kind: DistLognormal, Mean: 40, Sigma: 1.1}},
+		{"lognormal-tight", Dist{Kind: DistLognormal, Mean: 140, Sigma: 0.3}},
 		{"weibull-heavy", Weibull(10, 0.6)},
 		{"weibull-concentrated", Weibull(10, 3)},
 	}
@@ -48,13 +48,13 @@ func TestDistValidate(t *testing.T) {
 		{Kind: DistKind(42)},
 		Fixed(-1),
 		Fixed(math.NaN()),
-		Uniform(-0.1, 0.5),
-		Uniform(0.5, 0.1),
-		Exponential(0),
-		Exponential(-3),
-		Lognormal(0, 1),
-		Lognormal(10, -1),
-		Lognormal(10, math.Inf(1)),
+		{Kind: DistUniform, Min: -0.1, Max: 0.5},
+		{Kind: DistUniform, Min: 0.5, Max: 0.1},
+		{Kind: DistExponential, Mean: 0},
+		{Kind: DistExponential, Mean: -3},
+		{Kind: DistLognormal, Mean: 0, Sigma: 1},
+		{Kind: DistLognormal, Mean: 10, Sigma: -1},
+		{Kind: DistLognormal, Mean: 10, Sigma: math.Inf(1)},
 		Weibull(0, 1),
 		Weibull(10, 0),
 		Weibull(10, -2),
@@ -64,7 +64,7 @@ func TestDistValidate(t *testing.T) {
 			t.Errorf("dist %d (%v) should be invalid", i, d.Kind)
 		}
 	}
-	good := []Dist{Fixed(0), Uniform(0, 0), Uniform(1, 2), Exponential(3), Lognormal(40, 0), Weibull(10, 0.5)}
+	good := []Dist{Fixed(0), {Kind: DistUniform, Min: 0, Max: 0}, {Kind: DistUniform, Min: 1, Max: 2}, {Kind: DistExponential, Mean: 3}, {Kind: DistLognormal, Mean: 40, Sigma: 0}, Weibull(10, 0.5)}
 	for i, d := range good {
 		if err := d.Validate(); err != nil {
 			t.Errorf("dist %d: %v", i, err)

@@ -1,21 +1,20 @@
 package scenario
 
 import (
-	"os"
-	"path/filepath"
+	"io/fs"
 	"testing"
 )
 
 // FuzzParseSpec pins the parser's safety properties on arbitrary input:
 // Parse never panics, and neither does Validate on a spec Parse accepted.
-// The seeds are every preset's canonical text and the handwritten spec.
+// The seeds are every embedded preset file and the handwritten spec.
 func FuzzParseSpec(f *testing.F) {
-	files, err := filepath.Glob(filepath.Join("testdata", "*.spec"))
-	if err != nil || len(files) == 0 {
-		f.Fatalf("no preset spec files: %v", err)
+	paths, err := fs.Glob(presetFiles, "presets/*.spec")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no embedded preset files: %v", err)
 	}
-	for _, path := range files {
-		text, err := os.ReadFile(path)
+	for _, p := range paths {
+		text, err := presetFiles.ReadFile(p)
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -14,7 +14,7 @@ import (
 // comments.
 // Distributions and arrival processes are one-line expressions
 // ("lognormal mean=40 sigma=1.1", "gamma cv=2.5"). Every preset's text
-// is in testdata/. See docs/DESIGN.md §11 for the full grammar and
+// is in presets/. See docs/DESIGN.md §11 for the full grammar and
 // docs/experiments.md for examples.
 
 // Parse reads a workload spec from its text form. It performs only

@@ -75,11 +75,11 @@ func TestParseHandwritten(t *testing.T) {
 	if web.Name != "web" || web.Fraction != 0.6 || web.Archetype != "business-hours" || web.Size != "" {
 		t.Errorf("web class = %+v", web)
 	}
-	if web.Arrival != GammaArrival(2.5) {
+	if web.Arrival != (Arrival{Process: Gamma, CV: 2.5}) {
 		t.Errorf("web arrival = %+v", web.Arrival)
 	}
 	// The "h" on the lifetime mean is a cosmetic unit.
-	if web.Lifetime != Lognormal(36, 1.1) {
+	if web.Lifetime != (Dist{Kind: DistLognormal, Mean: 36, Sigma: 1.1}) {
 		t.Errorf("web lifetime = %+v", web.Lifetime)
 	}
 	batch := sp.Classes[1]

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,44 +28,26 @@ func TestPresetsValid(t *testing.T) {
 	}
 }
 
-// TestPresetNamesCoverMap: the canonical name list and the preset map
-// must agree exactly, so no preset is unreachable or phantom.
-func TestPresetNamesCoverMap(t *testing.T) {
-	var want []string
-	for name := range presets {
-		want = append(want, name)
-	}
-	sort.Strings(want)
-	got := append([]string(nil), PresetNames...)
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("PresetNames %v != preset map keys %v", got, want)
-	}
-}
-
-// TestPresetText: testdata/<name>.spec is each preset's canonical text,
-// and Parse must reproduce the preset from it exactly (float for float),
-// so a spec written out by hand means what the preset means.
-func TestPresetText(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("testdata", "*.spec"))
+// TestPresetFilesAreNames: the embedded presets/*.spec files and
+// PresetNames must name the same set, so no file is unreachable and no
+// name is phantom.
+func TestPresetFilesAreNames(t *testing.T) {
+	paths, err := fs.Glob(presetFiles, "presets/*.spec")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != len(PresetNames) {
-		t.Errorf("testdata holds %d spec files for %d presets", len(files), len(PresetNames))
+	files := map[string]bool{}
+	for _, p := range paths {
+		files[strings.TrimSuffix(path.Base(p), ".spec")] = true
+	}
+	for name := range files {
+		if !slices.Contains(PresetNames, name) {
+			t.Errorf("presets/%s.spec is not in PresetNames", name)
+		}
 	}
 	for _, name := range PresetNames {
-		text, err := os.ReadFile(filepath.Join("testdata", name+".spec"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Parse(string(text))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want, _ := Preset(name)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: parsed text differs from the preset:\nparsed: %+v\npreset: %+v", name, got, want)
+		if !files[name] {
+			t.Errorf("preset %q has no presets/%s.spec", name, name)
 		}
 	}
 }
@@ -103,7 +87,7 @@ func TestLoadPresetName(t *testing.T) {
 
 func TestLoadSpecFile(t *testing.T) {
 	want, _ := Preset("surge")
-	sp, err := Load(filepath.Join("testdata", "surge.spec"))
+	sp, err := Load(filepath.Join("presets", "surge.spec"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,10 +17,10 @@ func validSpec() *Spec {
 		Subscriptions: 12, Clusters: 4, StartWeekday: time.Monday,
 		Seasonality: Seasonality{DiurnalAmp: 0.3, PeakHour: 14, WeekendFactor: 0.8},
 		Classes: []Class{
-			{Name: "a", Fraction: 0.6, Arrival: PoissonArrival(),
-				Lifetime: Lognormal(40, 1), WorkingSet: Uniform(0.3, 0.6)},
-			{Name: "b", Fraction: 0.4, Arrival: GammaArrival(2),
-				Lifetime: Exponential(8), WorkingSet: Fixed(0.5)},
+			{Name: "a", Fraction: 0.6, Arrival: Arrival{Process: Poisson},
+				Lifetime: Dist{Kind: DistLognormal, Mean: 40, Sigma: 1}, WorkingSet: Dist{Kind: DistUniform, Min: 0.3, Max: 0.6}},
+			{Name: "b", Fraction: 0.4, Arrival: Arrival{Process: Gamma, CV: 2},
+				Lifetime: Dist{Kind: DistExponential, Mean: 8}, WorkingSet: Fixed(0.5)},
 		},
 		Surges: []Surge{{Kind: "spike", Classes: []string{"a"},
 			Day: 4, DurationHours: 6, RateMult: 3, UtilMult: 1.2, Cluster: -1}},
@@ -59,10 +59,10 @@ func TestSpecValidateErrors(t *testing.T) {
 		{"size-unknown", func(sp *Spec) { sp.Classes[0].Size = "tiny" }, "size"},
 		{"class-cluster-negative", func(sp *Spec) { sp.Classes[0].Clusters = []int{-1} }, "cluster"},
 		{"class-cluster-too-big", func(sp *Spec) { sp.Classes[0].Clusters = []int{4} }, "cluster"},
-		{"arrival-bad", func(sp *Spec) { sp.Classes[0].Arrival = GammaArrival(-1) }, "arrival"},
-		{"lifetime-bad", func(sp *Spec) { sp.Classes[0].Lifetime = Exponential(-1) }, "lifetime"},
+		{"arrival-bad", func(sp *Spec) { sp.Classes[0].Arrival = Arrival{Process: Gamma, CV: -1} }, "arrival"},
+		{"lifetime-bad", func(sp *Spec) { sp.Classes[0].Lifetime = Dist{Kind: DistExponential, Mean: -1} }, "lifetime"},
 		{"lifetime-zero-mean", func(sp *Spec) { sp.Classes[0].Lifetime = Fixed(0) }, "lifetime mean"},
-		{"working-set-bad", func(sp *Spec) { sp.Classes[0].WorkingSet = Uniform(0.5, 0.2) }, "working-set"},
+		{"working-set-bad", func(sp *Spec) { sp.Classes[0].WorkingSet = Dist{Kind: DistUniform, Min: 0.5, Max: 0.2} }, "working-set"},
 		{"working-set-above-one", func(sp *Spec) { sp.Classes[0].WorkingSet = Fixed(1.5) }, "working-set mean"},
 		{"fractions-dont-sum", func(sp *Spec) { sp.Classes[0].Fraction = 0.3 }, "sum"},
 		{"surge-no-kind", func(sp *Spec) { sp.Surges[0].Kind = "" }, "no kind"},

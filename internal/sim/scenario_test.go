@@ -12,10 +12,9 @@ import (
 )
 
 // TestScenarioRunDeterministicAcrossWorkers is the scenario-path
-// determinism contract: for every preset, running with Config.Scenario
-// and a nil trace must produce the identical merged Result on 1, 2 and
-// 8 workers. With -race this also exercises scenario trace generation
-// under the worker pool.
+// determinism contract: for every preset, replaying its trace with
+// Config.Scenario set (so a faults: section applies) must produce the
+// identical merged Result on 1, 2 and 8 workers.
 func TestScenarioRunDeterministicAcrossWorkers(t *testing.T) {
 	for _, name := range scenario.PresetNames {
 		name := name
@@ -26,8 +25,7 @@ func TestScenarioRunDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatal(err)
 			}
 			sp := full.Scaled(300, 30)
-			// Pre-train one model from the identically-generated trace so
-			// the worker sweep isolates replay.
+			// Pre-train one model so the worker sweep isolates replay.
 			tr, err := trace.GenerateScenario(sp)
 			if err != nil {
 				t.Fatal(err)
@@ -45,7 +43,7 @@ func TestScenarioRunDeterministicAcrossWorkers(t *testing.T) {
 			var base *Result
 			for _, workers := range []int{1, 2, 8} {
 				cfg.Workers = workers
-				res, err := Run(nil, fleet, cfg)
+				res, err := Run(tr, fleet, cfg)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -62,13 +60,5 @@ func TestScenarioRunDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestRunNilTraceRequiresScenario pins the Config.Scenario contract.
-func TestRunNilTraceRequiresScenario(t *testing.T) {
-	fleet := cluster.NewFleet(cluster.DefaultClusters(1))
-	if _, err := Run(nil, fleet, ConfigForPolicy(scheduler.PolicyNone)); err == nil {
-		t.Fatal("nil trace with no scenario must error")
 	}
 }

@@ -55,18 +55,14 @@ type Config struct {
 	// to TrainUpTo with TrainConfig()). When nil, Run trains its own
 	// unless Policy is PolicyNone.
 	Model *predict.LongTerm
-	// Scenario, when non-nil, is a declarative workload spec. Run called
-	// with a nil trace generates it from the scenario
-	// (trace.GenerateScenario), and a zero TrainUpTo then defaults to
-	// half the spec's horizon. When both a trace and a Scenario are
-	// given, the trace wins — the Scenario is assumed to be its source.
-	// When Faults is nil and the spec declares faults, Run compiles them
-	// against the fleet's shard shape, so one spec drives the identical
-	// fault schedule here and in a live coachd. Server crash/recover
-	// events apply at the top of each evaluation tick; train-fail skips
-	// model training (every admission degrades to the fully-guaranteed
-	// best-fit split); serving-only faults (latency, handoff crash
-	// points) are ignored. See docs/DESIGN.md §13.
+	// Scenario, when non-nil, is the workload spec the trace was
+	// generated from. When Faults is nil and the spec declares faults,
+	// Run compiles them against the fleet's shard shape, so one spec
+	// drives the identical fault schedule here and in a live coachd.
+	// Server crash/recover events apply at the top of each evaluation
+	// tick; train-fail skips model training (every admission degrades
+	// to the fully-guaranteed best-fit split); serving-only faults
+	// (latency, handoff crash points) are ignored. See docs/DESIGN.md §13.
 	Scenario *scenario.Spec
 	// VisitCounter, when non-nil, is incremented atomically with the
 	// number of placed-VM records each shard tick visits: the VMs whose
@@ -197,17 +193,7 @@ func (r *Result) UnderAllocFrac(k resources.Kind) float64 {
 // Outcomes order, sorted by VMID) is byte-identical for any worker count.
 func Run(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, error) {
 	if tr == nil {
-		if cfg.Scenario == nil {
-			return nil, fmt.Errorf("sim: nil trace and no Config.Scenario to generate one from")
-		}
-		var err error
-		cfg.Timings.Alloc(StageTrace, func() { tr, err = trace.GenerateScenario(cfg.Scenario) })
-		if err != nil {
-			return nil, err
-		}
-		if cfg.TrainUpTo == 0 {
-			cfg.TrainUpTo = tr.Horizon / 2
-		}
+		return nil, fmt.Errorf("sim: nil trace")
 	}
 	start := cfg.Timings.Start()
 	tr, cfg, states, err := prepare(tr, fleet, cfg)

@@ -13,9 +13,8 @@ import "github.com/coach-oss/coach/internal/timing"
 // the barrier, the rest: starting, waking and joining the workers, and
 // the timers' own clock reads inside a shard's step.
 const (
-	// StageTrace is trace synthesis, a root: Run records it when it
-	// generates the trace from Config.Scenario, and a caller that
-	// generates the trace itself may record it with timing.Tree.Alloc.
+	// StageTrace is trace synthesis, a root that Run never records:
+	// callers time their own synthesis with timing.Tree.Alloc.
 	StageTrace = iota
 	stageRun
 	stageTrain
