@@ -62,3 +62,22 @@ func TestScenarioRunDeterministicAcrossWorkers(t *testing.T) {
 		})
 	}
 }
+
+// TestRunNilTraceRequiresScenario pins that Run needs a trace: a nil
+// trace is an error whether or not Config.Scenario is set, since Run
+// no longer generates a trace from the scenario.
+func TestRunNilTraceRequiresScenario(t *testing.T) {
+	fleet := cluster.NewFleet(cluster.DefaultClusters(1))
+	cfg := ConfigForPolicy(scheduler.PolicyNone)
+	if _, err := Run(nil, fleet, cfg); err == nil {
+		t.Fatal("nil trace with no scenario must error")
+	}
+	sp, err := scenario.Preset("capacity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = sp
+	if _, err := Run(nil, fleet, cfg); err == nil {
+		t.Fatal("nil trace with a scenario must error")
+	}
+}

@@ -59,9 +59,6 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(tr, bad, cfg); err == nil {
 		t.Error("fleet with out-of-range cluster index must fail, not panic")
 	}
-	if _, err := Run(nil, fleet, cfg); err == nil {
-		t.Error("nil trace must fail, not panic")
-	}
 }
 
 func runPolicy(t *testing.T, p scheduler.PolicyKind) *Result {
