@@ -263,11 +263,10 @@ func run(o options, w io.Writer) error {
 	// The mitigation policy never affects training: train the predictor
 	// once and share it across the sweep.
 	if p != scheduler.PolicyNone {
-		model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig())
+		tm.Alloc(sim.StageSharedTrain, func() { cfg.Model, err = predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig()) })
 		if err != nil {
 			return err
 		}
-		cfg.Model = model
 	}
 	title := fmt.Sprintf("Fleet memory data plane (%s scheduler, %s triggering, pool %g%% of server memory",
 		p, cfg.MitigationMode, 100*o.dpPoolFrac)

@@ -172,3 +172,28 @@ func TestRunAppliesSpecFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestTimingsShowSharedTraining: a -data-plane sweep trains its model
+// once, before the Runs that share it, and -timings must show that
+// training as its own root with one call rather than leave it out of
+// the tree.
+func TestTimingsShowSharedTraining(t *testing.T) {
+	o, err := parseFlags([]string{"-scale", "small", "-policy", "AggrCoach", "-data-plane", "-mitigation", "Trim", "-timings"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run(o, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(out.String(), "\n") {
+		if name, rest, ok := strings.Cut(line, "shared train"); ok && name == "" {
+			// total ms, share, calls, mean µs, alloc MB
+			if f := strings.Fields(rest); len(f) < 3 || f[2] != "1" {
+				t.Fatalf("shared training recorded as %q, want one call:\n%s", line, out.String())
+			}
+			return
+		}
+	}
+	t.Fatalf("no shared train row in the timings:\n%s", out.String())
+}

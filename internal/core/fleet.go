@@ -90,7 +90,8 @@ func (c ClusterConfig) TrainConfig() predict.LongTermConfig {
 
 // NewShards validates the configuration against tr and fleet and builds
 // one Shard per cluster: the scheduler, plus the data plane and migration
-// engine when DataPlane is set. A VM id must be its index in tr.VMs.
+// engine when DataPlane is set, and the shard's fault events from Faults.
+// A VM id must be its index in tr.VMs.
 func (c FleetConfig) NewShards(tr *trace.Trace, fleet *cluster.Fleet) ([]*Shard, error) {
 	if err := c.Windows.Validate(); err != nil {
 		return nil, err
@@ -130,6 +131,7 @@ func (c FleetConfig) NewShards(tr *trace.Trace, fleet *cluster.Fleet) ([]*Shard,
 		if err != nil {
 			return nil, err
 		}
+		sh.Faults = c.Faults.ForShard(i)
 		shards[i] = sh
 	}
 	return shards, nil

@@ -3,6 +3,7 @@ package core
 import (
 	"github.com/coach-oss/coach/internal/cluster"
 	"github.com/coach-oss/coach/internal/coachvm"
+	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/memsim"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
@@ -39,7 +40,9 @@ type ShardStats struct {
 // memory data plane and migration engine over the same servers. Sched is
 // nil when the cluster has no servers; DP and Eng are nil unless the data
 // plane is on. Scorer is the migration engine's what-if scorer, or a
-// scheduler-only one without a data plane.
+// scheduler-only one without a data plane. Faults is the shard's slice
+// of the compiled fault schedule (FleetConfig.NewShards sets it), which
+// ApplyFaults walks with a cursor of its own.
 type Shard struct {
 	Index  int
 	Sched  *scheduler.Scheduler
@@ -47,6 +50,8 @@ type Shard struct {
 	Eng    *MigrationEngine
 	Scorer *WhatIfScorer
 	Stats  ShardStats
+	Faults []fault.Event
+	fi     int
 }
 
 // NewShard builds shard index over servers. A nil dp leaves the data
@@ -184,6 +189,30 @@ func (s *Shard) Recover(server int) {
 	}
 	s.Sched.SetDown(server, false)
 	s.Stats.Recoveries++
+}
+
+// ApplyFaults applies, in schedule order, every fault event of the shard
+// due at or before tick (evaluation ticks) that it has not applied yet,
+// and returns the crashes' evictions in that order: the one fault clock
+// both layers run after a tick's departures and arrivals, before its
+// working sets move. A VM a crash re-homed onto a server that crashes
+// later in the same call appears once per eviction.
+func (s *Shard) ApplyFaults(tick int) ([]Eviction, error) {
+	var out []Eviction
+	for s.fi < len(s.Faults) && s.Faults[s.fi].Tick <= tick {
+		e := s.Faults[s.fi]
+		s.fi++
+		if e.Up {
+			s.Recover(e.Server)
+			continue
+		}
+		evicted, err := s.Crash(e.Server)
+		out = append(out, evicted...)
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
 // Tick advances the data plane one sample and lands the live migrations

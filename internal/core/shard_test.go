@@ -5,6 +5,7 @@ import (
 
 	"github.com/coach-oss/coach/internal/agent"
 	"github.com/coach-oss/coach/internal/cluster"
+	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/timeseries"
 )
@@ -147,6 +148,41 @@ func TestShardFaultNoOps(t *testing.T) {
 	empty.Recover(0)
 	if empty.Stats != (ShardStats{}) || empty.Sched != nil || empty.Scorer != nil {
 		t.Fatalf("empty shard %+v", empty)
+	}
+}
+
+// TestShardApplyFaults pins the fault walker: ApplyFaults applies each
+// event once, in schedule order, when its tick comes due — a late call
+// catches up on every event due by then — and returns the crashes'
+// evictions in that order.
+func TestShardApplyFaults(t *testing.T) {
+	sh := shardFixture(t, 3, false)
+	for _, p := range [][2]int{{1, 0}, {2, 1}} { // vm id, server
+		if err := sh.AdmitAt(oversubCVM(t, p[0], 2, 8, 1), p[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sh.Faults = []fault.Event{
+		{Tick: 1, Server: 0},
+		{Tick: 3, Server: 0, Up: true},
+		{Tick: 3, Server: 1},
+	}
+	if ev, err := sh.ApplyFaults(0); ev != nil || err != nil || sh.Stats != (ShardStats{}) {
+		t.Fatalf("tick 0: %v, %v, stats %+v; want nothing due", ev, err, sh.Stats)
+	}
+	ev, err := sh.ApplyFaults(2)
+	if err != nil || len(ev) != 1 || ev[0].VMID != 1 || ev[0].Server != 1 || !sh.Sched.Down(0) {
+		t.Fatalf("tick 2: %+v, %v; want vm 1 moved from crashed server 0 to 1", ev, err)
+	}
+	if ev, err := sh.ApplyFaults(2); ev != nil || err != nil || sh.Stats.Crashes != 1 {
+		t.Fatalf("tick 2 again: %v, %v, %d crashes; want each event applied once", ev, err, sh.Stats.Crashes)
+	}
+	ev, err = sh.ApplyFaults(5)
+	if err != nil || len(ev) != 2 || ev[0].VMID != 1 || ev[1].VMID != 2 || sh.Sched.Down(0) || !sh.Sched.Down(1) {
+		t.Fatalf("tick 5: %+v, %v; want server 0 back, then vms 1 and 2 evicted from server 1", ev, err)
+	}
+	if want := (ShardStats{Crashes: 2, Recoveries: 1, EvictedVMs: 3, ReplacedVMs: 3}); sh.Stats != want {
+		t.Fatalf("stats %+v, want %+v", sh.Stats, want)
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package fault compiles a scenario's declarative faults: section into
 // a deterministic, seed-driven fault schedule and provides the runtime
 // hooks that inject it. One compiled Schedule drives both traffic
-// consumers identically: the sharded simulator applies its server
-// crash/recover events at the top of each evaluation tick (both
-// engines, so golden equivalence holds under faults), and a live coachd
-// applies the same events on its data-plane ticks plus the
-// serving-only faults (injected request latency, handoff crash points)
-// through an Injector. Ticks count from the start of the evaluation
-// period, matching scenario.Fault.Day. See docs/DESIGN.md §13.
+// consumers identically: each core.Shard walks its slice of the server
+// crash/recover events (ForShard) on one clock, after a tick's
+// departures and arrivals — the simulator's ticks and a live coachd's
+// data-plane ticks alike — and coachd applies the serving-only faults
+// (injected request latency, handoff crash points) through an Injector.
+// Ticks count from the start of the evaluation period, matching
+// scenario.Fault.Day. See docs/DESIGN.md §13.
 package fault
 
 import (
@@ -50,8 +50,7 @@ type HandoffCrash struct {
 // are both valid empty schedules; every method is nil-safe so callers
 // can thread an optional *Schedule without guarding.
 type Schedule struct {
-	events    []Event // sorted by (Tick, Shard, Server), recoveries first
-	byShard   [][]Event
+	byShard   [][]Event // per shard, sorted by (Tick, Server), recoveries first
 	trainFail bool
 	latency   []Window
 	handoffs  []HandoffCrash
@@ -155,6 +154,7 @@ func Compile(faults []scenario.Fault, seed int64, shardServers []int, horizonTic
 		return cands[i].seq < cands[j].seq
 	})
 	downUntil := map[[2]int]int{} // (shard, server) -> first tick it is up again
+	s.byShard = make([][]Event, len(shardServers))
 	for _, c := range cands {
 		if c.tick < 0 || c.tick >= horizonTicks {
 			continue
@@ -163,32 +163,28 @@ func Compile(faults []scenario.Fault, seed int64, shardServers []int, horizonTic
 		if until, down := downUntil[key]; down && c.tick < until {
 			continue
 		}
-		s.events = append(s.events, Event{Tick: c.tick, Shard: c.shard, Server: c.server})
+		evs := append(s.byShard[c.shard], Event{Tick: c.tick, Shard: c.shard, Server: c.server})
 		s.crashes++
 		if up := c.tick + c.recover; c.recover > 0 && up < horizonTicks {
 			downUntil[key] = up
-			s.events = append(s.events, Event{Tick: up, Shard: c.shard, Server: c.server, Up: true})
+			evs = append(evs, Event{Tick: up, Shard: c.shard, Server: c.server, Up: true})
 		} else {
 			// No recovery, or recovery past the horizon: down for good.
 			downUntil[key] = horizonTicks
 		}
+		s.byShard[c.shard] = evs
 	}
-	sort.Slice(s.events, func(i, j int) bool {
-		a, b := s.events[i], s.events[j]
-		if a.Tick != b.Tick {
-			return a.Tick < b.Tick
-		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		if a.Server != b.Server {
-			return a.Server < b.Server
-		}
-		return a.Up && !b.Up // recover before a same-tick re-crash
-	})
-	s.byShard = make([][]Event, len(shardServers))
-	for _, e := range s.events {
-		s.byShard[e.Shard] = append(s.byShard[e.Shard], e)
+	for _, evs := range s.byShard {
+		sort.Slice(evs, func(i, j int) bool {
+			a, b := evs[i], evs[j]
+			if a.Tick != b.Tick {
+				return a.Tick < b.Tick
+			}
+			if a.Server != b.Server {
+				return a.Server < b.Server
+			}
+			return a.Up && !b.Up // recover before a same-tick re-crash
+		})
 	}
 	return s, nil
 }
@@ -217,22 +213,15 @@ func expGap(rng *rand.Rand, meanTicks float64) int {
 	return g
 }
 
-// Empty reports whether the schedule injects nothing at all.
+// Empty reports whether the schedule injects nothing at all. Every
+// recovery follows a crash, so no crash means no server event.
 func (s *Schedule) Empty() bool {
-	return s == nil || (len(s.events) == 0 && !s.trainFail &&
+	return s == nil || (s.crashes == 0 && !s.trainFail &&
 		len(s.latency) == 0 && len(s.handoffs) == 0)
 }
 
-// Events returns all server events across shards in schedule order.
-func (s *Schedule) Events() []Event {
-	if s == nil {
-		return nil
-	}
-	return s.events
-}
-
-// ForShard returns shard i's server events in tick order; the simulator
-// threads one slice per shard so fault application needs no cross-shard
+// ForShard returns shard i's server events in tick order: each
+// core.Shard walks its own, so fault application needs no cross-shard
 // coordination.
 func (s *Schedule) ForShard(i int) []Event {
 	if s == nil || i < 0 || i >= len(s.byShard) {

@@ -10,6 +10,15 @@ import (
 
 const horizon = 7 * timeseries.SamplesPerDay
 
+// events lists every shard's server events, shard by shard.
+func events(s *Schedule) []Event {
+	var out []Event
+	for _, evs := range s.byShard {
+		out = append(out, evs...)
+	}
+	return out
+}
+
 func compile(t *testing.T, faults []scenario.Fault, seed int64, shards []int) *Schedule {
 	t.Helper()
 	s, err := Compile(faults, seed, shards, horizon)
@@ -30,23 +39,24 @@ func TestCompileDeterministic(t *testing.T) {
 	shards := []int{4, 4, 4}
 	a := compile(t, faults, 5150, shards)
 	b := compile(t, faults, 5150, shards)
-	if !reflect.DeepEqual(a.Events(), b.Events()) {
-		t.Fatalf("same inputs compiled to different schedules:\n%v\n%v", a.Events(), b.Events())
+	if !reflect.DeepEqual(events(a), events(b)) {
+		t.Fatalf("same inputs compiled to different schedules:\n%v\n%v", events(a), events(b))
 	}
 	if a.Crashes() == 0 {
 		t.Fatal("chaos schedule compiled no crashes")
 	}
 	c := compile(t, faults, 5151, shards)
-	if reflect.DeepEqual(a.Events(), c.Events()) {
+	if reflect.DeepEqual(events(a), events(c)) {
 		t.Fatal("different seeds compiled identical chaos schedules")
 	}
-	// Per-shard views partition the event list.
-	n := 0
+	// Each shard's view holds its own events in tick order.
 	for i := range shards {
-		n += len(a.ForShard(i))
-	}
-	if n != len(a.Events()) {
-		t.Fatalf("ForShard partitions %d events, Events has %d", n, len(a.Events()))
+		evs := a.ForShard(i)
+		for j, e := range evs {
+			if e.Shard != i || (j > 0 && e.Tick < evs[j-1].Tick) {
+				t.Fatalf("ForShard(%d)[%d] = %+v out of place in %v", i, j, e, evs)
+			}
+		}
 	}
 }
 
@@ -56,7 +66,7 @@ func TestCompilePinnedCrash(t *testing.T) {
 	s := compile(t, []scenario.Fault{
 		{Kind: "crash", Day: 1, Cluster: 1, Server: 2, RecoverHours: 6},
 	}, 1, []int{4, 4})
-	ev := s.Events()
+	ev := events(s)
 	if len(ev) != 2 {
 		t.Fatalf("events = %v, want crash+recovery", ev)
 	}
@@ -87,7 +97,7 @@ func TestCompileOverlapDropped(t *testing.T) {
 		t.Fatalf("crashes = %d, want 2 (overlaps dropped)", s.Crashes())
 	}
 	down := 0
-	for _, e := range s.Events() {
+	for _, e := range events(s) {
 		if !e.Up {
 			down++
 		}
@@ -104,7 +114,7 @@ func TestCompileModuloMapping(t *testing.T) {
 	s := compile(t, []scenario.Fault{
 		{Kind: "crash", Day: 1, Cluster: 7, Server: 9},
 	}, 1, []int{3, 3})
-	ev := s.Events()
+	ev := events(s)
 	if len(ev) != 1 || ev[0].Shard != 1 || ev[0].Server != 0 {
 		t.Fatalf("events = %v, want shard 7%%2=1 server 9%%3=0", ev)
 	}
@@ -120,7 +130,7 @@ func TestCompileHorizonClipped(t *testing.T) {
 	if s.Crashes() != 1 {
 		t.Fatalf("crashes = %d, want 1", s.Crashes())
 	}
-	for _, e := range s.Events() {
+	for _, e := range events(s) {
 		if e.Tick >= horizon {
 			t.Fatalf("event past horizon survived: %+v", e)
 		}
@@ -163,7 +173,7 @@ func TestScheduleFlagsAndLatency(t *testing.T) {
 
 	var nilSched *Schedule
 	if !nilSched.Empty() || nilSched.Crashes() != 0 || nilSched.TrainFail() ||
-		nilSched.Events() != nil || nilSched.ForShard(0) != nil {
+		nilSched.ForShard(0) != nil {
 		t.Fatal("nil schedule is not inert")
 	}
 	if _, ok := nilSched.LatencyAt(0); ok {

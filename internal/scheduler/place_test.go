@@ -48,8 +48,8 @@ func fullScanPlace(s *Scheduler, vm *coachvm.CVM) int {
 // TestPlaceSkipsOnlyPristineServers pins Place's pristine-server rule to
 // the unskipped scan. Server 0 is filled and drained first, in a
 // different order: its exact sums leave it pristine again, and the
-// pristine flag must track every pool's emptiness and zero sums through
-// the churn that follows. Runs on a one-capacity fleet and on a
+// pristine flag and the used-server count must track every pool's
+// emptiness and zero sums through the churn that follows. Runs on a one-capacity fleet and on a
 // mixed-capacity NewOverServers view with a down server.
 func TestPlaceSkipsOnlyPristineServers(t *testing.T) {
 	small := cluster.ServerSpec{Name: "s", Generation: 1, Capacity: resources.NewVector(16, 64, 10, 1024)}
@@ -115,11 +115,18 @@ func TestPlaceSkipsOnlyPristineServers(t *testing.T) {
 			case 1:
 				_ = s.MigrateTo(victim, rng.Intn(len(s.servers)))
 			}
+			used := 0
 			for i, st := range s.servers {
 				want := st.Pool.Len() == 0 && st.Pool.Backed().IsZero() && st.Pool.Guaranteed().IsZero()
 				if s.pristine[i] != want {
 					t.Fatalf("%s: after vm %d, pristine[%d] = %v, pool says %v", name, id, i, s.pristine[i], want)
 				}
+				if st.Used() {
+					used++
+				}
+			}
+			if s.UsedServers() != used {
+				t.Fatalf("%s: after vm %d, UsedServers = %d, pools say %d", name, id, s.UsedServers(), used)
 			}
 		}
 		if placed == 0 || rejected == 0 {

@@ -51,8 +51,10 @@ type Scheduler struct {
 	// addAt and takeFrom, which every pool mutation goes through. class[i]
 	// indexes the server's capacity among the fleet's distinct capacities
 	// and classSeen is Place's per-call scratch over those. Dense, so
-	// Place passes a pristine server on two loads.
+	// Place passes a pristine server on two loads. used counts the
+	// servers that are not pristine.
 	pristine  []bool
+	used      int
 	class     []int32
 	classSeen []bool
 }
@@ -169,14 +171,20 @@ func (s *Scheduler) addAt(vm *coachvm.CVM, server int) {
 		panic(fmt.Sprintf("scheduler: place on feasible server failed: %v", err))
 	}
 	s.placement[vm.ID] = server
-	s.pristine[server] = false
+	if s.pristine[server] {
+		s.pristine[server] = false
+		s.used++
+	}
 }
 
 // takeFrom removes vmID from server's pool, returning its CVM.
 func (s *Scheduler) takeFrom(vmID, server int) *coachvm.CVM {
 	pool := s.servers[server].Pool
 	vm := pool.Remove(vmID)
-	s.pristine[server] = pool.Len() == 0
+	if pool.Len() == 0 {
+		s.pristine[server] = true
+		s.used--
+	}
 	return vm
 }
 
@@ -318,12 +326,4 @@ func (s *Scheduler) VMsOn(server int) []int {
 func (s *Scheduler) Placed() int { return len(s.placement) }
 
 // UsedServers returns the number of servers hosting at least one VM.
-func (s *Scheduler) UsedServers() int {
-	n := 0
-	for _, st := range s.servers {
-		if st.Used() {
-			n++
-		}
-	}
-	return n
-}
+func (s *Scheduler) UsedServers() int { return s.used }

@@ -6,16 +6,15 @@ import (
 	"time"
 
 	"github.com/coach-oss/coach/internal/core"
-	"github.com/coach-oss/coach/internal/fault"
 )
 
 // This file is the serving half of the failure-domain engine
-// (docs/DESIGN.md §13): compiled server crash/recover events apply at
-// the top of each data-plane tick through the core.Shard operations the
-// simulator replays, and the cross-shard handoff gains a
-// write-ahead intent log so a coordinator crash at any point of the
-// pick/reserve/release/commit protocol leaves the VM recoverable —
-// never lost, never double-placed.
+// (docs/DESIGN.md §13): compiled server crash/recover events apply on
+// each data-plane tick, after the tick's admissions, through
+// core.Shard.ApplyFaults — the clock and walker the simulator replays —
+// and the cross-shard handoff gains a write-ahead intent log so a
+// coordinator crash at any point of the pick/reserve/release/commit
+// protocol leaves the VM recoverable — never lost, never double-placed.
 
 // Handoff intent phases — the write-ahead record of how far a
 // cross-shard handoff progressed. Each phase names the durable state
@@ -278,33 +277,16 @@ func (sh *fleetShard) holds(req core.MigrationRequest) bool {
 		sh.Sched.ServerOf(req.VMID) == req.SrcServer
 }
 
-// applyFaultEvents applies the compiled server crash/recover events due
-// at or before tick through core.Shard's Crash and Recover. TickDataPlane
+// applyFaults applies every shard's fault events due at or before tick
+// through core.Shard.ApplyFaults, under the shard's lock. TickDataPlane
 // calls it once per tick, after the recovery sweep, so parked handoffs
 // complete against the fleet state they were logged under before servers
 // fail beneath them. A re-admitted VM keeps its utilization cursor; a
 // lost one leaves the fleet.
-func (s *Service) applyFaultEvents(tick int) error {
-	s.fMu.Lock()
-	var due []fault.Event
-	for s.fi < len(s.fEvents) && s.fEvents[s.fi].Tick <= tick {
-		due = append(due, s.fEvents[s.fi])
-		s.fi++
-	}
-	s.fMu.Unlock()
-	for _, e := range due {
-		if e.Shard < 0 || e.Shard >= len(s.shards) {
-			continue
-		}
-		sh := s.shards[e.Shard]
+func (s *Service) applyFaults(tick int) error {
+	for _, sh := range s.shards {
 		sh.mu.Lock()
-		var evicted []core.Eviction
-		var err error
-		if e.Up {
-			sh.Recover(e.Server)
-		} else {
-			evicted, err = sh.Crash(e.Server)
-		}
+		evicted, err := sh.ApplyFaults(tick)
 		var lost []int
 		for _, ev := range evicted {
 			if ev.Server < 0 {

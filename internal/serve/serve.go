@@ -187,16 +187,12 @@ type Service struct {
 
 	// Failure-domain state (docs/DESIGN.md §13). injector fires the
 	// serving-only faults (handoff crash points, injected request
-	// latency); fEvents/fi walk the compiled server crash/recover
-	// events, applied at the top of each data-plane tick; intents is the
-	// write-ahead log of in-flight cross-shard handoffs, swept for
-	// crash recovery before every tick; degraded flips when model
-	// training fails and the service falls back to best-fit-only
-	// admission.
+	// latency); each core.Shard walks its own server crash/recover
+	// events; intents is the write-ahead log of in-flight cross-shard
+	// handoffs, swept for crash recovery before every tick; degraded
+	// flips when model training fails and the service falls back to
+	// best-fit-only admission.
 	injector *fault.Injector
-	fMu      sync.Mutex
-	fEvents  []fault.Event
-	fi       int
 
 	intentMu sync.Mutex
 	intents  map[int]*handoffIntent
@@ -230,7 +226,6 @@ func New(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Service, error) {
 		route:    make([]int, len(tr.VMs)),
 		key:      ModelKey{TraceID: Fingerprint(tr), TrainUpTo: cfg.TrainUpTo, Config: cfg.TrainConfig()},
 		injector: fault.NewInjector(cfg.Faults),
-		fEvents:  cfg.Faults.Events(),
 		intents:  make(map[int]*handoffIntent),
 	}
 	for i := range s.route {
@@ -592,7 +587,9 @@ func (s *Service) Report(vm *trace.VM, memUtil float64) (applied bool, err error
 // unpressured same-shard target hand off cross-shard afterwards through
 // the write-ahead intent log (driveHandoff). Each tick first sweeps that
 // log for intents a crashed coordinator left mid-protocol, then applies
-// any compiled fault events due this tick (server crashes/recoveries).
+// the compiled fault events due this tick (server crashes/recoveries)
+// through core.Shard.ApplyFaults: after the tick's admissions, before
+// any working set moves — the point the simulator applies them at too.
 // cmd/coachd calls it on a wall-clock timer (-dp-interval); tests drive
 // it directly. It returns ErrDataPlaneDisabled when the service was
 // built without a data plane.
@@ -610,7 +607,7 @@ func (s *Service) TickDataPlane() error {
 	if err := s.recoverHandoffs(); err != nil {
 		return err
 	}
-	if err := s.applyFaultEvents(tick); err != nil {
+	if err := s.applyFaults(tick); err != nil {
 		return err
 	}
 	var handoffs []core.MigrationRequest

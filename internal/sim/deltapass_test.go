@@ -107,7 +107,7 @@ func TestEventDeltaPassStaleAndDuplicateSlots(t *testing.T) {
 				t.Fatalf("due at tick = %v, want a, b, c and d", due)
 			}
 		}
-		st.fEvents = []fault.Event{{Tick: tick - trainUpTo, Server: int(ra.srv)}}
+		st.sh.Faults = []fault.Event{{Tick: tick - trainUpTo, Server: int(ra.srv)}}
 		before := visits
 		step(tick)
 		if st.sh.Stats.ReplacedVMs != 2 {
@@ -274,7 +274,7 @@ func TestDeltaPassDenseBlocks(t *testing.T) {
 					t.Fatal("fixture wants VM 2 last, with a filled block, when VM 0 departs")
 				}
 			case crashAt:
-				st.fEvents = []fault.Event{{Tick: now - trainUpTo, Server: int(st.recs[st.pos[1]].srv)}}
+				st.sh.Faults = []fault.Event{{Tick: now - trainUpTo, Server: int(st.recs[st.pos[1]].srv)}}
 			case crashAt + 1:
 				if st.sh.Stats.ReplacedVMs == 0 || st.pos[1] < 0 {
 					t.Fatal("fixture wants VM 1 re-admitted after the crash")

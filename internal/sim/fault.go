@@ -1,13 +1,13 @@
 package sim
 
 // This file is the simulator half of the failure-domain engine
-// (docs/DESIGN.md §13): compiled fault events apply at the top of each
-// shard's evaluation tick, before that tick's departures and arrivals,
-// through core.Shard's Crash and Recover — the same operations serve's
-// data-plane tick runs. All processing is per-shard and in deterministic
-// order (events pre-sorted, evictions in ascending VM id), so faulted
-// Results stay byte-identical for any worker count — the
-// golden-equivalence tests pin this via the chaos preset.
+// (docs/DESIGN.md §13): each shard's compiled fault events apply after
+// its tick's departures and arrivals, before the delta pass, through
+// core.Shard.ApplyFaults — the clock and walker serve's data-plane tick
+// runs. All processing is per-shard and in deterministic order (events
+// pre-sorted, evictions in ascending VM id), so faulted Results stay
+// byte-identical for any worker count — the golden-equivalence tests pin
+// this via the chaos preset.
 
 // FaultResult aggregates the failure-domain engine's outcomes across
 // shards. It is map-free so gob encodings stay deterministic.
@@ -37,35 +37,23 @@ func (f *FaultResult) merge(o FaultResult) {
 	f.DowntimeTicks += o.DowntimeTicks
 }
 
-// applyFaults processes the shard's fault events due at trace tick t
-// (Run pre-sorts them by tick, so a cursor walk suffices) and folds each
-// crash's evictions into the replay accounting: a re-admitted VM gets a
-// fresh record carrying its run cursor (this tick's delta pass folds its
-// demand in) and one downtime tick; a lost VM leaves the replay, its
-// remaining lifetime attributed as downtime.
+// applyFaults applies the shard's fault events due at trace tick t
+// (core.Shard.ApplyFaults) and folds each crash's evictions into the
+// replay accounting: a re-admitted VM gets a fresh record carrying its
+// run cursor (this tick's delta pass folds its demand in) and one
+// downtime tick; a lost VM leaves the replay, its remaining lifetime
+// attributed as downtime.
 func (st *shardState) applyFaults(t int) error {
-	evTick := t - st.cfg.TrainUpTo
-	for st.fi < len(st.fEvents) && st.fEvents[st.fi].Tick <= evTick {
-		e := st.fEvents[st.fi]
-		st.fi++
-		if e.Up {
-			st.sh.Recover(e.Server)
+	evicted, err := st.sh.ApplyFaults(t - st.cfg.TrainUpTo)
+	for _, ev := range evicted {
+		cur := st.recs[st.pos[ev.VMID]].cur
+		st.removeTracked(ev.VMID) // memory already gone with the crash
+		if ev.Server < 0 {
+			st.sr.faults.DowntimeTicks += min(st.tr.VMs[ev.VMID].End, st.tr.Horizon) - t
 			continue
 		}
-		evicted, err := st.sh.Crash(e.Server)
-		for _, ev := range evicted {
-			cur := st.recs[st.pos[ev.VMID]].cur
-			st.removeTracked(ev.VMID) // memory already gone with the crash
-			if ev.Server < 0 {
-				st.sr.faults.DowntimeTicks += min(st.tr.VMs[ev.VMID].End, st.tr.Horizon) - t
-				continue
-			}
-			st.track(&st.tr.VMs[ev.VMID], ev.Server, cur)
-			st.sr.faults.DowntimeTicks++
-		}
-		if err != nil {
-			return err
-		}
+		st.track(&st.tr.VMs[ev.VMID], ev.Server, cur)
+		st.sr.faults.DowntimeTicks++
 	}
-	return nil
+	return err
 }

@@ -16,7 +16,8 @@ import (
 // After every tick of a replay it recomputes each occupied server's demand
 // from the shard's records, summed in VM-id order, and requires the
 // replay's totals to equal it and its CPU and memory contention verdicts
-// to be the recomputation's. The replay reaches its totals in event order
+// to be the recomputation's; the scheduler's occupied servers must be
+// the ones the records occupy. The replay reaches its totals in event order
 // instead — arrivals, deltas, departures, crash evictions and data-plane
 // migrations — so a total that depended on the order of its terms, or a
 // path that dropped a term, would show here. Sparse-churn runs under
@@ -65,20 +66,26 @@ func TestContentionOrderFree(t *testing.T) {
 			}
 			st := states[0]
 			sums := make([]resources.Units, len(st.servers))
+			vms := make([]int, len(st.servers))
 			var checked, cpuViol, memViol, cpuTies int
 			for now := cfg.TrainUpTo; now < tr.Horizon; now++ {
 				if err := st.step(now); err != nil {
 					t.Fatal(err)
 				}
 				clear(sums)
+				clear(vms)
 				for id := range st.pos {
 					if p := st.pos[id]; p >= 0 {
 						srv := st.recs[p].srv
 						sums[srv] = sums[srv].Add(tr.VMs[id].DemandAt(now).Units())
+						vms[srv]++
 					}
 				}
 				for i, sum := range sums {
-					if st.vmCount[i] == 0 {
+					if (vms[i] > 0) != st.servers[i].Used() {
+						t.Fatalf("tick %d server %d: %d tracked VMs, scheduler says used %v", now, i, vms[i], st.servers[i].Used())
+					}
+					if vms[i] == 0 {
 						continue
 					}
 					if sum != st.demand[i] {

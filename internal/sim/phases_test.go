@@ -24,7 +24,7 @@ type placementLedger struct {
 // did before the arrival and judging phases: one LongTerm.Predict +
 // BuildCVM + Place per arrival, in event order, each outcome judged from
 // the placed CVM at once, with crashes evicting and re-placing VMs in
-// ascending id order at the top of their tick.
+// ascending id order after their tick's departures and arrivals.
 func replayPerArrival(t *testing.T, tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (placementLedger, int) {
 	t.Helper()
 	states, err := buildShards(tr, fleet, nil, cfg)
@@ -37,24 +37,6 @@ func replayPerArrival(t *testing.T, tr *trace.Trace, fleet *cluster.Fleet, cfg C
 		sh := st.sh
 		faults, fi, ei := cfg.Faults.ForShard(sh.Index), 0, 0
 		for tick := cfg.TrainUpTo; tick < tr.Horizon; tick++ {
-			for ; fi < len(faults) && faults[fi].Tick <= tick-cfg.TrainUpTo; fi++ {
-				srv := faults[fi].Server
-				if faults[fi].Up {
-					sh.Sched.SetDown(srv, false)
-					continue
-				}
-				if sh.Sched.Down(srv) {
-					continue
-				}
-				evicted := sh.Sched.VMsOn(srv)
-				sh.Sched.SetDown(srv, true)
-				for _, id := range evicted {
-					cvm, _ := sh.Sched.Remove(id)
-					if _, ok := sh.Sched.Place(cvm); ok {
-						replaced++
-					}
-				}
-			}
 			for ; ei < len(st.events) && st.events[ei].sample == tick; ei++ {
 				ev := st.events[ei]
 				if !ev.arrival {
@@ -75,6 +57,24 @@ func replayPerArrival(t *testing.T, tr *trace.Trace, fleet *cluster.Fleet, cfg C
 				if ok {
 					led.Oversubscribed++
 					led.Outcomes = append(led.Outcomes, outcome(ev.vm, cvm, cfg))
+				}
+			}
+			for ; fi < len(faults) && faults[fi].Tick <= tick-cfg.TrainUpTo; fi++ {
+				srv := faults[fi].Server
+				if faults[fi].Up {
+					sh.Sched.SetDown(srv, false)
+					continue
+				}
+				if sh.Sched.Down(srv) {
+					continue
+				}
+				evicted := sh.Sched.VMsOn(srv)
+				sh.Sched.SetDown(srv, true)
+				for _, id := range evicted {
+					cvm, _ := sh.Sched.Remove(id)
+					if _, ok := sh.Sched.Place(cvm); ok {
+						replaced++
+					}
 				}
 			}
 		}

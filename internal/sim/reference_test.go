@@ -16,7 +16,7 @@ import (
 
 // runReference is the replay the event-driven core is checked against.
 // It drives the same shard states Run builds — the same arrive,
-// dataPlaneTick, exchange and seal — serially, one
+// applyFaults, dataPlaneTick, exchange and seal — serially, one
 // tick of every shard at a time with the exchange after each, but
 // replaces each shard's incremental bookkeeping with full recomputation
 // (referenceAdvance): every placed VM is visited, every frame walked and
@@ -46,13 +46,18 @@ func runReference(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*Result, e
 	return seal(states, cfg, tr.Horizon-cfg.TrainUpTo), nil
 }
 
-// referenceAdvance is advance by full recomputation. The delta pass
-// visits every record in position order, folding in each demand change
-// and driving the working set; every steady-frame cache is invalidated
-// so observeSparse walks every frame; contention is a scan of every
-// server. The event scratch the tick's placements and mutations left —
-// slots, the queue's due bucket and the dirty list — is dropped unread.
+// referenceAdvance is advance by full recomputation: the same fault
+// step first, then a delta pass that visits every record in position
+// order, folding in each demand change and driving the working set;
+// every steady-frame cache is invalidated so observeSparse walks every
+// frame; occupancy and contention are recounted from the records and a
+// scan of every server. The event scratch the tick's placements and
+// mutations left — slots, the queue's due bucket and the dirty list — is
+// dropped unread.
 func (st *shardState) referenceAdvance(t int) error {
+	if err := st.applyFaults(t); err != nil {
+		return err
+	}
 	for i := range st.recs {
 		r := &st.recs[i]
 		vm := &st.tr.VMs[r.id]
@@ -82,11 +87,16 @@ func (st *shardState) referenceAdvance(t int) error {
 		}
 	}
 
-	st.sr.usedByTick[t-st.cfg.TrainUpTo] = st.used
+	vms := make([]int, len(st.servers))
+	for _, r := range st.recs {
+		vms[r.srv]++
+	}
+	used := 0
 	for i := range st.servers {
-		if st.vmCount[i] == 0 {
+		if vms[i] == 0 {
 			continue
 		}
+		used++
 		st.sr.serverTicks++
 		if st.demand[i][resources.CPU] > st.cpuLimit[i] {
 			st.sr.cpuViolations++
@@ -95,6 +105,7 @@ func (st *shardState) referenceAdvance(t int) error {
 			st.sr.memViolations++
 		}
 	}
+	st.sr.usedByTick[t-st.cfg.TrainUpTo] = used
 
 	st.slots = st.queue.PopDue(t, st.slots)[:0]
 	for _, i := range st.dirty {

@@ -13,6 +13,7 @@ import (
 	"github.com/coach-oss/coach/internal/scenario"
 	"github.com/coach-oss/coach/internal/scheduler"
 	"github.com/coach-oss/coach/internal/serve"
+	"github.com/coach-oss/coach/internal/timeseries"
 	"github.com/coach-oss/coach/internal/trace"
 )
 
@@ -20,34 +21,42 @@ import (
 // through the simulator, stepped tick by tick, and through serve.Service
 // on a virtual clock — per tick, Release the departures, Admit the
 // arrivals, then TickDataPlane, through serve's public API only. Both
-// run the same core.Shard operations, so every admission decision
-// (admitted, cluster, server), every cluster's Placed/UsedServers, the
-// fault ledger and the data-plane aggregates must agree exactly after
-// every tick. AdmitPressureFrac 0 makes serve's Pick(+Inf) the
-// scheduler's Place.
+// run the same core.Shard operations on one fault clock (a tick's crash
+// and recover events apply after its departures and arrivals, before its
+// working sets move), so every admission decision (admitted, cluster,
+// server), every cluster's Placed/UsedServers, the fault ledger and the
+// data-plane aggregates must agree exactly after every tick of the
+// horizon. AdmitPressureFrac 0 makes serve's Pick(+Inf) the scheduler's
+// Place.
 //
-// Differences the wall removes or states:
-//   - A VM alive across TrainUpTo enters sim at sample TrainUpTo-Start of
-//     its series and serve at sample 0; the shared trace starts such VMs
-//     at TrainUpTo (wallTrace).
-//   - serve applies tick k's fault events inside TickDataPlane, after
-//     tick k's releases and admissions; sim applies them before. The two
-//     orders agree while an event's shard has no arrival and no departure
-//     at its tick. Exact comparison runs up to the first fault event
-//     that breaks this; the fixture keeps every event quiet, and the
-//     crash/recovery counts are compared to the end regardless.
-//   - serve has no clock without a data plane, so it never applies crash
-//     events there: only the data-plane-on case replays chaos.
+// The grid is {capacity, chaos, sparse-churn} × {data plane off, Trim,
+// Migrate with cross-shard migration}, less chaos with the data plane
+// off: serve has no clock without a data plane, so it never applies
+// crash events there. The busy-crash cell pins a crash on the server a
+// VM lands on at the crash's own tick, where applying the tick's faults
+// before its admissions would place the VM elsewhere.
+//
+// A VM alive across TrainUpTo enters sim at sample TrainUpTo-Start of
+// its series and serve at sample 0; the shared trace starts such VMs at
+// TrainUpTo (wallTrace).
 func TestSimServeEquivalence(t *testing.T) {
 	cases := []struct {
 		name       string
 		preset     string
 		mitigation agent.Policy // PolicyNone: data plane off
 		crossShard bool
+		busy       *busyCrash
 	}{
-		{"capacity-dp-off", "capacity", agent.PolicyNone, false},
-		{"capacity-trim", "capacity", agent.PolicyTrim, false},
-		{"chaos-migrate", "chaos", agent.PolicyMigrate, true},
+		{name: "capacity-dp-off", preset: "capacity"},
+		{name: "capacity-trim", preset: "capacity", mitigation: agent.PolicyTrim},
+		{name: "capacity-migrate", preset: "capacity", mitigation: agent.PolicyMigrate, crossShard: true},
+		{name: "chaos-trim", preset: "chaos", mitigation: agent.PolicyTrim},
+		{name: "chaos-migrate", preset: "chaos", mitigation: agent.PolicyMigrate, crossShard: true},
+		{name: "sparse-churn-dp-off", preset: "sparse-churn"},
+		{name: "sparse-churn-trim", preset: "sparse-churn", mitigation: agent.PolicyTrim},
+		{name: "sparse-churn-migrate", preset: "sparse-churn", mitigation: agent.PolicyMigrate, crossShard: true},
+		{name: "busy-crash", preset: "capacity", mitigation: agent.PolicyTrim,
+			busy: &busyCrash{tick: busyTick, vm: busyVM, shard: busyShard, server: busyServer}},
 	}
 	for _, c := range cases {
 		c := c
@@ -63,9 +72,28 @@ func TestSimServeEquivalence(t *testing.T) {
 				cfg.DataPlanePoolFrac = 0.02
 				cfg.DataPlaneUnallocFrac = 0.02
 			}
-			runWall(t, tr, sp, cfg)
+			if c.busy != nil {
+				sp.Faults = append(sp.Faults, c.busy.fault())
+			}
+			runWall(t, tr, sp, cfg, c.busy)
 		})
 	}
+}
+
+// The busy-crash cell's pin, read off a run without it: VM busyVM is
+// admitted at evaluation tick busyTick onto server busyServer of shard
+// busyShard, which the pinned crash takes down at that tick.
+const busyTick, busyVM, busyShard, busyServer = 17, 102, 7, 0
+
+// busyCrash is a crash pinned on the server VM vm lands on at
+// evaluation tick tick.
+type busyCrash struct{ tick, vm, shard, server int }
+
+// fault returns the pinned crash as a spec fault, mid-tick so the day
+// converts back to tick exactly; the server recovers two hours later.
+func (b *busyCrash) fault() scenario.Fault {
+	return scenario.Fault{Kind: "crash", Day: (float64(b.tick) + 0.5) / timeseries.SamplesPerDay,
+		Cluster: b.shard, Server: b.server, RecoverHours: 2}
 }
 
 // wallTrace generates a small trace of the preset and ends every VM
@@ -94,7 +122,9 @@ func wallTrace(t *testing.T, preset string) (*trace.Trace, *scenario.Spec) {
 	return tr, sp
 }
 
-func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config) {
+// runWall replays tr through both layers and compares them after every
+// tick; busy, when set, must admit its VM onto the crashed server.
+func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config, busy *busyCrash) {
 	fleet := cluster.NewFleet(cluster.DefaultClusters(4))
 	model, err := predict.TrainLongTerm(tr, cfg.TrainUpTo, cfg.TrainConfig())
 	if err != nil {
@@ -141,11 +171,9 @@ func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config) {
 		arrivals[vm.Start] = append(arrivals[vm.Start], vm)
 		departures[vm.End] = append(departures[vm.End], vm)
 	}
-	faults := cfg.Faults.Events()
 
-	// checked is the sim ledger after the last exactly compared tick.
-	exact, admitted, exactTicks := true, 0, 0
-	var checked serve.DataPlaneStats
+	admitted, ticks, landed := 0, tr.Horizon-cfg.TrainUpTo, false
+	var last serve.DataPlaneStats
 	for now := cfg.TrainUpTo; now < tr.Horizon; now++ {
 		tick := now - cfg.TrainUpTo
 		// sim's departure order within a shard: VMs the exchange moved in
@@ -155,12 +183,6 @@ func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config) {
 			return states[vm.HomeShard(len(states))].pos[vm.ID] < 0
 		}
 		sort.SliceStable(leaving, func(i, j int) bool { return immigrant(leaving[i]) && !immigrant(leaving[j]) })
-		for ; len(faults) > 0 && faults[0].Tick <= tick; faults = faults[1:] {
-			if exact && !quietAt(states, faults[0], arrivals[now], leaving) {
-				t.Logf("fault event %+v falls on a busy tick: exact comparison stops", faults[0])
-				exact = false
-			}
-		}
 
 		for _, st := range states {
 			if err := st.arrive(now); err != nil {
@@ -182,16 +204,23 @@ func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config) {
 			if st := states[home]; st.sh.Sched != nil {
 				want = st.sh.Sched.ServerOf(vm.ID)
 			}
-			if exact && (res.Admitted != (want >= 0) || res.Cluster != home || (want >= 0 && res.Server != want)) {
+			if res.Admitted != (want >= 0) || res.Cluster != home || (want >= 0 && res.Server != want) {
 				t.Fatalf("tick %d vm %d: serve admitted=%v cluster %d server %d; sim cluster %d server %d",
 					tick, vm.ID, res.Admitted, res.Cluster, res.Server, home, want)
+			}
+			if busy != nil && vm.ID == busy.vm {
+				if tick != busy.tick || res.Cluster != busy.shard || res.Server != busy.server {
+					t.Fatalf("fixture: vm %d lands at tick %d on shard %d server %d, want tick %d shard %d server %d",
+						vm.ID, tick, res.Cluster, res.Server, busy.tick, busy.shard, busy.server)
+				}
+				landed = true
 			}
 			if res.Admitted {
 				admitted++
 			}
 		}
 		for _, st := range states {
-			if err := st.advance(now); err != nil {
+			if err := st.advance(now, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -207,59 +236,38 @@ func runWall(t *testing.T, tr *trace.Trace, sp *scenario.Spec, cfg Config) {
 		}
 
 		got := svc.Stats()
-		want := simStats(states)
-		if got.DataPlane.Crashes != want.Crashes || got.DataPlane.Recoveries != want.Recoveries {
-			t.Fatalf("tick %d: serve crashes/recoveries %d/%d, sim %d/%d", tick,
-				got.DataPlane.Crashes, got.DataPlane.Recoveries, want.Crashes, want.Recoveries)
-		}
-		if !exact {
-			continue
-		}
 		for ci, cs := range got.Clusters {
 			if sched := states[ci].sh.Sched; sched != nil && (cs.Placed != sched.Placed() || cs.UsedServers != sched.UsedServers()) {
 				t.Fatalf("tick %d cluster %d: serve placed %d on %d servers, sim %d on %d",
 					tick, ci, cs.Placed, cs.UsedServers, sched.Placed(), sched.UsedServers())
 			}
 		}
+		last = simStats(states)
 		if cfg.DataPlane {
-			if got := comparable(got.DataPlane); got != want {
-				t.Fatalf("tick %d: data plane diverges\n serve %+v\n   sim %+v", tick, got, want)
+			if got := comparable(got.DataPlane); got != last {
+				t.Fatalf("tick %d: data plane diverges\n serve %+v\n   sim %+v", tick, got, last)
 			}
 		}
-		exactTicks, checked = tick+1, want
+		if busy != nil && tick == busy.tick && states[busy.shard].sh.Sched.ServerOf(busy.vm) == busy.server {
+			t.Fatalf("fixture: the crash at tick %d left vm %d on server %d", tick, busy.vm, busy.server)
+		}
 	}
 
-	t.Logf("%d of %d ticks exact: %d admitted; %d crashes, %d evictions; %d trims; migrations same/cross/failed %d/%d/%d",
-		exactTicks, tr.Horizon-cfg.TrainUpTo, admitted, checked.Crashes, checked.EvictedVMs, checked.Trims,
-		checked.SameShardMigrations, checked.CrossShardMigrations, checked.FailedMigrations)
+	t.Logf("%d ticks exact: %d admitted; %d crashes, %d evictions; %d trims; migrations same/cross/failed %d/%d/%d",
+		ticks, admitted, last.Crashes, last.EvictedVMs, last.Trims,
+		last.SameShardMigrations, last.CrossShardMigrations, last.FailedMigrations)
 	switch {
 	case admitted == 0:
 		t.Fatal("vacuous wall: serve admitted nothing")
-	case cfg.MitigationPolicy == agent.PolicyTrim && checked.Trims == 0:
+	case cfg.MitigationPolicy == agent.PolicyTrim && last.Trims == 0:
 		t.Fatal("vacuous wall: no server trimmed")
-	case cfg.CrossShardMigration && checked.CrossShardMigrations == 0:
+	case cfg.CrossShardMigration && last.CrossShardMigrations == 0:
 		t.Fatal("vacuous wall: no cross-shard migration")
-	case cfg.Faults != nil && checked.EvictedVMs == 0:
-		t.Fatal("vacuous wall: no crash evicted a VM while the comparison was exact")
+	case cfg.Faults != nil && last.EvictedVMs == 0:
+		t.Fatal("vacuous wall: no crash evicted a VM")
+	case busy != nil && !landed:
+		t.Fatalf("fixture: vm %d never arrived", busy.vm)
 	}
-}
-
-// quietAt reports whether applying fault event e before or after its
-// tick's arrivals and departures is the same: its shard admits nothing
-// that tick and, for a crash, loses no departing VM. It reads sim's state
-// before the tick's arrive.
-func quietAt(states []*shardState, e fault.Event, arriving, leaving []*trace.VM) bool {
-	for _, vm := range arriving {
-		if vm.HomeShard(len(states)) == e.Shard {
-			return false
-		}
-	}
-	for _, vm := range leaving {
-		if !e.Up && states[e.Shard].pos[vm.ID] >= 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // comparable zeroes the serve-only fields of a DataPlaneStats snapshot:

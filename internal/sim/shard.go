@@ -7,7 +7,6 @@ import (
 
 	"github.com/coach-oss/coach/internal/coachvm"
 	"github.com/coach-oss/coach/internal/core"
-	"github.com/coach-oss/coach/internal/fault"
 	"github.com/coach-oss/coach/internal/predict"
 	"github.com/coach-oss/coach/internal/resources"
 	"github.com/coach-oss/coach/internal/scheduler"
@@ -172,11 +171,9 @@ type shardState struct {
 	// contention threshold, in resources.Units: exact, order-free sums.
 	servers  []*scheduler.ServerState
 	demand   []resources.Units
-	vmCount  []int
 	cpuLimit []int64
 	recs     []placedRec
 	pos      []int32 // VM ID -> index into recs, -1 when untracked
-	used     int
 	ei       int
 
 	// extra holds migration-injected departure events for VMs that moved
@@ -205,11 +202,6 @@ type shardState struct {
 	// histogram contribution.
 	dpRes *DataPlaneResult
 	obs   []steadyObs
-
-	// fEvents is the shard's slice of the compiled fault schedule (nil
-	// without faults); fi is the applied-events cursor.
-	fEvents []fault.Event
-	fi      int
 
 	// laps times the tick's stages on the shard's worker (nil unless
 	// Config.Timings).
@@ -268,7 +260,6 @@ func newShardState(sh *core.Shard, tr *trace.Trace, cfg Config) *shardState {
 		st.obs = make([]steadyObs, len(st.servers))
 	}
 	st.demand = make([]resources.Units, len(st.servers))
-	st.vmCount = make([]int, len(st.servers))
 	st.cpuLimit = make([]int64, len(st.servers))
 	for i, srv := range st.servers {
 		st.cpuLimit[i] = resources.ToUnit(cpuContentionFrac * srv.Server.Capacity()[resources.CPU])
@@ -277,7 +268,6 @@ func newShardState(sh *core.Shard, tr *trace.Trace, cfg Config) *shardState {
 	st.violCPU = make([]bool, len(st.servers))
 	st.violMem = make([]bool, len(st.servers))
 	st.dirtyFlag = make([]bool, len(st.servers))
-	st.fEvents = cfg.Faults.ForShard(sh.Index)
 	st.laps = cfg.Timings.NewLaps()
 	return st
 }
@@ -309,22 +299,13 @@ func (st *shardState) step(t int) error {
 	if err := st.arrive(t); err != nil {
 		return err
 	}
-	st.laps.Lap(stagePlacement, start)
-	return st.advance(t)
+	return st.advance(t, start)
 }
 
-// arrive applies the first half of tick t: fault events, departures and
-// arrivals, which decide every placement of the tick.
+// arrive applies the first half of tick t: departures and arrivals,
+// which decide every admission of the tick.
 func (st *shardState) arrive(t int) error {
-	// Fault events first: a server crashing this tick evicts its VMs
-	// before the tick's departures fire and its recovered capacity (or
-	// its absence) shapes this tick's placements.
-	if st.fEvents != nil {
-		if err := st.applyFaults(t); err != nil {
-			return err
-		}
-	}
-	// Migration-injected departures next: like the event stream's
+	// Migration-injected departures first: like the event stream's
 	// departures-before-arrivals discipline, they free capacity before
 	// this tick's arrivals place.
 	for st.xi < len(st.extra) && st.extra[st.xi].sample == t {
@@ -378,10 +359,18 @@ func (st *shardState) depart(vmID int) {
 	}
 }
 
-// advance applies the second half of tick t: the demand delta pass, the
-// data-plane tick with migration resolution, and the contention counters.
-func (st *shardState) advance(t int) error {
-	lap := st.laps.Start()
+// advance applies the second half of tick t: the fault events due, the
+// demand delta pass, the data-plane tick with migration resolution, and
+// the contention counters. start is the laps reading step took before
+// arrive, so the fault step's time counts with the tick's placements.
+func (st *shardState) advance(t int, start int64) error {
+	// Faults after the tick's admissions, as in serve's data-plane tick:
+	// a crash evicts what this tick placed too, and the re-admissions'
+	// demand joins this tick's delta pass.
+	if err := st.applyFaults(t); err != nil {
+		return err
+	}
+	lap := st.laps.Lap(stagePlacement, start)
 	st.eventDeltaPass(t)
 	lap = st.laps.Lap(stageDeltaPass, lap)
 	if st.sh.DP != nil {
@@ -390,7 +379,7 @@ func (st *shardState) advance(t int) error {
 		}
 		lap = st.laps.Lap(stageDataPlane, lap)
 	}
-	st.sr.usedByTick[t-st.cfg.TrainUpTo] = st.used
+	st.sr.usedByTick[t-st.cfg.TrainUpTo] = st.usedServers()
 	st.settleContention()
 	st.laps.Lap(stageContention, lap)
 	return nil
@@ -468,6 +457,15 @@ func (st *shardState) eventDeltaPass(t int) {
 	st.slots = st.slots[:0]
 }
 
+// usedServers is the shard's count of servers hosting a VM, which its
+// scheduler keeps (zero for a shard without servers).
+func (st *shardState) usedServers() int {
+	if st.sh.Sched == nil {
+		return 0
+	}
+	return st.sh.Sched.UsedServers()
+}
+
 // settleContention is the per-tick contention accounting: servers whose
 // demand, backed capacity or population changed this tick were marked
 // dirty; re-derive just their contended/not flags and keep running
@@ -478,7 +476,7 @@ func (st *shardState) eventDeltaPass(t int) {
 func (st *shardState) settleContention() {
 	for _, i := range st.dirty {
 		st.dirtyFlag[i] = false
-		occupied := st.vmCount[i] > 0
+		occupied := st.servers[i].Used()
 		cpu := occupied && st.demand[i][resources.CPU] > st.cpuLimit[i]
 		mem := occupied && st.demand[i][resources.Memory] > st.servers[i].Pool.BackedUnits()[resources.Memory]
 		if cpu != st.violCPU[i] {
@@ -499,7 +497,7 @@ func (st *shardState) settleContention() {
 		}
 	}
 	st.dirty = st.dirty[:0]
-	st.sr.serverTicks += st.used
+	st.sr.serverTicks += st.usedServers()
 	st.sr.cpuViolations += st.cpuViol
 	st.sr.memViolations += st.memViol
 }
@@ -536,14 +534,6 @@ func (st *shardState) applyPlan(p core.MigrationPlan) {
 	r := &st.recs[st.pos[p.VMID]]
 	last := r.units()
 	st.demand[p.From] = st.demand[p.From].Sub(last)
-	st.vmCount[p.From]--
-	if st.vmCount[p.From] == 0 {
-		st.used--
-	}
-	if st.vmCount[p.To] == 0 {
-		st.used++
-	}
-	st.vmCount[p.To]++
 	st.demand[p.To] = st.demand[p.To].Add(last)
 	r.srv = int32(p.To)
 	st.touchServer(p.From)
@@ -555,10 +545,6 @@ func (st *shardState) applyPlan(p core.MigrationPlan) {
 // which folds its demand in: a dense VM through its bit, with an empty
 // block that pass refills from cur, a sparse one through its slot.
 func (st *shardState) track(vm *trace.VM, srv int, cur timeseries.Cursor) {
-	if st.vmCount[srv] == 0 {
-		st.used++
-	}
-	st.vmCount[srv]++
 	p := len(st.recs)
 	st.pos[vm.ID] = int32(p)
 	q, _ := vm.Alloc.Quarters() // prepare checked every allocation
@@ -593,10 +579,6 @@ func (st *shardState) removeTracked(vmID int) bool {
 	}
 	r := st.recs[p]
 	st.demand[r.srv] = st.demand[r.srv].Sub(r.units())
-	st.vmCount[r.srv]--
-	if st.vmCount[r.srv] == 0 {
-		st.used--
-	}
 	st.touchServer(int(r.srv))
 	// Swap-remove: the last record, its block and its dense bit move to
 	// p; the removed record's block is recycled.

@@ -59,10 +59,11 @@ type Config struct {
 	// generated from. When Faults is nil and the spec declares faults,
 	// Run compiles them against the fleet's shard shape, so one spec
 	// drives the identical fault schedule here and in a live coachd.
-	// Server crash/recover events apply at the top of each evaluation
-	// tick; train-fail skips model training (every admission degrades
-	// to the fully-guaranteed best-fit split); serving-only faults
-	// (latency, handoff crash points) are ignored. See docs/DESIGN.md §13.
+	// Server crash/recover events apply after each evaluation tick's
+	// departures and arrivals, as in serve; train-fail skips model
+	// training (every admission degrades to the fully-guaranteed
+	// best-fit split); serving-only faults (latency, handoff crash
+	// points) are ignored. See docs/DESIGN.md §13.
 	Scenario *scenario.Spec
 	// VisitCounter, when non-nil, is incremented atomically with the
 	// number of placed-VM records each shard tick visits: the VMs whose
@@ -232,12 +233,25 @@ func seal(states []*shardState, cfg Config, ticks int) *Result {
 }
 
 // prepare resolves a Run's inputs and builds its replay states: it
-// builds the shards (core.FleetConfig.NewShards validates the trace,
-// fleet and config), compiles the scenario's faults against the fleet's
-// shard shape and picks the model (cfg.Model, a freshly trained one, or
-// none) the arrival phase predicts with.
+// compiles the scenario's faults against the fleet's shard shape, builds
+// the shards (core.FleetConfig.NewShards validates the trace, fleet and
+// config, and hands each shard its events) and picks the model
+// (cfg.Model, a freshly trained one, or none) the arrival phase predicts
+// with.
 func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, Config, []*shardState, error) {
 	build := cfg.Timings.Start()
+	if cfg.Faults == nil && cfg.Scenario != nil && len(cfg.Scenario.Faults) > 0 {
+		var sizes []int
+		for _, g := range fleet.Shards() {
+			sizes = append(sizes, len(g))
+		}
+		var err error
+		cfg.Faults, err = fault.Compile(cfg.Scenario.Faults, cfg.Scenario.Seed,
+			sizes, tr.Horizon-cfg.TrainUpTo)
+		if err != nil {
+			return nil, cfg, nil, err
+		}
+	}
 	shards, err := cfg.NewShards(tr, fleet)
 	if err != nil {
 		return nil, cfg, nil, err
@@ -247,18 +261,6 @@ func prepare(tr *trace.Trace, fleet *cluster.Fleet, cfg Config) (*trace.Trace, C
 	for i := range tr.VMs {
 		if _, ok := tr.VMs[i].Alloc.Quarters(); !ok {
 			return nil, cfg, nil, fmt.Errorf("sim: vm %d allocation %v is not a whole count of quarter units", tr.VMs[i].ID, tr.VMs[i].Alloc)
-		}
-	}
-
-	if cfg.Faults == nil && cfg.Scenario != nil && len(cfg.Scenario.Faults) > 0 {
-		sizes := make([]int, len(shards))
-		for i, g := range fleet.Shards() {
-			sizes[i] = len(g)
-		}
-		cfg.Faults, err = fault.Compile(cfg.Scenario.Faults, cfg.Scenario.Seed,
-			sizes, tr.Horizon-cfg.TrainUpTo)
-		if err != nil {
-			return nil, cfg, nil, err
 		}
 	}
 	cfg.Timings.Since(stageBuild, build)

@@ -48,7 +48,7 @@ func TestRunTimings(t *testing.T) {
 			calls := map[int]int64{
 				stageRun: 1, stageBuild: 2, stageArrivals: 1, stageTicks: 1, stageJudging: 1,
 				stagePlacement: shardTicks, stageDeltaPass: shardTicks, stageDataPlane: shardTicks, stageContention: shardTicks,
-				stageImbalance: 1, stageBarrier: 1, stageExchange: 0, StageTrace: 0, stageTrain: 0,
+				stageImbalance: 1, stageBarrier: 1, stageExchange: 0, StageTrace: 0, StageSharedTrain: 0, stageTrain: 0,
 			}
 			if cfg.CrossShardMigration {
 				calls[stageImbalance], calls[stageBarrier], calls[stageExchange] = ticks, ticks, ticks
