@@ -96,6 +96,9 @@ func (c FleetConfig) NewShards(tr *trace.Trace, fleet *cluster.Fleet) ([]*Shard,
 	if err := c.Windows.Validate(); err != nil {
 		return nil, err
 	}
+	if !(c.Percentile > 0 && c.Percentile <= 100) {
+		return nil, fmt.Errorf("core: percentile %v outside (0,100]", c.Percentile)
+	}
 	if c.TrainUpTo <= 0 || c.TrainUpTo >= tr.Horizon {
 		return nil, fmt.Errorf("core: TrainUpTo %d outside (0,%d)", c.TrainUpTo, tr.Horizon)
 	}

@@ -126,7 +126,7 @@ func TrainLongTerm(tr *trace.Trace, upToSample int, cfg LongTermConfig) (*LongTe
 	if err := cfg.Windows.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Percentile <= 0 || cfg.Percentile > 100 {
+	if !(cfg.Percentile > 0 && cfg.Percentile <= 100) {
 		return nil, fmt.Errorf("predict: percentile %f outside (0,100]", cfg.Percentile)
 	}
 	if cfg.MinSamples <= 0 {

@@ -45,9 +45,11 @@ func getTraceAndModel(t *testing.T) (*trace.Trace, *LongTerm) {
 func TestTrainLongTermValidation(t *testing.T) {
 	tr, _ := getTraceAndModel(t)
 	cfg := DefaultLongTermConfig()
-	cfg.Percentile = 0
-	if _, err := TrainLongTerm(tr, tr.Horizon/2, cfg); err == nil {
-		t.Error("zero percentile must fail")
+	for _, p := range []float64{0, -5, 100.5, math.Inf(1), math.NaN()} {
+		cfg.Percentile = p
+		if _, err := TrainLongTerm(tr, tr.Horizon/2, cfg); err == nil {
+			t.Errorf("percentile %v must fail", p)
+		}
 	}
 	cfg = DefaultLongTermConfig()
 	cfg.Windows = timeseries.Windows{PerDay: 7}

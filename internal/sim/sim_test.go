@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"github.com/coach-oss/coach/internal/cluster"
@@ -49,6 +50,16 @@ func TestRunValidation(t *testing.T) {
 	cfg.Windows = timeseries.Windows{PerDay: 5}
 	if _, err := Run(tr, fleet, cfg); err == nil {
 		t.Error("windows that do not divide the day must fail")
+	}
+	// PolicyNone trains nothing, so the shard build alone must reject a
+	// percentile the judge could not select.
+	cfg = ConfigForPolicy(scheduler.PolicyNone)
+	cfg.TrainUpTo = tr.Horizon / 2
+	for _, p := range []float64{-1, 100.5, math.NaN()} {
+		cfg.Percentile = p
+		if _, err := Run(tr, fleet, cfg); err == nil {
+			t.Errorf("percentile %v must fail", p)
+		}
 	}
 	cfg = ConfigForPolicy(scheduler.PolicyCoach)
 	cfg.TrainUpTo = tr.Horizon / 2

@@ -1,13 +1,12 @@
 package timeseries
 
 import (
-	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
 	"github.com/coach-oss/coach/internal/resources"
-	"github.com/coach-oss/coach/internal/stats"
 )
 
 // CodeScale is how many utilization codes make a whole allocation: a
@@ -58,9 +57,14 @@ type Runs struct {
 }
 
 // NewRuns rounds every sample of one equally long series per kind to its
-// nearest code and run-encodes the codes; it keeps no reference to s.
+// nearest code and run-encodes the codes; it keeps no reference to s. A
+// series may hold at most math.MaxInt32 samples, so run starts fit in
+// int32 and any count of samples in uint32.
 func NewRuns(s [resources.NumKinds]Series) Runs {
 	n := len(s[0])
+	if n > math.MaxInt32 {
+		panic("timeseries: NewRuns of more than math.MaxInt32 samples")
+	}
 	sc, _ := codeScratch.Get().(*[]Codes)
 	if sc == nil {
 		sc = new([]Codes)
@@ -188,32 +192,25 @@ func (r Runs) Mean(k resources.Kind) float64 {
 // WindowPercentile returns, per kind and window, the p-th percentile of
 // the samples falling in that window across every day, with the bits of
 // stats.Percentile over their float view. Coach uses this (e.g., P95) to
-// size the guaranteed (PA) portion per formula (1) of §3.3. A series
-// whose every sample is its own run selects over its samples' codes;
-// otherwise each window is a weighted select over the runs overlapping
-// it, O(runs). Either way the runs are read once for all kinds.
+// size the guaranteed (PA) portion per formula (1) of §3.3. Each (kind,
+// window) is a counting select over its codes (counts.percentile): a
+// series whose every sample is its own run counts its samples, any other
+// is cut at window boundaries into (code, length) runs counted with
+// their lengths, O(runs).
 func (r Runs) WindowPercentile(w Windows, p float64) [resources.NumKinds][]float64 {
 	out := perKind(w)
 	per := w.Samples()
+	c, _ := countsPool.Get().(*counts)
+	if c == nil {
+		c = new(counts)
+	}
+	defer countsPool.Put(c)
 	if r.offs == nil {
-		var bufs [resources.NumKinds][]uint16
-		size := (r.n/SamplesPerDay + 1) * per
-		slab := make([]uint16, len(bufs)*size)
-		for k := range bufs {
-			bufs[k] = slab[k*size : (k+1)*size]
-		}
 		for t := 0; t < w.PerDay; t++ {
-			m := 0
-			for lo := t * per; lo < r.n; lo += SamplesPerDay {
-				for _, v := range r.vals[lo:min(lo+per, r.n)] {
-					for k, c := range v {
-						bufs[k][m] = c
-					}
-					m++
-				}
-			}
-			for k := range bufs {
-				out[k][t] = percentile(bufs[k][:m], p)
+			for k := range out {
+				c.addWindow(r.vals, k, t, per)
+				out[k][t] = c.percentile(p)
+				c.clearWindow()
 			}
 		}
 		return out
@@ -236,23 +233,26 @@ func (r Runs) WindowPercentile(w Windows, p float64) [resources.NumKinds][]float
 	}
 	for j, v := range r.vals {
 		i, e := int(r.offs[j]), r.start(j+1)
-		// Sample i lies in (day, window) cell c, window t of its day.
-		for c, t := i/per, i%SamplesPerDay/per; i < e; c, t = c+1, (t+1)%w.PerDay {
-			cut := min(e, (c+1)*per)
+		// Sample i lies in (day, window) cell d, window t of its day.
+		for d, t := i/per, i%SamplesPerDay/per; i < e; d, t = d+1, (t+1)%w.PerDay {
+			cut := min(e, (d+1)*per)
 			for k, x := range v {
 				l := lists[k*w.PerDay+t]
 				if len(l) > 0 && l[len(l)-1].c == x {
-					l[len(l)-1].n += cut - i
+					l[len(l)-1].n += uint32(cut - i)
 				} else {
-					lists[k*w.PerDay+t] = append(l, codeRun{c: x, n: cut - i})
+					lists[k*w.PerDay+t] = append(l, codeRun{c: x, n: uint32(cut - i)})
 				}
 			}
 			i = cut
 		}
 	}
-	var buf []uint16
 	for i, l := range lists {
-		out[i/w.PerDay][i%w.PerDay], buf = percentileRuns(l, p, buf)
+		for _, run := range l {
+			c.add(run.c, run.n)
+		}
+		out[i/w.PerDay][i%w.PerDay] = c.percentile(p)
+		c.clearRuns(l)
 	}
 	return out
 }
@@ -263,71 +263,193 @@ var runLists sync.Pool
 // codeRun is a code repeated n times: one run of a (kind, window) list.
 type codeRun struct {
 	c uint16
-	n int
+	n uint32
 }
 
-// percentile returns the p-th percentile of the samples whose codes xs
-// holds, reordering xs, with the bits stats.PercentileInPlace returns
-// over their float view: codes and fractions share one order, so the
-// order statistics are selected on codes and only they are converted.
-func percentile(xs []uint16, p float64) float64 {
-	n := len(xs)
+// bucketShift sets the coarse level of counts: code x is counted in
+// bucket x >> bucketShift as well as in its own cell.
+const bucketShift = 6
+
+// occShift sets the granularity of counts.occ: 1<<occShift codes a bit,
+// so CodeScale>>occShift < 64.
+const occShift = 8
+
+// counts is the counting select's scratch: how many of the counted
+// samples hold each code, and each bucket of 1<<bucketShift codes. A
+// window never holds more than Runs.Len() <= math.MaxInt32 samples, so a
+// uint32 count cannot overflow. Between uses every count is zero.
+type counts struct {
+	total int
+	// occ has bit i set once a code in [i<<occShift, (i+1)<<occShift) is
+	// counted: the walks and the clearing read only the buckets from the
+	// lowest such code's to the highest's.
+	occ uint64
+	// A bucket's count is the sum of its four lanes. addWindow counts
+	// sample i in lane i mod 4: most neighbouring samples share a
+	// bucket, and one lane would make each increment wait for the store
+	// of the one before. add counts in lane 0.
+	bucket [4][CodeScale>>bucketShift + 1]uint32
+	code   [(CodeScale>>bucketShift + 1) << bucketShift]uint32
+}
+
+// countsPool recycles WindowPercentile's counts across calls and
+// workers.
+var countsPool sync.Pool
+
+// add counts n samples of code x.
+func (c *counts) add(x uint16, n uint32) {
+	c.total += int(n)
+	c.occ |= 1 << (x >> occShift & 63)
+	c.bucket[0][x>>bucketShift] += n
+	c.code[x] += n
+}
+
+// addWindow counts kind k of window t's samples in vs, a day of per-long
+// windows after another, every sample its own run.
+func (c *counts) addWindow(vs []Codes, k, t, per int) {
+	lanes := &c.bucket
+	occ := c.occ
+	for day := t * per; day < len(vs); day += SamplesPerDay {
+		w := vs[day:min(day+per, len(vs))]
+		c.total += len(w)
+		for ; len(w) >= 4; w = w[4:] {
+			a, b, d, e := w[0][k], w[1][k], w[2][k], w[3][k]
+			occ |= 1<<(a>>occShift&63) | 1<<(b>>occShift&63) | 1<<(d>>occShift&63) | 1<<(e>>occShift&63)
+			lanes[0][a>>bucketShift]++
+			lanes[1][b>>bucketShift]++
+			lanes[2][d>>bucketShift]++
+			lanes[3][e>>bucketShift]++
+			c.code[a]++
+			c.code[b]++
+			c.code[d]++
+			c.code[e]++
+		}
+		for _, v := range w {
+			occ |= 1 << (v[k] >> occShift & 63)
+			lanes[0][v[k]>>bucketShift]++
+			c.code[v[k]]++
+		}
+	}
+	c.occ = occ
+}
+
+// inBucket returns how many counted samples hold a code in bucket b.
+func (c *counts) inBucket(b int) int {
+	return int(c.bucket[0][b] + c.bucket[1][b] + c.bucket[2][b] + c.bucket[3][b])
+}
+
+// percentile returns the p-th percentile of the counted samples with the
+// bits stats.PercentileInPlace returns over their float view. Codes and
+// fractions share one order, so the two order statistics the
+// interpolation needs are found on codes and only they are converted.
+// p <= 0 and p >= 100 select the least and the greatest code; no samples
+// read 0, and a NaN p reads NaN.
+func (c *counts) percentile(p float64) float64 {
+	n := c.total
+	var rank float64
 	switch {
 	case n == 0:
 		return 0
-	case p <= 0:
-		return Frac(slices.Min(xs))
+	case p != p:
+		return math.NaN()
 	case p >= 100:
-		return Frac(slices.Max(xs))
+		rank = float64(n - 1)
+	case p > 0:
+		rank = p / 100 * float64(n-1)
 	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	stats.SelectKth(xs, lo)
+	lo := int(rank)
+	x, upTo := c.kth(lo)
 	if float64(lo) == rank {
-		return Frac(xs[lo])
+		return Frac(x)
 	}
 	frac := rank - float64(lo)
-	return Frac(xs[lo])*(1-frac) + Frac(slices.Min(xs[lo+1:]))*frac
+	next := x
+	if upTo <= lo+1 {
+		next = c.above(x)
+	}
+	return Frac(x)*(1-frac) + Frac(next)*frac
 }
 
-// percentileRuns is percentile over the samples runs stands for, each
-// code repeated n times. With 0 < p < 100 it sorts the runs by code and
-// walks their counts to the two order statistics the interpolation
-// needs, reading O(len(runs)) codes; otherwise, or when runs average
-// under two samples, it expands the samples into buf and selects. runs
-// is reordered; buf is returned for reuse.
-func percentileRuns(runs []codeRun, p float64, buf []uint16) (float64, []uint16) {
-	n := 0
-	for _, r := range runs {
-		n += r.n
+// kth returns the k-th smallest counted code, 0 <= k < total, and how
+// many counted samples are at or below it. It walks the buckets, then the
+// codes of one bucket, from whichever end of the counts is nearer k.
+func (c *counts) kth(k int) (x uint16, upTo int) {
+	lo, hi := c.span()
+	if k < c.total/2 {
+		b := lo
+		for ; upTo+c.inBucket(b) <= k; b++ {
+			upTo += c.inBucket(b)
+		}
+		i := b << bucketShift
+		for ; upTo+int(c.code[i]) <= k; i++ {
+			upTo += int(c.code[i])
+		}
+		return uint16(i), upTo + int(c.code[i])
 	}
-	if n == 0 || p <= 0 || p >= 100 || 2*len(runs) > n {
-		buf = buf[:0]
-		for _, r := range runs {
-			for i := 0; i < r.n; i++ {
-				buf = append(buf, r.c)
+	// Walk down to the (total-1-k)-th greatest; above counts the samples
+	// greater than the bucket or code reached.
+	r, above, b := c.total-1-k, 0, hi
+	for ; above+c.inBucket(b) <= r; b-- {
+		above += c.inBucket(b)
+	}
+	i := (b+1)<<bucketShift - 1
+	for ; above+int(c.code[i]) <= r; i-- {
+		above += int(c.code[i])
+	}
+	return uint16(i), c.total - above
+}
+
+// above returns the smallest counted code greater than x, which must
+// exist.
+func (c *counts) above(x uint16) uint16 {
+	i, b := int(x)+1, int(x)>>bucketShift
+	if i>>bucketShift == b {
+		for ; i < (b+1)<<bucketShift; i++ {
+			if c.code[i] != 0 {
+				return uint16(i)
 			}
 		}
-		return percentile(buf, p), buf
 	}
-	slices.SortFunc(runs, func(a, b codeRun) int { return cmp.Compare(a.c, b.c) })
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	// kth returns the k-th smallest sample's code.
-	kth := func(k int) uint16 {
-		for _, r := range runs {
-			if k < r.n {
-				return r.c
-			}
-			k -= r.n
+	for b++; c.inBucket(b) == 0; b++ {
+	}
+	for i = b << bucketShift; c.code[i] == 0; i++ {
+	}
+	return uint16(i)
+}
+
+// clearWindow zeroes the counts addWindow made: every code cell of the
+// buckets occ marks.
+func (c *counts) clearWindow() {
+	if lo, hi := c.span(); lo <= hi {
+		clear(c.code[lo<<bucketShift : (hi+1)<<bucketShift])
+	}
+	c.zero()
+}
+
+// clearRuns zeroes the counts adding every run of l made.
+func (c *counts) clearRuns(l []codeRun) {
+	for _, run := range l {
+		c.code[run.c] = 0
+	}
+	c.zero()
+}
+
+// zero clears every count but the per-code ones.
+func (c *counts) zero() {
+	if lo, hi := c.span(); lo <= hi {
+		for l := range c.bucket {
+			clear(c.bucket[l][lo : hi+1])
 		}
-		return runs[len(runs)-1].c
 	}
-	if float64(lo) == rank {
-		return Frac(kth(lo)), buf
-	}
-	frac := rank - float64(lo)
-	return Frac(kth(lo))*(1-frac) + Frac(kth(lo+1))*frac, buf
+	c.total, c.occ = 0, 0
+}
+
+// span returns the first and last bucket occ marks; hi < lo when occ is
+// empty.
+func (c *counts) span() (lo, hi int) {
+	lo = bits.TrailingZeros64(c.occ) << (occShift - bucketShift)
+	hi = (64-bits.LeadingZeros64(c.occ))<<(occShift-bucketShift) - 1
+	return lo, min(hi, len(c.code)>>bucketShift-1)
 }
 
 // perKind returns a zeroed PerDay-long slice per kind, from one slab.
